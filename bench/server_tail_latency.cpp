@@ -1,7 +1,8 @@
 // Tail latency under overload for the serving layer (docs/serving.md).
 //
-// Offers batches of increasing load (queries per lane) to a QueryServer
-// with a fixed per-query deadline, under deterministic launch-fault
+// Offers batches of increasing load (queries per lane) to a QueryServer —
+// schedules whose arrivals all land at t=0, served by run_stream() — with a
+// fixed per-query deadline, under deterministic launch-fault
 // injection, with circuit breakers on and off. Reports per-config p50 /
 // p95 / p99 sojourn time over the completed queries plus the shed and
 // deadline-miss rates — the overload story in one table: as load grows the
@@ -53,13 +54,6 @@ double percentile(std::vector<double> values, double q) {
   const auto rank = static_cast<std::size_t>(
       std::ceil(q * static_cast<double>(values.size())));
   return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-bool completed(core::QueryStatus status) {
-  return status == core::QueryStatus::kOk ||
-         status == core::QueryStatus::kRecovered ||
-         status == core::QueryStatus::kCpuFallback ||
-         status == core::QueryStatus::kCacheHit;
 }
 
 struct Row {
@@ -137,34 +131,78 @@ int main(int argc, char** argv) {
   bool deadline_bounded = true;
   bool distances_ok = true;
   std::map<graph::VertexId, std::vector<graph::Weight>> oracle;
-  const auto check = [&](const core::ServerResult& result,
-                         const std::vector<core::ServerQuery>& offered) {
-    for (std::size_t i = 0; i < offered.size(); ++i) {
-      const core::ServerQueryStats& sq = result.stats[i];
-      if (!completed(sq.query.status)) continue;
+  const auto check_stream = [&](const core::StreamResult& result,
+                                std::span<const core::TrafficQuery> schedule,
+                                const char* label) {
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+      const core::StreamQueryStats& sq = result.stats[i];
+      if (!core::query_completed(sq.query.status)) {
+        if (!result.queries[i].sssp.distances.empty()) {
+          std::fprintf(stderr,
+                       "VIOLATION: %s query %zu did not complete but "
+                       "reported distances\n",
+                       label, i);
+          distances_ok = false;
+        }
+        continue;
+      }
       if (std::isfinite(sq.deadline_ms) &&
           sq.finish_ms > sq.deadline_ms + 1e-9) {
         std::fprintf(stderr,
-                     "VIOLATION: completed query %zu finished at %.4f ms, "
-                     "past its %.4f ms deadline\n",
-                     i, sq.finish_ms, sq.deadline_ms);
+                     "VIOLATION: %s completed query %zu finished at %.4f "
+                     "ms, past its %.4f ms deadline\n",
+                     label, i, sq.finish_ms, sq.deadline_ms);
         deadline_bounded = false;
       }
-      auto it = oracle.find(offered[i].source);
+      auto it = oracle.find(schedule[i].source);
       if (it == oracle.end()) {
         it = oracle
-                 .emplace(offered[i].source,
-                          sssp::dijkstra(csr, offered[i].source).distances)
+                 .emplace(schedule[i].source,
+                          sssp::dijkstra(csr, schedule[i].source).distances)
                  .first;
       }
       if (result.queries[i].sssp.distances != it->second) {
         std::fprintf(stderr,
-                     "VIOLATION: completed query %zu (source %u) distances "
-                     "differ from the Dijkstra reference\n",
-                     i, offered[i].source);
+                     "VIOLATION: %s completed query %zu (source %u) "
+                     "distances differ from the Dijkstra reference\n",
+                     label, i, schedule[i].source);
         distances_ok = false;
       }
     }
+  };
+
+  // One table/JSON row per served result. `load` is queries per lane for
+  // the t=0 batch sweeps and the offered arrival rate as a multiple of
+  // aggregate capacity for the streaming sweep.
+  const auto row_of = [](int load, bool breakers,
+                         const core::StreamResult& result) {
+    Row row;
+    row.load = load;
+    row.breakers = breakers;
+    row.offered = result.stats.size();
+    row.done = static_cast<std::size_t>(
+        result.ok_queries + result.recovered_queries +
+        result.fallback_queries);
+    row.shed = static_cast<std::size_t>(result.shed_queries);
+    row.missed = static_cast<std::size_t>(result.deadline_queries);
+    row.hedged = static_cast<std::size_t>(result.hedged_queries);
+    row.rerouted = static_cast<std::size_t>(result.rerouted_queries);
+    for (const core::BreakerEvent& event : result.breaker_events) {
+      if (event.transition == core::BreakerTransition::kOpen ||
+          event.transition == core::BreakerTransition::kReopen) {
+        ++row.breaker_trips;
+      }
+    }
+    std::vector<double> sojourn;
+    for (const core::StreamQueryStats& sq : result.stats) {
+      if (core::query_completed(sq.query.status)) {
+        sojourn.push_back(sq.sojourn_ms);
+      }
+    }
+    row.p50 = percentile(sojourn, 0.50);
+    row.p95 = percentile(sojourn, 0.95);
+    row.p99 = percentile(sojourn, 0.99);
+    return row;
   };
 
   // --- result-cache sweep ---------------------------------------------------
@@ -217,7 +255,7 @@ int main(int argc, char** argv) {
     const auto check_exact = [&](const core::StreamResult& result,
                                  const char* label) {
       for (std::size_t i = 0; i < schedule.size(); ++i) {
-        if (!completed(result.stats[i].query.status)) continue;
+        if (!core::query_completed(result.stats[i].query.status)) continue;
         auto it = cache_oracle.find(schedule[i].source);
         if (it == cache_oracle.end()) {
           it = cache_oracle
@@ -269,7 +307,9 @@ int main(int argc, char** argv) {
       }
     }
     for (const core::StreamQueryStats& sq : cold.stats) {
-      if (completed(sq.query.status)) cold_sojourn.push_back(sq.sojourn_ms);
+      if (core::query_completed(sq.query.status)) {
+        cold_sojourn.push_back(sq.sojourn_ms);
+      }
     }
     cache_sweep.cold_done = cold_sojourn.size();
     cache_sweep.hit_p50 = percentile(hit_sojourn, 0.50);
@@ -325,13 +365,19 @@ int main(int argc, char** argv) {
     return cache_ok ? 0 : 1;
   }
 
+  // The batch sweeps are t=0 schedules (core::batch_schedule): every query
+  // arrives at once with the same relative deadline, and run_stream()
+  // dispatches them earliest deadline first, ties in offer order.
+  const auto first_sources = [&](int count) {
+    return std::span<const graph::VertexId>(sources).first(
+        static_cast<std::size_t>(count));
+  };
   std::vector<Row> rows;
   for (const bool breakers : {true, false}) {
     for (const int load : {1, 2, 4, 8}) {
       core::QueryServerOptions sopts;
       sopts.batch = bopts;
       sopts.batch.gpu.fault = fault;
-      sopts.default_deadline_ms = deadline_ms;
       sopts.max_pending = sources.size();
       sopts.breaker.enabled = breakers;
       sopts.breaker.failure_threshold = 2;
@@ -341,43 +387,11 @@ int main(int argc, char** argv) {
       // reroutes instead.
       sopts.breaker.cooldown_ms = 4.0 * deadline_ms;
       core::QueryServer server(csr, device, sopts);
-
-      std::vector<core::ServerQuery> offered;
-      for (int i = 0; i < load * streams; ++i) {
-        core::ServerQuery q;
-        q.source = sources[static_cast<std::size_t>(i)];
-        offered.push_back(q);
-      }
-      const core::ServerResult result = server.run(offered);
-      check(result, offered);
-
-      Row row;
-      row.load = load;
-      row.breakers = breakers;
-      row.offered = offered.size();
-      row.hedged = result.hedged_queries;
-      row.rerouted = result.rerouted_queries;
-      for (const core::BreakerEvent& event : result.breaker_events) {
-        if (event.transition == core::BreakerTransition::kOpen ||
-            event.transition == core::BreakerTransition::kReopen) {
-          ++row.breaker_trips;
-        }
-      }
-      std::vector<double> sojourn;
-      for (const core::ServerQueryStats& sq : result.stats) {
-        if (completed(sq.query.status)) {
-          ++row.done;
-          sojourn.push_back(sq.finish_ms);
-        } else if (sq.query.status == core::QueryStatus::kShedded) {
-          ++row.shed;
-        } else if (sq.query.status == core::QueryStatus::kDeadlineExceeded) {
-          ++row.missed;
-        }
-      }
-      row.p50 = percentile(sojourn, 0.50);
-      row.p95 = percentile(sojourn, 0.95);
-      row.p99 = percentile(sojourn, 0.99);
-      rows.push_back(row);
+      const std::vector<core::TrafficQuery> offered =
+          core::batch_schedule(first_sources(load * streams), deadline_ms);
+      const core::StreamResult result = server.run_stream(offered);
+      check_stream(result, offered, "overload");
+      rows.push_back(row_of(load, breakers, result));
     }
   }
 
@@ -399,57 +413,20 @@ int main(int argc, char** argv) {
     sopts.breaker.failure_threshold = 2;
     sopts.breaker.cooldown_ms = 4.0 * deadline_ms;
     core::QueryServer server(csr, device, sopts);
-
-    std::vector<core::ServerQuery> offered;
-    for (int i = 0; i < max_load * streams; ++i) {
-      core::ServerQuery q;
-      q.source = sources[static_cast<std::size_t>(i)];
-      q.deadline_ms = 100.0 * deadline_ms;
-      offered.push_back(q);
-    }
-    const core::ServerResult result = server.run(offered);
-    check(result, offered);
-
-    Row& row = fault_rows[breakers ? 0 : 1];
-    row.load = max_load;
-    row.breakers = breakers;
-    row.offered = offered.size();
-    row.hedged = result.hedged_queries;
-    row.rerouted = result.rerouted_queries;
-    for (const core::BreakerEvent& event : result.breaker_events) {
-      if (event.transition == core::BreakerTransition::kOpen ||
-          event.transition == core::BreakerTransition::kReopen) {
-        ++row.breaker_trips;
-      }
-    }
-    std::vector<double> sojourn;
-    for (const core::ServerQueryStats& sq : result.stats) {
-      if (completed(sq.query.status)) {
-        ++row.done;
-        sojourn.push_back(sq.finish_ms);
-      } else if (sq.query.status == core::QueryStatus::kShedded) {
-        ++row.shed;
-      } else if (sq.query.status == core::QueryStatus::kDeadlineExceeded) {
-        ++row.missed;
-      }
-    }
-    row.p50 = percentile(sojourn, 0.50);
-    row.p95 = percentile(sojourn, 0.95);
-    row.p99 = percentile(sojourn, 0.99);
+    const std::vector<core::TrafficQuery> offered = core::batch_schedule(
+        first_sources(max_load * streams), 100.0 * deadline_ms);
+    const core::StreamResult result = server.run_stream(offered);
+    check_stream(result, offered, "faults");
+    fault_rows[breakers ? 0 : 1] = row_of(max_load, breakers, result);
   }
 
   // Degraded-routing determinism sweep: trip lane 0 up front, then verify
   // full bit-identity across sim_threads and oracle-identity across stream
   // counts (lane packing legitimately shifts statuses between layouts).
   for (const int sweep_streams : {2, 4}) {
-    std::vector<core::ServerResult> per_thread;
-    std::vector<core::ServerQuery> offered;
-    for (int i = 0; i < 2 * sweep_streams; ++i) {
-      core::ServerQuery q;
-      q.source = sources[static_cast<std::size_t>(i)];
-      q.deadline_ms = 10.0 * deadline_ms;
-      offered.push_back(q);
-    }
+    std::vector<core::StreamResult> per_thread;
+    const std::vector<core::TrafficQuery> offered = core::batch_schedule(
+        first_sources(2 * sweep_streams), 10.0 * deadline_ms);
     for (const int threads : {1, 8}) {
       core::QueryServerOptions sopts;
       sopts.batch = bopts;
@@ -458,8 +435,8 @@ int main(int argc, char** argv) {
       sopts.breaker.cooldown_ms = deadline_ms;
       core::QueryServer server(csr, device, sopts);
       server.trip_lane(0);
-      per_thread.push_back(server.run(offered));
-      check(per_thread.back(), offered);
+      per_thread.push_back(server.run_stream(offered));
+      check_stream(per_thread.back(), offered, "degraded");
     }
     for (std::size_t i = 0; i < offered.size(); ++i) {
       if (per_thread[0].queries[i].sssp.distances !=
@@ -547,75 +524,6 @@ int main(int argc, char** argv) {
         return server.run_stream(schedule);
       };
 
-  const auto check_stream = [&](const core::StreamResult& result,
-                                std::span<const core::TrafficQuery> schedule,
-                                const char* label) {
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-      const core::StreamQueryStats& sq = result.stats[i];
-      if (!completed(sq.query.status)) {
-        if (!result.queries[i].sssp.distances.empty()) {
-          std::fprintf(stderr,
-                       "VIOLATION: %s query %zu did not complete but "
-                       "reported distances\n",
-                       label, i);
-          distances_ok = false;
-        }
-        continue;
-      }
-      if (std::isfinite(sq.deadline_ms) &&
-          sq.finish_ms > sq.deadline_ms + 1e-9) {
-        std::fprintf(stderr,
-                     "VIOLATION: %s completed query %zu finished at %.4f "
-                     "ms, past its %.4f ms deadline\n",
-                     label, i, sq.finish_ms, sq.deadline_ms);
-        deadline_bounded = false;
-      }
-      auto it = oracle.find(schedule[i].source);
-      if (it == oracle.end()) {
-        it = oracle
-                 .emplace(schedule[i].source,
-                          sssp::dijkstra(csr, schedule[i].source).distances)
-                 .first;
-      }
-      if (result.queries[i].sssp.distances != it->second) {
-        std::fprintf(stderr,
-                     "VIOLATION: %s completed query %zu (source %u) "
-                     "distances differ from the Dijkstra reference\n",
-                     label, i, schedule[i].source);
-        distances_ok = false;
-      }
-    }
-  };
-
-  const auto stream_row = [](int load, bool breakers,
-                             const core::StreamResult& result) {
-    Row row;
-    row.load = load;  // offered load as a multiple of aggregate capacity
-    row.breakers = breakers;
-    row.offered = result.stats.size();
-    row.done = static_cast<std::size_t>(
-        result.ok_queries + result.recovered_queries +
-        result.fallback_queries);
-    row.shed = static_cast<std::size_t>(result.shed_queries);
-    row.missed = static_cast<std::size_t>(result.deadline_queries);
-    row.hedged = static_cast<std::size_t>(result.hedged_queries);
-    row.rerouted = static_cast<std::size_t>(result.rerouted_queries);
-    for (const core::BreakerEvent& event : result.breaker_events) {
-      if (event.transition == core::BreakerTransition::kOpen ||
-          event.transition == core::BreakerTransition::kReopen) {
-        ++row.breaker_trips;
-      }
-    }
-    std::vector<double> sojourn;
-    for (const core::StreamQueryStats& sq : result.stats) {
-      if (completed(sq.query.status)) sojourn.push_back(sq.sojourn_ms);
-    }
-    row.p50 = percentile(sojourn, 0.50);
-    row.p95 = percentile(sojourn, 0.95);
-    row.p99 = percentile(sojourn, 0.99);
-    return row;
-  };
-
   bool stream_deterministic = true;
   const auto same_stream = [](const core::StreamResult& a,
                               const core::StreamResult& b) {
@@ -658,7 +566,7 @@ int main(int argc, char** argv) {
                      breakers ? "on" : "off", load);
         stream_deterministic = false;
       }
-      stream_rows.push_back(stream_row(load, breakers, narrow));
+      stream_rows.push_back(row_of(load, breakers, narrow));
     }
   }
 
@@ -683,7 +591,7 @@ int main(int argc, char** argv) {
           schedule);
       check_stream(result, schedule,
                    fastest ? "predicted-fastest" : "earliest-free");
-      const Row row = stream_row(stream_loads.back(), false, result);
+      const Row row = row_of(stream_loads.back(), false, result);
       policy_p99[fastest ? 1 : 0] = row.p99;
       policy_done[fastest ? 1 : 0] = row.done;
     }
@@ -957,45 +865,32 @@ int main(int argc, char** argv) {
                storm_bounded_retries ? "true" : "false");
   write_cache_json(json);
   std::fprintf(json, ",\n");
-  const auto write_row = [&](const Row& row, bool last) {
-    const double offered_d = static_cast<double>(row.offered);
-    std::fprintf(
-        json,
-        "    {\"breakers\": %s, \"load_per_lane\": %d, \"offered\": %zu, "
-        "\"completed\": %zu, \"shed\": %zu, \"deadline_missed\": %zu, "
-        "\"hedged\": %zu, \"rerouted\": %zu, \"breaker_trips\": %zu, "
-        "\"shed_rate\": %.4f, \"miss_rate\": %.4f, "
-        "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-        row.breakers ? "true" : "false", row.load, row.offered, row.done,
-        row.shed, row.missed, row.hedged, row.rerouted, row.breaker_trips,
-        static_cast<double>(row.shed) / offered_d,
-        static_cast<double>(row.missed) / offered_d, row.p50, row.p95,
-        row.p99, last ? "" : ",");
+  // `load_key` names what Row::load means: queries per lane for the t=0
+  // batch sweeps, the offered-rate multiple for the streaming sweep.
+  const auto write_rows = [&](const char* load_key, std::span<const Row> out) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const Row& row = out[i];
+      const double offered_d = static_cast<double>(row.offered);
+      std::fprintf(
+          json,
+          "    {\"breakers\": %s, \"%s\": %d, \"offered\": %zu, "
+          "\"completed\": %zu, \"shed\": %zu, \"deadline_missed\": %zu, "
+          "\"hedged\": %zu, \"rerouted\": %zu, \"breaker_trips\": %zu, "
+          "\"shed_rate\": %.4f, \"miss_rate\": %.4f, "
+          "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
+          row.breakers ? "true" : "false", load_key, row.load, row.offered,
+          row.done, row.shed, row.missed, row.hedged, row.rerouted,
+          row.breaker_trips, static_cast<double>(row.shed) / offered_d,
+          static_cast<double>(row.missed) / offered_d, row.p50, row.p95,
+          row.p99, i + 1 == out.size() ? "" : ",");
+    }
   };
   std::fprintf(json, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    write_row(rows[i], i + 1 == rows.size());
-  }
+  write_rows("load_per_lane", rows);
   std::fprintf(json, "  ],\n  \"fault_routing\": [\n");
-  write_row(fault_rows[0], false);
-  write_row(fault_rows[1], true);
+  write_rows("load_per_lane", fault_rows);
   std::fprintf(json, "  ],\n  \"streaming\": [\n");
-  for (std::size_t i = 0; i < stream_rows.size(); ++i) {
-    const Row& row = stream_rows[i];
-    const double offered_d = static_cast<double>(row.offered);
-    std::fprintf(
-        json,
-        "    {\"breakers\": %s, \"offered_load_x\": %d, \"offered\": %zu, "
-        "\"completed\": %zu, \"shed\": %zu, \"deadline_missed\": %zu, "
-        "\"hedged\": %zu, \"rerouted\": %zu, \"breaker_trips\": %zu, "
-        "\"shed_rate\": %.4f, \"miss_rate\": %.4f, "
-        "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-        row.breakers ? "true" : "false", row.load, row.offered, row.done,
-        row.shed, row.missed, row.hedged, row.rerouted, row.breaker_trips,
-        static_cast<double>(row.shed) / offered_d,
-        static_cast<double>(row.missed) / offered_d, row.p50, row.p95,
-        row.p99, i + 1 == stream_rows.size() ? "" : ",");
-  }
+  write_rows("offered_load_x", stream_rows);
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("wrote %s\n", json_path.c_str());

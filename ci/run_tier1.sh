@@ -102,6 +102,15 @@ echo "=== [parallel] fault-injection CLI smoke ==="
   --closed-loop=budget=2,backoff=0.5,depth=8 \
   --inject-faults=seed=7,launch=0.3,max=50 > /dev/null
 
+echo "=== [parallel] t=0 serve CLI smoke ==="
+# The batch served as a schedule whose arrivals are all at t=0: a tight
+# --deadline-ms under faults makes EDF order, predicted-miss shedding and
+# cooperative cancellation all act on one run_stream() call. The tool
+# exits 1 if any served answer fails validate_distances.
+"$BUILD_ROOT/parallel/examples/sssp_tool" --dataset=k-n12-8 --batch \
+  --sources=16 --batch-streams=4 --serve --deadline-ms=0.5 \
+  --inject-faults=seed=7,launch=0.2,max=50 > /dev/null
+
 run_config serial -DRDBS_PARALLEL=OFF
 
 echo "=== [tsan] configure ==="

@@ -16,10 +16,11 @@
 //   # batched multi-source run: 8 queries over 4 concurrent gpusim streams
 //   ./sssp_tool --dataset=k-n16-16 --batch --sources=8 --batch-streams=4
 //
-//   # overload-safe serving (docs/serving.md): per-query deadline, EDF
-//   # admission, circuit breakers, under injected faults
+//   # overload-safe serving (docs/serving.md): the batch as a t=0
+//   # schedule with a per-query deadline, circuit breakers, under injected
+//   # faults; exits 1 if any served answer fails validation
 //   ./sssp_tool --dataset=k-n16-16 --batch --sources=16 --deadline-ms=5
-//       --admission=edf --breaker=on --inject-faults=seed=7,launch=0.2
+//       --breaker=on --inject-faults=seed=7,launch=0.2
 //
 //   # streaming serve (docs/serving.md "Streaming"): a timed 2k-query
 //   # Poisson schedule with priority-class deadlines, dispatched
@@ -42,7 +43,6 @@
 //       --inject-faults=seed=7,launch=0.3
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -306,28 +306,18 @@ int main(int argc, char** argv) {
                    algorithm.c_str());
       return 2;
     }
-    // Serving mode (docs/serving.md): any of --deadline-ms / --admission /
-    // --breaker (or an explicit --serve) routes the batch through
-    // core::QueryServer instead of the raw QueryBatch scheduler.
-    // --serve-stream=SPEC switches to the continuous dispatcher over a
-    // generated traffic schedule (core/traffic.hpp grammar).
+    // Serving mode (docs/serving.md): any of --deadline-ms / --breaker (or
+    // an explicit --serve) routes the batch through core::QueryServer as a
+    // t=0 schedule — every source arrives at once with the --deadline-ms
+    // budget. --serve-stream=SPEC serves a generated traffic schedule
+    // (core/traffic.hpp grammar) instead. Both share one dispatcher
+    // (run_stream) and one report.
     const bool stream_mode = args.has("serve-stream");
     const bool serve = stream_mode || args.get_bool("serve", false) ||
-                       args.has("deadline-ms") || args.has("admission") ||
-                       args.has("breaker");
+                       args.has("deadline-ms") || args.has("breaker");
     if (serve) {
       core::QueryServerOptions sopts;
       sopts.batch = bopts;
-      sopts.default_deadline_ms = args.get_double(
-          "deadline-ms", std::numeric_limits<double>::infinity());
-      const std::string admission = args.get_string("admission", "fifo");
-      if (admission == "edf") {
-        sopts.admission = core::AdmissionPolicy::kEdf;
-      } else if (admission != "fifo") {
-        std::fprintf(stderr, "--admission must be fifo or edf, not %s\n",
-                     admission.c_str());
-        return 2;
-      }
       const std::string breaker = args.get_string("breaker", "on");
       if (breaker == "off") {
         sopts.breaker.enabled = false;
@@ -354,215 +344,133 @@ int main(int argc, char** argv) {
         sopts.cache.landmarks =
             static_cast<std::size_t>(args.get_int("landmarks", 4));
       }
+      std::vector<core::TrafficQuery> schedule;
+      std::string arrivals = "t=0";
       if (stream_mode) {
-        // Streaming serve: queries arrive over simulated time per the
-        // --serve-stream spec; the server dispatches continuously with a
-        // bounded pending queue, EDF within priority class, starvation
-        // aging and deadline-aware lane picking (docs/serving.md).
-        core::TrafficSpec tspec;
-        std::vector<core::TrafficQuery> schedule;
         try {
-          tspec = core::parse_traffic_spec(
+          const core::TrafficSpec tspec = core::parse_traffic_spec(
               args.get_string("serve-stream", ""));
           schedule = core::generate_traffic(tspec, csr.num_vertices());
+          arrivals = core::arrival_process_name(tspec.process);
         } catch (const std::exception& e) {
           std::fprintf(stderr, "bad --serve-stream spec: %s\n", e.what());
           return 2;
         }
-        if (args.has("max-pending")) {
-          sopts.max_pending =
-              static_cast<std::size_t>(args.get_int("max-pending", 64));
-        }
-        if (args.has("aging-ms")) {
-          sopts.aging_ms = args.get_double("aging-ms", 0.0);
-        }
-        const std::string policy = args.get_string("lane-policy", "fastest");
-        if (policy == "earliest") {
-          sopts.lane_policy = core::LanePolicy::kEarliestFree;
-        } else if (policy != "fastest") {
-          std::fprintf(stderr,
-                       "--lane-policy must be fastest or earliest, not %s\n",
-                       policy.c_str());
+      } else {
+        schedule = core::batch_schedule(
+            sources, args.get_double("deadline-ms",
+                                     std::numeric_limits<double>::infinity()));
+      }
+      if (args.has("max-pending")) {
+        sopts.max_pending =
+            static_cast<std::size_t>(args.get_int("max-pending", 64));
+      }
+      if (args.has("aging-ms")) {
+        sopts.aging_ms = args.get_double("aging-ms", 0.0);
+      }
+      const std::string policy = args.get_string("lane-policy", "fastest");
+      if (policy == "earliest") {
+        sopts.lane_policy = core::LanePolicy::kEarliestFree;
+      } else if (policy != "fastest") {
+        std::fprintf(stderr,
+                     "--lane-policy must be fastest or earliest, not %s\n",
+                     policy.c_str());
+        return 2;
+      }
+      // --closed-loop=SPEC: shed/deadline-missed queries re-arrive with
+      // deterministic jittered backoff (core/traffic.hpp grammar), e.g.
+      // --closed-loop=budget=3,backoff=0.25,jitter=0.5,depth=12
+      if (args.has("closed-loop")) {
+        try {
+          sopts.closed_loop = core::parse_closed_loop_spec(
+              args.get_string("closed-loop", ""));
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "bad --closed-loop spec: %s\n", e.what());
           return 2;
         }
-        // --closed-loop=SPEC: shed/deadline-missed queries re-arrive with
-        // deterministic jittered backoff (core/traffic.hpp grammar), e.g.
-        // --closed-loop=budget=3,backoff=0.25,jitter=0.5,depth=12
-        if (args.has("closed-loop")) {
-          try {
-            sopts.closed_loop = core::parse_closed_loop_spec(
-                args.get_string("closed-loop", ""));
-          } catch (const std::exception& e) {
-            std::fprintf(stderr, "bad --closed-loop spec: %s\n", e.what());
-            return 2;
-          }
-        }
-        core::QueryServer server(csr, device, sopts);
-        const core::StreamResult result = server.run_stream(schedule);
-
-        std::array<std::vector<double>, core::kNumTrafficClasses> sojourns;
-        std::uint64_t promotions = 0;
-        for (const core::StreamQueryStats& sq : result.stats) {
-          promotions += static_cast<std::uint64_t>(sq.promotions);
-          if (sq.query.status == core::QueryStatus::kOk ||
-              sq.query.status == core::QueryStatus::kRecovered ||
-              sq.query.status == core::QueryStatus::kCpuFallback ||
-              sq.query.status == core::QueryStatus::kCacheHit) {
-            sojourns[static_cast<std::size_t>(sq.cls)].push_back(
-                sq.sojourn_ms);
-          }
-        }
-        const auto percentile = [](std::vector<double>& values, double q) {
-          if (values.empty()) return std::string("-");
-          std::sort(values.begin(), values.end());
-          const auto rank = static_cast<std::size_t>(
-              q * static_cast<double>(values.size() - 1));
-          return format_fixed(values[rank], 3);
-        };
-        TextTable table({"class", "offered", "completed", "shed", "missed",
-                         "failed", "p50 ms", "p99 ms"});
-        for (int c = 0; c < core::kNumTrafficClasses; ++c) {
-          const core::ClassTally& tally =
-              result.classes[static_cast<std::size_t>(c)];
-          std::vector<double>& soj = sojourns[static_cast<std::size_t>(c)];
-          table.add_row(
-              {core::traffic_class_name(static_cast<core::TrafficClass>(c)),
-               format_count(tally.offered), format_count(tally.completed),
-               format_count(tally.shed), format_count(tally.missed),
-               format_count(tally.failed), percentile(soj, 0.5),
-               percentile(soj, 0.99)});
-        }
-        std::fputs(table.render().c_str(), stdout);
-        const std::uint64_t done = result.ok_queries +
-                                   result.recovered_queries +
-                                   result.fallback_queries +
-                                   result.cached_queries;
-        std::printf(
-            "\nstreamed %zu quer%s (%s arrivals) over %d lane(s) "
-            "(%s-lane placement, %s admission, breakers %s): "
-            "%llu completed / %llu shed / %llu deadline / %llu failed; "
-            "%llu hedged, %llu rerouted, %llu promotion(s); "
-            "makespan %.3f ms (device %.3f ms)\n",
-            schedule.size(), schedule.size() == 1 ? "y" : "ies",
-            core::arrival_process_name(tspec.process),
-            server.batch().num_lanes(), policy.c_str(), admission.c_str(),
-            sopts.breaker.enabled ? "on" : "off",
-            static_cast<unsigned long long>(done),
-            static_cast<unsigned long long>(result.shed_queries),
-            static_cast<unsigned long long>(result.deadline_queries),
-            static_cast<unsigned long long>(result.failed_queries),
-            static_cast<unsigned long long>(result.hedged_queries),
-            static_cast<unsigned long long>(result.rerouted_queries),
-            static_cast<unsigned long long>(promotions),
-            result.makespan_ms, result.device_makespan_ms);
-        if (sopts.cache.enabled) {
-          const core::SourceRepetitionStats reps =
-              core::source_repetition_stats(schedule);
-          const core::ResultCacheStats& cs =
-              server.result_cache()->stats();
-          std::printf(
-              "cache: %llu exact hit(s), %llu single-flight join(s), "
-              "%llu warm start(s); %llu publish(es), %llu eviction(s); "
-              "schedule repeats %.1f%% over %zu distinct source(s)\n",
-              static_cast<unsigned long long>(result.cached_queries),
-              static_cast<unsigned long long>(result.joined_queries),
-              static_cast<unsigned long long>(result.warm_started_queries),
-              static_cast<unsigned long long>(cs.publishes),
-              static_cast<unsigned long long>(cs.evictions),
-              100.0 * reps.repeat_fraction, reps.distinct_sources);
-        }
-        if (fault.enabled) {
-          std::printf(
-              "recovery: %llu attempt(s), %llu fault(s) injected "
-              "(%llu ECC-corrected), %llu retried, %.3f ms backoff%s\n",
-              static_cast<unsigned long long>(result.recovery.attempts),
-              static_cast<unsigned long long>(
-                  result.recovery.faults_injected),
-              static_cast<unsigned long long>(result.recovery.ecc_corrected),
-              static_cast<unsigned long long>(result.recovery.retries),
-              result.recovery.backoff_ms,
-              result.recovery.device_lost ? ", DEVICE LOST" : "");
-        }
-        if (result.resumed_queries > 0 || result.migrated_queries > 0 ||
-            sopts.closed_loop.enabled) {
-          std::printf(
-              "resume: %llu checkpoint-resumed, %llu migrated; "
-              "closed loop: %llu retried arrival(s), %llu past budget\n",
-              static_cast<unsigned long long>(result.resumed_queries),
-              static_cast<unsigned long long>(result.migrated_queries),
-              static_cast<unsigned long long>(result.retried_arrivals),
-              static_cast<unsigned long long>(result.retry_exhausted));
-        }
-        for (const core::BreakerEvent& event : result.breaker_events) {
-          std::printf("breaker: lane %d -> %s at %.3f ms\n", event.lane,
-                      core::breaker_transition_name(event.transition),
-                      event.time_ms);
-        }
-        return report_sanitizer(server.batch());
       }
       core::QueryServer server(csr, device, sopts);
-      std::vector<core::ServerQuery> offered;
-      offered.reserve(sources.size());
-      for (const graph::VertexId s : sources) {
-        core::ServerQuery q;
-        q.source = s;  // deadline left unset -> options.default_deadline_ms
-        offered.push_back(q);
-      }
-      const core::ServerResult result = server.run(offered);
+      const core::StreamResult result = server.run_stream(schedule);
 
-      TextTable table({"source", "lane", "status", "latency ms", "finish ms",
-                       "deadline ms", "overrun", "reached", "valid"});
+      // Every answer is certified against the graph, whatever path served
+      // it (device, host hedge, cache hit or single-flight join).
+      std::size_t invalid = 0;
+      std::array<std::vector<double>, core::kNumTrafficClasses> sojourns;
+      std::uint64_t promotions = 0;
       for (std::size_t i = 0; i < result.stats.size(); ++i) {
-        const core::ServerQueryStats& sq = result.stats[i];
-        const bool has_distances = !result.queries[i].sssp.distances.empty();
-        const auto verdict =
-            has_distances ? sssp::validate_distances(
-                                csr, sq.query.source,
-                                result.queries[i].sssp.distances)
-                          : std::optional<std::string>{};
+        const core::StreamQueryStats& sq = result.stats[i];
+        promotions += static_cast<std::uint64_t>(sq.promotions);
+        const std::vector<graph::Distance>& got =
+            result.queries[i].sssp.distances;
+        if (!got.empty()) {
+          if (const auto verdict =
+                  sssp::validate_distances(csr, sq.query.source, got)) {
+            std::fprintf(stderr, "invalid answer: query %zu (source %u): %s\n",
+                         i, sq.query.source, verdict->c_str());
+            ++invalid;
+          }
+        }
+        if (core::query_completed(sq.query.status)) {
+          sojourns[static_cast<std::size_t>(sq.cls)].push_back(sq.sojourn_ms);
+        }
+      }
+      const auto percentile = [](std::vector<double>& values, double q) {
+        if (values.empty()) return std::string("-");
+        std::sort(values.begin(), values.end());
+        const auto rank = static_cast<std::size_t>(
+            q * static_cast<double>(values.size() - 1));
+        return format_fixed(values[rank], 3);
+      };
+      TextTable table({"class", "offered", "completed", "shed", "missed",
+                       "failed", "p50 ms", "p99 ms"});
+      for (int c = 0; c < core::kNumTrafficClasses; ++c) {
+        const core::ClassTally& tally =
+            result.classes[static_cast<std::size_t>(c)];
+        std::vector<double>& soj = sojourns[static_cast<std::size_t>(c)];
         table.add_row(
-            {format_count(sq.query.source),
-             sq.hedged ? std::string("host")
-                       : format_count(static_cast<std::uint64_t>(
-                             sq.query.stream)),
-             core::query_status_name(sq.query.status),
-             format_fixed(sq.query.device_ms, 3),
-             format_fixed(sq.finish_ms, 3),
-             std::isfinite(sq.deadline_ms) ? format_fixed(sq.deadline_ms, 3)
-                                           : std::string("-"),
-             format_count(sq.overrun_kernels),
-             has_distances
-                 ? format_count(result.queries[i].sssp.reached_count())
-                 : std::string("-"),
-             !has_distances ? std::string("-")
-                            : (verdict ? "NO: " + *verdict
-                                       : std::string("yes"))});
+            {core::traffic_class_name(static_cast<core::TrafficClass>(c)),
+             format_count(tally.offered), format_count(tally.completed),
+             format_count(tally.shed), format_count(tally.missed),
+             format_count(tally.failed), percentile(soj, 0.5),
+             percentile(soj, 0.99)});
       }
       std::fputs(table.render().c_str(), stdout);
+      const std::uint64_t done = result.ok_queries + result.recovered_queries +
+                                 result.fallback_queries +
+                                 result.cached_queries;
       std::printf(
-          "\nserved %zu quer%s on %d lane(s) (%s, breakers %s): "
-          "%llu ok / %llu recovered / %llu fallback (%llu hedged) / "
-          "%llu deadline / %llu shed / %llu failed; makespan %.3f ms, "
-          "%llu overrun kernel(s)\n",
-          offered.size(), offered.size() == 1 ? "y" : "ies",
-          server.batch().num_lanes(), admission.c_str(),
+          "\nserved %zu quer%s (%s arrivals) over %d lane(s) "
+          "(%s-lane placement, breakers %s): "
+          "%llu completed / %llu shed / %llu deadline / %llu failed; "
+          "%llu hedged, %llu rerouted, %llu promotion(s), "
+          "%llu overrun kernel(s); makespan %.3f ms (device %.3f ms); "
+          "%zu invalid answer(s)\n",
+          schedule.size(), schedule.size() == 1 ? "y" : "ies",
+          arrivals.c_str(), server.batch().num_lanes(), policy.c_str(),
           sopts.breaker.enabled ? "on" : "off",
-          static_cast<unsigned long long>(result.ok_queries),
-          static_cast<unsigned long long>(result.recovered_queries),
-          static_cast<unsigned long long>(result.fallback_queries),
-          static_cast<unsigned long long>(result.hedged_queries),
-          static_cast<unsigned long long>(result.deadline_queries),
+          static_cast<unsigned long long>(done),
           static_cast<unsigned long long>(result.shed_queries),
+          static_cast<unsigned long long>(result.deadline_queries),
           static_cast<unsigned long long>(result.failed_queries),
-          result.makespan_ms,
-          static_cast<unsigned long long>(result.overrun_kernels));
+          static_cast<unsigned long long>(result.hedged_queries),
+          static_cast<unsigned long long>(result.rerouted_queries),
+          static_cast<unsigned long long>(promotions),
+          static_cast<unsigned long long>(result.overrun_kernels),
+          result.makespan_ms, result.device_makespan_ms, invalid);
       if (sopts.cache.enabled) {
+        const core::SourceRepetitionStats reps =
+            core::source_repetition_stats(schedule);
+        const core::ResultCacheStats& cs = server.result_cache()->stats();
         std::printf(
             "cache: %llu exact hit(s), %llu single-flight join(s), "
-            "%llu warm start(s)\n",
+            "%llu warm start(s); %llu publish(es), %llu eviction(s); "
+            "schedule repeats %.1f%% over %zu distinct source(s)\n",
             static_cast<unsigned long long>(result.cached_queries),
             static_cast<unsigned long long>(result.joined_queries),
-            static_cast<unsigned long long>(result.warm_started_queries));
+            static_cast<unsigned long long>(result.warm_started_queries),
+            static_cast<unsigned long long>(cs.publishes),
+            static_cast<unsigned long long>(cs.evictions),
+            100.0 * reps.repeat_fraction, reps.distinct_sources);
       }
       if (fault.enabled) {
         std::printf(
@@ -575,18 +483,23 @@ int main(int argc, char** argv) {
             result.recovery.backoff_ms,
             result.recovery.device_lost ? ", DEVICE LOST" : "");
       }
-      if (result.resumed_queries > 0 || result.migrated_queries > 0) {
+      if (result.resumed_queries > 0 || result.migrated_queries > 0 ||
+          sopts.closed_loop.enabled) {
         std::printf(
-            "resume: %llu checkpoint-resumed, %llu migrated\n",
+            "resume: %llu checkpoint-resumed, %llu migrated; "
+            "closed loop: %llu retried arrival(s), %llu past budget\n",
             static_cast<unsigned long long>(result.resumed_queries),
-            static_cast<unsigned long long>(result.migrated_queries));
+            static_cast<unsigned long long>(result.migrated_queries),
+            static_cast<unsigned long long>(result.retried_arrivals),
+            static_cast<unsigned long long>(result.retry_exhausted));
       }
       for (const core::BreakerEvent& event : result.breaker_events) {
         std::printf("breaker: lane %d -> %s at %.3f ms\n", event.lane,
                     core::breaker_transition_name(event.transition),
                     event.time_ms);
       }
-      return report_sanitizer(server.batch());
+      const int sanitizer_code = report_sanitizer(server.batch());
+      return invalid > 0 ? 1 : sanitizer_code;
     }
 
     core::QueryBatch batch(csr, device, bopts);

@@ -304,7 +304,6 @@ BatchResult QueryBatch::run(std::span<const VertexId> sources) {
       qs.source = source;
       qs.status = QueryStatus::kFailed;
       qs.error = "source vertex out of range";
-      ++batch.failed_queries;
       batch.stats.push_back(std::move(qs));
       batch.queries.push_back(std::move(failed));
       continue;
@@ -315,21 +314,7 @@ BatchResult QueryBatch::run(std::span<const VertexId> sources) {
     // them; after a device loss every engine degrades per its RetryPolicy.
     LaneOutcome out = run_on_lane(pick_lane(), source, /*cancel=*/nullptr);
 
-    switch (out.stats.status) {
-      case QueryStatus::kFailed: ++batch.failed_queries; break;
-      case QueryStatus::kCpuFallback: ++batch.fallback_queries; break;
-      case QueryStatus::kRecovered: ++batch.recovered_queries; break;
-      default: break;
-    }
-    batch.recovery.faults_injected += out.result.recovery.faults_injected;
-    batch.recovery.ecc_corrected += out.result.recovery.ecc_corrected;
-    batch.recovery.retries += out.result.recovery.retries;
-    batch.recovery.resumed += out.result.recovery.resumed;
-    batch.recovery.cpu_fallbacks += out.result.recovery.cpu_fallbacks;
-    batch.recovery.attempts += out.result.recovery.attempts;
-    batch.recovery.backoff_ms += out.result.recovery.backoff_ms;
-    batch.recovery.device_lost =
-        batch.recovery.device_lost || out.result.recovery.device_lost;
+    batch.recovery += out.result.recovery;
     batch.sum_latency_ms += out.stats.device_ms;
     batch.queue_wait_ms += out.stats.queue_wait_ms;
     batch.warp_instructions += out.stats.warp_instructions;
@@ -337,6 +322,13 @@ BatchResult QueryBatch::run(std::span<const VertexId> sources) {
     batch.queries.push_back(std::move(out.result));
   }
 
+  OutcomeCounts counts;
+  for (std::size_t i = 0; i < batch.stats.size(); ++i) {
+    counts.add(batch.stats[i], batch.queries[i]);
+  }
+  batch.recovered_queries = counts.of(QueryStatus::kRecovered);
+  batch.fallback_queries = counts.of(QueryStatus::kCpuFallback);
+  batch.failed_queries = counts.of(QueryStatus::kFailed);
   batch.makespan_ms = sim_->elapsed_ms() - batch_start_ms;
   batch.counters = sim_->counters() - counters_before;
   batch.aggregate_mwips =

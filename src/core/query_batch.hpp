@@ -19,6 +19,7 @@
 // streams repartition simulated *time*, never functional state.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
@@ -70,8 +71,18 @@ enum class QueryStatus : std::uint8_t {
                       // no lane touched (core/result_cache.hpp)
 };
 
+inline constexpr std::size_t kNumQueryStatuses =
+    static_cast<std::size_t>(QueryStatus::kCacheHit) + 1;
+
 // Human-readable status label (tool/bench output).
 const char* query_status_name(QueryStatus status);
+
+// The statuses that deliver exact distances to the caller.
+inline bool query_completed(QueryStatus status) {
+  return status == QueryStatus::kOk || status == QueryStatus::kRecovered ||
+         status == QueryStatus::kCpuFallback ||
+         status == QueryStatus::kCacheHit;
+}
 
 // Per-query scheduling/throughput summary (full per-query GpuRunResult is
 // in BatchResult::queries at the same index).
@@ -94,6 +105,26 @@ struct QueryStats {
   // EWMA-excluded like warm starts — it finishes a partially solved query,
   // so it is systematically cheaper than a cold solve.
   bool migrated = false;
+};
+
+// Counts derived from per-query records. add() is the one place a query's
+// status and recovery flags are tallied: BatchResult and the serving
+// layer's StreamResult both take their totals from it.
+struct OutcomeCounts {
+  std::array<std::uint64_t, kNumQueryStatuses> status{};
+  std::uint64_t warm_started = 0;
+  std::uint64_t migrated = 0;
+  std::uint64_t resumed = 0;  // >= 1 retry seeded from a checkpoint
+
+  void add(const QueryStats& stats, const GpuRunResult& result) {
+    ++status[static_cast<std::size_t>(stats.status)];
+    if (stats.warm_started) ++warm_started;
+    if (stats.migrated) ++migrated;
+    if (result.recovery.resumed > 0) ++resumed;
+  }
+  std::uint64_t of(QueryStatus s) const {
+    return status[static_cast<std::size_t>(s)];
+  }
 };
 
 struct BatchResult {

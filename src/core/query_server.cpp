@@ -10,6 +10,43 @@
 
 namespace rdbs::core {
 
+namespace {
+
+// Derives every counter that follows from the per-query records: status
+// counts, class tallies, the per-query flags, overrun kernels and
+// closed-loop re-arrivals. (recovery and retry_exhausted are event
+// counters, accumulated while the stream runs.)
+void tally_outcomes(StreamResult& result) {
+  OutcomeCounts counts;
+  for (std::size_t i = 0; i < result.stats.size(); ++i) {
+    const StreamQueryStats& stats = result.stats[i];
+    counts.add(stats.query, result.queries[i]);
+    ClassTally& tally = result.classes[static_cast<std::size_t>(stats.cls)];
+    ++tally.offered;
+    if (query_completed(stats.query.status)) ++tally.completed;
+    if (stats.query.status == QueryStatus::kShedded) ++tally.shed;
+    if (stats.query.status == QueryStatus::kDeadlineExceeded) ++tally.missed;
+    if (stats.query.status == QueryStatus::kFailed) ++tally.failed;
+    if (stats.hedged) ++result.hedged_queries;
+    if (stats.rerouted) ++result.rerouted_queries;
+    if (stats.single_flight) ++result.joined_queries;
+    result.overrun_kernels += stats.overrun_kernels;
+    result.retried_arrivals += static_cast<std::uint64_t>(stats.arrivals - 1);
+  }
+  result.ok_queries = counts.of(QueryStatus::kOk);
+  result.recovered_queries = counts.of(QueryStatus::kRecovered);
+  result.fallback_queries = counts.of(QueryStatus::kCpuFallback);
+  result.failed_queries = counts.of(QueryStatus::kFailed);
+  result.deadline_queries = counts.of(QueryStatus::kDeadlineExceeded);
+  result.shed_queries = counts.of(QueryStatus::kShedded);
+  result.cached_queries = counts.of(QueryStatus::kCacheHit);
+  result.warm_started_queries = counts.warm_started;
+  result.migrated_queries = counts.migrated;
+  result.resumed_queries = counts.resumed;
+}
+
+}  // namespace
+
 const char* breaker_transition_name(BreakerTransition transition) {
   switch (transition) {
     case BreakerTransition::kOpen: return "open";
@@ -182,16 +219,7 @@ bool QueryServer::try_migrate(VertexId source, bool bounded,
   // Fold the failed attempt's accounting into the resumed run so per-query
   // totals cover both attempts. Done AFTER record_outcome: the destination
   // lane's breaker must only see the destination's faults.
-  RecoveryStats& to = resumed.result.recovery;
-  const RecoveryStats& from = outcome.result.recovery;
-  to.faults_injected += from.faults_injected;
-  to.ecc_corrected += from.ecc_corrected;
-  to.retries += from.retries;
-  to.resumed += from.resumed;
-  to.cpu_fallbacks += from.cpu_fallbacks;
-  to.attempts += from.attempts;
-  to.backoff_ms += from.backoff_ms;
-  to.device_lost = to.device_lost || from.device_lost;
+  resumed.result.recovery += outcome.result.recovery;
   resumed.result.faults.insert(resumed.result.faults.begin(),
                                outcome.result.faults.begin(),
                                outcome.result.faults.end());
@@ -199,261 +227,6 @@ bool QueryServer::try_migrate(VertexId source, bool bounded,
   outcome = std::move(resumed);
   lane = dest;
   return true;
-}
-
-ServerResult QueryServer::run(std::span<const ServerQuery> queries) {
-  ServerResult result;
-  result.queries.resize(queries.size());
-  result.stats.resize(queries.size());
-  const double run_start_ms = batch_.sim().elapsed_ms();
-  const double host_start_ms = host_clock_ms_;
-
-  const auto shed = [&](std::size_t index, const char* why) {
-    result.queries[index].ok = false;
-    result.stats[index].query.status = QueryStatus::kShedded;
-    result.stats[index].query.error = why;
-  };
-  // Serves one query on the host hedge lane when that still meets the
-  // deadline (relative to the run start; the host lane is one serial
-  // worker). Returns false when hedging is off or the host is too slow.
-  const auto try_hedge = [&](std::size_t index, VertexId source,
-                             double deadline_rel_ms) {
-    if (!options_.hedge_to_cpu) return false;
-    const double finish_ms =
-        (host_clock_ms_ - host_start_ms) + host_cost_ms();
-    if (finish_ms > deadline_rel_ms) return false;
-    host_clock_ms_ += host_cost_ms();
-    GpuRunResult& hedged = result.queries[index];
-    hedged.sssp = sssp::dijkstra(host_csr_, source);
-    hedged.ok = true;
-    hedged.recovery.cpu_fallbacks = 1;
-    ServerQueryStats& stats = result.stats[index];
-    stats.query.status = QueryStatus::kCpuFallback;
-    stats.hedged = true;
-    stats.finish_ms = host_clock_ms_ - host_start_ms;
-    // Hedged results publish too (mapped onto the serving clock axis), so
-    // a repeat of a hedged source is a hit like any other.
-    if (cache_) {
-      cache_->publish(source, QueryStatus::kCpuFallback,
-                      hedged.sssp.distances, run_start_ms + stats.finish_ms);
-    }
-    return true;
-  };
-
-  // Result cache (core/result_cache.hpp): consulted per query BEFORE any
-  // breaker or shedding logic — a cache-answerable query is never shed.
-  // All of this run's queries "arrive" at run_start_ms, so that is the
-  // decision time: an entry published by then is an exact hit (served
-  // instantly, zero device time); an entry still in flight — typically an
-  // identical source dispatched earlier in this very run — is joined
-  // single-flight when it publishes inside this query's deadline, sharing
-  // the producer's status, distances and even its failure.
-  const auto serve_from_cache = [&](std::size_t index, VertexId source,
-                                    double deadline_rel_ms) {
-    if (cache_ == nullptr) return false;
-    if (const CachedResult* hit = cache_->lookup(source, run_start_ms)) {
-      GpuRunResult& out = result.queries[index];
-      out.ok = true;
-      out.sssp.distances = hit->distances;
-      sssp::finalize_valid_updates(out.sssp, source);
-      ServerQueryStats& stats = result.stats[index];
-      stats.query.status = QueryStatus::kCacheHit;
-      stats.finish_ms = 0;
-      return true;
-    }
-    const CachedResult* flight =
-        cache_->lookup_inflight(source, run_start_ms);
-    if (flight == nullptr) return false;
-    const double publish_rel_ms = flight->publish_ms - run_start_ms;
-    if (std::isfinite(deadline_rel_ms) && publish_rel_ms > deadline_rel_ms) {
-      return false;  // would publish too late for THIS query: run its own
-    }
-    ServerQueryStats& stats = result.stats[index];
-    stats.single_flight = true;
-    stats.finish_ms = publish_rel_ms;
-    if (flight->status == QueryStatus::kFailed) {
-      result.queries[index].ok = false;
-      stats.query.status = QueryStatus::kFailed;
-      stats.query.error = "single-flight: shared in-flight query failed";
-    } else {
-      GpuRunResult& out = result.queries[index];
-      out.ok = true;
-      out.sssp.distances = flight->distances;
-      sssp::finalize_valid_updates(out.sssp, source);
-      stats.query.status = flight->status;
-    }
-    return true;
-  };
-
-  // --- admission: bounded queue, then FIFO or EDF dispatch order ----------
-  struct Pending {
-    std::size_t index = 0;
-    double deadline_rel_ms = 0;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(std::min(queries.size(), options_.max_pending));
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    double deadline = queries[i].deadline_ms;
-    if (!std::isfinite(deadline)) deadline = options_.default_deadline_ms;
-    result.stats[i].deadline_ms = deadline;
-    result.stats[i].query.source = queries[i].source;
-    if (pending.size() >= options_.max_pending) {
-      shed(i, "admission queue full");
-      continue;
-    }
-    pending.push_back({i, deadline});
-  }
-  if (options_.admission == AdmissionPolicy::kEdf) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const Pending& a, const Pending& b) {
-                       return a.deadline_rel_ms < b.deadline_rel_ms;
-                     });
-  }
-
-  for (const Pending& item : pending) {
-    const ServerQuery& query = queries[item.index];
-    ServerQueryStats& stats = result.stats[item.index];
-
-    // An invalid source fails this query alone and occupies no lane.
-    if (query.source >= host_csr_.num_vertices()) {
-      result.queries[item.index].ok = false;
-      stats.query.status = QueryStatus::kFailed;
-      stats.query.error = "source vertex out of range";
-      continue;
-    }
-
-    // Cache check comes before breakers, shedding and hedging: an exact
-    // hit or single-flight join costs no lane and cannot be rejected.
-    if (serve_from_cache(item.index, query.source, item.deadline_rel_ms)) {
-      continue;
-    }
-
-    const bool bounded = std::isfinite(item.deadline_rel_ms);
-    const double abs_deadline_ms =
-        bounded ? run_start_ms + item.deadline_rel_ms : item.deadline_rel_ms;
-
-    update_breaker_states(batch_.sim().elapsed_ms());
-    std::vector<std::uint8_t> eligible(
-        static_cast<std::size_t>(batch_.num_lanes()), 0);
-    for (int l = 0; l < batch_.num_lanes(); ++l) {
-      eligible[static_cast<std::size_t>(l)] =
-          breakers_[static_cast<std::size_t>(l)].state != BreakerState::kOpen
-              ? 1
-              : 0;
-    }
-    const int preferred_lane = batch_.pick_lane();  // ignoring breakers
-    int lane = batch_.pick_lane(&eligible);
-
-    if (lane < 0) {
-      // Every lane's breaker is open. Hedge if the host can still meet the
-      // deadline; otherwise wait out the earliest cool-down (the simulated
-      // clock only advances with work, so the wait is charged as host time
-      // on that lane's stream) — unless even the reopened lane would miss
-      // the deadline, in which case the query is shed.
-      if (try_hedge(item.index, query.source, item.deadline_rel_ms)) continue;
-      int wait_lane = 0;
-      for (int l = 1; l < batch_.num_lanes(); ++l) {
-        if (breakers_[static_cast<std::size_t>(l)].open_until_ms <
-            breakers_[static_cast<std::size_t>(wait_lane)].open_until_ms) {
-          wait_lane = l;
-        }
-      }
-      const double reopen_ms =
-          breakers_[static_cast<std::size_t>(wait_lane)].open_until_ms;
-      const double projected_finish_ms =
-          std::max(reopen_ms, batch_.lane_clock_ms(wait_lane)) +
-          batch_.lane_cost_estimate_ms(wait_lane);
-      if (options_.shed_on_overload && bounded &&
-          projected_finish_ms > abs_deadline_ms) {
-        shed(item.index, "all lanes open");
-        continue;
-      }
-      const double gap_ms = reopen_ms - batch_.lane_clock_ms(wait_lane);
-      if (gap_ms > 0) {
-        batch_.sim().charge_host_ms(gap_ms, batch_.lane_stream(wait_lane));
-      }
-      update_breaker_states(batch_.sim().elapsed_ms());
-      lane = wait_lane;
-    } else if (options_.shed_on_overload && bounded) {
-      // Load shedding: reject up front when the chosen lane's EWMA estimate
-      // already puts completion past the deadline — cheaper than burning
-      // device time to find out.
-      const double estimated_finish_ms =
-          std::max(batch_.lane_clock_ms(lane), run_start_ms) +
-          batch_.lane_cost_estimate_ms(lane);
-      if (estimated_finish_ms > abs_deadline_ms) {
-        if (try_hedge(item.index, query.source, item.deadline_rel_ms)) {
-          continue;
-        }
-        shed(item.index, "predicted deadline miss");
-        continue;
-      }
-    }
-
-    // --- device dispatch --------------------------------------------------
-    stats.rerouted = lane != preferred_lane;
-    const gpusim::StreamId stream = batch_.lane_stream(lane);
-    const std::uint64_t overrun_before =
-        batch_.sim().stream_overrun_kernels(stream);
-    CancelToken token;
-    const CancelToken* cancel = nullptr;
-    if (bounded) {
-      batch_.sim().set_stream_deadline(stream, abs_deadline_ms);
-      token = CancelToken(batch_.sim(), stream, abs_deadline_ms);
-      cancel = &token;
-    }
-    QueryBatch::LaneOutcome outcome =
-        batch_.run_on_lane(lane, query.source, cancel);
-    if (bounded) batch_.sim().clear_stream_deadline(stream);
-    stats.overrun_kernels =
-        batch_.sim().stream_overrun_kernels(stream) - overrun_before;
-
-    record_outcome(lane, outcome);
-    try_migrate(query.source, bounded, abs_deadline_ms, outcome, lane,
-                stats.overrun_kernels);
-
-    stats.finish_ms = batch_.lane_clock_ms(lane) - run_start_ms;
-    stats.query = std::move(outcome.stats);
-    result.recovery.faults_injected += outcome.result.recovery.faults_injected;
-    result.recovery.ecc_corrected += outcome.result.recovery.ecc_corrected;
-    result.recovery.retries += outcome.result.recovery.retries;
-    result.recovery.resumed += outcome.result.recovery.resumed;
-    result.recovery.cpu_fallbacks += outcome.result.recovery.cpu_fallbacks;
-    result.recovery.attempts += outcome.result.recovery.attempts;
-    result.recovery.backoff_ms += outcome.result.recovery.backoff_ms;
-    result.recovery.device_lost =
-        result.recovery.device_lost || outcome.result.recovery.device_lost;
-    result.queries[item.index] = std::move(outcome.result);
-  }
-
-  // --- aggregates ---------------------------------------------------------
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const ServerQueryStats& stats = result.stats[i];
-    switch (stats.query.status) {
-      case QueryStatus::kOk: ++result.ok_queries; break;
-      case QueryStatus::kRecovered: ++result.recovered_queries; break;
-      case QueryStatus::kCpuFallback: ++result.fallback_queries; break;
-      case QueryStatus::kFailed: ++result.failed_queries; break;
-      case QueryStatus::kDeadlineExceeded: ++result.deadline_queries; break;
-      case QueryStatus::kShedded: ++result.shed_queries; break;
-      case QueryStatus::kCacheHit: ++result.cached_queries; break;
-    }
-    if (stats.hedged) ++result.hedged_queries;
-    if (stats.rerouted) ++result.rerouted_queries;
-    if (stats.single_flight) ++result.joined_queries;
-    if (stats.query.warm_started) ++result.warm_started_queries;
-    if (stats.query.migrated) ++result.migrated_queries;
-    if (result.queries[i].recovery.resumed > 0) ++result.resumed_queries;
-    result.overrun_kernels += stats.overrun_kernels;
-  }
-  result.device_makespan_ms = batch_.sim().elapsed_ms() - run_start_ms;
-  result.makespan_ms =
-      std::max(result.device_makespan_ms, host_clock_ms_ - host_start_ms);
-  result.breaker_events.assign(
-      event_log_.begin() + static_cast<std::ptrdiff_t>(events_drained_),
-      event_log_.end());
-  events_drained_ = event_log_.size();
-  return result;
 }
 
 StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
@@ -619,7 +392,6 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
           return a.index < b.index;
         });
     retries.insert(pos, retry);
-    ++result.retried_arrivals;
     ++result.stats[index].arrivals;
     return true;
   };
@@ -886,15 +658,7 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
         stats.query.status == QueryStatus::kCpuFallback) {
       stats.sojourn_ms = stats.finish_ms - stats.arrival_ms;
     }
-    result.recovery.faults_injected += outcome.result.recovery.faults_injected;
-    result.recovery.ecc_corrected += outcome.result.recovery.ecc_corrected;
-    result.recovery.retries += outcome.result.recovery.retries;
-    result.recovery.resumed += outcome.result.recovery.resumed;
-    result.recovery.cpu_fallbacks += outcome.result.recovery.cpu_fallbacks;
-    result.recovery.attempts += outcome.result.recovery.attempts;
-    result.recovery.backoff_ms += outcome.result.recovery.backoff_ms;
-    result.recovery.device_lost =
-        result.recovery.device_lost || outcome.result.recovery.device_lost;
+    result.recovery += outcome.result.recovery;
     result.queries[item.index] = std::move(outcome.result);
     // Closed-loop: a dispatched query that still missed its deadline comes
     // back like a shed one (the client cannot tell the difference).
@@ -903,49 +667,7 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
     }
   }
 
-  // --- aggregates ---------------------------------------------------------
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const StreamQueryStats& stats = result.stats[i];
-    ClassTally& tally = result.classes[static_cast<std::size_t>(stats.cls)];
-    ++tally.offered;
-    switch (stats.query.status) {
-      case QueryStatus::kOk:
-        ++result.ok_queries;
-        ++tally.completed;
-        break;
-      case QueryStatus::kRecovered:
-        ++result.recovered_queries;
-        ++tally.completed;
-        break;
-      case QueryStatus::kCpuFallback:
-        ++result.fallback_queries;
-        ++tally.completed;
-        break;
-      case QueryStatus::kFailed:
-        ++result.failed_queries;
-        ++tally.failed;
-        break;
-      case QueryStatus::kDeadlineExceeded:
-        ++result.deadline_queries;
-        ++tally.missed;
-        break;
-      case QueryStatus::kShedded:
-        ++result.shed_queries;
-        ++tally.shed;
-        break;
-      case QueryStatus::kCacheHit:
-        ++result.cached_queries;
-        ++tally.completed;
-        break;
-    }
-    if (stats.hedged) ++result.hedged_queries;
-    if (stats.rerouted) ++result.rerouted_queries;
-    if (stats.single_flight) ++result.joined_queries;
-    if (stats.query.warm_started) ++result.warm_started_queries;
-    if (stats.query.migrated) ++result.migrated_queries;
-    if (result.queries[i].recovery.resumed > 0) ++result.resumed_queries;
-    result.overrun_kernels += stats.overrun_kernels;
-  }
+  tally_outcomes(result);
   result.device_makespan_ms = batch_.sim().elapsed_ms() - stream_start_ms;
   result.makespan_ms =
       std::max(result.device_makespan_ms, host_clock_ms_ - host_start_ms);

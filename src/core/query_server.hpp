@@ -10,8 +10,8 @@
 //      iteration boundaries, so an over-deadline query stops charging
 //      device time and is reported as QueryStatus::kDeadlineExceeded with
 //      partial metrics — never late distances.
-//   2. Admission control: a bounded pending queue (FIFO or earliest-
-//      deadline-first) with load shedding — when the per-lane EWMA cost
+//   2. Admission control: a bounded pending queue (priority class, then
+//      earliest deadline) with load shedding — when the per-lane EWMA cost
 //      estimate (QueryBatch::lane_cost_estimate_ms) says the deadline
 //      cannot be met, the query is rejected up front as kShedded instead of
 //      wasting device time.
@@ -22,6 +22,9 @@
 //   4. Degraded-mode hedging: a query whose deadline is infeasible on the
 //      device but feasible on the host is served by the CPU Dijkstra
 //      reference on a dedicated host lane (status kCpuFallback, hedged).
+//
+// There is one dispatcher, run_stream(). A batch is a schedule whose
+// arrivals are all at t=0 (batch_schedule in core/traffic.hpp).
 //
 // Every decision reads only simulated clocks and per-query results, and the
 // whole dispatch loop is host-serial: outcomes are bit-identical for any
@@ -43,11 +46,6 @@
 #include "core/traffic.hpp"
 
 namespace rdbs::core {
-
-enum class AdmissionPolicy : std::uint8_t {
-  kFifo,  // dispatch in arrival order
-  kEdf,   // earliest deadline first (ties in arrival order)
-};
 
 // How run_stream() places a deadline-bound query onto an eligible lane.
 // Unbounded queries always take the earliest-free lane (throughput packing);
@@ -84,7 +82,6 @@ struct CircuitBreakerOptions {
 
 struct QueryServerOptions {
   QueryBatchOptions batch;
-  AdmissionPolicy admission = AdmissionPolicy::kFifo;
   // Bounded pending queue: queries offered beyond this are shed on arrival
   // ("admission queue full") before any scheduling work.
   std::size_t max_pending = 64;
@@ -92,8 +89,6 @@ struct QueryServerOptions {
   // completion time is past the deadline. With this off, infeasible queries
   // are dispatched anyway and typically end kDeadlineExceeded.
   bool shed_on_overload = true;
-  // Applied when ServerQuery::deadline_ms is unset (infinity = none).
-  double default_deadline_ms = std::numeric_limits<double>::infinity();
   // Serve deadline-infeasible (or all-lanes-open) queries with the host
   // Dijkstra reference when THAT still meets the deadline. The host lane is
   // one serial worker with a deterministic per-query cost of
@@ -116,7 +111,6 @@ struct QueryServerOptions {
   // migration per query. Safe default: checkpointing is off by default, so
   // no checkpoint ever exists unless explicitly enabled.
   bool migrate = true;
-  // --- streaming (run_stream) only -----------------------------------------
   // Lane placement for deadline-bound queries.
   LanePolicy lane_policy = LanePolicy::kPredictedFastest;
   // Closed-loop clients (core/traffic.hpp ClosedLoopSpec): with
@@ -134,13 +128,6 @@ struct QueryServerOptions {
   double aging_ms = std::numeric_limits<double>::infinity();
 };
 
-// One query offered to the server. The deadline is RELATIVE to the start of
-// the run() call, on the simulated clock (infinity = no deadline).
-struct ServerQuery {
-  VertexId source = 0;
-  double deadline_ms = std::numeric_limits<double>::infinity();
-};
-
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
 enum class BreakerTransition : std::uint8_t {
@@ -155,47 +142,6 @@ struct BreakerEvent {
   int lane = 0;
   double time_ms = 0;  // absolute simulated device clock (GpuSim elapsed)
   BreakerTransition transition = BreakerTransition::kOpen;
-};
-
-// Per-query serving outcome; `query` is the underlying QueryStats (status,
-// lane stream, device time). All times are relative to the run() start.
-struct ServerQueryStats {
-  QueryStats query;
-  double deadline_ms = std::numeric_limits<double>::infinity();
-  double finish_ms = 0;   // completion time (0 for shed queries)
-  bool hedged = false;    // served on the host lane
-  // Attached single-flight to an identical in-flight source and shares its
-  // outcome (status, distances or failure) at the producer's publish time.
-  bool single_flight = false;
-  // Dispatched on a lane other than the one plain least-loaded placement
-  // would pick, because an open breaker excluded that lane.
-  bool rerouted = false;
-  // Kernels this query completed after its deadline had already passed
-  // (device time between the expiry and the next cancellation point).
-  std::uint64_t overrun_kernels = 0;
-};
-
-struct ServerResult {
-  std::vector<GpuRunResult> queries;     // index-parallel to the input
-  std::vector<ServerQueryStats> stats;   // ditto
-  double makespan_ms = 0;         // span of the run (device and host lanes)
-  double device_makespan_ms = 0;  // device-only span
-  std::uint64_t ok_queries = 0;
-  std::uint64_t recovered_queries = 0;
-  std::uint64_t fallback_queries = 0;  // includes hedged
-  std::uint64_t hedged_queries = 0;
-  std::uint64_t rerouted_queries = 0;  // see ServerQueryStats::rerouted
-  std::uint64_t failed_queries = 0;
-  std::uint64_t deadline_queries = 0;  // kDeadlineExceeded
-  std::uint64_t shed_queries = 0;      // kShedded
-  std::uint64_t cached_queries = 0;    // kCacheHit (no lane touched)
-  std::uint64_t joined_queries = 0;    // single-flight attachments
-  std::uint64_t warm_started_queries = 0;  // dispatched with landmark bounds
-  std::uint64_t resumed_queries = 0;   // >=1 retry seeded from a checkpoint
-  std::uint64_t migrated_queries = 0;  // moved to another lane mid-query
-  std::uint64_t overrun_kernels = 0;   // summed over all queries
-  RecoveryStats recovery;              // summed over all device queries
-  std::vector<BreakerEvent> breaker_events;  // in occurrence order
 };
 
 // Per-query streaming outcome. All times are relative to the run_stream()
@@ -218,15 +164,21 @@ struct StreamQueryStats {
   // absolute deadline.
   int arrivals = 1;
   bool hedged = false;     // served on the host lane
-  bool rerouted = false;   // see ServerQueryStats::rerouted
-  bool single_flight = false;  // see ServerQueryStats::single_flight
+  // Dispatched on a lane other than the one placement alone would pick,
+  // because an open breaker excluded that lane.
+  bool rerouted = false;
+  // Attached single-flight to an identical in-flight source and shares its
+  // outcome (status, distances or failure) at the producer's publish time.
+  bool single_flight = false;
+  // Kernels this query completed after its deadline had already passed
+  // (device time between the expiry and the next cancellation point).
   std::uint64_t overrun_kernels = 0;
 };
 
 // Offered/terminal tallies for one priority class.
 struct ClassTally {
   std::uint64_t offered = 0;
-  std::uint64_t completed = 0;  // ok + recovered + cpu-fallback
+  std::uint64_t completed = 0;  // ok + recovered + cpu-fallback + cache-hit
   std::uint64_t shed = 0;
   std::uint64_t missed = 0;     // kDeadlineExceeded
   std::uint64_t failed = 0;
@@ -263,14 +215,9 @@ class QueryServer {
   QueryServer(const graph::Csr& csr, gpusim::DeviceSpec device,
               QueryServerOptions options = {});
 
-  // Serves one offered batch. All queries "arrive" at the call's start;
-  // results and stats are index-parallel to `queries` regardless of the
-  // dispatch order (EDF may reorder execution). Callable repeatedly —
-  // breaker states, lane EWMAs and device cache state persist across calls.
-  ServerResult run(std::span<const ServerQuery> queries);
-
   // Serves a traffic schedule (core/traffic.hpp) continuously: each query
-  // arrives at its own point on the simulated clock, waits in a bounded
+  // arrives at its own point on the simulated clock (a batch is a schedule
+  // with every arrival at t=0; see batch_schedule), waits in a bounded
   // pending queue, and is dispatched by effective priority (class minus
   // starvation-aging promotions), EDF within a priority level, arrival
   // order on ties. Deadline-bound queries take the lane chosen by
@@ -279,7 +226,8 @@ class QueryServer {
   // be sorted; arrivals are processed in (arrival_ms, index) order, and
   // results are index-parallel to the input. Everything is host-serial on
   // simulated clocks: bit-identical for any sim_threads. Callable
-  // repeatedly, like run().
+  // repeatedly — breaker states, lane EWMAs, the result cache and device
+  // cache state persist across calls.
   StreamResult run_stream(std::span<const TrafficQuery> schedule);
 
   QueryBatch& batch() { return batch_; }
@@ -314,9 +262,9 @@ class QueryServer {
 
   // Moves every open lane whose cool-down has elapsed by `now_ms` (absolute
   // device clock) to half-open, logging events and applying the one-shot
-  // half-open EWMA decay. run() passes the device clock; run_stream()
-  // passes its own decision time, which can be ahead of the device clock
-  // during idle gaps (the clock only advances with work).
+  // half-open EWMA decay. run_stream() passes its own decision time, which
+  // can be ahead of the device clock during idle gaps (the clock only
+  // advances with work); try_migrate() passes the device clock.
   void update_breaker_states(double now_ms);
   void open_lane(int lane, BreakerTransition transition);
   // Applies one device-query outcome to its lane's breaker.
@@ -340,8 +288,8 @@ class QueryServer {
   std::unique_ptr<ResultCache> cache_;  // null unless options.cache.enabled
   std::vector<LaneBreaker> breakers_;
   double host_clock_ms_ = 0;  // host hedge lane's serial timeline
-  // Breaker transitions accumulate here (trip_lane included); each run()
-  // drains the not-yet-reported tail into its ServerResult.
+  // Breaker transitions accumulate here (trip_lane included); each
+  // run_stream() drains the not-yet-reported tail into its StreamResult.
   std::vector<BreakerEvent> event_log_;
   std::size_t events_drained_ = 0;
 };

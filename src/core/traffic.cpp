@@ -418,4 +418,14 @@ SourceRepetitionStats source_repetition_stats(
   return stats;
 }
 
+std::vector<TrafficQuery> batch_schedule(std::span<const VertexId> sources,
+                                         double deadline_ms) {
+  std::vector<TrafficQuery> schedule(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    schedule[i].source = sources[i];
+    schedule[i].deadline_ms = deadline_ms;
+  }
+  return schedule;
+}
+
 }  // namespace rdbs::core

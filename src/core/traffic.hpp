@@ -192,4 +192,11 @@ struct SourceRepetitionStats {
 SourceRepetitionStats source_repetition_stats(
     std::span<const TrafficQuery> schedule);
 
+// A batch as a schedule: every source arrives at t=0, in the interactive
+// class, with the same deadline relative to the start. The server then
+// dispatches it earliest deadline first, ties in input order.
+std::vector<TrafficQuery> batch_schedule(
+    std::span<const VertexId> sources,
+    double deadline_ms = std::numeric_limits<double>::infinity());
+
 }  // namespace rdbs::core

@@ -697,9 +697,8 @@ TEST(FaultInjection, DeviceLossDuringHalfOpenProbeReopensTheBreaker) {
   core::QueryServer server(csr, gpusim::test_device(), options);
 
   // Stage: a clean warm-up query, then trip the (only) lane.
-  std::vector<core::ServerQuery> warm(1);
-  warm[0].source = 5;
-  const core::ServerResult warm_result = server.run(warm);
+  const core::StreamResult warm_result =
+      server.run_stream(core::batch_schedule(std::vector<VertexId>{5}));
   ASSERT_EQ(warm_result.ok_queries, 1u);
   server.trip_lane(0);
   ASSERT_EQ(server.breaker_state(0), core::BreakerState::kOpen);
@@ -713,9 +712,8 @@ TEST(FaultInjection, DeviceLossDuringHalfOpenProbeReopensTheBreaker) {
   cfg.max_faults = 1;
   server.batch().sim().enable_fault_injection(cfg);
 
-  std::vector<core::ServerQuery> probe(1);
-  probe[0].source = 11;
-  const core::ServerResult result = server.run(probe);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(std::vector<VertexId>{11}));
 
   EXPECT_EQ(server.breaker_state(0), core::BreakerState::kOpen);
   ASSERT_EQ(result.breaker_events.size(), 3u);

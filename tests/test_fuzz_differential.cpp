@@ -83,9 +83,9 @@ bool fuzz_faults() {
 }
 
 // RDBS_FUZZ_OVERLOAD=1 additionally pushes every query-batch case through
-// the QueryServer front end (docs/serving.md) with seed-derived deadlines,
-// admission settings and circuit-breaker churn (random trip_lane before the
-// run). The oracle requirement splits by outcome: every COMPLETED query
+// the QueryServer front end (docs/serving.md) as a t=0 schedule with
+// seed-derived deadlines, queue limits and circuit-breaker churn (random
+// trip_lane before the run). The oracle requirement splits by outcome: every COMPLETED query
 // (ok / recovered / cpu-fallback) must carry distances exactly equal to
 // Dijkstra's and finish within its deadline; every non-completed query
 // (shed / deadline / failed) must carry no distances at all. The same knob
@@ -403,7 +403,8 @@ std::vector<graph::Distance> run_engine(const FuzzCase& c, const Csr& csr,
 }
 
 // Overload-chaos leg of a kBatch fuzz case: same engine flags and fault
-// plan, served through QueryServer under randomized pressure. All serving
+// plan, served through QueryServer::run_stream as a t=0 batch under
+// randomized pressure. All serving
 // knobs derive from the case seed, so a failure still reproduces from the
 // seed alone.
 void run_overload_case(const FuzzCase& c, const Csr& csr, int case_index) {
@@ -417,8 +418,6 @@ void run_overload_case(const FuzzCase& c, const Csr& csr, int case_index) {
   options.batch.gpu.sanitize = fuzz_sanitize();
   options.batch.gpu.fault = fuzz_fault_config(c.seed);
   options.batch.gpu.retry = fuzz_retry_policy();
-  options.admission = rng.next_below(2) == 0 ? core::AdmissionPolicy::kFifo
-                                             : core::AdmissionPolicy::kEdf;
   options.max_pending = 1 + static_cast<int>(rng.next_below(8));
   options.shed_on_overload = rng.next_below(2) == 0;
   options.hedge_to_cpu = rng.next_below(2) == 0;
@@ -433,8 +432,9 @@ void run_overload_case(const FuzzCase& c, const Csr& csr, int case_index) {
         static_cast<std::uint64_t>(options.batch.streams))));
   }
 
-  std::vector<core::ServerQuery> queries(2 + rng.next_below(5));
-  for (core::ServerQuery& q : queries) {
+  // A t=0 batch: every query arrives at once.
+  std::vector<core::TrafficQuery> queries(2 + rng.next_below(5));
+  for (core::TrafficQuery& q : queries) {
     q.source = static_cast<VertexId>(rng.next_below(csr.num_vertices()));
     // 1/3 unbounded; the rest log-uniform across ~5 decades, so some
     // deadlines are hopeless, some tight, and some comfortable.
@@ -444,14 +444,14 @@ void run_overload_case(const FuzzCase& c, const Csr& csr, int case_index) {
     }
   }
 
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run_stream(queries);
   if (const gpusim::Sanitizer* san = server.batch().sim().sanitizer()) {
     EXPECT_EQ(san->report(), "")
         << "overload case " << case_index << ": " << c.describe();
   }
   ASSERT_EQ(result.queries.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const core::ServerQueryStats& sq = result.stats[i];
+    const core::StreamQueryStats& sq = result.stats[i];
     const bool completed = sq.query.status == core::QueryStatus::kOk ||
                            sq.query.status == core::QueryStatus::kRecovered ||
                            sq.query.status == core::QueryStatus::kCpuFallback;
@@ -522,8 +522,6 @@ void run_streaming_chaos_case(const FuzzCase& c, const Csr& csr,
     options.batch.gpu.fault.hot_stream_factor =
         static_cast<double>(2 + rng.next_below(7));
   }
-  options.admission = rng.next_below(2) == 0 ? core::AdmissionPolicy::kFifo
-                                             : core::AdmissionPolicy::kEdf;
   options.lane_policy = rng.next_below(2) == 0
                             ? core::LanePolicy::kEarliestFree
                             : core::LanePolicy::kPredictedFastest;
@@ -706,8 +704,6 @@ void run_cache_case(const FuzzCase& c, const Csr& csr, int case_index) {
   options.batch.gpu.sanitize = fuzz_sanitize();
   options.batch.gpu.fault = fuzz_fault_config(c.seed);
   options.batch.gpu.retry = fuzz_retry_policy();
-  options.admission = rng.next_below(2) == 0 ? core::AdmissionPolicy::kFifo
-                                             : core::AdmissionPolicy::kEdf;
   options.max_pending = 4 + static_cast<int>(rng.next_below(8));
   options.shed_on_overload = rng.next_below(2) == 0;
   options.hedge_to_cpu = rng.next_below(2) == 0;

@@ -123,10 +123,9 @@ TEST(GoldenTraces, AddsOnPowerLaw) {
   check_against_golden("adds_powerlaw_250_s203", engine.run(7));
 }
 
-// Triple 4 (ISSUE 5): one QueryServer batch with every serving outcome in
-// it — a recovered query (fault budget spent on the first), clean queries,
-// a cooperative deadline cancellation with overrun-kernel accounting, and
-// an admission-queue shed. Snapshots the serving decisions (status, finish
+// Triple 4: one QueryServer batch (a t=0 schedule) with every serving
+// outcome in it — a recovered query, clean queries, a cooperative deadline
+// cancellation with overrun-kernel accounting, and an admission-queue shed. Snapshots the serving decisions (status, finish
 // time, overrun kernels, recovery counters) plus every produced distance
 // vector, so a change to the scheduler, the cancellation points, the
 // breaker bookkeeping or the cost model shows up as a readable diff.
@@ -137,21 +136,20 @@ TEST(GoldenTraces, QueryServerMixedOutcomeBatch) {
   options.batch.gpu.delta0 = 150.0;
   options.batch.gpu.fault.enabled = true;
   options.batch.gpu.fault.seed = 204;
-  options.batch.gpu.fault.launch_failure = 1.0;  // until the budget...
-  options.batch.gpu.fault.max_faults = 2;        // ...of 2 faults is spent
+  // Every launch fails until the budget of 3 faults is spent. EDF runs the
+  // tight-deadline query first; it takes two faults before it is
+  // cancelled, and the third makes query 0 recover through a retry.
+  options.batch.gpu.fault.launch_failure = 1.0;
+  options.batch.gpu.fault.max_faults = 3;
   options.shed_on_overload = false;  // let the tight deadline run and cancel
   options.hedge_to_cpu = false;
   options.max_pending = 4;  // the 5th offered query is shed on arrival
   core::QueryServer server(csr, gpusim::test_device(), options);
 
-  std::vector<core::ServerQuery> queries(5);
-  queries[0].source = 5;
-  queries[1].source = 17;
-  queries[2].source = 42;
+  std::vector<core::TrafficQuery> queries =
+      core::batch_schedule(std::vector<VertexId>{5, 17, 42, 113, 250});
   queries[2].deadline_ms = 1e-6;  // expires during its first kernels
-  queries[3].source = 113;
-  queries[4].source = 250;
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run_stream(queries);
 
   // The batch must actually be mixed, or the snapshot's name lies.
   ASSERT_EQ(result.recovered_queries, 1u);
@@ -169,7 +167,7 @@ TEST(GoldenTraces, QueryServerMixedOutcomeBatch) {
   out << "faults_injected " << result.recovery.faults_injected << '\n';
   out << "backoff_ms " << result.recovery.backoff_ms << '\n';
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const core::ServerQueryStats& sq = result.stats[i];
+    const core::StreamQueryStats& sq = result.stats[i];
     out << "query " << i << ' '
         << core::query_status_name(sq.query.status) << " finish "
         << sq.finish_ms << " device " << sq.query.device_ms << " overrun "

@@ -30,6 +30,45 @@ Csr batch_test_graph() {
 
 std::vector<VertexId> batch_test_sources() { return {0, 17, 113, 256, 399}; }
 
+// --- recovery accounting ----------------------------------------------------
+
+TEST(RecoveryStats, PlusEqualsSumsEveryFieldAndOrsDeviceLoss) {
+  core::RecoveryStats total;
+  total.faults_injected = 3;
+  total.ecc_corrected = 1;
+  total.retries = 2;
+  total.resumed = 1;
+  total.cpu_fallbacks = 0;
+  total.attempts = 3;
+  total.backoff_ms = 0.25;
+  total.device_lost = false;
+
+  core::RecoveryStats other;
+  other.faults_injected = 5;
+  other.ecc_corrected = 2;
+  other.retries = 4;
+  other.resumed = 3;
+  other.cpu_fallbacks = 1;
+  other.attempts = 5;
+  other.backoff_ms = 0.5;
+  other.device_lost = true;
+
+  total += other;
+  EXPECT_EQ(total.faults_injected, 8u);
+  EXPECT_EQ(total.ecc_corrected, 3u);
+  EXPECT_EQ(total.retries, 6u);
+  EXPECT_EQ(total.resumed, 4u);
+  EXPECT_EQ(total.cpu_fallbacks, 1u);
+  EXPECT_EQ(total.attempts, 8u);
+  EXPECT_EQ(total.backoff_ms, 0.75);
+  EXPECT_TRUE(total.device_lost);
+
+  // A lost device stays lost when a clean run is added.
+  total += core::RecoveryStats{};
+  EXPECT_TRUE(total.device_lost);
+  EXPECT_EQ(total.attempts, 8u);
+}
+
 // --- batch determinism ------------------------------------------------------
 
 TEST(QueryBatch, BatchBitIdenticalToSequentialForThreadsAndStreams) {

@@ -9,6 +9,7 @@
 // re-enters service through cool-down -> half-open -> probe.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -27,17 +28,11 @@ Csr server_test_graph() {
   return test::random_powerlaw_graph(400, 3000, /*seed=*/77);
 }
 
-std::vector<core::ServerQuery> queries_for(
+// A t=0 batch: every source arrives at once with the same deadline.
+std::vector<core::TrafficQuery> queries_for(
     const std::vector<VertexId>& sources,
     double deadline_ms = std::numeric_limits<double>::infinity()) {
-  std::vector<core::ServerQuery> queries;
-  for (const VertexId s : sources) {
-    core::ServerQuery q;
-    q.source = s;
-    q.deadline_ms = deadline_ms;
-    queries.push_back(q);
-  }
-  return queries;
+  return core::batch_schedule(sources, deadline_ms);
 }
 
 bool completed(core::QueryStatus status) {
@@ -45,336 +40,6 @@ bool completed(core::QueryStatus status) {
          status == core::QueryStatus::kRecovered ||
          status == core::QueryStatus::kCpuFallback;
 }
-
-// Completed queries must carry oracle-exact distances; everything else must
-// carry none (a late or shed answer is no answer).
-void check_against_oracle(const Csr& csr,
-                          const std::vector<core::ServerQuery>& queries,
-                          const core::ServerResult& result) {
-  ASSERT_EQ(result.queries.size(), queries.size());
-  ASSERT_EQ(result.stats.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const core::ServerQueryStats& sq = result.stats[i];
-    if (completed(sq.query.status)) {
-      EXPECT_TRUE(result.queries[i].ok);
-      EXPECT_EQ(result.queries[i].sssp.distances,
-                sssp::dijkstra(csr, queries[i].source).distances)
-          << "query " << i;
-      if (std::isfinite(sq.deadline_ms)) {
-        EXPECT_LE(sq.finish_ms, sq.deadline_ms + 1e-9) << "query " << i;
-      }
-    } else {
-      EXPECT_FALSE(result.queries[i].ok);
-      EXPECT_TRUE(result.queries[i].sssp.distances.empty()) << "query " << i;
-    }
-  }
-}
-
-// --- determinism -----------------------------------------------------------
-
-TEST(QueryServer, BitIdenticalAcrossSimThreadsForEveryStreamCount) {
-  const Csr csr = server_test_graph();
-  const std::vector<VertexId> sources = {0, 17, 113, 256, 399, 42, 7, 300};
-
-  for (const int streams : {1, 4}) {
-    std::vector<core::ServerResult> results;
-    std::vector<core::ServerQuery> queries = queries_for(sources);
-    // A mixed batch: two queries get a moderate deadline so the serving
-    // decisions themselves (not just the distances) are exercised.
-    queries[2].deadline_ms = 1.0;
-    queries[5].deadline_ms = 0.25;
-
-    for (const int sim_threads : {1, 8}) {
-      core::QueryServerOptions options;
-      options.batch.streams = streams;
-      options.batch.gpu.delta0 = 150.0;
-      options.batch.gpu.sim_threads = sim_threads;
-      core::QueryServer server(csr, gpusim::test_device(), options);
-      results.push_back(server.run(queries));
-      check_against_oracle(csr, queries, results.back());
-    }
-
-    const core::ServerResult& a = results[0];
-    const core::ServerResult& b = results[1];
-    EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-    EXPECT_EQ(a.shed_queries, b.shed_queries);
-    EXPECT_EQ(a.deadline_queries, b.deadline_queries);
-    EXPECT_EQ(a.overrun_kernels, b.overrun_kernels);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      EXPECT_EQ(a.stats[i].query.status, b.stats[i].query.status) << i;
-      EXPECT_EQ(a.stats[i].finish_ms, b.stats[i].finish_ms) << i;
-      EXPECT_EQ(a.queries[i].sssp.distances, b.queries[i].sssp.distances)
-          << i;
-    }
-  }
-}
-
-// --- deadlines -------------------------------------------------------------
-
-TEST(QueryServer, UnboundedQueriesAllCompleteExactly) {
-  const Csr csr = server_test_graph();
-  const std::vector<core::ServerQuery> queries =
-      queries_for({0, 17, 113, 256, 399});
-
-  core::QueryServerOptions options;
-  options.batch.streams = 2;
-  options.batch.gpu.delta0 = 150.0;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-  const core::ServerResult result = server.run(queries);
-
-  EXPECT_EQ(result.ok_queries, queries.size());
-  EXPECT_EQ(result.shed_queries, 0u);
-  EXPECT_EQ(result.deadline_queries, 0u);
-  check_against_oracle(csr, queries, result);
-  EXPECT_GT(result.makespan_ms, 0.0);
-}
-
-TEST(QueryServer, ImpossibleDeadlineIsCancelledWithPartialMetricsOnly) {
-  const Csr csr = server_test_graph();
-  // One query whose deadline expires during its very first kernels. With
-  // shedding and hedging off the server must dispatch it anyway, cancel at
-  // the first bucket boundary, and report the partial work.
-  std::vector<core::ServerQuery> queries = queries_for({17}, 1e-6);
-
-  core::QueryServerOptions options;
-  options.batch.streams = 1;
-  options.batch.gpu.delta0 = 150.0;
-  options.shed_on_overload = false;
-  options.hedge_to_cpu = false;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-  const core::ServerResult result = server.run(queries);
-
-  ASSERT_EQ(result.deadline_queries, 1u);
-  EXPECT_EQ(result.stats[0].query.status,
-            core::QueryStatus::kDeadlineExceeded);
-  EXPECT_FALSE(result.queries[0].ok);
-  EXPECT_TRUE(result.queries[0].sssp.distances.empty());
-  EXPECT_TRUE(result.queries[0].deadline_exceeded);
-  // Partial metrics: the cancelled attempt still charged device time, and
-  // every kernel it completed ran past the (already expired) deadline.
-  EXPECT_GT(result.stats[0].query.device_ms, 0.0);
-  EXPECT_GT(result.stats[0].overrun_kernels, 0u);
-  EXPECT_GT(result.queries[0].counters.kernel_launches, 0u);
-}
-
-TEST(QueryServer, OverloadIsShedUpFrontNotServedLate) {
-  const Csr csr = server_test_graph();
-  // 8 queries, 1 lane, deadline sized for roughly one query: the first
-  // completes, the rest must be shed (predicted miss) — never completed
-  // late, never dispatched to burn device time.
-  core::QueryServerOptions probe_options;
-  probe_options.batch.streams = 1;
-  probe_options.batch.gpu.delta0 = 150.0;
-  core::QueryServer probe(csr, gpusim::test_device(), probe_options);
-  const core::ServerResult one =
-      probe.run(std::vector<core::ServerQuery>(queries_for({0})));
-  const double one_query_ms = one.stats[0].finish_ms;
-  ASSERT_GT(one_query_ms, 0.0);
-
-  core::QueryServerOptions options = probe_options;
-  options.hedge_to_cpu = false;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-  const std::vector<core::ServerQuery> queries = queries_for(
-      {0, 17, 113, 256, 399, 42, 7, 300}, 1.5 * one_query_ms);
-  const core::ServerResult result = server.run(queries);
-
-  EXPECT_GE(result.ok_queries, 1u);
-  EXPECT_GT(result.shed_queries, 0u);
-  EXPECT_EQ(result.ok_queries + result.shed_queries +
-                result.deadline_queries,
-            queries.size());
-  check_against_oracle(csr, queries, result);
-  for (const core::ServerQueryStats& sq : result.stats) {
-    if (sq.query.status == core::QueryStatus::kShedded) {
-      EXPECT_EQ(sq.query.device_ms, 0.0);  // shed before any device work
-      EXPECT_EQ(sq.query.error, "predicted deadline miss");
-    }
-  }
-}
-
-TEST(QueryServer, BoundedPendingQueueShedsArrivalsBeyondCapacity) {
-  const Csr csr = server_test_graph();
-  core::QueryServerOptions options;
-  options.batch.streams = 1;
-  options.batch.gpu.delta0 = 150.0;
-  options.max_pending = 2;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-
-  const std::vector<core::ServerQuery> queries =
-      queries_for({0, 17, 113, 256, 399});
-  const core::ServerResult result = server.run(queries);
-  EXPECT_EQ(result.ok_queries, 2u);
-  EXPECT_EQ(result.shed_queries, 3u);
-  // FIFO admission: the first two in arrival order are the ones served.
-  EXPECT_EQ(result.stats[0].query.status, core::QueryStatus::kOk);
-  EXPECT_EQ(result.stats[1].query.status, core::QueryStatus::kOk);
-  for (std::size_t i = 2; i < queries.size(); ++i) {
-    EXPECT_EQ(result.stats[i].query.status, core::QueryStatus::kShedded);
-    EXPECT_EQ(result.stats[i].query.error, "admission queue full");
-  }
-  check_against_oracle(csr, queries, result);
-}
-
-TEST(QueryServer, EdfDispatchesUrgentQueriesFirst) {
-  const Csr csr = server_test_graph();
-  core::QueryServerOptions options;
-  options.batch.streams = 1;
-  options.batch.gpu.delta0 = 150.0;
-  options.admission = core::AdmissionPolicy::kEdf;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-
-  // Offered loosest-deadline first; EDF must run them in reverse order.
-  std::vector<core::ServerQuery> queries = queries_for({0, 17, 113});
-  queries[0].deadline_ms = 300.0;
-  queries[1].deadline_ms = 200.0;
-  queries[2].deadline_ms = 100.0;
-  const core::ServerResult result = server.run(queries);
-
-  EXPECT_EQ(result.ok_queries, 3u);
-  EXPECT_LT(result.stats[2].finish_ms, result.stats[1].finish_ms);
-  EXPECT_LT(result.stats[1].finish_ms, result.stats[0].finish_ms);
-  check_against_oracle(csr, queries, result);
-}
-
-// --- hedging ---------------------------------------------------------------
-
-TEST(QueryServer, HedgesToHostWhenDeviceCannotMeetDeadline) {
-  const Csr csr = server_test_graph();
-  core::QueryServerOptions options;
-  options.batch.streams = 1;
-  options.batch.gpu.delta0 = 150.0;
-  // Host lane 1000x faster than its default model: any deadline the device
-  // estimate rejects is still feasible on the host.
-  options.host_slowdown = 1e-3;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-
-  const double infeasible_ms = server.batch().cost_seed_ms() * 0.5;
-  ASSERT_GT(infeasible_ms, server.host_cost_ms());
-  const std::vector<core::ServerQuery> queries =
-      queries_for({17}, infeasible_ms);
-  const core::ServerResult result = server.run(queries);
-
-  EXPECT_EQ(result.hedged_queries, 1u);
-  EXPECT_EQ(result.fallback_queries, 1u);
-  EXPECT_TRUE(result.stats[0].hedged);
-  EXPECT_EQ(result.stats[0].query.status, core::QueryStatus::kCpuFallback);
-  EXPECT_EQ(result.stats[0].query.device_ms, 0.0);
-  check_against_oracle(csr, queries, result);
-}
-
-// --- circuit breakers ------------------------------------------------------
-
-TEST(QueryServer, TrippedLaneIsRoutedAroundWithExactDistances) {
-  const Csr csr = server_test_graph();
-  core::QueryServerOptions options;
-  options.batch.streams = 4;
-  options.batch.gpu.delta0 = 150.0;
-  options.breaker.cooldown_ms = 1e6;  // stays open for the whole batch
-  core::QueryServer server(csr, gpusim::test_device(), options);
-  server.trip_lane(0);
-  EXPECT_EQ(server.breaker_state(0), core::BreakerState::kOpen);
-
-  const std::vector<core::ServerQuery> queries =
-      queries_for({0, 17, 113, 256, 399, 42, 7, 300});
-  const core::ServerResult result = server.run(queries);
-
-  EXPECT_EQ(result.ok_queries, queries.size());
-  const gpusim::StreamId tripped = server.batch().lane_stream(0);
-  for (const core::ServerQueryStats& sq : result.stats) {
-    EXPECT_NE(sq.query.stream, tripped);
-  }
-  check_against_oracle(csr, queries, result);
-  EXPECT_EQ(server.breaker_state(0), core::BreakerState::kOpen);
-  // The manual trip is reported with this run's events.
-  ASSERT_EQ(result.breaker_events.size(), 1u);
-  EXPECT_EQ(result.breaker_events[0].lane, 0);
-  EXPECT_EQ(result.breaker_events[0].transition,
-            core::BreakerTransition::kOpen);
-}
-
-TEST(QueryServer, ConsecutiveFaultOutcomesTripThenProbeThenClose) {
-  const Csr csr = server_test_graph();
-  core::QueryServerOptions options;
-  options.batch.streams = 1;
-  options.batch.gpu.delta0 = 150.0;
-  // Every launch fails until the 2-fault budget is spent, so the first
-  // query recovers through retries (a fault outcome), trips the breaker at
-  // threshold 1, and later clean queries probe the lane shut again.
-  options.batch.gpu.fault.enabled = true;
-  options.batch.gpu.fault.seed = 7;
-  options.batch.gpu.fault.launch_failure = 1.0;
-  options.batch.gpu.fault.max_faults = 2;
-  options.breaker.failure_threshold = 1;
-  options.breaker.cooldown_ms = 0.01;
-  // No host hedging: with the only lane open, the server must wait out the
-  // cool-down and probe the lane rather than bypass it.
-  options.hedge_to_cpu = false;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-
-  const std::vector<core::ServerQuery> queries =
-      queries_for({0, 17, 113, 256});
-  const core::ServerResult result = server.run(queries);
-
-  check_against_oracle(csr, queries, result);
-  EXPECT_GT(result.recovery.retries, 0u);
-  EXPECT_GT(result.recovery.attempts, queries.size());
-  ASSERT_GE(result.breaker_events.size(), 3u);
-  EXPECT_EQ(result.breaker_events[0].transition,
-            core::BreakerTransition::kOpen);
-  EXPECT_EQ(result.breaker_events[1].transition,
-            core::BreakerTransition::kHalfOpen);
-  EXPECT_EQ(result.breaker_events[2].transition,
-            core::BreakerTransition::kClose);
-  EXPECT_EQ(server.breaker_state(0), core::BreakerState::kClosed);
-  // The single lane was tripped and re-entered service: all queries done.
-  EXPECT_EQ(result.ok_queries + result.recovered_queries, queries.size());
-}
-
-TEST(QueryServer, BreakerDisabledNeverTripsAutomatically) {
-  const Csr csr = server_test_graph();
-  core::QueryServerOptions options;
-  options.batch.streams = 1;
-  options.batch.gpu.delta0 = 150.0;
-  options.batch.gpu.fault.enabled = true;
-  options.batch.gpu.fault.seed = 7;
-  options.batch.gpu.fault.launch_failure = 1.0;
-  options.batch.gpu.fault.max_faults = 2;
-  options.breaker.enabled = false;
-  options.breaker.failure_threshold = 1;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-
-  const core::ServerResult result =
-      server.run(std::vector<core::ServerQuery>(queries_for({0, 17, 113})));
-  EXPECT_TRUE(result.breaker_events.empty());
-  EXPECT_EQ(server.breaker_state(0), core::BreakerState::kClosed);
-  EXPECT_EQ(result.ok_queries + result.recovered_queries, 3u);
-}
-
-TEST(QueryServer, AllLanesOpenWaitsOutCooldownWhenDeadlineAllows) {
-  const Csr csr = server_test_graph();
-  core::QueryServerOptions options;
-  options.batch.streams = 2;
-  options.batch.gpu.delta0 = 150.0;
-  options.hedge_to_cpu = false;
-  options.breaker.cooldown_ms = 0.5;
-  core::QueryServer server(csr, gpusim::test_device(), options);
-  server.trip_lane(0);
-  server.trip_lane(1);
-
-  const std::vector<core::ServerQuery> queries = queries_for({17});
-  const core::ServerResult result = server.run(queries);
-
-  // No eligible lane at dispatch: with an unbounded deadline the server
-  // waits out the earliest cool-down instead of shedding, probes the lane
-  // half-open, and serves the query there.
-  EXPECT_EQ(result.ok_queries, 1u);
-  EXPECT_GE(result.stats[0].finish_ms, options.breaker.cooldown_ms);
-  check_against_oracle(csr, queries, result);
-}
-
-// --- lifecycle across run() calls ------------------------------------------
-
-// --- streaming (run_stream) ------------------------------------------------
 
 core::TrafficQuery at(double arrival_ms, VertexId source,
                       core::TrafficClass cls,
@@ -438,6 +103,309 @@ void check_stream_invariants(const Csr& csr,
             schedule.size());
 }
 
+// --- determinism -----------------------------------------------------------
+
+TEST(QueryServer, BitIdenticalAcrossSimThreadsForEveryStreamCount) {
+  const Csr csr = server_test_graph();
+  const std::vector<VertexId> sources = {0, 17, 113, 256, 399, 42, 7, 300};
+
+  for (const int streams : {1, 4}) {
+    std::vector<core::StreamResult> results;
+    std::vector<core::TrafficQuery> queries = queries_for(sources);
+    // A mixed batch: two queries get a moderate deadline so the serving
+    // decisions themselves (not just the distances) are exercised.
+    queries[2].deadline_ms = 1.0;
+    queries[5].deadline_ms = 0.25;
+
+    for (const int sim_threads : {1, 8}) {
+      core::QueryServerOptions options;
+      options.batch.streams = streams;
+      options.batch.gpu.delta0 = 150.0;
+      options.batch.gpu.sim_threads = sim_threads;
+      core::QueryServer server(csr, gpusim::test_device(), options);
+      results.push_back(server.run_stream(queries));
+      check_stream_invariants(csr, queries, results.back());
+    }
+
+    const core::StreamResult& a = results[0];
+    const core::StreamResult& b = results[1];
+    EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+    EXPECT_EQ(a.shed_queries, b.shed_queries);
+    EXPECT_EQ(a.deadline_queries, b.deadline_queries);
+    EXPECT_EQ(a.overrun_kernels, b.overrun_kernels);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(a.stats[i].query.status, b.stats[i].query.status) << i;
+      EXPECT_EQ(a.stats[i].finish_ms, b.stats[i].finish_ms) << i;
+      EXPECT_EQ(a.queries[i].sssp.distances, b.queries[i].sssp.distances)
+          << i;
+    }
+  }
+}
+
+// --- deadlines -------------------------------------------------------------
+
+TEST(QueryServer, UnboundedQueriesAllCompleteExactly) {
+  const Csr csr = server_test_graph();
+  const std::vector<core::TrafficQuery> queries =
+      queries_for({0, 17, 113, 256, 399});
+
+  core::QueryServerOptions options;
+  options.batch.streams = 2;
+  options.batch.gpu.delta0 = 150.0;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result = server.run_stream(queries);
+
+  EXPECT_EQ(result.ok_queries, queries.size());
+  EXPECT_EQ(result.shed_queries, 0u);
+  EXPECT_EQ(result.deadline_queries, 0u);
+  check_stream_invariants(csr, queries, result);
+  EXPECT_GT(result.makespan_ms, 0.0);
+}
+
+TEST(QueryServer, ImpossibleDeadlineIsCancelledWithPartialMetricsOnly) {
+  const Csr csr = server_test_graph();
+  // One query whose deadline expires during its very first kernels. With
+  // shedding and hedging off the server must dispatch it anyway, cancel at
+  // the first bucket boundary, and report the partial work.
+  std::vector<core::TrafficQuery> queries = queries_for({17}, 1e-6);
+
+  core::QueryServerOptions options;
+  options.batch.streams = 1;
+  options.batch.gpu.delta0 = 150.0;
+  options.shed_on_overload = false;
+  options.hedge_to_cpu = false;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result = server.run_stream(queries);
+
+  ASSERT_EQ(result.deadline_queries, 1u);
+  EXPECT_EQ(result.stats[0].query.status,
+            core::QueryStatus::kDeadlineExceeded);
+  EXPECT_FALSE(result.queries[0].ok);
+  EXPECT_TRUE(result.queries[0].sssp.distances.empty());
+  EXPECT_TRUE(result.queries[0].deadline_exceeded);
+  // Partial metrics: the cancelled attempt still charged device time, and
+  // every kernel it completed ran past the (already expired) deadline.
+  EXPECT_GT(result.stats[0].query.device_ms, 0.0);
+  EXPECT_GT(result.stats[0].overrun_kernels, 0u);
+  EXPECT_GT(result.queries[0].counters.kernel_launches, 0u);
+}
+
+TEST(QueryServer, OverloadIsShedUpFrontNotServedLate) {
+  const Csr csr = server_test_graph();
+  // 8 queries, 1 lane, deadline sized for roughly one query: the first
+  // completes, the rest must be shed (predicted miss) — never completed
+  // late, never dispatched to burn device time.
+  core::QueryServerOptions probe_options;
+  probe_options.batch.streams = 1;
+  probe_options.batch.gpu.delta0 = 150.0;
+  core::QueryServer probe(csr, gpusim::test_device(), probe_options);
+  const core::StreamResult one =
+      probe.run_stream(queries_for({0}));
+  const double one_query_ms = one.stats[0].finish_ms;
+  ASSERT_GT(one_query_ms, 0.0);
+
+  core::QueryServerOptions options = probe_options;
+  options.hedge_to_cpu = false;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const std::vector<core::TrafficQuery> queries = queries_for(
+      {0, 17, 113, 256, 399, 42, 7, 300}, 1.5 * one_query_ms);
+  const core::StreamResult result = server.run_stream(queries);
+
+  EXPECT_GE(result.ok_queries, 1u);
+  EXPECT_GT(result.shed_queries, 0u);
+  EXPECT_EQ(result.ok_queries + result.shed_queries +
+                result.deadline_queries,
+            queries.size());
+  check_stream_invariants(csr, queries, result);
+  for (const core::StreamQueryStats& sq : result.stats) {
+    if (sq.query.status == core::QueryStatus::kShedded) {
+      EXPECT_EQ(sq.query.device_ms, 0.0);  // shed before any device work
+      EXPECT_EQ(sq.query.error, "predicted deadline miss");
+    }
+  }
+}
+
+TEST(QueryServer, BoundedPendingQueueShedsArrivalsBeyondCapacity) {
+  const Csr csr = server_test_graph();
+  core::QueryServerOptions options;
+  options.batch.streams = 1;
+  options.batch.gpu.delta0 = 150.0;
+  options.max_pending = 2;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+
+  const std::vector<core::TrafficQuery> queries =
+      queries_for({0, 17, 113, 256, 399});
+  const core::StreamResult result = server.run_stream(queries);
+  EXPECT_EQ(result.ok_queries, 2u);
+  EXPECT_EQ(result.shed_queries, 3u);
+  // The first two offered take the queue; the rest never get in.
+  EXPECT_EQ(result.stats[0].query.status, core::QueryStatus::kOk);
+  EXPECT_EQ(result.stats[1].query.status, core::QueryStatus::kOk);
+  for (std::size_t i = 2; i < queries.size(); ++i) {
+    EXPECT_EQ(result.stats[i].query.status, core::QueryStatus::kShedded);
+    EXPECT_EQ(result.stats[i].query.error, "admission queue full");
+  }
+  check_stream_invariants(csr, queries, result);
+}
+
+TEST(QueryServer, EdfDispatchesUrgentQueriesFirst) {
+  const Csr csr = server_test_graph();
+  core::QueryServerOptions options;
+  options.batch.streams = 1;
+  options.batch.gpu.delta0 = 150.0;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+
+  // Offered loosest-deadline first; EDF must run them in reverse order.
+  std::vector<core::TrafficQuery> queries = queries_for({0, 17, 113});
+  queries[0].deadline_ms = 300.0;
+  queries[1].deadline_ms = 200.0;
+  queries[2].deadline_ms = 100.0;
+  const core::StreamResult result = server.run_stream(queries);
+
+  EXPECT_EQ(result.ok_queries, 3u);
+  EXPECT_LT(result.stats[2].finish_ms, result.stats[1].finish_ms);
+  EXPECT_LT(result.stats[1].finish_ms, result.stats[0].finish_ms);
+  check_stream_invariants(csr, queries, result);
+}
+
+// --- hedging ---------------------------------------------------------------
+
+TEST(QueryServer, HedgesToHostWhenDeviceCannotMeetDeadline) {
+  const Csr csr = server_test_graph();
+  core::QueryServerOptions options;
+  options.batch.streams = 1;
+  options.batch.gpu.delta0 = 150.0;
+  // Host lane 1000x faster than its default model: any deadline the device
+  // estimate rejects is still feasible on the host.
+  options.host_slowdown = 1e-3;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+
+  const double infeasible_ms = server.batch().cost_seed_ms() * 0.5;
+  ASSERT_GT(infeasible_ms, server.host_cost_ms());
+  const std::vector<core::TrafficQuery> queries =
+      queries_for({17}, infeasible_ms);
+  const core::StreamResult result = server.run_stream(queries);
+
+  EXPECT_EQ(result.hedged_queries, 1u);
+  EXPECT_EQ(result.fallback_queries, 1u);
+  EXPECT_TRUE(result.stats[0].hedged);
+  EXPECT_EQ(result.stats[0].query.status, core::QueryStatus::kCpuFallback);
+  EXPECT_EQ(result.stats[0].query.device_ms, 0.0);
+  check_stream_invariants(csr, queries, result);
+}
+
+// --- circuit breakers ------------------------------------------------------
+
+TEST(QueryServer, TrippedLaneIsRoutedAroundWithExactDistances) {
+  const Csr csr = server_test_graph();
+  core::QueryServerOptions options;
+  options.batch.streams = 4;
+  options.batch.gpu.delta0 = 150.0;
+  options.breaker.cooldown_ms = 1e6;  // stays open for the whole batch
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  server.trip_lane(0);
+  EXPECT_EQ(server.breaker_state(0), core::BreakerState::kOpen);
+
+  const std::vector<core::TrafficQuery> queries =
+      queries_for({0, 17, 113, 256, 399, 42, 7, 300});
+  const core::StreamResult result = server.run_stream(queries);
+
+  EXPECT_EQ(result.ok_queries, queries.size());
+  const gpusim::StreamId tripped = server.batch().lane_stream(0);
+  for (const core::StreamQueryStats& sq : result.stats) {
+    EXPECT_NE(sq.query.stream, tripped);
+  }
+  check_stream_invariants(csr, queries, result);
+  EXPECT_EQ(server.breaker_state(0), core::BreakerState::kOpen);
+  // The manual trip is reported with this run's events.
+  ASSERT_EQ(result.breaker_events.size(), 1u);
+  EXPECT_EQ(result.breaker_events[0].lane, 0);
+  EXPECT_EQ(result.breaker_events[0].transition,
+            core::BreakerTransition::kOpen);
+}
+
+TEST(QueryServer, ConsecutiveFaultOutcomesTripThenProbeThenClose) {
+  const Csr csr = server_test_graph();
+  core::QueryServerOptions options;
+  options.batch.streams = 1;
+  options.batch.gpu.delta0 = 150.0;
+  // Every launch fails until the 2-fault budget is spent, so the first
+  // query recovers through retries (a fault outcome), trips the breaker at
+  // threshold 1, and later clean queries probe the lane shut again.
+  options.batch.gpu.fault.enabled = true;
+  options.batch.gpu.fault.seed = 7;
+  options.batch.gpu.fault.launch_failure = 1.0;
+  options.batch.gpu.fault.max_faults = 2;
+  options.breaker.failure_threshold = 1;
+  options.breaker.cooldown_ms = 0.01;
+  // No host hedging: with the only lane open, the server must wait out the
+  // cool-down and probe the lane rather than bypass it.
+  options.hedge_to_cpu = false;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+
+  const std::vector<core::TrafficQuery> queries =
+      queries_for({0, 17, 113, 256});
+  const core::StreamResult result = server.run_stream(queries);
+
+  check_stream_invariants(csr, queries, result);
+  EXPECT_GT(result.recovery.retries, 0u);
+  EXPECT_GT(result.recovery.attempts, queries.size());
+  ASSERT_GE(result.breaker_events.size(), 3u);
+  EXPECT_EQ(result.breaker_events[0].transition,
+            core::BreakerTransition::kOpen);
+  EXPECT_EQ(result.breaker_events[1].transition,
+            core::BreakerTransition::kHalfOpen);
+  EXPECT_EQ(result.breaker_events[2].transition,
+            core::BreakerTransition::kClose);
+  EXPECT_EQ(server.breaker_state(0), core::BreakerState::kClosed);
+  // The single lane was tripped and re-entered service: all queries done.
+  EXPECT_EQ(result.ok_queries + result.recovered_queries, queries.size());
+}
+
+TEST(QueryServer, BreakerDisabledNeverTripsAutomatically) {
+  const Csr csr = server_test_graph();
+  core::QueryServerOptions options;
+  options.batch.streams = 1;
+  options.batch.gpu.delta0 = 150.0;
+  options.batch.gpu.fault.enabled = true;
+  options.batch.gpu.fault.seed = 7;
+  options.batch.gpu.fault.launch_failure = 1.0;
+  options.batch.gpu.fault.max_faults = 2;
+  options.breaker.enabled = false;
+  options.breaker.failure_threshold = 1;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+
+  const core::StreamResult result =
+      server.run_stream(queries_for({0, 17, 113}));
+  EXPECT_TRUE(result.breaker_events.empty());
+  EXPECT_EQ(server.breaker_state(0), core::BreakerState::kClosed);
+  EXPECT_EQ(result.ok_queries + result.recovered_queries, 3u);
+}
+
+TEST(QueryServer, AllLanesOpenWaitsOutCooldownWhenDeadlineAllows) {
+  const Csr csr = server_test_graph();
+  core::QueryServerOptions options;
+  options.batch.streams = 2;
+  options.batch.gpu.delta0 = 150.0;
+  options.hedge_to_cpu = false;
+  options.breaker.cooldown_ms = 0.5;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  server.trip_lane(0);
+  server.trip_lane(1);
+
+  const std::vector<core::TrafficQuery> queries = queries_for({17});
+  const core::StreamResult result = server.run_stream(queries);
+
+  // No eligible lane at dispatch: with an unbounded deadline the server
+  // waits out the earliest cool-down instead of shedding, probes the lane
+  // half-open, and serves the query there.
+  EXPECT_EQ(result.ok_queries, 1u);
+  EXPECT_GE(result.stats[0].finish_ms, options.breaker.cooldown_ms);
+  check_stream_invariants(csr, queries, result);
+}
+
+// --- streaming (timed arrivals) --------------------------------------------
+
 TEST(QueryServer, StreamBitIdenticalAcrossSimThreads) {
   const Csr csr = server_test_graph();
 
@@ -450,7 +418,7 @@ TEST(QueryServer, StreamBitIdenticalAcrossSimThreads) {
     probe.batch.gpu.delta0 = 150.0;
     core::QueryServer server(csr, gpusim::test_device(), probe);
     one_query_ms =
-        server.run(std::vector<core::ServerQuery>(queries_for({17})))
+        server.run_stream(queries_for({17}))
             .stats[0]
             .finish_ms;
     ASSERT_GT(one_query_ms, 0.0);
@@ -578,8 +546,8 @@ TEST(QueryServer, StreamAgingPromotesStarvedBestEffort) {
   double service_ms = 0;
   {
     core::QueryServer probe(csr, gpusim::test_device(), base);
-    const core::ServerResult two =
-        probe.run(std::vector<core::ServerQuery>(queries_for({17, 17})));
+    const core::StreamResult two =
+        probe.run_stream(queries_for({17, 17}));
     service_ms = std::min(two.stats[0].finish_ms,
                           two.stats[1].finish_ms - two.stats[0].finish_ms);
     ASSERT_GT(service_ms, 0.0);
@@ -634,7 +602,7 @@ TEST(QueryServer, HalfOpenProbeDecaysLaneEwmaExactlyOnce) {
   const double alpha = options.batch.ewma_alpha;
 
   // Move the estimate off the seed with one clean query.
-  server.run(std::vector<core::ServerQuery>(queries_for({17})));
+  server.run_stream(queries_for({17}));
   const double warmed_ms = server.batch().lane_cost_estimate_ms(0);
   ASSERT_NE(warmed_ms, seed_ms);
 
@@ -721,7 +689,7 @@ TEST(QueryServer, StreamEwmaSurvivesIdleStretchWithZeroCompletions) {
   EXPECT_EQ(after.shed_queries, 0u);
 }
 
-// --- lifecycle across run() calls ------------------------------------------
+// --- lifecycle across run_stream() calls ------------------------------------------
 
 TEST(QueryServer, StatePersistsAcrossRuns) {
   const Csr csr = server_test_graph();
@@ -732,17 +700,17 @@ TEST(QueryServer, StatePersistsAcrossRuns) {
   core::QueryServer server(csr, gpusim::test_device(), options);
 
   server.trip_lane(1);
-  const core::ServerResult first =
-      server.run(std::vector<core::ServerQuery>(queries_for({0, 17})));
+  const core::StreamResult first =
+      server.run_stream(queries_for({0, 17}));
   ASSERT_EQ(first.breaker_events.size(), 1u);
-  const core::ServerResult second =
-      server.run(std::vector<core::ServerQuery>(queries_for({113, 256})));
+  const core::StreamResult second =
+      server.run_stream(queries_for({113, 256}));
   // The trip was already reported; it must not be re-reported, but the
   // lane stays open into the second run.
   EXPECT_TRUE(second.breaker_events.empty());
   EXPECT_EQ(server.breaker_state(1), core::BreakerState::kOpen);
   const gpusim::StreamId tripped = server.batch().lane_stream(1);
-  for (const core::ServerQueryStats& sq : second.stats) {
+  for (const core::StreamQueryStats& sq : second.stats) {
     EXPECT_NE(sq.query.stream, tripped);
   }
   EXPECT_EQ(second.ok_queries, 2u);
@@ -780,14 +748,14 @@ TEST(QueryServer, MigrationResumesLostQueryOnSurvivingLane) {
   cfg.device_loss = 0.002;  // one loss somewhere mid-stream
   cfg.max_faults = 1;
 
-  core::ServerResult with_migration;
-  core::ServerResult without_migration;
+  core::StreamResult with_migration;
+  core::StreamResult without_migration;
   for (const bool migrate : {true, false}) {
     core::QueryServerOptions options = migration_options(migrate);
     options.batch.gpu.fault = cfg;
     core::QueryServer server(csr, gpusim::test_device(), options);
-    core::ServerResult result =
-        server.run(std::vector<core::ServerQuery>(queries_for(sources)));
+    core::StreamResult result =
+        server.run_stream(queries_for(sources));
     (migrate ? with_migration : without_migration) = std::move(result);
   }
 
@@ -795,12 +763,12 @@ TEST(QueryServer, MigrationResumesLostQueryOnSurvivingLane) {
   EXPECT_EQ(with_migration.failed_queries, 0u);
   EXPECT_EQ(with_migration.migrated_queries, 1u);
   EXPECT_EQ(with_migration.ok_queries, sources.size());
-  check_against_oracle(csr, queries_for(sources), with_migration);
+  check_stream_invariants(csr, queries_for(sources), with_migration);
 
   // The migrated query finished on a lane other than the one it failed on,
   // and its stats say so.
   bool saw_migrated = false;
-  for (const core::ServerQueryStats& sq : with_migration.stats) {
+  for (const core::StreamQueryStats& sq : with_migration.stats) {
     saw_migrated = saw_migrated || sq.query.migrated;
   }
   EXPECT_TRUE(saw_migrated);
@@ -822,8 +790,8 @@ TEST(QueryServer, MigrationWithoutCheckpointLeavesQueryFailed) {
   options.batch.gpu.checkpoint_interval = 0;  // no snapshots, no resume
   options.batch.gpu.fault = cfg;
   core::QueryServer server(csr, gpusim::test_device(), options);
-  const core::ServerResult result =
-      server.run(std::vector<core::ServerQuery>(queries_for(sources)));
+  const core::StreamResult result =
+      server.run_stream(queries_for(sources));
 
   EXPECT_EQ(result.failed_queries, 1u);
   EXPECT_EQ(result.migrated_queries, 0u);
@@ -841,14 +809,14 @@ TEST(QueryServer, MigrationBitIdenticalAcrossSimThreads) {
   cfg.device_loss = 0.002;
   cfg.max_faults = 1;
 
-  std::vector<core::ServerResult> results;
+  std::vector<core::StreamResult> results;
   for (const int sim_threads : {1, 8}) {
     core::QueryServerOptions options = migration_options(true);
     options.batch.gpu.sim_threads = sim_threads;
     options.batch.gpu.fault = cfg;
     core::QueryServer server(csr, gpusim::test_device(), options);
     results.push_back(
-        server.run(std::vector<core::ServerQuery>(queries_for(sources))));
+        server.run_stream(queries_for(sources)));
   }
   EXPECT_EQ(results[0].migrated_queries, results[1].migrated_queries);
   EXPECT_EQ(results[0].makespan_ms, results[1].makespan_ms);
@@ -922,6 +890,122 @@ TEST(QueryServer, StreamClosedLoopRetriesShedWorkWithinBudget) {
   }
   EXPECT_EQ(closed_loop.retried_arrivals, rearrivals);
   EXPECT_LE(closed_loop.retried_arrivals, 3 * retried_queries);
+}
+
+// Conservation over one mixed run with faults, closed-loop retries, the
+// result cache and host hedging all active: every offered query ends in
+// exactly one terminal status, every aggregate counter and class tally is a
+// recount of the per-query records, and a query that was served (or missed
+// its deadline) arrived before it was dispatched and was dispatched before
+// it finished.
+TEST(QueryServer, StreamCountersConserveEveryOfferedQuery) {
+  const Csr csr = server_test_graph();
+  core::TrafficSpec spec;
+  spec.num_queries = 96;
+  spec.seed = 12;
+  spec.rate_qpms = 40.0;  // well past what two lanes drain
+  spec.zipf_s = 1.3;
+  spec.source_universe = 16;
+  spec.class_deadline_ms = {0.2, 0.8, std::numeric_limits<double>::infinity()};
+  const std::vector<core::TrafficQuery> schedule =
+      core::generate_traffic(spec, csr.num_vertices());
+
+  core::QueryServerOptions options;
+  options.batch.streams = 2;
+  options.batch.gpu.delta0 = 150.0;
+  options.batch.gpu.fault.enabled = true;
+  options.batch.gpu.fault.seed = 9;
+  options.batch.gpu.fault.launch_failure = 0.05;
+  options.batch.gpu.fault.max_faults = 64;
+  options.batch.gpu.checkpoint_interval = 1;
+  options.batch.gpu.retry.max_attempts = 2;
+  options.batch.gpu.retry.cpu_fallback = false;
+  options.max_pending = 8;
+  options.cache.enabled = true;
+  options.cache.capacity = 8;
+  options.cache.landmarks = 2;
+  options.closed_loop.enabled = true;
+  options.closed_loop.retry_budget = 2;
+  options.closed_loop.backoff_base_ms = 0.1;
+  options.closed_loop.seed = 3;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result = server.run_stream(schedule);
+  ASSERT_EQ(result.stats.size(), schedule.size());
+  ASSERT_EQ(result.queries.size(), schedule.size());
+
+  // The run must be mixed, or conservation is checked on nothing.
+  EXPECT_GT(result.shed_queries, 0u);
+  EXPECT_GT(result.failed_queries + result.recovered_queries, 0u);
+  EXPECT_GT(result.cached_queries, 0u);
+  EXPECT_GT(result.joined_queries, 0u);
+  EXPECT_GT(result.hedged_queries, 0u);
+  EXPECT_GT(result.migrated_queries + result.resumed_queries, 0u);
+  EXPECT_GT(result.retried_arrivals, 0u);
+
+  std::array<std::uint64_t, core::kNumQueryStatuses> status{};
+  std::array<core::ClassTally, core::kNumTrafficClasses> classes{};
+  std::uint64_t hedged = 0, rerouted = 0, joined = 0, warm = 0, migrated = 0,
+                resumed = 0, overrun = 0, rearrivals = 0;
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const core::StreamQueryStats& sq = result.stats[i];
+    const auto s = static_cast<std::size_t>(sq.query.status);
+    ASSERT_LT(s, status.size()) << "query " << i << " has no terminal status";
+    ++status[s];
+    core::ClassTally& tally = classes[static_cast<std::size_t>(sq.cls)];
+    ++tally.offered;
+    switch (sq.query.status) {
+      case core::QueryStatus::kShedded: ++tally.shed; break;
+      case core::QueryStatus::kDeadlineExceeded: ++tally.missed; break;
+      case core::QueryStatus::kFailed: ++tally.failed; break;
+      default: ++tally.completed; break;
+    }
+    hedged += sq.hedged ? 1 : 0;
+    rerouted += sq.rerouted ? 1 : 0;
+    joined += sq.single_flight ? 1 : 0;
+    warm += sq.query.warm_started ? 1 : 0;
+    migrated += sq.query.migrated ? 1 : 0;
+    resumed += result.queries[i].recovery.resumed > 0 ? 1 : 0;
+    overrun += sq.overrun_kernels;
+    ASSERT_GE(sq.arrivals, 1) << "query " << i;
+    rearrivals += static_cast<std::uint64_t>(sq.arrivals - 1);
+    if (sq.query.status != core::QueryStatus::kShedded &&
+        sq.query.status != core::QueryStatus::kFailed) {
+      EXPECT_LE(sq.arrival_ms, sq.dispatch_ms) << "query " << i;
+      EXPECT_LE(sq.dispatch_ms, sq.finish_ms) << "query " << i;
+    }
+  }
+
+  const auto count = [&](core::QueryStatus s) {
+    return status[static_cast<std::size_t>(s)];
+  };
+  EXPECT_EQ(result.ok_queries, count(core::QueryStatus::kOk));
+  EXPECT_EQ(result.recovered_queries, count(core::QueryStatus::kRecovered));
+  EXPECT_EQ(result.fallback_queries, count(core::QueryStatus::kCpuFallback));
+  EXPECT_EQ(result.failed_queries, count(core::QueryStatus::kFailed));
+  EXPECT_EQ(result.deadline_queries,
+            count(core::QueryStatus::kDeadlineExceeded));
+  EXPECT_EQ(result.shed_queries, count(core::QueryStatus::kShedded));
+  EXPECT_EQ(result.cached_queries, count(core::QueryStatus::kCacheHit));
+  EXPECT_EQ(result.ok_queries + result.recovered_queries +
+                result.fallback_queries + result.failed_queries +
+                result.deadline_queries + result.shed_queries +
+                result.cached_queries,
+            schedule.size());
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    EXPECT_EQ(result.classes[c].offered, classes[c].offered) << c;
+    EXPECT_EQ(result.classes[c].completed, classes[c].completed) << c;
+    EXPECT_EQ(result.classes[c].shed, classes[c].shed) << c;
+    EXPECT_EQ(result.classes[c].missed, classes[c].missed) << c;
+    EXPECT_EQ(result.classes[c].failed, classes[c].failed) << c;
+  }
+  EXPECT_EQ(result.hedged_queries, hedged);
+  EXPECT_EQ(result.rerouted_queries, rerouted);
+  EXPECT_EQ(result.joined_queries, joined);
+  EXPECT_EQ(result.warm_started_queries, warm);
+  EXPECT_EQ(result.migrated_queries, migrated);
+  EXPECT_EQ(result.resumed_queries, resumed);
+  EXPECT_EQ(result.overrun_kernels, overrun);
+  EXPECT_EQ(result.retried_arrivals, rearrivals);
 }
 
 // Closed-loop scheduling (jittered backoff, backpressure deferral) is a

@@ -259,27 +259,22 @@ core::QueryServerOptions cached_server_options(int streams = 2,
   return sopts;
 }
 
-std::vector<core::ServerQuery> queries_for(
+// A t=0 batch of unbounded queries.
+std::vector<core::TrafficQuery> queries_for(
     const std::vector<VertexId>& sources) {
-  std::vector<core::ServerQuery> queries;
-  for (const VertexId s : sources) {
-    core::ServerQuery q;
-    q.source = s;
-    queries.push_back(q);
-  }
-  return queries;
+  return core::batch_schedule(sources);
 }
 
 TEST(ResultCacheServing, RepeatRunIsServedEntirelyFromCacheBitIdentically) {
   const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/11);
   core::QueryServer server(csr, gpusim::test_device(),
                            cached_server_options());
-  const std::vector<core::ServerQuery> queries =
+  const std::vector<core::TrafficQuery> queries =
       queries_for({5, 9, 23, 112, 250});
 
-  const core::ServerResult cold = server.run(queries);
+  const core::StreamResult cold = server.run_stream(queries);
   ASSERT_EQ(cold.cached_queries, 0u);
-  const core::ServerResult warm = server.run(queries);
+  const core::StreamResult warm = server.run_stream(queries);
 
   EXPECT_EQ(warm.cached_queries, queries.size());
   // Exact hits never touch a lane: the repeat run costs zero device time.
@@ -297,10 +292,10 @@ TEST(ResultCacheServing, SingleFlightWaitersShareTheProducersResult) {
   const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/13);
   core::QueryServer server(csr, gpusim::test_device(),
                            cached_server_options());
-  const std::vector<core::ServerQuery> queries =
+  const std::vector<core::TrafficQuery> queries =
       queries_for({42, 42, 42, 42, 42, 42});
 
-  const core::ServerResult result = server.run(queries);
+  const core::StreamResult result = server.run_stream(queries);
   // One producer solves; the other five attach to its in-flight entry.
   EXPECT_EQ(result.joined_queries, queries.size() - 1);
   EXPECT_EQ(server.result_cache()->stats().inflight_hits,
@@ -324,11 +319,11 @@ TEST(ResultCacheServing, EpochBumpForcesAFreshSolve) {
   const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/17);
   core::QueryServer server(csr, gpusim::test_device(),
                            cached_server_options());
-  const std::vector<core::ServerQuery> queries = queries_for({7, 31});
+  const std::vector<core::TrafficQuery> queries = queries_for({7, 31});
 
-  (void)server.run(queries);
+  (void)server.run_stream(queries);
   server.bump_graph_epoch();
-  const core::ServerResult fresh = server.run(queries);
+  const core::StreamResult fresh = server.run_stream(queries);
   EXPECT_EQ(fresh.cached_queries, 0u);
   EXPECT_EQ(fresh.joined_queries, 0u);
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -351,9 +346,9 @@ void check_warm_equals_cold(const Csr& csr, core::BatchEngine engine) {
   core::QueryServerOptions cached = cached_server_options();
   cached.batch.engine = engine;
   core::QueryServer warm_server(csr, gpusim::test_device(), cached);
-  (void)warm_server.run(queries_for(landmark_sources));
+  (void)warm_server.run_stream(queries_for(landmark_sources));
   ASSERT_EQ(warm_server.result_cache()->num_landmarks(), 3u);
-  const core::ServerResult warm = warm_server.run(queries_for(probes));
+  const core::StreamResult warm = warm_server.run_stream(queries_for(probes));
   // Every probe that any landmark can reach gets warm bounds; a probe in a
   // component no landmark touches (possible on Kronecker, which has
   // isolated vertices) legitimately runs cold.
@@ -364,7 +359,7 @@ void check_warm_equals_cold(const Csr& csr, core::BatchEngine engine) {
   plain.batch.engine = engine;
   plain.cache.enabled = false;
   core::QueryServer cold_server(csr, gpusim::test_device(), plain);
-  const core::ServerResult cold = cold_server.run(queries_for(probes));
+  const core::StreamResult cold = cold_server.run_stream(queries_for(probes));
 
   for (std::size_t i = 0; i < probes.size(); ++i) {
     const std::vector<Distance> oracle = dijkstra_distances(csr, probes[i]);
@@ -400,21 +395,21 @@ TEST(ResultCacheServing, WarmStartMatchesColdAndDijkstraOnGridGraph) {
 // state; the cache keys on vertex ids and the serving clock only).
 TEST(ResultCacheServing, BitIdenticalAcrossSimThreadsForEveryStreamCount) {
   const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/29);
-  const std::vector<core::ServerQuery> first =
+  const std::vector<core::TrafficQuery> first =
       queries_for({5, 9, 9, 23, 112, 5, 250, 9});
-  const std::vector<core::ServerQuery> second =
+  const std::vector<core::TrafficQuery> second =
       queries_for({9, 5, 17, 23, 23, 250});
 
   for (const int streams : {1, 4}) {
-    std::vector<core::ServerResult> runs1, runs2;
+    std::vector<core::StreamResult> runs1, runs2;
     for (const int threads : {1, 8}) {
       core::QueryServer server(csr, gpusim::test_device(),
                                cached_server_options(streams, threads));
-      runs1.push_back(server.run(first));
-      runs2.push_back(server.run(second));
+      runs1.push_back(server.run_stream(first));
+      runs2.push_back(server.run_stream(second));
     }
-    const auto expect_same = [&](const core::ServerResult& a,
-                                 const core::ServerResult& b) {
+    const auto expect_same = [&](const core::StreamResult& a,
+                                 const core::StreamResult& b) {
       ASSERT_EQ(a.stats.size(), b.stats.size());
       EXPECT_EQ(a.cached_queries, b.cached_queries);
       EXPECT_EQ(a.joined_queries, b.joined_queries);
