@@ -1,7 +1,8 @@
 // Golden-trace regression anchors (ISSUE 4 satellite).
 //
-// Three fixed (engine, graph, seed) triples snapshot their full Counters
-// and final distances into checked-in golden files. Any change to the cost
+// Fixed (engine, graph, seed) triples snapshot their full Counters, recovery
+// bookkeeping, simulated clock and final distances into checked-in golden
+// files. Any change to the cost
 // model, the memory model, an engine's kernel structure, or the graph
 // generators shows up here as a readable diff instead of a silent drift.
 //
@@ -21,8 +22,11 @@
 #include <vector>
 
 #include "core/adds.hpp"
+#include "core/gunrock_like.hpp"
+#include "core/legacy_gpu.hpp"
 #include "core/query_server.hpp"
 #include "core/rdbs.hpp"
+#include "core/sep_hybrid.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
 #include "sssp/dijkstra.hpp"
@@ -60,10 +64,46 @@ std::string serialize_trace(const core::GpuRunResult& result) {
       << "volatile_accesses " << c.volatile_accesses << '\n'
       << "faults_injected " << c.faults_injected << '\n'
       << "ecc_corrected " << c.ecc_corrected << '\n';
-  out << "distances " << result.sssp.distances.size() << '\n';
+  // Recovery bookkeeping and the simulated clock: the per-attempt metric
+  // accounting (deltas, backoff, re-upload and checkpoint charges) must
+  // not drift either.
+  const core::RecoveryStats& r = result.recovery;
+  out << "ok " << result.ok << '\n'
+      << "recovery_attempts " << r.attempts << '\n'
+      << "recovery_retries " << r.retries << '\n'
+      << "recovery_resumed " << r.resumed << '\n'
+      << "recovery_cpu_fallbacks " << r.cpu_fallbacks << '\n'
+      << "recovery_faults_injected " << r.faults_injected << '\n'
+      << "recovery_ecc_corrected " << r.ecc_corrected << '\n'
+      << "recovery_device_lost " << r.device_lost << '\n';
   out << std::hexfloat;
+  out << "device_ms " << result.device_ms << '\n'
+      << "queue_wait_ms " << result.queue_wait_ms << '\n'
+      << "recovery_backoff_ms " << r.backoff_ms << '\n';
+  out << "sanitizer_report\n" << result.sanitizer_report;
+  out << "distances " << result.sssp.distances.size() << '\n';
   for (const graph::Distance d : result.sssp.distances) out << d << '\n';
   return out.str();
+}
+
+// A fault plan that fails the first launches of a run and flips loaded
+// distances uncorrectably, so the snapshotted run recovers through at least
+// one discarded attempt.
+gpusim::FaultConfig retry_forcing_faults(std::uint64_t seed) {
+  gpusim::FaultConfig cfg;
+  cfg.enabled = true;
+  cfg.seed = seed;
+  cfg.launch_failure = 0.2;
+  cfg.bit_flip_per_load = 0.002;
+  cfg.correctable_fraction = 0.0;
+  cfg.max_faults = 3;
+  return cfg;
+}
+
+core::RetryPolicy golden_retry() {
+  core::RetryPolicy retry;
+  retry.max_attempts = 6;
+  return retry;
 }
 
 void check_against_golden(const std::string& name,
@@ -121,6 +161,81 @@ TEST(GoldenTraces, AddsOnPowerLaw) {
   options.delta = 120.0;
   core::AddsLike engine(gpusim::test_device(), csr, options);
   check_against_golden("adds_powerlaw_250_s203", engine.run(7));
+}
+
+// Recovery anchors: every further engine family under a gfi plan that
+// forces at least one retry, with gsan watching. They pin the attempt
+// loop's metric accumulation, the re-upload charges and the per-engine
+// device-buffer layout (gsan names buffers in its reports).
+TEST(GoldenTraces, HarishNarayananRecoversOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(200, 1600, /*seed=*/205);
+  core::HarishNarayanan engine(gpusim::test_device(), csr,
+                               gpusim::SanitizeMode::kOn,
+                               retry_forcing_faults(205), golden_retry());
+  const core::GpuRunResult result = engine.run(3);
+  ASSERT_GE(result.recovery.retries, 1u);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 3).distances);
+  check_against_golden("hn07_powerlaw_200_s205", result);
+}
+
+TEST(GoldenTraces, DavidsonRecoversOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(200, 1600, /*seed=*/206);
+  core::DavidsonOptions options;
+  options.delta = 120.0;
+  options.sanitize = gpusim::SanitizeMode::kOn;
+  options.fault = retry_forcing_faults(206);
+  options.retry = golden_retry();
+  core::DavidsonNearFar engine(gpusim::test_device(), csr, options);
+  const core::GpuRunResult result = engine.run(3);
+  ASSERT_GE(result.recovery.retries, 1u);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 3).distances);
+  check_against_golden("davidson_powerlaw_200_s206", result);
+}
+
+TEST(GoldenTraces, SepHybridRecoversOnGrid) {
+  const Csr csr = test::random_grid_graph(14, /*seed=*/207);
+  core::SepHybridOptions options;
+  options.sanitize = gpusim::SanitizeMode::kOn;
+  options.fault = retry_forcing_faults(207);
+  options.retry = golden_retry();
+  core::SepHybrid engine(gpusim::test_device(), csr, options);
+  const core::SepRunResult result = engine.run(0);
+  ASSERT_GE(result.gpu.recovery.retries, 1u);
+  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
+  check_against_golden("sep_grid_14_s207", result.gpu);
+}
+
+TEST(GoldenTraces, GunrockRecoversOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(200, 1600, /*seed=*/208);
+  core::gunrock::GunrockSsspOptions options;
+  options.delta = 120.0;
+  options.sanitize = gpusim::SanitizeMode::kOn;
+  options.fault = retry_forcing_faults(208);
+  options.retry = golden_retry();
+  const core::GpuRunResult result =
+      core::gunrock::sssp(gpusim::test_device(), csr, 3, options);
+  ASSERT_GE(result.recovery.retries, 1u);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 3).distances);
+  check_against_golden("gunrock_powerlaw_200_s208", result);
+}
+
+// Checkpoint-resume anchor: RDBS snapshots every bucket boundary, and a
+// poisoned attempt's retry continues from the last clean snapshot.
+TEST(GoldenTraces, RdbsCheckpointResumedRetry) {
+  const Csr csr = test::random_powerlaw_graph(300, 2200, /*seed=*/209);
+  core::GpuSsspOptions options;
+  options.delta0 = 120.0;
+  options.checkpoint_interval = 1;
+  options.fault.enabled = true;
+  options.fault.seed = 4;
+  options.fault.bit_flip_per_load = 0.005;
+  options.fault.correctable_fraction = 0.0;
+  options.retry = golden_retry();
+  core::RdbsSolver solver(csr, gpusim::test_device(), options);
+  const core::GpuRunResult result = solver.solve(3);
+  ASSERT_GE(result.recovery.resumed, 1u);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 3).distances);
+  check_against_golden("rdbs_checkpoint_300_s209", result);
 }
 
 // Triple 4: one QueryServer batch (a t=0 schedule) with every serving
