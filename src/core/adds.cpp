@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 
 #include "common/macros.hpp"
-#include "core/recovery.hpp"
 
 namespace rdbs::core {
 
@@ -27,7 +25,10 @@ AddsLike::AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
     : owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
       sim_(owned_sim_.get()),
       csr_(csr),
-      options_(options) {
+      options_(options),
+      driver_("AddsLike", *sim_, stream_, csr_, options_.retry,
+              /*reset_per_attempt=*/true, AttemptDriver::Clock::kStream,
+              options_.checkpoint_interval) {
   sim_->set_worker_threads(options_.sim_threads);
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
     sim_->enable_sanitizer(options_.sanitize);
@@ -39,7 +40,13 @@ AddsLike::AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
 AddsLike::AddsLike(gpusim::GpuSim& sim, gpusim::StreamId stream,
                    const graph::Csr& csr, AddsOptions options,
                    const DeviceCsrBuffers* shared_graph)
-    : sim_(&sim), stream_(stream), csr_(csr), options_(options) {
+    : sim_(&sim),
+      stream_(stream),
+      csr_(csr),
+      options_(options),
+      driver_("AddsLike", *sim_, stream_, csr_, options_.retry,
+              /*reset_per_attempt=*/false, AttemptDriver::Clock::kStream,
+              options_.checkpoint_interval) {
   // Never *disable* here: in shared-sim mode the batch owns the setting.
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
     sim_->enable_sanitizer(options_.sanitize);
@@ -69,6 +76,7 @@ void AddsLike::init_device_state(const DeviceCsrBuffers* shared_graph) {
   queue_ctrl_ = sim_->alloc<std::uint32_t>("queue_ctrl", 3, kDeviceWord);
   sim_->mark_initialized(queue_ctrl_);
   in_near_ = sim_->alloc<std::uint8_t>("in_near", n, 1);
+  driver_.set_warm_start(options_.warm_start);
 }
 
 void AddsLike::init_distances_kernel(VertexId source) {
@@ -104,105 +112,20 @@ void AddsLike::init_distances_kernel(VertexId source) {
 }
 
 GpuRunResult AddsLike::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("AddsLike: source vertex out of range");
-  }
-  // A stale snapshot must never seed a different query; resume bounds are
-  // one-shot (see GpuDeltaStepping::run).
-  checkpoint_.clear();
-  GpuRunResult result = run_with_recovery(
-      *sim_, stream_, options_.retry, csr_, source,
-      [&] { return run_attempt(source); }, cancel_,
-      [&] { return resume_from_checkpoint(); });
-  resume_bounds_.clear();
-  return result;
-}
-
-void AddsLike::set_resume_bounds(std::vector<Distance> bounds) {
-  RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
-                 "resume bounds must cover every vertex");
-  resume_bounds_ = std::move(bounds);
-}
-
-const std::vector<Distance>* AddsLike::effective_warm_bounds() const {
-  return resume_bounds_.empty() ? options_.warm_start : &resume_bounds_;
-}
-
-bool AddsLike::resume_from_checkpoint() {
-  if (!checkpoint_.valid()) return false;
-  resume_bounds_ = checkpoint_.bounds;
-  return true;
-}
-
-void AddsLike::maybe_checkpoint() {
-  if (options_.checkpoint_interval <= 0) return;
-  ++boundary_count_;
-  if (boundary_count_ %
-          static_cast<std::uint64_t>(options_.checkpoint_interval) !=
-      0) {
-    return;
-  }
-  // A tainted attempt stops checkpointing — a corrupted bound could lie
-  // below the true distance (core/checkpoint.hpp). The last good snapshot
-  // stands.
-  if (attempt_poisoned() || sim_->buffer_poisoned(dist_)) return;
-  checkpoint_.bounds = dist_.data();
-  sim_->memcpy_d2h(csr_.num_vertices() * kCheckpointWordBytes, stream_);
-  checkpoint_.taken_ms = sim_->stream_elapsed_ms(stream_);
-  checkpoint_.boundaries = boundary_count_;
-  ++checkpoint_.snapshots;
-}
-
-bool AddsLike::check_cancelled() {
-  if (!attempt_cancelled_ && cancel_ != nullptr && cancel_->expired()) {
-    attempt_cancelled_ = true;
-  }
-  return attempt_cancelled_;
-}
-
-bool AddsLike::attempt_poisoned() const {
-  if (sim_->fault_injector() == nullptr) return false;
-  if (sim_->device_lost()) return true;
-  const auto& log = sim_->fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
+  return driver_.run(source, [&] { return run_attempt(source); });
 }
 
 GpuRunResult AddsLike::run_attempt(VertexId source) {
-  fault_scan_begin_ = sim_->fault_log().size();
-  attempt_cancelled_ = false;
-  boundary_count_ = 0;
-  // Stale poison from a discarded attempt must not suppress this attempt's
-  // checkpoints — the buffer is re-initialized below (see GpuDeltaStepping).
-  sim_->clear_buffer_poison(dist_);
-  if (owned_sim_) sim_->reset_all();
-  const double ms_before = sim_->stream_elapsed_ms(stream_);
-  const double wait_before = sim_->stream_queue_wait_ms(stream_);
-  const gpusim::Counters counters_before = sim_->counters();
+  driver_.begin_attempt(dist_);
   work_ = sssp::WorkStats{};
   std::fill(in_near_.data().begin(), in_near_.data().end(), 0);
 
   GpuRunResult result;
   init_distances_kernel(source);
 
-  // Warm start (docs/serving.md "Result cache"): caller-provided upper
-  // bounds overwrite the infinite tentative distances — one H2D upload of
-  // the finite bounds; the source keeps its exact 0. Near-Far is
+  // Warm start (docs/serving.md "Result cache"): Near-Far is
   // label-correcting, so valid upper bounds preserve exactness.
-  std::uint64_t warm_seeded = 0;
-  if (effective_warm_bounds() != nullptr) {
-    const std::vector<Distance>& bounds = *effective_warm_bounds();
-    RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
-                   "warm_start bounds must cover every vertex");
-    for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
-      if (v == source || bounds[v] == graph::kInfiniteDistance) continue;
-      dist_[v] = bounds[v];
-      ++warm_seeded;
-    }
-    if (warm_seeded > 0) sim_->memcpy_h2d(warm_seeded * kDeviceWord, stream_);
-  }
+  const std::uint64_t warm_seeded = driver_.apply_warm_start(dist_, source);
 
   // Host seed modeled as an H2D upload of the claimed ring slots + flags.
   // Warm-seeded vertices below the first threshold join the Near seed;
@@ -279,7 +202,7 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
     if (sim_->device_lost()) break;  // attempt is void; recovery takes over
     // Round boundary (a near drain or a far split is one launch): the
     // Near-Far cancellation point.
-    if (check_cancelled()) break;
+    if (driver_.cancelled()) break;
     if (near.empty()) {
       // --- Far split: advance the threshold past the smallest far
       // distance, promote entries below it, drop stale duplicates.
@@ -370,7 +293,7 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
       far.swap(still_far);
       // Round boundary (far split done): consistent upper bounds —
       // snapshot for checkpoint-resume.
-      maybe_checkpoint();
+      driver_.boundary(dist_);
       continue;
     }
 
@@ -498,26 +421,11 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
     }
     kernel.finish();
     // Round boundary (near pile drained): snapshot for checkpoint-resume.
-    maybe_checkpoint();
+    driver_.boundary(dist_);
   }
 
   result.sssp.work = work_;
-  if (check_cancelled()) {
-    // Over deadline: partial metrics only, never partially relaxed
-    // distances (the serving contract; docs/serving.md).
-    result.ok = false;
-    result.deadline_exceeded = true;
-  } else {
-    result.sssp.distances = dist_.data();
-    sssp::finalize_valid_updates(result.sssp, source);
-  }
-  result.device_ms = sim_->stream_elapsed_ms(stream_) - ms_before;
-  result.queue_wait_ms = sim_->stream_queue_wait_ms(stream_) - wait_before;
-  result.counters = sim_->counters() - counters_before;
-  if (const gpusim::Sanitizer* san = sim_->sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
-  return result;
+  return driver_.finish(std::move(result), dist_, source);
 }
 
 }  // namespace rdbs::core

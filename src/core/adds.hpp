@@ -16,10 +16,9 @@
 #include <deque>
 #include <memory>
 
-#include "core/cancel.hpp"
-#include "core/checkpoint.hpp"
 #include "core/device_graph.hpp"
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
@@ -66,34 +65,15 @@ class AddsLike {
   gpusim::GpuSim& sim() { return *sim_; }
   gpusim::StreamId stream() const { return stream_; }
 
-  // Serving-layer cooperative cancellation (docs/serving.md): polled at the
-  // near/far round boundary; once expired the run stops charging device
-  // time and returns deadline_exceeded with partial metrics, no distances.
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
-
-  // Result-cache warm start (docs/serving.md): rebinds the upper-bound
-  // array for subsequent runs; nullptr detaches. The array must outlive
-  // every run it seeds (retries re-read it).
-  void set_warm_start(const std::vector<graph::Distance>* bounds) {
-    options_.warm_start = bounds;
-  }
-
-  // --- checkpoint-resume (core/checkpoint.hpp; see GpuDeltaStepping) -------
-  const QueryCheckpoint& checkpoint() const { return checkpoint_; }
-  QueryCheckpoint take_checkpoint() { return std::move(checkpoint_); }
-  // One-shot resume bounds for the next run() (engine numbering); used by
-  // lane migration. Cleared when that run returns.
-  void set_resume_bounds(std::vector<graph::Distance> bounds);
+  // The query contract (core/recovery.hpp; see GpuDeltaStepping::driver):
+  // cancellation is polled at the near/far round boundary, and checkpoints
+  // are taken at round boundaries every options.checkpoint_interval.
+  AttemptDriver& driver() { return driver_; }
 
  private:
   // One recovery attempt: the full Near-Far run, re-initializing all
   // mutable device state first (so a retry starts clean).
   GpuRunResult run_attempt(graph::VertexId source);
-  bool attempt_poisoned() const;
-  bool check_cancelled();
-  const std::vector<graph::Distance>* effective_warm_bounds() const;
-  void maybe_checkpoint();
-  bool resume_from_checkpoint();
 
   void init_device_state(const DeviceCsrBuffers* shared_graph);
   void init_distances_kernel(graph::VertexId source);
@@ -103,6 +83,7 @@ class AddsLike {
   gpusim::StreamId stream_ = 0;
   const graph::Csr& csr_;
   AddsOptions options_;
+  AttemptDriver driver_;
 
   std::unique_ptr<DeviceCsrBuffers> owned_graph_;
   const DeviceCsrBuffers* graph_bufs_ = nullptr;  // never null after ctor
@@ -112,18 +93,6 @@ class AddsLike {
   gpusim::Buffer<std::uint32_t> queue_ctrl_;  // [0]=near tail, [1]=near head,
                                               // [2]=far tail
   gpusim::Buffer<std::uint8_t> in_near_;
-
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
-
-  // Checkpoint-resume state (core/checkpoint.hpp).
-  QueryCheckpoint checkpoint_;
-  std::uint64_t boundary_count_ = 0;
-  std::vector<graph::Distance> resume_bounds_;
-
-  // Serving-layer cancellation (null = never cancelled).
-  const CancelToken* cancel_ = nullptr;
-  bool attempt_cancelled_ = false;
 
   sssp::WorkStats work_;
 };

@@ -3,10 +3,10 @@
 // A CancelToken binds one query to an absolute deadline on its stream's
 // *simulated* clock. Engines poll it at their natural preemption points —
 // the Δ-stepping bucket boundary, the synchronous phase-1 iteration
-// boundary, the ADDS near/far round boundary — and run_with_recovery checks
-// it before charging a retry. The simulator itself never aborts work: a
-// kernel that was already launched completes and is charged (GpuSim counts
-// those completions past the deadline per stream; see
+// boundary, the ADDS near/far round boundary — and AttemptDriver checks it
+// before charging a retry (core/recovery.hpp). The simulator itself never
+// aborts work: a kernel that was already launched completes and is charged
+// (GpuSim counts those completions past the deadline per stream; see
 // GpuSim::stream_overrun_kernels), which models CUDA's reality that a
 // launched grid cannot be revoked, only not followed by another one.
 //

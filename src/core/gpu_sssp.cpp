@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/macros.hpp"
-#include "core/recovery.hpp"
 
 namespace rdbs::core {
 
@@ -27,7 +25,10 @@ GpuDeltaStepping::GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
     : owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
       sim_(owned_sim_.get()),
       csr_(csr),
-      options_(options) {
+      options_(options),
+      driver_("GpuDeltaStepping", *sim_, stream_, csr_, options_.retry,
+              /*reset_per_attempt=*/true, AttemptDriver::Clock::kStream,
+              options_.checkpoint_interval) {
   sim_->set_worker_threads(options_.sim_threads);
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
     sim_->enable_sanitizer(options_.sanitize);
@@ -40,7 +41,13 @@ GpuDeltaStepping::GpuDeltaStepping(gpusim::GpuSim& sim,
                                    gpusim::StreamId stream, const Csr& csr,
                                    GpuSsspOptions options,
                                    const DeviceCsrBuffers* shared_graph)
-    : sim_(&sim), stream_(stream), csr_(csr), options_(options) {
+    : sim_(&sim),
+      stream_(stream),
+      csr_(csr),
+      options_(options),
+      driver_("GpuDeltaStepping", *sim_, stream_, csr_, options_.retry,
+              /*reset_per_attempt=*/false, AttemptDriver::Clock::kStream,
+              options_.checkpoint_interval) {
   // Never *disable* here: in shared-sim mode the batch owns the sanitizer
   // and fault-injection settings and may have enabled them for all lanes.
   if (options_.sanitize != gpusim::SanitizeMode::kOff) {
@@ -83,6 +90,7 @@ void GpuDeltaStepping::init_device_state(const DeviceCsrBuffers* shared_graph) {
   sim_->mark_initialized(queue_ctrl_);
   in_queue_ = sim_->alloc<std::uint8_t>("in_queue", n, 1);
   epoch_.assign(n, ~0ull);
+  driver_.set_warm_start(options_.warm_start);
 }
 
 void GpuDeltaStepping::init_distances_kernel(VertexId source) {
@@ -150,27 +158,6 @@ void GpuDeltaStepping::charge_enqueue(gpusim::WarpCtx& ctx,
                      /*is_store=*/true);
 }
 
-std::uint64_t GpuDeltaStepping::apply_warm_start(VertexId source) {
-  // Warm start (docs/serving.md "Result cache"): caller-provided upper
-  // bounds overwrite the infinite tentative distances — one H2D upload of
-  // the finite bounds. The source keeps its exact 0 (its "bound" is always
-  // >= 0). Exactness: Δ-stepping is label-correcting, so relaxations only
-  // ever improve on a valid upper bound, never trust it.
-  const std::vector<Distance>* warm = effective_warm_bounds();
-  if (warm == nullptr) return 0;
-  const std::vector<Distance>& bounds = *warm;
-  RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
-                 "warm_start bounds must cover every vertex");
-  std::uint64_t seeded = 0;
-  for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
-    if (v == source || bounds[v] == graph::kInfiniteDistance) continue;
-    dist_[v] = bounds[v];
-    ++seeded;
-  }
-  if (seeded > 0) sim_->memcpy_h2d(seeded * kDeviceWord, stream_);
-  return seeded;
-}
-
 void GpuDeltaStepping::seed_queue(VertexId source, Weight hi) {
   // The host seeds the ring with the source vertex — modeled as an H2D
   // upload (the claimed slots plus the in-queue flags), so the cursors and
@@ -183,7 +170,7 @@ void GpuDeltaStepping::seed_queue(VertexId source, Weight hi) {
   // Warm start: vertices seeded inside the initial window join the seed
   // frontier here. Later windows are collected by the phase-2/3 scan over
   // the live distances, but nothing scans ahead of the first window.
-  if (effective_warm_bounds() != nullptr) {
+  if (driver_.warm_bounds() != nullptr) {
     for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
       if (v == source || in_queue_[v] != 0) continue;
       if (dist_[v] >= hi) continue;  // also skips untouched infinities
@@ -509,7 +496,7 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
   while (!vqueue_.empty()) {
     // Iteration boundary = a host launch boundary: the natural cancellation
     // point of the synchronous mode (the next sweep is simply not launched).
-    if (check_cancelled()) break;
+    if (driver_.cancelled()) break;
     // Freeze this iteration's frontier; vertices activated during the sweep
     // go to the next iteration.
     std::vector<VertexId> frontier(vqueue_.begin(), vqueue_.end());
@@ -739,90 +726,11 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
 }
 
 GpuRunResult GpuDeltaStepping::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("GpuDeltaStepping: source vertex out of range");
-  }
-  // A stale snapshot must never seed a different query; the resume bounds
-  // are one-shot (a migrated run consumes them here, retries within this
-  // run refresh them from checkpoint_).
-  checkpoint_.clear();
-  GpuRunResult result = run_with_recovery(
-      *sim_, stream_, options_.retry, csr_, source,
-      [&] { return run_attempt(source); }, cancel_,
-      [&] { return resume_from_checkpoint(); });
-  resume_bounds_.clear();
-  return result;
-}
-
-void GpuDeltaStepping::set_resume_bounds(std::vector<Distance> bounds) {
-  RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
-                 "resume bounds must cover every vertex");
-  resume_bounds_ = std::move(bounds);
-}
-
-const std::vector<Distance>* GpuDeltaStepping::effective_warm_bounds() const {
-  return resume_bounds_.empty() ? options_.warm_start : &resume_bounds_;
-}
-
-bool GpuDeltaStepping::resume_from_checkpoint() {
-  if (!checkpoint_.valid()) return false;
-  resume_bounds_ = checkpoint_.bounds;
-  return true;
-}
-
-void GpuDeltaStepping::maybe_checkpoint() {
-  if (options_.checkpoint_interval <= 0) return;
-  ++boundary_count_;
-  if (boundary_count_ %
-          static_cast<std::uint64_t>(options_.checkpoint_interval) !=
-      0) {
-    return;
-  }
-  // A tainted attempt stops checkpointing: a corrupted tentative distance
-  // could be BELOW the true one, which would break the label-correcting
-  // resume argument. The last good snapshot stands.
-  if (attempt_poisoned() || sim_->buffer_poisoned(dist_)) return;
-  checkpoint_.bounds = dist_.data();
-  sim_->memcpy_d2h(csr_.num_vertices() * kCheckpointWordBytes, stream_);
-  checkpoint_.taken_ms = sim_->stream_elapsed_ms(stream_);
-  checkpoint_.boundaries = boundary_count_;
-  ++checkpoint_.snapshots;
-}
-
-bool GpuDeltaStepping::check_cancelled() {
-  if (!attempt_cancelled_ && cancel_ != nullptr && cancel_->expired()) {
-    attempt_cancelled_ = true;
-  }
-  return attempt_cancelled_;
-}
-
-bool GpuDeltaStepping::attempt_poisoned() const {
-  if (!sim_->fault_injector()) return false;
-  if (sim_->device_lost()) return true;
-  const std::vector<gpusim::GpuFault>& log = sim_->fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
+  return driver_.run(source, [&] { return run_attempt(source); });
 }
 
 GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
-  fault_scan_begin_ = sim_->fault_log().size();
-  attempt_cancelled_ = false;
-  boundary_count_ = 0;
-  // A prior poisoned attempt may have left the distance region flagged
-  // (recovery's bulk clear only fires when read-only data was also hit);
-  // this attempt re-initializes the buffer, so the stale mark must not
-  // suppress its checkpoints.
-  sim_->clear_buffer_poison(dist_);
-  // Owning mode: fresh timeline/counters/caches per run (the paper's
-  // single-query methodology). Shared mode: the simulator belongs to the
-  // batch — time and cache state accumulate across queries, and this run's
-  // metrics are reported as deltas of its stream.
-  if (owned_sim_) sim_->reset_all();
-  const double ms_before = sim_->stream_elapsed_ms(stream_);
-  const double wait_before = sim_->stream_queue_wait_ms(stream_);
-  const gpusim::Counters counters_before = sim_->counters();
+  driver_.begin_attempt(dist_);
   work_ = sssp::WorkStats{};
   vqueue_.clear();
   queue_tail_ = 0;
@@ -831,7 +739,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
 
   GpuRunResult result;
   init_distances_kernel(source);
-  apply_warm_start(source);
+  driver_.apply_warm_start(dist_, source);
 
   if (options_.mode == EngineMode::kSyncPushBellmanFord) {
     // BL: plain synchronous push SSSP. One frontier sweep per kernel
@@ -847,22 +755,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     phase1_sync(0, graph::kInfiniteDistance, graph::kInfiniteDistance, bs);
     if (options_.instrument) result.buckets.push_back(bs);
     result.sssp.work = work_;
-    if (check_cancelled()) {
-      // Over deadline (a late answer is no answer): partial metrics only,
-      // never partially relaxed distances.
-      result.ok = false;
-      result.deadline_exceeded = true;
-    } else {
-      result.sssp.distances = dist_.data();
-      sssp::finalize_valid_updates(result.sssp, source);
-    }
-    result.device_ms = sim_->stream_elapsed_ms(stream_) - ms_before;
-    result.queue_wait_ms = sim_->stream_queue_wait_ms(stream_) - wait_before;
-    result.counters = sim_->counters() - counters_before;
-    if (const gpusim::Sanitizer* san = sim_->sanitizer()) {
-      result.sanitizer_report = san->report();
-    }
-    return result;
+    return driver_.finish(std::move(result), dist_, source);
   }
 
   DeltaController controller(options_.delta0, /*adaptive=*/options_.basyn);
@@ -883,14 +776,14 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
       // Impossible with intact data; a poisoned attempt (corrupted
       // distances) may legitimately spiral and is abandoned here — the
       // retry driver discards it anyway.
-      RDBS_CHECK_MSG(attempt_poisoned(), "bucket loop runaway");
+      RDBS_CHECK_MSG(driver_.poisoned(), "bucket loop runaway");
       break;
     }
     if (sim_->device_lost()) break;  // attempt is void; stop burning work
     // Bucket boundary: the async mode's cancellation point (a persistent
     // phase-1 kernel runs its bucket to completion — a launched grid cannot
     // be revoked — but the next bucket is never launched).
-    if (check_cancelled()) break;
+    if (driver_.cancelled()) break;
     ++current_epoch_;
     BucketStats bs;
     bs.delta = delta;
@@ -924,11 +817,11 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     bs.phase23_ms = sim_->stream_elapsed_ms(stream_) - ms_before_phase23;
     // The scan's settled count must agree with the queue-side count: every
     // vertex of the bucket passed through the queue exactly once.
-    RDBS_DCHECK(outcome.converged == bs.converged || attempt_poisoned());
+    RDBS_DCHECK(outcome.converged == bs.converged || driver_.poisoned());
     if (options_.instrument) result.buckets.push_back(bs);
     // Bucket boundary: the tentative distances are a consistent set of
     // upper bounds here — snapshot them for checkpoint-resume.
-    maybe_checkpoint();
+    driver_.boundary(dist_);
 
     if (vqueue_.empty()) {
       if (outcome.remaining == 0) break;
@@ -941,7 +834,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
       if (vqueue_.empty() && jump.remaining != 0) {
         // A flip between the two scans can shift the observed minimum; the
         // attempt is poisoned and abandoned rather than aborting.
-        RDBS_CHECK_MSG(attempt_poisoned(),
+        RDBS_CHECK_MSG(driver_.poisoned(),
                        "jump scan failed to find the minimum vertex");
         break;
       }
@@ -953,24 +846,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
   }
 
   result.sssp.work = work_;
-  if (check_cancelled()) {
-    // Over deadline at (or after) the last cancellation point: the serving
-    // contract is that a late answer is no answer, so the distances are
-    // withheld even when the run happened to finish — only the partial
-    // metrics (device time burned, counters) are reported.
-    result.ok = false;
-    result.deadline_exceeded = true;
-  } else {
-    result.sssp.distances = dist_.data();
-    sssp::finalize_valid_updates(result.sssp, source);
-  }
-  result.device_ms = sim_->stream_elapsed_ms(stream_) - ms_before;
-  result.queue_wait_ms = sim_->stream_queue_wait_ms(stream_) - wait_before;
-  result.counters = sim_->counters() - counters_before;
-  if (const gpusim::Sanitizer* san = sim_->sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
-  return result;
+  return driver_.finish(std::move(result), dist_, source);
 }
 
 }  // namespace rdbs::core

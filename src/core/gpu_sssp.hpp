@@ -27,11 +27,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/cancel.hpp"
-#include "core/checkpoint.hpp"
 #include "core/delta_controller.hpp"
 #include "core/device_graph.hpp"
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
@@ -76,35 +75,14 @@ class GpuDeltaStepping {
 
   gpusim::GpuSim& sim() { return *sim_; }
   gpusim::StreamId stream() const { return stream_; }
+  // The construction-time configuration; per-query bindings (cancel token,
+  // warm start, resume bounds) live on the driver.
   const GpuSsspOptions& options() const { return options_; }
 
-  // Serving-layer cooperative cancellation (docs/serving.md): while set,
-  // run() polls the token at its bucket and phase-1-iteration boundaries
-  // and, once expired, stops charging device time and returns a result
-  // with deadline_exceeded set, partial metrics and NO distances. The
-  // token must outlive the runs it governs; pass nullptr to detach.
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
-
-  // Result-cache warm start (docs/serving.md "Result cache"): rebinds the
-  // upper-bound array (GpuSsspOptions::warm_start) for subsequent runs;
-  // nullptr detaches. The array must outlive every run it seeds (retries
-  // re-apply it on their fresh device state).
-  void set_warm_start(const std::vector<Distance>* bounds) {
-    options_.warm_start = bounds;
-  }
-
-  // --- checkpoint-resume (core/checkpoint.hpp) -----------------------------
-  // Last good snapshot taken by the most recent run() (empty when
-  // options.checkpoint_interval is 0, in BL mode, or when no clean bucket
-  // boundary was reached). Stable until the next run(); the serving layer
-  // moves it out for mid-query lane migration.
-  const QueryCheckpoint& checkpoint() const { return checkpoint_; }
-  QueryCheckpoint take_checkpoint() { return std::move(checkpoint_); }
-  // One-shot resume: the next run() seeds its tentative distances from
-  // `bounds` (ENGINE vertex numbering, one entry per vertex) instead of
-  // options.warm_start — used by lane migration to continue a query that
-  // checkpointed on another lane. Cleared when that run returns.
-  void set_resume_bounds(std::vector<Distance> bounds);
+  // The query contract (core/recovery.hpp): cancel token and warm-start
+  // bindings, the checkpoint of the last run (empty in BL mode) and the
+  // one-shot resume bounds used by lane migration.
+  AttemptDriver& driver() { return driver_; }
 
  private:
   struct ChildChunk {
@@ -116,14 +94,6 @@ class GpuDeltaStepping {
   // One recovery attempt: the full Δ-stepping run, re-initializing all
   // mutable device state first (so a retry starts clean).
   GpuRunResult run_attempt(VertexId source);
-  // Whether the current attempt already took a poisoning fault — loop
-  // invariants may legitimately break then, and the attempt aborts instead
-  // of the process (it will be discarded by the retry driver anyway).
-  bool attempt_poisoned() const;
-  // Cancellation point: polls the cancel token (latching the outcome so
-  // outer loops unwind too) and returns true once the attempt is over
-  // deadline.
-  bool check_cancelled();
 
   // --- kernel bodies -------------------------------------------------------
   void init_distances_kernel(VertexId source);
@@ -165,20 +135,6 @@ class GpuDeltaStepping {
   // every warm vertex whose seeded distance already lies inside the initial
   // window [0, hi).
   void seed_queue(VertexId source, Weight hi);
-  // The upper bounds seeding this attempt: the one-shot resume bounds when
-  // set (checkpoint-resume dominates — it was produced by an attempt that
-  // had already absorbed the warm start, so it is pointwise at least as
-  // tight), else options_.warm_start, else null.
-  const std::vector<Distance>* effective_warm_bounds() const;
-  // Applies effective_warm_bounds() (if any) onto the freshly initialized
-  // distances; returns the number of vertices seeded.
-  std::uint64_t apply_warm_start(VertexId source);
-  // Bucket boundary hook: every options_.checkpoint_interval boundaries,
-  // snapshot the tentative distances into checkpoint_ (D2H charged) unless
-  // the attempt is tainted by a poisoning fault.
-  void maybe_checkpoint();
-  // run_with_recovery resume hook: seeds the next attempt from checkpoint_.
-  bool resume_from_checkpoint();
   void enqueue(gpusim::WarpCtx& ctx, VertexId v, std::uint32_t lanes);
   void charge_enqueue(gpusim::WarpCtx& ctx, std::uint32_t lanes);
 
@@ -191,6 +147,7 @@ class GpuDeltaStepping {
   gpusim::StreamId stream_ = 0;
   const Csr& csr_;
   GpuSsspOptions options_;
+  AttemptDriver driver_;
 
   // Device-resident data (device element sizes match the CUDA layout:
   // 4-byte offsets/ids/weights/distances). The read-only CSR arrays live in
@@ -212,21 +169,6 @@ class GpuDeltaStepping {
   // epoch_[v] == current_epoch_ iff v was already counted in this bucket.
   std::vector<std::uint64_t> epoch_;
   std::uint64_t current_epoch_ = 0;
-
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
-
-  // Checkpoint-resume state (core/checkpoint.hpp): last good snapshot of
-  // this run, the current attempt's boundary counter, and the one-shot
-  // bounds a resumed/migrated attempt seeds from.
-  QueryCheckpoint checkpoint_;
-  std::uint64_t boundary_count_ = 0;
-  std::vector<Distance> resume_bounds_;
-
-  // Serving-layer cancellation (null = never cancelled). The latch keeps a
-  // fired cancellation visible to every enclosing loop of the attempt.
-  const CancelToken* cancel_ = nullptr;
-  bool attempt_cancelled_ = false;
 
   sssp::WorkStats work_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 
 #include "common/macros.hpp"
 #include "core/recovery.hpp"
@@ -21,9 +20,7 @@ Enactor::Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
   sim_.enable_sanitizer(sanitize);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
-  adjacency_ = sim_.alloc<VertexId>("adjacency", m, kDeviceWord);
-  weights_ = sim_.alloc<Weight>("weights", m, kDeviceWord);
+  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
   frontier_in_ = sim_.alloc<VertexId>("frontier_in",
                                       std::max<EdgeIndex>(m + 64, 64),
@@ -36,19 +33,6 @@ Enactor::Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
   // The dedup bitmap is cudaMemset at allocation time.
   visited_ = sim_.alloc<std::uint8_t>("visited", n, 1);
   sim_.mark_initialized(visited_);
-
-  std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
-            row_offsets_.data().begin());
-  std::copy(csr_.adjacency().begin(), csr_.adjacency().end(),
-            adjacency_.data().begin());
-  std::copy(csr_.weights().begin(), csr_.weights().end(),
-            weights_.data().begin());
-  sim_.mark_initialized(row_offsets_);
-  sim_.mark_initialized(adjacency_);
-  sim_.mark_initialized(weights_);
-  sim_.mark_read_only(row_offsets_);
-  sim_.mark_read_only(adjacency_);
-  sim_.mark_read_only(weights_);
 }
 
 void Enactor::seed_frontier(const Frontier& frontier) {
@@ -99,10 +83,11 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     std::array<EdgeIndex, 32> re{};
     {
       std::array<EdgeIndex, 32> t2{};
-      ctx.load(row_offsets_, std::span<const std::uint64_t>(vidx.data(), cnt),
+      ctx.load(graph_.row_offsets,
+               std::span<const std::uint64_t>(vidx.data(), cnt),
                std::span<EdgeIndex>(t2.data(), cnt));
       for (std::uint32_t i = 0; i < cnt; ++i) rb[i] = t2[i];
-      ctx.load(row_offsets_,
+      ctx.load(graph_.row_offsets,
                std::span<const std::uint64_t>(vidx1.data(), cnt),
                std::span<EdgeIndex>(t2.data(), cnt));
       for (std::uint32_t i = 0; i < cnt; ++i) re[i] = t2[i];
@@ -128,8 +113,8 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     std::span<const std::uint64_t> es(eidx.data(), cnt);
     std::array<VertexId, 32> dsts{};
     std::array<Weight, 32> ws{};
-    ctx.load(adjacency_, es, std::span<VertexId>(dsts.data(), cnt));
-    ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
+    ctx.load(graph_.adjacency, es, std::span<VertexId>(dsts.data(), cnt));
+    ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
     ctx.alu(2, cnt);
 
     // The functor's writes (e.g. atomicMin on dist) are charged as one
@@ -267,21 +252,20 @@ void Enactor::compute(const Frontier& frontier, const ComputeFunctor& f) {
 
 GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
                   VertexId source, const GunrockSsspOptions& options) {
-  if (source >= csr.num_vertices()) {
-    throw std::out_of_range("gunrock::sssp: source vertex out of range");
-  }
   Enactor enactor(std::move(device), csr, options.sanitize);
   if (options.fault.enabled) {
     enactor.sim().enable_fault_injection(options.fault);
   }
-  // One recovery attempt: the enactor (and its simulator clock) is shared
-  // across attempts, so metrics are measured as per-attempt deltas.
+  // The enactor (and its simulator clock) is shared across attempts and
+  // never reset: metrics are measured as per-attempt deltas.
+  AttemptDriver driver("gunrock::sssp", enactor.sim(), /*stream=*/0, csr,
+                       options.retry, /*reset_per_attempt=*/false,
+                       AttemptDriver::Clock::kDevice);
+  auto& dist = enactor.dist();
   auto attempt = [&]() -> GpuRunResult {
-  const double ms_before = enactor.sim().elapsed_ms();
-  const gpusim::Counters counters_before = enactor.sim().counters();
+  driver.begin_attempt(dist);
   sssp::WorkStats work;
 
-  auto& dist = enactor.dist();
   std::fill(dist.data().begin(), dist.data().end(),
             graph::kInfiniteDistance);
   // Init kernel (coalesced stores over dist).
@@ -358,19 +342,11 @@ GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
   }
 
   GpuRunResult result;
-  result.sssp.distances = dist.data();
   result.sssp.work = work;
-  sssp::finalize_valid_updates(result.sssp, source);
-  result.device_ms = enactor.sim().elapsed_ms() - ms_before;
-  result.counters = enactor.sim().counters() - counters_before;
-  if (const gpusim::Sanitizer* san = enactor.sim().sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
-  return result;
+  return driver.finish(std::move(result), dist, source);
   };
 
-  return run_with_recovery(enactor.sim(), /*stream=*/0, options.retry, csr,
-                           source, attempt);
+  return driver.run(source, attempt);
 }
 
 }  // namespace rdbs::core::gunrock

@@ -23,6 +23,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/device_graph.hpp"
 #include "core/options.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
@@ -78,9 +79,7 @@ class Enactor {
   gpusim::GpuSim sim_;
   const graph::Csr& csr_;
 
-  gpusim::Buffer<EdgeIndex> row_offsets_;
-  gpusim::Buffer<VertexId> adjacency_;
-  gpusim::Buffer<Weight> weights_;
+  DeviceCsrBuffers graph_;
   gpusim::Buffer<Distance> dist_;
   // Double-buffered frontier queues (Gunrock's ping-pong): each operator
   // reads frontier_in_ and compact-stores its output into frontier_out_,

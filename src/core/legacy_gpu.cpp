@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 #include <vector>
 
 #include "common/macros.hpp"
-#include "core/recovery.hpp"
 
 namespace rdbs::core {
 
@@ -31,53 +29,25 @@ HarishNarayanan::HarishNarayanan(gpusim::DeviceSpec device,
                                  gpusim::SanitizeMode sanitize,
                                  const gpusim::FaultConfig& fault,
                                  const RetryPolicy& retry)
-    : sim_(std::move(device)), csr_(csr), retry_(retry) {
+    : sim_(std::move(device)),
+      csr_(csr),
+      driver_("HarishNarayanan", sim_, /*stream=*/0, csr_, retry,
+              /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice) {
   sim_.enable_sanitizer(sanitize);
   if (fault.enabled) sim_.enable_fault_injection(fault);
   const VertexId n = csr_.num_vertices();
-  const EdgeIndex m = csr_.num_edges();
-  row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
-  adjacency_ = sim_.alloc<VertexId>("adjacency", m, kDeviceWord);
-  weights_ = sim_.alloc<Weight>("weights", m, kDeviceWord);
+  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("cost", n, kDeviceWord);
   updating_dist_ = sim_.alloc<Distance>("updating_cost", n, kDeviceWord);
   mask_ = sim_.alloc<std::uint8_t>("mask", n, 1);
-
-  std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
-            row_offsets_.data().begin());
-  std::copy(csr_.adjacency().begin(), csr_.adjacency().end(),
-            adjacency_.data().begin());
-  std::copy(csr_.weights().begin(), csr_.weights().end(),
-            weights_.data().begin());
-  sim_.mark_initialized(row_offsets_);
-  sim_.mark_initialized(adjacency_);
-  sim_.mark_initialized(weights_);
-  sim_.mark_read_only(row_offsets_);
-  sim_.mark_read_only(adjacency_);
-  sim_.mark_read_only(weights_);
 }
 
 GpuRunResult HarishNarayanan::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("HarishNarayanan: source vertex out of range");
-  }
-  return run_with_recovery(sim_, /*stream=*/0, retry_, csr_, source,
-                           [&] { return run_attempt(source); });
-}
-
-bool HarishNarayanan::attempt_poisoned() const {
-  if (sim_.fault_injector() == nullptr) return false;
-  if (sim_.device_lost()) return true;
-  const auto& log = sim_.fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
+  return driver_.run(source, [&] { return run_attempt(source); });
 }
 
 GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
-  fault_scan_begin_ = sim_.fault_log().size();
-  sim_.reset_all();
+  driver_.begin_attempt(dist_);
   const VertexId n = csr_.num_vertices();
   const std::uint64_t warps = (n + 31) / 32;
   sssp::WorkStats work;
@@ -122,7 +92,7 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
     if (++iterations >= max_iterations) {
       // Corrupted distances can stall convergence; the poisoned attempt is
       // discarded by the retry driver. A clean-device runaway is a bug.
-      RDBS_CHECK_MSG(attempt_poisoned(), "HN07 failed to converge");
+      RDBS_CHECK_MSG(driver_.poisoned(), "HN07 failed to converge");
       break;
     }
     ++work.iterations;
@@ -159,8 +129,9 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
           std::span<const std::uint64_t> va(vact.data(), active);
           std::array<EdgeIndex, 32> rb{};
           std::array<EdgeIndex, 32> re{};
-          ctx.load(row_offsets_, va, std::span<EdgeIndex>(rb.data(), active));
-          ctx.load(row_offsets_,
+          ctx.load(graph_.row_offsets, va,
+                   std::span<EdgeIndex>(rb.data(), active));
+          ctx.load(graph_.row_offsets,
                    std::span<const std::uint64_t>(vact1.data(), active),
                    std::span<EdgeIndex>(re.data(), active));
           std::array<Distance, 32> du{};
@@ -186,8 +157,9 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
             std::span<const std::uint64_t> es(eidx.data(), cnt);
             std::array<VertexId, 32> dsts{};
             std::array<Weight, 32> ws{};
-            ctx.load(adjacency_, es, std::span<VertexId>(dsts.data(), cnt));
-            ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
+            ctx.load(graph_.adjacency, es,
+                     std::span<VertexId>(dsts.data(), cnt));
+            ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
             ctx.alu(2, cnt);
             work.relaxations += cnt;
             std::array<std::uint64_t, 32> tgt{};
@@ -246,15 +218,8 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
   }
 
   GpuRunResult result;
-  result.sssp.distances = dist_.data();
   result.sssp.work = work;
-  sssp::finalize_valid_updates(result.sssp, source);
-  result.device_ms = sim_.elapsed_ms();
-  result.counters = sim_.counters();
-  if (const gpusim::Sanitizer* san = sim_.sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
-  return result;
+  return driver_.finish(std::move(result), dist_, source);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,15 +229,17 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
 DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
                                  const graph::Csr& csr,
                                  DavidsonOptions options)
-    : sim_(std::move(device)), csr_(csr), options_(options) {
+    : sim_(std::move(device)),
+      csr_(csr),
+      options_(options),
+      driver_("DavidsonNearFar", sim_, /*stream=*/0, csr_, options_.retry,
+              /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice) {
   RDBS_CHECK(options_.delta > 0);
   sim_.enable_sanitizer(options_.sanitize);
   if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
-  adjacency_ = sim_.alloc<VertexId>("adjacency", m, kDeviceWord);
-  weights_ = sim_.alloc<Weight>("weights", m, kDeviceWord);
+  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
   near_queue_ = sim_.alloc<VertexId>("near", std::max<std::size_t>(n, 64),
                                      kDeviceWord);
@@ -281,42 +248,14 @@ DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
   queue_ctrl_ = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
   sim_.mark_initialized(queue_ctrl_);
   in_near_ = sim_.alloc<std::uint8_t>("in_near", n, 1);
-
-  std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
-            row_offsets_.data().begin());
-  std::copy(csr_.adjacency().begin(), csr_.adjacency().end(),
-            adjacency_.data().begin());
-  std::copy(csr_.weights().begin(), csr_.weights().end(),
-            weights_.data().begin());
-  sim_.mark_initialized(row_offsets_);
-  sim_.mark_initialized(adjacency_);
-  sim_.mark_initialized(weights_);
-  sim_.mark_read_only(row_offsets_);
-  sim_.mark_read_only(adjacency_);
-  sim_.mark_read_only(weights_);
 }
 
 GpuRunResult DavidsonNearFar::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("DavidsonNearFar: source vertex out of range");
-  }
-  return run_with_recovery(sim_, /*stream=*/0, options_.retry, csr_, source,
-                           [&] { return run_attempt(source); });
-}
-
-bool DavidsonNearFar::attempt_poisoned() const {
-  if (sim_.fault_injector() == nullptr) return false;
-  if (sim_.device_lost()) return true;
-  const auto& log = sim_.fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
+  return driver_.run(source, [&] { return run_attempt(source); });
 }
 
 GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
-  fault_scan_begin_ = sim_.fault_log().size();
-  sim_.reset_all();
+  driver_.begin_attempt(dist_);
   const VertexId n = csr_.num_vertices();
   sssp::WorkStats work;
   std::fill(in_near_.data().begin(), in_near_.data().end(), 0);
@@ -491,9 +430,10 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
                            /*is_store=*/false);
         std::array<EdgeIndex, 32> rb{};
         std::array<EdgeIndex, 32> re{};
-        ctx.load(row_offsets_, std::span<const std::uint64_t>(vidx.data(), cnt),
+        ctx.load(graph_.row_offsets,
+                 std::span<const std::uint64_t>(vidx.data(), cnt),
                  std::span<EdgeIndex>(rb.data(), cnt));
-        ctx.load(row_offsets_,
+        ctx.load(graph_.row_offsets,
                  std::span<const std::uint64_t>(vidx1.data(), cnt),
                  std::span<EdgeIndex>(re.data(), cnt));
         ctx.alu(4, cnt);  // prefix-sum steps of the compact
@@ -522,8 +462,8 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
       std::span<const std::uint64_t> es(eidx.data(), cnt);
       std::array<VertexId, 32> dsts{};
       std::array<Weight, 32> ws{};
-      ctx.load(adjacency_, es, std::span<VertexId>(dsts.data(), cnt));
-      ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
+      ctx.load(graph_.adjacency, es, std::span<VertexId>(dsts.data(), cnt));
+      ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
       ctx.alu(2, cnt);
       work.relaxations += cnt;
       std::array<std::uint64_t, 32> tgt{};
@@ -566,15 +506,8 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
   }
 
   GpuRunResult result;
-  result.sssp.distances = dist_.data();
   result.sssp.work = work;
-  sssp::finalize_valid_updates(result.sssp, source);
-  result.device_ms = sim_.elapsed_ms();
-  result.counters = sim_.counters();
-  if (const gpusim::Sanitizer* san = sim_.sanitizer()) {
-    result.sanitizer_report = san->report();
-  }
-  return result;
+  return driver_.finish(std::move(result), dist_, source);
 }
 
 }  // namespace rdbs::core

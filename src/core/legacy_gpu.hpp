@@ -18,9 +18,9 @@
 // engine (distances validated against Dijkstra in the test suite).
 #pragma once
 
-#include <deque>
-
+#include "core/device_graph.hpp"
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
@@ -42,17 +42,12 @@ class HarishNarayanan {
 
  private:
   GpuRunResult run_attempt(graph::VertexId source);
-  bool attempt_poisoned() const;
 
   gpusim::GpuSim sim_;
   const graph::Csr& csr_;
-  RetryPolicy retry_;
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
+  AttemptDriver driver_;
 
-  gpusim::Buffer<graph::EdgeIndex> row_offsets_;
-  gpusim::Buffer<graph::VertexId> adjacency_;
-  gpusim::Buffer<graph::Weight> weights_;
+  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::Distance> updating_dist_;
   gpusim::Buffer<std::uint8_t> mask_;
@@ -80,17 +75,13 @@ class DavidsonNearFar {
 
  private:
   GpuRunResult run_attempt(graph::VertexId source);
-  bool attempt_poisoned() const;
 
   gpusim::GpuSim sim_;
   const graph::Csr& csr_;
   DavidsonOptions options_;
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
+  AttemptDriver driver_;
 
-  gpusim::Buffer<graph::EdgeIndex> row_offsets_;
-  gpusim::Buffer<graph::VertexId> adjacency_;
-  gpusim::Buffer<graph::Weight> weights_;
+  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::VertexId> near_queue_;
   gpusim::Buffer<graph::VertexId> far_pile_;

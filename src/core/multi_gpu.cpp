@@ -195,7 +195,7 @@ MultiGpuRunResult MultiGpuDeltaStepping::run(VertexId source) {
     return result;
   }
 
-  // Manual recovery loop (run_with_recovery drives a single simulator; here
+  // Manual recovery loop (AttemptDriver drives a single simulator; here
   // every shard has its own, so faults are scanned per shard and tagged
   // with the device index).
   RecoveryStats recovery;

@@ -68,6 +68,7 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
     if (options_.engine == BatchEngine::kRdbs) {
       lane.rdbs = std::make_unique<GpuDeltaStepping>(
           *sim_, s, graph_, options_.gpu, graph_bufs_.get());
+      lane.driver = &lane.rdbs->driver();
     } else {
       AddsOptions adds;
       adds.delta = options_.adds_delta;
@@ -77,6 +78,7 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
       adds.checkpoint_interval = options_.gpu.checkpoint_interval;
       lane.adds = std::make_unique<AddsLike>(*sim_, s, graph_, adds,
                                              graph_bufs_.get());
+      lane.driver = &lane.adds->driver();
     }
     lanes_.push_back(std::move(lane));
   }
@@ -187,7 +189,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
         sim_->memcpy_ms(static_cast<std::uint64_t>(resume->bounds.size()) *
                         kCheckpointWordBytes),
         lane.stream);
-    lane.set_resume(resume->bounds);
+    lane.driver->set_resume_bounds(resume->bounds);
     out.stats.migrated = true;
   } else if (cache_ != nullptr &&
              cache_->warm_bounds(source,
@@ -200,10 +202,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
     // engine wants its (possibly PRO-reordered) own, so bounds are
     // permuted on the way in.
     if (permuted_) {
-      warm_engine_.resize(graph_.num_vertices());
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        warm_engine_[perm_.to_reordered(v)] = warm_bounds_[v];
-      }
+      warm_engine_ = perm_.permute(warm_bounds_);
       warm = &warm_engine_;
     } else {
       warm = &warm_bounds_;
@@ -213,8 +212,12 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
 
   const VertexId engine_source =
       permuted_ ? perm_.to_reordered(source) : source;
+  // The token and warm bounds are (re)bound before every run, so a pointer
+  // left over from a previous query is never consulted.
+  lane.driver->set_cancel_token(cancel);
+  lane.driver->set_warm_start(warm);
   try {
-    out.result = lane.run(engine_source, cancel, warm);
+    out.result = lane.run(engine_source);
     if (permuted_ && !out.result.sssp.distances.empty()) {
       out.result.sssp.distances = perm_.unpermute(out.result.sssp.distances);
     }
@@ -245,7 +248,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
   // serving layer can migrate it to another lane and resume instead of
   // rejoining the queue cold.
   if (out.stats.status == QueryStatus::kFailed) {
-    out.checkpoint = lane.take_checkpoint();
+    out.checkpoint = lane.driver->take_checkpoint();
   }
 
   // Only successful COLD *device* runs teach the admission estimator.

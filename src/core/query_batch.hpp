@@ -241,31 +241,13 @@ class QueryBatch {
     gpusim::StreamId stream = 0;
     std::unique_ptr<GpuDeltaStepping> rdbs;
     std::unique_ptr<AddsLike> adds;
+    // The lane engine's query contract (cancel token, warm start, resume
+    // bounds, checkpoint); points into whichever engine is set.
+    AttemptDriver* driver = nullptr;
     double ewma_ms = 0;  // admission-control cost estimate (seeded in ctor)
 
-    GpuRunResult run(VertexId source, const CancelToken* cancel,
-                     const std::vector<graph::Distance>* warm) {
-      // The token and warm bounds are (re)bound before every run, so a
-      // pointer left over from a previous query is never consulted.
-      if (rdbs) {
-        rdbs->set_cancel_token(cancel);
-        rdbs->set_warm_start(warm);
-        return rdbs->run(source);
-      }
-      adds->set_cancel_token(cancel);
-      adds->set_warm_start(warm);
-      return adds->run(source);
-    }
-
-    void set_resume(std::vector<graph::Distance> bounds) {
-      if (rdbs) {
-        rdbs->set_resume_bounds(std::move(bounds));
-      } else {
-        adds->set_resume_bounds(std::move(bounds));
-      }
-    }
-    QueryCheckpoint take_checkpoint() {
-      return rdbs ? rdbs->take_checkpoint() : adds->take_checkpoint();
+    GpuRunResult run(VertexId source) {
+      return rdbs ? rdbs->run(source) : adds->run(source);
     }
   };
 

@@ -25,18 +25,15 @@ RdbsSolver::RdbsSolver(const Csr& csr, gpusim::DeviceSpec device,
 
 void RdbsSolver::set_warm_start(const std::vector<graph::Distance>* bounds) {
   if (bounds == nullptr || !permuted_) {
-    engine_->set_warm_start(bounds);
+    engine_->driver().set_warm_start(bounds);
     return;
   }
   if (bounds->size() != graph_.num_vertices()) {
     throw std::invalid_argument(
         "RdbsSolver: warm_start bounds must cover every vertex");
   }
-  warm_engine_.resize(graph_.num_vertices());
-  for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-    warm_engine_[perm_.to_reordered(v)] = (*bounds)[v];
-  }
-  engine_->set_warm_start(&warm_engine_);
+  warm_engine_ = perm_.permute(*bounds);
+  engine_->driver().set_warm_start(&warm_engine_);
 }
 
 GpuRunResult RdbsSolver::solve(VertexId source) {

@@ -1,10 +1,22 @@
 #include "core/recovery.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "common/macros.hpp"
 #include "sssp/dijkstra.hpp"
 
 namespace rdbs::core {
+
+namespace {
+
+// Classification of the fault-log tail one attempt produced.
+struct AttemptFaults {
+  std::vector<gpusim::GpuFault> faults;  // new events, canonical order
+  std::uint64_t ecc_corrected = 0;
+  bool poisoned = false;     // any event requiring a retry
+  bool device_lost = false;  // device-lost latch is set on the simulator
+};
 
 AttemptFaults scan_attempt_faults(const gpusim::GpuSim& sim,
                                   std::size_t log_begin) {
@@ -21,34 +33,38 @@ AttemptFaults scan_attempt_faults(const gpusim::GpuSim& sim,
   return scan;
 }
 
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt) {
-  return run_with_recovery(sim, stream, policy, csr, source, attempt,
-                           /*cancel=*/nullptr);
+}  // namespace
+
+AttemptDriver::AttemptDriver(std::string engine, gpusim::GpuSim& sim,
+                             gpusim::StreamId stream, const graph::Csr& csr,
+                             const RetryPolicy& policy, bool reset_per_attempt,
+                             Clock clock, int checkpoint_interval)
+    : engine_(std::move(engine)),
+      sim_(sim),
+      stream_(stream),
+      csr_(csr),
+      policy_(policy),
+      reset_per_attempt_(reset_per_attempt),
+      clock_(clock),
+      checkpoint_interval_(checkpoint_interval) {}
+
+GpuRunResult AttemptDriver::run(graph::VertexId source,
+                                const std::function<GpuRunResult()>& attempt) {
+  if (source >= csr_.num_vertices()) {
+    throw std::out_of_range(engine_ + ": source vertex out of range");
+  }
+  checkpoint_.clear();
+  GpuRunResult result = recover(source, attempt);
+  resume_bounds_.clear();
+  return result;
 }
 
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt,
-                               const CancelToken* cancel) {
-  return run_with_recovery(sim, stream, policy, csr, source, attempt, cancel,
-                           /*resume=*/{});
-}
-
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt,
-                               const CancelToken* cancel,
-                               const std::function<bool()>& resume) {
-  if (!sim.fault_injector() && !sim.device_lost()) {
+GpuRunResult AttemptDriver::recover(
+    graph::VertexId source, const std::function<GpuRunResult()>& attempt) {
+  if (!sim_.fault_injector() && !sim_.device_lost()) {
     // Fault injection off: single attempt, no scan, no extra bookkeeping.
-    // The attempt itself honors the engine's cancel token, so a deadline
-    // can still expire here — that is the only way this path returns
-    // ok == false.
+    // The attempt itself honors the cancel token, so a deadline can still
+    // expire here — that is the only way this path returns ok == false.
     GpuRunResult result = attempt();
     result.ok = !result.deadline_exceeded;
     result.recovery.attempts = 1;
@@ -65,39 +81,29 @@ GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
   double spent_ms = 0;
   double spent_wait_ms = 0;
   gpusim::Counters spent_counters;
-  double backoff = std::max(0.0, policy.backoff_ms);
-  const int max_attempts = std::max(1, policy.max_attempts);
+  double backoff = std::max(0.0, policy_.backoff_ms);
+  const int max_attempts = std::max(1, policy_.max_attempts);
 
   bool cancel_expired = false;
   for (int attempt_no = 0; attempt_no < max_attempts; ++attempt_no) {
-    if (sim.device_lost()) break;  // nothing to run on a dead device
-    const std::size_t log_begin = sim.fault_log().size();
+    if (sim_.device_lost()) break;  // nothing to run on a dead device
+    const std::size_t log_begin = sim_.fault_log().size();
     GpuRunResult result = attempt();
     ++recovery.attempts;
-    AttemptFaults scan = scan_attempt_faults(sim, log_begin);
+    AttemptFaults scan = scan_attempt_faults(sim_, log_begin);
     recovery.faults_injected += scan.faults.size();
     recovery.ecc_corrected += scan.ecc_corrected;
     recovery.device_lost = recovery.device_lost || scan.device_lost;
     faults.insert(faults.end(), scan.faults.begin(), scan.faults.end());
 
-    if (result.deadline_exceeded) {
-      // The deadline passed mid-attempt (possibly because a fault charged
-      // the clock past it): terminal, even if the attempt is also
-      // poisoned — there is no time left to retry or fall back in.
+    // A deadline passed mid-attempt (possibly because a fault charged the
+    // clock past it) is terminal even when the attempt is also poisoned —
+    // there is no time left to retry or fall back in.
+    if (result.deadline_exceeded || !scan.poisoned) {
       result.device_ms += spent_ms;
       result.queue_wait_ms += spent_wait_ms;
       result.counters += spent_counters;
-      result.ok = false;
-      result.faults = std::move(faults);
-      result.recovery = recovery;
-      return result;
-    }
-
-    if (!scan.poisoned) {
-      result.device_ms += spent_ms;
-      result.queue_wait_ms += spent_wait_ms;
-      result.counters += spent_counters;
-      result.ok = true;
+      result.ok = !result.deadline_exceeded;
       result.faults = std::move(faults);
       result.recovery = recovery;
       return result;
@@ -107,7 +113,7 @@ GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
     spent_wait_ms += result.queue_wait_ms;
     spent_counters += result.counters;
     if (scan.device_lost) break;  // no retry can succeed on a lost device
-    if (cancel != nullptr && cancel->expired()) {
+    if (cancel_ != nullptr && cancel_->expired()) {
       // The poisoned attempt consumed the rest of the budget: don't charge
       // a backoff that cannot buy a retry anyway.
       cancel_expired = true;
@@ -119,34 +125,36 @@ GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
       // would sleep here), plus re-upload of any read-only device data an
       // uncorrectable flip poisoned; mutable buffers are re-initialized by
       // the next attempt itself.
-      sim.charge_host_ms(backoff, stream);
+      sim_.charge_host_ms(backoff, stream_);
       spent_ms += backoff;
       recovery.backoff_ms += backoff;
-      const std::uint64_t poisoned =
-          sim.memory().poisoned_read_only_bytes();
-      if (poisoned > 0) {
-        sim.memcpy_h2d(poisoned, stream);
-        spent_ms += sim.memcpy_ms(poisoned);
-        sim.memory().clear_poison();
+      const std::uint64_t reupload = sim_.memory().poisoned_read_only_bytes();
+      if (reupload > 0) {
+        sim_.memcpy_h2d(reupload, stream_);
+        spent_ms += sim_.memcpy_ms(reupload);
+        sim_.memory().clear_poison();
       }
-      backoff *= policy.backoff_multiplier;
-      // Checkpoint-resume: let the engine seed the next attempt from its
-      // last good snapshot instead of rerunning cold. The re-seed H2D is
-      // charged by the attempt's warm-start path; exactness follows from
-      // the label-correcting argument (core/checkpoint.hpp).
-      if (resume && resume()) ++recovery.resumed;
+      backoff *= policy_.backoff_multiplier;
+      // Checkpoint-resume: seed the next attempt from the last good
+      // snapshot instead of rerunning cold. The re-seed H2D is charged by
+      // the attempt's apply_warm_start; exactness follows from the
+      // label-correcting argument (core/checkpoint.hpp).
+      if (checkpoint_.valid()) {
+        resume_bounds_ = checkpoint_.bounds;
+        ++recovery.resumed;
+      }
     }
   }
 
   // Unrecoverable on the device: degrade to the exact host reference, or
   // surface a typed failure — never wrong distances.
-  recovery.device_lost = recovery.device_lost || sim.device_lost();
+  recovery.device_lost = recovery.device_lost || sim_.device_lost();
   GpuRunResult result;
   result.device_ms = spent_ms;
   result.queue_wait_ms = spent_wait_ms;
   result.counters = spent_counters;
   result.faults = std::move(faults);
-  if (cancel_expired || (cancel != nullptr && cancel->expired())) {
+  if (cancel_expired || (cancel_ != nullptr && cancel_->expired())) {
     // Out of time: a CPU fallback computed now would arrive after the
     // deadline. The serving layer hedges to the host *before* dispatch when
     // that can still meet the deadline (docs/serving.md).
@@ -155,14 +163,121 @@ GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
     result.recovery = recovery;
     return result;
   }
-  if (policy.cpu_fallback) {
-    result.sssp = sssp::dijkstra(csr, source);
+  if (policy_.cpu_fallback) {
+    result.sssp = sssp::dijkstra(csr_, source);
     ++recovery.cpu_fallbacks;
     result.ok = true;
   } else {
     result.ok = false;
   }
   result.recovery = recovery;
+  return result;
+}
+
+void AttemptDriver::set_resume_bounds(std::vector<graph::Distance> bounds) {
+  RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
+                 "resume bounds must cover every vertex");
+  resume_bounds_ = std::move(bounds);
+}
+
+void AttemptDriver::begin_attempt(const gpusim::Buffer<graph::Distance>& dist) {
+  fault_scan_begin_ = sim_.fault_log().size();
+  attempt_cancelled_ = false;
+  boundary_count_ = 0;
+  // A prior poisoned attempt may have left the distance region flagged
+  // (recovery's bulk clear only fires when read-only data was also hit);
+  // this attempt re-initializes the buffer, so the stale mark must not
+  // suppress its checkpoints.
+  sim_.clear_buffer_poison(dist);
+  // Owning mode: fresh timeline/counters/caches per attempt (the paper's
+  // single-query methodology). Shared mode: time and cache state accumulate
+  // across queries, and this attempt's metrics are deltas of its clock.
+  if (reset_per_attempt_) sim_.reset_all();
+  ms_before_ = now_ms();
+  wait_before_ = sim_.stream_queue_wait_ms(stream_);
+  counters_before_ = sim_.counters();
+}
+
+double AttemptDriver::now_ms() const {
+  return clock_ == Clock::kStream ? sim_.stream_elapsed_ms(stream_)
+                                  : sim_.elapsed_ms();
+}
+
+bool AttemptDriver::poisoned() const {
+  if (!sim_.fault_injector()) return false;
+  if (sim_.device_lost()) return true;
+  const std::vector<gpusim::GpuFault>& log = sim_.fault_log();
+  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
+    if (log[i].poisons()) return true;
+  }
+  return false;
+}
+
+bool AttemptDriver::cancelled() {
+  if (!attempt_cancelled_ && cancel_ != nullptr && cancel_->expired()) {
+    attempt_cancelled_ = true;
+  }
+  return attempt_cancelled_;
+}
+
+const std::vector<graph::Distance>* AttemptDriver::warm_bounds() const {
+  return resume_bounds_.empty() ? warm_start_ : &resume_bounds_;
+}
+
+std::uint64_t AttemptDriver::apply_warm_start(
+    gpusim::Buffer<graph::Distance>& dist, graph::VertexId source) {
+  const std::vector<graph::Distance>* warm = warm_bounds();
+  if (warm == nullptr) return 0;
+  const std::vector<graph::Distance>& bounds = *warm;
+  RDBS_CHECK_MSG(bounds.size() == csr_.num_vertices(),
+                 "warm_start bounds must cover every vertex");
+  std::uint64_t seeded = 0;
+  for (graph::VertexId v = 0; v < csr_.num_vertices(); ++v) {
+    if (v == source || bounds[v] == graph::kInfiniteDistance) continue;
+    dist[v] = bounds[v];
+    ++seeded;
+  }
+  if (seeded > 0) sim_.memcpy_h2d(seeded * kCheckpointWordBytes, stream_);
+  return seeded;
+}
+
+void AttemptDriver::boundary(const gpusim::Buffer<graph::Distance>& dist) {
+  if (checkpoint_interval_ <= 0) return;
+  ++boundary_count_;
+  if (boundary_count_ % static_cast<std::uint64_t>(checkpoint_interval_) !=
+      0) {
+    return;
+  }
+  // A tainted attempt stops checkpointing; the last good snapshot stands.
+  if (poisoned() || sim_.buffer_poisoned(dist)) return;
+  checkpoint_.bounds = dist.data();
+  sim_.memcpy_d2h(csr_.num_vertices() * kCheckpointWordBytes, stream_);
+  checkpoint_.taken_ms = sim_.stream_elapsed_ms(stream_);
+  checkpoint_.boundaries = boundary_count_;
+  ++checkpoint_.snapshots;
+}
+
+GpuRunResult AttemptDriver::finish(GpuRunResult result,
+                                   const gpusim::Buffer<graph::Distance>& dist,
+                                   graph::VertexId source) {
+  if (cancelled()) {
+    // Over deadline at (or after) the last cancellation point: a late
+    // answer is no answer, so the distances are withheld even when the run
+    // happened to finish — only the partial metrics are reported.
+    result.ok = false;
+    result.deadline_exceeded = true;
+  } else {
+    result.sssp.distances = dist.data();
+    sssp::finalize_valid_updates(result.sssp, source);
+  }
+  result.device_ms = now_ms() - ms_before_;
+  if (clock_ == Clock::kStream) {
+    result.queue_wait_ms = sim_.stream_queue_wait_ms(stream_) - wait_before_;
+  }
+  result.counters = sim_.counters() - counters_before_;
+  if (const gpusim::Sanitizer* san = sim_.sanitizer()) {
+    result.sanitizer_report = san->report();
+  }
   return result;
 }
 

@@ -1,10 +1,10 @@
 // Shared fault-recovery driver for the GPU engines (gfi; see
 // docs/fault_injection.md).
 //
-// Every engine's run() is a *pure attempt*: it fully re-initializes its
-// mutable device state (distances, queues, cursors) before doing any work,
-// so rerunning it from scratch is a clean recovery from any transient
-// fault. run_with_recovery() wraps that attempt in the RetryPolicy loop:
+// Every engine's attempt is *pure*: it fully re-initializes its mutable
+// device state (distances, queues, cursors) before doing any work, so
+// rerunning it from scratch is a clean recovery from any transient fault.
+// AttemptDriver::run() wraps that attempt in the RetryPolicy loop:
 //
 //   1. snapshot the simulator's fault log, run the attempt;
 //   2. scan the log tail: no poisoning event -> success (benign events —
@@ -12,7 +12,7 @@
 //      retry);
 //   3. poisoned -> discard the attempt, charge the exponential backoff and
 //      the re-upload of poisoned read-only buffers to the simulated clock,
-//      and rerun;
+//      and rerun — from the last clean checkpoint when there is one;
 //   4. device lost or attempts exhausted -> fall back to the host Dijkstra
 //      reference (policy.cpu_fallback) or return ok == false with the
 //      typed faults. Never wrong distances, never a crash.
@@ -20,11 +20,38 @@
 // Metrics accumulate across attempts: device_ms / queue_wait_ms / counters
 // of the returned result cover every attempt plus backoff and re-upload
 // charges, so recovery cost is visible in the timeline.
+//
+// The driver also owns the rest of the per-query engine contract, so an
+// engine supplies only its kernels and loops: the fault-log watermark
+// (poisoned()), cooperative cancellation (cancelled()), warm-start and
+// one-shot resume bounds (warm_bounds(), apply_warm_start()), bucket/round
+// checkpoints (boundary()) and the per-attempt metric deltas (finish()).
+// An attempt body looks like:
+//
+//   GpuRunResult Engine::run_attempt(VertexId source) {
+//     driver_.begin_attempt(dist_);
+//     ... init kernels; driver_.apply_warm_start(dist_, source); ...
+//     while (...) {
+//       if (driver_.cancelled()) break;
+//       ... one bucket/round ...
+//       driver_.boundary(dist_);
+//     }
+//     GpuRunResult result;
+//     result.sssp.work = work_;
+//     return driver_.finish(std::move(result), dist_, source);
+//   }
+//   GpuRunResult Engine::run(VertexId source) {
+//     return driver_.run(source, [&] { return run_attempt(source); });
+//   }
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "core/cancel.hpp"
+#include "core/checkpoint.hpp"
 #include "core/options.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
@@ -32,51 +59,128 @@
 
 namespace rdbs::core {
 
-// Classification of the fault-log tail one attempt produced.
-struct AttemptFaults {
-  std::vector<gpusim::GpuFault> faults;  // new events, canonical order
-  std::uint64_t ecc_corrected = 0;
-  bool poisoned = false;     // any event requiring a retry
-  bool device_lost = false;  // device-lost latch is set on the simulator
+class AttemptDriver {
+ public:
+  // The clock an attempt's device_ms is measured on.
+  enum class Clock : std::uint8_t {
+    kStream,  // the driver's stream; queue_wait_ms is measured too
+    kDevice,  // GpuSim::elapsed_ms (single-stream engines on their own sim)
+  };
+
+  // `sim` and `csr` must outlive the driver. `engine` names the engine in
+  // the out-of-range error. With `reset_per_attempt` the simulator's clock,
+  // counters and caches are reset at every attempt start (engines that own
+  // their simulator); otherwise metrics are deltas from the attempt start.
+  // `checkpoint_interval` > 0 snapshots the distances every that many
+  // boundary() calls (GpuSsspOptions::checkpoint_interval).
+  AttemptDriver(std::string engine, gpusim::GpuSim& sim,
+                gpusim::StreamId stream, const graph::Csr& csr,
+                const RetryPolicy& policy, bool reset_per_attempt,
+                Clock clock = Clock::kStream, int checkpoint_interval = 0);
+  // Pinned to its simulator: an engine that owns `sim` by value must not
+  // be moved out from under the reference.
+  AttemptDriver(const AttemptDriver&) = delete;
+  AttemptDriver& operator=(const AttemptDriver&) = delete;
+
+  // Runs `attempt` for `source` under the retry policy (see the header
+  // comment). Throws std::out_of_range for an invalid source. Clears the
+  // previous run's checkpoint first — a stale snapshot must never seed a
+  // different query — and consumes the one-shot resume bounds.
+  //
+  // The deadline of the cancel token dominates the retry policy: an attempt
+  // that returns deadline_exceeded is terminal (no retry, no CPU fallback —
+  // a late answer is not an answer), and an expired token before a retry or
+  // before the fallback likewise ends recovery with deadline_exceeded set.
+  GpuRunResult run(graph::VertexId source,
+                   const std::function<GpuRunResult()>& attempt);
+
+  // --- per-query bindings (serving layer; docs/serving.md) ------------------
+  // Cooperative cancellation: while set, cancelled() polls the token and
+  // the attempt stops at its next cancellation point, returning a result
+  // with deadline_exceeded set, partial metrics and NO distances. The token
+  // must outlive the runs it governs; nullptr detaches.
+  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
+  // Result-cache warm start: per-vertex upper bounds (engine numbering;
+  // GpuSsspOptions::warm_start) for subsequent runs; nullptr detaches. The
+  // array must outlive every run it seeds (retries re-apply it).
+  void set_warm_start(const std::vector<graph::Distance>* bounds) {
+    warm_start_ = bounds;
+  }
+  // One-shot resume: the next run() seeds from `bounds` (engine numbering,
+  // one entry per vertex) instead of the warm start — lane migration
+  // continues a query that checkpointed on another lane. Cleared when that
+  // run returns.
+  void set_resume_bounds(std::vector<graph::Distance> bounds);
+  // Moves out the last good snapshot of the most recent run() (empty when
+  // checkpointing is off or no clean boundary was reached): the serving
+  // layer's raw material for mid-query lane migration.
+  QueryCheckpoint take_checkpoint() { return std::move(checkpoint_); }
+
+  // --- the attempt body's side ---------------------------------------------
+  // Starts an attempt: sets the fault-log watermark, clears the cancel
+  // latch and the boundary counter, clears stale poison on `dist` (the
+  // attempt re-initializes it), resets the simulator when configured to,
+  // and records the metric baselines.
+  void begin_attempt(const gpusim::Buffer<graph::Distance>& dist);
+  // Whether the current attempt already took a poisoning fault — loop
+  // invariants may legitimately break then, and the attempt aborts instead
+  // of the process (recovery discards it anyway).
+  bool poisoned() const;
+  // Cancellation point: polls the token, latching the outcome so enclosing
+  // loops unwind too; true once the attempt is over its deadline.
+  bool cancelled();
+  // The upper bounds seeding this attempt: the one-shot resume bounds when
+  // set (they were produced by an attempt that had already absorbed the
+  // warm start, so they are pointwise at least as tight), else the warm
+  // start, else null.
+  const std::vector<graph::Distance>* warm_bounds() const;
+  // Writes warm_bounds() (if any) over the freshly initialized `dist`,
+  // keeping the source's exact 0, and charges one H2D upload of the finite
+  // bounds. Returns the number of vertices seeded. Exact because the
+  // engines are label-correcting: relaxations only improve on a valid
+  // upper bound, never trust it.
+  std::uint64_t apply_warm_start(gpusim::Buffer<graph::Distance>& dist,
+                                 graph::VertexId source);
+  // Bucket/round boundary, where `dist` is a consistent set of upper
+  // bounds: every checkpoint_interval boundaries, snapshot it (D2H charged)
+  // unless the attempt or the buffer is poisoned — a corrupt bound could
+  // lie below the true distance (core/checkpoint.hpp).
+  void boundary(const gpusim::Buffer<graph::Distance>& dist);
+  // Completes the attempt's result: the distances from `dist` (finalized
+  // for `source`), or none and deadline_exceeded when cancelled; the
+  // attempt's device_ms / queue_wait_ms / counters deltas; the gsan report.
+  GpuRunResult finish(GpuRunResult result,
+                      const gpusim::Buffer<graph::Distance>& dist,
+                      graph::VertexId source);
+
+ private:
+  double now_ms() const;
+  // The recovery loop behind run().
+  GpuRunResult recover(graph::VertexId source,
+                       const std::function<GpuRunResult()>& attempt);
+
+  std::string engine_;
+  gpusim::GpuSim& sim_;
+  gpusim::StreamId stream_;
+  const graph::Csr& csr_;
+  RetryPolicy policy_;
+  bool reset_per_attempt_;
+  Clock clock_;
+  int checkpoint_interval_;
+
+  // Per-query bindings.
+  const CancelToken* cancel_ = nullptr;
+  const std::vector<graph::Distance>* warm_start_ = nullptr;
+  std::vector<graph::Distance> resume_bounds_;
+  QueryCheckpoint checkpoint_;
+
+  // Per-attempt state.
+  std::size_t fault_scan_begin_ = 0;
+  bool attempt_cancelled_ = false;
+  std::uint64_t boundary_count_ = 0;
+  double ms_before_ = 0;
+  double wait_before_ = 0;
+  gpusim::Counters counters_before_;
 };
-
-AttemptFaults scan_attempt_faults(const gpusim::GpuSim& sim,
-                                  std::size_t log_begin);
-
-// Runs `attempt` under `policy` as described above. `stream` is where
-// backoff/re-upload time is charged; `csr`/`source` feed the CPU fallback.
-// When fault injection is disabled on `sim` the first attempt is returned
-// as-is (zero overhead beyond the log-size check).
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt);
-
-// Cancel-aware variant for the serving layer (docs/serving.md). `cancel`
-// may be null (identical to the overload above). The deadline dominates the
-// retry policy: an attempt that returns deadline_exceeded is terminal (no
-// retry, no CPU fallback — a late answer is not an answer; hedging is the
-// server's decision, made up front), and an expired token before a retry or
-// before the fallback likewise ends recovery with deadline_exceeded set.
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt,
-                               const CancelToken* cancel);
-
-// Checkpoint-resume variant (docs/serving.md "Checkpoint-resume & lane
-// migration"). `resume` is consulted while preparing each retry, after the
-// backoff charge: when it returns true the engine has re-seeded the next
-// attempt from a host-side QueryCheckpoint — the retry then continues from
-// the salvaged upper bounds instead of rerunning cold, and the result's
-// RecoveryStats::resumed counts it. Label-correcting exactness makes the
-// resumed run bit-identical in distances to a cold one. `resume` may be
-// empty (identical to the overload above).
-GpuRunResult run_with_recovery(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                               const RetryPolicy& policy,
-                               const graph::Csr& csr, graph::VertexId source,
-                               const std::function<GpuRunResult()>& attempt,
-                               const CancelToken* cancel,
-                               const std::function<bool()>& resume);
 
 }  // namespace rdbs::core

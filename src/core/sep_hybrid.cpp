@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "common/macros.hpp"
-#include "core/recovery.hpp"
 
 namespace rdbs::core {
 
@@ -25,34 +23,22 @@ constexpr std::uint64_t kHeadCell[1] = {1};
 
 SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
                      SepHybridOptions options)
-    : sim_(std::move(device)), csr_(csr), options_(options) {
+    : sim_(std::move(device)),
+      csr_(csr),
+      options_(options),
+      driver_("SepHybrid", sim_, /*stream=*/0, csr_, options_.retry,
+              /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice) {
   sim_.enable_sanitizer(options_.sanitize);
   if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  row_offsets_ = sim_.alloc<EdgeIndex>("row_offsets", n + 1, kDeviceWord);
-  adjacency_ = sim_.alloc<VertexId>("adjacency", m, kDeviceWord);
-  weights_ = sim_.alloc<Weight>("weights", m, kDeviceWord);
+  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
   queue_ = sim_.alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
                                 kDeviceWord);
   queue_ctrl_ = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
   sim_.mark_initialized(queue_ctrl_);
   in_queue_ = sim_.alloc<std::uint8_t>("in_queue", n, 1);
-
-  std::copy(csr_.row_offsets().begin(), csr_.row_offsets().end(),
-            row_offsets_.data().begin());
-  std::copy(csr_.adjacency().begin(), csr_.adjacency().end(),
-            adjacency_.data().begin());
-  std::copy(csr_.weights().begin(), csr_.weights().end(),
-            weights_.data().begin());
-  // H2D upload of the immutable CSR.
-  sim_.mark_initialized(row_offsets_);
-  sim_.mark_initialized(adjacency_);
-  sim_.mark_initialized(weights_);
-  sim_.mark_read_only(row_offsets_);
-  sim_.mark_read_only(adjacency_);
-  sim_.mark_read_only(weights_);
 
   // Symmetry detection: the weighted edge multiset must equal its own
   // reverse. Sort-and-compare keeps it O(m log m) with no hashing.
@@ -89,15 +75,11 @@ SepMode SepHybrid::choose_mode(std::uint64_t frontier_vertices,
 }
 
 SepRunResult SepHybrid::run(VertexId source) {
-  if (source >= csr_.num_vertices()) {
-    throw std::out_of_range("SepHybrid: source vertex out of range");
-  }
   SepRunResult result;
-  result.gpu = run_with_recovery(sim_, /*stream=*/0, options_.retry, csr_,
-                                 source, [&] {
-                                   result.rounds.clear();
-                                   return run_attempt(source, result.rounds);
-                                 });
+  result.gpu = driver_.run(source, [&] {
+    result.rounds.clear();
+    return run_attempt(source, result.rounds);
+  });
   // After a CPU fallback (or a typed failure) the round log would describe
   // a discarded device attempt, not the distances returned — drop it.
   if (result.gpu.recovery.cpu_fallbacks > 0 || !result.gpu.ok) {
@@ -106,22 +88,10 @@ SepRunResult SepHybrid::run(VertexId source) {
   return result;
 }
 
-bool SepHybrid::attempt_poisoned() const {
-  if (sim_.fault_injector() == nullptr) return false;
-  if (sim_.device_lost()) return true;
-  const auto& log = sim_.fault_log();
-  for (std::size_t i = fault_scan_begin_; i < log.size(); ++i) {
-    if (log[i].poisons()) return true;
-  }
-  return false;
-}
-
 GpuRunResult SepHybrid::run_attempt(VertexId source,
                                     std::vector<SepRound>& round_log) {
-  fault_scan_begin_ = sim_.fault_log().size();
-  sim_.reset_all();
+  driver_.begin_attempt(dist_);
   const VertexId n = csr_.num_vertices();
-  GpuRunResult gpu;
   sssp::WorkStats work;
   std::fill(in_queue_.data().begin(), in_queue_.data().end(), 0);
 
@@ -196,9 +166,10 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
     std::array<EdgeIndex, 32> re{};
     {
       std::array<EdgeIndex, 32> tmp{};
-      ctx.load(row_offsets_, vs, std::span<EdgeIndex>(tmp.data(), lane_count));
+      ctx.load(graph_.row_offsets, vs,
+               std::span<EdgeIndex>(tmp.data(), lane_count));
       for (std::uint32_t i = 0; i < lane_count; ++i) rb[i] = tmp[i];
-      ctx.load(row_offsets_,
+      ctx.load(graph_.row_offsets,
                std::span<const std::uint64_t>(vidx1.data(), lane_count),
                std::span<EdgeIndex>(tmp.data(), lane_count));
       for (std::uint32_t i = 0; i < lane_count; ++i) re[i] = tmp[i];
@@ -223,8 +194,8 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
       std::span<const std::uint64_t> es(eidx.data(), cnt);
       std::array<VertexId, 32> dsts{};
       std::array<Weight, 32> ws{};
-      ctx.load(adjacency_, es, std::span<VertexId>(dsts.data(), cnt));
-      ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
+      ctx.load(graph_.adjacency, es, std::span<VertexId>(dsts.data(), cnt));
+      ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
       ctx.alu(2, cnt);
       work.relaxations += cnt;
       std::array<std::uint64_t, 32> tgt{};
@@ -276,7 +247,7 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
       // Corrupted distances can legitimately stall convergence; the
       // poisoned attempt is discarded by the retry driver. A genuine
       // runaway on a clean device is still a hard bug.
-      RDBS_CHECK_MSG(attempt_poisoned(), "SEP hybrid failed to converge");
+      RDBS_CHECK_MSG(driver_.poisoned(), "SEP hybrid failed to converge");
       break;
     }
     // Round bookkeeping: size + out-edge volume of the entering frontier.
@@ -320,10 +291,10 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
             std::array<EdgeIndex, 32> re{};
             {
               std::array<EdgeIndex, 32> tmp{};
-              ctx.load(row_offsets_, is,
+              ctx.load(graph_.row_offsets, is,
                        std::span<EdgeIndex>(tmp.data(), lanes));
               for (std::uint32_t i = 0; i < lanes; ++i) rb[i] = tmp[i];
-              ctx.load(row_offsets_,
+              ctx.load(graph_.row_offsets,
                        std::span<const std::uint64_t>(idx1.data(), lanes),
                        std::span<EdgeIndex>(tmp.data(), lanes));
               for (std::uint32_t i = 0; i < lanes; ++i) re[i] = tmp[i];
@@ -349,8 +320,9 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
               std::span<const std::uint64_t> es(eidx.data(), cnt);
               std::array<VertexId, 32> srcs{};
               std::array<Weight, 32> ws{};
-              ctx.load(adjacency_, es, std::span<VertexId>(srcs.data(), cnt));
-              ctx.load(weights_, es, std::span<Weight>(ws.data(), cnt));
+              ctx.load(graph_.adjacency, es,
+                       std::span<VertexId>(srcs.data(), cnt));
+              ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
               // Gather the in-neighbors' current distances.
               std::array<std::uint64_t, 32> nidx{};
               for (std::uint32_t i = 0; i < cnt; ++i) nidx[i] = srcs[i];
@@ -441,15 +413,9 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
     if (options_.instrument) round_log.push_back(round);
   }
 
-  gpu.sssp.distances = dist_.data();
+  GpuRunResult gpu;
   gpu.sssp.work = work;
-  sssp::finalize_valid_updates(gpu.sssp, source);
-  gpu.device_ms = sim_.elapsed_ms();
-  gpu.counters = sim_.counters();
-  if (const gpusim::Sanitizer* san = sim_.sanitizer()) {
-    gpu.sanitizer_report = san->report();
-  }
-  return gpu;
+  return driver_.finish(std::move(gpu), dist_, source);
 }
 
 }  // namespace rdbs::core

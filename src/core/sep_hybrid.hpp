@@ -23,7 +23,9 @@
 #include <deque>
 #include <vector>
 
+#include "core/device_graph.hpp"
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
@@ -76,7 +78,6 @@ class SepHybrid {
   // One recovery attempt (full run from a reset simulator clock).
   GpuRunResult run_attempt(graph::VertexId source,
                            std::vector<SepRound>& round_log);
-  bool attempt_poisoned() const;
 
   SepMode choose_mode(std::uint64_t frontier_vertices,
                       std::uint64_t frontier_edges) const;
@@ -84,14 +85,13 @@ class SepHybrid {
   gpusim::GpuSim sim_;
   const graph::Csr& csr_;
   SepHybridOptions options_;
+  AttemptDriver driver_;
   // Pull sweeps reuse the out-edge CSR as the in-edge list, which is
   // only valid on symmetric graphs; detected once at construction so
   // choose_mode can fall back to push on directed inputs.
   bool csr_symmetric_ = false;
 
-  gpusim::Buffer<graph::EdgeIndex> row_offsets_;
-  gpusim::Buffer<graph::VertexId> adjacency_;
-  gpusim::Buffer<graph::Weight> weights_;
+  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::VertexId> queue_;
   gpusim::Buffer<std::uint32_t> queue_ctrl_;  // [0]=tail, [1]=head cursors
@@ -99,8 +99,6 @@ class SepHybrid {
   // Host mirrors of the device queue cursors (ring positions).
   std::uint64_t queue_tail_ = 0;
   std::uint64_t queue_head_ = 0;
-  // Fault-log watermark of the current attempt (gfi).
-  std::size_t fault_scan_begin_ = 0;
 };
 
 }  // namespace rdbs::core

@@ -57,6 +57,16 @@ class Permutation {
     }
     return original_values;
   }
+  // Maps an array indexed by original ids to reordered indexing (the
+  // inverse of unpermute).
+  template <typename T>
+  std::vector<T> permute(const std::vector<T>& original_values) const {
+    std::vector<T> reordered_values(original_values.size());
+    for (VertexId v = 0; v < size(); ++v) {
+      reordered_values[old_to_new_[v]] = original_values[v];
+    }
+    return reordered_values;
+  }
 
  private:
   std::vector<VertexId> new_to_old_;

@@ -665,7 +665,7 @@ TEST(FaultInjection, WatchdogTimeoutRacingDeadlineEndsRecoveryImmediately) {
   core::GpuDeltaStepping engine(sim, /*stream=*/0, csr, options, &graph_bufs);
 
   const core::CancelToken token(sim, /*stream=*/0, /*deadline_ms=*/2.0);
-  engine.set_cancel_token(&token);
+  engine.driver().set_cancel_token(&token);
   const core::GpuRunResult result = engine.run(7);
 
   EXPECT_FALSE(result.ok);

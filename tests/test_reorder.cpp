@@ -36,6 +36,27 @@ TEST(Permutation, UnpermuteMapsBack) {
   EXPECT_EQ(original, (std::vector<int>{0, 10, 20}));
 }
 
+TEST(Permutation, PermuteIsTheInverseOfUnpermute) {
+  Permutation perm({2, 0, 1});
+  const std::vector<int> original{0, 10, 20};
+  const std::vector<int> reordered = perm.permute(original);
+  EXPECT_EQ(reordered, (std::vector<int>{20, 0, 10}));
+  EXPECT_EQ(perm.unpermute(reordered), original);
+  // Round trip on a real PRO permutation too.
+  const Csr csr = random_powerlaw_graph(64, 512, 4);
+  const Permutation pro = degree_descending_permutation(csr);
+  std::vector<int> values(csr.num_vertices());
+  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
+    values[v] = static_cast<int>(3 * v + 1);
+  }
+  const std::vector<int> moved = pro.permute(values);
+  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
+    EXPECT_EQ(moved[pro.to_reordered(v)], values[v]);
+  }
+  EXPECT_EQ(pro.unpermute(moved), values);
+  EXPECT_EQ(pro.permute(pro.unpermute(values)), values);
+}
+
 TEST(DegreeReorder, SortsByDescendingDegree) {
   const Csr csr = paper_figure1_graph();
   const Permutation perm = degree_descending_permutation(csr);
