@@ -1,18 +1,18 @@
 // Simulator self-throughput: how fast does gpusim itself execute warp
-// tasks, replay-pipeline baseline vs. the overhauled pipeline?
+// tasks, two-pass replay vs. the fused pipeline?
 //
 // This benchmarks the SIMULATOR (host wall-clock), not the simulated GPU.
 // Every workload runs twice:
 //
-//   * baseline — the original pipeline: legacy AoS trace, two-pass
-//     record+replay, 1 replay worker. This is the seed configuration, kept
-//     runnable so speedups are measured against it honestly.
-//   * overhaul — compressed SoA trace, ReplayMode::kAuto (fused single-pass
-//     record+replay whenever no trace consumer needs materialization) and
-//     --par-threads replay workers for any launch that does go two-pass.
+//   * baseline — two-pass record+replay (ReplayMode::kTwoPass): every
+//     launch materializes its compressed trace, then replays it on 1
+//     worker. This is the path gsan runs on.
+//   * overhaul — ReplayMode::kAuto: fused single-pass record+replay
+//     whenever no trace consumer needs materialization, and --par-threads
+//     replay workers for any launch that does go two-pass.
 //
 // The speedup column is the wall-clock ratio baseline/overhaul. Simulated
-// results are bit-identical across all modes, layouts and worker counts by
+// results are bit-identical across replay modes and worker counts by
 // construction (see docs/costmodel.md, "Parallel execution & determinism");
 // the bit_identical column verifies exactly that, end to end, per row.
 //
@@ -21,9 +21,8 @@
 // atomic-hammer (conflict scan dominated), and full RDBS engine runs on a
 // Kronecker and a road surrogate. Devices: V100 and T4 (the paper's two
 // platforms). With --scale21, a paper-scale capacity row runs k-n21-16 at
-// its full 2^21 vertices and reports the compressed-trace footprint against
-// what the AoS layout would have needed. Results go to stdout and
-// BENCH_gpusim.json.
+// its full 2^21 vertices and reports the baseline's peak trace footprint.
+// Results go to stdout and BENCH_gpusim.json.
 //
 // Flags beyond the shared harness set:
 //   --par-threads N    replay workers for the overhaul rows (default 4)
@@ -52,23 +51,18 @@ std::uint64_t warp_instructions(const gpusim::Counters& c) {
 // process-wide defaults so engine-internal simulators pick it up too.
 struct PipelineConfig {
   gpusim::ReplayMode mode = gpusim::ReplayMode::kAuto;
-  gpusim::TraceLayout layout = gpusim::TraceLayout::kCompressed;
   int threads = 1;
 
   void apply() const {
     gpusim::GpuSim::set_default_replay_mode(mode);
-    gpusim::GpuSim::set_default_trace_layout(layout);
     gpusim::GpuSim::set_default_worker_threads(threads);
   }
 };
 
-PipelineConfig baseline_config() {
-  return {gpusim::ReplayMode::kTwoPass, gpusim::TraceLayout::kLegacy, 1};
-}
+PipelineConfig baseline_config() { return {gpusim::ReplayMode::kTwoPass, 1}; }
 
 PipelineConfig overhaul_config(int par_threads) {
-  return {gpusim::ReplayMode::kAuto, gpusim::TraceLayout::kCompressed,
-          par_threads};
+  return {gpusim::ReplayMode::kAuto, par_threads};
 }
 
 struct WorkloadResult {
@@ -198,7 +192,6 @@ struct Row {
   std::uint64_t vertices = 0;
   std::uint64_t edges = 0;
   std::uint64_t trace_bytes = 0;
-  std::uint64_t legacy_trace_bytes = 0;
 
   double speedup() const {
     return parallel.wall_ms <= 0 ? 0 : serial.wall_ms / parallel.wall_ms;
@@ -227,8 +220,8 @@ int main(int argc, char** argv) {
   const std::uint64_t micro_tasks = quick ? kQuickTasks : kMicroTasks;
 
   std::printf(
-      "== gpusim self-throughput: baseline (legacy trace, two-pass, 1 "
-      "worker) vs. overhaul (compressed trace, fused, %d workers) ==\n",
+      "== gpusim self-throughput: baseline (two-pass, 1 worker) vs. "
+      "overhaul (fused, %d workers) ==\n",
       par_threads);
   std::printf("parallel_compiled=%d\n\n",
               gpusim::GpuSim::parallel_compiled() ? 1 : 0);
@@ -286,9 +279,8 @@ int main(int argc, char** argv) {
   if (scale21) {
     // Paper-scale capacity row: k-n21-16 at its full 2^21 vertices
     // (size_scale 6 on the surrogate curve). One source; the row also
-    // reports the materialized compressed-trace peak vs. the bytes the AoS
-    // layout would have needed for the same launch (a two-pass compressed
-    // run — fused launches store no trace at all).
+    // reports the peak materialized trace, read off the two-pass baseline
+    // (fused launches store no trace at all).
     bench::HarnessConfig big = config;
     big.size_scale = 6;
     const graph::Csr csr = bench::load_bench_graph("k-n21-16", big);
@@ -298,18 +290,15 @@ int main(int argc, char** argv) {
     Row row;
     row.device = device.name;
     row.workload = "rdbs/k-n21-16/scale21";
-    row.serial = best_of(
-        reps, [&] { return run_engine(csr, device, sources, delta0, baseline); });
+    gpusim::TraceStats stats;
+    row.serial = best_of(reps, [&] {
+      return run_engine(csr, device, sources, delta0, baseline, &stats);
+    });
     row.parallel = best_of(
         reps, [&] { return run_engine(csr, device, sources, delta0, overhaul); });
-    gpusim::TraceStats stats;
-    PipelineConfig materialize = overhaul;
-    materialize.mode = gpusim::ReplayMode::kTwoPass;
-    run_engine(csr, device, sources, delta0, materialize, &stats);
     row.vertices = csr.num_vertices();
     row.edges = csr.num_edges();
     row.trace_bytes = stats.peak_trace_bytes;
-    row.legacy_trace_bytes = stats.peak_legacy_bytes;
     rows.push_back(row);
   }
 
@@ -332,17 +321,11 @@ int main(int argc, char** argv) {
   for (const auto& row : rows) {
     if (row.trace_bytes > 0) {
       std::printf(
-          "\ncapacity %s: %llu vertices, %llu edges, peak trace %.1f MiB "
-          "compressed vs %.1f MiB legacy (%.1fx smaller)\n",
+          "\ncapacity %s: %llu vertices, %llu edges, peak trace %.1f MiB\n",
           row.workload.c_str(),
           static_cast<unsigned long long>(row.vertices),
           static_cast<unsigned long long>(row.edges),
-          static_cast<double>(row.trace_bytes) / (1024.0 * 1024.0),
-          static_cast<double>(row.legacy_trace_bytes) / (1024.0 * 1024.0),
-          row.trace_bytes == 0
-              ? 0.0
-              : static_cast<double>(row.legacy_trace_bytes) /
-                    static_cast<double>(row.trace_bytes));
+          static_cast<double>(row.trace_bytes) / (1024.0 * 1024.0));
     }
   }
 
@@ -376,14 +359,10 @@ int main(int argc, char** argv) {
     if (row.trace_bytes > 0) {
       std::fprintf(
           json,
-          ", \"vertices\": %llu, \"edges\": %llu, \"trace_bytes\": %llu, "
-          "\"legacy_trace_bytes\": %llu, \"compression_ratio\": %.2f",
+          ", \"vertices\": %llu, \"edges\": %llu, \"trace_bytes\": %llu",
           static_cast<unsigned long long>(row.vertices),
           static_cast<unsigned long long>(row.edges),
-          static_cast<unsigned long long>(row.trace_bytes),
-          static_cast<unsigned long long>(row.legacy_trace_bytes),
-          static_cast<double>(row.legacy_trace_bytes) /
-              static_cast<double>(row.trace_bytes));
+          static_cast<unsigned long long>(row.trace_bytes));
     }
     std::fprintf(json, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
@@ -393,8 +372,8 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   // Bit-identity is the determinism contract, not a tunable: any row where
-  // the overhauled pipeline's counters/cycles/distances differ from the
-  // seed pipeline's fails the bench regardless of flags.
+  // the fused pipeline's counters/cycles/distances differ from the two-pass
+  // baseline's fails the bench regardless of flags.
   for (const auto& row : rows) {
     if (!row.bit_identical()) {
       std::fprintf(stderr,

@@ -72,13 +72,14 @@ fi
 run_config parallel -DRDBS_PARALLEL=ON
 
 echo "=== [parallel] replay-throughput regression guard ==="
-# Two small engine workloads through the full record/replay pipeline with
-# 4 replay workers: the overhauled pipeline (fused + compressed traces)
-# must stay bit-identical to the seed pipeline and at least match its
+# Two micro workloads (streaming loads, atomic hammer) on V100: the fused
+# pipeline (--par-threads 4 workers for any launch that goes two-pass)
+# must stay bit-identical to the two-pass baseline (compressed trace
+# materialized, then replayed on 1 worker) and at least match its
 # wall-clock (--min-speedup 1.0; the CI host is a single shared core, so
-# no parallel-replay headroom is assumed beyond parity). A regression in
-# the fused path, the binned L2 scan or the SoA cache shows up here
-# before it reaches the nightly full bench.
+# no parallel-replay headroom is assumed beyond parity). A divergence
+# between the two paths, or a fused-path slowdown, shows up here before
+# it reaches the nightly full bench.
 "$BUILD_ROOT/parallel/bench/gpusim_throughput" --quick --par-threads 4 \
   --min-speedup 1.0 --reps 3 --json /dev/null
 

@@ -1,8 +1,6 @@
 #include "gpusim/memory.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 
 #include "common/macros.hpp"
 
@@ -137,42 +135,6 @@ bool MemorySim::region_poisoned(std::uint64_t addr) const {
 void MemorySim::clear_region_poison(std::uint64_t addr) {
   const std::size_t index = find_region_index(addr);
   if (index != kNoRegion) regions_[index].poisoned = false;
-}
-
-MemorySim::AccessResult MemorySim::access(
-    int sm_id, std::span<const std::uint64_t> addresses, bool cached) {
-  RDBS_DCHECK(sm_id >= 0 && static_cast<std::size_t>(sm_id) < l1_.size());
-  RDBS_DCHECK(addresses.size() <= 32);
-
-  // Coalesce through the shared replay primitive: sorted distinct sectors,
-  // grouped into (line, sector-mask) pairs so each line costs one tag scan.
-  std::array<std::uint64_t, 32> lane_addrs{};
-  std::array<WarpLineRef, 32> lines{};
-  std::uint32_t lanes = 0;
-  for (const std::uint64_t addr : addresses) lane_addrs[lanes++] = addr;
-  const CoalesceResult co = coalesce_warp_lanes(
-      lane_addrs.data(), lanes, /*presorted=*/false, spl_shift_, lines.data());
-
-  AccessResult result;
-  result.transactions = co.sectors;
-
-  SectoredCache& l1 = l1_[static_cast<std::size_t>(sm_id)];
-  for (std::uint32_t i = 0; i < co.lines; ++i) {
-    const WarpLineRef& ref = lines[i];
-    std::uint32_t l2_mask = ref.mask;
-    if (cached) {
-      const std::uint32_t hits = l1.access_line(ref.line, ref.mask);
-      result.hits += static_cast<std::uint32_t>(std::popcount(hits));
-      l2_mask = ref.mask & ~hits;
-    }
-    if (l2_mask == 0) continue;
-    // L1 misses (or L1-bypassing atomics): probe the shared L2.
-    const std::uint32_t l2_hits = l2_.access_line(ref.line, l2_mask);
-    result.l2_hits += static_cast<std::uint32_t>(std::popcount(l2_hits));
-    result.dram_sectors +=
-        static_cast<std::uint32_t>(std::popcount(l2_mask & ~l2_hits));
-  }
-  return result;
 }
 
 SectoredCache& MemorySim::l1(int sm_id) {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,9 +29,8 @@ struct CoalesceResult {
   std::uint32_t lines = 0;           // entries written to line_out
 };
 
-// The shared coalescing primitive of the replay pipeline (two-pass shards,
-// the fused record+replay path and MemorySim::access all charge through
-// it): sorts the lane addresses in place (skipped when the record phase
+// The shared coalescing primitive of the replay pipeline (two-pass shards
+// and the fused record+replay path both charge through it): sorts the lane addresses in place (skipped when the record phase
 // already saw them sorted — the common small-stride warp pattern), then a
 // single pass yields the distinct-address count (atomic-conflict
 // serialization), the distinct-sector count (transactions) and the
@@ -162,24 +160,10 @@ class MemorySim {
   std::size_t find_region_index(std::uint64_t addr) const;
   const std::vector<Region>& regions() const { return regions_; }
 
-  struct AccessResult {
-    std::uint32_t transactions = 0;  // distinct 32B sectors touched
-    std::uint32_t hits = 0;          // sectors found in the SM's L1
-    std::uint32_t l2_hits = 0;       // L1 misses served by the shared L2
-    std::uint32_t dram_sectors = 0;  // sectors that went all the way out
-  };
-
-  // One warp memory instruction on `sm_id` touching the given lane
-  // addresses (one per active lane, at most warp_size entries).
-  // `cached` routes the probe through the SM's L1 (loads/stores); atomics
-  // pass cached = false — they bypass L1 and resolve in the shared L2
-  // (as on Volta/Turing), falling through to DRAM on an L2 miss.
-  AccessResult access(int sm_id, std::span<const std::uint64_t> addresses,
-                      bool cached);
-
-  // Direct handles for GpuSim's two-pass replay: each SM's L1 is private
-  // state (shards replay concurrently); the L2 is shared and must only be
-  // probed from the serial canonical-order pass.
+  // Direct handles for GpuSim's replay: each SM's L1 is private state
+  // (two-pass shards replay concurrently); the L2 is shared and must only be
+  // probed in canonical task order (the serial L2 pass, or the fused record
+  // phase).
   SectoredCache& l1(int sm_id);
   SectoredCache& l2_cache() { return l2_; }
 

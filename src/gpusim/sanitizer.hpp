@@ -159,9 +159,8 @@ class Sanitizer {
                               std::uint32_t task);
   // End-of-launch scan over the recorded trace (called after replay, before
   // the trace is discarded). Serial; deterministic. Reads the trace through
-  // LaunchTrace's cursor API, so it is blind to the storage layout
-  // (compressed SoA or legacy AoS) — lane addresses decode in original lane
-  // order either way, keeping reports byte-identical across layouts.
+  // LaunchTrace's cursor API, which decodes lane addresses in original lane
+  // order, keeping reports byte-identical across replay worker counts.
   void scan_launch(const LaunchTrace& trace,
                    std::span<const TaskRecord> tasks);
 

@@ -46,7 +46,6 @@ constexpr std::uint64_t kMemIssueWeight = 8;
 
 int g_default_worker_threads = 0;
 ReplayMode g_default_replay_mode = ReplayMode::kAuto;
-TraceLayout g_default_trace_layout = TraceLayout::kCompressed;
 
 // Launches below this many memory ops replay their L1 shards serially even
 // when worker threads are available: the OpenMP fork/join barrier costs more
@@ -57,23 +56,8 @@ constexpr std::uint32_t kParallelMinOps = 4096;
 // L2 streams below this size take the direct in-order pass; above it the
 // requests are counting-sorted by cache set first (better set locality, one
 // bin per set touched once). Both orders are bit-identical — see
-// replay_launch.
+// flush_l2_stream.
 constexpr std::size_t kBinnedMinL2Requests = 4096;
-
-// Seed-pipeline insertion sort of the first `n` lane addresses (n <= 32).
-// Used only by replay_shard_seed; the overhauled path sorts inside
-// coalesce_warp_lanes instead.
-inline void seed_sort_addresses(std::uint64_t* a, std::uint32_t n) {
-  for (std::uint32_t i = 1; i < n; ++i) {
-    const std::uint64_t v = a[i];
-    std::uint32_t j = i;
-    while (j > 0 && a[j - 1] > v) {
-      a[j] = a[j - 1];
-      --j;
-    }
-    a[j] = v;
-  }
-}
 }  // namespace
 
 // --- WarpCtx (record phase) --------------------------------------------------
@@ -89,9 +73,9 @@ void WarpCtx::alu(std::uint32_t instructions, std::uint32_t active_lanes) {
   sim_.counters_.issued_lane_ops += static_cast<std::uint64_t>(instructions) * 32;
 }
 
-std::uint64_t* WarpCtx::trace_slots(std::size_t lanes) {
+std::uint64_t* WarpCtx::trace_slots() {
   return sim_.fused_launch_ ? sim_.fused_lanes_.data()
-                            : sim_.trace_.lane_slots(lanes);
+                            : sim_.trace_.lane_slots();
 }
 
 void WarpCtx::record_mem(std::uint8_t kind, std::uint32_t lanes) {
@@ -148,7 +132,6 @@ void WarpCtx::child_launch() {
 GpuSim::GpuSim(DeviceSpec spec) : spec_(std::move(spec)), memory_(spec_) {
   worker_threads_ = g_default_worker_threads;
   replay_mode_ = g_default_replay_mode;
-  trace_.set_layout(g_default_trace_layout);
   spl_shift_ = memory_.spl_shift();
   const auto sms = static_cast<std::size_t>(spec_.num_sms);
   sm_load_.resize(sms);
@@ -179,12 +162,6 @@ void GpuSim::set_default_replay_mode(ReplayMode mode) {
 }
 
 ReplayMode GpuSim::default_replay_mode() { return g_default_replay_mode; }
-
-void GpuSim::set_default_trace_layout(TraceLayout layout) {
-  g_default_trace_layout = layout;
-}
-
-TraceLayout GpuSim::default_trace_layout() { return g_default_trace_layout; }
 
 bool GpuSim::parallel_compiled() {
 #ifdef RDBS_PARALLEL
@@ -315,8 +292,7 @@ void GpuSim::begin_launch(bool host_launch, StreamId stream) {
   // Fused (inline-charge) execution whenever no post-launch consumer needs
   // a materialized trace: only the sanitizer scans it. gfi keys off op
   // ordinals (launch_ops_), which fused launches count identically.
-  fused_launch_ =
-      replay_mode_ != ReplayMode::kTwoPass && sanitizer_ == nullptr;
+  fused_launch_ = replay_mode_ == ReplayMode::kAuto && sanitizer_ == nullptr;
   std::fill(sm_load_.begin(), sm_load_.end(), 0);
   // All-zero loads in SM order form a valid min-heap on (weight, sm).
   load_heap_.clear();
@@ -397,86 +373,7 @@ void GpuSim::commit_task(const WarpCtx& ctx) {
   active_task_ = kNoTask;
 }
 
-void GpuSim::replay_shard_seed(int sm) {
-  // The pre-overhaul pipeline, verbatim: insertion-sort every op's lanes,
-  // derive distinct addresses and sectors in one scan, probe the L1 one
-  // sector at a time through the scalar access() entry point, and forward
-  // misses (and all atomic/volatile sectors) as per-sector byte-address
-  // requests with bit 0 marking the cached path.
-  SectoredCache& l1 = memory_.l1(sm);
-  std::vector<std::uint64_t>& requests =
-      l2_requests_[static_cast<std::size_t>(sm)];
-  requests.clear();
-  ShardCounters sc;
-  std::array<std::uint64_t, 32> sector_addrs{};
-  const auto conflict_cycles =
-      static_cast<std::uint64_t>(spec_.atomic_conflict_cycles);
-
-  for (const std::uint32_t t : sm_tasks_[static_cast<std::size_t>(sm)]) {
-    TaskRecord& rec = task_records_[t];
-    rec.l2_begin = static_cast<std::uint32_t>(requests.size());
-    std::uint64_t cycles = 0;
-    LaunchTrace::OpCursor cursor = trace_.task_cursor(rec);
-    LaunchTrace::OpView op;
-    while (cursor.next(op)) {
-      std::uint64_t* lane_addrs = cursor.lanes_mutable();
-      const std::uint32_t lanes = op.lanes;
-      seed_sort_addresses(lane_addrs, lanes);
-
-      // One pass over the sorted lanes yields both the distinct-address
-      // count (atomic conflicts) and the coalesced distinct-sector list.
-      std::uint32_t distinct_addrs = 0;
-      std::uint32_t sectors = 0;
-      std::uint64_t prev_addr = ~0ull;
-      std::uint64_t prev_sector = ~0ull;
-      for (std::uint32_t l = 0; l < lanes; ++l) {
-        const std::uint64_t addr = lane_addrs[l];
-        if (addr != prev_addr) {
-          ++distinct_addrs;
-          prev_addr = addr;
-          const std::uint64_t sector =
-              addr &
-              ~static_cast<std::uint64_t>(SectoredCache::kSectorBytes - 1);
-          if (sector != prev_sector) {
-            sector_addrs[sectors++] = sector;
-            prev_sector = sector;
-          }
-        }
-      }
-
-      sc.memory_transactions += sectors;
-      cycles += sectors;
-      if (op.kind == TraceOp::kAtomic || op.is_volatile()) {
-        if (op.kind == TraceOp::kAtomic) {
-          const std::uint64_t conflicts = lanes - distinct_addrs;
-          sc.atomic_conflicts += conflicts;
-          cycles += conflicts * conflict_cycles;
-        }
-        for (std::uint32_t s = 0; s < sectors; ++s) {
-          requests.push_back(sector_addrs[s]);
-        }
-      } else {
-        sc.l1_sector_accesses += sectors;
-        for (std::uint32_t s = 0; s < sectors; ++s) {
-          if (l1.access(sector_addrs[s])) {
-            ++sc.l1_sector_hits;
-          } else {
-            requests.push_back(sector_addrs[s] | 1ull);
-          }
-        }
-      }
-    }
-    rec.cycles += cycles;
-    rec.l2_count = static_cast<std::uint32_t>(requests.size()) - rec.l2_begin;
-  }
-  shard_counters_[static_cast<std::size_t>(sm)] = sc;
-}
-
 void GpuSim::replay_shard(int sm) {
-  if (trace_.layout() == TraceLayout::kLegacy) {
-    replay_shard_seed(sm);
-    return;
-  }
   SectoredCache& l1 = memory_.l1(sm);
   std::vector<std::uint64_t>& requests =
       l2_requests_[static_cast<std::size_t>(sm)];
@@ -700,51 +597,8 @@ void GpuSim::replay_launch() {
 #endif
 
   // Pass 2 — the shared L2, replayed in canonical task order (the exact
-  // request stream a fused serial simulation would produce). Large streams
-  // are counting-sorted by L2 set first (multisplit-style radix binning):
-  // LRU decisions only ever compare lines within one set, and the stable
-  // sort preserves canonical order within each set, so hits, misses,
-  // evictions and the cross-launch cache state are bit-identical to the
-  // direct in-order pass — while each set's tag array is touched exactly
-  // once, in ascending set order.
-  if (trace_.layout() == TraceLayout::kLegacy) {
-    // Seed-faithful pass 2: walk tasks in canonical order, probing the L2
-    // one sector byte-address at a time (requests were pushed per sector by
-    // replay_shard_seed). No binning — this is the baseline pipeline.
-    Counters& sc = counters_;
-    for (TaskRecord& rec : task_records_) {
-      if (rec.l2_count == 0) continue;
-      const std::vector<std::uint64_t>& requests =
-          l2_requests_[static_cast<std::size_t>(rec.sm)];
-      const std::uint32_t end = rec.l2_begin + rec.l2_count;
-      std::uint64_t cycles = 0;
-      for (std::uint32_t i = rec.l2_begin; i < end; ++i) {
-        const std::uint64_t request = requests[i];
-        const bool cached = (request & 1ull) != 0;
-        const std::uint64_t sector = request & ~1ull;
-        ++sc.l2_sector_accesses;
-        if (memory_.l2_cache().access(sector)) {
-          ++sc.l2_sector_hits;
-          if (cached) cycles += kL2ReplayCycles;
-        } else {
-          sc.dram_bytes += SectoredCache::kSectorBytes;
-          launch_dram_bytes_ += SectoredCache::kSectorBytes;
-          cycles += kDramReplayCycles;
-        }
-      }
-      rec.cycles += cycles;
-    }
-    // Deterministic counter reduction: shard partials summed in SM order.
-    for (const int sm : used_sms_) {
-      const ShardCounters& scp = shard_counters_[static_cast<std::size_t>(sm)];
-      sc.l1_sector_accesses += scp.l1_sector_accesses;
-      sc.l1_sector_hits += scp.l1_sector_hits;
-      sc.memory_transactions += scp.memory_transactions;
-      sc.atomic_conflicts += scp.atomic_conflicts;
-    }
-    return;
-  }
-
+  // request stream a fused serial simulation would produce), binned by L2
+  // set when large (see flush_l2_stream).
   std::size_t total_requests = 0;
   for (const int sm : used_sms_) {
     total_requests += l2_requests_[static_cast<std::size_t>(sm)].size();
@@ -851,8 +705,6 @@ LaunchResult GpuSim::end_launch(std::uint64_t tasks, bool host_launch) {
     }
     stats_.peak_trace_bytes =
         std::max(stats_.peak_trace_bytes, trace_.bytes_in_use());
-    stats_.peak_legacy_bytes =
-        std::max(stats_.peak_legacy_bytes, trace_.legacy_equivalent_bytes());
   }
   ++stats_.launches;
   launch_open_ = false;

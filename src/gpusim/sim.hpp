@@ -293,15 +293,16 @@ class WarpCtx {
         sanitize_(sanitize),
         fault_(fault) {}
 
-  // Translates lane element indices to device addresses directly into the
-  // launch trace's address pool (no per-call allocation). Under the
-  // sanitizer, out-of-bounds indices are reported and clamped; the
-  // sanitizer-off hot path keeps the single debug assertion.
+  // Translates lane element indices to device addresses into a 32-slot
+  // staging buffer (no per-call allocation): the launch trace's, or the
+  // fused charge's. Under the sanitizer, out-of-bounds indices are reported
+  // and clamped; the sanitizer-off hot path keeps the single debug
+  // assertion.
   template <typename T>
   void record_addresses(const Buffer<T>& buf,
                         std::span<const std::uint64_t> indices) {
     RDBS_DCHECK(indices.size() <= 32);
-    std::uint64_t* slots = trace_slots(indices.size());
+    std::uint64_t* slots = trace_slots();
     if (sanitize_) {
       for (std::size_t i = 0; i < indices.size(); ++i) {
         slots[i] = buf.address_of(
@@ -331,7 +332,7 @@ class WarpCtx {
   template <typename T>
   void maybe_flip(const Buffer<T>& buf, std::span<T> out);
 
-  std::uint64_t* trace_slots(std::size_t lanes);
+  std::uint64_t* trace_slots();
   void record_mem(std::uint8_t kind, std::uint32_t lanes);
   std::uint64_t checked_index_slow(const std::string& buffer_name,
                                    std::uint64_t index, std::uint64_t size);
@@ -358,15 +359,13 @@ struct LaunchResult {
   std::uint64_t tasks = 0;   // warp tasks executed
 };
 
-// How a launch's memory-cost side is computed. All three produce bit-
-// identical counters, per-launch ms and functional results; they differ
-// only in wall-clock cost and in whether a trace is materialized for
-// post-launch consumers (the sanitizer scans it after replay).
+// How a launch's memory-cost side is computed. Both produce bit-identical
+// counters, per-launch ms and functional results; they differ only in
+// wall-clock cost and in whether a trace is materialized for post-launch
+// consumers (the sanitizer scans it after replay).
 enum class ReplayMode : std::uint8_t {
   kAuto = 0,     // fused when legal (sanitizer off), else two-pass
   kTwoPass = 1,  // always record a trace, then replay it
-  kFused = 2,    // request fused; still falls back to two-pass when the
-                 // sanitizer needs a materialized trace
 };
 
 // Cumulative trace/replay statistics (capacity reporting for the
@@ -374,8 +373,7 @@ enum class ReplayMode : std::uint8_t {
 struct TraceStats {
   std::uint64_t launches = 0;        // total launches ended
   std::uint64_t fused_launches = 0;  // of which ran fused (no trace stored)
-  std::uint64_t peak_trace_bytes = 0;   // largest materialized trace
-  std::uint64_t peak_legacy_bytes = 0;  // what AoS would have needed for it
+  std::uint64_t peak_trace_bytes = 0;  // largest materialized trace
 };
 
 class GpuSim {
@@ -493,8 +491,8 @@ class GpuSim {
     if (!fault_ || out.empty() || device_lost_) return;
     if (fault_log_.size() >= fault_->config().max_faults) return;
     // The op ordinal comes from the simulator's own memory-op counter, not
-    // the trace container, so fault plans are identical across trace
-    // layouts and replay modes (fused launches store no trace at all).
+    // the trace container, so fault plans are identical across replay modes
+    // (fused launches store no trace at all).
     const std::uint64_t op_ordinal = launch_ops_ == 0 ? 0 : launch_ops_ - 1;
     const FaultInjector::FlipDecision d = fault_->load_fault(
         launch_stream_, current_stream_launch_, task, op_ordinal);
@@ -588,9 +586,9 @@ class GpuSim {
   // True when the library was built with RDBS_PARALLEL (OpenMP) support.
   static bool parallel_compiled();
 
-  // --- replay mode & trace layout ------------------------------------------
+  // --- replay mode ----------------------------------------------------------
   // See ReplayMode above. Purely a wall-clock/footprint knob: results are
-  // bit-identical across all modes. May not change inside an open launch.
+  // bit-identical across modes. May not change inside an open launch.
   void set_replay_mode(ReplayMode mode) {
     RDBS_DCHECK(!launch_open_);
     replay_mode_ = mode;
@@ -598,16 +596,6 @@ class GpuSim {
   ReplayMode replay_mode() const { return replay_mode_; }
   static void set_default_replay_mode(ReplayMode mode);
   static ReplayMode default_replay_mode();
-  // Trace storage layout for two-pass launches (gpusim/trace.hpp). The
-  // trace is per-launch scratch, so switching clears it.
-  void set_trace_layout(TraceLayout layout) {
-    RDBS_DCHECK(!launch_open_);
-    trace_.clear();
-    trace_.set_layout(layout);
-  }
-  TraceLayout trace_layout() const { return trace_.layout(); }
-  static void set_default_trace_layout(TraceLayout layout);
-  static TraceLayout default_trace_layout();
   // Cumulative trace/replay statistics (never reset; diagnostics only).
   const TraceStats& trace_stats() const { return stats_; }
 
@@ -745,13 +733,6 @@ class GpuSim {
   // shards, serial over the shared L2 in canonical task order.
   void replay_launch();
   void replay_shard(int sm);
-  // Seed-faithful shard replay used for the legacy (AoS) layout: per-sector
-  // scalar cache probes and a per-sector L2 request list, exactly the
-  // pipeline this codebase shipped before the batched/binned overhaul. Kept
-  // as the executable baseline the throughput benchmark measures against
-  // and as a differential oracle for the layout-equivalence tests (both
-  // paths must produce bit-identical counters and task cycles).
-  void replay_shard_seed(int sm);
   // Fused-mode charge of one warp memory instruction, applied inline during
   // the serial record phase (bit-identical to record+replay; see the header
   // comment). The staged lane addresses live in fused_lanes_.

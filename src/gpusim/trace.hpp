@@ -1,51 +1,40 @@
 // Per-launch memory trace shared between the simulator core (sim.cpp
 // records and replays it) and the sanitizer (sanitizer.cpp scans it after
 // replay). One launch at a time: the trace is cleared by begin_launch and
-// consumed by end_launch.
+// consumed by end_launch. Only two-pass launches materialize it; fused
+// launches charge the caches inline and store nothing (gpusim/sim.hpp).
 //
 // The ordinal of an op in this trace is also the memory-op ordinal in the
 // fault injector's counter key (gpusim/fault.hpp): it is assigned during
 // the serial record phase, so fault plans keyed on it are independent of
-// the replay worker count AND of the trace layout (the simulator counts
-// ops itself; see GpuSim::launch_ops_).
+// the replay worker count AND of the replay mode (the simulator counts ops
+// itself; see GpuSim::launch_ops_).
 //
-// Two storage layouts, selectable per simulator (GpuSim::set_trace_layout):
+// Storage is structure-of-arrays: one meta byte per op (kind + a
+// record-time "lanes already sorted" flag), one lane-count byte per op, and
+// a shared byte stream of zigzag-varint address deltas. The delta chain
+// resets at every task boundary (TaskRecord::addr_begin is the task's byte
+// offset), so per-SM replay shards can decode their tasks independently and
+// in parallel. Warp access patterns are overwhelmingly small-stride
+// (consecutive lanes touch consecutive elements), so most deltas fit in one
+// byte: on warp-local ops the encoded trace is >= 4x smaller than an
+// array-of-structs one (per op, an 8-byte header plus one u64 per lane) —
+// the difference between a SCALE-21 (2M+ vertex) workload fitting in CI
+// memory or not.
 //
-//   kCompressed (default) — structure-of-arrays: one meta byte per op
-//     (kind + a record-time "lanes already sorted" flag), one lane-count
-//     byte per op, and a shared byte stream of zigzag-varint address
-//     deltas. The delta chain resets at every task boundary
-//     (TaskRecord::addr_begin is the task's byte offset), so per-SM replay
-//     shards can decode their tasks independently and in parallel. Warp
-//     access patterns are overwhelmingly small-stride (consecutive lanes
-//     touch consecutive elements), so most deltas fit in one byte and the
-//     encoded trace is typically 4-8x smaller than the AoS layout — the
-//     difference between a SCALE-21 (2M+ vertex) workload fitting in CI
-//     memory or not.
-//
-//   kLegacy — the original array-of-structs TraceOp records plus a flat
-//     u64 lane-address pool. Kept as the bit-exact baseline for the
-//     layout-equivalence tests and the throughput benchmarks.
-//
-// Both layouts decode through the same OpCursor so consumers (replay,
-// gsan) are layout-blind. Lane addresses always decode in original lane
-// order — sanitizer reports depend on first-touch discovery order.
+// Consumers (replay, gsan) decode through OpCursor. Lane addresses always
+// decode in original lane order — sanitizer reports depend on first-touch
+// discovery order.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <vector>
-
-#include "common/macros.hpp"
 
 namespace rdbs::gpusim {
 
-// One warp-level memory instruction in the legacy (AoS) layout.
-// `addr_begin` indexes the launch's address pool (one entry per active
-// lane). Also the home of the kind constants shared by both layouts.
-//
-// Kinds:
+// Kinds of one warp-level memory instruction, shared by the record path,
+// the replay and the sanitizer:
 //   0  plain load        (L1-cached)
 //   1  plain store       (write-through L1)
 //   2  atomic            (L1 bypass, resolves at L2, conflict serialization)
@@ -56,10 +45,6 @@ namespace rdbs::gpusim {
 // they skip the L1 like atomics (no stale-line reuse, every access reaches
 // the coherence point) but carry no same-address serialization cost.
 struct TraceOp {
-  std::uint8_t kind;
-  std::uint8_t lanes;
-  std::uint32_t addr_begin;
-
   static constexpr std::uint8_t kLoad = 0;
   static constexpr std::uint8_t kStore = 1;
   static constexpr std::uint8_t kAtomic = 2;
@@ -82,18 +67,11 @@ struct TraceOp {
   static constexpr bool kind_is_synced(std::uint8_t k) {
     return k == kAtomic || kind_is_volatile(k);
   }
-
-  bool is_read() const { return kind_is_read(kind); }
-  bool is_plain_store() const { return kind == kStore; }
-  bool is_write() const { return kind_is_write(kind); }
-  bool is_volatile() const { return kind_is_volatile(kind); }
-  bool is_synced() const { return kind_is_synced(kind); }
 };
 
 // Per-task record: trace extent, placement, record-time cycles and the
 // scheduling weight, plus this task's slice of its SM's L2-request list.
-// `addr_begin` is the compressed address stream's byte offset at op_begin
-// (unused by the legacy layout, whose ops carry pool indices).
+// `addr_begin` is the address stream's byte offset at op_begin.
 struct TaskRecord {
   std::uint32_t op_begin = 0;
   std::uint32_t op_end = 0;
@@ -105,75 +83,31 @@ struct TaskRecord {
   std::uint64_t addr_begin = 0;
 };
 
-enum class TraceLayout : std::uint8_t {
-  kCompressed = 0,  // SoA meta/lanes arrays + varint delta address stream
-  kLegacy = 1,      // AoS TraceOp records + flat u64 address pool
-};
-
 class LaunchTrace {
  public:
-  // --- layout control -------------------------------------------------------
-  TraceLayout layout() const { return layout_; }
-  // Switching layouts is only legal on an empty trace (between launches).
-  void set_layout(TraceLayout layout) {
-    RDBS_DCHECK(num_ops() == 0);
-    layout_ = layout;
-  }
-
   void clear() {
     op_meta_.clear();
     op_lanes_.clear();
     addr_bytes_.clear();
-    legacy_ops_.clear();
-    pool_.clear();
-    total_lanes_ = 0;
     prev_addr_ = 0;
   }
 
-  std::size_t num_ops() const {
-    return layout_ == TraceLayout::kLegacy ? legacy_ops_.size()
-                                           : op_meta_.size();
-  }
-  std::uint64_t total_lanes() const { return total_lanes_; }
-  // Byte offset of the compressed address stream's write head — snapshot
-  // into TaskRecord::addr_begin at task start.
+  std::size_t num_ops() const { return op_meta_.size(); }
+  // Byte offset of the address stream's write head — snapshot into
+  // TaskRecord::addr_begin at task start.
   std::uint64_t addr_stream_offset() const { return addr_bytes_.size(); }
 
   // Current encoded footprint of this launch's trace.
   std::uint64_t bytes_in_use() const {
-    if (layout_ == TraceLayout::kLegacy) {
-      return legacy_ops_.size() * sizeof(TraceOp) +
-             pool_.size() * sizeof(std::uint64_t);
-    }
     return op_meta_.size() + op_lanes_.size() + addr_bytes_.size();
-  }
-  // What the AoS layout would need for the same ops (capacity reporting).
-  std::uint64_t legacy_equivalent_bytes() const {
-    return num_ops() * sizeof(TraceOp) + total_lanes_ * sizeof(std::uint64_t);
   }
 
   // --- record API (serial record phase only) --------------------------------
-  // Staging for one warp op's lane addresses, filled by the caller and
-  // sealed by append_op. Legacy layout: the pool tail, so addresses land in
-  // their final place. Compressed: a fixed 32-slot staging buffer that
-  // append_op encodes into the delta stream.
-  std::uint64_t* lane_slots(std::size_t lanes) {
-    RDBS_DCHECK(lanes <= 32);
-    if (layout_ == TraceLayout::kLegacy) {
-      pool_.resize(pool_.size() + lanes);
-      return pool_.data() + (pool_.size() - lanes);
-    }
-    return staging_.data();
-  }
+  // Staging for one warp op's lane addresses: a fixed 32-slot buffer,
+  // filled by the caller and encoded into the delta stream by append_op.
+  std::uint64_t* lane_slots() { return staging_.data(); }
 
   void append_op(std::uint8_t kind, std::uint32_t lanes) {
-    total_lanes_ += lanes;
-    if (layout_ == TraceLayout::kLegacy) {
-      const auto addr_begin = static_cast<std::uint32_t>(pool_.size() - lanes);
-      legacy_ops_.push_back(
-          TraceOp{kind, static_cast<std::uint8_t>(lanes), addr_begin});
-      return;
-    }
     // Encode the staged lane addresses as zigzag-varint deltas against the
     // running chain (previous lane of this task, across op boundaries). The
     // sorted flag falls out of the same pass: non-decreasing within the op.
@@ -203,17 +137,13 @@ class LaunchTrace {
     std::uint8_t kind = 0;
     std::uint8_t lanes = 0;
     // Record-time hint: lane addresses are already non-decreasing, so the
-    // replay's coalescing scan may skip its sort. Always false for the
-    // legacy layout (the baseline does not pay for the record-time check).
+    // replay's coalescing scan may skip its sort.
     bool sorted = false;
     // Lane addresses in original lane order, valid until the next next().
     const std::uint64_t* addrs = nullptr;
 
-    bool is_read() const { return TraceOp::kind_is_read(kind); }
     bool is_plain_store() const { return kind == TraceOp::kStore; }
     bool is_write() const { return TraceOp::kind_is_write(kind); }
-    bool is_volatile() const { return TraceOp::kind_is_volatile(kind); }
-    bool is_synced() const { return TraceOp::kind_is_synced(kind); }
   };
 
   // Sequential decoder over one task's ops [op_begin, op_end). Decodes each
@@ -223,35 +153,26 @@ class LaunchTrace {
    public:
     bool next(OpView& view) {
       if (op_ == op_end_) return false;
-      if (trace_->layout_ == TraceLayout::kLegacy) {
-        const TraceOp& op = trace_->legacy_ops_[op_];
-        std::memcpy(buf_.data(), trace_->pool_.data() + op.addr_begin,
-                    op.lanes * sizeof(std::uint64_t));
-        view.kind = op.kind;
-        view.lanes = op.lanes;
-        view.sorted = false;
-      } else {
-        const std::uint8_t meta = trace_->op_meta_[op_];
-        const std::uint8_t lanes = trace_->op_lanes_[op_];
-        const std::uint8_t* p = trace_->addr_bytes_.data() + byte_;
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-          std::uint64_t z = 0;
-          std::uint32_t shift = 0;
-          std::uint8_t b;
-          do {
-            b = *p++;
-            z |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-            shift += 7;
-          } while (b & 0x80);
-          prev_ = static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(prev_) + unzigzag(z));
-          buf_[l] = prev_;
-        }
-        byte_ = static_cast<std::uint64_t>(p - trace_->addr_bytes_.data());
-        view.kind = meta & kKindMask;
-        view.lanes = lanes;
-        view.sorted = (meta & kSortedFlag) != 0;
+      const std::uint8_t meta = trace_->op_meta_[op_];
+      const std::uint8_t lanes = trace_->op_lanes_[op_];
+      const std::uint8_t* p = trace_->addr_bytes_.data() + byte_;
+      for (std::uint32_t l = 0; l < lanes; ++l) {
+        std::uint64_t z = 0;
+        std::uint32_t shift = 0;
+        std::uint8_t b;
+        do {
+          b = *p++;
+          z |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+          shift += 7;
+        } while (b & 0x80);
+        prev_ = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(prev_) + unzigzag(z));
+        buf_[l] = prev_;
       }
+      byte_ = static_cast<std::uint64_t>(p - trace_->addr_bytes_.data());
+      view.kind = meta & kKindMask;
+      view.lanes = lanes;
+      view.sorted = (meta & kSortedFlag) != 0;
       view.addrs = buf_.data();
       ++op_;
       return true;
@@ -273,7 +194,7 @@ class LaunchTrace {
     const LaunchTrace* trace_;
     std::uint32_t op_;
     std::uint32_t op_end_;
-    std::uint64_t byte_;  // compressed stream position (kCompressed only)
+    std::uint64_t byte_;  // address stream position
     std::uint64_t prev_ = 0;
     std::array<std::uint64_t, 32> buf_{};
   };
@@ -302,20 +223,12 @@ class LaunchTrace {
     addr_bytes_.push_back(static_cast<std::uint8_t>(v));
   }
 
-  TraceLayout layout_ = TraceLayout::kCompressed;
-
-  // kCompressed: SoA op arrays + shared delta stream + encoder state.
+  // SoA op arrays + shared delta stream + encoder state.
   std::vector<std::uint8_t> op_meta_;
   std::vector<std::uint8_t> op_lanes_;
   std::vector<std::uint8_t> addr_bytes_;
   std::array<std::uint64_t, 32> staging_{};
   std::uint64_t prev_addr_ = 0;
-
-  // kLegacy: AoS records + flat lane-address pool.
-  std::vector<TraceOp> legacy_ops_;
-  std::vector<std::uint64_t> pool_;
-
-  std::uint64_t total_lanes_ = 0;
 };
 
 }  // namespace rdbs::gpusim

@@ -1,10 +1,20 @@
 // Unit tests for the SIMT simulator: cache behaviour, coalescing, counter
-// accounting, divergence, scheduling and the cost model's invariants.
+// accounting, divergence, scheduling and the cost model's invariants. The
+// cache and coalescing tests are the reference for the primitives the fused
+// and two-pass replay paths share (SectoredCache::access_line and
+// coalesce_warp_lanes), so a bug in one cannot hide behind the other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <map>
+#include <set>
+#include <string>
 
+#include "common/rng.hpp"
 #include "gpusim/cache.hpp"
+#include "gpusim/memory.hpp"
 #include "gpusim/sim.hpp"
 
 namespace rdbs::gpusim {
@@ -43,40 +53,152 @@ TEST(Cache, ResetClears) {
   EXPECT_FALSE(cache.access(0));
 }
 
+// access_line(line, mask) is the probe every replay path charges through;
+// its contract is bit-for-bit equivalence with probing mask's sectors in
+// ascending order through the scalar access(). A twin cache driven sector
+// by sector is the reference. The caches are small against the line range,
+// so most probes evict, and the hit masks must agree at every step (a
+// diverged fill or LRU stamp surfaces as a later mismatch).
+TEST(Cache, AccessLineMatchesPerSectorAccess) {
+  struct Shape {
+    std::size_t capacity_bytes;
+    int ways;
+  };
+  // 8 sets (power of two, masked) and 6 sets (modulo, like the V100 L2).
+  for (const Shape shape : {Shape{4096, 4}, Shape{3072, 4}}) {
+    SectoredCache batched(shape.capacity_bytes, 128, shape.ways);
+    SectoredCache reference(shape.capacity_bytes, 128, shape.ways);
+    Xoshiro256 rng(99);
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t line = rng.next_below(96);
+      const auto mask = static_cast<std::uint32_t>(1 + rng.next_below(15));
+      std::uint32_t expected = 0;
+      for (std::uint32_t s = 0; s < 4; ++s) {
+        if (((mask >> s) & 1u) != 0 && reference.access(line * 128 + s * 32)) {
+          expected |= 1u << s;
+        }
+      }
+      ASSERT_EQ(batched.access_line(line, mask), expected)
+          << "sets=" << batched.num_sets() << " step=" << step
+          << " line=" << line << " mask=" << mask;
+    }
+  }
+}
+
+// coalesce_warp_lanes against a naive std::set model: distinct addresses,
+// distinct 32B sectors, and the ascending (line, sector-mask) list, for
+// 1-32 lanes over the access shapes engines issue.
+TEST(Coalesce, MatchesNaiveSetModel) {
+  enum Pattern { kUnitStride, kDuplicates, kScattered, kDescending };
+  Xoshiro256 rng(7);
+  for (const std::uint32_t spl_shift : {0u, 2u, 5u}) {
+    for (const Pattern pattern :
+         {kUnitStride, kDuplicates, kScattered, kDescending}) {
+      for (std::uint32_t lanes = 1; lanes <= 32; ++lanes) {
+        for (const bool presorted : {false, true}) {
+          const std::uint64_t base = 4096 + 4 * rng.next_below(1 << 16);
+          std::array<std::uint64_t, 32> addrs{};
+          for (std::uint32_t l = 0; l < lanes; ++l) {
+            switch (pattern) {
+              case kUnitStride: addrs[l] = base + 4 * l; break;
+              case kDuplicates: addrs[l] = base + 4 * rng.next_below(3); break;
+              case kScattered:
+                addrs[l] = base + 4 * rng.next_below(1 << 20);
+                break;
+              case kDescending: addrs[l] = base + 8 * (lanes - 1 - l); break;
+            }
+          }
+          // presorted is a promise the record phase makes; keep it.
+          if (presorted) std::sort(addrs.begin(), addrs.begin() + lanes);
+
+          const std::set<std::uint64_t> distinct(addrs.begin(),
+                                                 addrs.begin() + lanes);
+          std::set<std::uint64_t> sectors;
+          for (const std::uint64_t a : distinct) sectors.insert(a >> 5);
+          std::map<std::uint64_t, std::uint32_t> line_masks;
+          for (const std::uint64_t sector : sectors) {
+            line_masks[sector >> spl_shift] |=
+                1u << (sector & ((1u << spl_shift) - 1));
+          }
+
+          std::array<WarpLineRef, 32> lines{};
+          const CoalesceResult co = coalesce_warp_lanes(
+              addrs.data(), lanes, presorted, spl_shift, lines.data());
+          const std::string where =
+              "pattern=" + std::to_string(pattern) +
+              " lanes=" + std::to_string(lanes) +
+              " presorted=" + std::to_string(presorted) +
+              " spl_shift=" + std::to_string(spl_shift);
+          ASSERT_EQ(co.distinct_addrs, distinct.size()) << where;
+          ASSERT_EQ(co.sectors, sectors.size()) << where;
+          ASSERT_EQ(co.lines, line_masks.size()) << where;
+          std::uint32_t i = 0;
+          for (const auto& [line, mask] : line_masks) {
+            ASSERT_EQ(lines[i].line, line) << where << " entry=" << i;
+            ASSERT_EQ(lines[i].mask, mask) << where << " entry=" << i;
+            ++i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// One-launch memory-hierarchy facts, read off the counters. Schedule::kStatic
+// with one warp per block places task t on SM t (the test device has 4).
 TEST(Memory, CoalescedAccessIsOneTransactionPerSector) {
-  MemorySim memory(test_device());
-  // 8 consecutive 4-byte elements = 32 bytes = 1 sector.
-  std::array<std::uint64_t, 8> addrs{};
-  for (int i = 0; i < 8; ++i) addrs[i] = 1000 * 0 + 4096 + i * 4;
-  const auto result = memory.access(0, addrs, true);
-  EXPECT_EQ(result.transactions, 1u);
+  GpuSim sim(test_device());
+  auto buf = sim.alloc<float>("x", 64);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    // 8 consecutive 4-byte elements = 32 bytes = 1 sector.
+    std::array<std::uint64_t, 8> idx{};
+    for (int i = 0; i < 8; ++i) idx[i] = i;
+    std::array<float, 8> out{};
+    ctx.load(buf, std::span<const std::uint64_t>(idx), std::span<float>(out));
+  });
+  EXPECT_EQ(sim.counters().memory_transactions, 1u);
 }
 
 TEST(Memory, ScatteredAccessIsOneTransactionPerLane) {
-  MemorySim memory(test_device());
-  std::array<std::uint64_t, 8> addrs{};
-  for (int i = 0; i < 8; ++i) addrs[i] = 4096 + i * 4096;  // far apart
-  const auto result = memory.access(0, addrs, true);
-  EXPECT_EQ(result.transactions, 8u);
+  GpuSim sim(test_device());
+  auto buf = sim.alloc<float>("x", 8 * 1024);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    std::array<std::uint64_t, 8> idx{};
+    for (int i = 0; i < 8; ++i) idx[i] = i * 1024;  // 4 KiB apart
+    std::array<float, 8> out{};
+    ctx.load(buf, std::span<const std::uint64_t>(idx), std::span<float>(out));
+  });
+  EXPECT_EQ(sim.counters().memory_transactions, 8u);
 }
 
 TEST(Memory, PerSmCachesAreIndependent) {
-  MemorySim memory(test_device());
-  const std::array<std::uint64_t, 1> addr{4096};
-  memory.access(0, addr, true);
-  const auto on_sm0 = memory.access(0, addr, true);
-  EXPECT_EQ(on_sm0.hits, 1u);
-  const auto on_sm1 = memory.access(1, addr, true);
-  EXPECT_EQ(on_sm1.hits, 0u);  // SM 1's L1 never saw it
+  GpuSim sim(test_device());
+  auto buf = sim.alloc<float>("x", 64);
+  sim.run_kernel(Schedule::kStatic, 2, 1, [&](WarpCtx& ctx, std::uint64_t t) {
+    ctx.load_one(buf, 0);
+    if (t == 0) ctx.load_one(buf, 0);  // SM 0 re-reads its own L1 line
+  });
+  const Counters& c = sim.counters();
+  EXPECT_EQ(c.l1_sector_accesses, 3u);
+  // Only SM 0's second load hits; SM 1's L1 never saw the sector (its
+  // miss is served by the shared L2 instead).
+  EXPECT_EQ(c.l1_sector_hits, 1u);
+  EXPECT_EQ(c.l2_sector_hits, 1u);
 }
 
 TEST(Memory, UncachedAccessNeverHits) {
-  MemorySim memory(test_device());
-  const std::array<std::uint64_t, 1> addr{4096};
-  memory.access(0, addr, true);  // warm L1
-  const auto atomic_path = memory.access(0, addr, false);
-  EXPECT_EQ(atomic_path.hits, 0u);
-  EXPECT_EQ(atomic_path.transactions, 1u);
+  GpuSim sim(test_device());
+  auto buf = sim.alloc<std::uint32_t>("x", 64);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    ctx.load_one(buf, 0);  // warm L1
+    const std::uint64_t idx[1] = {0};
+    ctx.atomic_touch(buf, idx);
+  });
+  const Counters& c = sim.counters();
+  // The atomic bypasses the warm L1: only the load probed it, and missed.
+  EXPECT_EQ(c.l1_sector_accesses, 1u);
+  EXPECT_EQ(c.l1_sector_hits, 0u);
+  EXPECT_EQ(c.memory_transactions, 2u);
 }
 
 TEST(Memory, AllocationsAreAlignedAndDisjoint) {

@@ -12,32 +12,36 @@ namespace rdbs {
 namespace {
 
 using gpusim::GpuSim;
-using gpusim::MemorySim;
 using gpusim::Schedule;
 using gpusim::WarpCtx;
 
 TEST(L2, L1MissCanHitL2) {
-  MemorySim memory(gpusim::test_device());
-  const std::array<std::uint64_t, 1> addr{4096};
-  // First touch on SM 0: misses both levels.
-  auto first = memory.access(0, addr, true);
-  EXPECT_EQ(first.hits, 0u);
-  EXPECT_EQ(first.l2_hits, 0u);
-  EXPECT_EQ(first.dram_sectors, 1u);
-  // SM 1 misses its own L1 but the shared L2 has the sector now.
-  auto second = memory.access(1, addr, true);
-  EXPECT_EQ(second.hits, 0u);
-  EXPECT_EQ(second.l2_hits, 1u);
-  EXPECT_EQ(second.dram_sectors, 0u);
+  // Schedule::kStatic, one warp per block: task 0 runs on SM 0, task 1 on
+  // SM 1, in that (canonical) order.
+  GpuSim sim(gpusim::test_device());
+  auto buf = sim.alloc<float>("x", 64);
+  sim.run_kernel(Schedule::kStatic, 2, 1,
+                 [&](WarpCtx& ctx, std::uint64_t) { ctx.load_one(buf, 0); });
+  const auto& c = sim.counters();
+  // SM 0's first touch misses both levels and pays one DRAM sector; SM 1
+  // misses its own L1 but the shared L2 has the sector by then.
+  EXPECT_EQ(c.l1_sector_hits, 0u);
+  EXPECT_EQ(c.l2_sector_accesses, 2u);
+  EXPECT_EQ(c.l2_sector_hits, 1u);
+  EXPECT_EQ(c.dram_bytes, 32u);
 }
 
 TEST(L2, AtomicsShareL2WithLoads) {
-  MemorySim memory(gpusim::test_device());
-  const std::array<std::uint64_t, 1> addr{8192};
-  memory.access(0, addr, true);              // load warms L2
-  auto atomic_path = memory.access(0, addr, false);
-  EXPECT_EQ(atomic_path.l2_hits, 1u);        // atomic hits L2
-  EXPECT_EQ(atomic_path.dram_sectors, 0u);
+  GpuSim sim(gpusim::test_device());
+  auto buf = sim.alloc<std::uint32_t>("x", 64);
+  sim.run_kernel(Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+    ctx.load_one(buf, 0);  // load warms L2
+    const std::uint64_t idx[1] = {0};
+    ctx.atomic_touch(buf, idx);
+  });
+  const auto& c = sim.counters();
+  EXPECT_EQ(c.l2_sector_hits, 1u);  // the atomic hits L2
+  EXPECT_EQ(c.dram_bytes, 32u);     // only the load's cold miss went out
 }
 
 TEST(L2, RepeatedAtomicsStopPayingDram) {

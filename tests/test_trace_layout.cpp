@@ -1,12 +1,13 @@
-// Differential tests for the trace-layout / replay-mode matrix
-// (docs/costmodel.md, "Replay pipeline"): the legacy AoS layout (the seed
-// pipeline, per-sector scalar probes), the compressed SoA layout (batched
-// line probes, binned L2 scan) and the fused record+replay mode must be
-// observationally indistinguishable — bit-identical counters and launch
-// times, byte-identical gsan hazard reports, identical gfi fault decisions
-// — across replay worker counts. A seeded pseudo-random workload sweeps
-// the op-kind and access-pattern space so the equivalence is exercised
-// well beyond what the engine goldens cover.
+// Differential tests for the replay matrix (docs/costmodel.md, "Replay
+// pipeline"): two-pass replay of the compressed trace (per-SM L1 shards,
+// binned L2 scan) and the fused record+replay mode must be observationally
+// indistinguishable — bit-identical counters and launch times,
+// byte-identical gsan hazard reports, identical gfi fault decisions —
+// across replay worker counts. A seeded pseudo-random workload sweeps the
+// op-kind and access-pattern space so the equivalence is exercised well
+// beyond what the engine goldens cover. Both paths charge through
+// coalesce_warp_lanes and SectoredCache::access_line; test_gpusim.cpp
+// checks those against independent reference models.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,23 +25,30 @@ namespace {
 
 struct PipelineUnderTest {
   const char* name;
-  TraceLayout layout;
   ReplayMode mode;
   int threads;
 };
 
-// The full matrix: seed pipeline, overhauled two-pass, fused — serial and
-// with a worker team (workers are irrelevant to fused launches but must
-// stay harmless).
+// The full matrix: two-pass and fused, serial and with a worker team
+// (workers are irrelevant to fused launches but must stay harmless). The
+// first row, serial two-pass, is the reference the others must match.
 const PipelineUnderTest kMatrix[] = {
-    {"legacy/two-pass/1", TraceLayout::kLegacy, ReplayMode::kTwoPass, 1},
-    {"legacy/two-pass/8", TraceLayout::kLegacy, ReplayMode::kTwoPass, 8},
-    {"compressed/two-pass/1", TraceLayout::kCompressed, ReplayMode::kTwoPass,
-     1},
-    {"compressed/two-pass/8", TraceLayout::kCompressed, ReplayMode::kTwoPass,
-     8},
-    {"compressed/fused/1", TraceLayout::kCompressed, ReplayMode::kAuto, 1},
-    {"compressed/fused/8", TraceLayout::kCompressed, ReplayMode::kAuto, 8},
+    {"compressed/two-pass/1", ReplayMode::kTwoPass, 1},
+    {"compressed/two-pass/8", ReplayMode::kTwoPass, 8},
+    {"compressed/fused/1", ReplayMode::kAuto, 1},
+    {"compressed/fused/8", ReplayMode::kAuto, 8},
+};
+
+// Restores the process-wide default replay mode on scope exit, so a failing
+// ASSERT (which returns early) cannot leak a test's defaults into the tests
+// that run after it in the same binary.
+class ScopedDefaultReplayMode {
+ public:
+  ScopedDefaultReplayMode() : saved_(GpuSim::default_replay_mode()) {}
+  ~ScopedDefaultReplayMode() { GpuSim::set_default_replay_mode(saved_); }
+
+ private:
+  ReplayMode saved_;
 };
 
 struct Observation {
@@ -58,7 +66,6 @@ struct Observation {
 Observation run_workload(const PipelineUnderTest& p, bool sanitize,
                          bool inject_faults) {
   GpuSim sim(test_device());
-  sim.set_trace_layout(p.layout);
   sim.set_replay_mode(p.mode);
   sim.set_worker_threads(p.threads);
   if (sanitize) sim.enable_sanitizer(SanitizeMode::kOn);
@@ -147,7 +154,7 @@ void expect_equal(const Observation& actual, const Observation& reference,
   EXPECT_EQ(actual.faults, reference.faults) << name;
 }
 
-TEST(TraceLayout, CountersAndTimesMatchAcrossMatrix) {
+TEST(ReplayMatrix, CountersAndTimesMatchAcrossMatrix) {
   const Observation reference =
       run_workload(kMatrix[0], /*sanitize=*/false, /*inject_faults=*/false);
   // The kAuto configurations must actually have fused (no sanitizer
@@ -163,9 +170,9 @@ TEST(TraceLayout, CountersAndTimesMatchAcrossMatrix) {
   }
 }
 
-TEST(TraceLayout, SanitizerReportsIdenticalAcrossLayouts) {
-  // The sanitizer pins launches to two-pass (it scans the materialized
-  // trace), so this compares the two layouts' OpCursor decode paths.
+TEST(ReplayMatrix, SanitizerReportsIdenticalAcrossMatrix) {
+  // The sanitizer pins every row to two-pass (it scans the materialized
+  // trace), so this compares the decoded trace across worker counts.
   const Observation reference =
       run_workload(kMatrix[0], /*sanitize=*/true, /*inject_faults=*/false);
   EXPECT_FALSE(reference.hazard_report.empty());
@@ -176,7 +183,7 @@ TEST(TraceLayout, SanitizerReportsIdenticalAcrossLayouts) {
   }
 }
 
-TEST(TraceLayout, FaultDecisionsIdenticalAcrossMatrix) {
+TEST(ReplayMatrix, FaultDecisionsIdenticalAcrossMatrix) {
   const Observation reference =
       run_workload(kMatrix[0], /*sanitize=*/false, /*inject_faults=*/true);
   EXPECT_FALSE(reference.faults.empty());
@@ -186,15 +193,18 @@ TEST(TraceLayout, FaultDecisionsIdenticalAcrossMatrix) {
   }
 }
 
-TEST(TraceLayout, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
+TEST(ReplayMatrix, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
   // The capacity claim behind the SCALE-21 row: on the engine's dominant
   // access shape (warp-local small strides) the delta/varint stream plus
-  // per-op meta bytes must undercut the AoS layout by >= 4x.
+  // per-op meta bytes must undercut an array-of-structs trace by >= 4x.
+  // That reference record is an 8-byte header (kind, lane count, address
+  // offset) plus one u64 address per lane: 264 bytes per full-warp op.
+  constexpr std::uint64_t kOps = 256;
+  constexpr std::uint64_t kAosBytes = kOps * (8 + 32 * 8);
   GpuSim sim(test_device());
-  sim.set_trace_layout(TraceLayout::kCompressed);
   sim.set_replay_mode(ReplayMode::kTwoPass);  // materialize the trace
   auto data = sim.alloc<float>("data", 1 << 16);
-  sim.run_kernel(Schedule::kDynamic, 256, 4,
+  sim.run_kernel(Schedule::kDynamic, kOps, 4,
                  [&](WarpCtx& ctx, std::uint64_t t) {
                    std::array<std::uint64_t, 32> idx;
                    std::array<float, 32> out;
@@ -205,21 +215,23 @@ TEST(TraceLayout, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
                  });
   const TraceStats& stats = sim.trace_stats();
   ASSERT_GT(stats.peak_trace_bytes, 0u);
-  EXPECT_GE(stats.peak_legacy_bytes, 4 * stats.peak_trace_bytes);
+  EXPECT_GE(kAosBytes, 4 * stats.peak_trace_bytes);
 }
 
 // Engine-level cross-check: full RDBS solves must agree across the matrix
-// (distances, counters, modeled time) — the layout/mode knobs must be
-// invisible to everything above the simulator.
-TEST(TraceLayout, EngineResultsMatchAcrossMatrix) {
+// (distances, counters, modeled time) — the replay mode and worker count
+// must be invisible to everything above the simulator.
+TEST(ReplayMatrix, EngineResultsMatchAcrossMatrix) {
   graph::LoadOptions load;
   load.size_scale = -1;
   load.weights = graph::WeightScheme::kUniformInt1To1000;
   load.seed = 42;
   const graph::Csr csr = graph::load_dataset_by_name("k-n21-16", load);
 
+  // Engines construct their GpuSim internally, so the mode goes through the
+  // process-wide default.
+  const ScopedDefaultReplayMode restore_default;
   auto solve = [&](const PipelineUnderTest& p) {
-    GpuSim::set_default_trace_layout(p.layout);
     GpuSim::set_default_replay_mode(p.mode);
     core::GpuSsspOptions options;
     options.basyn = options.pro = options.adwl = true;
@@ -236,8 +248,6 @@ TEST(TraceLayout, EngineResultsMatchAcrossMatrix) {
     ASSERT_EQ(result.sssp.distances, reference.sssp.distances)
         << kMatrix[i].name;
   }
-  GpuSim::set_default_trace_layout(TraceLayout::kCompressed);
-  GpuSim::set_default_replay_mode(ReplayMode::kAuto);
 }
 
 }  // namespace
