@@ -112,6 +112,16 @@ echo "=== [parallel] t=0 serve CLI smoke ==="
   --sources=16 --batch-streams=4 --serve --deadline-ms=0.5 \
   --inject-faults=seed=7,launch=0.2,max=50 > /dev/null
 
+echo "=== [parallel] gsan CLI smoke ==="
+# The engines' device-queue protocols under the sanitizer, through the same
+# code paths users run: hn07, sep-hybrid, adds and rdbs single-query runs,
+# then adds lanes sharing one simulator. The tool exits 3 on any hazard
+# (race, uninitialized read, no-progress spin, ...).
+"$BUILD_ROOT/parallel/examples/sssp_tool" --dataset=k-n12-8 --algorithm=all \
+  --sanitize > /dev/null
+"$BUILD_ROOT/parallel/examples/sssp_tool" --dataset=k-n12-8 --batch \
+  --algorithm=adds --batch-streams=4 --sources=8 --sanitize > /dev/null
+
 run_config serial -DRDBS_PARALLEL=OFF
 
 echo "=== [tsan] configure ==="

@@ -1,6 +1,9 @@
 #include "common/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 
 namespace rdbs {
@@ -71,6 +74,63 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+namespace {
+
+[[noreturn]] void bad_value(std::string_view what, std::string_view key,
+                            std::string_view value, std::string_view why) {
+  throw std::invalid_argument(std::string(what) + ": bad value for '" +
+                              std::string(key) + "': '" + std::string(value) +
+                              "' (" + std::string(why) + ")");
+}
+
+}  // namespace
+
+std::vector<std::pair<std::string_view, std::string_view>> split_spec(
+    std::string_view spec, std::string_view what) {
+  std::vector<std::pair<std::string_view, std::string_view>> fields;
+  while (!spec.empty()) {
+    const std::size_t comma = spec.find(',');
+    const std::string_view item = spec.substr(0, comma);
+    spec = comma == std::string_view::npos ? std::string_view{}
+                                           : spec.substr(comma + 1);
+    if (item.empty()) continue;
+    const std::size_t eq = item.find('=');
+    if (eq == std::string_view::npos) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": expected key=value, got '" +
+                                  std::string(item) + "'");
+    }
+    fields.emplace_back(item.substr(0, eq), item.substr(eq + 1));
+  }
+  return fields;
+}
+
+std::uint64_t spec_unsigned(std::string_view what, std::string_view key,
+                            std::string_view value, std::uint64_t max) {
+  std::uint64_t parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || ptr != end || ec == std::errc::invalid_argument) {
+    bad_value(what, key, value, "not an unsigned integer");
+  }
+  if (ec == std::errc::result_out_of_range || parsed > max) {
+    bad_value(what, key, value, "above " + std::to_string(max));
+  }
+  return parsed;
+}
+
+double spec_double(std::string_view what, std::string_view key,
+                   std::string_view value) {
+  double parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || ptr != end || ec != std::errc{} ||
+      !std::isfinite(parsed)) {
+    bad_value(what, key, value, "not a finite number");
+  }
+  return parsed;
 }
 
 }  // namespace rdbs

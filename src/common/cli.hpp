@@ -1,4 +1,5 @@
-// Minimal command-line flag parser for the bench binaries and examples.
+// Minimal command-line flag parser for the bench binaries and examples,
+// and the one `key=value,...` spec grammar their structured flags share.
 //
 // Supports --flag=value, --flag value, and bare boolean --flag forms.
 // Unknown flags are collected so google-benchmark's own flags pass through.
@@ -7,6 +8,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rdbs {
@@ -35,5 +38,26 @@ class CliArgs {
   std::vector<std::string> positional_;
   std::vector<std::string> passthrough_;
 };
+
+// --- key=value specs --------------------------------------------------------
+// The comma-separated grammar of the fault (`seed=7,launch=0.05`), traffic
+// (`poisson:n=200,rate=2`, after the process prefix) and closed-loop
+// (`budget=2,backoff=0.5`) specs. `what` names the grammar in error
+// messages; every error is a std::invalid_argument.
+
+// The spec's non-empty items split at their first '=', in order; the views
+// point into `spec`. Throws on an item without '='.
+std::vector<std::pair<std::string_view, std::string_view>> split_spec(
+    std::string_view spec, std::string_view what);
+
+// A decimal unsigned integer in [0, max]: digits only — no sign, fraction,
+// exponent or whitespace. Throws naming `key` otherwise.
+std::uint64_t spec_unsigned(std::string_view what, std::string_view key,
+                            std::string_view value, std::uint64_t max);
+
+// A finite decimal floating-point number (no inf/nan). Throws naming `key`
+// otherwise.
+double spec_double(std::string_view what, std::string_view key,
+                   std::string_view value);
 
 }  // namespace rdbs

@@ -13,7 +13,6 @@
 // Kronecker graphs in Fig. 8/Table 2).
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "core/device_graph.hpp"
@@ -76,7 +75,6 @@ class AddsLike {
   GpuRunResult run_attempt(graph::VertexId source);
 
   void init_device_state(const DeviceCsrBuffers* shared_graph);
-  void init_distances_kernel(graph::VertexId source);
 
   std::unique_ptr<gpusim::GpuSim> owned_sim_;  // null in shared-sim mode
   gpusim::GpuSim* sim_;                        // never null
@@ -88,11 +86,8 @@ class AddsLike {
   std::unique_ptr<DeviceCsrBuffers> owned_graph_;
   const DeviceCsrBuffers* graph_bufs_ = nullptr;  // never null after ctor
   gpusim::Buffer<graph::Distance> dist_;
-  gpusim::Buffer<graph::VertexId> near_queue_;
-  gpusim::Buffer<graph::VertexId> far_pile_;
-  gpusim::Buffer<std::uint32_t> queue_ctrl_;  // [0]=near tail, [1]=near head,
-                                              // [2]=far tail
-  gpusim::Buffer<std::uint8_t> in_near_;
+  DeviceQueue near_;  // Near ring (in_near flags)
+  DeviceQueue far_;   // Far pile (duplicates, no flags)
 
   sssp::WorkStats work_;
 };

@@ -14,10 +14,6 @@ namespace {
 // row offsets / vertex ids / weights / distances.
 constexpr std::uint32_t kDeviceWord = 4;
 
-// Cells of the queue control buffer (atomically claimed cursors).
-constexpr std::uint64_t kTailCell[1] = {0};
-constexpr std::uint64_t kHeadCell[1] = {1};
-
 }  // namespace
 
 GpuDeltaStepping::GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
@@ -82,49 +78,16 @@ void GpuDeltaStepping::init_device_state(const DeviceCsrBuffers* shared_graph) {
     sim_->mark_initialized(heavy_offsets_);  // H2D upload
   }
   dist_ = sim_->alloc<Distance>("dist", n, kDeviceWord);
-  queue_ = sim_->alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
-                                 kDeviceWord);
+  auto slots = sim_->alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
+                                     kDeviceWord);
   // Queue cursors ([0]=tail, [1]=head), claimed with warp-aggregated
   // atomics. Host-initialized at upload time (cudaMemset).
-  queue_ctrl_ = sim_->alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_->mark_initialized(queue_ctrl_);
-  in_queue_ = sim_->alloc<std::uint8_t>("in_queue", n, 1);
+  const auto ctrl = sim_->alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim_->mark_initialized(ctrl);
+  queue_.bind(*sim_, std::move(slots), ctrl, /*tail_cell=*/0,
+              /*head_cell=*/1, sim_->alloc<std::uint8_t>("in_queue", n, 1));
   epoch_.assign(n, ~0ull);
   driver_.set_warm_start(options_.warm_start);
-}
-
-void GpuDeltaStepping::init_distances_kernel(VertexId source) {
-  const VertexId n = csr_.num_vertices();
-  const std::uint64_t warps = (n + 31) / 32;
-  // One coalesced store of 32 distances (and queue-flag clears) per warp.
-  sim_->label_next_launch("init_distances");
-  sim_->run_kernel(
-      gpusim::Schedule::kStatic, warps, /*warps_per_block=*/8,
-      [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-        const std::uint64_t begin = w * 32;
-        const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
-        std::array<std::uint64_t, 32> idx{};
-        std::array<Distance, 32> inf{};
-        std::array<std::uint8_t, 32> zero{};
-        const std::size_t lanes = static_cast<std::size_t>(end - begin);
-        for (std::size_t i = 0; i < lanes; ++i) {
-          idx[i] = begin + i;
-          inf[i] = graph::kInfiniteDistance;
-          zero[i] = 0;
-        }
-        ctx.store(dist_, std::span<const std::uint64_t>(idx.data(), lanes),
-                  std::span<const Distance>(inf.data(), lanes));
-        ctx.store(in_queue_, std::span<const std::uint64_t>(idx.data(), lanes),
-                  std::span<const std::uint8_t>(zero.data(), lanes));
-      },
-      /*host_launch=*/true, stream_);
-  // Tiny kernel: dist[source] = 0.
-  sim_->label_next_launch("seed_source");
-  sim_->run_kernel(gpusim::Schedule::kStatic, 1, 1,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t) {
-                    ctx.store_one(dist_, source, Distance{0});
-                  },
-                  /*host_launch=*/true, stream_);
 }
 
 EdgeIndex GpuDeltaStepping::light_end(VertexId v, Weight delta) const {
@@ -135,70 +98,25 @@ EdgeIndex GpuDeltaStepping::light_end(VertexId v, Weight delta) const {
   return csr_.row_begin(v) + static_cast<EdgeIndex>(split - weights.data());
 }
 
-void GpuDeltaStepping::charge_enqueue(gpusim::WarpCtx& ctx,
-                                      std::uint32_t lanes) {
-  if (lanes == 0) return;
-  // Warp-aggregated queue append (enqueue() already performed the
-  // functional writes and advanced queue_tail_, so the warp's slots are the
-  // `lanes` positions just below the tail): one tail atomic for the warp on
-  // the control cell, a flag atomicExch per enqueued vertex, and a volatile
-  // (st.cg) store of the vertex ids into the claimed ring slots — volatile
-  // because concurrent warps of the same persistent kernel pop these slots,
-  // so a plain cached store would race with the pop (gsan: race-rw).
-  std::array<std::uint64_t, 32> slot{};
-  std::array<std::uint64_t, 32> flag{};
-  for (std::uint32_t i = 0; i < lanes; ++i) {
-    slot[i] = (queue_tail_ - lanes + i) % queue_.size();
-    flag[i] = queue_[slot[i]];  // the vertex id enqueue() put there
-  }
-  ctx.atomic_touch(queue_ctrl_, std::span<const std::uint64_t>(kTailCell, 1));
-  ctx.atomic_touch(in_queue_,
-                   std::span<const std::uint64_t>(flag.data(), lanes));
-  ctx.volatile_touch(queue_, std::span<const std::uint64_t>(slot.data(), lanes),
-                     /*is_store=*/true);
-}
-
 void GpuDeltaStepping::seed_queue(VertexId source, Weight hi) {
   // The host seeds the ring with the source vertex — modeled as an H2D
   // upload (the claimed slots plus the in-queue flags), so the cursors and
   // the first pops' slot reads are accounted for.
-  vqueue_.push_back(source);
-  in_queue_[source] = 1;
-  queue_[0] = source;
-  queue_tail_ = 1;
-  sim_->mark_initialized(in_queue_, source, 1);
+  queue_.seed(source);
   // Warm start: vertices seeded inside the initial window join the seed
   // frontier here. Later windows are collected by the phase-2/3 scan over
   // the live distances, but nothing scans ahead of the first window.
   if (driver_.warm_bounds() != nullptr) {
     for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
-      if (v == source || in_queue_[v] != 0) continue;
-      if (dist_[v] >= hi) continue;  // also skips untouched infinities
-      in_queue_[v] = 1;
-      queue_[queue_tail_ % queue_.size()] = v;
-      ++queue_tail_;
-      vqueue_.push_back(v);
-      sim_->mark_initialized(in_queue_, v, 1);
+      // seed() skips the source, already queued; `< hi` skips infinities.
+      if (dist_[v] < hi) queue_.seed(v);
     }
   }
-  sim_->mark_initialized(
-      queue_, 0,
-      static_cast<std::size_t>(
-          std::min<std::uint64_t>(queue_tail_, queue_.size())));
-}
-
-void GpuDeltaStepping::enqueue(gpusim::WarpCtx& /*ctx*/, VertexId v,
-                               std::uint32_t /*lanes*/) {
-  // Functional side: flag-deduplicated FIFO append.
-  if (in_queue_[v]) return;
-  in_queue_[v] = 1;
-  queue_[queue_tail_ % queue_.size()] = v;
-  ++queue_tail_;
-  vqueue_.push_back(v);
+  queue_.publish();
 }
 
 void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
-                                   std::vector<VertexId>& lanes, Weight lo,
+                                   std::span<const VertexId> lanes, Weight lo,
                                    Weight hi, Weight delta,
                                    std::vector<ChildChunk>* children,
                                    BucketStats& stats) {
@@ -206,31 +124,10 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
   const auto lane_count = static_cast<std::uint32_t>(lanes.size());
   RDBS_DCHECK(lane_count > 0 && lane_count <= 32);
 
-  // Pop bookkeeping: one head atomic for the warp on the control cell, a
-  // volatile (ld.cg) read of the vertex ids from the claimed ring slots
-  // (they were written by concurrent warps' volatile stores), and an
-  // atomicExch per lane clearing the in-queue flag — atomic because
-  // enqueuing warps touch the same flag cells concurrently.
+  queue_.charge_pop(ctx, lanes);
   std::array<std::uint64_t, 32> vidx{};
   for (std::uint32_t i = 0; i < lane_count; ++i) vidx[i] = lanes[i];
   std::span<const std::uint64_t> vspan(vidx.data(), lane_count);
-  {
-    std::array<std::uint64_t, 32> slot{};
-    for (std::uint32_t i = 0; i < lane_count; ++i) {
-      slot[i] = (queue_head_ + i) % queue_.size();
-      // The pop spins until the claiming enqueuer's volatile store lands in
-      // the ring slot; gsan's no-progress check verifies a satisfying write
-      // (an earlier push or the host seed) actually exists.
-      ctx.spin_wait(queue_, slot[i]);
-    }
-    queue_head_ += lane_count;
-    ctx.atomic_touch(queue_ctrl_, std::span<const std::uint64_t>(kHeadCell, 1));
-    ctx.volatile_touch(queue_,
-                       std::span<const std::uint64_t>(slot.data(), lane_count),
-                       /*is_store=*/false);
-    ctx.atomic_touch(in_queue_, vspan);
-    for (std::uint32_t i = 0; i < lane_count; ++i) in_queue_[lanes[i]] = 0;
-  }
   // Distinct-settlement count (C_i for the Δ-controller): every vertex of
   // the current bucket passes through the queue exactly until it settles.
   for (std::uint32_t i = 0; i < lane_count; ++i) {
@@ -388,9 +285,7 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
       ++work_.total_updates;
       ++stats.phase1_updates;
       if (relax_val[i] < hi) {
-        const auto v = static_cast<VertexId>(relax_idx[i]);
-        if (!in_queue_[v]) ++enq;
-        enqueue(ctx, v, 1);
+        if (queue_.offer(static_cast<VertexId>(relax_idx[i]))) ++enq;
       }
     }
     if (enq > 0) {
@@ -398,7 +293,7 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
         // Workload-list classification costs a light-degree lookup.
         ctx.alu(1, enq);
       }
-      charge_enqueue(ctx, enq);
+      queue_.charge_push(ctx);
     }
   }
 }
@@ -441,18 +336,13 @@ void GpuDeltaStepping::child_warp(gpusim::WarpCtx& ctx,
                  std::span<const std::uint64_t>(relax_idx.data(), relax_count),
                  std::span<const Distance>(relax_val.data(), relax_count),
                  std::span<std::uint8_t>(improved.data(), relax_count));
-  std::uint32_t enq = 0;
   for (std::uint32_t i = 0; i < relax_count; ++i) {
     if (!improved[i]) continue;
     ++work_.total_updates;
     ++stats.phase1_updates;
-    if (relax_val[i] < hi) {
-      const auto v = static_cast<VertexId>(relax_idx[i]);
-      if (!in_queue_[v]) ++enq;
-      enqueue(ctx, v, 1);
-    }
+    if (relax_val[i] < hi) queue_.offer(static_cast<VertexId>(relax_idx[i]));
   }
-  if (enq > 0) charge_enqueue(ctx, enq);
+  queue_.charge_push(ctx);
 }
 
 void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
@@ -465,16 +355,12 @@ void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
                              /*host_launch=*/true, /*warps_per_block=*/8,
                              stream_);
   std::vector<ChildChunk> children;
-  std::vector<VertexId> lanes;
-  while (!vqueue_.empty()) {
-    lanes.clear();
-    while (!vqueue_.empty() && lanes.size() < 32) {
-      lanes.push_back(vqueue_.front());
-      vqueue_.pop_front();
-    }
+  std::array<VertexId, 32> lanes{};
+  while (!queue_.empty()) {
+    const std::uint32_t count = queue_.take_front(lanes);
     auto ctx = kernel.make_warp();
-    parent_warp(ctx, lanes, lo, hi, delta,
-                options_.adwl ? &children : nullptr, stats);
+    parent_warp(ctx, std::span<const VertexId>(lanes.data(), count), lo, hi,
+                delta, options_.adwl ? &children : nullptr, stats);
     kernel.commit(ctx);
     // Drain spawned child chunks before the next parent batch so their
     // updates propagate promptly (Hyper-Q concurrency: dynamically placed).
@@ -493,31 +379,26 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
                                    BucketStats& stats) {
   // Level-synchronous: each frontier sweep is its own kernel launch with a
   // barrier (the overhead the paper's Motivation 3 quantifies).
-  while (!vqueue_.empty()) {
+  while (!queue_.empty()) {
     // Iteration boundary = a host launch boundary: the natural cancellation
     // point of the synchronous mode (the next sweep is simply not launched).
     if (driver_.cancelled()) break;
     // Freeze this iteration's frontier; vertices activated during the sweep
-    // go to the next iteration.
-    std::vector<VertexId> frontier(vqueue_.begin(), vqueue_.end());
-    vqueue_.clear();
-    // Functional note: the in_queue flags of frontier members stay set
-    // until their parent warp pops them inside the kernel.
+    // go to the next iteration. The frontier members' in_queue flags stay
+    // set until their parent warp pops them inside the kernel.
+    const std::vector<VertexId> frontier = queue_.take_all();
     sim_->label_next_launch("phase1_sync");
     gpusim::KernelScope kernel(
         *sim_, options_.adwl ? gpusim::Schedule::kDynamic
                              : gpusim::Schedule::kStatic,
         /*host_launch=*/true, /*warps_per_block=*/8, stream_);
     std::vector<ChildChunk> children;
-    std::vector<VertexId> lanes;
     for (std::size_t i = 0; i < frontier.size(); i += 32) {
-      lanes.assign(frontier.begin() + static_cast<std::ptrdiff_t>(i),
-                   frontier.begin() +
-                       static_cast<std::ptrdiff_t>(
-                           std::min(frontier.size(), i + 32)));
       auto ctx = kernel.make_warp();
-      parent_warp(ctx, lanes, lo, hi, delta,
-                  options_.adwl ? &children : nullptr, stats);
+      parent_warp(ctx,
+                  std::span<const VertexId>(frontier).subspan(
+                      i, std::min<std::size_t>(32, frontier.size() - i)),
+                  lo, hi, delta, options_.adwl ? &children : nullptr, stats);
       kernel.commit(ctx);
     }
     for (const ChildChunk& chunk : children) {
@@ -609,7 +490,6 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
                    std::span<const std::uint64_t>(relax_idx.data(), relax_count),
                    std::span<const Distance>(relax_val.data(), relax_count),
                    std::span<std::uint8_t>(improved.data(), relax_count));
-    std::uint32_t enq = 0;
     for (std::uint32_t i = 0; i < relax_count; ++i) {
       if (!improved[i]) continue;
       ++work_.total_updates;
@@ -617,12 +497,10 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
       // the relaxing thread (the collection strip may already have passed
       // its id).
       if (relax_val[i] >= next_lo && relax_val[i] < next_hi) {
-        const auto v = static_cast<VertexId>(relax_idx[i]);
-        if (!in_queue_[v]) ++enq;
-        enqueue(ctx, v, 1);
+        queue_.offer(static_cast<VertexId>(relax_idx[i]));
       }
     }
-    if (enq > 0) charge_enqueue(ctx, enq);
+    queue_.charge_push(ctx);
   };
 
   // Collection body: enqueue lanes in [next_lo, next_hi). Decisions use the
@@ -634,17 +512,12 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
                           std::span<const Distance> /*dist_vals*/) {
     const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
     ctx.alu(3, 32);  // range classification + warp min-reduce step
-    std::uint32_t enq = 0;
     for (std::uint64_t v = begin; v < end; ++v) {
       const Distance d = dist_[v];
       if (d == graph::kInfiniteDistance) continue;
-      if (d >= next_lo && d < next_hi) {
-        const auto vid = static_cast<VertexId>(v);
-        if (!in_queue_[vid]) ++enq;
-        enqueue(ctx, vid, 1);
-      }
+      if (d >= next_lo && d < next_hi) queue_.offer(static_cast<VertexId>(v));
     }
-    if (enq > 0) charge_enqueue(ctx, enq);
+    queue_.charge_push(ctx);
   };
 
   auto load_strip = [&](gpusim::WarpCtx& ctx, std::uint64_t begin,
@@ -732,13 +605,11 @@ GpuRunResult GpuDeltaStepping::run(VertexId source) {
 GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
   driver_.begin_attempt(dist_);
   work_ = sssp::WorkStats{};
-  vqueue_.clear();
-  queue_tail_ = 0;
-  queue_head_ = 0;
-  std::fill(in_queue_.data().begin(), in_queue_.data().end(), 0);
+  queue_.reset();
 
   GpuRunResult result;
-  init_distances_kernel(source);
+  init_distances(*sim_, stream_, dist_, queue_.flags());
+  seed_source(*sim_, stream_, dist_, source);
   driver_.apply_warm_start(dist_, source);
 
   if (options_.mode == EngineMode::kSyncPushBellmanFord) {
@@ -751,7 +622,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     BucketStats bs;
     bs.delta = graph::kInfiniteDistance;
     bs.high = graph::kInfiniteDistance;
-    bs.initial_active = vqueue_.size();
+    bs.initial_active = queue_.size();
     phase1_sync(0, graph::kInfiniteDistance, graph::kInfiniteDistance, bs);
     if (options_.instrument) result.buckets.push_back(bs);
     result.sssp.work = work_;
@@ -789,11 +660,11 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     bs.delta = delta;
     bs.low = lo;
     bs.high = hi;
-    bs.initial_active = vqueue_.size();
+    bs.initial_active = queue_.size();
 
     const std::uint64_t threads_before = sim_->counters().active_lane_ops;
     const double ms_before_phase1 = sim_->stream_elapsed_ms(stream_);
-    if (!vqueue_.empty()) {
+    if (!queue_.empty()) {
       if (options_.basyn) {
         phase1_async(lo, hi, delta, bs);
       } else {
@@ -823,7 +694,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     // upper bounds here — snapshot them for checkpoint-resume.
     driver_.boundary(dist_);
 
-    if (vqueue_.empty()) {
+    if (queue_.empty()) {
       if (outcome.remaining == 0) break;
       // Distance gap: jump to the smallest unsettled distance and
       // re-collect (one extra scan, no heavy relaxation).
@@ -831,14 +702,14 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
       next_hi = next_lo + delta_next;
       const ScanOutcome jump =
           phase23(hi, hi, delta, next_lo, next_hi, /*relax_heavy=*/false);
-      if (vqueue_.empty() && jump.remaining != 0) {
+      if (queue_.empty() && jump.remaining != 0) {
         // A flip between the two scans can shift the observed minimum; the
         // attempt is poisoned and abandoned rather than aborting.
         RDBS_CHECK_MSG(driver_.poisoned(),
                        "jump scan failed to find the minimum vertex");
         break;
       }
-      if (vqueue_.empty()) break;
+      if (queue_.empty()) break;
     }
     lo = next_lo;
     hi = next_hi;

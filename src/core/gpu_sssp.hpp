@@ -23,8 +23,8 @@
 // costed by gpusim (see gpusim/sim.hpp for the cost model).
 #pragma once
 
-#include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/delta_controller.hpp"
@@ -96,8 +96,6 @@ class GpuDeltaStepping {
   GpuRunResult run_attempt(VertexId source);
 
   // --- kernel bodies -------------------------------------------------------
-  void init_distances_kernel(VertexId source);
-
   // Phase 1, synchronous mode: one kernel per frontier iteration.
   void phase1_sync(Weight lo, Weight hi, Weight delta, BucketStats& stats);
   // Phase 1, asynchronous mode: one persistent kernel per bucket.
@@ -106,7 +104,7 @@ class GpuDeltaStepping {
   // Shared warp body: process up to 32 active vertices thread-per-vertex
   // (parent lanes). With ADWL, medium/large vertices spawn child chunks
   // instead of being processed inline.
-  void parent_warp(gpusim::WarpCtx& ctx, std::vector<VertexId>& lanes,
+  void parent_warp(gpusim::WarpCtx& ctx, std::span<const VertexId> lanes,
                    Weight lo, Weight hi, Weight delta,
                    std::vector<ChildChunk>* children, BucketStats& stats);
   // Child warp: one 32-edge coalesced chunk of a medium/large vertex.
@@ -135,8 +133,6 @@ class GpuDeltaStepping {
   // every warm vertex whose seeded distance already lies inside the initial
   // window [0, hi).
   void seed_queue(VertexId source, Weight hi);
-  void enqueue(gpusim::WarpCtx& ctx, VertexId v, std::uint32_t lanes);
-  void charge_enqueue(gpusim::WarpCtx& ctx, std::uint32_t lanes);
 
   // Allocates per-query device buffers and resolves the graph arrays
   // (shared or freshly uploaded). Common tail of both constructors.
@@ -156,14 +152,7 @@ class GpuDeltaStepping {
   const DeviceCsrBuffers* graph_bufs_ = nullptr;  // never null after ctor
   gpusim::Buffer<EdgeIndex> heavy_offsets_;  // present with PRO
   gpusim::Buffer<Distance> dist_;
-  gpusim::Buffer<VertexId> queue_;     // phase-1 work queue (ring)
-  gpusim::Buffer<std::uint32_t> queue_ctrl_;  // [0]=tail, [1]=head cursors
-  gpusim::Buffer<std::uint8_t> in_queue_;
-
-  // Host-side functional mirror of the work queue.
-  std::deque<VertexId> vqueue_;
-  std::uint64_t queue_tail_ = 0;  // ring cursor for store addressing
-  std::uint64_t queue_head_ = 0;  // ring cursor for pop addressing
+  DeviceQueue queue_;  // phase-1 work queue (ring, in_queue flags)
 
   // Distinct-settlement tracking per bucket (C_i for the Δ-controller):
   // epoch_[v] == current_epoch_ iff v was already counted in this bucket.

@@ -268,24 +268,7 @@ GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
 
   std::fill(dist.data().begin(), dist.data().end(),
             graph::kInfiniteDistance);
-  // Init kernel (coalesced stores over dist).
-  enactor.sim().label_next_launch("init_distances");
-  enactor.sim().run_kernel(
-      gpusim::Schedule::kStatic, (csr.num_vertices() + 31) / 32, 8,
-      [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-        const std::uint64_t begin = w * 32;
-        const std::uint64_t end =
-            std::min<std::uint64_t>(begin + 32, csr.num_vertices());
-        const auto cnt = static_cast<std::uint32_t>(end - begin);
-        std::array<std::uint64_t, 32> idx{};
-        std::array<Distance, 32> inf{};
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-          idx[i] = begin + i;
-          inf[i] = graph::kInfiniteDistance;
-        }
-        ctx.store(dist, std::span<const std::uint64_t>(idx.data(), cnt),
-                  std::span<const Distance>(inf.data(), cnt));
-      });
+  init_distances(enactor.sim(), /*stream=*/0, dist);
   dist[source] = 0;
   enactor.sim().mark_initialized(dist, source, 1);
 

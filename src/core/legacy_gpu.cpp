@@ -15,9 +15,6 @@ using graph::Weight;
 
 namespace {
 constexpr std::uint32_t kDeviceWord = 4;
-// Cells of Davidson's queue control buffer (atomically claimed cursors).
-constexpr std::uint64_t kNearTailCell[1] = {0};
-constexpr std::uint64_t kFarTailCell[1] = {1};
 }
 
 // ---------------------------------------------------------------------------
@@ -241,13 +238,20 @@ DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
   const EdgeIndex m = csr_.num_edges();
   graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
-  near_queue_ = sim_.alloc<VertexId>("near", std::max<std::size_t>(n, 64),
-                                     kDeviceWord);
-  far_pile_ = sim_.alloc<VertexId>("far", std::max<std::size_t>(2 * m + 64, 64),
-                                   kDeviceWord);
-  queue_ctrl_ = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_.mark_initialized(queue_ctrl_);
-  in_near_ = sim_.alloc<std::uint8_t>("in_near", n, 1);
+  auto near_slots = sim_.alloc<VertexId>(
+      "near", std::max<std::size_t>(n, 64), kDeviceWord);
+  auto far_slots = sim_.alloc<VertexId>(
+      "far", std::max<std::size_t>(2 * m + 64, 64), kDeviceWord);
+  // [0]=near tail, [1]=far tail. Nothing pops through a head cursor: the
+  // workfront and the far split read whole windows.
+  const auto ctrl = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim_.mark_initialized(ctrl);
+  // The near flags only deduplicate: Davidson charges no flag traffic.
+  near_.bind(sim_, std::move(near_slots), ctrl, /*tail_cell=*/0,
+             DeviceQueue::kNoCell, sim_.alloc<std::uint8_t>("in_near", n, 1),
+             /*charge_flags=*/false);
+  far_.bind(sim_, std::move(far_slots), ctrl, /*tail_cell=*/1,
+            DeviceQueue::kNoCell);
 }
 
 GpuRunResult DavidsonNearFar::run(VertexId source) {
@@ -256,64 +260,19 @@ GpuRunResult DavidsonNearFar::run(VertexId source) {
 
 GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
   driver_.begin_attempt(dist_);
-  const VertexId n = csr_.num_vertices();
   sssp::WorkStats work;
-  std::fill(in_near_.data().begin(), in_near_.data().end(), 0);
+  near_.reset();
+  far_.reset();
   std::fill(dist_.data().begin(), dist_.data().end(),
             graph::kInfiniteDistance);
-  // Init kernel cost: one coalesced pass over dist.
-  sim_.label_next_launch("init_distances");
-  sim_.run_kernel(gpusim::Schedule::kStatic, (n + 31) / 32, 8,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-                    const std::uint64_t begin = w * 32;
-                    const std::uint64_t end =
-                        std::min<std::uint64_t>(begin + 32, n);
-                    const auto lanes = static_cast<std::uint32_t>(end - begin);
-                    std::array<std::uint64_t, 32> idx{};
-                    std::array<Distance, 32> inf{};
-                    for (std::uint32_t i = 0; i < lanes; ++i) {
-                      idx[i] = begin + i;
-                      inf[i] = graph::kInfiniteDistance;
-                    }
-                    ctx.store(dist_,
-                              std::span<const std::uint64_t>(idx.data(), lanes),
-                              std::span<const Distance>(inf.data(), lanes));
-                  });
+  init_distances(sim_, /*stream=*/0, dist_);
   // Host seed: dist[source] plus the first near-queue slot, modeled as H2D
   // uploads.
   dist_[source] = 0;
   sim_.mark_initialized(dist_, source, 1);
-
-  std::vector<VertexId> near{source};
-  in_near_[source] = 1;
-  near_queue_[0] = source;
-  sim_.mark_initialized(near_queue_, 0, 1);
-  std::vector<VertexId> far;
-  std::uint64_t near_tail = 1;
-  std::uint64_t far_tail = 0;
+  near_.seed(source);
+  near_.publish();
   Distance threshold = options_.delta;
-
-  // Warp-aggregated pile append (caller already appended `ids` to the host
-  // mirror): one tail atomic on the control cell plus a volatile (st.cg)
-  // store of the ids into the claimed ring slots.
-  auto charge_push = [&](gpusim::WarpCtx& ctx, std::span<const VertexId> ids,
-                         bool to_near) {
-    const auto cnt = static_cast<std::uint32_t>(ids.size());
-    if (cnt == 0) return;
-    std::uint64_t& tail = to_near ? near_tail : far_tail;
-    auto& buf = to_near ? near_queue_ : far_pile_;
-    std::array<std::uint64_t, 32> slot{};
-    for (std::uint32_t i = 0; i < cnt; ++i) {
-      slot[i] = (tail + i) % buf.size();
-      buf[slot[i]] = ids[i];
-    }
-    ctx.atomic_touch(queue_ctrl_,
-                     std::span<const std::uint64_t>(
-                         to_near ? kNearTailCell : kFarTailCell, 1));
-    ctx.volatile_touch(buf, std::span<const std::uint64_t>(slot.data(), cnt),
-                       /*is_store=*/true);
-    tail += cnt;
-  };
 
   // Flattened (vertex, edge) workfront chunk: Workfront Sweep's
   // edge-balanced mapping — each warp handles 32 consecutive frontier
@@ -323,32 +282,24 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
     EdgeIndex begin, end;
   };
 
-  while (!near.empty() || !far.empty()) {
+  while (!near_.empty() || !far_.empty()) {
     if (sim_.device_lost()) break;  // attempt is void; recovery takes over
-    if (near.empty()) {
-      // Far split (synchronous kernel over the pile). The live entries
-      // occupy the last far.size() pile slots (pushes and slots are in
-      // lockstep through charge_push).
+    if (near_.empty()) {
+      // Far split (synchronous kernel over the pile).
       Distance min_far = graph::kInfiniteDistance;
-      const std::uint64_t pile_base = far_tail - far.size();
+      const std::uint64_t pile_base = far_.window_begin();
+      const std::vector<VertexId> far = far_.take_all();
       sim_.label_next_launch("far_split");
       gpusim::KernelScope split(sim_, gpusim::Schedule::kStatic, true);
       for (std::size_t base = 0; base < far.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, far.size() - base));
+        const auto entries = std::span<const VertexId>(far).subspan(base, cnt);
         auto ctx = split.make_warp();
         std::array<std::uint64_t, 32> vidx{};
-        std::array<std::uint64_t, 32> slot{};
         std::array<Distance, 32> dvals{};
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-          vidx[i] = far[base + i];
-          slot[i] = (pile_base + base + i) % far_pile_.size();
-          ctx.spin_wait(far_pile_, slot[i]);  // gsan: consumed slot must
-                                              // have been published
-        }
-        ctx.volatile_touch(far_pile_,
-                           std::span<const std::uint64_t>(slot.data(), cnt),
-                           /*is_store=*/false);
+        for (std::uint32_t i = 0; i < cnt; ++i) vidx[i] = entries[i];
+        far_.charge_read(ctx, pile_base + base, entries);
         ctx.load(dist_, std::span<const std::uint64_t>(vidx.data(), cnt),
                  std::span<Distance>(dvals.data(), cnt));
         ctx.alu(2, cnt);
@@ -363,41 +314,27 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
       }
       const Distance old_threshold = threshold;
       while (threshold <= min_far) threshold += options_.delta;
-      std::vector<VertexId> still_far;
       for (std::size_t base = 0; base < far.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, far.size() - base));
         auto ctx = split.make_warp();
         ctx.alu(2, cnt);
-        std::array<VertexId, 32> promoted{};
-        std::array<VertexId, 32> kept{};
-        std::uint32_t promoted_count = 0;
-        std::uint32_t kept_count = 0;
         for (std::uint32_t i = 0; i < cnt; ++i) {
           const VertexId v = far[base + i];
           const Distance d = dist_[v];
           if (d == graph::kInfiniteDistance || d < old_threshold) continue;
           if (d < threshold) {
-            if (!in_near_[v]) {
-              in_near_[v] = 1;
-              near.push_back(v);
-              promoted[promoted_count++] = v;
-            }
+            near_.offer(v);
           } else {
-            still_far.push_back(v);
-            kept[kept_count++] = v;
+            far_.append(v);
           }
         }
-        charge_push(ctx,
-                    std::span<const VertexId>(promoted.data(), promoted_count),
-                    /*to_near=*/true);
-        charge_push(ctx, std::span<const VertexId>(kept.data(), kept_count),
-                    /*to_near=*/false);
+        near_.charge_push(ctx);
+        far_.charge_push(ctx);
         split.commit(ctx);
       }
       split.finish();
       sim_.host_barrier();
-      far.swap(still_far);
       continue;
     }
 
@@ -407,27 +344,24 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
     {
       // The flattening itself is a scan+compact on device; charge one pass
       // over the frontier (queue-slot reads + row-bound loads + prefix-sum
-      // ALU). The frontier occupies the last near.size() queue slots.
-      const std::uint64_t near_base = near_tail - near.size();
+      // ALU).
+      const std::uint64_t near_base = near_.window_begin();
+      const std::vector<VertexId> near = near_.take_all();
       sim_.label_next_launch("workfront_setup");
       gpusim::KernelScope setup(sim_, gpusim::Schedule::kStatic, true);
       for (std::size_t base = 0; base < near.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, near.size() - base));
+        const auto entries =
+            std::span<const VertexId>(near).subspan(base, cnt);
         auto ctx = setup.make_warp();
         std::array<std::uint64_t, 32> vidx{};
         std::array<std::uint64_t, 32> vidx1{};
-        std::array<std::uint64_t, 32> slot{};
         for (std::uint32_t i = 0; i < cnt; ++i) {
-          vidx[i] = near[base + i];
+          vidx[i] = entries[i];
           vidx1[i] = vidx[i] + 1;
-          slot[i] = (near_base + base + i) % near_queue_.size();
-          ctx.spin_wait(near_queue_, slot[i]);  // gsan: consumed slot must
-                                                // have been published
         }
-        ctx.volatile_touch(near_queue_,
-                           std::span<const std::uint64_t>(slot.data(), cnt),
-                           /*is_store=*/false);
+        near_.charge_read(ctx, near_base + base, entries);
         std::array<EdgeIndex, 32> rb{};
         std::array<EdgeIndex, 32> re{};
         ctx.load(graph_.row_offsets,
@@ -438,17 +372,15 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
                  std::span<EdgeIndex>(re.data(), cnt));
         ctx.alu(4, cnt);  // prefix-sum steps of the compact
         for (std::uint32_t i = 0; i < cnt; ++i) {
-          const VertexId v = near[base + i];
-          in_near_[v] = 0;
           for (EdgeIndex e = rb[i]; e < re[i]; e += 32) {
-            chunks.push_back({v, e, std::min<EdgeIndex>(e + 32, re[i])});
+            chunks.push_back(
+                {entries[i], e, std::min<EdgeIndex>(e + 32, re[i])});
           }
         }
         setup.commit(ctx);
       }
       setup.finish();
     }
-    near.clear();
     sim_.host_barrier();
 
     sim_.label_next_launch("workfront_sweep");
@@ -476,29 +408,18 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
       ctx.atomic_min(dist_, std::span<const std::uint64_t>(tgt.data(), cnt),
                      std::span<const Distance>(val.data(), cnt),
                      std::span<std::uint8_t>(improved.data(), cnt));
-      std::array<VertexId, 32> to_near{};
-      std::array<VertexId, 32> to_far{};
-      std::uint32_t to_near_count = 0;
-      std::uint32_t to_far_count = 0;
       for (std::uint32_t i = 0; i < cnt; ++i) {
         if (!improved[i]) continue;
         ++work.total_updates;
         const auto v = static_cast<VertexId>(tgt[i]);
         if (val[i] < threshold) {
-          if (!in_near_[v]) {
-            in_near_[v] = 1;
-            near.push_back(v);
-            to_near[to_near_count++] = v;
-          }
+          near_.offer(v);
         } else {
-          far.push_back(v);
-          to_far[to_far_count++] = v;
+          far_.append(v);
         }
       }
-      charge_push(ctx, std::span<const VertexId>(to_near.data(), to_near_count),
-                  /*to_near=*/true);
-      charge_push(ctx, std::span<const VertexId>(to_far.data(), to_far_count),
-                  /*to_near=*/false);
+      near_.charge_push(ctx);
+      far_.charge_push(ctx);
       sweep.commit(ctx);
     }
     sweep.finish();

@@ -83,10 +83,8 @@ class DavidsonNearFar {
 
   DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
-  gpusim::Buffer<graph::VertexId> near_queue_;
-  gpusim::Buffer<graph::VertexId> far_pile_;
-  gpusim::Buffer<std::uint32_t> queue_ctrl_;  // [0]=near tail, [1]=far tail
-  gpusim::Buffer<std::uint8_t> in_near_;
+  DeviceQueue near_;  // Near frontier (in_near flags, uncharged)
+  DeviceQueue far_;   // Far pile (duplicates, no flags)
 };
 
 }  // namespace rdbs::core

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/macros.hpp"
+#include "core/device_graph.hpp"
 #include "sssp/dijkstra.hpp"
 
 namespace rdbs::core {
@@ -292,26 +293,8 @@ MultiGpuRunResult MultiGpuDeltaStepping::run_attempt(VertexId source) {
     std::fill(shard->in_queue.data().begin(), shard->in_queue.data().end(),
               0);
     // Init kernel per device (parallel across devices: makespan takes max).
-    const VertexId local_n = shard->last - shard->first;
-    if (local_n == 0) continue;
-    shard->sim.label_next_launch("init_distances");
-    shard->sim.run_kernel(
-        gpusim::Schedule::kStatic, (local_n + 31) / 32, 8,
-        [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-          const std::uint64_t begin = w * 32;
-          const std::uint64_t end =
-              std::min<std::uint64_t>(begin + 32, local_n);
-          const auto lanes = static_cast<std::uint32_t>(end - begin);
-          std::array<std::uint64_t, 32> idx{};
-          std::array<Distance, 32> inf{};
-          for (std::uint32_t i = 0; i < lanes; ++i) {
-            idx[i] = begin + i;
-            inf[i] = graph::kInfiniteDistance;
-          }
-          ctx.store(shard->dist,
-                    std::span<const std::uint64_t>(idx.data(), lanes),
-                    std::span<const Distance>(inf.data(), lanes));
-        });
+    if (shard->last == shard->first) continue;
+    init_distances(shard->sim, /*stream=*/0, shard->dist);
   }
   {
     double init_ms = 0;

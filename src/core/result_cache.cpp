@@ -1,38 +1,22 @@
 #include "core/result_cache.hpp"
 
 #include <algorithm>
-#include <tuple>
 
 #include "common/macros.hpp"
 #include "core/query_batch.hpp"
+#include "graph/stats.hpp"
 
 namespace rdbs::core {
 
 using graph::Distance;
 using graph::VertexId;
-using graph::Weight;
 
 ResultCache::ResultCache(const graph::Csr& csr, ResultCacheOptions options)
-    : options_(options), num_vertices_(csr.num_vertices()) {
+    : options_(options),
+      num_vertices_(csr.num_vertices()),
+      // Landmark bounds need dist(L, s) == dist(s, L).
+      symmetric_(graph::is_symmetric(csr)) {
   RDBS_CHECK(options_.capacity >= 1);
-  // Symmetry detection: landmark bounds need dist(L, s) == dist(s, L), so
-  // the weighted edge multiset must equal its own reverse. Sort-and-compare
-  // keeps it O(m log m) with no hashing (deterministic order).
-  std::vector<std::tuple<VertexId, VertexId, Weight>> fwd;
-  std::vector<std::tuple<VertexId, VertexId, Weight>> rev;
-  fwd.reserve(csr.num_edges());
-  rev.reserve(csr.num_edges());
-  for (VertexId u = 0; u < num_vertices_; ++u) {
-    const auto dsts = csr.neighbors(u);
-    const auto ws = csr.edge_weights(u);
-    for (std::size_t i = 0; i < dsts.size(); ++i) {
-      fwd.emplace_back(u, dsts[i], ws[i]);
-      rev.emplace_back(dsts[i], u, ws[i]);
-    }
-  }
-  std::sort(fwd.begin(), fwd.end());
-  std::sort(rev.begin(), rev.end());
-  symmetric_ = fwd == rev;
 }
 
 void ResultCache::bump_epoch() {

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <tuple>
 #include <vector>
 
 #include "common/macros.hpp"
+#include "graph/stats.hpp"
 
 namespace rdbs::core {
 
@@ -16,9 +16,6 @@ using graph::Weight;
 
 namespace {
 constexpr std::uint32_t kDeviceWord = 4;
-// Cursor cells of the queue control buffer.
-constexpr std::uint64_t kTailCell[1] = {0};
-constexpr std::uint64_t kHeadCell[1] = {1};
 }
 
 SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
@@ -27,37 +24,20 @@ SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
       csr_(csr),
       options_(options),
       driver_("SepHybrid", sim_, /*stream=*/0, csr_, options_.retry,
-              /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice) {
+              /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice),
+      csr_symmetric_(graph::is_symmetric(csr_)) {
   sim_.enable_sanitizer(options_.sanitize);
   if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
   const VertexId n = csr_.num_vertices();
-  const EdgeIndex m = csr_.num_edges();
   graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
-  queue_ = sim_.alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
-                                kDeviceWord);
-  queue_ctrl_ = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_.mark_initialized(queue_ctrl_);
-  in_queue_ = sim_.alloc<std::uint8_t>("in_queue", n, 1);
-
-  // Symmetry detection: the weighted edge multiset must equal its own
-  // reverse. Sort-and-compare keeps it O(m log m) with no hashing.
-  {
-    std::vector<std::tuple<VertexId, VertexId, Weight>> fwd, rev;
-    fwd.reserve(m);
-    rev.reserve(m);
-    for (VertexId u = 0; u < n; ++u) {
-      const auto dsts = csr_.neighbors(u);
-      const auto ws = csr_.edge_weights(u);
-      for (std::size_t i = 0; i < dsts.size(); ++i) {
-        fwd.emplace_back(u, dsts[i], ws[i]);
-        rev.emplace_back(dsts[i], u, ws[i]);
-      }
-    }
-    std::sort(fwd.begin(), fwd.end());
-    std::sort(rev.begin(), rev.end());
-    csr_symmetric_ = fwd == rev;
-  }
+  auto slots = sim_.alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
+                                    kDeviceWord);
+  // [0]=tail, [1]=head cursors.
+  const auto ctrl = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim_.mark_initialized(ctrl);
+  queue_.bind(sim_, std::move(slots), ctrl, /*tail_cell=*/0, /*head_cell=*/1,
+              sim_.alloc<std::uint8_t>("in_queue", n, 1));
 }
 
 SepMode SepHybrid::choose_mode(std::uint64_t frontier_vertices,
@@ -93,73 +73,25 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
   driver_.begin_attempt(dist_);
   const VertexId n = csr_.num_vertices();
   sssp::WorkStats work;
-  std::fill(in_queue_.data().begin(), in_queue_.data().end(), 0);
-
-  // Init kernel.
-  sim_.label_next_launch("init_distances");
-  sim_.run_kernel(gpusim::Schedule::kStatic, (n + 31) / 32, 8,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
-                    const std::uint64_t begin = w * 32;
-                    const std::uint64_t end =
-                        std::min<std::uint64_t>(begin + 32, n);
-                    const auto lanes = static_cast<std::uint32_t>(end - begin);
-                    std::array<std::uint64_t, 32> idx{};
-                    std::array<Distance, 32> inf{};
-                    std::array<std::uint8_t, 32> zero{};
-                    for (std::uint32_t i = 0; i < lanes; ++i) {
-                      idx[i] = begin + i;
-                      inf[i] = graph::kInfiniteDistance;
-                      zero[i] = 0;
-                    }
-                    std::span<const std::uint64_t> is(idx.data(), lanes);
-                    ctx.store(dist_, is,
-                              std::span<const Distance>(inf.data(), lanes));
-                    ctx.store(in_queue_, is,
-                              std::span<const std::uint8_t>(zero.data(), lanes));
-                  });
-  sim_.label_next_launch("seed_source");
-  sim_.run_kernel(gpusim::Schedule::kStatic, 1, 1,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t) {
-                    ctx.store_one(dist_, source, Distance{0});
-                  });
-
-  std::deque<VertexId> frontier{source};
-  in_queue_[source] = 1;
+  queue_.reset();
+  init_distances(sim_, /*stream=*/0, dist_, queue_.flags());
+  seed_source(sim_, /*stream=*/0, dist_, source);
   // Host-side seed of the device work queue (H2D upload).
-  queue_[0] = source;
-  sim_.mark_initialized(queue_, 0, 1);
-  queue_tail_ = 1;
-  queue_head_ = 0;
+  queue_.seed(source);
+  queue_.publish();
 
   // Relax the out-edges of one popped vertex batch, thread-per-vertex.
   auto push_warp = [&](gpusim::WarpCtx& ctx,
                        std::span<const VertexId> lanes) {
     const auto lane_count = static_cast<std::uint32_t>(lanes.size());
+    queue_.charge_pop(ctx, lanes);
     std::array<std::uint64_t, 32> vidx{};
     std::array<std::uint64_t, 32> vidx1{};
     for (std::uint32_t i = 0; i < lane_count; ++i) {
       vidx[i] = lanes[i];
       vidx1[i] = lanes[i] + 1;
-      in_queue_[lanes[i]] = 0;
     }
     std::span<const std::uint64_t> vs(vidx.data(), lane_count);
-    {
-      // Pop: bump the shared head cursor, then read the claimed ring
-      // slots (ld.cg — concurrent producers write them with st.cg).
-      ctx.atomic_touch(queue_ctrl_,
-                       std::span<const std::uint64_t>(kHeadCell, 1));
-      std::array<std::uint64_t, 32> slot{};
-      for (std::uint32_t i = 0; i < lane_count; ++i) {
-        slot[i] = (queue_head_ + i) % queue_.size();
-      }
-      queue_head_ += lane_count;
-      ctx.volatile_touch(queue_,
-                         std::span<const std::uint64_t>(slot.data(), lane_count),
-                         /*is_store=*/false);
-      // Clear the membership flags with atomicExch: concurrent relaxers
-      // set them with atomics, so a plain byte store would race.
-      ctx.atomic_touch(in_queue_, vs);
-    }
     std::array<Distance, 32> du{};
     ctx.load(dist_, vs, std::span<Distance>(du.data(), lane_count));
     std::array<EdgeIndex, 32> rb{};
@@ -208,40 +140,18 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
       ctx.atomic_min(dist_, std::span<const std::uint64_t>(tgt.data(), cnt),
                      std::span<const Distance>(val.data(), cnt),
                      std::span<std::uint8_t>(improved.data(), cnt));
-      std::uint32_t enq = 0;
-      std::array<std::uint64_t, 32> flag_idx{};
-      std::array<std::uint64_t, 32> slot{};
       for (std::uint32_t i = 0; i < cnt; ++i) {
         if (!improved[i]) continue;
         ++work.total_updates;
-        const auto v = static_cast<VertexId>(tgt[i]);
-        if (!in_queue_[v]) {
-          in_queue_[v] = 1;
-          frontier.push_back(v);
-          flag_idx[enq] = v;
-          slot[enq] = queue_tail_ % queue_.size();
-          queue_[slot[enq]] = v;
-          ++queue_tail_;
-          ++enq;
-        }
+        queue_.offer(static_cast<VertexId>(tgt[i]));
       }
-      if (enq > 0) {
-        // Push: atomicAdd on the shared tail cursor reserves slots, set
-        // the membership flags atomically, then st.cg the vertex ids.
-        ctx.atomic_touch(queue_ctrl_,
-                         std::span<const std::uint64_t>(kTailCell, 1));
-        ctx.atomic_touch(in_queue_,
-                         std::span<const std::uint64_t>(flag_idx.data(), enq));
-        ctx.volatile_touch(queue_,
-                           std::span<const std::uint64_t>(slot.data(), enq),
-                           /*is_store=*/true);
-      }
+      queue_.charge_push(ctx);
     }
   };
 
   const std::uint64_t max_rounds = 8 * (std::uint64_t(n) + 16);
   std::uint64_t rounds = 0;
-  while (!frontier.empty()) {
+  while (!queue_.empty()) {
     if (sim_.device_lost()) break;  // attempt is void; recovery takes over
     if (++rounds >= max_rounds) {
       // Corrupted distances can legitimately stall convergence; the
@@ -252,12 +162,12 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
     }
     // Round bookkeeping: size + out-edge volume of the entering frontier.
     std::uint64_t frontier_edges = 0;
-    for (const VertexId v : frontier) frontier_edges += csr_.degree(v);
-    const SepMode mode = choose_mode(frontier.size(), frontier_edges);
+    for (const VertexId v : queue_.pending()) frontier_edges += csr_.degree(v);
+    const SepMode mode = choose_mode(queue_.size(), frontier_edges);
 
     SepRound round;
     round.mode = mode;
-    round.frontier = frontier.size();
+    round.frontier = queue_.size();
     round.frontier_edges = frontier_edges;
     const double ms_before = sim_.elapsed_ms();
     ++work.iterations;
@@ -266,10 +176,7 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
       // Topology-driven pull: one full scan; every vertex gathers over its
       // in-edges (symmetric CSR: same as out-edges) — no atomics. The
       // entire frontier is consumed; improved vertices form the next one.
-      for (const VertexId v : frontier) in_queue_[v] = 0;
-      frontier.clear();
-      // The scan consumes the whole pending queue window.
-      queue_head_ = queue_tail_;
+      queue_.drop_pending();
       const std::uint64_t warps = (n + 31) / 32;
       sim_.label_next_launch("pull_sweep");
       sim_.run_kernel(
@@ -346,11 +253,7 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
                 sval[scnt] = best[i];
                 ++scnt;
                 ++work.total_updates;
-                const auto v = static_cast<VertexId>(begin + i);
-                if (!in_queue_[v]) {
-                  in_queue_[v] = 1;
-                  frontier.push_back(v);
-                }
+                queue_.offer(static_cast<VertexId>(begin + i));
               }
             }
             if (scnt > 0) {
@@ -367,34 +270,24 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
       sim_.host_barrier();
       // The sweep's improved vertices become the next frontier; mirror the
       // compaction kernel's output into the device queue window.
-      for (std::size_t i = 0; i < frontier.size(); ++i) {
-        const std::uint64_t slot = (queue_tail_ + i) % queue_.size();
-        queue_[slot] = frontier[i];
-        sim_.mark_initialized(queue_, slot, 1);
-      }
-      queue_tail_ += frontier.size();
+      queue_.publish();
     } else if (mode == SepMode::kAsyncPush) {
       // Async drains continuously, but SEP re-evaluates its decision when
       // the signal changes: once the frontier outgrows the async regime,
       // the persistent kernel retires and the next round re-decides.
       sim_.label_next_launch("async_push");
       gpusim::KernelScope kernel(sim_, gpusim::Schedule::kDynamic, true);
-      while (!frontier.empty() &&
-             frontier.size() <= 4 * options_.async_frontier_limit) {
+      while (!queue_.empty() &&
+             queue_.size() <= 4 * options_.async_frontier_limit) {
         std::array<VertexId, 32> lanes{};
-        std::uint32_t cnt = 0;
-        while (!frontier.empty() && cnt < 32) {
-          lanes[cnt++] = frontier.front();
-          frontier.pop_front();
-        }
+        const std::uint32_t cnt = queue_.take_front(lanes);
         auto ctx = kernel.make_warp();
         push_warp(ctx, std::span<const VertexId>(lanes.data(), cnt));
         kernel.commit(ctx);
       }
       kernel.finish();
     } else {  // kSyncPush
-      std::vector<VertexId> sweep(frontier.begin(), frontier.end());
-      frontier.clear();
+      const std::vector<VertexId> sweep = queue_.take_all();
       sim_.label_next_launch("sync_push");
       gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
       for (std::size_t base = 0; base < sweep.size(); base += 32) {

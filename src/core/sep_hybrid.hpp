@@ -20,7 +20,6 @@
 // The per-round decisions are recorded for inspection.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "core/device_graph.hpp"
@@ -89,16 +88,11 @@ class SepHybrid {
   // Pull sweeps reuse the out-edge CSR as the in-edge list, which is
   // only valid on symmetric graphs; detected once at construction so
   // choose_mode can fall back to push on directed inputs.
-  bool csr_symmetric_ = false;
+  const bool csr_symmetric_;
 
   DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
-  gpusim::Buffer<graph::VertexId> queue_;
-  gpusim::Buffer<std::uint32_t> queue_ctrl_;  // [0]=tail, [1]=head cursors
-  gpusim::Buffer<std::uint8_t> in_queue_;
-  // Host mirrors of the device queue cursors (ring positions).
-  std::uint64_t queue_tail_ = 0;
-  std::uint64_t queue_head_ = 0;
+  DeviceQueue queue_;  // the frontier (ring, in_queue flags)
 };
 
 }  // namespace rdbs::core

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 
 namespace rdbs::core {
@@ -204,49 +207,22 @@ std::vector<TrafficQuery> generate_traffic(const TrafficSpec& spec,
 
 namespace {
 
-double parse_double_field(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("traffic spec: bad number for '" + key +
-                                "': " + value);
-  }
-}
-
-std::uint64_t parse_u64_field(const std::string& key,
-                              const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t parsed = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("traffic spec: bad integer for '" + key +
-                                "': " + value);
-  }
-}
+constexpr std::string_view kTrafficWhat = "traffic spec";
 
 // "a/b/c" -> 3 per-class values; '-' means "none" (mapped via `none`).
-std::array<double, kNumTrafficClasses> parse_triple(const std::string& key,
-                                                    const std::string& value,
+std::array<double, kNumTrafficClasses> parse_triple(std::string_view key,
+                                                    std::string_view value,
                                                     double none) {
   std::array<double, kNumTrafficClasses> out{};
-  std::size_t begin = 0;
-  for (int c = 0; c < kNumTrafficClasses; ++c) {
-    const bool last = c + 1 == kNumTrafficClasses;
-    const std::size_t end = value.find('/', begin);
-    if (last != (end == std::string::npos)) {
-      throw std::invalid_argument("traffic spec: '" + key +
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    const std::size_t slash = value.find('/');
+    if ((c + 1 == out.size()) != (slash == std::string_view::npos)) {
+      throw std::invalid_argument("traffic spec: '" + std::string(key) +
                                   "' needs exactly 3 '/'-separated values");
     }
-    const std::string part = value.substr(
-        begin, end == std::string::npos ? std::string::npos : end - begin);
-    out[static_cast<std::size_t>(c)] =
-        part == "-" ? none : parse_double_field(key, part);
-    begin = end + 1;
+    const std::string_view part = value.substr(0, slash);
+    out[c] = part == "-" ? none : spec_double(kTrafficWhat, key, part);
+    if (slash != std::string_view::npos) value.remove_prefix(slash + 1);
   }
   return out;
 }
@@ -270,50 +246,43 @@ TrafficSpec parse_traffic_spec(const std::string& text) {
   }
   if (colon == std::string::npos) return spec;
 
-  std::size_t begin = colon + 1;
-  while (begin <= text.size()) {
-    std::size_t end = text.find(',', begin);
-    if (end == std::string::npos) end = text.size();
-    const std::string field = text.substr(begin, end - begin);
-    begin = end + 1;
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("traffic spec: expected key=value, got '" +
-                                  field + "'");
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+  for (const auto& [key, value] :
+       split_spec(std::string_view(text).substr(colon + 1), kTrafficWhat)) {
+    const auto real = [&] { return spec_double(kTrafficWhat, key, value); };
     if (key == "n") {
-      spec.num_queries = parse_u64_field(key, value);
+      spec.num_queries = spec_unsigned(kTrafficWhat, key, value,
+                                       std::numeric_limits<std::size_t>::max());
     } else if (key == "rate") {
-      spec.rate_qpms = parse_double_field(key, value);
+      spec.rate_qpms = real();
     } else if (key == "seed") {
-      spec.seed = parse_u64_field(key, value);
+      spec.seed = spec_unsigned(kTrafficWhat, key, value,
+                                std::numeric_limits<std::uint64_t>::max());
     } else if (key == "zipf") {
-      spec.zipf_s = parse_double_field(key, value);
+      spec.zipf_s = real();
     } else if (key == "universe") {
-      spec.source_universe =
-          static_cast<std::uint32_t>(parse_u64_field(key, value));
+      spec.source_universe = static_cast<std::uint32_t>(
+          spec_unsigned(kTrafficWhat, key, value,
+                        std::numeric_limits<std::uint32_t>::max()));
     } else if (key == "mix") {
       spec.class_mix = parse_triple(key, value, 0.0);
     } else if (key == "deadlines") {
       spec.class_deadline_ms = parse_triple(
           key, value, std::numeric_limits<double>::infinity());
     } else if (key == "burst") {
-      spec.burst_factor = parse_double_field(key, value);
+      spec.burst_factor = real();
     } else if (key == "idle") {
-      spec.idle_factor = parse_double_field(key, value);
+      spec.idle_factor = real();
     } else if (key == "on-ms") {
-      spec.burst_on_ms = parse_double_field(key, value);
+      spec.burst_on_ms = real();
     } else if (key == "off-ms") {
-      spec.burst_off_ms = parse_double_field(key, value);
+      spec.burst_off_ms = real();
     } else if (key == "period") {
-      spec.diurnal_period_ms = parse_double_field(key, value);
+      spec.diurnal_period_ms = real();
     } else if (key == "amplitude") {
-      spec.diurnal_amplitude = parse_double_field(key, value);
+      spec.diurnal_amplitude = real();
     } else {
-      throw std::invalid_argument("traffic spec: unknown key '" + key + "'");
+      throw std::invalid_argument("traffic spec: unknown key '" +
+                                  std::string(key) + "'");
     }
   }
   return spec;
@@ -348,40 +317,31 @@ double closed_loop_backoff_ms(const ClosedLoopSpec& spec,
 }
 
 ClosedLoopSpec parse_closed_loop_spec(const std::string& text) {
+  constexpr std::string_view kWhat = "closed-loop spec";
   ClosedLoopSpec spec;
   spec.enabled = true;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    std::size_t end = text.find(',', begin);
-    if (end == std::string::npos) end = text.size();
-    const std::string field = text.substr(begin, end - begin);
-    begin = end + 1;
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument(
-          "closed-loop spec: expected key=value, got '" + field + "'");
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+  for (const auto& [key, value] : split_spec(text, kWhat)) {
+    const auto real = [&] { return spec_double(kWhat, key, value); };
     if (key == "budget") {
-      spec.retry_budget = static_cast<int>(parse_u64_field(key, value));
+      spec.retry_budget = static_cast<int>(
+          spec_unsigned(kWhat, key, value, std::numeric_limits<int>::max()));
     } else if (key == "backoff") {
-      spec.backoff_base_ms = parse_double_field(key, value);
+      spec.backoff_base_ms = real();
     } else if (key == "mult") {
-      spec.backoff_multiplier = parse_double_field(key, value);
+      spec.backoff_multiplier = real();
     } else if (key == "jitter") {
-      spec.jitter = parse_double_field(key, value);
+      spec.jitter = real();
     } else if (key == "seed") {
-      spec.seed = parse_u64_field(key, value);
+      spec.seed = spec_unsigned(kWhat, key, value,
+                                std::numeric_limits<std::uint64_t>::max());
     } else if (key == "depth") {
-      spec.backpressure_depth =
-          static_cast<std::size_t>(parse_u64_field(key, value));
+      spec.backpressure_depth = spec_unsigned(
+          kWhat, key, value, std::numeric_limits<std::size_t>::max());
     } else if (key == "penalty") {
-      spec.backpressure_penalty_ms = parse_double_field(key, value);
+      spec.backpressure_penalty_ms = real();
     } else {
-      throw std::invalid_argument("closed-loop spec: unknown key '" + key +
-                                  "'");
+      throw std::invalid_argument("closed-loop spec: unknown key '" +
+                                  std::string(key) + "'");
     }
   }
   if (spec.retry_budget < 0 || !(spec.backoff_base_ms >= 0) ||

@@ -118,7 +118,9 @@ std::vector<TrafficQuery> generate_traffic(const TrafficSpec& spec,
 //
 // e.g. "poisson:n=2000,rate=2,zipf=1.2,deadlines=1/4/-,seed=7"
 //      "bursty:burst=8,on-ms=2,off-ms=10"
-// Throws std::invalid_argument with a pointed message on bad input.
+// n, seed and universe are unsigned integers that must fit their fields;
+// the rest are finite numbers (common/cli.hpp). Throws
+// std::invalid_argument with a pointed message on bad input.
 TrafficSpec parse_traffic_spec(const std::string& text);
 
 // --- closed-loop clients (docs/serving.md "Closed-loop clients") ----------
@@ -172,8 +174,9 @@ double closed_loop_backoff_ms(const ClosedLoopSpec& spec,
 //   penalty    backpressure ms per excess entry (backpressure_penalty_ms)
 //
 // e.g. "budget=3,backoff=0.25,jitter=0.5,depth=12"
-// Returns a spec with enabled = true. Throws std::invalid_argument on bad
-// input.
+// budget, seed and depth are unsigned integers that must fit their fields;
+// the rest are finite numbers. Returns a spec with enabled = true. Throws
+// std::invalid_argument on bad input.
 ClosedLoopSpec parse_closed_loop_spec(const std::string& text);
 
 // Source-repetition shape of a schedule — the statistic that decides

@@ -1,9 +1,10 @@
 #include "gpusim/fault.hpp"
 
-#include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 
 namespace rdbs::gpusim {
@@ -33,63 +34,37 @@ std::string GpuFault::describe() const {
 }
 
 FaultConfig parse_fault_spec(std::string_view spec) {
+  constexpr std::string_view kWhat = "fault spec";
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
   FaultConfig config;
   config.enabled = true;
-
-  const auto parse_double = [](std::string_view key, std::string_view value) {
-    // std::from_chars<double> is incomplete on some libstdc++ versions; go
-    // through stod on a bounded copy instead.
-    try {
-      std::size_t used = 0;
-      const std::string text(value);
-      const double parsed = std::stod(text, &used);
-      if (used != text.size()) throw std::invalid_argument("trailing chars");
-      return parsed;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad fault-spec value for '" +
-                                  std::string(key) + "': '" +
-                                  std::string(value) + "'");
-    }
-  };
-
-  std::string_view rest = spec;
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    std::string_view item = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("fault-spec item '" + std::string(item) +
-                                  "' is not key=value");
-    }
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
+  for (const auto& [key, value] : split_spec(spec, kWhat)) {
+    const auto real = [&] { return spec_double(kWhat, key, value); };
     if (key == "seed") {
-      config.seed = static_cast<std::uint64_t>(parse_double(key, value));
+      config.seed = spec_unsigned(kWhat, key, value, kAny);
     } else if (key == "flip") {
-      config.bit_flip_per_load = parse_double(key, value);
+      config.bit_flip_per_load = real();
     } else if (key == "ecc") {
-      config.correctable_fraction = parse_double(key, value);
+      config.correctable_fraction = real();
     } else if (key == "launch") {
-      config.launch_failure = parse_double(key, value);
+      config.launch_failure = real();
     } else if (key == "timeout") {
-      config.timeout = parse_double(key, value);
+      config.timeout = real();
     } else if (key == "stall") {
-      config.stream_stall = parse_double(key, value);
+      config.stream_stall = real();
     } else if (key == "loss") {
-      config.device_loss = parse_double(key, value);
+      config.device_loss = real();
     } else if (key == "watchdog") {
-      config.watchdog_ms = parse_double(key, value);
+      config.watchdog_ms = real();
     } else if (key == "stall-ms") {
-      config.stall_ms = parse_double(key, value);
+      config.stall_ms = real();
     } else if (key == "max") {
-      config.max_faults = static_cast<std::uint64_t>(parse_double(key, value));
+      config.max_faults = spec_unsigned(kWhat, key, value, kAny);
     } else if (key == "hot") {
-      config.hot_stream = static_cast<int>(parse_double(key, value));
+      config.hot_stream = static_cast<int>(spec_unsigned(
+          kWhat, key, value, std::numeric_limits<int>::max()));
     } else if (key == "hot-factor") {
-      config.hot_stream_factor = parse_double(key, value);
+      config.hot_stream_factor = real();
     } else {
       throw std::invalid_argument("unknown fault-spec key '" +
                                   std::string(key) + "'");

@@ -117,9 +117,11 @@ struct FaultConfig {
 // Parses a `--inject-faults` spec: comma-separated key=value pairs, e.g.
 //   "seed=42,flip=1e-3,ecc=0.5,launch=0.01,timeout=0.01,stall=0.01,
 //    loss=0.001,watchdog=25,stall-ms=2,max=4,hot=0,hot-factor=8"
-// (`hot`/`hot-factor` set FaultConfig::hot_stream{,_factor}.)
-// Unknown keys or malformed values throw std::invalid_argument. The
-// returned config has `enabled = true`.
+// (`hot`/`hot-factor` set FaultConfig::hot_stream{,_factor}.) `seed`,
+// `max` and `hot` are unsigned integers that must fit their fields; the
+// rest are finite numbers (common/cli.hpp). Unknown keys or malformed
+// values throw std::invalid_argument. The returned config has
+// `enabled = true`.
 FaultConfig parse_fault_spec(std::string_view spec);
 
 // Stateless counter-based fault plan. All methods are pure functions of

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -188,28 +189,7 @@ void write_binary_csr(const Csr& csr, const std::string& path) {
 }
 
 Csr read_binary_csr(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(path, "cannot open");
-  auto get = [&](void* data, std::size_t bytes) {
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    if (!in) fail(path, "truncated binary CSR");
-  };
-  std::uint64_t magic = 0, v = 0, e = 0;
-  get(&magic, sizeof magic);
-  if (magic != kBinaryMagicV1 && magic != kBinaryMagicV2) {
-    fail(path, "bad magic");
-  }
-  get(&v, sizeof v);
-  get(&e, sizeof e);
-  std::vector<EdgeIndex> offsets(v + 1);
-  std::vector<VertexId> adjacency(e);
-  std::vector<Weight> weights(e);
-  get(offsets.data(), offsets.size() * sizeof(EdgeIndex));
-  get(adjacency.data(), adjacency.size() * sizeof(VertexId));
-  std::uint32_t pad = 0;
-  get(&pad, weights_pad_bytes(magic, e));
-  get(weights.data(), weights.size() * sizeof(Weight));
-  return Csr(std::move(offsets), std::move(adjacency), std::move(weights));
+  return MappedCsr(path).to_csr();
 }
 
 // --- MappedCsr --------------------------------------------------------------
@@ -232,20 +212,37 @@ MappedCsr::MappedCsr(const std::string& path) {
   if (base == MAP_FAILED) fail(path, "mmap failed");
   map_base_ = base;
   map_length_ = length;
+  try {
+    parse(path);
+  } catch (...) {
+    ::munmap(map_base_, map_length_);  // a throwing ctor runs no dtor
+    throw;
+  }
+}
 
-  const auto* bytes = static_cast<const std::byte*>(base);
+void MappedCsr::parse(const std::string& path) {
+  const auto* bytes = static_cast<const std::byte*>(map_base_);
   std::uint64_t header[3];
   std::memcpy(header, bytes, sizeof header);
   const std::uint64_t magic = header[0], v = header[1], e = header[2];
   if (magic != kBinaryMagicV1 && magic != kBinaryMagicV2) {
     fail(path, "bad magic");
   }
-  const std::size_t offsets_bytes = (v + 1) * sizeof(EdgeIndex);
-  const std::size_t adjacency_bytes = e * sizeof(VertexId);
-  const std::size_t pad = weights_pad_bytes(magic, e);
-  const std::size_t need = kBinaryHeaderBytes + offsets_bytes +
-                           adjacency_bytes + pad + e * sizeof(Weight);
-  if (length < need) fail(path, "truncated binary CSR");
+  if (v > std::numeric_limits<VertexId>::max()) {
+    fail(path, "vertex count does not fit a 32-bit vertex id");
+  }
+  // Every section must fit what is left of the file; dividing instead of
+  // multiplying keeps a huge header count from wrapping the size.
+  std::size_t left = map_length_ - kBinaryHeaderBytes;
+  const auto take = [&](std::uint64_t count, std::size_t elem_bytes) {
+    if (count > left / elem_bytes) fail(path, "truncated binary CSR");
+    left -= count * elem_bytes;
+    return static_cast<std::size_t>(count * elem_bytes);
+  };
+  const std::size_t offsets_bytes = take(v + 1, sizeof(EdgeIndex));
+  const std::size_t adjacency_bytes = take(e, sizeof(VertexId));
+  const std::size_t pad = take(weights_pad_bytes(magic, e), 1);
+  take(e, sizeof(Weight));
 
   const std::byte* cursor = bytes + kBinaryHeaderBytes;
   row_offsets_ = {reinterpret_cast<const EdgeIndex*>(cursor),
@@ -262,7 +259,15 @@ MappedCsr::MappedCsr(const std::string& path) {
     std::memcpy(realigned_weights_.data(), cursor, e * sizeof(Weight));
     weights_ = realigned_weights_;
   }
+  // The structure Csr requires, checked here so no file can abort it.
+  if (row_offsets_.front() != 0) fail(path, "row offsets do not start at 0");
   if (row_offsets_.back() != e) fail(path, "row offsets disagree with header");
+  if (!std::is_sorted(row_offsets_.begin(), row_offsets_.end())) {
+    fail(path, "row offsets are not monotone");
+  }
+  for (const VertexId dst : adjacency_) {
+    if (dst >= v) fail(path, "adjacency id out of range");
+  }
 }
 
 MappedCsr::~MappedCsr() {

@@ -33,6 +33,7 @@ void write_dimacs(const EdgeList& edges, const std::string& path);
 EdgeList read_matrix_market(const std::string& path);
 
 void write_binary_csr(const Csr& csr, const std::string& path);
+// MappedCsr(path).to_csr(): the same validation, an owned copy.
 Csr read_binary_csr(const std::string& path);
 
 // Zero-copy view of an on-disk binary CSR (the write_binary_csr format),
@@ -47,7 +48,11 @@ Csr read_binary_csr(const std::string& path);
 class MappedCsr {
  public:
   MappedCsr() = default;
-  explicit MappedCsr(const std::string& path);  // throws on parse/map errors
+  // Throws std::runtime_error when the file cannot be mapped or is not a
+  // well-formed CSR: bad magic, a vertex count beyond VertexId, sections
+  // that overrun the file, offsets that do not run monotonically from 0 to
+  // the edge count, or an adjacency id >= the vertex count.
+  explicit MappedCsr(const std::string& path);
   ~MappedCsr();
 
   MappedCsr(MappedCsr&& other) noexcept { swap(other); }
@@ -75,6 +80,8 @@ class MappedCsr {
 
  private:
   void swap(MappedCsr& other) noexcept;
+  // Validates the mapped bytes and points the spans into them.
+  void parse(const std::string& path);
 
   void* map_base_ = nullptr;
   std::size_t map_length_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <tuple>
 
 #include "common/rng.hpp"
 
@@ -149,6 +150,25 @@ ComponentInfo connected_components(const Csr& csr) {
     }
   }
   return info;
+}
+
+bool is_symmetric(const Csr& csr) {
+  // Sort-and-compare keeps it O(m log m) with no hashing.
+  std::vector<std::tuple<VertexId, VertexId, Weight>> fwd;
+  std::vector<std::tuple<VertexId, VertexId, Weight>> rev;
+  fwd.reserve(csr.num_edges());
+  rev.reserve(csr.num_edges());
+  for (VertexId u = 0; u < csr.num_vertices(); ++u) {
+    const auto dsts = csr.neighbors(u);
+    const auto ws = csr.edge_weights(u);
+    for (std::size_t i = 0; i < dsts.size(); ++i) {
+      fwd.emplace_back(u, dsts[i], ws[i]);
+      rev.emplace_back(dsts[i], u, ws[i]);
+    }
+  }
+  std::sort(fwd.begin(), fwd.end());
+  std::sort(rev.begin(), rev.end());
+  return fwd == rev;
 }
 
 }  // namespace rdbs::graph

@@ -37,6 +37,10 @@ std::uint32_t approximate_diameter(const Csr& csr, int samples,
 // to the source's component).
 std::uint64_t reachable_count(const Csr& csr, VertexId src);
 
+// True iff the weighted edge multiset equals its own reverse: every edge
+// (u, v, w) is matched by a distinct (v, u, w).
+bool is_symmetric(const Csr& csr);
+
 // Size of the largest connected component and a representative vertex in it
 // (treats edges as undirected, which holds for all library graphs).
 struct ComponentInfo {

@@ -1,6 +1,7 @@
 #include "sssp/paths.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/macros.hpp"
 
@@ -12,23 +13,23 @@ std::vector<VertexId> build_parent_tree(const Csr& csr, VertexId source,
   RDBS_CHECK(source < csr.num_vertices());
   std::vector<VertexId> parents(csr.num_vertices(), graph::kInvalidVertex);
 
-  // One sweep over out-edges: u "claims" parenthood of v when the edge
-  // attains dist[v]; ties resolved toward the smaller u for determinism.
-  for (VertexId u = 0; u < csr.num_vertices(); ++u) {
-    if (dist[u] == graph::kInfiniteDistance) continue;
+  // Breadth-first search from the source over tight edges: a vertex's
+  // parent is the vertex that first reaches it, so every chain leads back
+  // to the source even through zero-weight cycles.
+  std::vector<VertexId> order{source};
+  for (std::size_t next = 0; next < order.size(); ++next) {
+    const VertexId u = order[next];
     const auto neighbors = csr.neighbors(u);
     const auto weights = csr.edge_weights(u);
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       const VertexId v = neighbors[i];
-      if (v == source) continue;
+      if (v == source || parents[v] != graph::kInvalidVertex) continue;
       if (dist[u] + weights[i] == dist[v]) {
-        if (parents[v] == graph::kInvalidVertex || u < parents[v]) {
-          parents[v] = u;
-        }
+        parents[v] = u;
+        order.push_back(v);
       }
     }
   }
-  parents[source] = graph::kInvalidVertex;
   return parents;
 }
 
@@ -79,6 +80,18 @@ std::optional<VertexId> validate_parent_tree(
       }
     }
     if (!attained) return v;
+  }
+  // Every parent chain must end at the source (attaining edges alone admit
+  // cycles through zero-weight edges). state: 0 = unvisited, 1 = on the
+  // current walk, 2 = leads to the source.
+  std::vector<std::uint8_t> state(csr.num_vertices(), 0);
+  state[source] = 2;
+  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
+    if (dist[v] == graph::kInfiniteDistance) continue;
+    VertexId u = v;
+    for (; state[u] == 0; u = parents[u]) state[u] = 1;
+    if (state[u] == 1) return v;
+    for (u = v; state[u] == 1; u = parents[u]) state[u] = 2;
   }
   return std::nullopt;
 }

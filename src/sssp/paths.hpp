@@ -1,12 +1,12 @@
 // Shortest-path tree reconstruction.
 //
 // The engines in this library compute distances only (like the paper's
-// kernels); a predecessor tree can always be recovered afterwards in one
-// pass over the edges, because a distance array that passes
-// validate_distances has, for every reached vertex, at least one in-edge
-// that attains its distance. build_parent_tree picks the attaining
-// predecessor deterministically (smallest vertex id) and extract_path walks
-// it — O(E) once, then O(path length) per query.
+// kernels); a predecessor tree can always be recovered afterwards by one
+// search from the source over tight edges (dist[u] + w == dist[v]), because
+// a distance array that passes validate_distances reaches every finite
+// vertex that way. build_parent_tree takes each vertex's first discoverer
+// (deterministic: breadth-first, adjacency order) and extract_path walks
+// it — O(V + E) once, then O(path length) per query.
 #pragma once
 
 #include <optional>
@@ -27,8 +27,9 @@ std::optional<std::vector<VertexId>> extract_path(
     const std::vector<VertexId>& parents, VertexId source, VertexId target);
 
 // Certifies a parent tree against a distance array: every reached vertex's
-// parent edge must exist and attain its distance. Returns the first
-// offending vertex, or nullopt when valid.
+// parent edge must exist and attain its distance, and its parent chain must
+// lead back to the source. Returns the first offending vertex, or nullopt
+// when valid.
 std::optional<VertexId> validate_parent_tree(
     const Csr& csr, VertexId source, const std::vector<Distance>& dist,
     const std::vector<VertexId>& parents);

@@ -1,6 +1,8 @@
 #include "sssp/validate.hpp"
 
-#include <sstream>
+#include <string>
+
+#include "sssp/paths.hpp"
 
 namespace rdbs::sssp {
 
@@ -11,31 +13,24 @@ std::optional<std::string> validate_distances(
   if (source >= n) return "source out of range";
   if (dist[source] != 0) return "dist[source] != 0";
 
-  auto describe = [](const char* what, VertexId u, VertexId v) {
-    std::ostringstream out;
-    out << what << " at edge (" << u << " -> " << v << ")";
-    return out.str();
-  };
-
-  // Feasibility + achievability in one sweep over out-edges. Achievability
-  // is checked from the destination side: collect, for every v, whether some
-  // in-edge attains dist[v]. Because the graph is symmetric, out-edges of u
-  // double as in-edges of its neighbors.
-  std::vector<char> attained(n, 0);
-  attained[source] = 1;
+  // Feasibility: no out-edge of a reached vertex can still relax.
   for (VertexId u = 0; u < n; ++u) {
     if (dist[u] == kInfiniteDistance) continue;
     const auto neighbors = csr.neighbors(u);
     const auto weights = csr.edge_weights(u);
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const VertexId v = neighbors[i];
-      const Distance through = dist[u] + weights[i];
-      if (through < dist[v]) return describe("relaxable edge", u, v);
-      if (through == dist[v]) attained[v] = 1;
+      if (dist[u] + weights[i] < dist[neighbors[i]]) {
+        return "relaxable edge at edge (" + std::to_string(u) + " -> " +
+               std::to_string(neighbors[i]) + ")";
+      }
     }
   }
+  // Achievability: every finite distance is the length of a tight path from
+  // the source. The parent tree is exactly the search over tight edges.
+  const std::vector<VertexId> parents = build_parent_tree(csr, source, dist);
   for (VertexId v = 0; v < n; ++v) {
-    if (dist[v] != kInfiniteDistance && !attained[v]) {
+    if (v != source && dist[v] != kInfiniteDistance &&
+        parents[v] == graph::kInvalidVertex) {
       return "unattained finite distance at vertex " + std::to_string(v);
     }
   }

@@ -11,9 +11,11 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adds.hpp"
@@ -476,6 +478,42 @@ TEST(FaultInjection, SpecParserRoundTripsAndRejectsGarbage) {
   EXPECT_THROW(gpusim::parse_fault_spec("bogus=1"), std::invalid_argument);
   EXPECT_THROW(gpusim::parse_fault_spec("flip"), std::invalid_argument);
   EXPECT_THROW(gpusim::parse_fault_spec("flip=abc"), std::invalid_argument);
+}
+
+TEST(FaultInjection, SpecParserReadsIntegersExactly) {
+  // Integer keys are read as integers, not through a double: 2^53 + 1 and
+  // 2^64 - 1 survive unrounded.
+  EXPECT_EQ(gpusim::parse_fault_spec("seed=9007199254740993").seed,
+            9007199254740993ull);
+  EXPECT_EQ(gpusim::parse_fault_spec("seed=18446744073709551615").seed,
+            std::numeric_limits<std::uint64_t>::max());
+  // The CI smokes' specs.
+  const gpusim::FaultConfig smoke =
+      gpusim::parse_fault_spec("seed=7,launch=0.3,max=50");
+  EXPECT_EQ(smoke.seed, 7u);
+  EXPECT_EQ(smoke.launch_failure, 0.3);
+  EXPECT_EQ(smoke.max_faults, 50u);
+  const gpusim::FaultConfig flips =
+      gpusim::parse_fault_spec("seed=7,launch=0.05,flip=1e-4");
+  EXPECT_EQ(flips.launch_failure, 0.05);
+  EXPECT_EQ(flips.bit_flip_per_load, 1e-4);
+}
+
+TEST(FaultInjection, SpecParserRejectsOutOfRangeIntegersNamingTheKey) {
+  // A negative budget used to wrap to an unbounded one, and a huge hot
+  // stream was an out-of-range float-to-int conversion.
+  for (const auto& [spec, key] :
+       {std::pair{"max=-1", "'max'"}, std::pair{"hot=1e12", "'hot'"},
+        std::pair{"seed=18446744073709551616", "'seed'"},
+        std::pair{"max=1.5", "'max'"}, std::pair{"flip=nan", "'flip'"}}) {
+    try {
+      gpusim::parse_fault_spec(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FaultInjection, InjectorDrawsArePureFunctionsOfTheKey) {

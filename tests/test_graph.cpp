@@ -353,6 +353,28 @@ TEST(Stats, ConnectedComponents) {
   EXPECT_EQ(info.representative, 0u);
 }
 
+TEST(Stats, IsSymmetricComparesWeightedEdgeMultisets) {
+  EXPECT_TRUE(is_symmetric(test::paper_figure1_graph()));
+  EXPECT_TRUE(is_symmetric(build_csr(EdgeList{})));
+  EdgeList edges;
+  edges.num_vertices = 3;
+  edges.add_edge(0, 1, 2);
+  edges.add_edge(1, 0, 2);
+  edges.add_edge(1, 2, 5);
+  EXPECT_FALSE(is_symmetric(build_csr(edges)));  // 2 -> 1 missing
+  edges.add_edge(2, 1, 4);
+  EXPECT_FALSE(is_symmetric(build_csr(edges)));  // weights differ
+  edges.edges.back().weight = 5;
+  EXPECT_TRUE(is_symmetric(build_csr(edges)));
+  // Multiplicity counts: a second 0 -> 1 (2) needs a second 1 -> 0 (2).
+  BuildOptions keep;
+  keep.dedup_parallel = false;
+  edges.add_edge(0, 1, 2);
+  EXPECT_FALSE(is_symmetric(build_csr(edges, keep)));
+  edges.add_edge(1, 0, 2);
+  EXPECT_TRUE(is_symmetric(build_csr(edges, keep)));
+}
+
 TEST(Stats, DiameterOfPathGraph) {
   EdgeList edges;
   edges.num_vertices = 10;

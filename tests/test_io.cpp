@@ -2,9 +2,11 @@
 // binary CSR cache, including malformed-input handling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/io.hpp"
@@ -28,6 +30,21 @@ class IoTest : public ::testing::Test {
   void write_file(const std::string& name, const std::string& contents) {
     std::ofstream out(path(name));
     out << contents;
+  }
+  // Writes the u64 words of a hand-built binary CSR, then `tail` raw bytes.
+  void write_words(const std::string& name,
+                   const std::vector<std::uint64_t>& words,
+                   const std::vector<std::uint32_t>& tail = {}) {
+    std::ofstream out(path(name), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(words.data()),
+              static_cast<std::streamsize>(words.size() * sizeof(words[0])));
+    out.write(reinterpret_cast<const char*>(tail.data()),
+              static_cast<std::streamsize>(tail.size() * sizeof(tail[0])));
+  }
+  // Both binary loaders must reject `name` with a runtime_error.
+  void expect_rejected(const std::string& name) {
+    EXPECT_THROW(MappedCsr{path(name)}, std::runtime_error);
+    EXPECT_THROW(read_binary_csr(path(name)), std::runtime_error);
   }
 
   std::filesystem::path dir_;
@@ -196,6 +213,40 @@ TEST_F(IoTest, MappedCsrRejectsCorruptAndTruncatedFiles) {
                                std::filesystem::file_size(path("g.bin")) / 2);
   EXPECT_THROW(MappedCsr(path("g.bin")), std::runtime_error);
   EXPECT_THROW(MappedCsr(path("missing.bin")), std::runtime_error);
+}
+
+constexpr std::uint64_t kMagicV1 = 0x5244425343535231ULL;  // "RDBSCSR1"
+constexpr std::uint64_t kMagicV2 = 0x5244425343535232ULL;  // "RDBSCSR2"
+
+TEST_F(IoTest, BinaryCsrRejectsVertexCountBeyondVertexId) {
+  // 56 bytes claiming 2^61 vertices: (V + 1) * 8 wraps to 8, so a size
+  // check by multiplication sees a tiny offsets section.
+  write_words("huge_v.bin", {kMagicV2, 1ull << 61, 0, 0, 0, 0, 0});
+  ASSERT_EQ(std::filesystem::file_size(path("huge_v.bin")), 56u);
+  expect_rejected("huge_v.bin");
+}
+
+TEST_F(IoTest, BinaryCsrRejectsOverflowingSectionSizes) {
+  // 2^62 edges: the adjacency and weight sections wrap to 0 bytes.
+  write_words("huge_e.bin", {kMagicV2, 1, 1ull << 62, 0, 1ull << 62});
+  expect_rejected("huge_e.bin");
+}
+
+TEST_F(IoTest, BinaryCsrRejectsOutOfRangeAdjacency) {
+  // Version 1, 2 vertices, one edge 0 -> 5 (weight 1.0): 60 bytes.
+  write_words("bad_dst.bin", {kMagicV1, 2, 1, 0, 1, 1},
+              {5, 0, 0x3ff00000u});
+  ASSERT_EQ(std::filesystem::file_size(path("bad_dst.bin")), 60u);
+  expect_rejected("bad_dst.bin");
+}
+
+TEST_F(IoTest, BinaryCsrRejectsMalformedOffsets) {
+  // Non-monotone: 0, 2, 1 for one edge 0 -> 1.
+  write_words("dip.bin", {kMagicV1, 2, 1, 0, 2, 1}, {1, 0, 0x3ff00000u});
+  expect_rejected("dip.bin");
+  // Not starting at 0: 1, 1, 1.
+  write_words("shift.bin", {kMagicV1, 2, 1, 1, 1, 1}, {1, 0, 0x3ff00000u});
+  expect_rejected("shift.bin");
 }
 
 TEST_F(IoTest, BinaryCsrRejectsCorruptMagic) {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/adds.hpp"
+#include "core/device_graph.hpp"
 #include "core/gunrock_like.hpp"
 #include "core/legacy_gpu.hpp"
 #include "core/multi_gpu.hpp"
@@ -485,6 +486,45 @@ TEST(GsanNoProgress, SatisfiedWaitsStaySilent) {
                  },
                  /*host_launch=*/true, /*stream=*/0);
   EXPECT_EQ(report_of(sim), "");
+}
+
+TEST(GsanNoProgress, DeviceQueuePopsAreAnnotated) {
+  GpuSim sim(gpusim::test_device());
+  sim.enable_sanitizer(SanitizeMode::kOn);
+  auto slots = sim.alloc<std::uint32_t>("work_queue", 64);
+  const auto ctrl = sim.alloc<std::uint32_t>("work_ctrl", 2);
+  sim.mark_initialized(ctrl);
+  core::DeviceQueue queue;
+  queue.bind(sim, std::move(slots), ctrl, /*tail_cell=*/0, /*head_cell=*/1,
+             sim.alloc<std::uint8_t>("work_flags", 64, 1));
+  queue.reset();
+  queue.seed(5);
+  queue.publish();
+
+  // Popping the host-seeded slot is satisfied by the upload.
+  sim.label_next_launch("seeded_pop");
+  sim.run_kernel(gpusim::Schedule::kStatic, 1, 1,
+                 [&](gpusim::WarpCtx& ctx, std::uint64_t) {
+                   std::array<VertexId, 32> lanes{};
+                   const std::uint32_t count = queue.take_front(lanes);
+                   queue.charge_pop(
+                       ctx, std::span<const VertexId>(lanes.data(), count));
+                 });
+  EXPECT_EQ(report_of(sim), "");
+
+  // One slot past the published tail: nothing ever writes it, so the spin
+  // never ends (and its ld.cg reads undefined memory).
+  sim.label_next_launch("overrun_pop");
+  sim.run_kernel(gpusim::Schedule::kStatic, 1, 1,
+                 [&](gpusim::WarpCtx& ctx, std::uint64_t) {
+                   const VertexId phantom[1] = {7};
+                   queue.charge_pop(ctx, phantom);
+                 });
+  EXPECT_EQ(report_of(sim),
+            "[gsan] uninit-read: kernel=overrun_pop buffer=work_queue elem=1 "
+            "warp=0\n"
+            "[gsan] no-progress: kernel=overrun_pop buffer=work_queue elem=1 "
+            "stream=0 warp=0\n");
 }
 
 // Satellite contract: hazard reports are byte-identical for any replay

@@ -175,6 +175,44 @@ TEST(Paths, ValidatorCatchesCorruptTree) {
   EXPECT_TRUE(sssp::validate_parent_tree(csr, 0, dist, parents).has_value());
 }
 
+TEST(Paths, ZeroWeightCycleParentsLeadBackToTheSource) {
+  const Csr csr = test::zero_cycle_tie_graph();
+  const auto dist = sssp::dijkstra(csr, 0).distances;
+  const auto parents = sssp::build_parent_tree(csr, 0, dist);
+  EXPECT_FALSE(sssp::validate_parent_tree(csr, 0, dist, parents).has_value());
+  EXPECT_EQ(sssp::extract_path(parents, 0, 1),
+            (std::vector<VertexId>{0, 3, 1}));
+  EXPECT_EQ(sssp::extract_path(parents, 0, 2),
+            (std::vector<VertexId>{0, 3, 2}));
+}
+
+TEST(Paths, ValidatorRejectsParentCycle) {
+  const Csr csr = test::zero_cycle_tie_graph();
+  const auto dist = sssp::dijkstra(csr, 0).distances;
+  // Every parent edge exists and attains its distance, but 1 and 2 point
+  // at each other instead of back to the source.
+  const std::vector<VertexId> parents{graph::kInvalidVertex, 2, 1, 0};
+  EXPECT_TRUE(sssp::validate_parent_tree(csr, 0, dist, parents).has_value());
+}
+
+TEST(Paths, ZeroWeightCycleBehindAnEdge) {
+  const Csr csr = test::zero_cycle_graph();
+  const auto dist = sssp::dijkstra(csr, 0).distances;
+  const auto parents = sssp::build_parent_tree(csr, 0, dist);
+  EXPECT_FALSE(sssp::validate_parent_tree(csr, 0, dist, parents).has_value());
+  EXPECT_EQ(sssp::extract_path(parents, 0, 2),
+            (std::vector<VertexId>{0, 1, 2}));
+}
+
+TEST(Paths, UnreachableZeroWeightPairHasNoPath) {
+  const Csr csr = test::unreachable_zero_pair_graph();
+  const auto dist = sssp::dijkstra(csr, 0).distances;
+  const auto parents = sssp::build_parent_tree(csr, 0, dist);
+  EXPECT_FALSE(sssp::validate_parent_tree(csr, 0, dist, parents).has_value());
+  EXPECT_FALSE(sssp::extract_path(parents, 0, 2).has_value());
+  EXPECT_FALSE(sssp::extract_path(parents, 0, 3).has_value());
+}
+
 TEST(Paths, WorksOnEngineOutput) {
   // Parent reconstruction is engine-agnostic: feed it RDBS distances.
   const Csr csr = random_powerlaw_graph(300, 2400, 153);

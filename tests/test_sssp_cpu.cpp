@@ -104,6 +104,31 @@ TEST(Validate, DetectsWrongSource) {
   EXPECT_TRUE(validate_distances(csr, 0, dist).has_value());
 }
 
+TEST(Validate, RejectsZeroWeightCycleUnderestimate) {
+  const Csr csr = test::zero_cycle_graph();
+  const auto exact = dijkstra(csr, 0).distances;
+  EXPECT_EQ(exact, (std::vector<Distance>{0, 10, 10}));
+  EXPECT_FALSE(validate_distances(csr, 0, exact).has_value());
+  // No edge relaxes and 1, 2 attain each other's 5 through the cycle, but
+  // no tight path from the source reaches them.
+  EXPECT_TRUE(validate_distances(csr, 0, {0, 5, 5}).has_value());
+}
+
+TEST(Validate, RejectsUnreachableZeroWeightPair) {
+  const Csr csr = test::unreachable_zero_pair_graph();
+  const auto exact = dijkstra(csr, 0).distances;
+  EXPECT_EQ(exact[2], graph::kInfiniteDistance);
+  EXPECT_FALSE(validate_distances(csr, 0, exact).has_value());
+  EXPECT_TRUE(validate_distances(csr, 0, {0, 1, 7, 7}).has_value());
+}
+
+TEST(Validate, AcceptsZeroWeightTiesReachedFromTheSource) {
+  const Csr csr = test::zero_cycle_tie_graph();
+  const auto exact = dijkstra(csr, 0).distances;
+  EXPECT_EQ(exact, (std::vector<Distance>{0, 10, 10, 5}));
+  EXPECT_FALSE(validate_distances(csr, 0, exact).has_value());
+}
+
 TEST(BellmanFord, MatchesDijkstraOnFigure1) {
   const Csr csr = paper_figure1_graph();
   expect_distances_equal(bellman_ford(csr, 0).distances,

@@ -16,6 +16,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/traffic.hpp"
@@ -319,6 +320,43 @@ TEST(Traffic, SpecGrammarRejectsGarbage) {
                std::invalid_argument);
 }
 
+// Expects `parse(spec)` to throw std::invalid_argument mentioning `key`.
+template <typename Parse>
+void expect_rejects_naming(Parse parse, const std::string& spec,
+                           const std::string& key) {
+  try {
+    parse(spec);
+    ADD_FAILURE() << spec << " parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Traffic, SpecGrammarRejectsOutOfRangeIntegers) {
+  const auto parse = [](const std::string& spec) {
+    return core::parse_traffic_spec(spec);
+  };
+  // A sign used to wrap n to 2^64 - 1 queries, and an oversized universe
+  // was silently truncated to 32 bits.
+  expect_rejects_naming(parse, "poisson:n=-1", "n");
+  expect_rejects_naming(parse, "poisson:universe=4294967297", "universe");
+  expect_rejects_naming(parse, "poisson:n=1e3", "n");
+  expect_rejects_naming(parse, "poisson:rate=inf", "rate");
+  expect_rejects_naming(parse, "poisson:deadlines=1/nan/-", "deadlines");
+  EXPECT_EQ(core::parse_traffic_spec("poisson:universe=4294967295")
+                .source_universe,
+            4294967295u);
+  // The CI smoke's stream.
+  const TrafficSpec smoke =
+      core::parse_traffic_spec("poisson:n=200,rate=2,deadlines=2/8/-,seed=7");
+  EXPECT_EQ(smoke.num_queries, 200u);
+  EXPECT_EQ(smoke.rate_qpms, 2.0);
+  EXPECT_EQ(smoke.seed, 7u);
+  EXPECT_EQ(smoke.class_deadline_ms[1], 8.0);
+  EXPECT_TRUE(std::isinf(smoke.class_deadline_ms[2]));
+}
+
 // --- closed-loop clients ---------------------------------------------------
 
 TEST(Traffic, ClosedLoopBackoffIsAPureFunctionOfItsKeys) {
@@ -387,6 +425,25 @@ TEST(Traffic, ClosedLoopSpecGrammarRoundTripsAndRejectsGarbage) {
                std::invalid_argument);
   EXPECT_THROW(core::parse_closed_loop_spec("backoff=fast"),
                std::invalid_argument);
+}
+
+TEST(Traffic, ClosedLoopSpecGrammarRejectsOutOfRangeIntegers) {
+  const auto parse = [](const std::string& spec) {
+    return core::parse_closed_loop_spec(spec);
+  };
+  // 2^32 used to wrap the int budget to 0.
+  expect_rejects_naming(parse, "budget=4294967296", "budget");
+  expect_rejects_naming(parse, "budget=-1", "budget");
+  expect_rejects_naming(parse, "depth=8.5", "depth");
+  // The benchmark's storm clients and the CI smoke's.
+  const core::ClosedLoopSpec storm =
+      core::parse_closed_loop_spec("budget=2,backoff=0.5,depth=16");
+  EXPECT_EQ(storm.retry_budget, 2);
+  EXPECT_EQ(storm.backoff_base_ms, 0.5);
+  EXPECT_EQ(storm.backpressure_depth, 16u);
+  EXPECT_EQ(core::parse_closed_loop_spec("budget=2,backoff=0.5,depth=8")
+                .backpressure_depth,
+            8u);
 }
 
 }  // namespace

@@ -56,6 +56,41 @@ inline Csr paper_figure4_graph() {
   return graph::build_csr(edges, options);
 }
 
+// Directed graphs with zero-weight cycles, where "some in-edge attains
+// dist[v]" holds for wrong distances and for cyclic parent choices.
+// 0 -> 1 (10), 1 <-> 2 (0): the cycle attains any common value of 1 and 2.
+inline Csr zero_cycle_graph() {
+  EdgeList edges;
+  edges.num_vertices = 3;
+  edges.add_edge(0, 1, 10);
+  edges.add_edge(1, 2, 0);
+  edges.add_edge(2, 1, 0);
+  return graph::build_csr(edges);
+}
+
+// 0 -> 1 (1), 2 <-> 3 (0): the zero-weight pair is unreachable from 0.
+inline Csr unreachable_zero_pair_graph() {
+  EdgeList edges;
+  edges.num_vertices = 4;
+  edges.add_edge(0, 1, 1);
+  edges.add_edge(2, 3, 0);
+  edges.add_edge(3, 2, 0);
+  return graph::build_csr(edges);
+}
+
+// 0 -> 3 (5), 3 -> 1 (5), 3 -> 2 (5), 1 <-> 2 (0): 1 and 2 tie at 10 and
+// each attains the other's distance.
+inline Csr zero_cycle_tie_graph() {
+  EdgeList edges;
+  edges.num_vertices = 4;
+  edges.add_edge(0, 3, 5);
+  edges.add_edge(3, 1, 5);
+  edges.add_edge(3, 2, 5);
+  edges.add_edge(1, 2, 0);
+  edges.add_edge(2, 1, 0);
+  return graph::build_csr(edges);
+}
+
 // A weighted random power-law graph (deterministic in seed).
 inline Csr random_powerlaw_graph(VertexId n, std::uint64_t num_edges,
                                  std::uint64_t seed,
