@@ -14,7 +14,11 @@
 // The speedup column is the wall-clock ratio baseline/overhaul. Simulated
 // results are bit-identical across replay modes and worker counts by
 // construction (see docs/costmodel.md, "Parallel execution & determinism");
-// the bit_identical column verifies exactly that, end to end, per row.
+// the bit_identical column verifies exactly that, end to end, per row: the
+// full gpusim::Counters, the simulated time and, on engine rows, a digest
+// of every returned distance vector. On the rdbs/* rows that pits the
+// fused closed-form charge of contiguous loads (WarpCtx::load_range)
+// against the two-pass lane path.
 //
 // Workloads cover the replay cost spectrum: streaming loads (perfectly
 // coalesced, L1-friendly), scattered loads (32 sectors per warp), an
@@ -30,6 +34,7 @@
 //   --min-speedup X    exit nonzero if any row's speedup falls below X
 //   --scale21          append the SCALE-21 capacity row (slow)
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,11 +46,6 @@
 using namespace rdbs;
 
 namespace {
-
-std::uint64_t warp_instructions(const gpusim::Counters& c) {
-  return c.alu_instructions + c.inst_executed_global_loads +
-         c.inst_executed_global_stores + c.inst_executed_atomics;
-}
 
 // One pipeline configuration a workload runs under. Applied through the
 // process-wide defaults so engine-internal simulators pick it up too.
@@ -68,10 +68,22 @@ PipelineConfig overhaul_config(int par_threads) {
 struct WorkloadResult {
   double wall_ms = 0;       // host time to simulate
   double simulated_ms = 0;  // what the cost model charged
-  std::uint64_t instructions = 0;
+  gpusim::Counters counters;
+  // FNV-1a over the bit patterns of every distance the workload returned
+  // (engine rows; the microworkloads return none).
+  std::uint64_t distance_digest = 14695981039346656037ull;
+
   double mwips() const {
     return wall_ms <= 0 ? 0
-                        : static_cast<double>(instructions) / (wall_ms * 1e3);
+                        : static_cast<double>(counters.warp_instructions()) /
+                              (wall_ms * 1e3);
+  }
+  void digest(const std::vector<graph::Distance>& distances) {
+    for (const graph::Distance d : distances) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &d, sizeof bits);
+      distance_digest = (distance_digest ^ bits) * 1099511628211ull;
+    }
   }
 };
 
@@ -99,7 +111,7 @@ WorkloadResult run_streaming(const gpusim::DeviceSpec& device,
         ctx.load(buf, idx, std::span<float>(out, 32));
         ctx.alu(4);
       });
-  return {timer.milliseconds(), launch.ms, warp_instructions(sim.counters())};
+  return {timer.milliseconds(), launch.ms, sim.counters()};
 }
 
 WorkloadResult run_scattered(const gpusim::DeviceSpec& device,
@@ -121,7 +133,7 @@ WorkloadResult run_scattered(const gpusim::DeviceSpec& device,
         ctx.load(buf, idx, std::span<float>(out, 32));
         ctx.alu(4);
       });
-  return {timer.milliseconds(), launch.ms, warp_instructions(sim.counters())};
+  return {timer.milliseconds(), launch.ms, sim.counters()};
 }
 
 WorkloadResult run_atomic_hammer(const gpusim::DeviceSpec& device,
@@ -140,7 +152,7 @@ WorkloadResult run_atomic_hammer(const gpusim::DeviceSpec& device,
         }
         ctx.atomic_touch(buf, idx);
       });
-  return {timer.milliseconds(), launch.ms, warp_instructions(sim.counters())};
+  return {timer.milliseconds(), launch.ms, sim.counters()};
 }
 
 // --- full-engine workloads -------------------------------------------------
@@ -162,7 +174,8 @@ WorkloadResult run_engine(const graph::Csr& csr,
   for (const auto source : sources) {
     const core::GpuRunResult result = solver.solve(source);
     r.simulated_ms += result.device_ms;
-    r.instructions += warp_instructions(result.counters);
+    r.counters += result.counters;
+    r.digest(result.sssp.distances);
   }
   r.wall_ms = timer.milliseconds();
   if (stats_out != nullptr) *stats_out = solver.sim().trace_stats();
@@ -198,7 +211,8 @@ struct Row {
   }
   bool bit_identical() const {
     return serial.simulated_ms == parallel.simulated_ms &&
-           serial.instructions == parallel.instructions;
+           serial.counters == parallel.counters &&
+           serial.distance_digest == parallel.distance_digest;
   }
 };
 
@@ -354,7 +368,8 @@ int main(int argc, char** argv) {
         row.device.c_str(), row.workload.c_str(), row.serial.wall_ms,
         row.parallel.wall_ms, row.speedup(), row.serial.mwips(),
         row.parallel.mwips(),
-        static_cast<unsigned long long>(row.serial.instructions),
+        static_cast<unsigned long long>(
+            row.serial.counters.warp_instructions()),
         row.serial.simulated_ms, row.bit_identical() ? "true" : "false");
     if (row.trace_bytes > 0) {
       std::fprintf(

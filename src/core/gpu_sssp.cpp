@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/macros.hpp"
@@ -13,6 +14,18 @@ namespace {
 // Device element sizes mirror the CUDA layout the paper describes: 32-bit
 // row offsets / vertex ids / weights / distances.
 constexpr std::uint32_t kDeviceWord = 4;
+
+// Bit i is set iff lo <= d[i] < hi (d holds at most 32 lanes; an infinite
+// distance is never below hi). Branch-free: a strip mixes settled and
+// unsettled lanes, so a short-circuit test would mispredict.
+std::uint32_t lanes_in_window(std::span<const Distance> d, Weight lo,
+                              Weight hi) {
+  std::uint32_t mask = 0;
+  for (std::uint32_t i = 0; i < d.size(); ++i) {
+    mask |= static_cast<std::uint32_t>(!(d[i] < lo) & !(d[i] >= hi)) << i;
+  }
+  return mask;
+}
 
 }  // namespace
 
@@ -307,14 +320,12 @@ void GpuDeltaStepping::child_warp(gpusim::WarpCtx& ctx,
   // The chunk's 32 consecutive edges load fully coalesced.
   const Distance dist_u = ctx.load_one(dist_, chunk.vertex);
 
-  std::array<std::uint64_t, 32> eidx{};
-  for (std::uint32_t i = 0; i < count; ++i) eidx[i] = chunk.edge_begin + i;
-  std::span<const std::uint64_t> espan(eidx.data(), count);
-
-  std::array<VertexId, 32> dsts{};
-  std::array<Weight, 32> ws{};
-  ctx.load(graph_bufs_->adjacency, espan, std::span<VertexId>(dsts.data(), count));
-  ctx.load(graph_bufs_->weights, espan, std::span<Weight>(ws.data(), count));
+  std::array<VertexId, 32> dsts;
+  std::array<Weight, 32> ws;
+  ctx.load_range(graph_bufs_->adjacency, chunk.edge_begin,
+                 std::span<VertexId>(dsts.data(), count));
+  ctx.load_range(graph_bufs_->weights, chunk.edge_begin,
+                 std::span<Weight>(ws.data(), count));
   ctx.alu(2, count);
 
   // Chunks lie entirely in the light range with PRO; otherwise each lane
@@ -417,7 +428,6 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     Weight lo, Weight hi, Weight delta, Weight next_lo, Weight next_hi,
     bool relax_heavy) {
   const VertexId n = csr_.num_vertices();
-  const std::uint64_t warps = (n + 31) / 32;
   ScanOutcome outcome;
 
   // Flattened heavy-edge work list of this bucket's settled vertices. The
@@ -428,31 +438,31 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
   std::vector<std::pair<EdgeIndex, VertexId>> heavy_edges;
 
   // Strip body: identify lanes settled in [lo, hi), charge their row-bound
-  // loads, and append their heavy ranges to the flattened list.
+  // loads, and append their heavy ranges to the flattened list. The range
+  // test runs over every lane into a mask; only settled lanes are visited.
   auto collect_settled = [&](gpusim::WarpCtx& ctx, std::uint64_t begin,
                              std::span<const Distance> dist_vals) {
-    const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
-    std::array<std::uint64_t, 32> idx{};
+    std::uint32_t settled = lanes_in_window(dist_vals, lo, hi);
+    if (settled == 0) return;
+    std::array<std::uint64_t, 32> idx;
     std::uint32_t cnt = 0;
-    for (std::uint64_t v = begin; v < end; ++v) {
-      const Distance d = dist_vals[static_cast<std::size_t>(v - begin)];
-      if (d < lo || d >= hi) continue;
+    for (; settled != 0; settled &= settled - 1) {
+      const auto v = static_cast<VertexId>(begin + std::countr_zero(settled));
       idx[cnt++] = v;
       const EdgeIndex h =
-          options_.pro ? light_end(static_cast<VertexId>(v), delta)
-                       : csr_.row_begin(static_cast<VertexId>(v));
-      for (EdgeIndex e = h; e < csr_.row_end(static_cast<VertexId>(v)); ++e) {
-        heavy_edges.emplace_back(e, static_cast<VertexId>(v));
+          options_.pro ? light_end(v, delta) : csr_.row_begin(v);
+      for (EdgeIndex e = h; e < csr_.row_end(v); ++e) {
+        heavy_edges.emplace_back(e, v);
       }
-      ++outcome.converged;
     }
-    if (cnt == 0) return;
+    outcome.converged += cnt;
     ctx.alu(2, cnt);
-    std::array<EdgeIndex, 32> tmp{};
-    ctx.load(graph_bufs_->row_offsets, std::span<const std::uint64_t>(idx.data(), cnt),
+    const std::span<const std::uint64_t> settled_idx(idx.data(), cnt);
+    std::array<EdgeIndex, 32> tmp;
+    ctx.load(graph_bufs_->row_offsets, settled_idx,
              std::span<EdgeIndex>(tmp.data(), cnt));
     if (options_.pro) {
-      ctx.load(heavy_offsets_, std::span<const std::uint64_t>(idx.data(), cnt),
+      ctx.load(heavy_offsets_, settled_idx,
                std::span<EdgeIndex>(tmp.data(), cnt));
     }
   };
@@ -503,31 +513,39 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     queue_.charge_push(ctx);
   };
 
-  // Collection body: enqueue lanes in [next_lo, next_hi). Decisions use the
-  // CURRENT distance (dist_), not the strip values loaded at warp start:
-  // heavy relaxations in the same kernel are visible through the atomics,
-  // and heavy_chunk's direct-enqueue covers updates that land after a strip
-  // was scanned. The strip load above still pays the cost.
+  // Collection body: enqueue lanes in [next_lo, next_hi), in vertex order.
+  // Decisions use the CURRENT distance (dist_), not the strip values loaded
+  // at warp start: heavy relaxations in the same kernel are visible through
+  // the atomics, and heavy_chunk's direct-enqueue covers updates that land
+  // after a strip was scanned. The strip load still pays the cost. An
+  // infinite distance never passes `d < next_hi`.
   auto collect_part = [&](gpusim::WarpCtx& ctx, std::uint64_t begin,
-                          std::span<const Distance> /*dist_vals*/) {
-    const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
+                          std::uint32_t lanes) {
     ctx.alu(3, 32);  // range classification + warp min-reduce step
-    for (std::uint64_t v = begin; v < end; ++v) {
-      const Distance d = dist_[v];
-      if (d == graph::kInfiniteDistance) continue;
-      if (d >= next_lo && d < next_hi) queue_.offer(static_cast<VertexId>(v));
+    std::uint32_t frontier = lanes_in_window(
+        std::span<const Distance>(dist_.data()).subspan(begin, lanes),
+        next_lo, next_hi);
+    for (; frontier != 0; frontier &= frontier - 1) {
+      queue_.offer(static_cast<VertexId>(begin + std::countr_zero(frontier)));
     }
     queue_.charge_push(ctx);
   };
 
-  auto load_strip = [&](gpusim::WarpCtx& ctx, std::uint64_t begin,
-                        std::span<Distance> out) {
-    const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
-    std::array<std::uint64_t, 32> idx{};
-    const auto cnt = static_cast<std::uint32_t>(end - begin);
-    for (std::uint32_t i = 0; i < cnt; ++i) idx[i] = begin + i;
-    ctx.load(dist_, std::span<const std::uint64_t>(idx.data(), cnt),
-             out.subspan(0, cnt));
+  // One warp per 32-vertex strip: one contiguous load of the strip's
+  // distances, then the phase-2 body, the phase-3 body, or both (fused).
+  auto scan_strips = [&](gpusim::KernelScope& kernel, bool settle,
+                         bool collect) {
+    for (std::uint64_t begin = 0; begin < n; begin += 32) {
+      const auto lanes =
+          static_cast<std::uint32_t>(std::min<std::uint64_t>(32, n - begin));
+      auto ctx = kernel.make_warp();
+      std::array<Distance, 32> dist_vals;
+      const std::span<Distance> strip(dist_vals.data(), lanes);
+      ctx.load_range(dist_, begin, strip);
+      if (settle) collect_settled(ctx, begin, strip);
+      if (collect) collect_part(ctx, begin, lanes);
+      kernel.commit(ctx);
+    }
   };
 
   auto process_heavy_chunks = [&](gpusim::KernelScope& kernel) {
@@ -543,14 +561,7 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     sim_->label_next_launch("phase23_fused");
     gpusim::KernelScope kernel(*sim_, gpusim::Schedule::kStatic, true,
                                /*warps_per_block=*/8, stream_);
-    for (std::uint64_t w = 0; w < warps; ++w) {
-      auto ctx = kernel.make_warp();
-      std::array<Distance, 32> dist_vals{};
-      load_strip(ctx, w * 32, dist_vals);
-      if (relax_heavy) collect_settled(ctx, w * 32, dist_vals);
-      collect_part(ctx, w * 32, dist_vals);
-      kernel.commit(ctx);
-    }
+    scan_strips(kernel, relax_heavy, /*collect=*/true);
     if (relax_heavy) process_heavy_chunks(kernel);
     kernel.finish();
   } else {
@@ -558,13 +569,7 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
       sim_->label_next_launch("phase2");
       gpusim::KernelScope phase2(*sim_, gpusim::Schedule::kStatic, true,
                                  /*warps_per_block=*/8, stream_);
-      for (std::uint64_t w = 0; w < warps; ++w) {
-        auto ctx = phase2.make_warp();
-        std::array<Distance, 32> dist_vals{};
-        load_strip(ctx, w * 32, dist_vals);
-        collect_settled(ctx, w * 32, dist_vals);
-        phase2.commit(ctx);
-      }
+      scan_strips(phase2, /*settle=*/true, /*collect=*/false);
       process_heavy_chunks(phase2);
       phase2.finish();
       sim_->host_barrier(stream_);
@@ -572,13 +577,7 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     sim_->label_next_launch("phase3");
     gpusim::KernelScope phase3(*sim_, gpusim::Schedule::kStatic, true,
                                /*warps_per_block=*/8, stream_);
-    for (std::uint64_t w = 0; w < warps; ++w) {
-      auto ctx = phase3.make_warp();
-      std::array<Distance, 32> dist_vals{};
-      load_strip(ctx, w * 32, dist_vals);
-      collect_part(ctx, w * 32, dist_vals);
-      phase3.commit(ctx);
-    }
+    scan_strips(phase3, /*settle=*/false, /*collect=*/true);
     phase3.finish();
     sim_->host_barrier(stream_);
   }
@@ -586,7 +585,9 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
   // Final reduction (remaining count / minimum unsettled distance) over the
   // post-scan distances. On hardware this is the atomically-reduced counter
   // pair the scan kernel maintains; its cost is covered by the per-strip
-  // classification ALU charged in collect_part.
+  // classification ALU charged in collect_part. The caller reads it only
+  // when the scan left the queue empty, so the host computes it only then.
+  if (!queue_.empty()) return outcome;
   for (std::uint64_t v = 0; v < n; ++v) {
     const Distance d = dist_[v];
     if (d == graph::kInfiniteDistance) continue;

@@ -113,9 +113,10 @@ class GpuDeltaStepping {
 
   // Fused phase 2&3 scan (RDBS) or the two separate scans (BL). Relaxes the
   // heavy edges of vertices settled in [lo, hi), then collects the frontier
-  // for [next_lo, next_hi) into the phase-1 queue. Returns the smallest
-  // unsettled distance >= next_lo (infinity if none) and the number of
-  // remaining unsettled vertices.
+  // for [next_lo, next_hi) into the phase-1 queue. When that leaves the
+  // queue empty, also returns the smallest unsettled distance >= next_lo
+  // (infinity if none) and the number of remaining unsettled vertices;
+  // otherwise those stay at infinity and 0.
   struct ScanOutcome {
     Distance min_unsettled = graph::kInfiniteDistance;
     std::uint64_t remaining = 0;

@@ -108,13 +108,12 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     const auto cnt = static_cast<std::uint32_t>(chunk.end - chunk.begin);
     const Distance du = ctx.load_one(dist_, chunk.vertex);
     (void)du;
-    std::array<std::uint64_t, 32> eidx{};
-    for (std::uint32_t i = 0; i < cnt; ++i) eidx[i] = chunk.begin + i;
-    std::span<const std::uint64_t> es(eidx.data(), cnt);
-    std::array<VertexId, 32> dsts{};
-    std::array<Weight, 32> ws{};
-    ctx.load(graph_.adjacency, es, std::span<VertexId>(dsts.data(), cnt));
-    ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
+    std::array<VertexId, 32> dsts;
+    std::array<Weight, 32> ws;
+    ctx.load_range(graph_.adjacency, chunk.begin,
+                   std::span<VertexId>(dsts.data(), cnt));
+    ctx.load_range(graph_.weights, chunk.begin,
+                   std::span<Weight>(ws.data(), cnt));
     ctx.alu(2, cnt);
 
     // The functor's writes (e.g. atomicMin on dist) are charged as one

@@ -103,11 +103,9 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
           const std::uint64_t begin = w * 32;
           const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
           const auto lanes = static_cast<std::uint32_t>(end - begin);
-          std::array<std::uint64_t, 32> idx{};
-          for (std::uint32_t i = 0; i < lanes; ++i) idx[i] = begin + i;
-          std::span<const std::uint64_t> is(idx.data(), lanes);
-          std::array<std::uint8_t, 32> masks{};
-          ctx.load(mask_, is, std::span<std::uint8_t>(masks.data(), lanes));
+          std::array<std::uint8_t, 32> masks;
+          ctx.load_range(mask_, begin,
+                         std::span<std::uint8_t>(masks.data(), lanes));
 
           std::array<std::uint32_t, 32> active_lane{};
           std::uint32_t active = 0;
@@ -188,11 +186,12 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
           std::array<std::uint64_t, 32> idx{};
           for (std::uint32_t i = 0; i < lanes; ++i) idx[i] = begin + i;
           std::span<const std::uint64_t> is(idx.data(), lanes);
-          std::array<Distance, 32> cost{};
-          std::array<Distance, 32> updating{};
-          ctx.load(dist_, is, std::span<Distance>(cost.data(), lanes));
-          ctx.load(updating_dist_, is,
-                   std::span<Distance>(updating.data(), lanes));
+          std::array<Distance, 32> cost;
+          std::array<Distance, 32> updating;
+          ctx.load_range(dist_, begin,
+                         std::span<Distance>(cost.data(), lanes));
+          ctx.load_range(updating_dist_, begin,
+                         std::span<Distance>(updating.data(), lanes));
           ctx.alu(2, lanes);
           std::array<std::uint8_t, 32> new_mask{};
           for (std::uint32_t i = 0; i < lanes; ++i) {
@@ -389,13 +388,12 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
       auto ctx = sweep.make_warp();
       const auto cnt = static_cast<std::uint32_t>(chunk.end - chunk.begin);
       const Distance du = ctx.load_one(dist_, chunk.vertex);
-      std::array<std::uint64_t, 32> eidx{};
-      for (std::uint32_t i = 0; i < cnt; ++i) eidx[i] = chunk.begin + i;
-      std::span<const std::uint64_t> es(eidx.data(), cnt);
-      std::array<VertexId, 32> dsts{};
-      std::array<Weight, 32> ws{};
-      ctx.load(graph_.adjacency, es, std::span<VertexId>(dsts.data(), cnt));
-      ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
+      std::array<VertexId, 32> dsts;
+      std::array<Weight, 32> ws;
+      ctx.load_range(graph_.adjacency, chunk.begin,
+                     std::span<VertexId>(dsts.data(), cnt));
+      ctx.load_range(graph_.weights, chunk.begin,
+                     std::span<Weight>(ws.data(), cnt));
       ctx.alu(2, cnt);
       work.relaxations += cnt;
       std::array<std::uint64_t, 32> tgt{};

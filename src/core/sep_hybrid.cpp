@@ -185,27 +185,15 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
             const std::uint64_t begin = w * 32;
             const std::uint64_t end = std::min<std::uint64_t>(begin + 32, n);
             const auto lanes = static_cast<std::uint32_t>(end - begin);
-            std::array<std::uint64_t, 32> idx{};
-            std::array<std::uint64_t, 32> idx1{};
-            for (std::uint32_t i = 0; i < lanes; ++i) {
-              idx[i] = begin + i;
-              idx1[i] = begin + i + 1;
-            }
-            std::span<const std::uint64_t> is(idx.data(), lanes);
-            std::array<Distance, 32> dv{};
-            ctx.load(dist_, is, std::span<Distance>(dv.data(), lanes));
-            std::array<EdgeIndex, 32> rb{};
-            std::array<EdgeIndex, 32> re{};
-            {
-              std::array<EdgeIndex, 32> tmp{};
-              ctx.load(graph_.row_offsets, is,
-                       std::span<EdgeIndex>(tmp.data(), lanes));
-              for (std::uint32_t i = 0; i < lanes; ++i) rb[i] = tmp[i];
-              ctx.load(graph_.row_offsets,
-                       std::span<const std::uint64_t>(idx1.data(), lanes),
-                       std::span<EdgeIndex>(tmp.data(), lanes));
-              for (std::uint32_t i = 0; i < lanes; ++i) re[i] = tmp[i];
-            }
+            std::array<Distance, 32> dv{};  // copied whole into best
+            ctx.load_range(dist_, begin,
+                           std::span<Distance>(dv.data(), lanes));
+            std::array<EdgeIndex, 32> rb;
+            std::array<EdgeIndex, 32> re;
+            ctx.load_range(graph_.row_offsets, begin,
+                           std::span<EdgeIndex>(rb.data(), lanes));
+            ctx.load_range(graph_.row_offsets, begin + 1,
+                           std::span<EdgeIndex>(re.data(), lanes));
             ctx.alu(2, lanes);
             std::array<Distance, 32> best = dv;
             std::uint64_t max_deg = 0;

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/macros.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/device.hpp"
 
@@ -82,6 +83,42 @@ inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
       line_out[r.lines++] = {line, bit};
       prev_line = line;
     }
+  }
+  return r;
+}
+
+// Closed form of coalesce_warp_lanes for the lane addresses first_addr +
+// i * elem_bytes, i < lanes (WarpCtx::load_range). With elem_bytes <= 32
+// consecutive lanes never skip a sector, so the warp touches every sector
+// from the first lane's to the last lane's, and the line list follows from
+// those two ends: full masks between them, clipped masks at either end.
+inline CoalesceResult coalesce_contiguous_lanes(std::uint64_t first_addr,
+                                                std::uint32_t elem_bytes,
+                                                std::uint32_t lanes,
+                                                std::uint32_t spl_shift,
+                                                WarpLineRef* line_out) {
+  constexpr std::uint32_t kSectorShift = 5;  // SectoredCache::kSectorBytes
+  RDBS_DCHECK(elem_bytes >= 1 && elem_bytes <= (1u << kSectorShift));
+  if (lanes == 0) return {};
+  const std::uint64_t first_sector = first_addr >> kSectorShift;
+  const std::uint64_t last_sector =
+      (first_addr + static_cast<std::uint64_t>(lanes - 1) * elem_bytes) >>
+      kSectorShift;
+  const std::uint32_t spl = 1u << spl_shift;
+  const std::uint32_t full = ~0u >> (32 - spl);
+  const std::uint64_t first_line = first_sector >> spl_shift;
+  const std::uint64_t last_line = last_sector >> spl_shift;
+  CoalesceResult r;
+  r.distinct_addrs = lanes;
+  r.sectors = static_cast<std::uint32_t>(last_sector - first_sector + 1);
+  const std::uint32_t first_in_line =
+      static_cast<std::uint32_t>(first_sector) & (spl - 1);
+  const std::uint32_t last_in_line =
+      static_cast<std::uint32_t>(last_sector) & (spl - 1);
+  for (std::uint64_t line = first_line; line <= last_line; ++line) {
+    const std::uint32_t lo = line == first_line ? first_in_line : 0;
+    const std::uint32_t hi = line == last_line ? last_in_line : spl - 1;
+    line_out[r.lines++] = {line, (full << lo) & (full >> (spl - 1 - hi))};
   }
   return r;
 }

@@ -74,11 +74,10 @@ void WarpCtx::alu(std::uint32_t instructions, std::uint32_t active_lanes) {
 }
 
 std::uint64_t* WarpCtx::trace_slots() {
-  return sim_.fused_launch_ ? sim_.fused_lanes_.data()
-                            : sim_.trace_.lane_slots();
+  return fused_ ? sim_.fused_lanes_.data() : sim_.trace_.lane_slots();
 }
 
-void WarpCtx::record_mem(std::uint8_t kind, std::uint32_t lanes) {
+void WarpCtx::count_mem(std::uint8_t kind, std::uint32_t lanes) {
   RDBS_DCHECK(active_task_valid());
   Counters& c = sim_.counters_;
   switch (kind) {
@@ -100,11 +99,22 @@ void WarpCtx::record_mem(std::uint8_t kind, std::uint32_t lanes) {
   // Scheduling weight stays cache-independent in both modes (placement must
   // not depend on how the cost side is computed).
   sim_.task_records_[task_].weight += kMemIssueWeight;
-  if (sim_.fused_launch_) {
+}
+
+void WarpCtx::record_mem(std::uint8_t kind, std::uint32_t lanes) {
+  count_mem(kind, lanes);
+  if (fused_) {
     sim_.fused_charge(kind, lanes, task_);
   } else {
     sim_.trace_.append_op(kind, lanes);
   }
+}
+
+void WarpCtx::record_load_range(std::uint64_t first_addr,
+                                std::uint32_t elem_bytes,
+                                std::uint32_t lanes) {
+  count_mem(TraceOp::kLoad, lanes);
+  sim_.fused_charge_range(first_addr, elem_bytes, lanes, task_);
 }
 
 std::uint64_t WarpCtx::checked_index_slow(const std::string& buffer_name,
@@ -280,7 +290,8 @@ void GpuSim::reset_all() {
   launch_open_ = false;
 }
 
-void GpuSim::begin_launch(bool host_launch, StreamId stream) {
+void GpuSim::begin_launch(bool host_launch, StreamId stream,
+                          Schedule schedule) {
   RDBS_DCHECK(!launch_open_);
   launch_open_ = true;
   launch_stream_ = stream;
@@ -293,11 +304,14 @@ void GpuSim::begin_launch(bool host_launch, StreamId stream) {
   // a materialized trace: only the sanitizer scans it. gfi keys off op
   // ordinals (launch_ops_), which fused launches count identically.
   fused_launch_ = replay_mode_ == ReplayMode::kAuto && sanitizer_ == nullptr;
-  std::fill(sm_load_.begin(), sm_load_.end(), 0);
-  // All-zero loads in SM order form a valid min-heap on (weight, sm).
-  load_heap_.clear();
-  for (int sm = 0; sm < spec_.num_sms; ++sm) {
-    load_heap_.emplace_back(0, sm);
+  dynamic_launch_ = schedule == Schedule::kDynamic;
+  if (dynamic_launch_) {
+    std::fill(sm_load_.begin(), sm_load_.end(), 0);
+    // All-zero loads in SM order form a valid min-heap on (weight, sm).
+    load_heap_.clear();
+    for (int sm = 0; sm < spec_.num_sms; ++sm) {
+      load_heap_.emplace_back(0, sm);
+    }
   }
   launch_dram_bytes_ = 0;
   launch_child_launches_ = 0;
@@ -359,18 +373,20 @@ WarpCtx GpuSim::begin_task(int sm) {
   // Task boundary: reset the compressed delta chain so this task's ops
   // decode independently of its predecessors (parallel replay shards).
   if (!fused_launch_) trace_.begin_task();
-  return WarpCtx(*this, sm, index, sanitizer_ != nullptr, fault_ != nullptr);
+  return WarpCtx(*this, sm, index, sanitizer_ != nullptr, fault_ != nullptr,
+                 fused_launch_);
 }
 
 void GpuSim::commit_task(const WarpCtx& ctx) {
   RDBS_DCHECK(active_task_ == ctx.task_);
   TaskRecord& rec = task_records_[ctx.task_];
   rec.op_end = launch_ops_;
+  active_task_ = kNoTask;
+  if (!dynamic_launch_) return;  // only dynamic placement reads the weights
   const auto sm = static_cast<std::size_t>(rec.sm);
   sm_load_[sm] += rec.weight;
   load_heap_.emplace_back(sm_load_[sm], rec.sm);
   std::push_heap(load_heap_.begin(), load_heap_.end(), std::greater<>{});
-  active_task_ = kNoTask;
 }
 
 void GpuSim::replay_shard(int sm) {
@@ -501,7 +517,6 @@ void GpuSim::flush_l2_stream() {
 
 void GpuSim::fused_charge(std::uint8_t kind, std::uint32_t lanes,
                           std::uint32_t task) {
-  TaskRecord& rec = task_records_[task];
   // Deliberately uninitialized: coalesce_warp_lanes writes the first
   // `co.lines` entries and only those are read. Zero-filling 512 bytes per
   // memory instruction showed up in profiles.
@@ -509,6 +524,22 @@ void GpuSim::fused_charge(std::uint8_t kind, std::uint32_t lanes,
   const CoalesceResult co = coalesce_warp_lanes(
       fused_lanes_.data(), lanes, /*presorted=*/false, spl_shift_,
       lines.data());
+  charge_lines(kind, lanes, co, lines.data(), task);
+}
+
+void GpuSim::fused_charge_range(std::uint64_t first_addr,
+                                std::uint32_t elem_bytes, std::uint32_t lanes,
+                                std::uint32_t task) {
+  std::array<WarpLineRef, 32> lines;  // uninitialized, as in fused_charge
+  const CoalesceResult co = coalesce_contiguous_lanes(
+      first_addr, elem_bytes, lanes, spl_shift_, lines.data());
+  charge_lines(TraceOp::kLoad, lanes, co, lines.data(), task);
+}
+
+void GpuSim::charge_lines(std::uint8_t kind, std::uint32_t lanes,
+                          const CoalesceResult& co, const WarpLineRef* lines,
+                          std::uint32_t task) {
+  TaskRecord& rec = task_records_[task];
   Counters& c = counters_;
   c.memory_transactions += co.sectors;
   std::uint64_t cycles = co.sectors;

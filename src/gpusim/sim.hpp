@@ -105,6 +105,7 @@ class Buffer {
   std::uint64_t address_of(std::uint64_t index) const {
     return base_ + index * elem_bytes_;
   }
+  std::uint32_t elem_bytes() const { return elem_bytes_; }
   const std::string& name() const { return name_; }
 
   // Host-side (uncosted) access for initialization and readback.
@@ -144,6 +145,31 @@ class WarpCtx {
     for (std::size_t i = 0; i < indices.size(); ++i) {
       out[i] = buf.data()[functional_index(buf, indices[i])];
     }
+    if (fault_) maybe_flip(buf, out);
+  }
+
+  // One warp load of the contiguous elements [first, first + out.size()):
+  // lane i reads element first + i. It charges exactly what load() charges
+  // for those ascending indices. The device element must be no wider than
+  // a 32-byte sector, so the lanes touch one unbroken run of sectors and a
+  // fused launch builds the (line, sector-mask) list from the run's two
+  // ends instead of coalescing 32 lane addresses. Two-pass launches go
+  // through load() itself, so traces and gsan reports match load()'s.
+  template <typename T>
+  void load_range(const Buffer<T>& buf, std::uint64_t first,
+                  std::span<T> out) {
+    const auto lanes = static_cast<std::uint32_t>(out.size());
+    RDBS_DCHECK(lanes <= 32);
+    if (!fused_) {
+      std::array<std::uint64_t, 32> idx;
+      for (std::uint32_t i = 0; i < lanes; ++i) idx[i] = first + i;
+      load(buf, std::span<const std::uint64_t>(idx.data(), lanes), out);
+      return;
+    }
+    RDBS_DCHECK(first + lanes <= buf.size());
+    record_load_range(buf.address_of(first), buf.elem_bytes(), lanes);
+    std::copy_n(buf.data().begin() + static_cast<std::ptrdiff_t>(first),
+                lanes, out.begin());
     if (fault_) maybe_flip(buf, out);
   }
 
@@ -286,12 +312,13 @@ class WarpCtx {
   friend class KernelScope;
 
   WarpCtx(GpuSim& sim, int sm_id, std::uint32_t task_index, bool sanitize,
-          bool fault)
+          bool fault, bool fused)
       : sim_(sim),
         sm_id_(sm_id),
         task_(task_index),
         sanitize_(sanitize),
-        fault_(fault) {}
+        fault_(fault),
+        fused_(fused) {}
 
   // Translates lane element indices to device addresses into a 32-slot
   // staging buffer (no per-call allocation): the launch trace's, or the
@@ -333,7 +360,14 @@ class WarpCtx {
   void maybe_flip(const Buffer<T>& buf, std::span<T> out);
 
   std::uint64_t* trace_slots();
+  // Counters, op ordinal and scheduling weight of one warp memory
+  // instruction — the part every recording path shares.
+  void count_mem(std::uint8_t kind, std::uint32_t lanes);
   void record_mem(std::uint8_t kind, std::uint32_t lanes);
+  // Fused-launch record of load_range: `lanes` elements of `elem_bytes`
+  // each, starting at device address `first_addr`.
+  void record_load_range(std::uint64_t first_addr, std::uint32_t elem_bytes,
+                         std::uint32_t lanes);
   std::uint64_t checked_index_slow(const std::string& buffer_name,
                                    std::uint64_t index, std::uint64_t size);
   bool active_task_valid() const;
@@ -343,6 +377,7 @@ class WarpCtx {
   std::uint32_t task_;
   bool sanitize_;
   bool fault_;  // fault injector enabled on the owning simulator
+  bool fused_;  // the open launch charges inline (no trace)
 };
 
 // How blocks map to SMs.
@@ -616,7 +651,7 @@ class GpuSim {
   LaunchResult run_kernel(Schedule schedule, std::uint64_t num_tasks,
                           int warps_per_block, F&& run,
                           bool host_launch = true, StreamId stream = 0) {
-    begin_launch(host_launch, stream);
+    begin_launch(host_launch, stream, schedule);
     for (std::uint64_t t = 0; t < num_tasks; ++t) {
       const int sm = pick_sm(schedule, t, warps_per_block);
       WarpCtx ctx = begin_task(sm);
@@ -634,7 +669,7 @@ class GpuSim {
   template <typename TaskVec, typename F>
   LaunchResult run_persistent(TaskVec& tasks, F&& run,
                               bool host_launch = true, StreamId stream = 0) {
-    begin_launch(host_launch, stream);
+    begin_launch(host_launch, stream, Schedule::kDynamic);
     std::uint64_t consumed = 0;
     while (consumed < tasks.size()) {
       const int sm = pick_sm(Schedule::kDynamic, consumed, 1);
@@ -721,7 +756,7 @@ class GpuSim {
     std::uint64_t atomic_conflicts = 0;
   };
 
-  void begin_launch(bool host_launch, StreamId stream = 0);
+  void begin_launch(bool host_launch, StreamId stream, Schedule schedule);
   int pick_sm(Schedule schedule, std::uint64_t task_index,
               int warps_per_block);
   WarpCtx begin_task(int sm);
@@ -737,6 +772,16 @@ class GpuSim {
   // the serial record phase (bit-identical to record+replay; see the header
   // comment). The staged lane addresses live in fused_lanes_.
   void fused_charge(std::uint8_t kind, std::uint32_t lanes,
+                    std::uint32_t task);
+  // The same charge for a load_range: the (line, sector-mask) list comes
+  // from coalesce_contiguous_lanes instead of the staged lane addresses.
+  void fused_charge_range(std::uint64_t first_addr, std::uint32_t elem_bytes,
+                          std::uint32_t lanes, std::uint32_t task);
+  // The cache side both fused charges share: transactions, atomic
+  // conflicts, then the L1 probe (loads/stores) or the direct L2 probe
+  // (atomics/volatiles) of each coalesced line.
+  void charge_lines(std::uint8_t kind, std::uint32_t lanes,
+                    const CoalesceResult& co, const WarpLineRef* lines,
                     std::uint32_t task);
   // Probes the masked sectors of one line in the shared L2, updating the
   // L2/DRAM counters; returns the replay cycles to charge. `cached` marks
@@ -809,6 +854,9 @@ class GpuSim {
   std::uint32_t launch_ops_ = 0;
   bool launch_open_ = false;
   bool fused_launch_ = false;  // the open launch charges inline (no trace)
+  // The open launch places tasks with Schedule::kDynamic — the only
+  // reader of sm_load_ and load_heap_.
+  bool dynamic_launch_ = false;
   StreamId launch_stream_ = 0;
   ReplayMode replay_mode_ = ReplayMode::kAuto;
   std::uint32_t spl_shift_ = 2;  // log2(sectors per line), from MemorySim
@@ -875,7 +923,7 @@ class KernelScope {
         schedule_(schedule),
         host_launch_(host_launch),
         warps_per_block_(warps_per_block) {
-    sim_.begin_launch(host_launch_, stream);
+    sim_.begin_launch(host_launch_, stream, schedule_);
   }
 
   ~KernelScope() { RDBS_DCHECK(finished_); }

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "gpusim/cache.hpp"
@@ -142,6 +143,107 @@ TEST(Coalesce, MatchesNaiveSetModel) {
       }
     }
   }
+}
+
+// WarpCtx::load_range's closed form against the lane path, on twin
+// simulators: one calls load_range, the other load() with the same
+// ascending indices. Both launches run fused, so this pits
+// coalesce_contiguous_lanes against coalesce_warp_lanes through the same
+// cache charge. Each range starts from cold caches and is followed by
+// single-lane probes of every sector from a line before the range to a
+// line after it on the same SM: a closed form that fills one sector too
+// many or too few moves their hits even where the range load's own
+// counters agree.
+template <typename T>
+void expect_load_range_matches_lanes(std::uint32_t elem_bytes) {
+  constexpr std::uint64_t kElems = 2048;
+  GpuSim ranged(test_device());
+  GpuSim laned(test_device());
+  auto buf_r = ranged.alloc<T>("x", kElems, elem_bytes);
+  auto buf_l = laned.alloc<T>("x", kElems, elem_bytes);
+  for (std::uint64_t i = 0; i < kElems; ++i) {
+    buf_r[i] = buf_l[i] = static_cast<T>(i % 251);
+  }
+
+  // Starts at a line start, one element past it, and so that the range
+  // ends exactly on a line boundary or straddles one; then seeded ones.
+  struct Range {
+    std::uint64_t first;
+    std::uint32_t lanes;
+  };
+  const std::uint64_t per_line = 128 / elem_bytes;
+  std::vector<Range> ranges;
+  for (const std::uint32_t lanes : {1u, 32u}) {
+    for (const std::uint64_t line : {2ull, 7ull}) {
+      const std::uint64_t start = line * per_line;
+      ranges.push_back({start, lanes});
+      ranges.push_back({start + 1, lanes});
+      ranges.push_back({start + per_line - lanes % per_line, lanes});
+      ranges.push_back({start + per_line - lanes / 2, lanes});
+    }
+  }
+  Xoshiro256 rng(elem_bytes);
+  for (int i = 0; i < 40; ++i) {
+    const auto lanes = static_cast<std::uint32_t>(1 + rng.next_below(32));
+    ranges.push_back(
+        {per_line + rng.next_below(kElems - 5 * per_line - 32), lanes});
+  }
+
+  for (const Range& range : ranges) {
+    const std::string where = "elem_bytes=" + std::to_string(elem_bytes) +
+                              " first=" + std::to_string(range.first) +
+                              " lanes=" + std::to_string(range.lanes);
+    ranged.reset_all();
+    laned.reset_all();
+    std::array<T, 32> got_r{};
+    std::array<T, 32> got_l{};
+    const LaunchResult r = ranged.run_kernel(
+        Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+          ctx.load_range(buf_r, range.first,
+                         std::span<T>(got_r.data(), range.lanes));
+        });
+    const LaunchResult l = laned.run_kernel(
+        Schedule::kStatic, 1, 1, [&](WarpCtx& ctx, std::uint64_t) {
+          std::array<std::uint64_t, 32> idx{};
+          for (std::uint32_t i = 0; i < range.lanes; ++i) {
+            idx[i] = range.first + i;
+          }
+          ctx.load(buf_l,
+                   std::span<const std::uint64_t>(idx.data(), range.lanes),
+                   std::span<T>(got_l.data(), range.lanes));
+        });
+    ASSERT_EQ(r.ms, l.ms) << where;
+    ASSERT_TRUE(ranged.counters() == laned.counters()) << where;
+    ASSERT_EQ(got_r, got_l) << where;
+    ASSERT_EQ(ranged.trace_stats().fused_launches,
+              ranged.trace_stats().launches);
+
+    const std::uint64_t per_sector = 32 / elem_bytes;
+    const std::uint64_t last_line = (range.first + range.lanes - 1) / per_line;
+    const std::uint64_t probe_begin = (range.first / per_line - 1) * per_line;
+    const std::uint64_t probe_end = (last_line + 2) * per_line;
+    for (std::uint64_t e = probe_begin; e < probe_end; e += per_sector) {
+      const std::uint64_t hits_r = ranged.counters().l1_sector_hits;
+      const std::uint64_t hits_l = laned.counters().l1_sector_hits;
+      ranged.run_kernel(Schedule::kStatic, 1, 1,
+                        [&](WarpCtx& ctx, std::uint64_t) {
+                          (void)ctx.load_one(buf_r, e);
+                        });
+      laned.run_kernel(Schedule::kStatic, 1, 1,
+                       [&](WarpCtx& ctx, std::uint64_t) {
+                         (void)ctx.load_one(buf_l, e);
+                       });
+      ASSERT_EQ(ranged.counters().l1_sector_hits - hits_r,
+                laned.counters().l1_sector_hits - hits_l)
+          << where << " probe=" << e;
+    }
+  }
+}
+
+TEST(Coalesce, LoadRangeMatchesLanePath) {
+  expect_load_range_matches_lanes<std::uint8_t>(1);
+  expect_load_range_matches_lanes<float>(4);
+  expect_load_range_matches_lanes<double>(8);
 }
 
 // One-launch memory-hierarchy facts, read off the counters. Schedule::kStatic

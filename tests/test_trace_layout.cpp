@@ -16,7 +16,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/gunrock_like.hpp"
+#include "core/legacy_gpu.hpp"
 #include "core/rdbs.hpp"
+#include "core/sep_hybrid.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/surrogates.hpp"
 
@@ -39,16 +42,22 @@ const PipelineUnderTest kMatrix[] = {
     {"compressed/fused/8", ReplayMode::kAuto, 8},
 };
 
-// Restores the process-wide default replay mode on scope exit, so a failing
-// ASSERT (which returns early) cannot leak a test's defaults into the tests
-// that run after it in the same binary.
-class ScopedDefaultReplayMode {
+// Restores the process-wide default replay mode and worker count on scope
+// exit, so a failing ASSERT (which returns early) cannot leak a test's
+// defaults into the tests that run after it in the same binary.
+class ScopedPipelineDefaults {
  public:
-  ScopedDefaultReplayMode() : saved_(GpuSim::default_replay_mode()) {}
-  ~ScopedDefaultReplayMode() { GpuSim::set_default_replay_mode(saved_); }
+  ScopedPipelineDefaults()
+      : mode_(GpuSim::default_replay_mode()),
+        threads_(GpuSim::default_worker_threads()) {}
+  ~ScopedPipelineDefaults() {
+    GpuSim::set_default_replay_mode(mode_);
+    GpuSim::set_default_worker_threads(threads_);
+  }
 
  private:
-  ReplayMode saved_;
+  ReplayMode mode_;
+  int threads_;
 };
 
 struct Observation {
@@ -218,35 +227,81 @@ TEST(ReplayMatrix, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
   EXPECT_GE(kAosBytes, 4 * stats.peak_trace_bytes);
 }
 
-// Engine-level cross-check: full RDBS solves must agree across the matrix
+// Engine-level cross-check: full solves must agree across the matrix
 // (distances, counters, modeled time) — the replay mode and worker count
-// must be invisible to everything above the simulator.
+// must be invisible to everything above the simulator. The engines are
+// RDBS plus every other adopter of WarpCtx::load_range, whose fused launches
+// charge contiguous loads in closed form while two-pass launches take the
+// lane path. road-TX at this scale has 8,100 vertices, so every vertex
+// scan ends on a partial strip of 4 lanes.
 TEST(ReplayMatrix, EngineResultsMatchAcrossMatrix) {
   graph::LoadOptions load;
   load.size_scale = -1;
   load.weights = graph::WeightScheme::kUniformInt1To1000;
   load.seed = 42;
-  const graph::Csr csr = graph::load_dataset_by_name("k-n21-16", load);
+  constexpr graph::VertexId kSource = 3;
 
-  // Engines construct their GpuSim internally, so the mode goes through the
-  // process-wide default.
-  const ScopedDefaultReplayMode restore_default;
-  auto solve = [&](const PipelineUnderTest& p) {
-    GpuSim::set_default_replay_mode(p.mode);
-    core::GpuSsspOptions options;
-    options.basyn = options.pro = options.adwl = true;
-    options.sim_threads = p.threads;
-    core::RdbsSolver solver(csr, test_device(), options);
-    return solver.solve(/*source=*/3);
+  using Solve = core::GpuRunResult (*)(const graph::Csr&, int threads);
+  struct Engine {
+    const char* name;
+    Solve solve;
+  };
+  const Engine engines[] = {
+      {"rdbs",
+       [](const graph::Csr& csr, int threads) {
+         core::GpuSsspOptions options;
+         options.basyn = options.pro = options.adwl = true;
+         options.sim_threads = threads;
+         core::RdbsSolver solver(csr, test_device(), options);
+         return solver.solve(kSource);
+       }},
+      {"hn07",
+       [](const graph::Csr& csr, int) {
+         core::HarishNarayanan engine(test_device(), csr);
+         return engine.run(kSource);
+       }},
+      {"davidson",
+       [](const graph::Csr& csr, int) {
+         core::DavidsonOptions options;
+         options.delta = 120.0;
+         core::DavidsonNearFar engine(test_device(), csr, options);
+         return engine.run(kSource);
+       }},
+      {"sep-hybrid",
+       [](const graph::Csr& csr, int) {
+         core::SepHybrid engine(test_device(), csr);
+         return engine.run(kSource).gpu;
+       }},
+      {"gunrock",
+       [](const graph::Csr& csr, int) {
+         core::gunrock::GunrockSsspOptions options;
+         options.delta = 120.0;
+         return core::gunrock::sssp(test_device(), csr, kSource, options);
+       }},
   };
 
-  const core::GpuRunResult reference = solve(kMatrix[0]);
-  for (std::size_t i = 1; i < std::size(kMatrix); ++i) {
-    const core::GpuRunResult result = solve(kMatrix[i]);
-    EXPECT_TRUE(result.counters == reference.counters) << kMatrix[i].name;
-    EXPECT_EQ(result.device_ms, reference.device_ms) << kMatrix[i].name;
-    ASSERT_EQ(result.sssp.distances, reference.sssp.distances)
-        << kMatrix[i].name;
+  // Engines construct their GpuSim internally, so the mode and worker
+  // count go through the process-wide defaults.
+  const ScopedPipelineDefaults restore_defaults;
+  for (const char* dataset : {"k-n21-16", "road-TX"}) {
+    const graph::Csr csr = graph::load_dataset_by_name(dataset, load);
+    for (const Engine& engine : engines) {
+      auto solve = [&](const PipelineUnderTest& p) {
+        GpuSim::set_default_replay_mode(p.mode);
+        GpuSim::set_default_worker_threads(p.threads);
+        return engine.solve(csr, p.threads);
+      };
+      const core::GpuRunResult reference = solve(kMatrix[0]);
+      ASSERT_TRUE(reference.ok) << dataset << ' ' << engine.name;
+      for (std::size_t i = 1; i < std::size(kMatrix); ++i) {
+        const std::string where =
+            std::string(dataset) + ' ' + engine.name + ' ' + kMatrix[i].name;
+        const core::GpuRunResult result = solve(kMatrix[i]);
+        EXPECT_TRUE(result.counters == reference.counters) << where;
+        EXPECT_EQ(result.device_ms, reference.device_ms) << where;
+        ASSERT_EQ(result.sssp.distances, reference.sssp.distances) << where;
+      }
+    }
   }
 }
 
