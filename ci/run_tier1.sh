@@ -91,6 +91,16 @@ echo "=== [parallel] result-cache latency guard ==="
 # reaches the nightly full bench.
 "$BUILD_ROOT/parallel/bench/server_tail_latency" --cache --json /dev/null
 
+echo "=== [parallel] BENCH_batch.json is current ==="
+# The committed batch table must be what the code produces. Its numbers are
+# all simulated, so a regeneration gives the same bytes for any build type,
+# host and --sim-threads; a diff means a change moved them without
+# regenerating the file (bench/batch_throughput writes it).
+BATCH_JSON="$(mktemp)"
+trap 'rm -f "$BATCH_JSON"' EXIT
+"$BUILD_ROOT/parallel/bench/batch_throughput" --json "$BATCH_JSON" > /dev/null
+cmp "$BATCH_JSON" "$ROOT/BENCH_batch.json"
+
 echo "=== [parallel] fault-injection CLI smoke ==="
 # The full recovery path end to end through the CLI: deterministic faults,
 # checkpoint-resume inside retries, mid-query lane migration, and a

@@ -2,7 +2,8 @@
 //
 // Load a graph (file or generator), run any of the implemented algorithms,
 // and print distances, routes, per-bucket traces or an nvprof-style
-// profile. Examples:
+// profile. Exit codes: 1 an invalid served answer, 2 a malformed or
+// out-of-range flag value or spec, 3 gsan hazards. Examples:
 //
 //   # shortest path on a DIMACS road file, with the route printed
 //   ./sssp_tool --input=ny.gr --format=dimacs --source=0 --target=1234
@@ -43,9 +44,11 @@
 //       --inject-faults=seed=7,launch=0.3
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -95,6 +98,30 @@ graph::Csr load_input(const CliArgs& args, const bench::HarnessConfig& config) {
   }
   return bench::load_bench_graph(args.get_string("dataset", "soc-PK"),
                                  config);
+}
+
+// Flag checks CliArgs cannot make. Like a malformed number they throw
+// std::invalid_argument, which main() reports with exit code 2.
+void require(bool ok, const std::string& message) {
+  if (!ok) throw std::invalid_argument(message);
+}
+
+graph::VertexId get_vertex(const CliArgs& args, const std::string& name,
+                           std::int64_t fallback, const graph::Csr& csr) {
+  const std::int64_t v = args.get_int(name, fallback);
+  require(v >= 0 && v < static_cast<std::int64_t>(csr.num_vertices()),
+          "--" + name + "=" + std::to_string(v) + " is not a vertex of the " +
+              std::to_string(csr.num_vertices()) + "-vertex graph");
+  return static_cast<graph::VertexId>(v);
+}
+
+// A size flag: a negative value is rejected instead of wrapping to SIZE_MAX.
+std::size_t get_size(const CliArgs& args, const std::string& name,
+                     std::size_t fallback) {
+  const std::int64_t v =
+      args.get_int(name, static_cast<std::int64_t>(fallback));
+  require(v >= 0, "--" + name + " must be >= 0, not " + std::to_string(v));
+  return static_cast<std::size_t>(v);
 }
 
 struct RunOutcome {
@@ -223,10 +250,7 @@ int report_sanitizer(core::QueryBatch& batch) {
   return 3;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int run_tool(const CliArgs& args) {
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);
 
@@ -242,9 +266,14 @@ int main(int argc, char** argv) {
   const graph::Weight delta0 =
       args.has("delta") ? args.get_double("delta", 100.0)
                         : bench::empirical_delta0(csr, config.seed);
-  const auto source = static_cast<graph::VertexId>(
-      args.get_int("source", static_cast<std::int64_t>(
-                                 bench::pick_sources(csr, 1, config.seed)[0])));
+  require(std::isfinite(delta0) && delta0 > 0,
+          "--delta must be a finite number > 0");
+  const graph::VertexId source = get_vertex(
+      args, "source", bench::pick_sources(csr, 1, config.seed)[0], csr);
+  const bool has_target = args.has("target");
+  const graph::VertexId target =
+      has_target ? get_vertex(args, "target", 0, csr) : 0;
+  require(config.batch_streams >= 1, "--batch-streams must be >= 1");
   const std::string algorithm = args.get_string("algorithm", "rdbs");
   // --sanitize: run every simulated engine under gsan (docs/sanitizer.md);
   // hazard reports go to stderr and the exit code becomes 3.
@@ -266,6 +295,7 @@ int main(int argc, char** argv) {
   if (args.get_bool("batch", false)) {
     // Batched multi-source mode: --sources queries over --batch-streams
     // concurrent streams on one resident graph (rdbs or adds engines).
+    require(config.num_sources >= 1, "--sources must be >= 1");
     const std::vector<graph::VertexId> sources =
         bench::pick_sources(csr, config.num_sources, config.seed);
     core::QueryBatchOptions bopts;
@@ -339,10 +369,8 @@ int main(int argc, char** argv) {
       if (args.get_bool("cache", false) || args.has("cache-capacity") ||
           args.has("landmarks")) {
         sopts.cache.enabled = true;
-        sopts.cache.capacity =
-            static_cast<std::size_t>(args.get_int("cache-capacity", 64));
-        sopts.cache.landmarks =
-            static_cast<std::size_t>(args.get_int("landmarks", 4));
+        sopts.cache.capacity = get_size(args, "cache-capacity", 64);
+        sopts.cache.landmarks = get_size(args, "landmarks", 4);
       }
       std::vector<core::TrafficQuery> schedule;
       std::string arrivals = "t=0";
@@ -362,8 +390,7 @@ int main(int argc, char** argv) {
                                      std::numeric_limits<double>::infinity()));
       }
       if (args.has("max-pending")) {
-        sopts.max_pending =
-            static_cast<std::size_t>(args.get_int("max-pending", 64));
+        sopts.max_pending = get_size(args, "max-pending", 64);
       }
       if (args.has("aging-ms")) {
         sopts.aging_ms = args.get_double("aging-ms", 0.0);
@@ -605,9 +632,7 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
 
-  if (args.has("target")) {
-    const auto target =
-        static_cast<graph::VertexId>(args.get_int("target", 0));
+  if (has_target) {
     const auto parents =
         sssp::build_parent_tree(csr, source, last.sssp.distances);
     const auto path = sssp::extract_path(parents, source, target);
@@ -637,4 +662,15 @@ int main(int argc, char** argv) {
     std::printf("sanitize: clean (0 hazards)\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_tool(CliArgs(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sssp_tool: %s\n", e.what());
+    return 2;
+  }
 }

@@ -1,10 +1,11 @@
 #include "common/cli.hpp"
 
+#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 namespace rdbs {
 
@@ -57,17 +58,63 @@ std::string CliArgs::get_string(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+// The whole of flag `name`'s `value` as a T, via std::from_chars. The
+// leading whitespace and '+' that strtoll/strtod skip, and strtod's "0x"
+// hex floats, are handled first, so every value those read in full reads
+// the same. Throws std::invalid_argument naming the flag otherwise.
+template <typename T>
+T parse_flag(const std::string& name, const std::string& value) {
+  std::string_view text = value;
+  while (!text.empty() && std::isspace(static_cast<unsigned char>(text[0]))) {
+    text.remove_prefix(1);
+  }
+  if (text.starts_with('+') && !text.substr(1).starts_with('-')) {
+    text.remove_prefix(1);
+  }
+  T parsed{};
+  std::from_chars_result result{};
+  if constexpr (std::is_floating_point_v<T>) {
+    const bool negative = text.starts_with('-');
+    const std::string_view digits = text.substr(negative ? 1 : 0);
+    if ((digits.starts_with("0x") || digits.starts_with("0X")) &&
+        !digits.substr(2).starts_with('-')) {
+      text = digits.substr(2);
+      result = std::from_chars(text.data(), text.data() + text.size(), parsed,
+                               std::chars_format::hex);
+      if (negative) parsed = -parsed;
+    } else {
+      result = std::from_chars(text.data(), text.data() + text.size(), parsed);
+    }
+  } else {
+    result = std::from_chars(text.data(), text.data() + text.size(), parsed);
+  }
+  if (result.ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + name + ": value '" + value +
+                                "' is out of range");
+  }
+  if (text.empty() || result.ec != std::errc{} ||
+      result.ptr != text.data() + text.size()) {
+    throw std::invalid_argument("--" + name + ": '" + value + "' is not " +
+                                (std::is_floating_point_v<T> ? "a number"
+                                                             : "an integer"));
+  }
+  return parsed;
+}
+
+}  // namespace
+
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtoll(it->second.c_str(),
-                                                      nullptr, 10);
+  return it == flags_.end() ? fallback
+                            : parse_flag<std::int64_t>(name, it->second);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                     nullptr);
+  return it == flags_.end() ? fallback : parse_flag<double>(name, it->second);
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {

@@ -22,6 +22,9 @@ class CliArgs {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  // The whole value must parse as a decimal integer / floating-point
+  // number (strtoll/strtod syntax); a malformed or out-of-range value
+  // throws std::invalid_argument naming the flag.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

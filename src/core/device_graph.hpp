@@ -48,8 +48,8 @@ void seed_source(gpusim::GpuSim& sim, gpusim::StreamId stream,
 // host-side; each charge_* call issues one warp's share of the protocol.
 //
 // The engine allocates the buffers (names, sizes and allocation order fix
-// the simulated address layout) and hands them to bind(). Gunrock's double-
-// buffered frontier and the multi-GPU shard queues keep their own code.
+// the simulated address layout) and hands them to bind(). Only gunrock's
+// double-buffered frontier keeps its own code.
 class DeviceQueue {
  public:
   static constexpr std::uint64_t kNoCell = ~std::uint64_t{0};  // no pops

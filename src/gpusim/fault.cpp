@@ -23,8 +23,7 @@ const char* fault_class_name(FaultClass cls) {
 
 std::string GpuFault::describe() const {
   std::ostringstream out;
-  out << fault_class_name(cls) << " gpu" << device << " stream" << stream
-      << " launch#" << launch;
+  out << fault_class_name(cls) << " stream" << stream << " launch#" << launch;
   if (cls == FaultClass::kBitFlipCorrectable ||
       cls == FaultClass::kBitFlipUncorrectable) {
     out << " task#" << task << " op#" << op << " bit" << bit << " buffer='"

@@ -58,7 +58,6 @@ const char* fault_class_name(FaultClass cls);
 // 1-based); `task`/`op`/`buffer`/`bit` locate bit-flips precisely.
 struct GpuFault {
   FaultClass cls = FaultClass::kBitFlipCorrectable;
-  int device = 0;  // MultiGpu shard index; 0 for single-device engines
   int stream = 0;  // StreamId of the faulted launch
   std::uint64_t launch = 0;  // per-stream launch ordinal (1-based)
   std::uint32_t task = 0;    // warp task within the launch (flips only)

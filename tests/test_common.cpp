@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "common/cli.hpp"
 #include "common/prefix_sum.hpp"
@@ -185,6 +188,47 @@ TEST(Cli, DoubleParsing) {
   const char* argv[] = {"prog", "--delta=0.1"};
   CliArgs args(2, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(args.get_double("delta", 1.0), 0.1);
+}
+
+// A CliArgs holding the one flag --v=<value>.
+CliArgs one_flag(const std::string& value) {
+  std::string flag = "--v=" + value;
+  char* argv[] = {const_cast<char*>("prog"), flag.data()};
+  return CliArgs(2, argv);
+}
+
+TEST(Cli, RejectsMalformedNumbers) {
+  // The whole value must parse: a trailing character, a fraction or
+  // exponent for an integer, or a value out of range is an error.
+  for (const char* bad : {"", "abc", "12x", "1.5", "0x10", "1e3", "true",
+                          "+-1", "99999999999999999999"}) {
+    EXPECT_THROW(one_flag(bad).get_int("v", 0), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "abc", "0.5x", "1.5e", "1e400", "0x", "--1"}) {
+    EXPECT_THROW(one_flag(bad).get_double("v", 0), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  try {
+    one_flag("abc").get_int("v", 0);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--v"), std::string::npos)
+        << e.what();
+  }
+  // Every value strtoll/strtod read in full reads the same.
+  for (const char* good : {"0", "-42", "+7", " 3", "9223372036854775807",
+                           "-9223372036854775808"}) {
+    EXPECT_EQ(one_flag(good).get_int("v", 1), std::strtoll(good, nullptr, 10))
+        << "'" << good << "'";
+  }
+  for (const char* good : {"0.1", "-2.5e-3", "+1e300", " 4", "7", ".5",
+                           "0x1.8p1", "-0X1P-2", "inf", "-infinity"}) {
+    EXPECT_EQ(one_flag(good).get_double("v", 1), std::strtod(good, nullptr))
+        << "'" << good << "'";
+  }
+  EXPECT_TRUE(std::isnan(one_flag("nan").get_double("v", 1)));
+  EXPECT_EQ(one_flag("5").get_int("missing", -3), -3);
 }
 
 TEST(Timer, MeasuresElapsedTime) {

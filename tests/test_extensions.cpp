@@ -1,12 +1,10 @@
 // Tests for the extension modules: the legacy GPU baselines (Harish-
-// Narayanan 2007, Davidson 2014), ρ-stepping, alternative orderings, and
-// the multi-GPU engine (the paper's stated future work).
+// Narayanan 2007, Davidson 2014), ρ-stepping and alternative orderings.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/legacy_gpu.hpp"
-#include "core/multi_gpu.hpp"
 #include "core/rdbs.hpp"
 #include "reorder/orderings.hpp"
 #include "sssp/dijkstra.hpp"
@@ -224,82 +222,6 @@ TEST(Orderings, HubClusterPutsTopHubFirst) {
   }
   const reorder::Permutation perm = reorder::hub_cluster_permutation(csr);
   EXPECT_EQ(perm.to_original(0), top);
-}
-
-// --- multi-GPU --------------------------------------------------------------
-
-class MultiGpuTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(MultiGpuTest, MatchesDijkstraOnPowerLaw) {
-  const Csr csr = random_powerlaw_graph(700, 5600, 115);
-  core::MultiGpuOptions options;
-  options.num_devices = GetParam();
-  options.delta0 = 200.0;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-  const auto result = engine.run(4);
-  expect_distances_equal(result.sssp.distances,
-                         sssp::dijkstra(csr, 4).distances);
-  EXPECT_FALSE(
-      sssp::validate_distances(csr, 4, result.sssp.distances).has_value());
-  EXPECT_GT(result.makespan_ms, 0.0);
-  EXPECT_EQ(result.per_device_busy_ms.size(),
-            static_cast<std::size_t>(GetParam()));
-}
-
-TEST_P(MultiGpuTest, MatchesDijkstraOnGrid) {
-  const Csr csr = random_grid_graph(16, 117);
-  core::MultiGpuOptions options;
-  options.num_devices = GetParam();
-  options.delta0 = 500.0;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-  expect_distances_equal(engine.run(0).sssp.distances,
-                         sssp::dijkstra(csr, 0).distances);
-}
-
-INSTANTIATE_TEST_SUITE_P(DeviceCounts, MultiGpuTest,
-                         ::testing::Values(1, 2, 3, 4, 8));
-
-TEST(MultiGpu, SingleDeviceSendsNoMessages) {
-  const Csr csr = random_powerlaw_graph(300, 2400, 119);
-  core::MultiGpuOptions options;
-  options.num_devices = 1;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-  const auto result = engine.run(0);
-  EXPECT_EQ(result.messages, 0u);
-  EXPECT_DOUBLE_EQ(result.exchange_ms, 0.0);
-}
-
-TEST(MultiGpu, MessagesFlowAcrossThePartition) {
-  const Csr csr = random_powerlaw_graph(300, 2400, 119);
-  core::MultiGpuOptions options;
-  options.num_devices = 4;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-  const auto result = engine.run(0);
-  EXPECT_GT(result.messages, 0u);
-  EXPECT_GT(result.exchange_ms, 0.0);
-  EXPECT_GT(result.exchange_rounds, 0u);
-}
-
-TEST(MultiGpu, OwnerOfPartitionsContiguously) {
-  const Csr csr = random_powerlaw_graph(100, 800, 121);
-  core::MultiGpuOptions options;
-  options.num_devices = 4;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-  EXPECT_EQ(engine.owner_of(0), 0);
-  EXPECT_EQ(engine.owner_of(csr.num_vertices() - 1), 3);
-  for (VertexId v = 1; v < csr.num_vertices(); ++v) {
-    EXPECT_GE(engine.owner_of(v), engine.owner_of(v - 1));
-  }
-}
-
-TEST(MultiGpu, SourceOnNonZeroDevice) {
-  const Csr csr = random_powerlaw_graph(400, 3200, 123);
-  core::MultiGpuOptions options;
-  options.num_devices = 4;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-  const VertexId source = csr.num_vertices() - 1;  // owned by device 3
-  expect_distances_equal(engine.run(source).sssp.distances,
-                         sssp::dijkstra(csr, source).distances);
 }
 
 }  // namespace

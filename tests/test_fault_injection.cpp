@@ -23,7 +23,6 @@
 #include "core/rdbs.hpp"
 #include "core/gunrock_like.hpp"
 #include "core/legacy_gpu.hpp"
-#include "core/multi_gpu.hpp"
 #include "core/cancel.hpp"
 #include "core/device_graph.hpp"
 #include "core/query_batch.hpp"
@@ -93,8 +92,8 @@ std::vector<FaultScenario> fault_scenarios() {
   return scenarios;
 }
 
-// Engine families the sweep covers. MultiGpu and QueryBatch have their own
-// result shapes and are exercised by dedicated tests below.
+// Engine families the sweep covers. QueryBatch has its own result shape and
+// is exercised by dedicated tests below.
 enum class Engine {
   kRdbs,
   kBaseline,
@@ -401,16 +400,12 @@ TEST(FaultInjection, NoFallbackPolicyReturnsTypedFailure) {
 TEST(FaultInjection, InvalidSourceThrowsInsteadOfAborting) {
   const Csr csr = test::paper_figure1_graph();
   const VertexId bad = csr.num_vertices();
-  core::RdbsSolver rdbs(csr, gpusim::test_device(), core::GpuSsspOptions{});
-  EXPECT_THROW(rdbs.solve(bad), std::out_of_range);
-  core::AddsLike adds(gpusim::test_device(), csr, core::AddsOptions{});
-  EXPECT_THROW(adds.run(bad), std::out_of_range);
-  core::SepHybrid sep(gpusim::test_device(), csr);
-  EXPECT_THROW(sep.run(bad), std::out_of_range);
-  core::HarishNarayanan hn(gpusim::test_device(), csr);
-  EXPECT_THROW(hn.run(bad), std::out_of_range);
-  EXPECT_THROW(core::gunrock::sssp(gpusim::test_device(), csr, bad),
-               std::out_of_range);
+  for (const Engine engine : all_engines()) {
+    EXPECT_THROW(run_engine(engine, csr, bad, gpusim::FaultConfig{},
+                            core::RetryPolicy{}),
+                 std::out_of_range)
+        << engine_name(engine);
+  }
 }
 
 // --- simulator-level behavior ----------------------------------------------
@@ -604,46 +599,6 @@ TEST(FaultInjection, HotStreamLeavesBitFlipDrawsUntouched) {
     EXPECT_EQ(a.correctable, b.correctable);
     EXPECT_EQ(a.lane, b.lane);
     EXPECT_EQ(a.bit, b.bit);
-  }
-}
-
-// --- MultiGpu ---------------------------------------------------------------
-
-TEST(FaultInjection, MultiGpuShardLossDegradesToExactDistances) {
-  const Csr csr = test::random_grid_graph(18, /*seed=*/5);
-  core::MultiGpuOptions options;
-  options.num_devices = 3;
-  options.fault.enabled = true;
-  options.fault.seed = 8;
-  options.fault.device_loss = 1.0;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-
-  const core::MultiGpuRunResult result = engine.run(0);
-  ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(result.recovery.device_lost);
-  EXPECT_EQ(result.recovery.cpu_fallbacks, 1u);
-  EXPECT_TRUE(engine.any_device_lost());
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-  ASSERT_FALSE(result.faults.empty());
-}
-
-TEST(FaultInjection, MultiGpuFaultsCarryTheShardIndex) {
-  const Csr csr = test::random_grid_graph(18, /*seed=*/5);
-  core::MultiGpuOptions options;
-  options.num_devices = 2;
-  options.fault.enabled = true;
-  options.fault.seed = 8;
-  options.fault.launch_failure = 0.4;
-  options.fault.max_faults = 6;
-  options.retry.max_attempts = 6;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-
-  const core::MultiGpuRunResult result = engine.run(0);
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-  for (const gpusim::GpuFault& f : result.faults) {
-    EXPECT_GE(f.device, 0);
-    EXPECT_LT(f.device, options.num_devices);
   }
 }
 

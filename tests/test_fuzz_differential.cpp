@@ -25,7 +25,6 @@
 #include "core/adds.hpp"
 #include "core/gunrock_like.hpp"
 #include "core/legacy_gpu.hpp"
-#include "core/multi_gpu.hpp"
 #include "core/query_batch.hpp"
 #include "core/query_server.hpp"
 #include "core/rdbs.hpp"
@@ -163,7 +162,6 @@ enum class Engine {
   kSepHybrid,   // SEP mode-switching hybrid
   kHarish,      // Harish-Narayanan 2007 legacy kernel
   kDavidson,    // Davidson near/far legacy kernel
-  kMultiGpu,    // multi-device delta-stepping
   kCpuDelta,    // host Δ-stepping
   kCpuNearFar,  // host near/far
   kCpuPqDelta,  // host PQ-Δ*
@@ -182,7 +180,6 @@ const char* engine_name(Engine e) {
     case Engine::kSepHybrid: return "sep-hybrid";
     case Engine::kHarish: return "hn07";
     case Engine::kDavidson: return "davidson";
-    case Engine::kMultiGpu: return "multi-gpu";
     case Engine::kCpuDelta: return "cpu-delta";
     case Engine::kCpuNearFar: return "cpu-near-far";
     case Engine::kCpuPqDelta: return "cpu-pq-delta";
@@ -363,18 +360,6 @@ std::vector<graph::Distance> run_engine(const FuzzCase& c, const Csr& csr,
       core::DavidsonNearFar davidson(device, csr, options);
       auto result = davidson.run(c.source);
       *sanitizer_report = std::move(result.sanitizer_report);
-      return std::move(result.sssp.distances);
-    }
-    case Engine::kMultiGpu: {
-      core::MultiGpuOptions options;
-      options.num_devices = 2 + static_cast<int>(c.seed % 2);
-      options.delta0 = c.delta0;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      core::MultiGpuDeltaStepping multi(device, csr, options);
-      auto result = multi.run(c.source);
-      *sanitizer_report = multi.sanitizer_report();
       return std::move(result.sssp.distances);
     }
     case Engine::kCpuDelta:

@@ -29,7 +29,6 @@
 #include "core/device_graph.hpp"
 #include "core/gunrock_like.hpp"
 #include "core/legacy_gpu.hpp"
-#include "core/multi_gpu.hpp"
 #include "core/query_batch.hpp"
 #include "core/rdbs.hpp"
 #include "core/sep_hybrid.hpp"
@@ -634,17 +633,6 @@ TEST(GsanCleanSweep, SepHybridEngine) {
   const core::SepRunResult result = engine.run(0);
   EXPECT_EQ(result.gpu.sanitizer_report, "");
   EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
-}
-
-TEST(GsanCleanSweep, MultiGpuEngine) {
-  const Csr csr = sweep_graph();
-  core::MultiGpuOptions options;
-  options.num_devices = 3;
-  options.sanitize = SanitizeMode::kOn;
-  core::MultiGpuDeltaStepping engine(gpusim::test_device(), csr, options);
-  const core::MultiGpuRunResult result = engine.run(0);
-  EXPECT_EQ(engine.sanitizer_report(), "");
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 
 // Cross-stream hazard check: four lanes share one simulator and the
