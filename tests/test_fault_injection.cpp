@@ -43,6 +43,14 @@ using graph::VertexId;
 
 Csr chaos_graph() { return test::random_powerlaw_graph(300, 2200, /*seed=*/9); }
 
+// Injection switched on under `seed`, every fault class still at rate 0.
+gpusim::FaultConfig seeded_faults(std::uint64_t seed) {
+  gpusim::FaultConfig cfg;
+  cfg.enabled = true;
+  cfg.seed = seed;
+  return cfg;
+}
+
 // One named fault plan per fault class the acceptance sweep requires.
 struct FaultScenario {
   std::string name;
@@ -51,41 +59,35 @@ struct FaultScenario {
 
 std::vector<FaultScenario> fault_scenarios() {
   std::vector<FaultScenario> scenarios;
-  auto make = [](std::uint64_t seed) {
-    gpusim::FaultConfig cfg;
-    cfg.enabled = true;
-    cfg.seed = seed;
-    return cfg;
-  };
   {
-    FaultScenario s{"flip_correctable", make(11)};
+    FaultScenario s{"flip_correctable", seeded_faults(11)};
     s.cfg.bit_flip_per_load = 0.01;
     s.cfg.correctable_fraction = 1.0;
     scenarios.push_back(s);
   }
   {
-    FaultScenario s{"flip_uncorrectable", make(12)};
+    FaultScenario s{"flip_uncorrectable", seeded_faults(12)};
     s.cfg.bit_flip_per_load = 0.01;
     s.cfg.correctable_fraction = 0.0;
     scenarios.push_back(s);
   }
   {
-    FaultScenario s{"launch_failure", make(13)};
+    FaultScenario s{"launch_failure", seeded_faults(13)};
     s.cfg.launch_failure = 0.15;
     scenarios.push_back(s);
   }
   {
-    FaultScenario s{"timeout", make(14)};
+    FaultScenario s{"timeout", seeded_faults(14)};
     s.cfg.timeout = 0.15;
     scenarios.push_back(s);
   }
   {
-    FaultScenario s{"stream_stall", make(15)};
+    FaultScenario s{"stream_stall", seeded_faults(15)};
     s.cfg.stream_stall = 0.5;
     scenarios.push_back(s);
   }
   {
-    FaultScenario s{"device_loss", make(16)};
+    FaultScenario s{"device_loss", seeded_faults(16)};
     s.cfg.device_loss = 0.25;
     scenarios.push_back(s);
   }
@@ -124,15 +126,17 @@ std::vector<Engine> all_engines() {
           Engine::kDavidson};
 }
 
-core::GpuRunResult run_engine(Engine engine, const Csr& csr, VertexId source,
-                              const gpusim::FaultConfig& fault,
-                              const core::RetryPolicy& retry,
-                              int sim_threads = 0) {
+core::GpuRunResult run_engine(
+    Engine engine, const Csr& csr, VertexId source,
+    const gpusim::FaultConfig& fault, const core::RetryPolicy& retry,
+    int sim_threads = 0,
+    gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff) {
   switch (engine) {
     case Engine::kRdbs: {
       core::GpuSsspOptions options;
       options.delta0 = 120.0;
       options.sim_threads = sim_threads;
+      options.sanitize = sanitize;
       options.fault = fault;
       options.retry = retry;
       core::RdbsSolver solver(csr, gpusim::test_device(), options);
@@ -145,6 +149,7 @@ core::GpuRunResult run_engine(Engine engine, const Csr& csr, VertexId source,
       options.pro = false;
       options.adwl = false;
       options.sim_threads = sim_threads;
+      options.sanitize = sanitize;
       options.fault = fault;
       options.retry = retry;
       core::RdbsSolver solver(csr, gpusim::test_device(), options);
@@ -154,6 +159,7 @@ core::GpuRunResult run_engine(Engine engine, const Csr& csr, VertexId source,
       core::AddsOptions options;
       options.delta = 120.0;
       options.sim_threads = sim_threads;
+      options.sanitize = sanitize;
       options.fault = fault;
       options.retry = retry;
       core::AddsLike eng(gpusim::test_device(), csr, options);
@@ -161,25 +167,28 @@ core::GpuRunResult run_engine(Engine engine, const Csr& csr, VertexId source,
     }
     case Engine::kGunrock: {
       core::gunrock::GunrockSsspOptions options;
+      options.sanitize = sanitize;
       options.fault = fault;
       options.retry = retry;
       return core::gunrock::sssp(gpusim::test_device(), csr, source, options);
     }
     case Engine::kSepHybrid: {
       core::SepHybridOptions options;
+      options.sanitize = sanitize;
       options.fault = fault;
       options.retry = retry;
       core::SepHybrid eng(gpusim::test_device(), csr, options);
       return eng.run(source).gpu;
     }
     case Engine::kHarishNarayanan: {
-      core::HarishNarayanan eng(gpusim::test_device(), csr,
-                                gpusim::SanitizeMode::kOff, fault, retry);
+      core::HarishNarayanan eng(gpusim::test_device(), csr, sanitize, fault,
+                                retry);
       return eng.run(source);
     }
     case Engine::kDavidson: {
       core::DavidsonOptions options;
       options.delta = 120.0;
+      options.sanitize = sanitize;
       options.fault = fault;
       options.retry = retry;
       core::DavidsonNearFar eng(gpusim::test_device(), csr, options);
@@ -233,9 +242,7 @@ TEST(FaultInjection, EverySweptEngineSurvivesEveryFaultClass) {
 
 TEST(FaultInjection, FaultPlanByteIdenticalAcrossSimThreads) {
   const Csr csr = chaos_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 99;
+  gpusim::FaultConfig cfg = seeded_faults(99);
   cfg.bit_flip_per_load = 0.02;
   cfg.correctable_fraction = 0.5;
   cfg.launch_failure = 0.05;
@@ -257,29 +264,13 @@ TEST(FaultInjection, FaultPlanByteIdenticalAcrossSimThreads) {
   }
 }
 
-TEST(FaultInjection, RerunningTheSameSeedReplaysTheSamePlan) {
-  const Csr csr = chaos_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 4242;
-  cfg.launch_failure = 0.2;
-  core::RetryPolicy retry;
-  const core::GpuRunResult a = run_engine(Engine::kRdbs, csr, 1, cfg, retry);
-  const core::GpuRunResult b = run_engine(Engine::kRdbs, csr, 1, cfg, retry);
-  EXPECT_EQ(fault_plan(a), fault_plan(b));
-  EXPECT_EQ(a.sssp.distances, b.sssp.distances);
-  EXPECT_DOUBLE_EQ(a.device_ms, b.device_ms);
-}
-
 // --- retry / fallback semantics --------------------------------------------
 
 TEST(FaultInjection, CertainLaunchFailureRetriesUntilBudgetExhausts) {
   const Csr csr = test::paper_figure1_graph();
   const std::vector<Distance> oracle = sssp::dijkstra(csr, 0).distances;
 
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 5;
+  gpusim::FaultConfig cfg = seeded_faults(5);
   cfg.launch_failure = 1.0;  // every launch fails...
   cfg.max_faults = 2;        // ...until the budget runs dry
   core::RetryPolicy retry;
@@ -302,9 +293,7 @@ TEST(FaultInjection, CertainLaunchFailureRetriesUntilBudgetExhausts) {
 
 TEST(FaultInjection, RetryChargesBackoffToTheSimulatedClock) {
   const Csr csr = test::paper_figure1_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 5;
+  gpusim::FaultConfig cfg = seeded_faults(5);
   cfg.launch_failure = 1.0;
   cfg.max_faults = 1;
   core::RetryPolicy retry;
@@ -324,9 +313,7 @@ TEST(FaultInjection, RetryChargesBackoffToTheSimulatedClock) {
 
 TEST(FaultInjection, StreamStallIsBenignButCharged) {
   const Csr csr = chaos_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 21;
+  gpusim::FaultConfig cfg = seeded_faults(21);
   cfg.stream_stall = 1.0;  // every launch stalls, up to the budget
   cfg.stall_ms = 3.0;
   core::RetryPolicy retry;
@@ -345,9 +332,7 @@ TEST(FaultInjection, StreamStallIsBenignButCharged) {
 
 TEST(FaultInjection, CorrectableFlipsAreCountedButHarmless) {
   const Csr csr = chaos_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 31;
+  gpusim::FaultConfig cfg = seeded_faults(31);
   cfg.bit_flip_per_load = 1.0;
   cfg.correctable_fraction = 1.0;
   core::RetryPolicy retry;
@@ -363,9 +348,7 @@ TEST(FaultInjection, CorrectableFlipsAreCountedButHarmless) {
 
 TEST(FaultInjection, DeviceLossFallsBackToHostDijkstra) {
   const Csr csr = chaos_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 41;
+  gpusim::FaultConfig cfg = seeded_faults(41);
   cfg.device_loss = 1.0;
   core::RetryPolicy retry;
 
@@ -379,24 +362,6 @@ TEST(FaultInjection, DeviceLossFallsBackToHostDijkstra) {
   }
 }
 
-TEST(FaultInjection, NoFallbackPolicyReturnsTypedFailure) {
-  const Csr csr = test::paper_figure1_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 41;
-  cfg.device_loss = 1.0;
-  core::RetryPolicy retry;
-  retry.cpu_fallback = false;
-
-  const core::GpuRunResult result =
-      run_engine(Engine::kRdbs, csr, 0, cfg, retry);
-  EXPECT_FALSE(result.ok);
-  EXPECT_TRUE(result.recovery.device_lost);
-  EXPECT_TRUE(result.sssp.distances.empty());
-  ASSERT_FALSE(result.faults.empty());
-  EXPECT_EQ(result.faults.back().cls, gpusim::FaultClass::kDeviceLoss);
-}
-
 TEST(FaultInjection, InvalidSourceThrowsInsteadOfAborting) {
   const Csr csr = test::paper_figure1_graph();
   const VertexId bad = csr.num_vertices();
@@ -408,13 +373,75 @@ TEST(FaultInjection, InvalidSourceThrowsInsteadOfAborting) {
   }
 }
 
+// --- the recovery contract, engine by engine -------------------------------
+// Each swept engine runs its attempts through core::AttemptDriver and must
+// honour the whole contract on its own.
+
+class EngineRecoveryContract : public ::testing::TestWithParam<Engine> {};
+
+TEST_P(EngineRecoveryContract, DeviceLossWithoutFallbackFailsTyped) {
+  const Csr csr = chaos_graph();
+  gpusim::FaultConfig cfg = seeded_faults(51);
+  cfg.device_loss = 1.0;
+  core::RetryPolicy retry;
+  retry.cpu_fallback = false;
+
+  const core::GpuRunResult result = run_engine(GetParam(), csr, 3, cfg, retry);
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.recovery.device_lost);
+  EXPECT_TRUE(result.sssp.distances.empty());
+  ASSERT_FALSE(result.faults.empty());
+  EXPECT_EQ(result.faults.back().cls, gpusim::FaultClass::kDeviceLoss);
+}
+
+TEST_P(EngineRecoveryContract, SameSeedReplaysTheSamePlan) {
+  const Csr csr = chaos_graph();
+  gpusim::FaultConfig cfg = seeded_faults(53);
+  cfg.launch_failure = 0.5;
+  cfg.stream_stall = 0.5;
+  cfg.max_faults = 6;
+  core::RetryPolicy retry;
+  retry.max_attempts = 8;
+
+  const core::GpuRunResult a = run_engine(GetParam(), csr, 1, cfg, retry);
+  const core::GpuRunResult b = run_engine(GetParam(), csr, 1, cfg, retry);
+  ASSERT_TRUE(a.ok);
+  ASSERT_FALSE(a.faults.empty());
+  EXPECT_EQ(fault_plan(a), fault_plan(b));
+  EXPECT_EQ(a.sssp.distances, sssp::dijkstra(csr, 1).distances);
+  EXPECT_EQ(a.sssp.distances, b.sssp.distances);
+  EXPECT_EQ(a.recovery.retries, b.recovery.retries);
+  EXPECT_DOUBLE_EQ(a.device_ms, b.device_ms);
+}
+
+TEST_P(EngineRecoveryContract, SanitizerAndFaultsComposeClean) {
+  const Csr csr = test::random_grid_graph(14, /*seed=*/7);
+  gpusim::FaultConfig cfg = seeded_faults(55);
+  cfg.launch_failure = 1.0;  // the first launch fails, then the budget
+  cfg.max_faults = 1;        // is spent and the retry runs clean
+  core::RetryPolicy retry;
+
+  const core::GpuRunResult result = run_engine(
+      GetParam(), csr, 0, cfg, retry, 0, gpusim::SanitizeMode::kOn);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.recovery.retries, 1u);
+  EXPECT_EQ(result.recovery.cpu_fallbacks, 0u);
+  // The discarded attempt ran the same hazard-free kernels as the retry.
+  EXPECT_EQ(result.sanitizer_report, "");
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, EngineRecoveryContract, ::testing::ValuesIn(all_engines()),
+    [](const ::testing::TestParamInfo<Engine>& param_info) {
+      return std::string(engine_name(param_info.param));
+    });
+
 // --- simulator-level behavior ----------------------------------------------
 
 TEST(FaultInjection, DeviceLossLatchesAcrossResetUntilRevived) {
   gpusim::GpuSim sim(gpusim::test_device());
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 3;
+  gpusim::FaultConfig cfg = seeded_faults(3);
   cfg.device_loss = 1.0;
   sim.enable_fault_injection(cfg);
 
@@ -430,9 +457,7 @@ TEST(FaultInjection, DeviceLossLatchesAcrossResetUntilRevived) {
 
 TEST(FaultInjection, GenuineWatchdogTimeoutFiresWithoutInjection) {
   gpusim::GpuSim sim(gpusim::test_device());
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 3;
+  gpusim::FaultConfig cfg = seeded_faults(3);
   cfg.watchdog_ms = 1e-6;  // any real kernel exceeds this
   sim.enable_fault_injection(cfg);
 
@@ -512,9 +537,7 @@ TEST(FaultInjection, SpecParserRejectsOutOfRangeIntegersNamingTheKey) {
 }
 
 TEST(FaultInjection, InjectorDrawsArePureFunctionsOfTheKey) {
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 77;
+  gpusim::FaultConfig cfg = seeded_faults(77);
   cfg.launch_failure = 0.3;
   cfg.bit_flip_per_load = 0.3;
   const gpusim::FaultInjector a(cfg);
@@ -544,9 +567,7 @@ TEST(FaultInjection, InjectorDrawsArePureFunctionsOfTheKey) {
 // --- heterogeneous (hot-stream) fault pressure ------------------------------
 
 TEST(FaultInjection, HotStreamScalesLaunchFaultsOnThatStreamOnly) {
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 55;
+  gpusim::FaultConfig cfg = seeded_faults(55);
   cfg.launch_failure = 0.02;
 
   gpusim::FaultConfig hot = cfg;
@@ -583,9 +604,7 @@ TEST(FaultInjection, HotStreamScalesLaunchFaultsOnThatStreamOnly) {
 }
 
 TEST(FaultInjection, HotStreamLeavesBitFlipDrawsUntouched) {
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 56;
+  gpusim::FaultConfig cfg = seeded_faults(56);
   cfg.bit_flip_per_load = 0.05;
   gpusim::FaultConfig hot = cfg;
   hot.hot_stream = 0;
@@ -611,8 +630,7 @@ TEST(FaultInjection, BatchRecoversPerQueryAndKeepsDistancesExact) {
   core::QueryBatchOptions options;
   options.streams = 3;
   options.gpu.delta0 = 120.0;
-  options.gpu.fault.enabled = true;
-  options.gpu.fault.seed = 19;
+  options.gpu.fault = seeded_faults(19);
   options.gpu.fault.launch_failure = 0.1;
   options.gpu.fault.max_faults = 3;
   core::QueryBatch batch(csr, gpusim::test_device(), options);
@@ -638,9 +656,7 @@ TEST(FaultInjection, BatchRecoversPerQueryAndKeepsDistancesExact) {
 // deadline_exceeded, not a recovery.
 TEST(FaultInjection, WatchdogTimeoutRacingDeadlineEndsRecoveryImmediately) {
   const Csr csr = chaos_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 23;
+  gpusim::FaultConfig cfg = seeded_faults(23);
   cfg.timeout = 1.0;      // the first launch hangs...
   cfg.max_faults = 1;     // ...and only the first
   cfg.watchdog_ms = 5.0;  // hang detected after 5 ms
@@ -698,9 +714,7 @@ TEST(FaultInjection, DeviceLossDuringHalfOpenProbeReopensTheBreaker) {
 
   // Now every launch loses the device. The next dispatch finds lane 0
   // cooled down, probes it half-open, and the probe hits the loss.
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 29;
+  gpusim::FaultConfig cfg = seeded_faults(29);
   cfg.device_loss = 1.0;
   cfg.max_faults = 1;
   server.batch().sim().enable_fault_injection(cfg);
@@ -735,9 +749,7 @@ TEST(FaultInjection, CheckpointResumedRetriesRecoverExactDistances) {
   const Csr csr = chaos_graph();
   const std::vector<Distance> oracle = sssp::dijkstra(csr, 3).distances;
 
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 12;
+  gpusim::FaultConfig cfg = seeded_faults(12);
   cfg.bit_flip_per_load = 0.01;
   cfg.correctable_fraction = 0.0;  // every flip poisons -> retries
   core::RetryPolicy retry;
@@ -796,9 +808,7 @@ TEST(FaultInjection, CheckpointingChargesTheClockAndKeepsDistancesExact) {
 // same resumed count, same fault plan, same distances for any sim_threads.
 TEST(FaultInjection, CheckpointResumeBitIdenticalAcrossSimThreads) {
   const Csr csr = chaos_graph();
-  gpusim::FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.seed = 18;
+  gpusim::FaultConfig cfg = seeded_faults(18);
   cfg.bit_flip_per_load = 0.008;
   cfg.correctable_fraction = 0.0;
   core::RetryPolicy retry;
