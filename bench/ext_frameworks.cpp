@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     double sep_ms = 0;
     {
       core::SepHybrid sep(device, csr);
-      for (const auto s : sources) sep_ms += sep.run(s).gpu.device_ms;
+      for (const auto s : sources) sep_ms += sep.run(s).device_ms;
       sep_ms /= runs;
     }
 

@@ -37,10 +37,9 @@ int main(int argc, char** argv) {
     {
       core::SepHybrid sep(device, csr);
       for (const auto s : sources) {
-        const auto result = sep.run(s);
-        sep_ms += result.gpu.device_ms;
-        rounds += result.rounds.size();
-        for (const auto& round : result.rounds) {
+        sep_ms += sep.run(s).device_ms;
+        rounds += sep.rounds().size();
+        for (const auto& round : sep.rounds()) {
           switch (round.mode) {
             case core::SepMode::kAsyncPush: ++async_push; break;
             case core::SepMode::kSyncPush: ++sync_push; break;

@@ -124,9 +124,10 @@ echo "=== [parallel] t=0 serve CLI smoke ==="
 
 echo "=== [parallel] gsan CLI smoke ==="
 # The engines' device-queue protocols under the sanitizer, through the same
-# code paths users run: hn07, sep-hybrid, adds and rdbs single-query runs,
-# then adds lanes sharing one simulator. The tool exits 3 on any hazard
-# (race, uninitialized read, no-progress spin, ...).
+# code paths users run: single-query runs of all seven registered GPU
+# engines (core/engine.hpp), then adds lanes sharing one simulator. The
+# tool exits 3 on any hazard (race, uninitialized read, no-progress
+# spin, ...).
 "$BUILD_ROOT/parallel/examples/sssp_tool" --dataset=k-n12-8 --algorithm=all \
   --sanitize > /dev/null
 "$BUILD_ROOT/parallel/examples/sssp_tool" --dataset=k-n12-8 --batch \

@@ -50,17 +50,15 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_support/experiment.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "core/adds.hpp"
-#include "core/legacy_gpu.hpp"
+#include "core/engine.hpp"
 #include "core/query_batch.hpp"
 #include "core/query_server.hpp"
-#include "core/rdbs.hpp"
-#include "core/sep_hybrid.hpp"
 #include "core/traffic.hpp"
 #include "gpusim/profiler.hpp"
 #include "graph/builder.hpp"
@@ -134,82 +132,48 @@ struct RunOutcome {
   bool ok = true;                // false only with cpu_fallback disabled
 };
 
+// The --algorithm=all list: the host CPU references, then every registered
+// GPU engine with rdbs last, since --target and --profile describe the last
+// run. Any single name from it is a valid --algorithm too.
+std::vector<std::string> all_algorithms() {
+  std::vector<std::string> names = {"dijkstra", "bellman-ford", "pq-delta"};
+  for (const core::GpuEngineEntry& engine : core::gpu_engines()) {
+    if (std::string_view(engine.name) != "rdbs") {
+      names.emplace_back(engine.name);
+    }
+  }
+  names.emplace_back("rdbs");
+  return names;
+}
+
 RunOutcome run_algorithm(const std::string& algorithm, const graph::Csr& csr,
                          const gpusim::DeviceSpec& device,
                          graph::Weight delta0, graph::VertexId source,
-                         gpusim::SanitizeMode sanitize,
-                         const gpusim::FaultConfig& fault) {
+                         const core::EngineOptions& engine_options) {
   RunOutcome outcome;
-  if (algorithm == "rdbs") {
-    core::GpuSsspOptions options;
-    options.delta0 = delta0;
-    options.sanitize = sanitize;
-    options.fault = fault;
-    core::RdbsSolver solver(csr, device, options);
-    auto result = solver.solve(source);
+  if (const core::GpuEngineEntry* engine = core::gpu_engine(algorithm)) {
+    core::GpuRunResult result =
+        engine->make(device, csr, engine_options, delta0)->run(source);
     outcome.ms = result.device_ms;
     outcome.sssp = std::move(result.sssp);
     outcome.counters = result.counters;
     outcome.sanitizer_report = std::move(result.sanitizer_report);
     outcome.recovery = result.recovery;
     outcome.ok = result.ok;
-  } else if (algorithm == "adds") {
-    core::AddsOptions options;
-    options.delta = delta0;
-    options.sanitize = sanitize;
-    options.fault = fault;
-    core::AddsLike adds(device, csr, options);
-    auto result = adds.run(source);
-    outcome.ms = result.device_ms;
-    outcome.sssp = std::move(result.sssp);
-    outcome.counters = result.counters;
-    outcome.sanitizer_report = std::move(result.sanitizer_report);
-    outcome.recovery = result.recovery;
-    outcome.ok = result.ok;
-  } else if (algorithm == "sep") {
-    core::SepHybridOptions options;
-    options.sanitize = sanitize;
-    options.fault = fault;
-    core::SepHybrid sep(device, csr, options);
-    auto result = sep.run(source);
-    outcome.ms = result.gpu.device_ms;
-    outcome.sssp = std::move(result.gpu.sssp);
-    outcome.counters = result.gpu.counters;
-    outcome.sanitizer_report = std::move(result.gpu.sanitizer_report);
-    outcome.recovery = result.gpu.recovery;
-    outcome.ok = result.gpu.ok;
-  } else if (algorithm == "hn07") {
-    core::HarishNarayanan hn(device, csr, sanitize, fault);
-    auto result = hn.run(source);
-    outcome.ms = result.device_ms;
-    outcome.sssp = std::move(result.sssp);
-    outcome.counters = result.counters;
-    outcome.sanitizer_report = std::move(result.sanitizer_report);
-    outcome.recovery = result.recovery;
-    outcome.ok = result.ok;
-  } else if (algorithm == "dijkstra") {
-    Timer timer;
+    return outcome;
+  }
+  outcome.simulated = false;
+  Timer timer;
+  if (algorithm == "dijkstra") {
     outcome.sssp = sssp::dijkstra(csr, source);
-    outcome.ms = timer.milliseconds();
-    outcome.simulated = false;
   } else if (algorithm == "bellman-ford") {
-    Timer timer;
     outcome.sssp = sssp::bellman_ford(csr, source);
-    outcome.ms = timer.milliseconds();
-    outcome.simulated = false;
-  } else if (algorithm == "pq-delta") {
-    Timer timer;
+  } else {  // pq-delta; run_tool rejects any other name up front
     sssp::PqDeltaStarOptions options;
     options.delta_star = delta0;
     outcome.sssp = sssp::pq_delta_star(csr, source, options);
-    outcome.ms = timer.milliseconds();
-    outcome.simulated = false;
-  } else {
-    std::fprintf(stderr, "unknown --algorithm=%s (try rdbs, adds, sep, "
-                         "hn07, dijkstra, bellman-ford, pq-delta, all)\n",
-                 algorithm.c_str());
-    std::exit(2);
   }
+  outcome.ms = timer.milliseconds();
   return outcome;
 }
 
@@ -253,6 +217,15 @@ int report_sanitizer(core::QueryBatch& batch) {
 int run_tool(const CliArgs& args) {
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);
+  const std::string algorithm = args.get_string("algorithm", "rdbs");
+  const std::vector<std::string> known = all_algorithms();
+  if (algorithm != "all" &&
+      std::find(known.begin(), known.end(), algorithm) == known.end()) {
+    std::string valid;
+    for (const std::string& name : known) valid += name + ", ";
+    throw std::invalid_argument("unknown --algorithm=" + algorithm +
+                                " (valid: " + valid + "all)");
+  }
 
   const graph::Csr csr = load_input(args, config);
   const graph::DegreeStats stats = graph::compute_degree_stats(csr);
@@ -274,7 +247,6 @@ int run_tool(const CliArgs& args) {
   const graph::VertexId target =
       has_target ? get_vertex(args, "target", 0, csr) : 0;
   require(config.batch_streams >= 1, "--batch-streams must be >= 1");
-  const std::string algorithm = args.get_string("algorithm", "rdbs");
   // --sanitize: run every simulated engine under gsan (docs/sanitizer.md);
   // hazard reports go to stderr and the exit code becomes 3.
   const gpusim::SanitizeMode sanitize = args.get_bool("sanitize", false)
@@ -324,13 +296,10 @@ int run_tool(const CliArgs& args) {
                    fallback.c_str());
       return 2;
     }
+    bopts.gpu.delta0 = delta0;
     if (algorithm == "adds") {
       bopts.engine = core::BatchEngine::kAdds;
-      bopts.adds_delta = delta0;
-    } else if (algorithm == "rdbs") {
-      bopts.engine = core::BatchEngine::kRdbs;
-      bopts.gpu.delta0 = delta0;
-    } else {
+    } else if (algorithm != "rdbs") {
       std::fprintf(stderr,
                    "--batch supports --algorithm=rdbs or adds, not %s\n",
                    algorithm.c_str());
@@ -592,10 +561,10 @@ int run_tool(const CliArgs& args) {
   }
 
   const std::vector<std::string> algorithms =
-      algorithm == "all"
-          ? std::vector<std::string>{"dijkstra", "bellman-ford", "pq-delta",
-                                     "hn07", "sep", "adds", "rdbs"}
-          : std::vector<std::string>{algorithm};
+      algorithm == "all" ? known : std::vector<std::string>{algorithm};
+  core::EngineOptions engine_options;
+  engine_options.sanitize = sanitize;
+  engine_options.fault = fault;
 
   TextTable table({"algorithm", "time ms", "kind", "reached", "updates",
                    "redundancy", "valid"});
@@ -603,7 +572,7 @@ int run_tool(const CliArgs& args) {
   std::string hazards;
   for (const std::string& name : algorithms) {
     RunOutcome outcome =
-        run_algorithm(name, csr, device, delta0, source, sanitize, fault);
+        run_algorithm(name, csr, device, delta0, source, engine_options);
     if (!outcome.sanitizer_report.empty()) {
       hazards += "--- " + name + " ---\n" + outcome.sanitizer_report;
     }

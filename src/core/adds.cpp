@@ -25,11 +25,7 @@ AddsLike::AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
       driver_("AddsLike", *sim_, stream_, csr_, options_.retry,
               /*reset_per_attempt=*/true, AttemptDriver::Clock::kStream,
               options_.checkpoint_interval) {
-  sim_->set_worker_threads(options_.sim_threads);
-  if (options_.sanitize != gpusim::SanitizeMode::kOff) {
-    sim_->enable_sanitizer(options_.sanitize);
-  }
-  if (options_.fault.enabled) sim_->enable_fault_injection(options_.fault);
+  options_.configure(*sim_);
   init_device_state(nullptr);
 }
 
@@ -43,11 +39,7 @@ AddsLike::AddsLike(gpusim::GpuSim& sim, gpusim::StreamId stream,
       driver_("AddsLike", *sim_, stream_, csr_, options_.retry,
               /*reset_per_attempt=*/false, AttemptDriver::Clock::kStream,
               options_.checkpoint_interval) {
-  // Never *disable* here: in shared-sim mode the batch owns the setting.
-  if (options_.sanitize != gpusim::SanitizeMode::kOff) {
-    sim_->enable_sanitizer(options_.sanitize);
-  }
-  if (options_.fault.enabled) sim_->enable_fault_injection(options_.fault);
+  options_.configure(*sim_);
   init_device_state(shared_graph);
 }
 
@@ -75,7 +67,6 @@ void AddsLike::init_device_state(const DeviceCsrBuffers* shared_graph) {
              /*head_cell=*/1, sim_->alloc<std::uint8_t>("in_near", n, 1));
   far_.bind(*sim_, std::move(far_slots), ctrl, /*tail_cell=*/2,
             DeviceQueue::kNoCell);
-  driver_.set_warm_start(options_.warm_start);
 }
 
 GpuRunResult AddsLike::run(VertexId source) {

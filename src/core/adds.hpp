@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "core/device_graph.hpp"
+#include "core/engine.hpp"
 #include "core/options.hpp"
 #include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
@@ -24,25 +25,14 @@
 
 namespace rdbs::core {
 
-struct AddsOptions {
+struct AddsOptions : EngineOptions {
   graph::Weight delta = 100.0;  // Near/Far threshold increment
-  bool instrument = false;
-  int sim_threads = 0;          // gpusim replay threads (0 = library default)
-  // gsan hazard analysis over every launch (docs/sanitizer.md).
-  gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
-  // Deterministic fault injection + recovery (gfi; docs/fault_injection.md).
-  gpusim::FaultConfig fault;
-  RetryPolicy retry;
-  // Per-vertex upper bounds seeding the tentative distances (engine
-  // numbering; caller-owned; see GpuSsspOptions::warm_start). Near-Far is
-  // label-correcting like Δ-stepping, so bounds preserve exactness.
-  const std::vector<graph::Distance>* warm_start = nullptr;
   // Checkpoint-resume: snapshot the tentative distances every N near/far
   // round boundaries (0 = off); see GpuSsspOptions::checkpoint_interval.
   int checkpoint_interval = 0;
 };
 
-class AddsLike {
+class AddsLike : public GpuEngine {
  public:
   AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
            AddsOptions options);
@@ -59,14 +49,16 @@ class AddsLike {
   // the run executes under options.retry — poisoned attempts are discarded
   // and rerun, and the result carries the typed faults plus recovery
   // counters. Throws std::out_of_range for an invalid source.
-  GpuRunResult run(graph::VertexId source);
+  GpuRunResult run(graph::VertexId source) override;
 
   gpusim::GpuSim& sim() { return *sim_; }
   gpusim::StreamId stream() const { return stream_; }
 
   // The query contract (core/recovery.hpp; see GpuDeltaStepping::driver):
-  // cancellation is polled at the near/far round boundary, and checkpoints
-  // are taken at round boundaries every options.checkpoint_interval.
+  // cancellation is polled at the near/far round boundary, checkpoints are
+  // taken at round boundaries every options.checkpoint_interval, and warm
+  // starts are bound with driver().set_warm_start (Near-Far is
+  // label-correcting like Δ-stepping, so valid bounds preserve exactness).
   AttemptDriver& driver() { return driver_; }
 
  private:

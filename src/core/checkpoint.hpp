@@ -4,7 +4,7 @@
 // Δ-stepping and Near-Far are label-correcting: at any point of a run the
 // tentative distance vector is a set of valid upper bounds on the true
 // distances (the same argument that makes landmark warm starts exact; see
-// GpuSsspOptions::warm_start). A snapshot of that vector taken at a
+// AttemptDriver::set_warm_start). A snapshot of that vector taken at a
 // bucket/round boundary is therefore a *restart point*: a retry — or a
 // whole different lane — can seed from it via the warm-start path and
 // converge to exactly the same distances as a cold run, having already

@@ -15,6 +15,12 @@ namespace {
 // row offsets / vertex ids / weights / distances.
 constexpr std::uint32_t kDeviceWord = 4;
 
+// ADWL classification thresholds (paper: α = block = 256, β = warp = 32):
+// a vertex with at least kBeta light edges is medium, with at least kAlpha
+// large.
+constexpr std::uint32_t kAlpha = 256;
+constexpr std::uint32_t kBeta = 32;
+
 // Bit i is set iff lo <= d[i] < hi (d holds at most 32 lanes; an infinite
 // distance is never below hi). Branch-free: a strip mixes settled and
 // unsettled lanes, so a short-circuit test would mispredict.
@@ -38,11 +44,7 @@ GpuDeltaStepping::GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
       driver_("GpuDeltaStepping", *sim_, stream_, csr_, options_.retry,
               /*reset_per_attempt=*/true, AttemptDriver::Clock::kStream,
               options_.checkpoint_interval) {
-  sim_->set_worker_threads(options_.sim_threads);
-  if (options_.sanitize != gpusim::SanitizeMode::kOff) {
-    sim_->enable_sanitizer(options_.sanitize);
-  }
-  if (options_.fault.enabled) sim_->enable_fault_injection(options_.fault);
+  options_.configure(*sim_);
   init_device_state(nullptr);
 }
 
@@ -57,12 +59,7 @@ GpuDeltaStepping::GpuDeltaStepping(gpusim::GpuSim& sim,
       driver_("GpuDeltaStepping", *sim_, stream_, csr_, options_.retry,
               /*reset_per_attempt=*/false, AttemptDriver::Clock::kStream,
               options_.checkpoint_interval) {
-  // Never *disable* here: in shared-sim mode the batch owns the sanitizer
-  // and fault-injection settings and may have enabled them for all lanes.
-  if (options_.sanitize != gpusim::SanitizeMode::kOff) {
-    sim_->enable_sanitizer(options_.sanitize);
-  }
-  if (options_.fault.enabled) sim_->enable_fault_injection(options_.fault);
+  options_.configure(*sim_);
   init_device_state(shared_graph);
 }
 
@@ -100,7 +97,6 @@ void GpuDeltaStepping::init_device_state(const DeviceCsrBuffers* shared_graph) {
   queue_.bind(*sim_, std::move(slots), ctrl, /*tail_cell=*/0,
               /*head_cell=*/1, sim_->alloc<std::uint8_t>("in_queue", n, 1));
   epoch_.assign(n, ~0ull);
-  driver_.set_warm_start(options_.warm_start);
 }
 
 EdgeIndex GpuDeltaStepping::light_end(VertexId v, Weight delta) const {
@@ -225,9 +221,9 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
   for (std::uint32_t i = 0; i < lane_count; ++i) {
     const std::uint64_t light_deg = lend[i] - row_begin[i];
     inline_lane[i] = 1;
-    if (options_.adwl && children != nullptr && light_deg >= options_.beta) {
+    if (options_.adwl && children != nullptr && light_deg >= kBeta) {
       inline_lane[i] = 0;
-      if (light_deg >= options_.alpha) {
+      if (light_deg >= kAlpha) {
         ++stats.large_workload;
       } else {
         ++stats.medium_workload;
@@ -625,7 +621,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     bs.high = graph::kInfiniteDistance;
     bs.initial_active = queue_.size();
     phase1_sync(0, graph::kInfiniteDistance, graph::kInfiniteDistance, bs);
-    if (options_.instrument) result.buckets.push_back(bs);
+    result.buckets.push_back(bs);
     result.sssp.work = work_;
     return driver_.finish(std::move(result), dist_, source);
   }
@@ -690,7 +686,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     // The scan's settled count must agree with the queue-side count: every
     // vertex of the bucket passed through the queue exactly once.
     RDBS_DCHECK(outcome.converged == bs.converged || driver_.poisoned());
-    if (options_.instrument) result.buckets.push_back(bs);
+    result.buckets.push_back(bs);
     // Bucket boundary: the tentative distances are a consistent set of
     // upper bounds here — snapshot them for checkpoint-resume.
     driver_.boundary(dist_);

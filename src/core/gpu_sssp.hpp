@@ -29,6 +29,7 @@
 
 #include "core/delta_controller.hpp"
 #include "core/device_graph.hpp"
+#include "core/engine.hpp"
 #include "core/options.hpp"
 #include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
@@ -43,7 +44,7 @@ using graph::EdgeIndex;
 using graph::VertexId;
 using graph::Weight;
 
-class GpuDeltaStepping {
+class GpuDeltaStepping : public GpuEngine {
  public:
   // `csr` must outlive the engine. With options.pro set the graph must have
   // weight-sorted adjacency (reorder::sort_adjacency_by_weight or the full
@@ -71,7 +72,7 @@ class GpuDeltaStepping {
   // attempts are discarded and rerun, and the result carries the typed
   // faults plus recovery counters (see docs/fault_injection.md). Throws
   // std::out_of_range for an invalid source.
-  GpuRunResult run(VertexId source);
+  GpuRunResult run(VertexId source) override;
 
   gpusim::GpuSim& sim() { return *sim_; }
   gpusim::StreamId stream() const { return stream_; }

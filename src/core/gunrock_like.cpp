@@ -15,9 +15,9 @@ constexpr std::uint64_t kOutCursorCell[1] = {0};
 }
 
 Enactor::Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
-                 gpusim::SanitizeMode sanitize)
+                 const EngineOptions& options)
     : sim_(std::move(device)), csr_(csr) {
-  sim_.enable_sanitizer(sanitize);
+  options.configure(sim_);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
   graph_ = DeviceCsrBuffers::upload(sim_, csr_);
@@ -251,10 +251,7 @@ void Enactor::compute(const Frontier& frontier, const ComputeFunctor& f) {
 
 GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
                   VertexId source, const GunrockSsspOptions& options) {
-  Enactor enactor(std::move(device), csr, options.sanitize);
-  if (options.fault.enabled) {
-    enactor.sim().enable_fault_injection(options.fault);
-  }
+  Enactor enactor(std::move(device), csr, options);
   // The enactor (and its simulator clock) is shared across attempts and
   // never reset: metrics are measured as per-attempt deltas.
   AttemptDriver driver("gunrock::sssp", enactor.sim(), /*stream=*/0, csr,

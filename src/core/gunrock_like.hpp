@@ -50,8 +50,10 @@ class Frontier;
 
 class Enactor {
  public:
+  // `options` configures the simulator (replay threads, gsan, gfi); its
+  // retry policy is the app's business.
   Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
-          gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff);
+          const EngineOptions& options = {});
 
   // advance: expand `frontier` through `f`; the emitted destinations
   // (with duplicates) form the result.
@@ -109,21 +111,16 @@ class Frontier {
 
 // --- the SSSP app -----------------------------------------------------------
 
-struct GunrockSsspOptions {
+struct GunrockSsspOptions : EngineOptions {
   // Near/far priority split (Gunrock's sssp uses a two-level priority
   // queue); 0 disables the split (plain Bellman-Ford iterations).
   Weight delta = 100.0;
-  // gsan hazard analysis over every launch (docs/sanitizer.md).
-  gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
-  // Deterministic fault injection + recovery (gfi; docs/fault_injection.md).
-  gpusim::FaultConfig fault;
-  RetryPolicy retry;
 };
 
-// Runs Gunrock's sssp app. With options.fault enabled the run executes
-// under options.retry (poisoned attempts discarded and rerun; typed faults
-// and recovery counters in the result). Throws std::out_of_range for an
-// invalid source.
+// Runs Gunrock's sssp app on a fresh enactor. With options.fault enabled
+// the run executes under options.retry (poisoned attempts discarded and
+// rerun; typed faults and recovery counters in the result). Throws
+// std::out_of_range for an invalid source.
 GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
                   VertexId source, const GunrockSsspOptions& options = {});
 

@@ -23,15 +23,12 @@ constexpr std::uint32_t kDeviceWord = 4;
 
 HarishNarayanan::HarishNarayanan(gpusim::DeviceSpec device,
                                  const graph::Csr& csr,
-                                 gpusim::SanitizeMode sanitize,
-                                 const gpusim::FaultConfig& fault,
-                                 const RetryPolicy& retry)
+                                 const EngineOptions& options)
     : sim_(std::move(device)),
       csr_(csr),
-      driver_("HarishNarayanan", sim_, /*stream=*/0, csr_, retry,
+      driver_("HarishNarayanan", sim_, /*stream=*/0, csr_, options.retry,
               /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice) {
-  sim_.enable_sanitizer(sanitize);
-  if (fault.enabled) sim_.enable_fault_injection(fault);
+  options.configure(sim_);
   const VertexId n = csr_.num_vertices();
   graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("cost", n, kDeviceWord);
@@ -231,8 +228,7 @@ DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
       driver_("DavidsonNearFar", sim_, /*stream=*/0, csr_, options_.retry,
               /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice) {
   RDBS_CHECK(options_.delta > 0);
-  sim_.enable_sanitizer(options_.sanitize);
-  if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
+  options_.configure(sim_);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
   graph_ = DeviceCsrBuffers::upload(sim_, csr_);

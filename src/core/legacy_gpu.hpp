@@ -19,6 +19,7 @@
 #pragma once
 
 #include "core/device_graph.hpp"
+#include "core/engine.hpp"
 #include "core/options.hpp"
 #include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
@@ -27,16 +28,14 @@
 
 namespace rdbs::core {
 
-class HarishNarayanan {
+class HarishNarayanan : public GpuEngine {
  public:
   HarishNarayanan(gpusim::DeviceSpec device, const graph::Csr& csr,
-                  gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff,
-                  const gpusim::FaultConfig& fault = {},
-                  const RetryPolicy& retry = {});
+                  const EngineOptions& options = {});
 
-  // Runs SSSP from `source` (under `retry` when fault injection is on).
-  // Throws std::out_of_range for an invalid source.
-  GpuRunResult run(graph::VertexId source);
+  // Runs SSSP from `source` (under options.retry when fault injection is
+  // on). Throws std::out_of_range for an invalid source.
+  GpuRunResult run(graph::VertexId source) override;
 
   gpusim::GpuSim& sim() { return sim_; }
 
@@ -53,23 +52,18 @@ class HarishNarayanan {
   gpusim::Buffer<std::uint8_t> mask_;
 };
 
-struct DavidsonOptions {
+struct DavidsonOptions : EngineOptions {
   graph::Weight delta = 100.0;  // Near/Far threshold increment
-  // gsan hazard analysis over every launch (docs/sanitizer.md).
-  gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
-  // Deterministic fault injection + recovery (gfi; docs/fault_injection.md).
-  gpusim::FaultConfig fault;
-  RetryPolicy retry;
 };
 
-class DavidsonNearFar {
+class DavidsonNearFar : public GpuEngine {
  public:
   DavidsonNearFar(gpusim::DeviceSpec device, const graph::Csr& csr,
                   DavidsonOptions options);
 
   // Runs SSSP from `source` (under options.retry when fault injection is
   // on). Throws std::out_of_range for an invalid source.
-  GpuRunResult run(graph::VertexId source);
+  GpuRunResult run(graph::VertexId source) override;
 
   gpusim::GpuSim& sim() { return sim_; }
 

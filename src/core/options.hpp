@@ -1,14 +1,12 @@
-// Configuration of the GPU Δ-stepping engine. The three paper optimizations
-// are independent switches so the Fig. 8 ablation (BL, BASYN+PRO,
-// BASYN+ADWL, BASYN+PRO+ADWL) can be expressed directly.
+// Configuration shared by every GPU engine (EngineOptions) and of the GPU
+// Δ-stepping engine. The three paper optimizations are independent switches
+// so the Fig. 8 ablation (BL, BASYN+PRO, BASYN+ADWL, BASYN+PRO+ADWL) can be
+// expressed directly.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "gpusim/device.hpp"
 #include "gpusim/fault.hpp"
 #include "gpusim/sanitizer.hpp"
+#include "gpusim/sim.hpp"
 #include "graph/types.hpp"
 
 namespace rdbs::core {
@@ -36,6 +34,38 @@ struct RetryPolicy {
   bool cpu_fallback = true;
 };
 
+// The settings every GPU engine shares: how its simulator replays, what it
+// checks and how it recovers. Each engine's options struct derives from it
+// (HN07, which has no other option, takes it directly), and the engine's
+// constructor hands it to configure().
+struct EngineOptions {
+  // Host worker threads for the gpusim replay phase; 0 keeps the
+  // simulator's default (GpuSim::set_default_worker_threads). Purely a
+  // wall-clock knob: counters, ms and distances are bit-identical for
+  // every value (see docs/costmodel.md, "Parallel execution &
+  // determinism").
+  int sim_threads = 0;
+
+  // gsan hazard analysis over every launch (docs/sanitizer.md). Off by
+  // default; results are unchanged either way — sanitizing only observes.
+  gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
+
+  // gfi deterministic fault injection (docs/fault_injection.md). Off by
+  // default; when enabled the engine runs under `retry` and reports the
+  // injected faults plus recovery counters in GpuRunResult.
+  gpusim::FaultConfig fault;
+  RetryPolicy retry;
+
+  // Applies the settings to `sim` before its first launch. It only ever
+  // switches things on: a lane engine on a shared simulator never disables
+  // what the simulator's owner enabled for all lanes.
+  void configure(gpusim::GpuSim& sim) const {
+    if (sim_threads > 0) sim.set_worker_threads(sim_threads);
+    if (sanitize != gpusim::SanitizeMode::kOff) sim.enable_sanitizer(sanitize);
+    if (fault.enabled) sim.enable_fault_injection(fault);
+  }
+};
+
 enum class EngineMode {
   // Bucketed Δ-stepping (phases 1-3); the BASYN/PRO/ADWL flags apply.
   kBucketDelta,
@@ -46,7 +76,7 @@ enum class EngineMode {
   kSyncPushBellmanFord,
 };
 
-struct GpuSsspOptions {
+struct GpuSsspOptions : EngineOptions {
   EngineMode mode = EngineMode::kBucketDelta;
 
   // --- the paper's three optimizations -----------------------------------
@@ -65,43 +95,6 @@ struct GpuSsspOptions {
 
   // --- Δ-stepping parameters ----------------------------------------------
   graph::Weight delta0 = 100.0;  // initial bucket width Δ0 (=Δ1)
-
-  // ADWL classification thresholds (paper: α = block = 256, β = warp = 32).
-  std::uint32_t alpha = 256;
-  std::uint32_t beta = 32;
-  // Edges per block above which a large vertex gets multiple blocks.
-  std::uint32_t block_edge_quota = 4096;
-
-  // Record per-bucket statistics (converged counts, thread usage, phase-1
-  // iteration trace) — needed by the figures, cheap enough to keep on.
-  bool instrument = true;
-
-  // --- simulator execution --------------------------------------------------
-  // Host worker threads for the gpusim replay phase (0 = library default).
-  // Purely a wall-clock knob: counters, ms and distances are bit-identical
-  // for every value (see docs/costmodel.md, "Parallel execution &
-  // determinism").
-  int sim_threads = 0;
-
-  // gsan hazard analysis over every launch (docs/sanitizer.md). Off by
-  // default; results are unchanged either way — sanitizing only observes.
-  gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
-
-  // gfi deterministic fault injection (docs/fault_injection.md). Off by
-  // default; when enabled the engine runs under `retry` and reports the
-  // injected faults plus recovery counters in GpuRunResult.
-  gpusim::FaultConfig fault;
-  RetryPolicy retry;
-
-  // --- serving-layer warm start ---------------------------------------------
-  // Optional per-vertex upper bounds on the true distances (ENGINE vertex
-  // numbering; kInfiniteDistance = no bound), owned by the caller and valid
-  // for the whole run (including retries). Finite bounds seed the tentative
-  // distances right after the init kernel and the covered vertices join the
-  // initial frontier window. Δ-stepping is label-correcting, so any valid
-  // upper bound preserves exactness (core/result_cache.hpp; docs/serving.md
-  // "Result cache"). Typically rebound per query via set_warm_start().
-  const std::vector<graph::Distance>* warm_start = nullptr;
 
   // --- checkpoint-resume ----------------------------------------------------
   // Snapshot the tentative distance vector into a host-side QueryCheckpoint

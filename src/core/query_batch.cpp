@@ -52,11 +52,7 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
   }
 
   sim_ = std::make_unique<gpusim::GpuSim>(std::move(device));
-  sim_->set_worker_threads(options_.gpu.sim_threads);
-  sim_->enable_sanitizer(options_.gpu.sanitize);
-  if (options_.gpu.fault.enabled) {
-    sim_->enable_fault_injection(options_.gpu.fault);
-  }
+  options_.gpu.configure(*sim_);
   graph_bufs_ = std::make_unique<DeviceCsrBuffers>(
       DeviceCsrBuffers::upload(*sim_, graph_));
 
@@ -66,19 +62,19 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
     lane.stream = s;
     lane.ewma_ms = cost_seed_ms_;
     if (options_.engine == BatchEngine::kRdbs) {
-      lane.rdbs = std::make_unique<GpuDeltaStepping>(
+      auto rdbs = std::make_unique<GpuDeltaStepping>(
           *sim_, s, graph_, options_.gpu, graph_bufs_.get());
-      lane.driver = &lane.rdbs->driver();
+      lane.driver = &rdbs->driver();
+      lane.engine = std::move(rdbs);
     } else {
       AddsOptions adds;
-      adds.delta = options_.adds_delta;
-      adds.sim_threads = options_.gpu.sim_threads;
-      adds.fault = options_.gpu.fault;
-      adds.retry = options_.gpu.retry;
+      static_cast<EngineOptions&>(adds) = options_.gpu;
+      adds.delta = options_.gpu.delta0;
       adds.checkpoint_interval = options_.gpu.checkpoint_interval;
-      lane.adds = std::make_unique<AddsLike>(*sim_, s, graph_, adds,
-                                             graph_bufs_.get());
-      lane.driver = &lane.adds->driver();
+      auto engine = std::make_unique<AddsLike>(*sim_, s, graph_, adds,
+                                               graph_bufs_.get());
+      lane.driver = &engine->driver();
+      lane.engine = std::move(engine);
     }
     lanes_.push_back(std::move(lane));
   }
@@ -217,7 +213,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
   lane.driver->set_cancel_token(cancel);
   lane.driver->set_warm_start(warm);
   try {
-    out.result = lane.run(engine_source);
+    out.result = lane.engine->run(engine_source);
     if (permuted_ && !out.result.sssp.distances.empty()) {
       out.result.sssp.distances = perm_.unpermute(out.result.sssp.distances);
     }

@@ -39,15 +39,16 @@ namespace rdbs::core {
 
 enum class BatchEngine {
   kRdbs,  // GpuDeltaStepping under QueryBatchOptions::gpu (PRO honored)
-  kAdds,  // AddsLike comparator with QueryBatchOptions::adds_delta
+  kAdds,  // AddsLike comparator; its Near/Far increment is gpu.delta0
 };
 
 struct QueryBatchOptions {
   int streams = 4;  // concurrent query lanes (>= 1)
   BatchEngine engine = BatchEngine::kRdbs;
-  GpuSsspOptions gpu;           // RDBS configuration; gpu.sim_threads also
-                                // sets the shared simulator's replay threads
-  graph::Weight adds_delta = 100.0;  // Near/Far increment for kAdds
+  // Lane engine configuration. Its EngineOptions block configures the
+  // shared simulator; ADDS lanes take delta0, checkpoint_interval and the
+  // block, and ignore the RDBS switches.
+  GpuSsspOptions gpu;
   // Smoothing factor of the per-lane device-cost EWMA that feeds the
   // serving layer's admission control (lane_cost_estimate_ms): estimate <-
   // alpha * observed + (1 - alpha) * estimate, updated only by successful
@@ -239,16 +240,11 @@ class QueryBatch {
   // One stream and its persistent engine (pooled buffers across queries).
   struct Lane {
     gpusim::StreamId stream = 0;
-    std::unique_ptr<GpuDeltaStepping> rdbs;
-    std::unique_ptr<AddsLike> adds;
-    // The lane engine's query contract (cancel token, warm start, resume
-    // bounds, checkpoint); points into whichever engine is set.
+    std::unique_ptr<GpuEngine> engine;
+    // The engine's query contract (cancel token, warm start, resume bounds,
+    // checkpoint).
     AttemptDriver* driver = nullptr;
     double ewma_ms = 0;  // admission-control cost estimate (seeded in ctor)
-
-    GpuRunResult run(VertexId source) {
-      return rdbs ? rdbs->run(source) : adds->run(source);
-    }
   };
 
   // Shared body of run_on_lane / run_migrated_on_lane; `resume` non-null

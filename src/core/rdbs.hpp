@@ -22,7 +22,7 @@
 
 namespace rdbs::core {
 
-class RdbsSolver {
+class RdbsSolver : public GpuEngine {
  public:
   // Preprocesses `csr` according to options (PRO reordering when
   // options.pro is set; plain weight-sort is NOT applied otherwise, so the
@@ -34,9 +34,10 @@ class RdbsSolver {
   // SSSP from a source in the ORIGINAL vertex numbering; distances in the
   // result are mapped back to original ids.
   GpuRunResult solve(VertexId source);
+  GpuRunResult run(VertexId source) override { return solve(source); }
 
   // Optional per-vertex upper bounds in the ORIGINAL vertex numbering
-  // (GpuSsspOptions::warm_start semantics; kInfiniteDistance = no bound),
+  // (AttemptDriver::set_warm_start semantics; kInfiniteDistance = no bound),
   // mapped through the PRO permutation on the way in. The caller owns
   // `bounds`; the pointer must stay valid until the next set_warm_start()
   // or solver destruction. nullptr detaches.

@@ -100,9 +100,14 @@ class AttemptDriver {
   // with deadline_exceeded set, partial metrics and NO distances. The token
   // must outlive the runs it governs; nullptr detaches.
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
-  // Result-cache warm start: per-vertex upper bounds (engine numbering;
-  // GpuSsspOptions::warm_start) for subsequent runs; nullptr detaches. The
-  // array must outlive every run it seeds (retries re-apply it).
+  // Warm start: per-vertex upper bounds on the true distances (engine
+  // numbering; kInfiniteDistance = no bound) for subsequent runs. Finite
+  // bounds seed the tentative distances right after the init kernel, and
+  // the covered vertices join the initial frontier window. The engines are
+  // label-correcting, so any valid upper bound preserves exactness
+  // (core/result_cache.hpp; docs/serving.md "Result cache"). nullptr
+  // detaches. The array must outlive every run it seeds (retries re-apply
+  // it).
   void set_warm_start(const std::vector<graph::Distance>* bounds) {
     warm_start_ = bounds;
   }

@@ -122,7 +122,7 @@ void ResultCache::evict_if_over_capacity() {
 
 bool ResultCache::warm_bounds(VertexId source, double now_ms,
                               std::vector<Distance>* out) {
-  if (!options_.warm_start || !symmetric_ || landmarks_.empty()) return false;
+  if (!symmetric_ || landmarks_.empty()) return false;
   RDBS_CHECK(source < num_vertices_);
   bool any = false;
   for (const auto& [lm, landmark] : landmarks_) {

@@ -20,7 +20,8 @@
 //      landmark distance vectors. On a symmetric graph the triangle
 //      inequality gives per-vertex upper bounds
 //          dist(s, v) <= dist(L, s) + dist(L, v)
-//      which seed the engines' tentative distances (Options::warm_start).
+//      which seed the engines' tentative distances
+//      (AttemptDriver::set_warm_start).
 //      Δ-stepping is label-correcting, so upper-bound seeding preserves
 //      exactness (Radius Stepping, arXiv 1602.03881) while shrinking the
 //      work the buckets have to do. A finite bound also implies a real
@@ -56,11 +57,10 @@ struct ResultCacheOptions {
   // Completed entries retained (>= 1). Landmark vectors are pinned
   // separately and do not count against this.
   std::size_t capacity = 64;
-  // Distance vectors retained as warm-start landmarks (0 disables).
+  // Distance vectors retained as warm-start landmarks (0 disables warm
+  // starts). Landmark warm starts require a symmetric graph, checked once
+  // at construction; exact hits and single-flight sharing work either way.
   std::size_t landmarks = 4;
-  // Landmark warm starts (requires a symmetric graph; checked once at
-  // construction). Exact hits and single-flight sharing work either way.
-  bool warm_start = true;
 };
 
 struct ResultCacheStats {

@@ -26,8 +26,7 @@ SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
       driver_("SepHybrid", sim_, /*stream=*/0, csr_, options_.retry,
               /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice),
       csr_symmetric_(graph::is_symmetric(csr_)) {
-  sim_.enable_sanitizer(options_.sanitize);
-  if (options_.fault.enabled) sim_.enable_fault_injection(options_.fault);
+  options_.configure(sim_);
   const VertexId n = csr_.num_vertices();
   graph_ = DeviceCsrBuffers::upload(sim_, csr_);
   dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
@@ -54,22 +53,18 @@ SepMode SepHybrid::choose_mode(std::uint64_t frontier_vertices,
   return SepMode::kSyncPush;
 }
 
-SepRunResult SepHybrid::run(VertexId source) {
-  SepRunResult result;
-  result.gpu = driver_.run(source, [&] {
-    result.rounds.clear();
-    return run_attempt(source, result.rounds);
-  });
+GpuRunResult SepHybrid::run(VertexId source) {
+  rounds_.clear();
+  GpuRunResult result =
+      driver_.run(source, [&] { return run_attempt(source); });
   // After a CPU fallback (or a typed failure) the round log would describe
   // a discarded device attempt, not the distances returned — drop it.
-  if (result.gpu.recovery.cpu_fallbacks > 0 || !result.gpu.ok) {
-    result.rounds.clear();
-  }
+  if (result.recovery.cpu_fallbacks > 0 || !result.ok) rounds_.clear();
   return result;
 }
 
-GpuRunResult SepHybrid::run_attempt(VertexId source,
-                                    std::vector<SepRound>& round_log) {
+GpuRunResult SepHybrid::run_attempt(VertexId source) {
+  rounds_.clear();
   driver_.begin_attempt(dist_);
   const VertexId n = csr_.num_vertices();
   sssp::WorkStats work;
@@ -291,7 +286,7 @@ GpuRunResult SepHybrid::run_attempt(VertexId source,
     }
 
     round.ms = sim_.elapsed_ms() - ms_before;
-    if (options_.instrument) round_log.push_back(round);
+    rounds_.push_back(round);
   }
 
   GpuRunResult gpu;

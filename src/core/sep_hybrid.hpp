@@ -17,12 +17,14 @@
 // Switching heuristic (documented, deliberately simple): pull when the
 // frontier's out-edge volume exceeds `pull_edge_fraction` of |E|; async
 // when the frontier is smaller than `async_frontier_limit` vertices.
-// The per-round decisions are recorded for inspection.
+// The per-round decisions of the last run are kept for inspection
+// (SepHybrid::rounds()).
 #pragma once
 
 #include <vector>
 
 #include "core/device_graph.hpp"
+#include "core/engine.hpp"
 #include "core/options.hpp"
 #include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
@@ -31,15 +33,9 @@
 
 namespace rdbs::core {
 
-struct SepHybridOptions {
+struct SepHybridOptions : EngineOptions {
   double pull_edge_fraction = 0.10;
   std::uint64_t async_frontier_limit = 1024;
-  bool instrument = true;
-  // gsan hazard analysis over every launch (docs/sanitizer.md).
-  gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff;
-  // Deterministic fault injection + recovery (gfi; docs/fault_injection.md).
-  gpusim::FaultConfig fault;
-  RetryPolicy retry;
 };
 
 enum class SepMode : std::uint8_t {
@@ -55,28 +51,25 @@ struct SepRound {
   double ms = 0;                     // simulated time of the round
 };
 
-struct SepRunResult {
-  GpuRunResult gpu;
-  std::vector<SepRound> rounds;
-};
-
-class SepHybrid {
+class SepHybrid : public GpuEngine {
  public:
   SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
             SepHybridOptions options = {});
 
   // Runs SSSP from `source`. With options.fault enabled the run executes
-  // under options.retry; `rounds` describes the successful device attempt
-  // (empty after a CPU fallback). Throws std::out_of_range for an invalid
-  // source.
-  SepRunResult run(graph::VertexId source);
+  // under options.retry. Throws std::out_of_range for an invalid source.
+  GpuRunResult run(graph::VertexId source) override;
+
+  // The rounds of the last run's successful device attempt (empty after a
+  // CPU fallback or a typed failure).
+  const std::vector<SepRound>& rounds() const { return rounds_; }
 
   gpusim::GpuSim& sim() { return sim_; }
 
  private:
-  // One recovery attempt (full run from a reset simulator clock).
-  GpuRunResult run_attempt(graph::VertexId source,
-                           std::vector<SepRound>& round_log);
+  // One recovery attempt (full run from a reset simulator clock); logs its
+  // rounds into rounds_.
+  GpuRunResult run_attempt(graph::VertexId source);
 
   SepMode choose_mode(std::uint64_t frontier_vertices,
                       std::uint64_t frontier_edges) const;
@@ -93,6 +86,7 @@ class SepHybrid {
   DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   DeviceQueue queue_;  // the frontier (ring, in_queue flags)
+  std::vector<SepRound> rounds_;
 };
 
 }  // namespace rdbs::core

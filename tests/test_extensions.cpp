@@ -9,7 +9,6 @@
 #include "reorder/orderings.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/rho_stepping.hpp"
-#include "sssp/validate.hpp"
 #include "test_util.hpp"
 
 namespace rdbs {
@@ -18,7 +17,6 @@ namespace {
 using graph::Csr;
 using graph::Distance;
 using graph::VertexId;
-using test::paper_figure1_graph;
 using test::random_grid_graph;
 using test::random_powerlaw_graph;
 
@@ -31,23 +29,6 @@ void expect_distances_equal(const std::vector<Distance>& actual,
 }
 
 // --- Harish-Narayanan -------------------------------------------------------
-
-TEST(HarishNarayanan, MatchesDijkstraOnFigure1) {
-  const Csr csr = paper_figure1_graph();
-  core::HarishNarayanan hn(gpusim::test_device(), csr);
-  expect_distances_equal(hn.run(0).sssp.distances,
-                         sssp::dijkstra(csr, 0).distances);
-}
-
-TEST(HarishNarayanan, MatchesDijkstraOnPowerLaw) {
-  const Csr csr = random_powerlaw_graph(500, 4000, 91);
-  core::HarishNarayanan hn(gpusim::test_device(), csr);
-  const auto result = hn.run(7);
-  expect_distances_equal(result.sssp.distances,
-                         sssp::dijkstra(csr, 7).distances);
-  EXPECT_FALSE(
-      sssp::validate_distances(csr, 7, result.sssp.distances).has_value());
-}
 
 TEST(HarishNarayanan, TopologyDrivenScansAreVisible) {
   // HN07 scans all V every iteration: its load count must dwarf RDBS's on
@@ -62,39 +43,7 @@ TEST(HarishNarayanan, TopologyDrivenScansAreVisible) {
   EXPECT_GT(hn_result.device_ms, rdbs_result.device_ms);
 }
 
-TEST(HarishNarayanan, DisconnectedGraphTerminates) {
-  graph::EdgeList edges;
-  edges.num_vertices = 50;
-  edges.add_edge(0, 1, 3.0);
-  graph::BuildOptions build;
-  build.symmetrize = true;
-  const Csr csr = graph::build_csr(edges, build);
-  core::HarishNarayanan hn(gpusim::test_device(), csr);
-  const auto result = hn.run(0);
-  EXPECT_DOUBLE_EQ(result.sssp.distances[1], 3.0);
-  EXPECT_EQ(result.sssp.reached_count(), 2u);
-}
-
 // --- Davidson Near-Far ------------------------------------------------------
-
-TEST(DavidsonNearFar, MatchesDijkstra) {
-  const Csr csr = random_powerlaw_graph(600, 4800, 95);
-  core::DavidsonOptions options;
-  options.delta = 150.0;
-  core::DavidsonNearFar davidson(gpusim::test_device(), csr, options);
-  const auto result = davidson.run(2);
-  expect_distances_equal(result.sssp.distances,
-                         sssp::dijkstra(csr, 2).distances);
-}
-
-TEST(DavidsonNearFar, MatchesDijkstraOnGrid) {
-  const Csr csr = random_grid_graph(18, 97);
-  core::DavidsonOptions options;
-  options.delta = 400.0;
-  core::DavidsonNearFar davidson(gpusim::test_device(), csr, options);
-  expect_distances_equal(davidson.run(0).sssp.distances,
-                         sssp::dijkstra(csr, 0).distances);
-}
 
 TEST(DavidsonNearFar, EdgeBalancedSweepBeatsThreadPerVertexOnHubs) {
   // Workfront Sweep's raison d'etre: on a hub graph its edge-balanced

@@ -15,19 +15,18 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/adds.hpp"
 #include "core/gpu_sssp.hpp"
 #include "core/rdbs.hpp"
-#include "core/gunrock_like.hpp"
-#include "core/legacy_gpu.hpp"
 #include "core/cancel.hpp"
 #include "core/device_graph.hpp"
+#include "core/engine.hpp"
 #include "core/query_batch.hpp"
 #include "core/query_server.hpp"
-#include "core/sep_hybrid.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/fault.hpp"
 #include "gpusim/sim.hpp"
@@ -94,108 +93,25 @@ std::vector<FaultScenario> fault_scenarios() {
   return scenarios;
 }
 
-// Engine families the sweep covers. QueryBatch has its own result shape and
-// is exercised by dedicated tests below.
-enum class Engine {
-  kRdbs,
-  kBaseline,
-  kAdds,
-  kGunrock,
-  kSepHybrid,
-  kHarishNarayanan,
-  kDavidson,
-};
-
-const char* engine_name(Engine e) {
-  switch (e) {
-    case Engine::kRdbs: return "rdbs";
-    case Engine::kBaseline: return "baseline";
-    case Engine::kAdds: return "adds";
-    case Engine::kGunrock: return "gunrock";
-    case Engine::kSepHybrid: return "sep";
-    case Engine::kHarishNarayanan: return "hn07";
-    case Engine::kDavidson: return "davidson";
-  }
-  return "?";
-}
-
-std::vector<Engine> all_engines() {
-  return {Engine::kRdbs,      Engine::kBaseline,
-          Engine::kAdds,      Engine::kGunrock,
-          Engine::kSepHybrid, Engine::kHarishNarayanan,
-          Engine::kDavidson};
-}
-
+// Every registered engine (core/engine.hpp) runs the sweep, at Δ = 120.
+// QueryBatch has its own result shape and is exercised by dedicated tests
+// below.
 core::GpuRunResult run_engine(
-    Engine engine, const Csr& csr, VertexId source,
+    const core::GpuEngineEntry& engine, const Csr& csr, VertexId source,
     const gpusim::FaultConfig& fault, const core::RetryPolicy& retry,
     int sim_threads = 0,
     gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff) {
-  switch (engine) {
-    case Engine::kRdbs: {
-      core::GpuSsspOptions options;
-      options.delta0 = 120.0;
-      options.sim_threads = sim_threads;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      core::RdbsSolver solver(csr, gpusim::test_device(), options);
-      return solver.solve(source);
-    }
-    case Engine::kBaseline: {
-      core::GpuSsspOptions options;
-      options.mode = core::EngineMode::kSyncPushBellmanFord;
-      options.basyn = false;
-      options.pro = false;
-      options.adwl = false;
-      options.sim_threads = sim_threads;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      core::RdbsSolver solver(csr, gpusim::test_device(), options);
-      return solver.solve(source);
-    }
-    case Engine::kAdds: {
-      core::AddsOptions options;
-      options.delta = 120.0;
-      options.sim_threads = sim_threads;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      core::AddsLike eng(gpusim::test_device(), csr, options);
-      return eng.run(source);
-    }
-    case Engine::kGunrock: {
-      core::gunrock::GunrockSsspOptions options;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      return core::gunrock::sssp(gpusim::test_device(), csr, source, options);
-    }
-    case Engine::kSepHybrid: {
-      core::SepHybridOptions options;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      core::SepHybrid eng(gpusim::test_device(), csr, options);
-      return eng.run(source).gpu;
-    }
-    case Engine::kHarishNarayanan: {
-      core::HarishNarayanan eng(gpusim::test_device(), csr, sanitize, fault,
-                                retry);
-      return eng.run(source);
-    }
-    case Engine::kDavidson: {
-      core::DavidsonOptions options;
-      options.delta = 120.0;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      core::DavidsonNearFar eng(gpusim::test_device(), csr, options);
-      return eng.run(source);
-    }
-  }
-  return {};
+  core::EngineOptions options;
+  options.sim_threads = sim_threads;
+  options.sanitize = sanitize;
+  options.fault = fault;
+  options.retry = retry;
+  return engine.make(gpusim::test_device(), csr, options, /*delta=*/120.0)
+      ->run(source);
+}
+
+const core::GpuEngineEntry& engine_named(std::string_view name) {
+  return *core::gpu_engine(name);
 }
 
 std::vector<std::string> fault_plan(const core::GpuRunResult& result) {
@@ -214,17 +130,17 @@ TEST(FaultInjection, EverySweptEngineSurvivesEveryFaultClass) {
 
   core::RetryPolicy retry;  // defaults: 3 attempts, CPU fallback on
 
-  for (const Engine engine : all_engines()) {
+  for (const core::GpuEngineEntry& engine : core::gpu_engines()) {
     // Fault-free baseline is bit-identical to Dijkstra (anchors the sweep).
     {
       const core::GpuRunResult clean =
           run_engine(engine, csr, source, gpusim::FaultConfig{}, retry);
-      ASSERT_TRUE(clean.ok) << engine_name(engine);
-      ASSERT_EQ(clean.sssp.distances, oracle) << engine_name(engine);
-      ASSERT_TRUE(clean.faults.empty()) << engine_name(engine);
+      ASSERT_TRUE(clean.ok) << engine.name;
+      ASSERT_EQ(clean.sssp.distances, oracle) << engine.name;
+      ASSERT_TRUE(clean.faults.empty()) << engine.name;
     }
     for (const FaultScenario& scenario : fault_scenarios()) {
-      SCOPED_TRACE(std::string(engine_name(engine)) + " x " + scenario.name);
+      SCOPED_TRACE(std::string(engine.name) + " x " + scenario.name);
       const core::GpuRunResult result =
           run_engine(engine, csr, source, scenario.cfg, retry);
       // Never wrong distances: recovery (retry or CPU fallback) must land
@@ -251,13 +167,12 @@ TEST(FaultInjection, FaultPlanByteIdenticalAcrossSimThreads) {
   core::RetryPolicy retry;
   retry.max_attempts = 5;
 
-  for (const Engine engine : {Engine::kRdbs, Engine::kAdds}) {
-    const core::GpuRunResult serial =
-        run_engine(engine, csr, /*source=*/3, cfg, retry, /*sim_threads=*/1);
-    const core::GpuRunResult parallel =
-        run_engine(engine, csr, /*source=*/3, cfg, retry, /*sim_threads=*/8);
-    EXPECT_EQ(fault_plan(serial), fault_plan(parallel))
-        << engine_name(engine);
+  for (const char* name : {"rdbs", "adds"}) {
+    const core::GpuRunResult serial = run_engine(
+        engine_named(name), csr, /*source=*/3, cfg, retry, /*sim_threads=*/1);
+    const core::GpuRunResult parallel = run_engine(
+        engine_named(name), csr, /*source=*/3, cfg, retry, /*sim_threads=*/8);
+    EXPECT_EQ(fault_plan(serial), fault_plan(parallel)) << name;
     EXPECT_EQ(serial.sssp.distances, parallel.sssp.distances);
     EXPECT_EQ(serial.recovery.retries, parallel.recovery.retries);
     EXPECT_EQ(serial.recovery.cpu_fallbacks, parallel.recovery.cpu_fallbacks);
@@ -277,7 +192,7 @@ TEST(FaultInjection, CertainLaunchFailureRetriesUntilBudgetExhausts) {
   retry.max_attempts = 5;
 
   const core::GpuRunResult result =
-      run_engine(Engine::kRdbs, csr, 0, cfg, retry);
+      run_engine(engine_named("rdbs"), csr, 0, cfg, retry);
   ASSERT_TRUE(result.ok);
   // Faults are observed at launch completion (CUDA's async error model), so
   // attempt 1 keeps running and drains the whole budget; attempt 2 then
@@ -301,9 +216,9 @@ TEST(FaultInjection, RetryChargesBackoffToTheSimulatedClock) {
   retry.backoff_ms = 1.5;
 
   const core::GpuRunResult faulted =
-      run_engine(Engine::kRdbs, csr, 0, cfg, retry);
+      run_engine(engine_named("rdbs"), csr, 0, cfg, retry);
   const core::GpuRunResult clean =
-      run_engine(Engine::kRdbs, csr, 0, gpusim::FaultConfig{}, retry);
+      run_engine(engine_named("rdbs"), csr, 0, gpusim::FaultConfig{}, retry);
   ASSERT_TRUE(faulted.ok);
   EXPECT_EQ(faulted.recovery.retries, 1u);
   // One failed attempt + the backoff + the clean rerun: the recovered run
@@ -319,9 +234,9 @@ TEST(FaultInjection, StreamStallIsBenignButCharged) {
   core::RetryPolicy retry;
 
   const core::GpuRunResult stalled =
-      run_engine(Engine::kRdbs, csr, 2, cfg, retry);
+      run_engine(engine_named("rdbs"), csr, 2, cfg, retry);
   const core::GpuRunResult clean =
-      run_engine(Engine::kRdbs, csr, 2, gpusim::FaultConfig{}, retry);
+      run_engine(engine_named("rdbs"), csr, 2, gpusim::FaultConfig{}, retry);
   ASSERT_TRUE(stalled.ok);
   EXPECT_EQ(stalled.recovery.retries, 0u);  // stalls never poison
   EXPECT_EQ(stalled.recovery.faults_injected, cfg.max_faults);
@@ -338,7 +253,7 @@ TEST(FaultInjection, CorrectableFlipsAreCountedButHarmless) {
   core::RetryPolicy retry;
 
   const core::GpuRunResult result =
-      run_engine(Engine::kAdds, csr, 2, cfg, retry);
+      run_engine(engine_named("adds"), csr, 2, cfg, retry);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.recovery.retries, 0u);
   EXPECT_EQ(result.recovery.faults_injected, cfg.max_faults);
@@ -352,8 +267,8 @@ TEST(FaultInjection, DeviceLossFallsBackToHostDijkstra) {
   cfg.device_loss = 1.0;
   core::RetryPolicy retry;
 
-  for (const Engine engine : all_engines()) {
-    SCOPED_TRACE(engine_name(engine));
+  for (const core::GpuEngineEntry& engine : core::gpu_engines()) {
+    SCOPED_TRACE(engine.name);
     const core::GpuRunResult result = run_engine(engine, csr, 4, cfg, retry);
     ASSERT_TRUE(result.ok);
     EXPECT_TRUE(result.recovery.device_lost);
@@ -365,11 +280,11 @@ TEST(FaultInjection, DeviceLossFallsBackToHostDijkstra) {
 TEST(FaultInjection, InvalidSourceThrowsInsteadOfAborting) {
   const Csr csr = test::paper_figure1_graph();
   const VertexId bad = csr.num_vertices();
-  for (const Engine engine : all_engines()) {
+  for (const core::GpuEngineEntry& engine : core::gpu_engines()) {
     EXPECT_THROW(run_engine(engine, csr, bad, gpusim::FaultConfig{},
                             core::RetryPolicy{}),
                  std::out_of_range)
-        << engine_name(engine);
+        << engine.name;
   }
 }
 
@@ -377,7 +292,8 @@ TEST(FaultInjection, InvalidSourceThrowsInsteadOfAborting) {
 // Each swept engine runs its attempts through core::AttemptDriver and must
 // honour the whole contract on its own.
 
-class EngineRecoveryContract : public ::testing::TestWithParam<Engine> {};
+class EngineRecoveryContract
+    : public ::testing::TestWithParam<core::GpuEngineEntry> {};
 
 TEST_P(EngineRecoveryContract, DeviceLossWithoutFallbackFailsTyped) {
   const Csr csr = chaos_graph();
@@ -431,11 +347,9 @@ TEST_P(EngineRecoveryContract, SanitizerAndFaultsComposeClean) {
   EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllEngines, EngineRecoveryContract, ::testing::ValuesIn(all_engines()),
-    [](const ::testing::TestParamInfo<Engine>& param_info) {
-      return std::string(engine_name(param_info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineRecoveryContract,
+                         ::testing::ValuesIn(core::gpu_engines()),
+                         ::testing::PrintToStringParamName());
 
 // --- simulator-level behavior ----------------------------------------------
 
@@ -756,9 +670,9 @@ TEST(FaultInjection, CheckpointResumedRetriesRecoverExactDistances) {
   retry.max_attempts = 6;
 
   std::uint64_t resumed_total = 0;
-  for (const Engine engine : {Engine::kRdbs, Engine::kAdds}) {
+  for (const std::string_view name : {"rdbs", "adds"}) {
     core::GpuRunResult result;
-    if (engine == Engine::kRdbs) {
+    if (name == "rdbs") {
       core::GpuSsspOptions options;
       options.delta0 = 120.0;
       options.fault = cfg;
@@ -775,9 +689,9 @@ TEST(FaultInjection, CheckpointResumedRetriesRecoverExactDistances) {
       core::AddsLike eng(gpusim::test_device(), csr, options);
       result = eng.run(3);
     }
-    ASSERT_TRUE(result.ok) << engine_name(engine);
-    EXPECT_GT(result.recovery.retries, 0u) << engine_name(engine);
-    EXPECT_EQ(result.sssp.distances, oracle) << engine_name(engine);
+    ASSERT_TRUE(result.ok) << name;
+    EXPECT_GT(result.recovery.retries, 0u) << name;
+    EXPECT_EQ(result.sssp.distances, oracle) << name;
     resumed_total += result.recovery.resumed;
   }
   // At least one retry across the two engines must have been seeded from a

@@ -23,12 +23,10 @@
 #include <vector>
 
 #include "core/adds.hpp"
-#include "core/gunrock_like.hpp"
-#include "core/legacy_gpu.hpp"
+#include "core/engine.hpp"
 #include "core/query_batch.hpp"
 #include "core/query_server.hpp"
 #include "core/rdbs.hpp"
-#include "core/sep_hybrid.hpp"
 #include "core/traffic.hpp"
 #include "common/rng.hpp"
 #include "gpusim/fault.hpp"
@@ -153,7 +151,9 @@ std::uint64_t derive_seed(std::uint64_t master, std::uint64_t index) {
 }
 
 // Engine families the fuzzer cycles through. Every case exercises exactly
-// one; 50 iterations cover each family a few times.
+// one; 50 iterations cover each family a few times. kAdds through kDavidson
+// are built from the engine registry (core/engine.hpp) by their
+// engine_name().
 enum class Engine {
   kRdbs,        // GpuDeltaStepping via RdbsSolver, random flag combo
   kBatch,       // QueryBatch (concurrent streams) with the RDBS engine
@@ -177,7 +177,7 @@ const char* engine_name(Engine e) {
     case Engine::kBatch: return "query-batch";
     case Engine::kAdds: return "adds";
     case Engine::kGunrock: return "gunrock";
-    case Engine::kSepHybrid: return "sep-hybrid";
+    case Engine::kSepHybrid: return "sep";
     case Engine::kHarish: return "hn07";
     case Engine::kDavidson: return "davidson";
     case Engine::kCpuDelta: return "cpu-delta";
@@ -314,51 +314,18 @@ std::vector<graph::Distance> run_engine(const FuzzCase& c, const Csr& csr,
       }
       return std::move(result.queries[0].sssp.distances);
     }
-    case Engine::kAdds: {
-      core::AddsOptions options;
-      options.delta = c.delta0;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      core::AddsLike adds(device, csr, options);
-      auto result = adds.run(c.source);
-      *sanitizer_report = std::move(result.sanitizer_report);
-      return std::move(result.sssp.distances);
-    }
-    case Engine::kGunrock: {
-      core::gunrock::GunrockSsspOptions options;
-      options.delta = c.delta0;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      auto result = core::gunrock::sssp(device, csr, c.source, options);
-      *sanitizer_report = std::move(result.sanitizer_report);
-      return std::move(result.sssp.distances);
-    }
-    case Engine::kSepHybrid: {
-      core::SepHybridOptions options;
-      options.sanitize = sanitize;
-      options.fault = fault;
-      options.retry = retry;
-      core::SepHybrid sep(device, csr, options);
-      auto result = sep.run(c.source);
-      *sanitizer_report = std::move(result.gpu.sanitizer_report);
-      return std::move(result.gpu.sssp.distances);
-    }
-    case Engine::kHarish: {
-      core::HarishNarayanan hn(device, csr, sanitize, fault, retry);
-      auto result = hn.run(c.source);
-      *sanitizer_report = std::move(result.sanitizer_report);
-      return std::move(result.sssp.distances);
-    }
+    case Engine::kAdds:
+    case Engine::kGunrock:
+    case Engine::kSepHybrid:
+    case Engine::kHarish:
     case Engine::kDavidson: {
-      core::DavidsonOptions options;
-      options.delta = c.delta0;
+      core::EngineOptions options;
       options.sanitize = sanitize;
       options.fault = fault;
       options.retry = retry;
-      core::DavidsonNearFar davidson(device, csr, options);
-      auto result = davidson.run(c.source);
+      auto result = core::gpu_engine(engine_name(c.engine))
+                        ->make(device, csr, options, c.delta0)
+                        ->run(c.source);
       *sanitizer_report = std::move(result.sanitizer_report);
       return std::move(result.sssp.distances);
     }
@@ -860,8 +827,8 @@ void run_warm_case(const FuzzCase& c, const Csr& csr,
     options.sanitize = sanitize;
     options.fault = fault;
     options.retry = retry;
-    options.warm_start = &bounds;
     core::AddsLike adds(device, csr, options);
+    adds.driver().set_warm_start(&bounds);
     auto result = adds.run(c.source);
     sanitizer_report = std::move(result.sanitizer_report);
     warm = std::move(result.sssp.distances);

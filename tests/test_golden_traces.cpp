@@ -169,9 +169,11 @@ TEST(GoldenTraces, AddsOnPowerLaw) {
 // device-buffer layout (gsan names buffers in its reports).
 TEST(GoldenTraces, HarishNarayananRecoversOnPowerLaw) {
   const Csr csr = test::random_powerlaw_graph(200, 1600, /*seed=*/205);
-  core::HarishNarayanan engine(gpusim::test_device(), csr,
-                               gpusim::SanitizeMode::kOn,
-                               retry_forcing_faults(205), golden_retry());
+  core::EngineOptions options;
+  options.sanitize = gpusim::SanitizeMode::kOn;
+  options.fault = retry_forcing_faults(205);
+  options.retry = golden_retry();
+  core::HarishNarayanan engine(gpusim::test_device(), csr, options);
   const core::GpuRunResult result = engine.run(3);
   ASSERT_GE(result.recovery.retries, 1u);
   EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 3).distances);
@@ -199,10 +201,10 @@ TEST(GoldenTraces, SepHybridRecoversOnGrid) {
   options.fault = retry_forcing_faults(207);
   options.retry = golden_retry();
   core::SepHybrid engine(gpusim::test_device(), csr, options);
-  const core::SepRunResult result = engine.run(0);
-  ASSERT_GE(result.gpu.recovery.retries, 1u);
-  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
-  check_against_golden("sep_grid_14_s207", result.gpu);
+  const core::GpuRunResult result = engine.run(0);
+  ASSERT_GE(result.recovery.retries, 1u);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
+  check_against_golden("sep_grid_14_s207", result);
 }
 
 TEST(GoldenTraces, GunrockRecoversOnPowerLaw) {

@@ -12,9 +12,12 @@
 
 #include "common/rng.hpp"
 #include "core/adds.hpp"
+#include "core/legacy_gpu.hpp"
 #include "core/rdbs.hpp"
+#include "core/sep_hybrid.hpp"
 #include "graph/surrogates.hpp"
 #include "gpusim/sim.hpp"
+#include "test_util.hpp"
 
 namespace rdbs::gpusim {
 namespace {
@@ -259,6 +262,27 @@ TEST(GpusimParallel, WorkerThreadKnobs) {
   GpuSim fresh(test_device());
   EXPECT_EQ(fresh.worker_threads(), GpuSim::parallel_compiled() ? 5 : 1);
   GpuSim::set_default_worker_threads(0);
+}
+
+// EngineOptions::sim_threads = 0 keeps the process default on every engine
+// that owns its simulator; only a positive value overrides it.
+TEST(GpusimParallel, EnginesKeepTheDefaultWorkerThreads) {
+  const graph::Csr csr = test::paper_figure1_graph();
+  const int before = GpuSim::default_worker_threads();
+  GpuSim::set_default_worker_threads(3);
+  core::RdbsSolver rdbs(csr, test_device());
+  core::AddsLike adds(test_device(), csr, {});
+  core::SepHybrid sep(test_device(), csr);
+  core::HarishNarayanan hn07(test_device(), csr);
+  core::DavidsonNearFar davidson(test_device(), csr, {});
+  GpuSim::set_default_worker_threads(before);
+
+  const int expected = GpuSim::parallel_compiled() ? 3 : 1;
+  EXPECT_EQ(rdbs.sim().worker_threads(), expected);
+  EXPECT_EQ(adds.sim().worker_threads(), expected);
+  EXPECT_EQ(sep.sim().worker_threads(), expected);
+  EXPECT_EQ(hn07.sim().worker_threads(), expected);
+  EXPECT_EQ(davidson.sim().worker_threads(), expected);
 }
 
 }  // namespace

@@ -134,7 +134,7 @@ TEST(QueryBatch, AddsEngineMatchesOracleAndOverlaps) {
   core::QueryBatchOptions options;
   options.engine = core::BatchEngine::kAdds;
   options.streams = 4;
-  options.adds_delta = 150.0;
+  options.gpu.delta0 = 150.0;
   core::QueryBatch batch(csr, gpusim::test_device(), options);
   const core::BatchResult result = batch.run(sources);
   for (std::size_t i = 0; i < sources.size(); ++i) {

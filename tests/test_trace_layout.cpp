@@ -16,10 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/gunrock_like.hpp"
-#include "core/legacy_gpu.hpp"
-#include "core/rdbs.hpp"
-#include "core/sep_hybrid.hpp"
+#include "core/engine.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/surrogates.hpp"
 
@@ -229,8 +226,8 @@ TEST(ReplayMatrix, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
 
 // Engine-level cross-check: full solves must agree across the matrix
 // (distances, counters, modeled time) — the replay mode and worker count
-// must be invisible to everything above the simulator. The engines are
-// RDBS plus every other adopter of WarpCtx::load_range, whose fused launches
+// must be invisible to everything above the simulator. Every registered
+// engine runs; on the adopters of WarpCtx::load_range, fused launches
 // charge contiguous loads in closed form while two-pass launches take the
 // lane path. road-TX at this scale has 8,100 vertices, so every vertex
 // scan ends on a partial strip of 4 lanes.
@@ -241,55 +238,19 @@ TEST(ReplayMatrix, EngineResultsMatchAcrossMatrix) {
   load.seed = 42;
   constexpr graph::VertexId kSource = 3;
 
-  using Solve = core::GpuRunResult (*)(const graph::Csr&, int threads);
-  struct Engine {
-    const char* name;
-    Solve solve;
-  };
-  const Engine engines[] = {
-      {"rdbs",
-       [](const graph::Csr& csr, int threads) {
-         core::GpuSsspOptions options;
-         options.basyn = options.pro = options.adwl = true;
-         options.sim_threads = threads;
-         core::RdbsSolver solver(csr, test_device(), options);
-         return solver.solve(kSource);
-       }},
-      {"hn07",
-       [](const graph::Csr& csr, int) {
-         core::HarishNarayanan engine(test_device(), csr);
-         return engine.run(kSource);
-       }},
-      {"davidson",
-       [](const graph::Csr& csr, int) {
-         core::DavidsonOptions options;
-         options.delta = 120.0;
-         core::DavidsonNearFar engine(test_device(), csr, options);
-         return engine.run(kSource);
-       }},
-      {"sep-hybrid",
-       [](const graph::Csr& csr, int) {
-         core::SepHybrid engine(test_device(), csr);
-         return engine.run(kSource).gpu;
-       }},
-      {"gunrock",
-       [](const graph::Csr& csr, int) {
-         core::gunrock::GunrockSsspOptions options;
-         options.delta = 120.0;
-         return core::gunrock::sssp(test_device(), csr, kSource, options);
-       }},
-  };
-
-  // Engines construct their GpuSim internally, so the mode and worker
-  // count go through the process-wide defaults.
+  // Engines construct their GpuSim internally, so the replay mode goes
+  // through the process-wide default; the worker count goes through
+  // EngineOptions::sim_threads.
   const ScopedPipelineDefaults restore_defaults;
   for (const char* dataset : {"k-n21-16", "road-TX"}) {
     const graph::Csr csr = graph::load_dataset_by_name(dataset, load);
-    for (const Engine& engine : engines) {
+    for (const core::GpuEngineEntry& engine : core::gpu_engines()) {
       auto solve = [&](const PipelineUnderTest& p) {
         GpuSim::set_default_replay_mode(p.mode);
-        GpuSim::set_default_worker_threads(p.threads);
-        return engine.solve(csr, p.threads);
+        core::EngineOptions options;
+        options.sim_threads = p.threads;
+        return engine.make(test_device(), csr, options, /*delta=*/120.0)
+            ->run(kSource);
       };
       const core::GpuRunResult reference = solve(kMatrix[0]);
       ASSERT_TRUE(reference.ok) << dataset << ' ' << engine.name;

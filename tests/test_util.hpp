@@ -1,8 +1,10 @@
 // Shared helpers for the RDBS test suite.
 #pragma once
 
+#include <ostream>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/coo.hpp"
 #include "graph/csr.hpp"
@@ -122,3 +124,14 @@ inline Csr random_grid_graph(VertexId side, std::uint64_t seed) {
 }
 
 }  // namespace rdbs::test
+
+namespace rdbs::core {
+
+// gtest prints a registry entry by its name. A suite instantiated over
+// gpu_engines() with ::testing::PrintToStringParamName() then gets ctest
+// names like ".../rdbs  # GetParam() = rdbs", identical in every build.
+inline void PrintTo(const GpuEngineEntry& entry, std::ostream* os) {
+  *os << entry.name;
+}
+
+}  // namespace rdbs::core
