@@ -83,21 +83,28 @@ echo "=== [parallel] replay-throughput regression guard ==="
 "$BUILD_ROOT/parallel/bench/gpusim_throughput" --quick --par-threads 4 \
   --min-speedup 1.0 --reps 3 --json /dev/null
 
-echo "=== [parallel] result-cache latency guard ==="
-# The cache sweep alone (hot-Zipf schedule, cache on vs off): exact hits
-# must be oracle-exact and bit-identical across sim_threads, and the
-# cache-hit p50 sojourn must beat the cold p50 — a cache that stops
-# hitting, or hits slower than solving, fails the gate here before it
-# reaches the nightly full bench.
-"$BUILD_ROOT/parallel/bench/server_tail_latency" --cache --json /dev/null
+SERVER_JSON="$(mktemp)"
+BATCH_JSON="$(mktemp)"
+trap 'rm -f "$SERVER_JSON" "$BATCH_JSON"' EXIT
+
+echo "=== [parallel] BENCH_server.json is current ==="
+# The full serving sweep (deadlines, fault routing, streaming, the result
+# cache, the fault storm) through every QueryBatch lane. Its exit status
+# carries all of the bench's gates, the result-cache one among them: exact
+# hits must be oracle-exact and bit-identical across sim_threads, and the
+# cache-hit p50 sojourn must beat the cold p50. Its numbers are all
+# simulated, so the committed table must regenerate byte for byte for any
+# build type, host and --sim-threads; a diff means a change moved them
+# without regenerating the file (bench/server_tail_latency writes it).
+"$BUILD_ROOT/parallel/bench/server_tail_latency" --json "$SERVER_JSON" \
+  > /dev/null
+cmp "$SERVER_JSON" "$ROOT/BENCH_server.json"
 
 echo "=== [parallel] BENCH_batch.json is current ==="
 # The committed batch table must be what the code produces. Its numbers are
 # all simulated, so a regeneration gives the same bytes for any build type,
 # host and --sim-threads; a diff means a change moved them without
 # regenerating the file (bench/batch_throughput writes it).
-BATCH_JSON="$(mktemp)"
-trap 'rm -f "$BATCH_JSON"' EXIT
 "$BUILD_ROOT/parallel/bench/batch_throughput" --json "$BATCH_JSON" > /dev/null
 cmp "$BATCH_JSON" "$ROOT/BENCH_batch.json"
 

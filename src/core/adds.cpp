@@ -16,56 +16,27 @@ namespace {
 constexpr std::uint32_t kDeviceWord = 4;
 }
 
-AddsLike::AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
+AddsLike::AddsLike(DeviceBinding device, const graph::Csr& csr,
                    AddsOptions options)
-    : owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
-      sim_(owned_sim_.get()),
-      csr_(csr),
+    : csr_(csr),
       options_(options),
-      driver_("AddsLike", *sim_, stream_, csr_, options_.retry,
-              /*reset_per_attempt=*/true, AttemptDriver::Clock::kStream,
+      driver_("AddsLike", std::move(device), csr_, options_,
               options_.checkpoint_interval) {
-  options_.configure(*sim_);
-  init_device_state(nullptr);
-}
-
-AddsLike::AddsLike(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                   const graph::Csr& csr, AddsOptions options,
-                   const DeviceCsrBuffers* shared_graph)
-    : sim_(&sim),
-      stream_(stream),
-      csr_(csr),
-      options_(options),
-      driver_("AddsLike", *sim_, stream_, csr_, options_.retry,
-              /*reset_per_attempt=*/false, AttemptDriver::Clock::kStream,
-              options_.checkpoint_interval) {
-  options_.configure(*sim_);
-  init_device_state(shared_graph);
-}
-
-void AddsLike::init_device_state(const DeviceCsrBuffers* shared_graph) {
   RDBS_CHECK(options_.delta > 0);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  if (shared_graph != nullptr) {
-    graph_bufs_ = shared_graph;
-  } else {
-    owned_graph_ = std::make_unique<DeviceCsrBuffers>(
-        DeviceCsrBuffers::upload(*sim_, csr_));
-    graph_bufs_ = owned_graph_.get();
-  }
-  dist_ = sim_->alloc<Distance>("dist", n, kDeviceWord);
-  auto near_slots = sim_->alloc<VertexId>(
+  dist_ = sim().alloc<Distance>("dist", n, kDeviceWord);
+  auto near_slots = sim().alloc<VertexId>(
       "near_queue", std::max<std::size_t>(n, 64), kDeviceWord);
   // The Far pile admits duplicates (lazy deletion at split time).
-  auto far_slots = sim_->alloc<VertexId>(
+  auto far_slots = sim().alloc<VertexId>(
       "far_pile", std::max<std::size_t>(2 * m + 64, 64), kDeviceWord);
   // [0]=near tail, [1]=near head, [2]=far tail.
-  const auto ctrl = sim_->alloc<std::uint32_t>("queue_ctrl", 3, kDeviceWord);
-  sim_->mark_initialized(ctrl);
-  near_.bind(*sim_, std::move(near_slots), ctrl, /*tail_cell=*/0,
-             /*head_cell=*/1, sim_->alloc<std::uint8_t>("in_near", n, 1));
-  far_.bind(*sim_, std::move(far_slots), ctrl, /*tail_cell=*/2,
+  const auto ctrl = sim().alloc<std::uint32_t>("queue_ctrl", 3, kDeviceWord);
+  sim().mark_initialized(ctrl);
+  near_.bind(sim(), std::move(near_slots), ctrl, /*tail_cell=*/0,
+             /*head_cell=*/1, sim().alloc<std::uint8_t>("in_near", n, 1));
+  far_.bind(sim(), std::move(far_slots), ctrl, /*tail_cell=*/2,
             DeviceQueue::kNoCell);
 }
 
@@ -80,8 +51,8 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
   far_.reset();
 
   GpuRunResult result;
-  init_distances(*sim_, stream_, dist_, near_.flags());
-  seed_source(*sim_, stream_, dist_, source);
+  init_distances(sim(), stream(), dist_, near_.flags());
+  seed_source(sim(), stream(), dist_, source);
 
   // Warm start (docs/serving.md "Result cache"): Near-Far is
   // label-correcting, so valid upper bounds preserve exactness.
@@ -108,7 +79,7 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
   near_.publish();
 
   while (!near_.empty() || !far_.empty()) {
-    if (sim_->device_lost()) break;  // attempt is void; recovery takes over
+    if (sim().device_lost()) break;  // attempt is void; recovery takes over
     // Round boundary (a near drain or a far split is one launch): the
     // Near-Far cancellation point.
     if (driver_.cancelled()) break;
@@ -118,9 +89,9 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
       Distance min_far = graph::kInfiniteDistance;
       const std::uint64_t pile_base = far_.window_begin();
       const std::vector<VertexId> far = far_.take_all();
-      sim_->label_next_launch("far_split");
-      gpusim::KernelScope split(*sim_, gpusim::Schedule::kStatic, true,
-                                /*warps_per_block=*/8, stream_);
+      sim().label_next_launch("far_split");
+      gpusim::KernelScope split(sim(), gpusim::Schedule::kStatic, true,
+                                /*warps_per_block=*/8, stream());
       for (std::size_t base = 0; base < far.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, far.size() - base));
@@ -183,9 +154,9 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
     // --- Near processing: one persistent asynchronous kernel that drains
     // the Near pile, thread-per-vertex, relaxing ALL edges of each vertex
     // (no light/heavy split in ADDS's data layout).
-    sim_->label_next_launch("near_relax");
-    gpusim::KernelScope kernel(*sim_, gpusim::Schedule::kDynamic, true,
-                               /*warps_per_block=*/8, stream_);
+    sim().label_next_launch("near_relax");
+    gpusim::KernelScope kernel(sim(), gpusim::Schedule::kDynamic, true,
+                               /*warps_per_block=*/8, stream());
     while (!near_.empty()) {
       std::array<VertexId, 32> lanes{};
       const std::uint32_t lane_count = near_.take_front(lanes);
@@ -205,10 +176,10 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
         std::array<std::uint64_t, 32> idx2{};
         for (std::uint32_t i = 0; i < lane_count; ++i) idx2[i] = lanes[i] + 1;
         std::array<EdgeIndex, 32> tmp{};
-        ctx.load(graph_bufs_->row_offsets, vspan,
+        ctx.load(graph().row_offsets, vspan,
                  std::span<EdgeIndex>(tmp.data(), lane_count));
         for (std::uint32_t i = 0; i < lane_count; ++i) row_begin[i] = tmp[i];
-        ctx.load(graph_bufs_->row_offsets,
+        ctx.load(graph().row_offsets,
                  std::span<const std::uint64_t>(idx2.data(), lane_count),
                  std::span<EdgeIndex>(tmp.data(), lane_count));
         for (std::uint32_t i = 0; i < lane_count; ++i) row_end[i] = tmp[i];
@@ -236,8 +207,8 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
         std::span<const std::uint64_t> espan(eidx.data(), active);
         std::array<VertexId, 32> dsts{};
         std::array<Weight, 32> ws{};
-        ctx.load(graph_bufs_->adjacency, espan, std::span<VertexId>(dsts.data(), active));
-        ctx.load(graph_bufs_->weights, espan, std::span<Weight>(ws.data(), active));
+        ctx.load(graph().adjacency, espan, std::span<VertexId>(dsts.data(), active));
+        ctx.load(graph().weights, espan, std::span<Weight>(ws.data(), active));
         ctx.alu(2, active);
         work_.relaxations += active;
 

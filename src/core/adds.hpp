@@ -13,8 +13,6 @@
 // Kronecker graphs in Fig. 8/Table 2).
 #pragma once
 
-#include <memory>
-
 #include "core/device_graph.hpp"
 #include "core/engine.hpp"
 #include "core/options.hpp"
@@ -34,16 +32,10 @@ struct AddsOptions : EngineOptions {
 
 class AddsLike : public GpuEngine {
  public:
-  AddsLike(gpusim::DeviceSpec device, const graph::Csr& csr,
-           AddsOptions options);
-
-  // Shared-simulator variant for batched queries: kernels go to `stream` of
-  // an externally owned simulator (never reset by the engine; metrics are
-  // per-query deltas). With `shared_graph` set, the device CSR arrays are
-  // reused instead of uploaded again. See GpuDeltaStepping for the pattern.
-  AddsLike(gpusim::GpuSim& sim, gpusim::StreamId stream,
-           const graph::Csr& csr, AddsOptions options,
-           const DeviceCsrBuffers* shared_graph = nullptr);
+  // `csr` must outlive the engine. Kernels go to `device`: a simulator of
+  // the engine's own, or one stream of a shared one (QueryBatch lanes; see
+  // GpuDeltaStepping).
+  AddsLike(DeviceBinding device, const graph::Csr& csr, AddsOptions options);
 
   // Runs SSSP from `source`. With fault injection enabled (options.fault)
   // the run executes under options.retry — poisoned attempts are discarded
@@ -51,8 +43,7 @@ class AddsLike : public GpuEngine {
   // counters. Throws std::out_of_range for an invalid source.
   GpuRunResult run(graph::VertexId source) override;
 
-  gpusim::GpuSim& sim() { return *sim_; }
-  gpusim::StreamId stream() const { return stream_; }
+  gpusim::GpuSim& sim() { return driver_.sim(); }
 
   // The query contract (core/recovery.hpp; see GpuDeltaStepping::driver):
   // cancellation is polled at the near/far round boundary, checkpoints are
@@ -66,17 +57,14 @@ class AddsLike : public GpuEngine {
   // mutable device state first (so a retry starts clean).
   GpuRunResult run_attempt(graph::VertexId source);
 
-  void init_device_state(const DeviceCsrBuffers* shared_graph);
+  // The bound stream and resident CSR arrays.
+  gpusim::StreamId stream() const { return driver_.stream(); }
+  const DeviceCsrBuffers& graph() const { return driver_.graph(); }
 
-  std::unique_ptr<gpusim::GpuSim> owned_sim_;  // null in shared-sim mode
-  gpusim::GpuSim* sim_;                        // never null
-  gpusim::StreamId stream_ = 0;
   const graph::Csr& csr_;
   AddsOptions options_;
   AttemptDriver driver_;
 
-  std::unique_ptr<DeviceCsrBuffers> owned_graph_;
-  const DeviceCsrBuffers* graph_bufs_ = nullptr;  // never null after ctor
   gpusim::Buffer<graph::Distance> dist_;
   DeviceQueue near_;  // Near ring (in_near flags)
   DeviceQueue far_;   // Far pile (duplicates, no flags)

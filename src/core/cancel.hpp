@@ -25,9 +25,11 @@ class CancelToken {
  public:
   CancelToken() = default;
   // `deadline_ms` is absolute on `stream`'s clock of `sim`. The token holds
-  // its own copy of the deadline so it keeps working across
-  // GpuSim::reset_time (owning-mode engines reset per attempt; the deadline
-  // then bounds each attempt from its own t=0).
+  // its own copy of the deadline, so GpuSim::reset_time (which drops the
+  // simulator's stream deadlines) does not disarm it. An engine that owns
+  // its simulator resets it at every attempt (core/recovery.hpp), so there
+  // the deadline bounds each attempt from its own t=0; on a borrowed
+  // stream (the serving layer's lanes) it bounds the whole query.
   CancelToken(gpusim::GpuSim& sim, gpusim::StreamId stream, double deadline_ms)
       : sim_(&sim), stream_(stream), deadline_ms_(deadline_ms) {}
 

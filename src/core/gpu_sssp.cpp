@@ -35,67 +35,35 @@ std::uint32_t lanes_in_window(std::span<const Distance> d, Weight lo,
 
 }  // namespace
 
-GpuDeltaStepping::GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
+GpuDeltaStepping::GpuDeltaStepping(DeviceBinding device, const Csr& csr,
                                    GpuSsspOptions options)
-    : owned_sim_(std::make_unique<gpusim::GpuSim>(std::move(device))),
-      sim_(owned_sim_.get()),
-      csr_(csr),
+    : csr_(csr),
       options_(options),
-      driver_("GpuDeltaStepping", *sim_, stream_, csr_, options_.retry,
-              /*reset_per_attempt=*/true, AttemptDriver::Clock::kStream,
+      driver_("GpuDeltaStepping", std::move(device), csr_, options_,
               options_.checkpoint_interval) {
-  options_.configure(*sim_);
-  init_device_state(nullptr);
-}
-
-GpuDeltaStepping::GpuDeltaStepping(gpusim::GpuSim& sim,
-                                   gpusim::StreamId stream, const Csr& csr,
-                                   GpuSsspOptions options,
-                                   const DeviceCsrBuffers* shared_graph)
-    : sim_(&sim),
-      stream_(stream),
-      csr_(csr),
-      options_(options),
-      driver_("GpuDeltaStepping", *sim_, stream_, csr_, options_.retry,
-              /*reset_per_attempt=*/false, AttemptDriver::Clock::kStream,
-              options_.checkpoint_interval) {
-  options_.configure(*sim_);
-  init_device_state(shared_graph);
-}
-
-void GpuDeltaStepping::init_device_state(const DeviceCsrBuffers* shared_graph) {
+  const VertexId n = csr_.num_vertices();
   if (options_.pro) {
     RDBS_CHECK_MSG(csr_.weights_sorted_per_vertex(),
                    "PRO requires weight-sorted adjacency "
                    "(run reorder::property_driven_reorder first)");
     RDBS_CHECK_MSG(csr_.has_heavy_offsets(),
                    "PRO requires heavy offsets attached to the CSR");
-  }
-  const VertexId n = csr_.num_vertices();
-  if (shared_graph != nullptr) {
-    graph_bufs_ = shared_graph;
-  } else {
-    owned_graph_ = std::make_unique<DeviceCsrBuffers>(
-        DeviceCsrBuffers::upload(*sim_, csr_));
-    graph_bufs_ = owned_graph_.get();
-  }
-  if (options_.pro) {
     // Per-engine mirror (not shared): phase-1 offset maintenance stores
     // query-specific values when Δ is readjusted.
-    heavy_offsets_ = sim_->alloc<EdgeIndex>("heavy_offsets", n, kDeviceWord);
+    heavy_offsets_ = sim().alloc<EdgeIndex>("heavy_offsets", n, kDeviceWord);
     std::copy(csr_.heavy_offsets().begin(), csr_.heavy_offsets().end(),
               heavy_offsets_.data().begin());
-    sim_->mark_initialized(heavy_offsets_);  // H2D upload
+    sim().mark_initialized(heavy_offsets_);  // H2D upload
   }
-  dist_ = sim_->alloc<Distance>("dist", n, kDeviceWord);
-  auto slots = sim_->alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
+  dist_ = sim().alloc<Distance>("dist", n, kDeviceWord);
+  auto slots = sim().alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
                                      kDeviceWord);
   // Queue cursors ([0]=tail, [1]=head), claimed with warp-aggregated
   // atomics. Host-initialized at upload time (cudaMemset).
-  const auto ctrl = sim_->alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_->mark_initialized(ctrl);
-  queue_.bind(*sim_, std::move(slots), ctrl, /*tail_cell=*/0,
-              /*head_cell=*/1, sim_->alloc<std::uint8_t>("in_queue", n, 1));
+  const auto ctrl = sim().alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim().mark_initialized(ctrl);
+  queue_.bind(sim(), std::move(slots), ctrl, /*tail_cell=*/0,
+              /*head_cell=*/1, sim().alloc<std::uint8_t>("in_queue", n, 1));
   epoch_.assign(n, ~0ull);
 }
 
@@ -155,9 +123,9 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
     std::array<std::uint64_t, 32> idx2{};
     for (std::uint32_t i = 0; i < lane_count; ++i) idx2[i] = lanes[i] + 1;
     std::array<EdgeIndex, 32> tmp{};
-    ctx.load(graph_bufs_->row_offsets, vspan, std::span<EdgeIndex>(tmp.data(), lane_count));
+    ctx.load(graph().row_offsets, vspan, std::span<EdgeIndex>(tmp.data(), lane_count));
     for (std::uint32_t i = 0; i < lane_count; ++i) row_begin[i] = tmp[i];
-    ctx.load(graph_bufs_->row_offsets, std::span<const std::uint64_t>(idx2.data(), lane_count),
+    ctx.load(graph().row_offsets, std::span<const std::uint64_t>(idx2.data(), lane_count),
              std::span<EdgeIndex>(tmp.data(), lane_count));
     for (std::uint32_t i = 0; i < lane_count; ++i) row_end[i] = tmp[i];
   }
@@ -200,8 +168,8 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
                        : std::min<std::uint64_t>(lend[i], row_end[i] - 1);
       }
       std::array<Weight, 32> wtmp{};
-      if (graph_bufs_->weights.size() != 0) {
-        ctx.load(graph_bufs_->weights,
+      if (graph().weights.size() != 0) {
+        ctx.load(graph().weights,
                  std::span<const std::uint64_t>(probe.data(), lane_count),
                  std::span<Weight>(wtmp.data(), lane_count));
       }
@@ -262,8 +230,8 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
 
     std::array<VertexId, 32> dsts{};
     std::array<Weight, 32> ws{};
-    ctx.load(graph_bufs_->adjacency, espan, std::span<VertexId>(dsts.data(), active));
-    ctx.load(graph_bufs_->weights, espan, std::span<Weight>(ws.data(), active));
+    ctx.load(graph().adjacency, espan, std::span<VertexId>(dsts.data(), active));
+    ctx.load(graph().weights, espan, std::span<Weight>(ws.data(), active));
 
     // Without PRO every edge pays the light/heavy branch and heavy lanes
     // sit idle for the rest of the step (divergence).
@@ -318,9 +286,9 @@ void GpuDeltaStepping::child_warp(gpusim::WarpCtx& ctx,
 
   std::array<VertexId, 32> dsts;
   std::array<Weight, 32> ws;
-  ctx.load_range(graph_bufs_->adjacency, chunk.edge_begin,
+  ctx.load_range(graph().adjacency, chunk.edge_begin,
                  std::span<VertexId>(dsts.data(), count));
-  ctx.load_range(graph_bufs_->weights, chunk.edge_begin,
+  ctx.load_range(graph().weights, chunk.edge_begin,
                  std::span<Weight>(ws.data(), count));
   ctx.alu(2, count);
 
@@ -357,10 +325,10 @@ void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
   // One persistent kernel per bucket: manager threads feed worker warps
   // from the workload lists; updates are immediately visible and newly
   // activated vertices are processed in the same launch.
-  sim_->label_next_launch("phase1_async");
-  gpusim::KernelScope kernel(*sim_, gpusim::Schedule::kDynamic,
+  sim().label_next_launch("phase1_async");
+  gpusim::KernelScope kernel(sim(), gpusim::Schedule::kDynamic,
                              /*host_launch=*/true, /*warps_per_block=*/8,
-                             stream_);
+                             stream());
   std::vector<ChildChunk> children;
   std::array<VertexId, 32> lanes{};
   while (!queue_.empty()) {
@@ -394,11 +362,11 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
     // go to the next iteration. The frontier members' in_queue flags stay
     // set until their parent warp pops them inside the kernel.
     const std::vector<VertexId> frontier = queue_.take_all();
-    sim_->label_next_launch("phase1_sync");
+    sim().label_next_launch("phase1_sync");
     gpusim::KernelScope kernel(
-        *sim_, options_.adwl ? gpusim::Schedule::kDynamic
+        sim(), options_.adwl ? gpusim::Schedule::kDynamic
                              : gpusim::Schedule::kStatic,
-        /*host_launch=*/true, /*warps_per_block=*/8, stream_);
+        /*host_launch=*/true, /*warps_per_block=*/8, stream());
     std::vector<ChildChunk> children;
     for (std::size_t i = 0; i < frontier.size(); i += 32) {
       auto ctx = kernel.make_warp();
@@ -414,7 +382,7 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
       kernel.commit(cctx);
     }
     kernel.finish();
-    sim_->host_barrier(stream_);
+    sim().host_barrier(stream());
     ++stats.phase1_iterations;
     ++work_.iterations;
   }
@@ -455,7 +423,7 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     ctx.alu(2, cnt);
     const std::span<const std::uint64_t> settled_idx(idx.data(), cnt);
     std::array<EdgeIndex, 32> tmp;
-    ctx.load(graph_bufs_->row_offsets, settled_idx,
+    ctx.load(graph().row_offsets, settled_idx,
              std::span<EdgeIndex>(tmp.data(), cnt));
     if (options_.pro) {
       ctx.load(heavy_offsets_, settled_idx,
@@ -474,8 +442,8 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     std::span<const std::uint64_t> espan(eidx.data(), cnt);
     std::array<VertexId, 32> dsts{};
     std::array<Weight, 32> ws{};
-    ctx.load(graph_bufs_->adjacency, espan, std::span<VertexId>(dsts.data(), cnt));
-    ctx.load(graph_bufs_->weights, espan, std::span<Weight>(ws.data(), cnt));
+    ctx.load(graph().adjacency, espan, std::span<VertexId>(dsts.data(), cnt));
+    ctx.load(graph().weights, espan, std::span<Weight>(ws.data(), cnt));
     if (!options_.pro) ctx.alu(1, cnt);  // heavy test branch
 
     std::array<std::uint64_t, 32> relax_idx{};
@@ -554,28 +522,28 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
 
   const bool fused = options_.adwl;  // kernel fusion rides with ADWL (§4.2)
   if (fused) {
-    sim_->label_next_launch("phase23_fused");
-    gpusim::KernelScope kernel(*sim_, gpusim::Schedule::kStatic, true,
-                               /*warps_per_block=*/8, stream_);
+    sim().label_next_launch("phase23_fused");
+    gpusim::KernelScope kernel(sim(), gpusim::Schedule::kStatic, true,
+                               /*warps_per_block=*/8, stream());
     scan_strips(kernel, relax_heavy, /*collect=*/true);
     if (relax_heavy) process_heavy_chunks(kernel);
     kernel.finish();
   } else {
     if (relax_heavy) {
-      sim_->label_next_launch("phase2");
-      gpusim::KernelScope phase2(*sim_, gpusim::Schedule::kStatic, true,
-                                 /*warps_per_block=*/8, stream_);
+      sim().label_next_launch("phase2");
+      gpusim::KernelScope phase2(sim(), gpusim::Schedule::kStatic, true,
+                                 /*warps_per_block=*/8, stream());
       scan_strips(phase2, /*settle=*/true, /*collect=*/false);
       process_heavy_chunks(phase2);
       phase2.finish();
-      sim_->host_barrier(stream_);
+      sim().host_barrier(stream());
     }
-    sim_->label_next_launch("phase3");
-    gpusim::KernelScope phase3(*sim_, gpusim::Schedule::kStatic, true,
-                               /*warps_per_block=*/8, stream_);
+    sim().label_next_launch("phase3");
+    gpusim::KernelScope phase3(sim(), gpusim::Schedule::kStatic, true,
+                               /*warps_per_block=*/8, stream());
     scan_strips(phase3, /*settle=*/false, /*collect=*/true);
     phase3.finish();
-    sim_->host_barrier(stream_);
+    sim().host_barrier(stream());
   }
 
   // Final reduction (remaining count / minimum unsettled distance) over the
@@ -605,8 +573,8 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
   queue_.reset();
 
   GpuRunResult result;
-  init_distances(*sim_, stream_, dist_, queue_.flags());
-  seed_source(*sim_, stream_, dist_, source);
+  init_distances(sim(), stream(), dist_, queue_.flags());
+  seed_source(sim(), stream(), dist_, source);
   driver_.apply_warm_start(dist_, source);
 
   if (options_.mode == EngineMode::kSyncPushBellmanFord) {
@@ -647,7 +615,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
       RDBS_CHECK_MSG(driver_.poisoned(), "bucket loop runaway");
       break;
     }
-    if (sim_->device_lost()) break;  // attempt is void; stop burning work
+    if (sim().device_lost()) break;  // attempt is void; stop burning work
     // Bucket boundary: the async mode's cancellation point (a persistent
     // phase-1 kernel runs its bucket to completion — a launched grid cannot
     // be revoked — but the next bucket is never launched).
@@ -659,8 +627,8 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     bs.high = hi;
     bs.initial_active = queue_.size();
 
-    const std::uint64_t threads_before = sim_->counters().active_lane_ops;
-    const double ms_before_phase1 = sim_->stream_elapsed_ms(stream_);
+    const std::uint64_t threads_before = sim().counters().active_lane_ops;
+    const double ms_before_phase1 = sim().stream_elapsed_ms(stream());
     if (!queue_.empty()) {
       if (options_.basyn) {
         phase1_async(lo, hi, delta, bs);
@@ -668,8 +636,8 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
         phase1_sync(lo, hi, delta, bs);
       }
     }
-    bs.threads_used = sim_->counters().active_lane_ops - threads_before;
-    bs.phase1_ms = sim_->stream_elapsed_ms(stream_) - ms_before_phase1;
+    bs.threads_used = sim().counters().active_lane_ops - threads_before;
+    bs.phase1_ms = sim().stream_elapsed_ms(stream()) - ms_before_phase1;
 
     // Δ readjustment (Algorithm 2, line 11): after phase 1, using this
     // bucket's converged count and thread usage, before phases 2&3 collect
@@ -679,10 +647,10 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
 
     Weight next_lo = hi;
     Weight next_hi = next_lo + delta_next;
-    const double ms_before_phase23 = sim_->stream_elapsed_ms(stream_);
+    const double ms_before_phase23 = sim().stream_elapsed_ms(stream());
     const ScanOutcome outcome =
         phase23(lo, hi, delta, next_lo, next_hi, /*relax_heavy=*/true);
-    bs.phase23_ms = sim_->stream_elapsed_ms(stream_) - ms_before_phase23;
+    bs.phase23_ms = sim().stream_elapsed_ms(stream()) - ms_before_phase23;
     // The scan's settled count must agree with the queue-side count: every
     // vertex of the bucket passed through the queue exactly once.
     RDBS_DCHECK(outcome.converged == bs.converged || driver_.poisoned());

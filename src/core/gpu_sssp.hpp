@@ -23,7 +23,6 @@
 // costed by gpusim (see gpusim/sim.hpp for the cost model).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -49,33 +48,23 @@ class GpuDeltaStepping : public GpuEngine {
   // `csr` must outlive the engine. With options.pro set the graph must have
   // weight-sorted adjacency (reorder::sort_adjacency_by_weight or the full
   // property_driven_reorder pipeline); this is checked once at construction.
-  GpuDeltaStepping(gpusim::DeviceSpec device, const Csr& csr,
+  // Kernels go to `device` (core/recovery.hpp): a simulator of the engine's
+  // own, or one stream of a shared one (QueryBatch lanes). Per-query
+  // buffers (distances, queue, heavy-offset mirror) are allocated once here
+  // and pooled across run() calls.
+  GpuDeltaStepping(DeviceBinding device, const Csr& csr,
                    GpuSsspOptions options);
 
-  // Shared-simulator variant for batched queries: the engine issues all its
-  // kernels on `stream` of an externally owned simulator (which must outlive
-  // the engine) and never resets it — run() reports per-query deltas of the
-  // stream clock and counters instead. With `shared_graph` set (same sim,
-  // same csr) the engine uses those device CSR arrays instead of uploading
-  // its own copy; otherwise it uploads one. Per-query buffers (distances,
-  // queues, heavy-offset mirror) are allocated once here and pooled across
-  // run() calls.
-  GpuDeltaStepping(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                   const Csr& csr, GpuSsspOptions options,
-                   const DeviceCsrBuffers* shared_graph = nullptr);
-
-  // Runs SSSP from `source` (in the *engine graph's* vertex numbering).
-  // When the engine owns its simulator, simulated time/counters are reset
-  // first; either way the result's device_ms / queue_wait_ms / counters
-  // describe exactly this run. With fault injection enabled
-  // (options.fault), the run executes under options.retry: poisoned
-  // attempts are discarded and rerun, and the result carries the typed
-  // faults plus recovery counters (see docs/fault_injection.md). Throws
-  // std::out_of_range for an invalid source.
+  // Runs SSSP from `source` (in the *engine graph's* vertex numbering). The
+  // result's device_ms / queue_wait_ms / counters describe exactly this
+  // run. With fault injection enabled (options.fault), the run executes
+  // under options.retry: poisoned attempts are discarded and rerun, and the
+  // result carries the typed faults plus recovery counters (see
+  // docs/fault_injection.md). Throws std::out_of_range for an invalid
+  // source.
   GpuRunResult run(VertexId source) override;
 
-  gpusim::GpuSim& sim() { return *sim_; }
-  gpusim::StreamId stream() const { return stream_; }
+  gpusim::GpuSim& sim() { return driver_.sim(); }
   // The construction-time configuration; per-query bindings (cancel token,
   // warm start, resume bounds) live on the driver.
   const GpuSsspOptions& options() const { return options_; }
@@ -136,22 +125,16 @@ class GpuDeltaStepping : public GpuEngine {
   // window [0, hi).
   void seed_queue(VertexId source, Weight hi);
 
-  // Allocates per-query device buffers and resolves the graph arrays
-  // (shared or freshly uploaded). Common tail of both constructors.
-  void init_device_state(const DeviceCsrBuffers* shared_graph);
+  // The bound stream and resident CSR arrays.
+  gpusim::StreamId stream() const { return driver_.stream(); }
+  const DeviceCsrBuffers& graph() const { return driver_.graph(); }
 
-  std::unique_ptr<gpusim::GpuSim> owned_sim_;  // null in shared-sim mode
-  gpusim::GpuSim* sim_;                        // never null
-  gpusim::StreamId stream_ = 0;
   const Csr& csr_;
   GpuSsspOptions options_;
   AttemptDriver driver_;
 
-  // Device-resident data (device element sizes match the CUDA layout:
-  // 4-byte offsets/ids/weights/distances). The read-only CSR arrays live in
-  // *graph_bufs_ — either this engine's own upload or a shared one.
-  std::unique_ptr<DeviceCsrBuffers> owned_graph_;
-  const DeviceCsrBuffers* graph_bufs_ = nullptr;  // never null after ctor
+  // Per-query device buffers (device element sizes match the CUDA layout:
+  // 4-byte offsets/ids/weights/distances).
   gpusim::Buffer<EdgeIndex> heavy_offsets_;  // present with PRO
   gpusim::Buffer<Distance> dist_;
   DeviceQueue queue_;  // phase-1 work queue (ring, in_queue flags)

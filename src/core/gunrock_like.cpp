@@ -223,40 +223,15 @@ Frontier Enactor::filter(const Frontier& frontier,
   return out;
 }
 
-void Enactor::compute(const Frontier& frontier, const ComputeFunctor& f) {
-  if (frontier.empty()) return;
-  seed_frontier(frontier);
-  sim_.label_next_launch("compute");
-  gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
-  for (std::size_t base = 0; base < frontier.size(); base += 32) {
-    const auto cnt = static_cast<std::uint32_t>(
-        std::min<std::size_t>(32, frontier.size() - base));
-    auto ctx = kernel.make_warp();
-    std::array<std::uint64_t, 32> slot{};
-    for (std::uint32_t i = 0; i < cnt; ++i) {
-      slot[i] = (base + i) % frontier_in_.size();
-      ctx.spin_wait(frontier_in_, slot[i]);  // double-buffer consume
-    }
-    std::array<VertexId, 32> tmp{};
-    ctx.load(frontier_in_, std::span<const std::uint64_t>(slot.data(), cnt),
-             std::span<VertexId>(tmp.data(), cnt));
-    ctx.alu(2, cnt);
-    for (std::uint32_t i = 0; i < cnt; ++i) {
-      f(frontier.vertices()[base + i]);
-    }
-    kernel.commit(ctx);
-  }
-  kernel.finish();
-}
-
 GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
                   VertexId source, const GunrockSsspOptions& options) {
   Enactor enactor(std::move(device), csr, options);
-  // The enactor (and its simulator clock) is shared across attempts and
-  // never reset: metrics are measured as per-attempt deltas.
-  AttemptDriver driver("gunrock::sssp", enactor.sim(), /*stream=*/0, csr,
-                       options.retry, /*reset_per_attempt=*/false,
-                       AttemptDriver::Clock::kDevice);
+  // The driver borrows the enactor's simulator, which is fresh per query
+  // but carries its clock and caches across attempts: metrics are
+  // per-attempt deltas.
+  AttemptDriver driver("gunrock::sssp",
+                       {enactor.sim(), /*stream=*/0, enactor.graph()}, csr,
+                       options);
   auto& dist = enactor.dist();
   auto attempt = [&]() -> GpuRunResult {
   driver.begin_attempt(dist);

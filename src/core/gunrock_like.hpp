@@ -8,8 +8,7 @@
 //             (load-balanced across warps: edges are flattened into even
 //             chunks, Gunrock's per-load-balancing strategy);
 //   filter  — compact a frontier through a per-vertex predicate (dedup +
-//             validity), producing the next iteration's frontier;
-//   compute — apply a per-vertex functor to the whole frontier.
+//             validity), producing the next iteration's frontier.
 //
 // The operators charge realistic costs (frontier loads, functor ALU,
 // atomic scatters, compaction scans) through a shared GpuSim. SSSP is then
@@ -42,8 +41,6 @@ using AdvanceFunctor =
     std::function<bool(VertexId src, VertexId dst, Weight w)>;
 // Per-vertex predicate for filter.
 using FilterPredicate = std::function<bool(VertexId)>;
-// Per-vertex functor for compute.
-using ComputeFunctor = std::function<void(VertexId)>;
 
 // The operator context: owns the simulator and the device-resident graph.
 class Frontier;
@@ -61,11 +58,11 @@ class Enactor {
   // filter: keep vertices passing `pred`, dropping duplicates (Gunrock's
   // bitmap-based dedup), in one compaction kernel.
   Frontier filter(const Frontier& frontier, const FilterPredicate& pred);
-  // compute: apply `f` to every frontier vertex (one kernel).
-  void compute(const Frontier& frontier, const ComputeFunctor& f);
 
   gpusim::GpuSim& sim() { return sim_; }
   const graph::Csr& csr() const { return csr_; }
+  // The resident CSR arrays.
+  const DeviceCsrBuffers& graph() const { return graph_; }
 
   // Device-resident distance array for apps that need one (SSSP).
   gpusim::Buffer<Distance>& dist() { return dist_; }

@@ -21,19 +21,13 @@ constexpr std::uint32_t kDeviceWord = 4;
 // Harish & Narayanan (2007)
 // ---------------------------------------------------------------------------
 
-HarishNarayanan::HarishNarayanan(gpusim::DeviceSpec device,
-                                 const graph::Csr& csr,
+HarishNarayanan::HarishNarayanan(DeviceBinding device, const graph::Csr& csr,
                                  const EngineOptions& options)
-    : sim_(std::move(device)),
-      csr_(csr),
-      driver_("HarishNarayanan", sim_, /*stream=*/0, csr_, options.retry,
-              /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice) {
-  options.configure(sim_);
+    : csr_(csr), driver_("HarishNarayanan", std::move(device), csr_, options) {
   const VertexId n = csr_.num_vertices();
-  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
-  dist_ = sim_.alloc<Distance>("cost", n, kDeviceWord);
-  updating_dist_ = sim_.alloc<Distance>("updating_cost", n, kDeviceWord);
-  mask_ = sim_.alloc<std::uint8_t>("mask", n, 1);
+  dist_ = sim().alloc<Distance>("cost", n, kDeviceWord);
+  updating_dist_ = sim().alloc<Distance>("updating_cost", n, kDeviceWord);
+  mask_ = sim().alloc<std::uint8_t>("mask", n, 1);
 }
 
 GpuRunResult HarishNarayanan::run(VertexId source) {
@@ -48,8 +42,8 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
 
   // Initialization kernel: cost = updating_cost = inf, mask = 0; then the
   // source seeded by a one-thread kernel (exactly the 2007 structure).
-  sim_.label_next_launch("init_arrays");
-  sim_.run_kernel(
+  sim().label_next_launch("init_arrays");
+  sim().run_kernel(
       gpusim::Schedule::kStatic, warps, 8,
       [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
         const std::uint64_t begin = w * 32;
@@ -69,20 +63,23 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
                   std::span<const Distance>(inf.data(), lanes));
         ctx.store(mask_, is,
                   std::span<const std::uint8_t>(zero.data(), lanes));
-      });
-  sim_.label_next_launch("seed_source");
-  sim_.run_kernel(gpusim::Schedule::kStatic, 1, 1,
-                  [&](gpusim::WarpCtx& ctx, std::uint64_t) {
-                    ctx.store_one(dist_, source, Distance{0});
-                    ctx.store_one(updating_dist_, source, Distance{0});
-                    ctx.store_one(mask_, source, std::uint8_t{1});
-                  });
+      },
+      /*host_launch=*/true, stream());
+  sim().label_next_launch("seed_source");
+  sim().run_kernel(
+      gpusim::Schedule::kStatic, 1, 1,
+      [&](gpusim::WarpCtx& ctx, std::uint64_t) {
+        ctx.store_one(dist_, source, Distance{0});
+        ctx.store_one(updating_dist_, source, Distance{0});
+        ctx.store_one(mask_, source, std::uint8_t{1});
+      },
+      /*host_launch=*/true, stream());
 
   bool changed = true;
   const std::uint64_t max_iterations = 4 * (std::uint64_t(n) + 8);
   std::uint64_t iterations = 0;
   while (changed) {
-    if (sim_.device_lost()) break;  // attempt is void; recovery takes over
+    if (sim().device_lost()) break;  // attempt is void; recovery takes over
     if (++iterations >= max_iterations) {
       // Corrupted distances can stall convergence; the poisoned attempt is
       // discarded by the retry driver. A clean-device runaway is a bug.
@@ -93,8 +90,8 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
 
     // Kernel 1 (topology-driven): every vertex loads its mask; masked lanes
     // relax all out-edges into updating_cost via atomicMin.
-    sim_.label_next_launch("relax_scatter");
-    sim_.run_kernel(
+    sim().label_next_launch("relax_scatter");
+    sim().run_kernel(
         gpusim::Schedule::kStatic, warps, 8,
         [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
           const std::uint64_t begin = w * 32;
@@ -121,9 +118,9 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
           std::span<const std::uint64_t> va(vact.data(), active);
           std::array<EdgeIndex, 32> rb{};
           std::array<EdgeIndex, 32> re{};
-          ctx.load(graph_.row_offsets, va,
+          ctx.load(graph().row_offsets, va,
                    std::span<EdgeIndex>(rb.data(), active));
-          ctx.load(graph_.row_offsets,
+          ctx.load(graph().row_offsets,
                    std::span<const std::uint64_t>(vact1.data(), active),
                    std::span<EdgeIndex>(re.data(), active));
           std::array<Distance, 32> du{};
@@ -149,9 +146,9 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
             std::span<const std::uint64_t> es(eidx.data(), cnt);
             std::array<VertexId, 32> dsts{};
             std::array<Weight, 32> ws{};
-            ctx.load(graph_.adjacency, es,
+            ctx.load(graph().adjacency, es,
                      std::span<VertexId>(dsts.data(), cnt));
-            ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
+            ctx.load(graph().weights, es, std::span<Weight>(ws.data(), cnt));
             ctx.alu(2, cnt);
             work.relaxations += cnt;
             std::array<std::uint64_t, 32> tgt{};
@@ -169,12 +166,13 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
               work.total_updates += improved[i];
             }
           }
-        });
+        },
+        /*host_launch=*/true, stream());
 
     // Kernel 2: commit improvements, rebuild the mask, resync the shadow.
     changed = false;
-    sim_.label_next_launch("commit_mask");
-    sim_.run_kernel(
+    sim().label_next_launch("commit_mask");
+    sim().run_kernel(
         gpusim::Schedule::kStatic, warps, 8,
         [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
           const std::uint64_t begin = w * 32;
@@ -206,8 +204,9 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
                     std::span<const Distance>(updating.data(), lanes));
           ctx.store(mask_, is,
                     std::span<const std::uint8_t>(new_mask.data(), lanes));
-        });
-    sim_.host_barrier();
+        },
+        /*host_launch=*/true, stream());
+    sim().host_barrier(stream());
   }
 
   GpuRunResult result;
@@ -219,33 +218,28 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
 // Davidson et al. (2014): Workfront Sweep + Near-Far
 // ---------------------------------------------------------------------------
 
-DavidsonNearFar::DavidsonNearFar(gpusim::DeviceSpec device,
-                                 const graph::Csr& csr,
+DavidsonNearFar::DavidsonNearFar(DeviceBinding device, const graph::Csr& csr,
                                  DavidsonOptions options)
-    : sim_(std::move(device)),
-      csr_(csr),
+    : csr_(csr),
       options_(options),
-      driver_("DavidsonNearFar", sim_, /*stream=*/0, csr_, options_.retry,
-              /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice) {
+      driver_("DavidsonNearFar", std::move(device), csr_, options_) {
   RDBS_CHECK(options_.delta > 0);
-  options_.configure(sim_);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
-  dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
-  auto near_slots = sim_.alloc<VertexId>(
+  dist_ = sim().alloc<Distance>("dist", n, kDeviceWord);
+  auto near_slots = sim().alloc<VertexId>(
       "near", std::max<std::size_t>(n, 64), kDeviceWord);
-  auto far_slots = sim_.alloc<VertexId>(
+  auto far_slots = sim().alloc<VertexId>(
       "far", std::max<std::size_t>(2 * m + 64, 64), kDeviceWord);
   // [0]=near tail, [1]=far tail. Nothing pops through a head cursor: the
   // workfront and the far split read whole windows.
-  const auto ctrl = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_.mark_initialized(ctrl);
+  const auto ctrl = sim().alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim().mark_initialized(ctrl);
   // The near flags only deduplicate: Davidson charges no flag traffic.
-  near_.bind(sim_, std::move(near_slots), ctrl, /*tail_cell=*/0,
-             DeviceQueue::kNoCell, sim_.alloc<std::uint8_t>("in_near", n, 1),
+  near_.bind(sim(), std::move(near_slots), ctrl, /*tail_cell=*/0,
+             DeviceQueue::kNoCell, sim().alloc<std::uint8_t>("in_near", n, 1),
              /*charge_flags=*/false);
-  far_.bind(sim_, std::move(far_slots), ctrl, /*tail_cell=*/1,
+  far_.bind(sim(), std::move(far_slots), ctrl, /*tail_cell=*/1,
             DeviceQueue::kNoCell);
 }
 
@@ -260,11 +254,11 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
   far_.reset();
   std::fill(dist_.data().begin(), dist_.data().end(),
             graph::kInfiniteDistance);
-  init_distances(sim_, /*stream=*/0, dist_);
+  init_distances(sim(), stream(), dist_);
   // Host seed: dist[source] plus the first near-queue slot, modeled as H2D
   // uploads.
   dist_[source] = 0;
-  sim_.mark_initialized(dist_, source, 1);
+  sim().mark_initialized(dist_, source, 1);
   near_.seed(source);
   near_.publish();
   Distance threshold = options_.delta;
@@ -278,14 +272,15 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
   };
 
   while (!near_.empty() || !far_.empty()) {
-    if (sim_.device_lost()) break;  // attempt is void; recovery takes over
+    if (sim().device_lost()) break;  // attempt is void; recovery takes over
     if (near_.empty()) {
       // Far split (synchronous kernel over the pile).
       Distance min_far = graph::kInfiniteDistance;
       const std::uint64_t pile_base = far_.window_begin();
       const std::vector<VertexId> far = far_.take_all();
-      sim_.label_next_launch("far_split");
-      gpusim::KernelScope split(sim_, gpusim::Schedule::kStatic, true);
+      sim().label_next_launch("far_split");
+      gpusim::KernelScope split(sim(), gpusim::Schedule::kStatic, true,
+                                /*warps_per_block=*/8, stream());
       for (std::size_t base = 0; base < far.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, far.size() - base));
@@ -329,7 +324,7 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
         split.commit(ctx);
       }
       split.finish();
-      sim_.host_barrier();
+      sim().host_barrier(stream());
       continue;
     }
 
@@ -342,8 +337,9 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
       // ALU).
       const std::uint64_t near_base = near_.window_begin();
       const std::vector<VertexId> near = near_.take_all();
-      sim_.label_next_launch("workfront_setup");
-      gpusim::KernelScope setup(sim_, gpusim::Schedule::kStatic, true);
+      sim().label_next_launch("workfront_setup");
+      gpusim::KernelScope setup(sim(), gpusim::Schedule::kStatic, true,
+                                /*warps_per_block=*/8, stream());
       for (std::size_t base = 0; base < near.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, near.size() - base));
@@ -359,10 +355,10 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
         near_.charge_read(ctx, near_base + base, entries);
         std::array<EdgeIndex, 32> rb{};
         std::array<EdgeIndex, 32> re{};
-        ctx.load(graph_.row_offsets,
+        ctx.load(graph().row_offsets,
                  std::span<const std::uint64_t>(vidx.data(), cnt),
                  std::span<EdgeIndex>(rb.data(), cnt));
-        ctx.load(graph_.row_offsets,
+        ctx.load(graph().row_offsets,
                  std::span<const std::uint64_t>(vidx1.data(), cnt),
                  std::span<EdgeIndex>(re.data(), cnt));
         ctx.alu(4, cnt);  // prefix-sum steps of the compact
@@ -376,19 +372,20 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
       }
       setup.finish();
     }
-    sim_.host_barrier();
+    sim().host_barrier(stream());
 
-    sim_.label_next_launch("workfront_sweep");
-    gpusim::KernelScope sweep(sim_, gpusim::Schedule::kStatic, true);
+    sim().label_next_launch("workfront_sweep");
+    gpusim::KernelScope sweep(sim(), gpusim::Schedule::kStatic, true,
+                              /*warps_per_block=*/8, stream());
     for (const Chunk& chunk : chunks) {
       auto ctx = sweep.make_warp();
       const auto cnt = static_cast<std::uint32_t>(chunk.end - chunk.begin);
       const Distance du = ctx.load_one(dist_, chunk.vertex);
       std::array<VertexId, 32> dsts;
       std::array<Weight, 32> ws;
-      ctx.load_range(graph_.adjacency, chunk.begin,
+      ctx.load_range(graph().adjacency, chunk.begin,
                      std::span<VertexId>(dsts.data(), cnt));
-      ctx.load_range(graph_.weights, chunk.begin,
+      ctx.load_range(graph().weights, chunk.begin,
                      std::span<Weight>(ws.data(), cnt));
       ctx.alu(2, cnt);
       work.relaxations += cnt;
@@ -417,7 +414,7 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
       sweep.commit(ctx);
     }
     sweep.finish();
-    sim_.host_barrier();
+    sim().host_barrier(stream());
   }
 
   GpuRunResult result;

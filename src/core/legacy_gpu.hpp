@@ -30,23 +30,26 @@ namespace rdbs::core {
 
 class HarishNarayanan : public GpuEngine {
  public:
-  HarishNarayanan(gpusim::DeviceSpec device, const graph::Csr& csr,
+  // `csr` must outlive the engine; kernels go to `device`
+  // (core/recovery.hpp).
+  HarishNarayanan(DeviceBinding device, const graph::Csr& csr,
                   const EngineOptions& options = {});
 
   // Runs SSSP from `source` (under options.retry when fault injection is
   // on). Throws std::out_of_range for an invalid source.
   GpuRunResult run(graph::VertexId source) override;
 
-  gpusim::GpuSim& sim() { return sim_; }
+  gpusim::GpuSim& sim() { return driver_.sim(); }
 
  private:
   GpuRunResult run_attempt(graph::VertexId source);
+  // The bound stream and resident CSR arrays.
+  gpusim::StreamId stream() const { return driver_.stream(); }
+  const DeviceCsrBuffers& graph() const { return driver_.graph(); }
 
-  gpusim::GpuSim sim_;
   const graph::Csr& csr_;
   AttemptDriver driver_;
 
-  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   gpusim::Buffer<graph::Distance> updating_dist_;
   gpusim::Buffer<std::uint8_t> mask_;
@@ -58,24 +61,27 @@ struct DavidsonOptions : EngineOptions {
 
 class DavidsonNearFar : public GpuEngine {
  public:
-  DavidsonNearFar(gpusim::DeviceSpec device, const graph::Csr& csr,
+  // `csr` must outlive the engine; kernels go to `device`
+  // (core/recovery.hpp).
+  DavidsonNearFar(DeviceBinding device, const graph::Csr& csr,
                   DavidsonOptions options);
 
   // Runs SSSP from `source` (under options.retry when fault injection is
   // on). Throws std::out_of_range for an invalid source.
   GpuRunResult run(graph::VertexId source) override;
 
-  gpusim::GpuSim& sim() { return sim_; }
+  gpusim::GpuSim& sim() { return driver_.sim(); }
 
  private:
   GpuRunResult run_attempt(graph::VertexId source);
+  // The bound stream and resident CSR arrays.
+  gpusim::StreamId stream() const { return driver_.stream(); }
+  const DeviceCsrBuffers& graph() const { return driver_.graph(); }
 
-  gpusim::GpuSim sim_;
   const graph::Csr& csr_;
   DavidsonOptions options_;
   AttemptDriver driver_;
 
-  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   DeviceQueue near_;  // Near frontier (in_near flags, uncharged)
   DeviceQueue far_;   // Far pile (duplicates, no flags)

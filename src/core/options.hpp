@@ -36,8 +36,8 @@ struct RetryPolicy {
 
 // The settings every GPU engine shares: how its simulator replays, what it
 // checks and how it recovers. Each engine's options struct derives from it
-// (HN07, which has no other option, takes it directly), and the engine's
-// constructor hands it to configure().
+// (HN07, which has no other option, takes it directly), and the engine
+// hands it to its AttemptDriver (core/recovery.hpp).
 struct EngineOptions {
   // Host worker threads for the gpusim replay phase; 0 keeps the
   // simulator's default (GpuSim::set_default_worker_threads). Purely a
@@ -56,9 +56,10 @@ struct EngineOptions {
   gpusim::FaultConfig fault;
   RetryPolicy retry;
 
-  // Applies the settings to `sim` before its first launch. It only ever
-  // switches things on: a lane engine on a shared simulator never disables
-  // what the simulator's owner enabled for all lanes.
+  // Applies the settings to a simulator before its first launch. Only the
+  // simulator's owner calls it: the AttemptDriver of an engine with an
+  // owned simulator, QueryBatch for its lanes' shared one, gunrock's
+  // enactor. It only ever switches things on.
   void configure(gpusim::GpuSim& sim) const {
     if (sim_threads > 0) sim.set_worker_threads(sim_threads);
     if (sanitize != gpusim::SanitizeMode::kOff) sim.enable_sanitizer(sanitize);

@@ -22,17 +22,11 @@ const char* query_status_name(QueryStatus status) {
 
 QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
                        QueryBatchOptions options)
-    : options_(options) {
+    : options_(options),
+      graph_(csr, options.engine == BatchEngine::kRdbs && options.gpu.pro,
+             options.gpu.delta0) {
   RDBS_CHECK(options_.streams >= 1);
-  if (options_.engine == BatchEngine::kRdbs && options_.gpu.pro) {
-    reorder::ProResult pro =
-        reorder::property_driven_reorder(csr, options_.gpu.delta0);
-    graph_ = std::move(pro.csr);
-    perm_ = std::move(pro.perm);
-    permuted_ = true;
-  } else {
-    graph_ = csr;
-  }
+  const graph::Csr& engine_csr = graph_.csr();
 
   // Admission-control seed: a deliberately coarse a-priori estimate of one
   // query's device cost — every vertex and edge touched once, in 32-lane
@@ -42,8 +36,8 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
   // queries take over from the first success.
   {
     const double warp_tasks =
-        (static_cast<double>(graph_.num_vertices()) +
-         static_cast<double>(graph_.num_edges())) /
+        (static_cast<double>(engine_csr.num_vertices()) +
+         static_cast<double>(engine_csr.num_edges())) /
         32.0;
     const double aggregate_issue =
         static_cast<double>(device.num_sms) * device.warp_schedulers;
@@ -54,16 +48,17 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
   sim_ = std::make_unique<gpusim::GpuSim>(std::move(device));
   options_.gpu.configure(*sim_);
   graph_bufs_ = std::make_unique<DeviceCsrBuffers>(
-      DeviceCsrBuffers::upload(*sim_, graph_));
+      DeviceCsrBuffers::upload(*sim_, engine_csr));
 
   lanes_.reserve(static_cast<std::size_t>(options_.streams));
   for (int s = 0; s < options_.streams; ++s) {
     Lane lane;
     lane.stream = s;
     lane.ewma_ms = cost_seed_ms_;
+    const DeviceBinding binding{*sim_, s, *graph_bufs_};
     if (options_.engine == BatchEngine::kRdbs) {
-      auto rdbs = std::make_unique<GpuDeltaStepping>(
-          *sim_, s, graph_, options_.gpu, graph_bufs_.get());
+      auto rdbs =
+          std::make_unique<GpuDeltaStepping>(binding, engine_csr, options_.gpu);
       lane.driver = &rdbs->driver();
       lane.engine = std::move(rdbs);
     } else {
@@ -71,8 +66,7 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
       static_cast<EngineOptions&>(adds) = options_.gpu;
       adds.delta = options_.gpu.delta0;
       adds.checkpoint_interval = options_.gpu.checkpoint_interval;
-      auto engine = std::make_unique<AddsLike>(*sim_, s, graph_, adds,
-                                               graph_bufs_.get());
+      auto engine = std::make_unique<AddsLike>(binding, engine_csr, adds);
       lane.driver = &engine->driver();
       lane.engine = std::move(engine);
     }
@@ -167,7 +161,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
   out.stats.source = source;
   out.stats.stream = lane.stream;
 
-  if (source >= graph_.num_vertices()) {
+  if (source >= graph_.csr().num_vertices()) {
     out.result.ok = false;
     out.stats.status = QueryStatus::kFailed;
     out.stats.error = "source vertex out of range";
@@ -195,28 +189,19 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
     // fetched at dispatch time against the lane's own clock — a landmark
     // whose producer hasn't finished yet on the simulated timeline is
     // never used. The cache speaks the caller's ORIGINAL numbering; the
-    // engine wants its (possibly PRO-reordered) own, so bounds are
-    // permuted on the way in.
-    if (permuted_) {
-      warm_engine_ = perm_.permute(warm_bounds_);
-      warm = &warm_engine_;
-    } else {
-      warm = &warm_bounds_;
-    }
+    // engine wants its (possibly PRO-reordered) own, so bounds are mapped
+    // on the way in.
+    warm = graph_.to_engine(&warm_bounds_);
     out.stats.warm_started = true;
   }
 
-  const VertexId engine_source =
-      permuted_ ? perm_.to_reordered(source) : source;
   // The token and warm bounds are (re)bound before every run, so a pointer
   // left over from a previous query is never consulted.
   lane.driver->set_cancel_token(cancel);
   lane.driver->set_warm_start(warm);
   try {
-    out.result = lane.engine->run(engine_source);
-    if (permuted_ && !out.result.sssp.distances.empty()) {
-      out.result.sssp.distances = perm_.unpermute(out.result.sssp.distances);
-    }
+    out.result = lane.engine->run(graph_.to_engine(source));
+    graph_.to_caller(out.result.sssp.distances);
   } catch (const std::exception& e) {
     out.result = GpuRunResult{};
     out.result.ok = false;
@@ -296,7 +281,7 @@ BatchResult QueryBatch::run(std::span<const VertexId> sources) {
   for (const VertexId source : sources) {
     // An invalid source fails this query alone, never the batch (and never
     // occupies a lane).
-    if (source >= graph_.num_vertices()) {
+    if (source >= graph_.csr().num_vertices()) {
       GpuRunResult failed;
       failed.ok = false;
       QueryStats qs;

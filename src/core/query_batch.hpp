@@ -223,7 +223,7 @@ class QueryBatch {
   void decay_lane_cost_estimate(int lane, double blend);
 
   int streams() const { return static_cast<int>(lanes_.size()); }
-  const graph::Csr& engine_graph() const { return graph_; }
+  const graph::Csr& engine_graph() const { return graph_.csr(); }
   gpusim::GpuSim& sim() { return *sim_; }
   const QueryBatchOptions& options() const { return options_; }
 
@@ -255,17 +255,14 @@ class QueryBatch {
 
   QueryBatchOptions options_;
   double cost_seed_ms_ = 0;
-  graph::Csr graph_;             // engine-facing (possibly reordered) CSR
-  reorder::Permutation perm_;    // identity when PRO is off
-  bool permuted_ = false;
+  reorder::ProFrontEnd graph_;  // the engine-facing CSR and numbering map
   std::unique_ptr<gpusim::GpuSim> sim_;
   std::unique_ptr<DeviceCsrBuffers> graph_bufs_;
   std::vector<Lane> lanes_;
   ResultCache* cache_ = nullptr;  // caller-owned; null = no caching
-  // Warm-bound scratch (original and engine numbering): members so the
-  // pointer handed to the engine stays valid across its retry attempts.
+  // Warm-bound scratch in the caller's numbering: a member so the pointer
+  // handed to the engine stays valid across its retry attempts.
   std::vector<graph::Distance> warm_bounds_;
-  std::vector<graph::Distance> warm_engine_;
 };
 
 }  // namespace rdbs::core

@@ -43,7 +43,7 @@ class RdbsSolver : public GpuEngine {
   // or solver destruction. nullptr detaches.
   void set_warm_start(const std::vector<graph::Distance>* bounds);
 
-  const Csr& engine_graph() const { return graph_; }
+  const Csr& engine_graph() const { return graph_.csr(); }
   const GpuSsspOptions& options() const { return engine_->options(); }
   // The simulator backing the engine — replay-mode/layout knobs and the
   // trace/replay statistics (capacity reporting in bench/).
@@ -53,14 +53,9 @@ class RdbsSolver : public GpuEngine {
   double preprocessing_ms() const { return preprocessing_ms_; }
 
  private:
-  Csr graph_;                       // engine-facing (possibly reordered) CSR
-  reorder::Permutation perm_;       // identity when PRO is off
-  bool permuted_ = false;
+  reorder::ProFrontEnd graph_;  // the engine-facing CSR and numbering map
   double preprocessing_ms_ = 0;
   std::unique_ptr<GpuDeltaStepping> engine_;
-  // Warm bounds in engine numbering: a member so the pointer handed to the
-  // engine stays valid across its retry attempts.
-  std::vector<graph::Distance> warm_engine_;
 };
 
 }  // namespace rdbs::core

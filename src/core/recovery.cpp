@@ -35,18 +35,27 @@ AttemptFaults scan_attempt_faults(const gpusim::GpuSim& sim,
 
 }  // namespace
 
-AttemptDriver::AttemptDriver(std::string engine, gpusim::GpuSim& sim,
-                             gpusim::StreamId stream, const graph::Csr& csr,
-                             const RetryPolicy& policy, bool reset_per_attempt,
-                             Clock clock, int checkpoint_interval)
+AttemptDriver::AttemptDriver(std::string engine, DeviceBinding device,
+                             const graph::Csr& csr,
+                             const EngineOptions& options,
+                             int checkpoint_interval)
     : engine_(std::move(engine)),
-      sim_(sim),
-      stream_(stream),
+      own_sim_(device.device_ ? std::make_unique<gpusim::GpuSim>(
+                                    std::move(*device.device_))
+                              : nullptr),
+      sim_(own_sim_ ? *own_sim_ : *device.sim_),
+      stream_(device.stream_),
+      graph_(device.graph_),
       csr_(csr),
-      policy_(policy),
-      reset_per_attempt_(reset_per_attempt),
-      clock_(clock),
-      checkpoint_interval_(checkpoint_interval) {}
+      policy_(options.retry),
+      checkpoint_interval_(checkpoint_interval) {
+  if (own_sim_) {
+    options.configure(sim_);
+    own_graph_ = std::make_unique<DeviceCsrBuffers>(
+        DeviceCsrBuffers::upload(sim_, csr_));
+    graph_ = own_graph_.get();
+  }
+}
 
 GpuRunResult AttemptDriver::run(graph::VertexId source,
                                 const std::function<GpuRunResult()>& attempt) {
@@ -73,11 +82,11 @@ GpuRunResult AttemptDriver::recover(
 
   RecoveryStats recovery;
   std::vector<gpusim::GpuFault> faults;
-  // Attempt metrics accumulate here: owning engines reset their simulator
-  // clock per attempt, so the per-attempt deltas must be summed explicitly
-  // (shared-sim engines measure deltas from their own attempt start, so
-  // the sum is correct there too — backoff charged *between* attempts is
-  // in no attempt's delta and is added once below).
+  // Attempt metrics accumulate here: an owned simulator is reset per
+  // attempt, so the per-attempt deltas must be summed explicitly (on a
+  // borrowed one each delta starts at its own attempt, so the sum is
+  // correct there too — backoff charged *between* attempts is in no
+  // attempt's delta and is added once below).
   double spent_ms = 0;
   double spent_wait_ms = 0;
   gpusim::Counters spent_counters;
@@ -189,18 +198,13 @@ void AttemptDriver::begin_attempt(const gpusim::Buffer<graph::Distance>& dist) {
   // this attempt re-initializes the buffer, so the stale mark must not
   // suppress its checkpoints.
   sim_.clear_buffer_poison(dist);
-  // Owning mode: fresh timeline/counters/caches per attempt (the paper's
-  // single-query methodology). Shared mode: time and cache state accumulate
-  // across queries, and this attempt's metrics are deltas of its clock.
-  if (reset_per_attempt_) sim_.reset_all();
-  ms_before_ = now_ms();
+  // Owned: fresh timeline/counters/caches per attempt (the paper's
+  // single-query methodology). Borrowed: time and cache state accumulate
+  // across queries and lanes, and this attempt's metrics are deltas.
+  if (own_sim_) sim_.reset_all();
+  ms_before_ = sim_.stream_elapsed_ms(stream_);
   wait_before_ = sim_.stream_queue_wait_ms(stream_);
   counters_before_ = sim_.counters();
-}
-
-double AttemptDriver::now_ms() const {
-  return clock_ == Clock::kStream ? sim_.stream_elapsed_ms(stream_)
-                                  : sim_.elapsed_ms();
 }
 
 bool AttemptDriver::poisoned() const {
@@ -270,10 +274,8 @@ GpuRunResult AttemptDriver::finish(GpuRunResult result,
     result.sssp.distances = dist.data();
     sssp::finalize_valid_updates(result.sssp, source);
   }
-  result.device_ms = now_ms() - ms_before_;
-  if (clock_ == Clock::kStream) {
-    result.queue_wait_ms = sim_.stream_queue_wait_ms(stream_) - wait_before_;
-  }
+  result.device_ms = sim_.stream_elapsed_ms(stream_) - ms_before_;
+  result.queue_wait_ms = sim_.stream_queue_wait_ms(stream_) - wait_before_;
   result.counters = sim_.counters() - counters_before_;
   if (const gpusim::Sanitizer* san = sim_.sanitizer()) {
     result.sanitizer_report = san->report();

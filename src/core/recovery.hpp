@@ -43,15 +43,21 @@
 //   GpuRunResult Engine::run(VertexId source) {
 //     return driver_.run(source, [&] { return run_attempt(source); });
 //   }
+//
+// The driver also holds the engine's device (DeviceBinding): the simulator,
+// the stream the engine issues on, and the resident CSR arrays.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/cancel.hpp"
 #include "core/checkpoint.hpp"
+#include "core/device_graph.hpp"
 #include "core/options.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
@@ -59,28 +65,54 @@
 
 namespace rdbs::core {
 
+// The device an engine runs on, in one of two forms:
+//   * owned — a simulator of the engine's own, built from a DeviceSpec. The
+//     driver configures it from the engine's options, uploads the CSR once
+//     and resets the simulator at every attempt: each query is timed on a
+//     cold device (the paper's single-query methodology).
+//   * borrowed — one stream of a simulator someone else owns, plus the CSR
+//     arrays that owner made resident (QueryBatch lanes, gunrock's
+//     enactor). The driver never configures, uploads or resets it: clocks,
+//     counters and caches carry across queries and lanes.
+// Either way the driver measures device_ms and queue_wait_ms on its own
+// stream. A DeviceSpec converts implicitly, so Engine(device, csr, options)
+// builds an engine with an owned simulator.
+class DeviceBinding {
+ public:
+  DeviceBinding(gpusim::DeviceSpec device) : device_(std::move(device)) {}
+  // `sim` and `graph` (uploaded from the engine's CSR) must outlive the
+  // engine.
+  DeviceBinding(gpusim::GpuSim& sim, gpusim::StreamId stream,
+                const DeviceCsrBuffers& graph)
+      : sim_(&sim), stream_(stream), graph_(&graph) {}
+
+ private:
+  friend class AttemptDriver;
+  std::optional<gpusim::DeviceSpec> device_;  // set = owned
+  gpusim::GpuSim* sim_ = nullptr;
+  gpusim::StreamId stream_ = 0;
+  const DeviceCsrBuffers* graph_ = nullptr;
+};
+
 class AttemptDriver {
  public:
-  // The clock an attempt's device_ms is measured on.
-  enum class Clock : std::uint8_t {
-    kStream,  // the driver's stream; queue_wait_ms is measured too
-    kDevice,  // GpuSim::elapsed_ms (single-stream engines on their own sim)
-  };
-
-  // `sim` and `csr` must outlive the driver. `engine` names the engine in
-  // the out-of-range error. With `reset_per_attempt` the simulator's clock,
-  // counters and caches are reset at every attempt start (engines that own
-  // their simulator); otherwise metrics are deltas from the attempt start.
-  // `checkpoint_interval` > 0 snapshots the distances every that many
-  // boundary() calls (GpuSsspOptions::checkpoint_interval).
-  AttemptDriver(std::string engine, gpusim::GpuSim& sim,
-                gpusim::StreamId stream, const graph::Csr& csr,
-                const RetryPolicy& policy, bool reset_per_attempt,
-                Clock clock = Clock::kStream, int checkpoint_interval = 0);
-  // Pinned to its simulator: an engine that owns `sim` by value must not
-  // be moved out from under the reference.
+  // Binds the engine to `device`; an owned simulator is built, configured
+  // from `options` and given `csr` here. `csr` must outlive the driver.
+  // `engine` names the engine in the out-of-range error. `options.retry` is
+  // the recovery policy. `checkpoint_interval` > 0 snapshots the distances
+  // every that many boundary() calls (GpuSsspOptions::checkpoint_interval).
+  AttemptDriver(std::string engine, DeviceBinding device,
+                const graph::Csr& csr, const EngineOptions& options,
+                int checkpoint_interval = 0);
+  // One driver per engine, holding its device: neither copied nor moved.
   AttemptDriver(const AttemptDriver&) = delete;
   AttemptDriver& operator=(const AttemptDriver&) = delete;
+
+  // The bound device: the simulator, the stream every kernel of the engine
+  // goes to, and the resident CSR arrays.
+  gpusim::GpuSim& sim() { return sim_; }
+  gpusim::StreamId stream() const { return stream_; }
+  const DeviceCsrBuffers& graph() const { return *graph_; }
 
   // Runs `attempt` for `source` under the retry policy (see the header
   // comment). Throws std::out_of_range for an invalid source. Clears the
@@ -124,8 +156,8 @@ class AttemptDriver {
   // --- the attempt body's side ---------------------------------------------
   // Starts an attempt: sets the fault-log watermark, clears the cancel
   // latch and the boundary counter, clears stale poison on `dist` (the
-  // attempt re-initializes it), resets the simulator when configured to,
-  // and records the metric baselines.
+  // attempt re-initializes it), resets an owned simulator, and records the
+  // metric baselines.
   void begin_attempt(const gpusim::Buffer<graph::Distance>& dist);
   // Whether the current attempt already took a poisoning fault — loop
   // invariants may legitimately break then, and the attempt aborts instead
@@ -153,24 +185,26 @@ class AttemptDriver {
   void boundary(const gpusim::Buffer<graph::Distance>& dist);
   // Completes the attempt's result: the distances from `dist` (finalized
   // for `source`), or none and deadline_exceeded when cancelled; the
-  // attempt's device_ms / queue_wait_ms / counters deltas; the gsan report.
+  // attempt's device_ms / queue_wait_ms deltas of the stream clock and its
+  // counter deltas; the gsan report.
   GpuRunResult finish(GpuRunResult result,
                       const gpusim::Buffer<graph::Distance>& dist,
                       graph::VertexId source);
 
  private:
-  double now_ms() const;
   // The recovery loop behind run().
   GpuRunResult recover(graph::VertexId source,
                        const std::function<GpuRunResult()>& attempt);
 
   std::string engine_;
+  // The owned simulator and CSR arrays; null when borrowed.
+  std::unique_ptr<gpusim::GpuSim> own_sim_;
+  std::unique_ptr<DeviceCsrBuffers> own_graph_;
   gpusim::GpuSim& sim_;
   gpusim::StreamId stream_;
+  const DeviceCsrBuffers* graph_;
   const graph::Csr& csr_;
   RetryPolicy policy_;
-  bool reset_per_attempt_;
-  Clock clock_;
   int checkpoint_interval_;
 
   // Per-query bindings.

@@ -18,25 +18,21 @@ namespace {
 constexpr std::uint32_t kDeviceWord = 4;
 }
 
-SepHybrid::SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
+SepHybrid::SepHybrid(DeviceBinding device, const graph::Csr& csr,
                      SepHybridOptions options)
-    : sim_(std::move(device)),
-      csr_(csr),
+    : csr_(csr),
       options_(options),
-      driver_("SepHybrid", sim_, /*stream=*/0, csr_, options_.retry,
-              /*reset_per_attempt=*/true, AttemptDriver::Clock::kDevice),
+      driver_("SepHybrid", std::move(device), csr_, options_),
       csr_symmetric_(graph::is_symmetric(csr_)) {
-  options_.configure(sim_);
   const VertexId n = csr_.num_vertices();
-  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
-  dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
-  auto slots = sim_.alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
+  dist_ = sim().alloc<Distance>("dist", n, kDeviceWord);
+  auto slots = sim().alloc<VertexId>("queue", std::max<std::size_t>(n, 64),
                                     kDeviceWord);
   // [0]=tail, [1]=head cursors.
-  const auto ctrl = sim_.alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
-  sim_.mark_initialized(ctrl);
-  queue_.bind(sim_, std::move(slots), ctrl, /*tail_cell=*/0, /*head_cell=*/1,
-              sim_.alloc<std::uint8_t>("in_queue", n, 1));
+  const auto ctrl = sim().alloc<std::uint32_t>("queue_ctrl", 2, kDeviceWord);
+  sim().mark_initialized(ctrl);
+  queue_.bind(sim(), std::move(slots), ctrl, /*tail_cell=*/0, /*head_cell=*/1,
+              sim().alloc<std::uint8_t>("in_queue", n, 1));
 }
 
 SepMode SepHybrid::choose_mode(std::uint64_t frontier_vertices,
@@ -69,8 +65,8 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
   const VertexId n = csr_.num_vertices();
   sssp::WorkStats work;
   queue_.reset();
-  init_distances(sim_, /*stream=*/0, dist_, queue_.flags());
-  seed_source(sim_, /*stream=*/0, dist_, source);
+  init_distances(sim(), stream(), dist_, queue_.flags());
+  seed_source(sim(), stream(), dist_, source);
   // Host-side seed of the device work queue (H2D upload).
   queue_.seed(source);
   queue_.publish();
@@ -93,10 +89,10 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
     std::array<EdgeIndex, 32> re{};
     {
       std::array<EdgeIndex, 32> tmp{};
-      ctx.load(graph_.row_offsets, vs,
+      ctx.load(graph().row_offsets, vs,
                std::span<EdgeIndex>(tmp.data(), lane_count));
       for (std::uint32_t i = 0; i < lane_count; ++i) rb[i] = tmp[i];
-      ctx.load(graph_.row_offsets,
+      ctx.load(graph().row_offsets,
                std::span<const std::uint64_t>(vidx1.data(), lane_count),
                std::span<EdgeIndex>(tmp.data(), lane_count));
       for (std::uint32_t i = 0; i < lane_count; ++i) re[i] = tmp[i];
@@ -121,8 +117,8 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
       std::span<const std::uint64_t> es(eidx.data(), cnt);
       std::array<VertexId, 32> dsts{};
       std::array<Weight, 32> ws{};
-      ctx.load(graph_.adjacency, es, std::span<VertexId>(dsts.data(), cnt));
-      ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
+      ctx.load(graph().adjacency, es, std::span<VertexId>(dsts.data(), cnt));
+      ctx.load(graph().weights, es, std::span<Weight>(ws.data(), cnt));
       ctx.alu(2, cnt);
       work.relaxations += cnt;
       std::array<std::uint64_t, 32> tgt{};
@@ -147,7 +143,7 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
   const std::uint64_t max_rounds = 8 * (std::uint64_t(n) + 16);
   std::uint64_t rounds = 0;
   while (!queue_.empty()) {
-    if (sim_.device_lost()) break;  // attempt is void; recovery takes over
+    if (sim().device_lost()) break;  // attempt is void; recovery takes over
     if (++rounds >= max_rounds) {
       // Corrupted distances can legitimately stall convergence; the
       // poisoned attempt is discarded by the retry driver. A genuine
@@ -164,7 +160,7 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
     round.mode = mode;
     round.frontier = queue_.size();
     round.frontier_edges = frontier_edges;
-    const double ms_before = sim_.elapsed_ms();
+    const double ms_before = sim().stream_elapsed_ms(stream());
     ++work.iterations;
 
     if (mode == SepMode::kSyncPull) {
@@ -173,8 +169,8 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
       // entire frontier is consumed; improved vertices form the next one.
       queue_.drop_pending();
       const std::uint64_t warps = (n + 31) / 32;
-      sim_.label_next_launch("pull_sweep");
-      sim_.run_kernel(
+      sim().label_next_launch("pull_sweep");
+      sim().run_kernel(
           gpusim::Schedule::kStatic, warps, 8,
           [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
             const std::uint64_t begin = w * 32;
@@ -185,9 +181,9 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
                            std::span<Distance>(dv.data(), lanes));
             std::array<EdgeIndex, 32> rb;
             std::array<EdgeIndex, 32> re;
-            ctx.load_range(graph_.row_offsets, begin,
+            ctx.load_range(graph().row_offsets, begin,
                            std::span<EdgeIndex>(rb.data(), lanes));
-            ctx.load_range(graph_.row_offsets, begin + 1,
+            ctx.load_range(graph().row_offsets, begin + 1,
                            std::span<EdgeIndex>(re.data(), lanes));
             ctx.alu(2, lanes);
             std::array<Distance, 32> best = dv;
@@ -210,9 +206,9 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
               std::span<const std::uint64_t> es(eidx.data(), cnt);
               std::array<VertexId, 32> srcs{};
               std::array<Weight, 32> ws{};
-              ctx.load(graph_.adjacency, es,
+              ctx.load(graph().adjacency, es,
                        std::span<VertexId>(srcs.data(), cnt));
-              ctx.load(graph_.weights, es, std::span<Weight>(ws.data(), cnt));
+              ctx.load(graph().weights, es, std::span<Weight>(ws.data(), cnt));
               // Gather the in-neighbors' current distances.
               std::array<std::uint64_t, 32> nidx{};
               for (std::uint32_t i = 0; i < cnt; ++i) nidx[i] = srcs[i];
@@ -249,8 +245,9 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
                                                                 scnt),
                                  std::span<const Distance>(sval.data(), scnt));
             }
-          });
-      sim_.host_barrier();
+          },
+          /*host_launch=*/true, stream());
+      sim().host_barrier(stream());
       // The sweep's improved vertices become the next frontier; mirror the
       // compaction kernel's output into the device queue window.
       queue_.publish();
@@ -258,8 +255,9 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
       // Async drains continuously, but SEP re-evaluates its decision when
       // the signal changes: once the frontier outgrows the async regime,
       // the persistent kernel retires and the next round re-decides.
-      sim_.label_next_launch("async_push");
-      gpusim::KernelScope kernel(sim_, gpusim::Schedule::kDynamic, true);
+      sim().label_next_launch("async_push");
+      gpusim::KernelScope kernel(sim(), gpusim::Schedule::kDynamic, true,
+                                 /*warps_per_block=*/8, stream());
       while (!queue_.empty() &&
              queue_.size() <= 4 * options_.async_frontier_limit) {
         std::array<VertexId, 32> lanes{};
@@ -271,8 +269,9 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
       kernel.finish();
     } else {  // kSyncPush
       const std::vector<VertexId> sweep = queue_.take_all();
-      sim_.label_next_launch("sync_push");
-      gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
+      sim().label_next_launch("sync_push");
+      gpusim::KernelScope kernel(sim(), gpusim::Schedule::kStatic, true,
+                                 /*warps_per_block=*/8, stream());
       for (std::size_t base = 0; base < sweep.size(); base += 32) {
         const auto cnt = static_cast<std::uint32_t>(
             std::min<std::size_t>(32, sweep.size() - base));
@@ -282,10 +281,10 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
         kernel.commit(ctx);
       }
       kernel.finish();
-      sim_.host_barrier();
+      sim().host_barrier(stream());
     }
 
-    round.ms = sim_.elapsed_ms() - ms_before;
+    round.ms = sim().stream_elapsed_ms(stream()) - ms_before;
     rounds_.push_back(round);
   }
 

@@ -53,7 +53,9 @@ struct SepRound {
 
 class SepHybrid : public GpuEngine {
  public:
-  SepHybrid(gpusim::DeviceSpec device, const graph::Csr& csr,
+  // `csr` must outlive the engine; kernels go to `device`
+  // (core/recovery.hpp).
+  SepHybrid(DeviceBinding device, const graph::Csr& csr,
             SepHybridOptions options = {});
 
   // Runs SSSP from `source`. With options.fault enabled the run executes
@@ -64,17 +66,18 @@ class SepHybrid : public GpuEngine {
   // CPU fallback or a typed failure).
   const std::vector<SepRound>& rounds() const { return rounds_; }
 
-  gpusim::GpuSim& sim() { return sim_; }
+  gpusim::GpuSim& sim() { return driver_.sim(); }
 
  private:
-  // One recovery attempt (full run from a reset simulator clock); logs its
-  // rounds into rounds_.
+  // One recovery attempt (a full run); logs its rounds into rounds_.
   GpuRunResult run_attempt(graph::VertexId source);
 
   SepMode choose_mode(std::uint64_t frontier_vertices,
                       std::uint64_t frontier_edges) const;
+  // The bound stream and resident CSR arrays.
+  gpusim::StreamId stream() const { return driver_.stream(); }
+  const DeviceCsrBuffers& graph() const { return driver_.graph(); }
 
-  gpusim::GpuSim sim_;
   const graph::Csr& csr_;
   SepHybridOptions options_;
   AttemptDriver driver_;
@@ -83,7 +86,6 @@ class SepHybrid : public GpuEngine {
   // choose_mode can fall back to push on directed inputs.
   const bool csr_symmetric_;
 
-  DeviceCsrBuffers graph_;
   gpusim::Buffer<graph::Distance> dist_;
   DeviceQueue queue_;  // the frontier (ring, in_queue flags)
   std::vector<SepRound> rounds_;

@@ -661,26 +661,6 @@ class GpuSim {
     return end_launch(num_tasks, host_launch);
   }
 
-  // Persistent-kernel variant for the bucket-aware asynchronous phase 1:
-  // the task list may GROW while running (workers push newly activated
-  // vertices). Tasks are consumed in queue order and always scheduled
-  // dynamically. `tasks` is any random-access container; `run(ctx, tasks[i],
-  // i)` may append to it.
-  template <typename TaskVec, typename F>
-  LaunchResult run_persistent(TaskVec& tasks, F&& run,
-                              bool host_launch = true, StreamId stream = 0) {
-    begin_launch(host_launch, stream, Schedule::kDynamic);
-    std::uint64_t consumed = 0;
-    while (consumed < tasks.size()) {
-      const int sm = pick_sm(Schedule::kDynamic, consumed, 1);
-      WarpCtx ctx = begin_task(sm);
-      run(ctx, consumed);
-      commit_task(ctx);
-      ++consumed;
-    }
-    return end_launch(consumed, host_launch);
-  }
-
   // Manual kernel control for engines whose task structure is not a simple
   // fixed-size grid (heterogeneous persistent kernels, dynamic parallelism
   // with growing work queues). Usage:

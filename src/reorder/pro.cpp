@@ -95,4 +95,22 @@ ProResult property_driven_reorder(const Csr& csr, Weight delta) {
   return {std::move(sorted), std::move(perm)};
 }
 
+ProFrontEnd::ProFrontEnd(const Csr& csr, bool reorder, Weight delta) {
+  if (!reorder) {
+    csr_ = csr;
+    return;
+  }
+  ProResult pro = property_driven_reorder(csr, delta);
+  csr_ = std::move(pro.csr);
+  perm_ = std::move(pro.perm);
+  permuted_ = true;
+}
+
+const std::vector<Distance>* ProFrontEnd::to_engine(
+    const std::vector<Distance>* values) {
+  if (values == nullptr || !permuted_) return values;
+  scratch_ = perm_.permute(*values);
+  return &scratch_;
+}
+
 }  // namespace rdbs::reorder

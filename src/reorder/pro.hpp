@@ -94,4 +94,37 @@ struct ProResult {
 // The full PRO pipeline: degree reorder, then weight sort + heavy offsets.
 ProResult property_driven_reorder(const Csr& csr, Weight delta);
 
+// The front end of a solver that may run PRO (RdbsSolver, QueryBatch): the
+// graph its engine runs on — PRO-reordered for `delta` when `reorder` is
+// set, else a copy of the caller's — and the mapping between the caller's
+// vertex numbering and the engine's.
+class ProFrontEnd {
+ public:
+  ProFrontEnd() = default;
+  ProFrontEnd(const Csr& csr, bool reorder, Weight delta);
+
+  // The engine-facing graph.
+  const Csr& csr() const { return csr_; }
+  // A caller's vertex id in engine numbering.
+  VertexId to_engine(VertexId v) const {
+    return permuted_ ? perm_.to_reordered(v) : v;
+  }
+  // Per-vertex values in engine numbering: `values` itself when nothing
+  // was reordered, else a permuted copy that stays valid until the next
+  // call (an engine re-reads its warm bounds on every retry). nullptr
+  // passes through.
+  const std::vector<Distance>* to_engine(const std::vector<Distance>* values);
+  // Maps engine-numbered distances back to the caller's numbering in place
+  // (empty stays empty: no distances after a typed failure).
+  void to_caller(std::vector<Distance>& distances) const {
+    if (permuted_ && !distances.empty()) distances = perm_.unpermute(distances);
+  }
+
+ private:
+  Csr csr_;
+  Permutation perm_;  // empty when nothing was reordered
+  bool permuted_ = false;
+  std::vector<Distance> scratch_;  // to_engine's permuted copy
+};
+
 }  // namespace rdbs::reorder

@@ -27,9 +27,11 @@
 #include "core/engine.hpp"
 #include "core/query_batch.hpp"
 #include "core/query_server.hpp"
+#include "core/recovery.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/fault.hpp"
 #include "gpusim/sim.hpp"
+#include "graph/builder.hpp"
 #include "sssp/dijkstra.hpp"
 #include "test_util.hpp"
 
@@ -286,6 +288,106 @@ TEST(FaultInjection, InvalidSourceThrowsInsteadOfAborting) {
                  std::out_of_range)
         << engine.name;
   }
+}
+
+// --- the device binding (core/recovery.hpp) ---------------------------------
+// The driver resets, per attempt, exactly the simulator it owns, and always
+// measures device_ms on its own stream.
+
+// The smallest engine on the driver: an attempt is one heavy launch,
+// init_distances over 65,536 vertices (2048 warps of 32-lane stores), then
+// the host seed of the source. Records the busy floor and the stream clock
+// at the end of every attempt.
+class OneLaunchEngine {
+ public:
+  OneLaunchEngine(core::DeviceBinding device, const Csr& csr,
+                  const core::EngineOptions& options)
+      : driver_("one-launch", std::move(device), csr, options),
+        dist_(driver_.sim().alloc<Distance>("dist", csr.num_vertices(), 4)) {}
+
+  core::GpuRunResult run(VertexId source) {
+    return driver_.run(source, [&] {
+      driver_.begin_attempt(dist_);
+      core::init_distances(driver_.sim(), driver_.stream(), dist_);
+      dist_[source] = 0;
+      attempt_ends_.push_back(
+          {driver_.sim().device_busy_floor_ms(),
+           driver_.sim().stream_elapsed_ms(driver_.stream())});
+      return driver_.finish(core::GpuRunResult{}, dist_, source);
+    });
+  }
+
+  struct Clocks {
+    double busy_floor_ms;
+    double stream_ms;
+  };
+  const std::vector<Clocks>& attempt_ends() const { return attempt_ends_; }
+
+ private:
+  core::AttemptDriver driver_;
+  gpusim::Buffer<Distance> dist_;
+  std::vector<Clocks> attempt_ends_;
+};
+
+Csr edgeless_graph(VertexId n) {
+  graph::EdgeList edges;
+  edges.num_vertices = n;
+  return graph::build_csr(edges);
+}
+
+// A heavy launch that fails never runs: its stream pays only the host
+// launch overhead, although the simulator's device-wide busy floor counts
+// the whole kernel. The owned simulator is reset for the retry, and
+// device_ms sums the stream's charges, not the floor.
+TEST(FaultInjection, OwnedBindingBillsAFailedHeavyLaunchOnTheStream) {
+  const Csr csr = edgeless_graph(2048 * 32);
+  core::EngineOptions options;
+  options.fault = seeded_faults(61);
+  options.fault.launch_failure = 1.0;
+  options.fault.max_faults = 1;  // the first launch fails, the retry is clean
+  OneLaunchEngine faulted(gpusim::test_device(), csr, options);
+  const core::GpuRunResult result = faulted.run(0);
+  ASSERT_TRUE(result.ok);
+  ASSERT_EQ(result.recovery.retries, 1u);
+  ASSERT_EQ(faulted.attempt_ends().size(), 2u);
+  const double launch_ms = gpusim::test_device().kernel_launch_us * 1e-3;
+  const OneLaunchEngine::Clocks failed = faulted.attempt_ends()[0];
+  EXPECT_DOUBLE_EQ(failed.stream_ms, launch_ms);
+  EXPECT_GT(failed.busy_floor_ms, failed.stream_ms);  // the case is live
+
+  OneLaunchEngine clean(gpusim::test_device(), csr, core::EngineOptions{});
+  const core::GpuRunResult reference = clean.run(0);
+  EXPECT_DOUBLE_EQ(result.device_ms,
+                   launch_ms + options.retry.backoff_ms + reference.device_ms);
+}
+
+// A lane borrows one stream of a shared simulator: its poisoned attempt and
+// the retry charge only that stream, and never reset the simulator, so the
+// other lanes' clocks and the cumulative counters stay in place.
+TEST(FaultInjection, BorrowedBindingRetryLeavesTheSharedSimulatorInPlace) {
+  const Csr csr = chaos_graph();
+  core::QueryBatchOptions options;
+  options.streams = 2;
+  options.gpu.delta0 = 120.0;
+  core::QueryBatch batch(csr, gpusim::test_device(), options);
+  gpusim::GpuSim& sim = batch.sim();
+  ASSERT_TRUE(batch.run_on_lane(1, 5).result.ok);
+
+  const double other_lane_ms = sim.stream_elapsed_ms(1);
+  const double lane_ms = sim.stream_elapsed_ms(0);
+  const gpusim::Counters counters = sim.counters();
+  gpusim::FaultConfig cfg = seeded_faults(62);
+  cfg.launch_failure = 1.0;
+  cfg.max_faults = 1;
+  sim.enable_fault_injection(cfg);
+  const core::GpuRunResult result = batch.run_on_lane(0, 11).result;
+
+  ASSERT_TRUE(result.ok);
+  ASSERT_EQ(result.recovery.retries, 1u);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 11).distances);
+  EXPECT_EQ(sim.stream_elapsed_ms(1), other_lane_ms);
+  EXPECT_TRUE(sim.counters() - counters == result.counters);
+  EXPECT_DOUBLE_EQ(sim.stream_elapsed_ms(0) - lane_ms, result.device_ms);
 }
 
 // --- the recovery contract, engine by engine -------------------------------
@@ -581,11 +683,10 @@ TEST(FaultInjection, WatchdogTimeoutRacingDeadlineEndsRecoveryImmediately) {
       core::DeviceCsrBuffers::upload(sim, csr);
   core::GpuSsspOptions options;
   options.delta0 = 120.0;
-  options.pro = false;  // shared-sim ctor: keep the caller's CSR as-is
-  options.fault = cfg;
+  options.pro = false;  // the caller's CSR as-is
   options.retry.max_attempts = 3;
   options.retry.cpu_fallback = true;  // would rescue it — must not fire
-  core::GpuDeltaStepping engine(sim, /*stream=*/0, csr, options, &graph_bufs);
+  core::GpuDeltaStepping engine({sim, /*stream=*/0, graph_bufs}, csr, options);
 
   const core::CancelToken token(sim, /*stream=*/0, /*deadline_ms=*/2.0);
   engine.driver().set_cancel_token(&token);

@@ -1,6 +1,6 @@
 // Tests for the related-work framework models: the Ligra-like edgeMap/
-// vertexMap framework (CPU) and the Gunrock-like advance/filter/compute
-// operator framework (gpusim).
+// vertexMap framework (CPU) and the Gunrock-like advance/filter operator
+// framework (gpusim).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -154,15 +154,6 @@ TEST(GunrockOperators, FilterDedupsAndTests) {
   std::set<VertexId> kept(out.vertices().begin(), out.vertices().end());
   EXPECT_EQ(kept, (std::set<VertexId>{4, 5}));
   EXPECT_EQ(out.size(), 2u);  // duplicates removed
-}
-
-TEST(GunrockOperators, ComputeTouchesWholeFrontier) {
-  const Csr csr = paper_figure1_graph();
-  core::gunrock::Enactor enactor(gpusim::test_device(), csr);
-  core::gunrock::Frontier frontier(std::vector<VertexId>{1, 3, 5});
-  std::set<VertexId> seen;
-  enactor.compute(frontier, [&](VertexId v) { seen.insert(v); });
-  EXPECT_EQ(seen, (std::set<VertexId>{1, 3, 5}));
 }
 
 TEST(GunrockOperators, OperatorsChargeKernels) {

@@ -478,14 +478,19 @@ TEST_F(SimTest, ResetAllClearsState) {
   EXPECT_EQ(sim_.counters().inst_executed_global_loads, 0u);
 }
 
-TEST_F(SimTest, RunPersistentConsumesGrowingQueue) {
+// A persistent kernel consumes its task list in order while workers grow it.
+TEST_F(SimTest, PersistentScopeConsumesGrowingQueue) {
   std::vector<int> tasks{0, 0, 0};
   int executed = 0;
-  sim_.run_persistent(tasks, [&](WarpCtx& ctx, std::size_t i) {
+  KernelScope kernel(sim_, Schedule::kDynamic, true, /*warps_per_block=*/1);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    WarpCtx ctx = kernel.make_warp();
     ctx.alu(1);
     ++executed;
     if (i == 0) tasks.push_back(0);  // grow while running
-  });
+    kernel.commit(ctx);
+  }
+  EXPECT_EQ(kernel.finish().tasks, 4u);
   EXPECT_EQ(executed, 4);
 }
 

@@ -120,7 +120,7 @@ TEST(GpusimParallel, AddsBitIdenticalAcrossThreadCountsRoad) {
   }
 }
 
-// --- run_persistent with a growing task list -------------------------------
+// --- a persistent kernel with a growing task list ---------------------------
 
 struct PersistentObservation {
   LaunchResult launch;
@@ -137,9 +137,10 @@ PersistentObservation run_persistent_workload(int sim_threads) {
   sim.set_worker_threads(sim_threads);
   Buffer<std::uint32_t> cells = sim.alloc<std::uint32_t>("cells", 4096);
   std::vector<std::uint64_t> tasks{0, 1, 2, 3};
-  const LaunchResult launch = sim.run_persistent(tasks, [&](WarpCtx& ctx,
-                                                            std::uint64_t i) {
+  KernelScope kernel(sim, Schedule::kDynamic, true, /*warps_per_block=*/1);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
     const std::uint64_t id = tasks[i];
+    WarpCtx ctx = kernel.make_warp();
     ctx.alu(1 + static_cast<std::uint32_t>(id % 7));
     std::array<std::uint64_t, 32> idx;
     for (std::uint32_t lane = 0; lane < 32; ++lane) {
@@ -152,7 +153,9 @@ PersistentObservation run_persistent_workload(int sim_threads) {
       tasks.push_back(id * 2 + 5);
       tasks.push_back(id * 3 + 1);
     }
-  });
+    kernel.commit(ctx);
+  }
+  const LaunchResult launch = kernel.finish();
   return {launch, sim.counters(), cells.data()};
 }
 
