@@ -14,6 +14,7 @@ using namespace rdbs;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"graph"});
   bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   if (!args.has("size-scale")) config.size_scale = 2;
   const std::string graph_name = args.get_string("graph", "soc-PK");

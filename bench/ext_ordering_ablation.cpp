@@ -46,6 +46,7 @@ reorder::Permutation hub_perm(const graph::Csr& csr, std::uint64_t) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);
 

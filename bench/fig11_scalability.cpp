@@ -18,6 +18,7 @@ using namespace rdbs;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"min-scale", "num-scales"});
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);
   const int min_scale = static_cast<int>(args.get_int("min-scale", 14));

@@ -15,6 +15,7 @@ using namespace rdbs;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args);
   bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   // Default one notch larger than the other figures: the platform gap is a
   // compute/bandwidth effect.

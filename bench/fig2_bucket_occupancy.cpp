@@ -37,6 +37,7 @@ graph::Csr make_graph500(int scale, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"delta", "scale-a", "scale-b"});
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const int scale_a = static_cast<int>(args.get_int("scale-a", 15));
   const int scale_b = static_cast<int>(args.get_int("scale-b", 16));

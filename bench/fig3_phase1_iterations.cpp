@@ -20,6 +20,7 @@ using namespace rdbs;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"delta", "scale-a", "scale-b"});
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const int scale_a = static_cast<int>(args.get_int("scale-a", 15));
   const int scale_b = static_cast<int>(args.get_int("scale-b", 16));

@@ -220,6 +220,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"json", "min-speedup", "par-threads", "quick",
+                            "reps", "scale21"});
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const int par_threads = static_cast<int>(args.get_int("par-threads", 4));
   const bool quick = args.get_bool("quick", false);

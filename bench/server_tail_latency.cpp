@@ -73,6 +73,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"cache", "dataset", "deadline-ms", "json",
+                            "streams"});
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);
   const std::string dataset = args.get_string("dataset", "k-n16-16");

@@ -15,6 +15,7 @@ using namespace rdbs;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
 
   std::printf("== Table 1: dataset statistics (paper originals vs. "

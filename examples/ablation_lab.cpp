@@ -16,6 +16,7 @@ using namespace rdbs;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"graph"});
   bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const std::string graph_name = args.get_string("graph", "soc-PK");
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);

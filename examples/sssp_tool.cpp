@@ -1,15 +1,15 @@
 // sssp_tool — command-line front end for the whole library.
 //
 // Load a graph (file or generator), run any of the implemented algorithms,
-// and print distances, routes, per-bucket traces or an nvprof-style
-// profile. Exit codes: 1 an invalid served answer, 2 a malformed or
-// out-of-range flag value or spec, 3 gsan hazards. Examples:
+// and print distances, routes or an nvprof-style profile. Exit codes: 1 an
+// invalid served answer, 2 an unknown flag or a malformed or out-of-range
+// flag value or spec, 3 gsan hazards; --help lists the flags. Examples:
 //
 //   # shortest path on a DIMACS road file, with the route printed
 //   ./sssp_tool --input=ny.gr --format=dimacs --source=0 --target=1234
 //
-//   # RDBS on a generated Kronecker graph, profile + bucket trace (CSV)
-//   ./sssp_tool --dataset=k-n16-16 --algorithm=rdbs --profile --trace
+//   # RDBS on a generated Kronecker graph, with an nvprof-style profile
+//   ./sssp_tool --dataset=k-n16-16 --algorithm=rdbs --profile
 //
 //   # compare algorithms on a surrogate dataset
 //   ./sssp_tool --dataset=soc-PK --algorithm=all --sources=4
@@ -215,6 +215,13 @@ int report_sanitizer(core::QueryBatch& batch) {
 }
 
 int run_tool(const CliArgs& args) {
+  bench::check_flags(
+      args, {"aging-ms", "algorithm", "assign-weights", "batch", "breaker",
+             "cache", "cache-capacity", "checkpoint-interval", "closed-loop",
+             "cpu-fallback", "dataset", "deadline-ms", "delta", "directed",
+             "format", "inject-faults", "input", "landmarks", "lane-policy",
+             "max-pending", "migrate", "profile", "retry-attempts",
+             "sanitize", "serve", "serve-stream", "source", "target"});
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);
   const std::string algorithm = args.get_string("algorithm", "rdbs");

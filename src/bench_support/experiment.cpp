@@ -1,5 +1,8 @@
 #include "bench_support/experiment.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -8,6 +11,40 @@
 #include "sssp/pq_delta_star.hpp"
 
 namespace rdbs::bench {
+
+namespace {
+
+// The flags HarnessConfig::from_cli reads.
+constexpr std::string_view kHarnessFlags[] = {
+    "size-scale", "sources", "seed",        "data-dir",
+    "device",     "csv",     "sim-threads", "batch-streams"};
+
+}  // namespace
+
+void check_flags(const CliArgs& args,
+                 std::initializer_list<std::string_view> own_flags) {
+  std::vector<std::string_view> accepted(std::begin(kHarnessFlags),
+                                         std::end(kHarnessFlags));
+  accepted.insert(accepted.end(), own_flags.begin(), own_flags.end());
+  const std::vector<std::string> argv = args.passthrough();  // argv[0] first
+  const std::string program =
+      argv.empty() ? ""
+                   : argv.front().substr(argv.front().find_last_of('/') + 1);
+  if (args.has("help")) {
+    std::printf("usage: %s [--flag=value ...]\nflags:", program.c_str());
+    for (const std::string_view flag : accepted) {
+      std::printf(" --%.*s", static_cast<int>(flag.size()), flag.data());
+    }
+    std::printf("\n");
+    std::exit(0);
+  }
+  const std::vector<std::string> unknown = args.unknown_flags(accepted);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "%s: unknown flag --%s (--help lists the flags)\n",
+                 program.c_str(), unknown.front().c_str());
+    std::exit(2);
+  }
+}
 
 HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
   HarnessConfig config;

@@ -9,7 +9,9 @@
 // paper uses 64 sources x 10 runs on real hardware).
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -43,6 +45,13 @@ struct HarnessConfig {
 
   static HarnessConfig from_cli(const CliArgs& args);
 };
+
+// The first call of every harness binary: the accepted flags are the
+// harness flags above plus `own_flags`. Given --help it prints them and
+// exits 0; given any other flag it exits 2, naming the flag on stderr.
+// google-benchmark's --benchmark_* flags pass through.
+void check_flags(const CliArgs& args,
+                 std::initializer_list<std::string_view> own_flags = {});
 
 gpusim::DeviceSpec device_by_name(const std::string& name);
 

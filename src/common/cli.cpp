@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -50,6 +51,18 @@ CliArgs::CliArgs(int argc, char** argv) {
 
 bool CliArgs::has(const std::string& name) const {
   return flags_.contains(name);
+}
+
+std::vector<std::string> CliArgs::unknown_flags(
+    std::span<const std::string_view> accepted) const {
+  std::vector<std::string> unknown;
+  for (const auto& flag : flags_) {
+    if (std::find(accepted.begin(), accepted.end(), flag.first) ==
+        accepted.end()) {
+      unknown.push_back(flag.first);
+    }
+  }
+  return unknown;
 }
 
 std::string CliArgs::get_string(const std::string& name,

@@ -2,11 +2,13 @@
 // and the one `key=value,...` spec grammar their structured flags share.
 //
 // Supports --flag=value, --flag value, and bare boolean --flag forms.
-// Unknown flags are collected so google-benchmark's own flags pass through.
+// google-benchmark's own --benchmark_* flags pass through untouched;
+// unknown_flags() finds the flags a program does not read.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -28,6 +30,11 @@ class CliArgs {
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+
+  // Names of the given flags (without "--") missing from `accepted`, in
+  // name order. --benchmark_* flags are never among them.
+  std::vector<std::string> unknown_flags(
+      std::span<const std::string_view> accepted) const;
 
   // Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }

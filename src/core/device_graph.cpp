@@ -94,6 +94,7 @@ void DeviceQueue::bind(gpusim::GpuSim& sim,
 void DeviceQueue::reset() {
   pending_.clear();
   tail_ = 0;
+  tail_slot_ = 0;
   head_ = 0;
   flushed_ = 0;
   std::fill(flags_.data().begin(), flags_.data().end(), 0);
@@ -108,8 +109,10 @@ void DeviceQueue::seed(graph::VertexId v) {
 }
 
 void DeviceQueue::publish() {
-  for (; flushed_ < tail_; ++flushed_) {
-    sim_->mark_initialized(slots_, flushed_ % slots_.size(), 1);
+  if (flushed_ == tail_) return;
+  for (std::size_t s = slot_of(flushed_); flushed_ < tail_;
+       ++flushed_, s = next_slot(s)) {
+    sim_->mark_initialized(slots_, s, 1);
   }
 }
 

@@ -84,7 +84,8 @@ class DeviceQueue {
   }
   // Plain append: duplicates allowed (a far pile's lazy deletion).
   void append(graph::VertexId v) {
-    slots_[tail_ % slots_.size()] = v;
+    slots_[tail_slot_] = v;
+    tail_slot_ = next_slot(tail_slot_);
     ++tail_;
     pending_.push_back(v);
   }
@@ -114,9 +115,10 @@ class DeviceQueue {
     RDBS_DCHECK(lanes <= 32);
     std::array<std::uint64_t, 32> slot{};
     std::array<std::uint64_t, 32> flag{};
-    for (std::uint32_t i = 0; i < lanes; ++i) {
-      slot[i] = (flushed_ + i) % slots_.size();
-      flag[i] = slots_[slot[i]];  // the vertex id the append put there
+    std::size_t s = slot_of(flushed_);
+    for (std::uint32_t i = 0; i < lanes; ++i, s = next_slot(s)) {
+      slot[i] = s;
+      flag[i] = slots_[s];  // the vertex id the append put there
     }
     flushed_ = tail_;
     ctx.atomic_touch(ctrl_, std::span<const std::uint64_t>(&tail_cell_, 1));
@@ -162,11 +164,20 @@ class DeviceQueue {
                                         std::size_t count) const {
     RDBS_DCHECK(count <= 32);
     std::array<std::uint64_t, 32> slot{};
-    for (std::size_t i = 0; i < count; ++i) {
-      slot[i] = (first + i) % slots_.size();
-      ctx.spin_wait(slots_, slot[i]);
+    if (count == 0) return slot;
+    for (std::size_t i = 0, s = slot_of(first); i < count;
+         ++i, s = next_slot(s)) {
+      slot[i] = s;
+      ctx.spin_wait(slots_, s);
     }
     return slot;
+  }
+  // Ring slot of cursor position `pos`: one division per warp charge, then
+  // next_slot steps and wraps (the ring holds max(n, 64) slots, which is
+  // rarely a power of two).
+  std::size_t slot_of(std::uint64_t pos) const { return pos % slots_.size(); }
+  std::size_t next_slot(std::size_t slot) const {
+    return slot + 1 == slots_.size() ? 0 : slot + 1;
   }
   // The ld.cg of claimed slots; the entries leave the queue host-side.
   void consume(gpusim::WarpCtx& ctx, const std::array<std::uint64_t, 32>& slot,
@@ -189,6 +200,7 @@ class DeviceQueue {
 
   std::deque<graph::VertexId> pending_;
   std::uint64_t tail_ = 0;     // ring cursor of the next push
+  std::size_t tail_slot_ = 0;  // tail_'s ring slot
   std::uint64_t head_ = 0;     // ring cursor of the next pop
   std::uint64_t flushed_ = 0;  // appends before it were pushed or published
 };

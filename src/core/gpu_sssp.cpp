@@ -5,6 +5,10 @@
 #include <bit>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/macros.hpp"
 
 namespace rdbs::core {
@@ -21,11 +25,12 @@ constexpr std::uint32_t kDeviceWord = 4;
 constexpr std::uint32_t kAlpha = 256;
 constexpr std::uint32_t kBeta = 32;
 
-// Bit i is set iff lo <= d[i] < hi (d holds at most 32 lanes; an infinite
-// distance is never below hi). Branch-free: a strip mixes settled and
-// unsettled lanes, so a short-circuit test would mispredict.
-std::uint32_t lanes_in_window(std::span<const Distance> d, Weight lo,
-                              Weight hi) {
+}  // namespace
+
+// Branch-free: a strip mixes settled and unsettled lanes, so a
+// short-circuit test would mispredict.
+std::uint32_t lanes_in_window_scalar(std::span<const Distance> d, Weight lo,
+                                     Weight hi) {
   std::uint32_t mask = 0;
   for (std::uint32_t i = 0; i < d.size(); ++i) {
     mask |= static_cast<std::uint32_t>(!(d[i] < lo) & !(d[i] >= hi)) << i;
@@ -33,7 +38,30 @@ std::uint32_t lanes_in_window(std::span<const Distance> d, Weight lo,
   return mask;
 }
 
-}  // namespace
+std::uint32_t lanes_in_window(std::span<const Distance> d, Weight lo,
+                              Weight hi) {
+#if defined(__SSE2__)
+  // cmpnlt/cmpnge are the negated ordered compares, true on NaN exactly as
+  // the scalar !(d < lo) and !(d >= hi) are, so a NaN strip value stays
+  // inside every window. GCC 12 does not vectorize the scalar loop, even
+  // with -fno-trapping-math.
+  const auto n = static_cast<std::uint32_t>(d.size());
+  const __m128d vlo = _mm_set1_pd(lo);
+  const __m128d vhi = _mm_set1_pd(hi);
+  std::uint32_t mask = 0;
+  std::uint32_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d v = _mm_loadu_pd(d.data() + i);
+    const __m128d in =
+        _mm_and_pd(_mm_cmpnlt_pd(v, vlo), _mm_cmpnge_pd(v, vhi));
+    mask |= static_cast<std::uint32_t>(_mm_movemask_pd(in)) << i;
+  }
+  if (i < n) mask |= lanes_in_window_scalar(d.subspan(i), lo, hi) << i;
+  return mask;
+#else
+  return lanes_in_window_scalar(d, lo, hi);
+#endif
+}
 
 GpuDeltaStepping::GpuDeltaStepping(DeviceBinding device, const Csr& csr,
                                    GpuSsspOptions options)

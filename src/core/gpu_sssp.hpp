@@ -23,6 +23,7 @@
 // costed by gpusim (see gpusim/sim.hpp for the cost model).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -42,6 +43,17 @@ using graph::Distance;
 using graph::EdgeIndex;
 using graph::VertexId;
 using graph::Weight;
+
+// The phase-2&3 strip test: bit i is set iff !(d[i] < lo) && !(d[i] >= hi),
+// for d.size() <= 32 lanes. That is lo <= d[i] < hi for ordered values; a
+// NaN (a faulted load) lands inside every window, as in the CUDA compare.
+// lanes_in_window runs two lanes per SSE2 compare where the target has
+// SSE2 (the x86-64 baseline); lanes_in_window_scalar is the portable loop
+// and the reference the vector version must equal bit for bit.
+std::uint32_t lanes_in_window(std::span<const Distance> d, Weight lo,
+                              Weight hi);
+std::uint32_t lanes_in_window_scalar(std::span<const Distance> d, Weight lo,
+                                     Weight hi);
 
 class GpuDeltaStepping : public GpuEngine {
  public:

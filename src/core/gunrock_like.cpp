@@ -237,8 +237,6 @@ GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
   driver.begin_attempt(dist);
   sssp::WorkStats work;
 
-  std::fill(dist.data().begin(), dist.data().end(),
-            graph::kInfiniteDistance);
   init_distances(enactor.sim(), /*stream=*/0, dist);
   dist[source] = 0;
   enactor.sim().mark_initialized(dist, source, 1);

@@ -252,8 +252,6 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
   sssp::WorkStats work;
   near_.reset();
   far_.reset();
-  std::fill(dist_.data().begin(), dist_.data().end(),
-            graph::kInfiniteDistance);
   init_distances(sim(), stream(), dist_);
   // Host seed: dist[source] plus the first near-queue slot, modeled as H2D
   // uploads.

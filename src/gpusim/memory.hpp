@@ -4,6 +4,9 @@
 // sector share one transaction.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -30,13 +33,124 @@ struct CoalesceResult {
   std::uint32_t lines = 0;           // entries written to line_out
 };
 
+namespace detail {
+
+// Batcher's odd-even merge sort, depth first: sort each half, then merge
+// them. Calls f(i, j), i < j, for every compare-exchange of the network on
+// [lo, lo + n), n = 2^k, in an order that respects its dependencies.
+// Depth first, each small block is sorted while it fits in registers; the
+// layer-by-layer order of the same network measured slower.
+template <typename F>
+constexpr void batcher_merge(std::size_t lo, std::size_t n, std::size_t r,
+                             F& f) {
+  const std::size_t step = 2 * r;
+  if (step < n) {
+    batcher_merge(lo, n, step, f);
+    batcher_merge(lo + r, n, step, f);
+    for (std::size_t i = lo + r; i + r < lo + n; i += step) f(i, i + r);
+  } else {
+    f(lo, lo + r);
+  }
+}
+
+template <typename F>
+constexpr void batcher_sort(std::size_t lo, std::size_t n, F& f) {
+  if (n < 2) return;
+  batcher_sort(lo, n / 2, f);
+  batcher_sort(lo + n / 2, n / 2, f);
+  batcher_merge(lo, n, 1, f);
+}
+
+template <std::size_t N>
+inline constexpr std::size_t kBatcherSize = [] {
+  std::size_t count = 0;
+  auto tally = [&](std::size_t, std::size_t) { ++count; };
+  batcher_sort(0, N, tally);
+  return count;
+}();
+
+template <std::size_t N>
+inline constexpr auto kBatcherPairs = [] {
+  std::array<std::array<std::uint8_t, 2>, kBatcherSize<N>> pairs{};
+  std::size_t next = 0;
+  auto record = [&](std::size_t i, std::size_t j) {
+    pairs[next++] = {static_cast<std::uint8_t>(i),
+                     static_cast<std::uint8_t>(j)};
+  };
+  batcher_sort(0, N, record);
+  return pairs;
+}();
+
+static_assert(kBatcherSize<8> == 19 && kBatcherSize<16> == 63 &&
+              kBatcherSize<32> == 191);
+
+// Compare-exchange written as two selects on one comparison, which GCC
+// compiles to conditional moves (std::min/std::max got a branch each).
+inline void compare_exchange(std::uint64_t& a, std::uint64_t& b) {
+  const std::uint64_t x = a;
+  const std::uint64_t y = b;
+  const bool swap = y < x;
+  a = swap ? y : x;
+  b = swap ? x : y;
+}
+
+template <std::size_t N, std::size_t... I>
+inline void run_batcher(std::uint64_t* v, std::index_sequence<I...>) {
+  (compare_exchange(v[kBatcherPairs<N>[I][0]], v[kBatcherPairs<N>[I][1]]),
+   ...);
+}
+
+// Sorts `lanes` <= N addresses in place through the fully unrolled
+// N-input network; the unused inputs are padded with ~0, which sort last.
+template <std::size_t N>
+inline void sort_lanes_network(std::uint64_t* lane_addrs,
+                               std::uint32_t lanes) {
+  std::array<std::uint64_t, N> v;
+  std::copy_n(lane_addrs, lanes, v.begin());
+  std::fill(v.begin() + lanes, v.end(), ~0ull);
+  run_batcher<N>(v.data(), std::make_index_sequence<kBatcherSize<N>>{});
+  std::copy_n(v.begin(), lanes, lane_addrs);
+}
+
+}  // namespace detail
+
+// Sorts 2-32 lane addresses ascending in place. Lanes that already ascend
+// (unit-stride warps, phase 2's heavy-edge loads) cost one compare each.
+// Otherwise an unrolled network is branch-free, so the random orders of
+// scattered gathers do not mispredict as insertion sort's inner loop does;
+// below four lanes insertion sort is cheaper than padding to eight.
+inline void sort_warp_lanes(std::uint64_t* lane_addrs, std::uint32_t lanes) {
+  bool ascending = true;
+  for (std::uint32_t i = 1; i < lanes; ++i) {
+    ascending &= lane_addrs[i - 1] <= lane_addrs[i];
+  }
+  if (ascending) return;
+  if (lanes < 4) {
+    for (std::uint32_t i = 1; i < lanes; ++i) {
+      const std::uint64_t key = lane_addrs[i];
+      std::uint32_t j = i;
+      for (; j > 0 && lane_addrs[j - 1] > key; --j) {
+        lane_addrs[j] = lane_addrs[j - 1];
+      }
+      lane_addrs[j] = key;
+    }
+  } else if (lanes <= 8) {
+    detail::sort_lanes_network<8>(lane_addrs, lanes);
+  } else if (lanes <= 16) {
+    detail::sort_lanes_network<16>(lane_addrs, lanes);
+  } else {
+    detail::sort_lanes_network<32>(lane_addrs, lanes);
+  }
+}
+
 // The shared coalescing primitive of the replay pipeline (two-pass shards
-// and the fused record+replay path both charge through it): sorts the lane addresses in place (skipped when the record phase
-// already saw them sorted — the common small-stride warp pattern), then a
-// single pass yields the distinct-address count (atomic-conflict
-// serialization), the distinct-sector count (transactions) and the
-// ascending (line, sector-mask) list. `spl_shift` = log2(sectors per
-// line). `line_out` must hold 32 entries.
+// and the fused record+replay path both charge through it): sorts the lane
+// addresses in place (skipped when the record phase already saw them
+// sorted — the common small-stride warp pattern), then a single pass
+// yields the distinct-address count (atomic-conflict serialization), the
+// distinct-sector count (transactions) and the ascending (line,
+// sector-mask) list. `spl_shift` = log2(sectors per line). `line_out` must
+// hold 32 entries.
 inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
                                           std::uint32_t lanes, bool presorted,
                                           std::uint32_t spl_shift,
@@ -48,18 +162,7 @@ inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
                    1u << (sector & ((1u << spl_shift) - 1))};
     return {1, 1, 1};
   }
-  if (!presorted) {
-    // Insertion sort: n <= 32 and warp patterns are mostly presorted
-    // (consecutive lanes touch consecutive elements).
-    for (std::uint32_t i = 1; i < lanes; ++i) {
-      const std::uint64_t key = lane_addrs[i];
-      std::uint32_t j = i;
-      for (; j > 0 && lane_addrs[j - 1] > key; --j) {
-        lane_addrs[j] = lane_addrs[j - 1];
-      }
-      lane_addrs[j] = key;
-    }
-  }
+  if (!presorted) sort_warp_lanes(lane_addrs, lanes);
   CoalesceResult r;
   const std::uint32_t sector_in_line_mask = (1u << spl_shift) - 1;
   std::uint64_t prev_addr = ~0ull;

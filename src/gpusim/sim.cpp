@@ -338,15 +338,9 @@ void GpuSim::begin_launch(bool host_launch, StreamId stream,
   }
 }
 
-int GpuSim::pick_sm(Schedule schedule, std::uint64_t task_index,
-                    int warps_per_block) {
-  if (schedule == Schedule::kStatic) {
-    const std::uint64_t block = task_index / static_cast<std::uint64_t>(
-                                                 std::max(1, warps_per_block));
-    return static_cast<int>(block % static_cast<std::uint64_t>(spec_.num_sms));
-  }
-  // Dynamic: least-loaded SM (persistent workers stealing from a shared
-  // queue converge to exactly this assignment). The heap is lazy — commits
+int GpuSim::pick_dynamic_sm() {
+  // Least-loaded SM (persistent workers stealing from a shared queue
+  // converge to exactly this assignment). The heap is lazy — commits
   // push fresh (weight, sm) entries without removing stale ones — so the
   // top is discarded until it matches the SM's current weight. Ties break
   // toward the lowest SM index, matching a linear argmin scan.

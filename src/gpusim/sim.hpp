@@ -646,20 +646,12 @@ class GpuSim {
   // --- kernel execution -----------------------------------------------------
   // Runs warp tasks 0..num_tasks-1. `run(ctx, task_index)` performs the
   // task's work through ctx. Tasks are grouped into blocks of
-  // `warps_per_block` consecutive tasks for SM assignment.
+  // `warps_per_block` consecutive tasks for SM assignment. A KernelScope
+  // over a counted loop (defined after KernelScope).
   template <typename F>
   LaunchResult run_kernel(Schedule schedule, std::uint64_t num_tasks,
                           int warps_per_block, F&& run,
-                          bool host_launch = true, StreamId stream = 0) {
-    begin_launch(host_launch, stream, schedule);
-    for (std::uint64_t t = 0; t < num_tasks; ++t) {
-      const int sm = pick_sm(schedule, t, warps_per_block);
-      WarpCtx ctx = begin_task(sm);
-      run(ctx, t);
-      commit_task(ctx);
-    }
-    return end_launch(num_tasks, host_launch);
-  }
+                          bool host_launch = true, StreamId stream = 0);
 
   // Manual kernel control for engines whose task structure is not a simple
   // fixed-size grid (heterogeneous persistent kernels, dynamic parallelism
@@ -737,8 +729,9 @@ class GpuSim {
   };
 
   void begin_launch(bool host_launch, StreamId stream, Schedule schedule);
-  int pick_sm(Schedule schedule, std::uint64_t task_index,
-              int warps_per_block);
+  // The least-loaded SM of a dynamic launch (static placement is
+  // KernelScope's).
+  int pick_dynamic_sm();
   WarpCtx begin_task(int sm);
   void commit_task(const WarpCtx& ctx);
   LaunchResult end_launch(std::uint64_t tasks, bool host_launch);
@@ -846,7 +839,8 @@ class GpuSim {
   TraceStats stats_;
 
   // Dynamic scheduling: per-SM weight plus a lazy min-heap over
-  // (weight, sm) so pick_sm is O(log num_sms) instead of a linear argmin.
+  // (weight, sm) so pick_dynamic_sm is O(log num_sms) instead of a linear
+  // argmin.
   std::vector<std::uint64_t> sm_load_;
   std::vector<std::pair<std::uint64_t, int>> load_heap_;
 
@@ -902,15 +896,25 @@ class KernelScope {
       : sim_(sim),
         schedule_(schedule),
         host_launch_(host_launch),
-        warps_per_block_(warps_per_block) {
+        warps_per_block_(std::max(1, warps_per_block)) {
     sim_.begin_launch(host_launch_, stream, schedule_);
   }
 
   ~KernelScope() { RDBS_DCHECK(finished_); }
 
   // Creates the next warp's execution context (assigns it to an SM).
+  // Static placement puts warp i on SM (i / warps_per_block) % num_sms,
+  // tracked by stepping the block's SM instead of dividing per warp.
   WarpCtx make_warp() {
-    const int sm = sim_.pick_sm(schedule_, task_index_++, warps_per_block_);
+    ++task_index_;
+    if (schedule_ == Schedule::kDynamic) {
+      return sim_.begin_task(sim_.pick_dynamic_sm());
+    }
+    const int sm = static_sm_;
+    if (++warp_in_block_ == warps_per_block_) {
+      warp_in_block_ = 0;
+      if (++static_sm_ == sim_.spec().num_sms) static_sm_ = 0;
+    }
     return sim_.begin_task(sm);
   }
 
@@ -930,7 +934,22 @@ class KernelScope {
   bool host_launch_;
   int warps_per_block_;
   std::uint64_t task_index_ = 0;
+  int static_sm_ = 0;      // SM of the current static block
+  int warp_in_block_ = 0;  // warps of that block made so far
   bool finished_ = false;
 };
+
+template <typename F>
+LaunchResult GpuSim::run_kernel(Schedule schedule, std::uint64_t num_tasks,
+                                int warps_per_block, F&& run,
+                                bool host_launch, StreamId stream) {
+  KernelScope kernel(*this, schedule, host_launch, warps_per_block, stream);
+  for (std::uint64_t t = 0; t < num_tasks; ++t) {
+    WarpCtx ctx = kernel.make_warp();
+    run(ctx, t);
+    kernel.commit(ctx);
+  }
+  return kernel.finish();
+}
 
 }  // namespace rdbs::gpusim

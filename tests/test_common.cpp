@@ -7,6 +7,8 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/prefix_sum.hpp"
@@ -182,6 +184,17 @@ TEST(Cli, ParsesAllFlagForms) {
   const auto pass = args.passthrough();
   ASSERT_EQ(pass.size(), 2u);
   EXPECT_EQ(pass[1], "--benchmark_filter=x");
+}
+
+TEST(Cli, UnknownFlagsAreTheOnesNotAccepted) {
+  const char* argv[] = {"prog", "--alpha=3", "--zeta", "--beta", "7",
+                        "--benchmark_filter=x"};
+  CliArgs args(6, const_cast<char**>(argv));
+  const std::string_view accepted[] = {"alpha", "gamma"};
+  EXPECT_EQ(args.unknown_flags(accepted),
+            (std::vector<std::string>{"beta", "zeta"}));
+  const std::string_view all[] = {"alpha", "beta", "zeta"};
+  EXPECT_TRUE(args.unknown_flags(all).empty());
 }
 
 TEST(Cli, DoubleParsing) {

@@ -6,7 +6,12 @@
 // EngineConformance in test_engine_sweep.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 
 #include "common/rng.hpp"
 #include "core/adds.hpp"
@@ -31,6 +36,66 @@ void expect_distances_equal(const std::vector<Distance>& actual,
   for (std::size_t v = 0; v < actual.size(); ++v) {
     EXPECT_DOUBLE_EQ(actual[v], expected[v]) << "vertex " << v;
   }
+}
+
+// --- phase-2&3 strip window test --------------------------------------------
+
+// The vectorized window mask equals the scalar reference bit for bit, for
+// every strip width (road-TX's last strip has 25 lanes, the 8,100-vertex
+// test graph's 4), at both alignments of the strip, over values below, at
+// and above either bound, infinities, NaNs (a gfi mantissa flip turns a
+// loaded +inf into one), signed zeros and denormals.
+TEST(StripWindow, VectorMaskMatchesScalarReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double flipped_inf =
+      std::bit_cast<double>(std::bit_cast<std::uint64_t>(kInf) ^ (1ull << 7));
+  ASSERT_TRUE(std::isnan(flipped_inf));
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  struct Window {
+    double lo;
+    double hi;
+  };
+  const Window windows[] = {{1.0, 2.0}, {1.5, 1.5}, {3.0, kInf},
+                            {0.0, denorm}, {-0.0, 1.0}};
+  Xoshiro256 rng(23);
+  for (const Window w : windows) {
+    const double pool[] = {w.lo,
+                           w.hi,
+                           std::nextafter(w.lo, -kInf),
+                           std::nextafter(w.lo, kInf),
+                           std::nextafter(w.hi, -kInf),
+                           std::nextafter(w.hi, kInf),
+                           0.5 * (w.lo + w.hi),
+                           kInf,
+                           -kInf,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           flipped_inf,
+                           -0.0,
+                           0.0,
+                           denorm,
+                           -denorm,
+                           1e300};
+    constexpr std::size_t kPool = sizeof(pool) / sizeof(pool[0]);
+    for (std::uint32_t lanes = 1; lanes <= 32; ++lanes) {
+      for (std::uint32_t offset = 0; offset < 2; ++offset) {
+        for (int trial = 0; trial < 64; ++trial) {
+          std::array<Distance, 33> strip{};
+          for (Distance& d : strip) d = pool[rng.next_below(kPool)];
+          const std::span<const Distance> d(strip.data() + offset, lanes);
+          ASSERT_EQ(lanes_in_window(d, w.lo, w.hi),
+                    lanes_in_window_scalar(d, w.lo, w.hi))
+              << "lo=" << w.lo << " hi=" << w.hi << " lanes=" << lanes
+              << " offset=" << offset << " trial=" << trial;
+        }
+      }
+    }
+  }
+  // The contract itself on one strip: lo <= d < hi, NaN inside.
+  const std::array<Distance, 6> strip = {0.5, 1.0, 1.5, 2.0, kInf,
+                                         flipped_inf};
+  EXPECT_EQ(lanes_in_window(strip, 1.0, 2.0), 0b100110u);
+  EXPECT_EQ(lanes_in_window(strip, 1.5, 1.5), 0b100000u);
+  EXPECT_EQ(lanes_in_window(strip, 1.0, kInf), 0b101110u);
 }
 
 // --- Δ-controller ----------------------------------------------------------

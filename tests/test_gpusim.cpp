@@ -88,13 +88,17 @@ TEST(Cache, AccessLineMatchesPerSectorAccess) {
 
 // coalesce_warp_lanes against a naive std::set model: distinct addresses,
 // distinct 32B sectors, and the ascending (line, sector-mask) list, for
-// 1-32 lanes over the access shapes engines issue.
+// 1-32 lanes over the access shapes engines issue. kAscending is scattered
+// lanes that already ascend, passed unpromised too (the sort's early out).
+// Afterwards the lanes must hold the same multiset in ascending order: the
+// two-pass replay and gsan read them after the charge.
 TEST(Coalesce, MatchesNaiveSetModel) {
-  enum Pattern { kUnitStride, kDuplicates, kScattered, kDescending };
+  enum Pattern { kUnitStride, kDuplicates, kScattered, kDescending,
+                 kAscending };
   Xoshiro256 rng(7);
   for (const std::uint32_t spl_shift : {0u, 2u, 5u}) {
-    for (const Pattern pattern :
-         {kUnitStride, kDuplicates, kScattered, kDescending}) {
+    for (const Pattern pattern : {kUnitStride, kDuplicates, kScattered,
+                                  kDescending, kAscending}) {
       for (std::uint32_t lanes = 1; lanes <= 32; ++lanes) {
         for (const bool presorted : {false, true}) {
           const std::uint64_t base = 4096 + 4 * rng.next_below(1 << 16);
@@ -107,10 +111,18 @@ TEST(Coalesce, MatchesNaiveSetModel) {
                 addrs[l] = base + 4 * rng.next_below(1 << 20);
                 break;
               case kDescending: addrs[l] = base + 8 * (lanes - 1 - l); break;
+              case kAscending:
+                addrs[l] = base + 4 * rng.next_below(1 << 20);
+                break;
             }
           }
           // presorted is a promise the record phase makes; keep it.
-          if (presorted) std::sort(addrs.begin(), addrs.begin() + lanes);
+          if (presorted || pattern == kAscending) {
+            std::sort(addrs.begin(), addrs.begin() + lanes);
+          }
+          std::vector<std::uint64_t> sorted_lanes(addrs.begin(),
+                                                  addrs.begin() + lanes);
+          std::sort(sorted_lanes.begin(), sorted_lanes.end());
 
           const std::set<std::uint64_t> distinct(addrs.begin(),
                                                  addrs.begin() + lanes);
@@ -130,6 +142,9 @@ TEST(Coalesce, MatchesNaiveSetModel) {
               " lanes=" + std::to_string(lanes) +
               " presorted=" + std::to_string(presorted) +
               " spl_shift=" + std::to_string(spl_shift);
+          ASSERT_TRUE(std::equal(sorted_lanes.begin(), sorted_lanes.end(),
+                                 addrs.begin()))
+              << where;
           ASSERT_EQ(co.distinct_addrs, distinct.size()) << where;
           ASSERT_EQ(co.sectors, sectors.size()) << where;
           ASSERT_EQ(co.lines, line_masks.size()) << where;
@@ -519,6 +534,41 @@ TEST(KernelScopeTest, ManualLifecycleMatchesRunKernel) {
   }
   EXPECT_DOUBLE_EQ(a.elapsed_ms(), b.elapsed_ms());
   EXPECT_EQ(a.counters().alu_instructions, b.counters().alu_instructions);
+}
+
+// Static placement, through both launch forms: warp i runs on SM
+// (i / warps_per_block) % num_sms. Each launch covers three full rotations
+// of the SMs and ends part-way into a block.
+TEST(KernelScopeTest, StaticPlacementRotatesBlocksOverSms) {
+  for (const DeviceSpec& device : {test_device(), v100()}) {
+    GpuSim sim(device);
+    const auto sms = static_cast<std::uint64_t>(device.num_sms);
+    for (const int wpb : {1, 3, 8}) {
+      const auto per_block = static_cast<std::uint64_t>(wpb);
+      const std::uint64_t warps = 3 * sms * per_block + per_block / 2 + 1;
+      const std::string where =
+          "sms=" + std::to_string(sms) + " wpb=" + std::to_string(wpb);
+      std::uint64_t checked = 0;
+      sim.run_kernel(Schedule::kStatic, warps, wpb,
+                     [&](WarpCtx& ctx, std::uint64_t i) {
+                       EXPECT_EQ(static_cast<std::uint64_t>(ctx.sm_id()),
+                                 (i / per_block) % sms)
+                           << "run_kernel " << where << " warp=" << i;
+                       ++checked;
+                     });
+      KernelScope scope(sim, Schedule::kStatic, true, wpb);
+      for (std::uint64_t i = 0; i < warps; ++i) {
+        WarpCtx ctx = scope.make_warp();
+        EXPECT_EQ(static_cast<std::uint64_t>(ctx.sm_id()),
+                  (i / per_block) % sms)
+            << "make_warp " << where << " warp=" << i;
+        scope.commit(ctx);
+        ++checked;
+      }
+      EXPECT_EQ(scope.finish().tasks, warps);
+      EXPECT_EQ(checked, 2 * warps);
+    }
+  }
 }
 
 }  // namespace

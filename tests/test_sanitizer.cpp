@@ -20,6 +20,7 @@
 //      Dijkstra — the sanitizer only observes; it never changes results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <span>
 #include <string>
@@ -521,6 +522,59 @@ TEST(GsanNoProgress, DeviceQueuePopsAreAnnotated) {
             "warp=0\n"
             "[gsan] no-progress: kernel=overrun_pop buffer=work_queue elem=1 "
             "stream=0 warp=0\n");
+}
+
+// Entries cross the end of a 64-slot ring three times, pushed by device
+// warps in one launch and popped in the next. The first lap reaches slots
+// nothing has written yet, so a push and a pop that disagree on a slot
+// leave a spin no store satisfies, and a slot past the ring is an
+// out-of-bounds access: either shows up in the report.
+TEST(GsanNoProgress, DeviceQueueWrapsTheRingCleanly) {
+  constexpr VertexId kRing = 64;
+  constexpr VertexId kPerRound = 40;
+  GpuSim sim(gpusim::test_device());
+  sim.enable_sanitizer(SanitizeMode::kOn);
+  auto slots = sim.alloc<std::uint32_t>("work_queue", kRing);
+  const auto ctrl = sim.alloc<std::uint32_t>("work_ctrl", 2);
+  sim.mark_initialized(ctrl);
+  core::DeviceQueue queue;
+  queue.bind(sim, std::move(slots), ctrl, /*tail_cell=*/0, /*head_cell=*/1,
+             sim.alloc<std::uint8_t>("work_flags", kRing, 1));
+  queue.reset();
+  for (VertexId v = 0; v < kPerRound; ++v) queue.seed(v);
+  queue.publish();
+
+  VertexId next = kPerRound;    // next vertex to push (ids cycle mod kRing)
+  VertexId expected = 0;        // next vertex a pop must see
+  for (int round = 0; round < 5; ++round) {
+    sim.label_next_launch("pop");
+    sim.run_kernel(gpusim::Schedule::kStatic, (kPerRound + 31) / 32, 1,
+                   [&](gpusim::WarpCtx& ctx, std::uint64_t) {
+                     std::array<VertexId, 32> lanes{};
+                     const std::uint32_t count = queue.take_front(lanes);
+                     for (std::uint32_t i = 0; i < count; ++i) {
+                       EXPECT_EQ(lanes[i], expected++ % kRing);
+                     }
+                     queue.charge_pop(
+                         ctx, std::span<const VertexId>(lanes.data(), count));
+                   });
+    EXPECT_TRUE(queue.empty());
+    sim.label_next_launch("push");
+    sim.run_kernel(gpusim::Schedule::kStatic, (kPerRound + 31) / 32, 1,
+                   [&](gpusim::WarpCtx& ctx, std::uint64_t w) {
+                     const VertexId lanes = std::min<VertexId>(
+                         32, kPerRound - static_cast<VertexId>(w) * 32);
+                     for (VertexId i = 0; i < lanes; ++i) {
+                       EXPECT_TRUE(queue.offer(next++ % kRing));
+                     }
+                     queue.charge_push(ctx);
+                   });
+    EXPECT_EQ(queue.window_begin(), (round + 1) * std::uint64_t{kPerRound});
+    EXPECT_EQ(report_of(sim), "") << "round " << round;
+  }
+  // 240 ring positions: the pushes crossed the end at positions 64, 128
+  // and 192.
+  EXPECT_EQ(next, 6 * kPerRound);
 }
 
 // Satellite contract: hazard reports are byte-identical for any replay
