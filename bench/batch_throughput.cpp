@@ -1,14 +1,15 @@
-// Batched multi-source throughput: QueryBatch over concurrent gpusim
-// streams vs. the same queries run sequentially.
+// Batched multi-source throughput: a t=0 batch served over concurrent
+// gpusim streams vs. the same queries run sequentially.
 //
 // The sequential baseline is the classic single-query path — one
 // RdbsSolver, sources solved back-to-back — so its aggregate MWIPS is
-// total warp instructions over summed device time. Each batch row runs
-// the same sources through a QueryBatch with 1/2/4/8 stream lanes and
-// reports aggregate MWIPS over the batch makespan; the ratio column is
-// batch/sequential throughput. Every row also bit-compares its distances
-// against the baseline: streams repartition simulated time, never
-// functional state, so "identical" must read yes everywhere.
+// total warp instructions over summed device time. Each batch row serves
+// the same sources as a t=0 schedule (core::batch_schedule) through a
+// QueryServer with 1/2/4/8 stream lanes and reports aggregate MWIPS over
+// the batch makespan; the ratio column is batch/sequential throughput.
+// Every row also bit-compares its distances against the baseline: streams
+// repartition simulated time, never functional state, so "identical" must
+// read yes everywhere.
 //
 // Datasets: the Kronecker surrogate k-n21-16 (the paper's scale-free
 // case, where overlap pays) and road-TX (high diameter, many small
@@ -20,8 +21,9 @@
 
 #include "bench_support/experiment.hpp"
 #include "common/table.hpp"
-#include "core/query_batch.hpp"
+#include "core/query_server.hpp"
 #include "core/rdbs.hpp"
+#include "core/traffic.hpp"
 
 using namespace rdbs;
 
@@ -56,12 +58,19 @@ SequentialBaseline run_sequential(const graph::Csr& csr,
 struct Row {
   std::string dataset;
   int streams = 0;
-  core::BatchResult batch;
+  double makespan_ms = 0;
+  double sum_latency_ms = 0;  // what the queries would cost back-to-back
+  double queue_wait_ms = 0;   // total cap-induced waiting
+  std::uint64_t warp_instructions = 0;
   bool identical = false;
   double sequential_mwips = 0;
+  double aggregate_mwips() const {
+    return makespan_ms <= 0 ? 0
+                            : static_cast<double>(warp_instructions) /
+                                  (makespan_ms * 1e3);
+  }
   double ratio() const {
-    return sequential_mwips <= 0 ? 0
-                                 : batch.aggregate_mwips / sequential_mwips;
+    return sequential_mwips <= 0 ? 0 : aggregate_mwips() / sequential_mwips;
   }
 };
 
@@ -93,20 +102,26 @@ int main(int argc, char** argv) {
         run_sequential(csr, device, gpu, sources);
 
     for (const int streams : {1, 2, 4, 8}) {
-      core::QueryBatchOptions bopts;
-      bopts.streams = streams;
-      bopts.gpu = gpu;
-      core::QueryBatch batch(csr, device, bopts);
+      core::QueryServerOptions sopts;
+      sopts.batch.streams = streams;
+      sopts.batch.gpu = gpu;
+      sopts.max_pending = sources.size();  // admit the whole batch
+      core::QueryServer server(csr, device, sopts);
+      const core::StreamResult result =
+          server.run_stream(core::batch_schedule(sources));
       Row row;
       row.dataset = name;
       row.streams = streams;
-      row.batch = batch.run(sources);
+      row.makespan_ms = result.device_makespan_ms;
       row.sequential_mwips = base.mwips();
-      row.identical = row.batch.queries.size() == base.distances.size();
-      for (std::size_t i = 0; row.identical && i < base.distances.size();
-           ++i) {
-        row.identical =
-            row.batch.queries[i].sssp.distances == base.distances[i];
+      row.identical = true;
+      for (std::size_t i = 0; i < result.queries.size(); ++i) {
+        row.sum_latency_ms += result.stats[i].query.device_ms;
+        row.queue_wait_ms += result.stats[i].query.queue_wait_ms;
+        row.warp_instructions +=
+            result.queries[i].counters.warp_instructions();
+        row.identical = row.identical &&
+                        result.queries[i].sssp.distances == base.distances[i];
       }
       rows.push_back(std::move(row));
     }
@@ -120,10 +135,10 @@ int main(int argc, char** argv) {
     all_identical = all_identical && row.identical;
     table.add_row({row.dataset, format_count(static_cast<std::uint64_t>(
                                     row.streams)),
-                   format_fixed(row.batch.makespan_ms, 3),
-                   format_fixed(row.batch.sum_latency_ms, 3),
-                   format_fixed(row.batch.queue_wait_ms, 3),
-                   format_fixed(row.batch.aggregate_mwips, 1),
+                   format_fixed(row.makespan_ms, 3),
+                   format_fixed(row.sum_latency_ms, 3),
+                   format_fixed(row.queue_wait_ms, 3),
+                   format_fixed(row.aggregate_mwips(), 1),
                    format_fixed(row.sequential_mwips, 1),
                    format_speedup(row.ratio()),
                    row.identical ? "yes" : "NO"});
@@ -150,10 +165,10 @@ int main(int argc, char** argv) {
         "\"queue_wait_ms\": %.4f, \"warp_instructions\": %llu, "
         "\"aggregate_mwips\": %.2f, \"sequential_mwips\": %.2f, "
         "\"mwips_ratio\": %.3f, \"distances_identical\": %s}%s\n",
-        row.dataset.c_str(), row.streams, row.batch.makespan_ms,
-        row.batch.sum_latency_ms, row.batch.queue_wait_ms,
-        static_cast<unsigned long long>(row.batch.warp_instructions),
-        row.batch.aggregate_mwips, row.sequential_mwips, row.ratio(),
+        row.dataset.c_str(), row.streams, row.makespan_ms,
+        row.sum_latency_ms, row.queue_wait_ms,
+        static_cast<unsigned long long>(row.warp_instructions),
+        row.aggregate_mwips(), row.sequential_mwips, row.ratio(),
         row.identical ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
   }

@@ -101,13 +101,17 @@ int main(int argc, char** argv) {
       bench::pick_sources(csr, max_load * streams, config.seed);
   double mean_ms = 0;
   {
-    core::QueryBatchOptions calib = bopts;
-    calib.streams = 1;
-    core::QueryBatch probe(csr, device, calib);
+    core::QueryServerOptions calib;
+    calib.batch = bopts;
+    calib.batch.streams = 1;
+    core::QueryServer probe(csr, device, calib);
     const std::vector<graph::VertexId> warm(sources.begin(),
                                             sources.begin() + 4);
-    const core::BatchResult r = probe.run(warm);
-    mean_ms = r.sum_latency_ms / static_cast<double>(warm.size());
+    const core::StreamResult r = probe.run_stream(core::batch_schedule(warm));
+    for (const core::StreamQueryStats& sq : r.stats) {
+      mean_ms += sq.query.device_ms;
+    }
+    mean_ms /= static_cast<double>(warm.size());
   }
   const double deadline_ms = args.get_double("deadline-ms", 5.0 * mean_ms);
   std::printf("== server tail latency: %s, %d lanes, deadline %.3f ms "

@@ -126,7 +126,7 @@ echo "=== [parallel] t=0 serve CLI smoke ==="
 # cooperative cancellation all act on one run_stream() call. The tool
 # exits 1 if any served answer fails validate_distances.
 "$BUILD_ROOT/parallel/examples/sssp_tool" --dataset=k-n12-8 --batch \
-  --sources=16 --batch-streams=4 --serve --deadline-ms=0.5 \
+  --sources=16 --batch-streams=4 --deadline-ms=0.5 \
   --inject-faults=seed=7,launch=0.2,max=50 > /dev/null
 
 echo "=== [parallel] gsan CLI smoke ==="

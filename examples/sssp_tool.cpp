@@ -14,12 +14,13 @@
 //   # compare algorithms on a surrogate dataset
 //   ./sssp_tool --dataset=soc-PK --algorithm=all --sources=4
 //
-//   # batched multi-source run: 8 queries over 4 concurrent gpusim streams
+//   # batched multi-source run: 8 queries served as a t=0 schedule over 4
+//   # concurrent gpusim streams; exits 1 if any served answer fails
+//   # validation
 //   ./sssp_tool --dataset=k-n16-16 --batch --sources=8 --batch-streams=4
 //
-//   # overload-safe serving (docs/serving.md): the batch as a t=0
-//   # schedule with a per-query deadline, circuit breakers, under injected
-//   # faults; exits 1 if any served answer fails validation
+//   # overload-safe serving (docs/serving.md): the same batch with a
+//   # per-query deadline and circuit breakers, under injected faults
 //   ./sssp_tool --dataset=k-n16-16 --batch --sources=16 --deadline-ms=5
 //       --breaker=on --inject-faults=seed=7,launch=0.2
 //
@@ -221,7 +222,7 @@ int run_tool(const CliArgs& args) {
              "cpu-fallback", "dataset", "deadline-ms", "delta", "directed",
              "format", "inject-faults", "input", "landmarks", "lane-policy",
              "max-pending", "migrate", "profile", "retry-attempts",
-             "sanitize", "serve", "serve-stream", "source", "target"});
+             "sanitize", "serve-stream", "source", "target"});
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);
   const std::string algorithm = args.get_string("algorithm", "rdbs");
@@ -312,259 +313,211 @@ int run_tool(const CliArgs& args) {
                    algorithm.c_str());
       return 2;
     }
-    // Serving mode (docs/serving.md): any of --deadline-ms / --breaker (or
-    // an explicit --serve) routes the batch through core::QueryServer as a
-    // t=0 schedule — every source arrives at once with the --deadline-ms
+    // The batch is served by core::QueryServer (docs/serving.md) as a t=0
+    // schedule — every source arrives at once with the --deadline-ms
     // budget. --serve-stream=SPEC serves a generated traffic schedule
     // (core/traffic.hpp grammar) instead. Both share one dispatcher
     // (run_stream) and one report.
     const bool stream_mode = args.has("serve-stream");
-    const bool serve = stream_mode || args.get_bool("serve", false) ||
-                       args.has("deadline-ms") || args.has("breaker");
-    if (serve) {
-      core::QueryServerOptions sopts;
-      sopts.batch = bopts;
-      const std::string breaker = args.get_string("breaker", "on");
-      if (breaker == "off") {
-        sopts.breaker.enabled = false;
-      } else if (breaker != "on") {
-        std::fprintf(stderr, "--breaker must be on or off, not %s\n",
-                     breaker.c_str());
-        return 2;
-      }
-      const std::string migrate = args.get_string("migrate", "on");
-      if (migrate == "off") {
-        sopts.migrate = false;
-      } else if (migrate != "on") {
-        std::fprintf(stderr, "--migrate must be on or off, not %s\n",
-                     migrate.c_str());
-        return 2;
-      }
-      // --cache turns on the result cache (docs/serving.md "Result
-      // cache"); --cache-capacity and --landmarks tune it and imply it.
-      if (args.get_bool("cache", false) || args.has("cache-capacity") ||
-          args.has("landmarks")) {
-        sopts.cache.enabled = true;
-        sopts.cache.capacity = get_size(args, "cache-capacity", 64);
-        sopts.cache.landmarks = get_size(args, "landmarks", 4);
-      }
-      std::vector<core::TrafficQuery> schedule;
-      std::string arrivals = "t=0";
-      if (stream_mode) {
-        try {
-          const core::TrafficSpec tspec = core::parse_traffic_spec(
-              args.get_string("serve-stream", ""));
-          schedule = core::generate_traffic(tspec, csr.num_vertices());
-          arrivals = core::arrival_process_name(tspec.process);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "bad --serve-stream spec: %s\n", e.what());
-          return 2;
-        }
-      } else {
-        schedule = core::batch_schedule(
-            sources, args.get_double("deadline-ms",
-                                     std::numeric_limits<double>::infinity()));
-      }
-      if (args.has("max-pending")) {
-        sopts.max_pending = get_size(args, "max-pending", 64);
-      }
-      if (args.has("aging-ms")) {
-        sopts.aging_ms = args.get_double("aging-ms", 0.0);
-      }
-      const std::string policy = args.get_string("lane-policy", "fastest");
-      if (policy == "earliest") {
-        sopts.lane_policy = core::LanePolicy::kEarliestFree;
-      } else if (policy != "fastest") {
-        std::fprintf(stderr,
-                     "--lane-policy must be fastest or earliest, not %s\n",
-                     policy.c_str());
-        return 2;
-      }
-      // --closed-loop=SPEC: shed/deadline-missed queries re-arrive with
-      // deterministic jittered backoff (core/traffic.hpp grammar), e.g.
-      // --closed-loop=budget=3,backoff=0.25,jitter=0.5,depth=12
-      if (args.has("closed-loop")) {
-        try {
-          sopts.closed_loop = core::parse_closed_loop_spec(
-              args.get_string("closed-loop", ""));
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "bad --closed-loop spec: %s\n", e.what());
-          return 2;
-        }
-      }
-      core::QueryServer server(csr, device, sopts);
-      const core::StreamResult result = server.run_stream(schedule);
-
-      // Every answer is certified against the graph, whatever path served
-      // it (device, host hedge, cache hit or single-flight join).
-      std::size_t invalid = 0;
-      std::array<std::vector<double>, core::kNumTrafficClasses> sojourns;
-      std::uint64_t promotions = 0;
-      for (std::size_t i = 0; i < result.stats.size(); ++i) {
-        const core::StreamQueryStats& sq = result.stats[i];
-        promotions += static_cast<std::uint64_t>(sq.promotions);
-        const std::vector<graph::Distance>& got =
-            result.queries[i].sssp.distances;
-        if (!got.empty()) {
-          if (const auto verdict =
-                  sssp::validate_distances(csr, sq.query.source, got)) {
-            std::fprintf(stderr, "invalid answer: query %zu (source %u): %s\n",
-                         i, sq.query.source, verdict->c_str());
-            ++invalid;
-          }
-        }
-        if (core::query_completed(sq.query.status)) {
-          sojourns[static_cast<std::size_t>(sq.cls)].push_back(sq.sojourn_ms);
-        }
-      }
-      const auto percentile = [](std::vector<double>& values, double q) {
-        if (values.empty()) return std::string("-");
-        std::sort(values.begin(), values.end());
-        const auto rank = static_cast<std::size_t>(
-            q * static_cast<double>(values.size() - 1));
-        return format_fixed(values[rank], 3);
-      };
-      TextTable table({"class", "offered", "completed", "shed", "missed",
-                       "failed", "p50 ms", "p99 ms"});
-      for (int c = 0; c < core::kNumTrafficClasses; ++c) {
-        const core::ClassTally& tally =
-            result.classes[static_cast<std::size_t>(c)];
-        std::vector<double>& soj = sojourns[static_cast<std::size_t>(c)];
-        table.add_row(
-            {core::traffic_class_name(static_cast<core::TrafficClass>(c)),
-             format_count(tally.offered), format_count(tally.completed),
-             format_count(tally.shed), format_count(tally.missed),
-             format_count(tally.failed), percentile(soj, 0.5),
-             percentile(soj, 0.99)});
-      }
-      std::fputs(table.render().c_str(), stdout);
-      const std::uint64_t done = result.ok_queries + result.recovered_queries +
-                                 result.fallback_queries +
-                                 result.cached_queries;
-      std::printf(
-          "\nserved %zu quer%s (%s arrivals) over %d lane(s) "
-          "(%s-lane placement, breakers %s): "
-          "%llu completed / %llu shed / %llu deadline / %llu failed; "
-          "%llu hedged, %llu rerouted, %llu promotion(s), "
-          "%llu overrun kernel(s); makespan %.3f ms (device %.3f ms); "
-          "%zu invalid answer(s)\n",
-          schedule.size(), schedule.size() == 1 ? "y" : "ies",
-          arrivals.c_str(), server.batch().num_lanes(), policy.c_str(),
-          sopts.breaker.enabled ? "on" : "off",
-          static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(result.shed_queries),
-          static_cast<unsigned long long>(result.deadline_queries),
-          static_cast<unsigned long long>(result.failed_queries),
-          static_cast<unsigned long long>(result.hedged_queries),
-          static_cast<unsigned long long>(result.rerouted_queries),
-          static_cast<unsigned long long>(promotions),
-          static_cast<unsigned long long>(result.overrun_kernels),
-          result.makespan_ms, result.device_makespan_ms, invalid);
-      if (sopts.cache.enabled) {
-        const core::SourceRepetitionStats reps =
-            core::source_repetition_stats(schedule);
-        const core::ResultCacheStats& cs = server.result_cache()->stats();
-        std::printf(
-            "cache: %llu exact hit(s), %llu single-flight join(s), "
-            "%llu warm start(s); %llu publish(es), %llu eviction(s); "
-            "schedule repeats %.1f%% over %zu distinct source(s)\n",
-            static_cast<unsigned long long>(result.cached_queries),
-            static_cast<unsigned long long>(result.joined_queries),
-            static_cast<unsigned long long>(result.warm_started_queries),
-            static_cast<unsigned long long>(cs.publishes),
-            static_cast<unsigned long long>(cs.evictions),
-            100.0 * reps.repeat_fraction, reps.distinct_sources);
-      }
-      if (fault.enabled) {
-        std::printf(
-            "recovery: %llu attempt(s), %llu fault(s) injected "
-            "(%llu ECC-corrected), %llu retried, %.3f ms backoff%s\n",
-            static_cast<unsigned long long>(result.recovery.attempts),
-            static_cast<unsigned long long>(result.recovery.faults_injected),
-            static_cast<unsigned long long>(result.recovery.ecc_corrected),
-            static_cast<unsigned long long>(result.recovery.retries),
-            result.recovery.backoff_ms,
-            result.recovery.device_lost ? ", DEVICE LOST" : "");
-      }
-      if (result.resumed_queries > 0 || result.migrated_queries > 0 ||
-          sopts.closed_loop.enabled) {
-        std::printf(
-            "resume: %llu checkpoint-resumed, %llu migrated; "
-            "closed loop: %llu retried arrival(s), %llu past budget\n",
-            static_cast<unsigned long long>(result.resumed_queries),
-            static_cast<unsigned long long>(result.migrated_queries),
-            static_cast<unsigned long long>(result.retried_arrivals),
-            static_cast<unsigned long long>(result.retry_exhausted));
-      }
-      for (const core::BreakerEvent& event : result.breaker_events) {
-        std::printf("breaker: lane %d -> %s at %.3f ms\n", event.lane,
-                    core::breaker_transition_name(event.transition),
-                    event.time_ms);
-      }
-      const int sanitizer_code = report_sanitizer(server.batch());
-      return invalid > 0 ? 1 : sanitizer_code;
+    core::QueryServerOptions sopts;
+    sopts.batch = bopts;
+    const std::string breaker = args.get_string("breaker", "on");
+    if (breaker == "off") {
+      sopts.breaker.enabled = false;
+    } else if (breaker != "on") {
+      std::fprintf(stderr, "--breaker must be on or off, not %s\n",
+                   breaker.c_str());
+      return 2;
     }
-
-    core::QueryBatch batch(csr, device, bopts);
-    const core::BatchResult result = batch.run(sources);
-
-    // With --inject-faults the per-query rows surface the RetryPolicy's
-    // work: final status, device attempts and simulated backoff charged.
-    std::vector<std::string> headers = {"source",        "stream", "latency ms",
-                                        "queue-wait ms", "MWIPS",  "reached",
-                                        "valid"};
-    if (fault.enabled) {
-      headers.insert(headers.begin() + 2, "status");
-      headers.push_back("attempts");
-      headers.push_back("backoff ms");
+    const std::string migrate = args.get_string("migrate", "on");
+    if (migrate == "off") {
+      sopts.migrate = false;
+    } else if (migrate != "on") {
+      std::fprintf(stderr, "--migrate must be on or off, not %s\n",
+                   migrate.c_str());
+      return 2;
     }
-    TextTable table(std::move(headers));
+    // --cache turns on the result cache (docs/serving.md "Result
+    // cache"); --cache-capacity and --landmarks tune it and imply it.
+    if (args.get_bool("cache", false) || args.has("cache-capacity") ||
+        args.has("landmarks")) {
+      sopts.cache.enabled = true;
+      sopts.cache.capacity = get_size(args, "cache-capacity", 64);
+      sopts.cache.landmarks = get_size(args, "landmarks", 4);
+    }
+    std::vector<core::TrafficQuery> schedule;
+    std::string arrivals = "t=0";
+    if (stream_mode) {
+      try {
+        const core::TrafficSpec tspec = core::parse_traffic_spec(
+            args.get_string("serve-stream", ""));
+        schedule = core::generate_traffic(tspec, csr.num_vertices());
+        arrivals = core::arrival_process_name(tspec.process);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "bad --serve-stream spec: %s\n", e.what());
+        return 2;
+      }
+    } else {
+      schedule = core::batch_schedule(
+          sources, args.get_double("deadline-ms",
+                                   std::numeric_limits<double>::infinity()));
+    }
+    // A t=0 batch admits every source unless --max-pending bounds it.
+    sopts.max_pending = get_size(
+        args, "max-pending", stream_mode ? sopts.max_pending : sources.size());
+    if (args.has("aging-ms")) {
+      sopts.aging_ms = args.get_double("aging-ms", 0.0);
+    }
+    const std::string policy = args.get_string("lane-policy", "fastest");
+    if (policy == "earliest") {
+      sopts.lane_policy = core::LanePolicy::kEarliestFree;
+    } else if (policy != "fastest") {
+      std::fprintf(stderr,
+                   "--lane-policy must be fastest or earliest, not %s\n",
+                   policy.c_str());
+      return 2;
+    }
+    // --closed-loop=SPEC: shed/deadline-missed queries re-arrive with
+    // deterministic jittered backoff (core/traffic.hpp grammar), e.g.
+    // --closed-loop=budget=3,backoff=0.25,jitter=0.5,depth=12
+    if (args.has("closed-loop")) {
+      try {
+        sopts.closed_loop = core::parse_closed_loop_spec(
+            args.get_string("closed-loop", ""));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "bad --closed-loop spec: %s\n", e.what());
+        return 2;
+      }
+    }
+    core::QueryServer server(csr, device, sopts);
+    const core::StreamResult result = server.run_stream(schedule);
+
+    // Every answer is certified against the graph, whatever path served
+    // it (device, host hedge, cache hit or single-flight join).
+    std::size_t invalid = 0;
+    std::array<std::vector<double>, core::kNumTrafficClasses> sojourns;
+    std::uint64_t promotions = 0;
+    double back_to_back_ms = 0;  // the device queries run one by one
+    double queue_wait_ms = 0;
+    std::uint64_t instructions = 0;
     for (std::size_t i = 0; i < result.stats.size(); ++i) {
-      const core::QueryStats& qs = result.stats[i];
-      const auto verdict = sssp::validate_distances(
-          csr, qs.source, result.queries[i].sssp.distances);
-      std::vector<std::string> row = {
-          format_count(qs.source),
-          format_count(static_cast<std::uint64_t>(qs.stream)),
-          format_fixed(qs.device_ms, 3),
-          format_fixed(qs.queue_wait_ms, 3),
-          format_fixed(qs.mwips, 1),
-          format_count(result.queries[i].sssp.reached_count()),
-          verdict ? "NO: " + *verdict : std::string("yes")};
-      if (fault.enabled) {
-        row.insert(row.begin() + 2, core::query_status_name(qs.status));
-        row.push_back(format_count(result.queries[i].recovery.attempts));
-        row.push_back(format_fixed(result.queries[i].recovery.backoff_ms, 3));
+      const core::StreamQueryStats& sq = result.stats[i];
+      promotions += static_cast<std::uint64_t>(sq.promotions);
+      back_to_back_ms += sq.query.device_ms;
+      queue_wait_ms += sq.query.queue_wait_ms;
+      instructions += result.queries[i].counters.warp_instructions();
+      const std::vector<graph::Distance>& got =
+          result.queries[i].sssp.distances;
+      if (!got.empty()) {
+        if (const auto verdict =
+                sssp::validate_distances(csr, sq.query.source, got)) {
+          std::fprintf(stderr, "invalid answer: query %zu (source %u): %s\n",
+                       i, sq.query.source, verdict->c_str());
+          ++invalid;
+        }
       }
-      table.add_row(std::move(row));
+      if (core::query_completed(sq.query.status)) {
+        sojourns[static_cast<std::size_t>(sq.cls)].push_back(sq.sojourn_ms);
+      }
+    }
+    const auto percentile = [](std::vector<double>& values, double q) {
+      if (values.empty()) return std::string("-");
+      std::sort(values.begin(), values.end());
+      const auto rank = static_cast<std::size_t>(
+          q * static_cast<double>(values.size() - 1));
+      return format_fixed(values[rank], 3);
+    };
+    TextTable table({"class", "offered", "completed", "shed", "missed",
+                     "failed", "p50 ms", "p99 ms"});
+    for (int c = 0; c < core::kNumTrafficClasses; ++c) {
+      const core::ClassTally& tally =
+          result.classes[static_cast<std::size_t>(c)];
+      std::vector<double>& soj = sojourns[static_cast<std::size_t>(c)];
+      table.add_row(
+          {core::traffic_class_name(static_cast<core::TrafficClass>(c)),
+           format_count(tally.offered), format_count(tally.completed),
+           format_count(tally.shed), format_count(tally.missed),
+           format_count(tally.failed), percentile(soj, 0.5),
+           percentile(soj, 0.99)});
     }
     std::fputs(table.render().c_str(), stdout);
+    const std::uint64_t done = result.ok_queries + result.recovered_queries +
+                               result.fallback_queries +
+                               result.cached_queries;
     std::printf(
-        "\nbatch of %zu queries on %d stream(s): makespan %.3f ms, "
-        "back-to-back %.3f ms (overlap speedup %.2fx), queue-wait %.3f ms, "
-        "aggregate %.1f MWIPS\n",
-        sources.size(), batch.streams(), result.makespan_ms,
-        result.sum_latency_ms,
-        result.makespan_ms <= 0 ? 0.0
-                                : result.sum_latency_ms / result.makespan_ms,
-        result.queue_wait_ms, result.aggregate_mwips);
+        "\nserved %zu quer%s (%s arrivals) over %d lane(s) "
+        "(%s-lane placement, breakers %s): "
+        "%llu completed / %llu shed / %llu deadline / %llu failed; "
+        "%llu hedged, %llu rerouted, %llu promotion(s), "
+        "%llu overrun kernel(s); makespan %.3f ms (device %.3f ms); "
+        "%zu invalid answer(s)\n",
+        schedule.size(), schedule.size() == 1 ? "y" : "ies",
+        arrivals.c_str(), server.batch().num_lanes(), policy.c_str(),
+        sopts.breaker.enabled ? "on" : "off",
+        static_cast<unsigned long long>(done),
+        static_cast<unsigned long long>(result.shed_queries),
+        static_cast<unsigned long long>(result.deadline_queries),
+        static_cast<unsigned long long>(result.failed_queries),
+        static_cast<unsigned long long>(result.hedged_queries),
+        static_cast<unsigned long long>(result.rerouted_queries),
+        static_cast<unsigned long long>(promotions),
+        static_cast<unsigned long long>(result.overrun_kernels),
+        result.makespan_ms, result.device_makespan_ms, invalid);
+    const double makespan_ms = result.device_makespan_ms;
+    std::printf(
+        "device: back-to-back %.3f ms (overlap speedup %.2fx), "
+        "queue-wait %.3f ms, aggregate %.1f MWIPS\n",
+        back_to_back_ms,
+        makespan_ms <= 0 ? 0.0 : back_to_back_ms / makespan_ms, queue_wait_ms,
+        makespan_ms <= 0 ? 0.0
+                         : static_cast<double>(instructions) /
+                               (makespan_ms * 1e3));
+    if (sopts.cache.enabled) {
+      const core::SourceRepetitionStats reps =
+          core::source_repetition_stats(schedule);
+      const core::ResultCacheStats& cs = server.result_cache()->stats();
+      std::printf(
+          "cache: %llu exact hit(s), %llu single-flight join(s), "
+          "%llu warm start(s); %llu publish(es), %llu eviction(s); "
+          "schedule repeats %.1f%% over %zu distinct source(s)\n",
+          static_cast<unsigned long long>(result.cached_queries),
+          static_cast<unsigned long long>(result.joined_queries),
+          static_cast<unsigned long long>(result.warm_started_queries),
+          static_cast<unsigned long long>(cs.publishes),
+          static_cast<unsigned long long>(cs.evictions),
+          100.0 * reps.repeat_fraction, reps.distinct_sources);
+    }
     if (fault.enabled) {
       std::printf(
-          "faults: %llu injected (%llu ECC-corrected), %llu retried over "
-          "%llu attempt(s), %.3f ms backoff, "
-          "%llu recovered / %llu CPU-fallback / %llu failed quer%s%s\n",
+          "recovery: %llu attempt(s), %llu fault(s) injected "
+          "(%llu ECC-corrected), %llu retried, %.3f ms backoff; "
+          "%llu recovered, %llu CPU-fallback%s\n",
+          static_cast<unsigned long long>(result.recovery.attempts),
           static_cast<unsigned long long>(result.recovery.faults_injected),
           static_cast<unsigned long long>(result.recovery.ecc_corrected),
           static_cast<unsigned long long>(result.recovery.retries),
-          static_cast<unsigned long long>(result.recovery.attempts),
           result.recovery.backoff_ms,
           static_cast<unsigned long long>(result.recovered_queries),
           static_cast<unsigned long long>(result.fallback_queries),
-          static_cast<unsigned long long>(result.failed_queries),
-          result.failed_queries == 1 ? "y" : "ies",
           result.recovery.device_lost ? ", DEVICE LOST" : "");
     }
-    return report_sanitizer(batch);
+    if (result.resumed_queries > 0 || result.migrated_queries > 0 ||
+        sopts.closed_loop.enabled) {
+      std::printf(
+          "resume: %llu checkpoint-resumed, %llu migrated; "
+          "closed loop: %llu retried arrival(s), %llu past budget\n",
+          static_cast<unsigned long long>(result.resumed_queries),
+          static_cast<unsigned long long>(result.migrated_queries),
+          static_cast<unsigned long long>(result.retried_arrivals),
+          static_cast<unsigned long long>(result.retry_exhausted));
+    }
+    for (const core::BreakerEvent& event : result.breaker_events) {
+      std::printf("breaker: lane %d -> %s at %.3f ms\n", event.lane,
+                  core::breaker_transition_name(event.transition),
+                  event.time_ms);
+    }
+    const int sanitizer_code = report_sanitizer(server.batch());
+    return invalid > 0 ? 1 : sanitizer_code;
   }
 
   const std::vector<std::string> algorithms =

@@ -22,10 +22,9 @@ const char* query_status_name(QueryStatus status) {
 
 QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
                        QueryBatchOptions options)
-    : options_(options),
-      graph_(csr, options.engine == BatchEngine::kRdbs && options.gpu.pro,
+    : graph_(csr, options.engine == BatchEngine::kRdbs && options.gpu.pro,
              options.gpu.delta0) {
-  RDBS_CHECK(options_.streams >= 1);
+  RDBS_CHECK(options.streams >= 1);
   const graph::Csr& engine_csr = graph_.csr();
 
   // Admission-control seed: a deliberately coarse a-priori estimate of one
@@ -46,26 +45,26 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
   }
 
   sim_ = std::make_unique<gpusim::GpuSim>(std::move(device));
-  options_.gpu.configure(*sim_);
+  options.gpu.configure(*sim_);
   graph_bufs_ = std::make_unique<DeviceCsrBuffers>(
       DeviceCsrBuffers::upload(*sim_, engine_csr));
 
-  lanes_.reserve(static_cast<std::size_t>(options_.streams));
-  for (int s = 0; s < options_.streams; ++s) {
+  lanes_.reserve(static_cast<std::size_t>(options.streams));
+  for (int s = 0; s < options.streams; ++s) {
     Lane lane;
     lane.stream = s;
     lane.ewma_ms = cost_seed_ms_;
     const DeviceBinding binding{*sim_, s, *graph_bufs_};
-    if (options_.engine == BatchEngine::kRdbs) {
+    if (options.engine == BatchEngine::kRdbs) {
       auto rdbs =
-          std::make_unique<GpuDeltaStepping>(binding, engine_csr, options_.gpu);
+          std::make_unique<GpuDeltaStepping>(binding, engine_csr, options.gpu);
       lane.driver = &rdbs->driver();
       lane.engine = std::move(rdbs);
     } else {
       AddsOptions adds;
-      static_cast<EngineOptions&>(adds) = options_.gpu;
-      adds.delta = options_.gpu.delta0;
-      adds.checkpoint_interval = options_.gpu.checkpoint_interval;
+      static_cast<EngineOptions&>(adds) = options.gpu;
+      adds.delta = options.gpu.delta0;
+      adds.checkpoint_interval = options.gpu.checkpoint_interval;
       auto engine = std::make_unique<AddsLike>(binding, engine_csr, adds);
       lane.driver = &engine->driver();
       lane.engine = std::move(engine);
@@ -210,11 +209,6 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
 
   out.stats.device_ms = out.result.device_ms;
   out.stats.queue_wait_ms = out.result.queue_wait_ms;
-  out.stats.warp_instructions = out.result.counters.warp_instructions();
-  out.stats.mwips = out.stats.device_ms <= 0
-                        ? 0.0
-                        : static_cast<double>(out.stats.warp_instructions) /
-                              (out.stats.device_ms * 1e3);
   if (out.result.deadline_exceeded) {
     out.stats.status = QueryStatus::kDeadlineExceeded;
   } else if (!out.result.ok) {
@@ -249,8 +243,8 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
        out.stats.status == QueryStatus::kRecovered) &&
       !out.stats.warm_started && !out.stats.migrated &&
       out.stats.device_ms > 0) {
-    const double alpha = std::clamp(options_.ewma_alpha, 0.0, 1.0);
-    lane.ewma_ms = alpha * out.stats.device_ms + (1.0 - alpha) * lane.ewma_ms;
+    lane.ewma_ms = kLaneCostEwmaAlpha * out.stats.device_ms +
+                   (1.0 - kLaneCostEwmaAlpha) * lane.ewma_ms;
   }
 
   // Publish the terminal outcome at the lane's finish time: completed
@@ -269,58 +263,6 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
     }
   }
   return out;
-}
-
-BatchResult QueryBatch::run(std::span<const VertexId> sources) {
-  BatchResult batch;
-  batch.queries.reserve(sources.size());
-  batch.stats.reserve(sources.size());
-  const double batch_start_ms = sim_->elapsed_ms();
-  const gpusim::Counters counters_before = sim_->counters();
-
-  for (const VertexId source : sources) {
-    // An invalid source fails this query alone, never the batch (and never
-    // occupies a lane).
-    if (source >= graph_.csr().num_vertices()) {
-      GpuRunResult failed;
-      failed.ok = false;
-      QueryStats qs;
-      qs.source = source;
-      qs.status = QueryStatus::kFailed;
-      qs.error = "source vertex out of range";
-      batch.stats.push_back(std::move(qs));
-      batch.queries.push_back(std::move(failed));
-      continue;
-    }
-
-    // Earliest-available lane, ties to the lowest stream id. Stalled
-    // streams have a higher clock, so new queries naturally route around
-    // them; after a device loss every engine degrades per its RetryPolicy.
-    LaneOutcome out = run_on_lane(pick_lane(), source, /*cancel=*/nullptr);
-
-    batch.recovery += out.result.recovery;
-    batch.sum_latency_ms += out.stats.device_ms;
-    batch.queue_wait_ms += out.stats.queue_wait_ms;
-    batch.warp_instructions += out.stats.warp_instructions;
-    batch.stats.push_back(std::move(out.stats));
-    batch.queries.push_back(std::move(out.result));
-  }
-
-  OutcomeCounts counts;
-  for (std::size_t i = 0; i < batch.stats.size(); ++i) {
-    counts.add(batch.stats[i], batch.queries[i]);
-  }
-  batch.recovered_queries = counts.of(QueryStatus::kRecovered);
-  batch.fallback_queries = counts.of(QueryStatus::kCpuFallback);
-  batch.failed_queries = counts.of(QueryStatus::kFailed);
-  batch.makespan_ms = sim_->elapsed_ms() - batch_start_ms;
-  batch.counters = sim_->counters() - counters_before;
-  batch.aggregate_mwips =
-      batch.makespan_ms <= 0
-          ? 0.0
-          : static_cast<double>(batch.warp_instructions) /
-                (batch.makespan_ms * 1e3);
-  return batch;
 }
 
 }  // namespace rdbs::core

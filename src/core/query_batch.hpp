@@ -1,17 +1,18 @@
-// QueryBatch — batched multi-source SSSP over one resident graph.
+// QueryBatch — the lane pool that core::QueryServer drives.
 //
-// The ROADMAP's production shape: a "server" that accepts N source queries
-// against a shared Csr (+ PRO reordering, done once), schedules them onto a
-// fixed set of concurrent gpusim streams, and reports per-query latency and
-// aggregate throughput. Each stream lane owns one persistent engine whose
-// frontier/bucket/distance buffers are pooled across the queries it serves;
-// the read-only CSR arrays are uploaded once and shared by every lane, so
-// one query's cache residency benefits the next (shared caching).
+// Multi-source queries against one resident graph: the Csr (+ PRO
+// reordering, done once) is uploaded to one shared simulator, and each of
+// a fixed set of concurrent gpusim streams holds one persistent engine
+// whose frontier/bucket/distance buffers are pooled across the queries it
+// serves. The read-only CSR arrays are shared by every lane, so one
+// query's cache residency benefits the next (shared caching).
 //
-// Scheduling: queries are admitted in order onto the lane whose stream
-// clock is lowest (earliest-available, ties to the lowest stream id) — the
-// classic m-machine FCFS dispatch. Kernel-level overlap and the device's
-// concurrent-kernel cap are modeled inside gpusim (see gpusim/sim.hpp).
+// Dispatch lives in QueryServer::run_stream: a batch is a schedule whose
+// arrivals are all at t=0 (batch_schedule in core/traffic.hpp), and an
+// unbounded query takes the earliest-free lane (pick_lane, ties to the
+// lowest stream id) — the classic m-machine FCFS dispatch. Kernel-level
+// overlap and the device's concurrent-kernel cap are modeled inside gpusim
+// (see gpusim/sim.hpp).
 //
 // Determinism: lane selection and engine execution are host-serial, so the
 // distances of a batch are bit-identical to the same queries run one at a
@@ -19,9 +20,7 @@
 // streams repartition simulated *time*, never functional state.
 #pragma once
 
-#include <array>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -49,16 +48,17 @@ struct QueryBatchOptions {
   // shared simulator; ADDS lanes take delta0, checkpoint_interval and the
   // block, and ignore the RDBS switches.
   GpuSsspOptions gpu;
-  // Smoothing factor of the per-lane device-cost EWMA that feeds the
-  // serving layer's admission control (lane_cost_estimate_ms): estimate <-
-  // alpha * observed + (1 - alpha) * estimate, updated only by successful
-  // device queries. Seeded by a degree-sum estimate (cost_seed_ms).
-  double ewma_alpha = 0.3;
 };
 
-// Per-query outcome. A batch never aborts on one bad query: an invalid
-// source or an engine throw is recorded as kFailed on that query alone,
-// and fault recovery (gfi) is surfaced per query.
+// Smoothing factor of the per-lane device-cost EWMA that feeds the serving
+// layer's admission control (lane_cost_estimate_ms): estimate <- alpha *
+// observed + (1 - alpha) * estimate, updated only by successful device
+// queries. Seeded by a degree-sum estimate (cost_seed_ms).
+inline constexpr double kLaneCostEwmaAlpha = 0.3;
+
+// Per-query outcome. A served schedule never aborts on one bad query: an
+// invalid source or an engine throw is recorded as kFailed on that query
+// alone, and fault recovery (gfi) is surfaced per query.
 enum class QueryStatus : std::uint8_t {
   kOk,                // clean run (benign faults at most)
   kRecovered,         // device run succeeded after >= 1 retry
@@ -85,15 +85,13 @@ inline bool query_completed(QueryStatus status) {
          status == QueryStatus::kCacheHit;
 }
 
-// Per-query scheduling/throughput summary (full per-query GpuRunResult is
-// in BatchResult::queries at the same index).
+// Per-query scheduling summary (the query's full GpuRunResult travels
+// beside it).
 struct QueryStats {
   VertexId source = 0;               // in the caller's original numbering
   gpusim::StreamId stream = 0;       // lane the query ran on
   double device_ms = 0;              // query latency on its stream
   double queue_wait_ms = 0;          // time queued behind the kernel cap
-  std::uint64_t warp_instructions = 0;
-  double mwips = 0;                  // warp instructions / latency
   QueryStatus status = QueryStatus::kOk;
   std::string error;                 // non-empty only when status == kFailed
   // The run was seeded with landmark upper bounds from the result cache.
@@ -108,43 +106,6 @@ struct QueryStats {
   bool migrated = false;
 };
 
-// Counts derived from per-query records. add() is the one place a query's
-// status and recovery flags are tallied: BatchResult and the serving
-// layer's StreamResult both take their totals from it.
-struct OutcomeCounts {
-  std::array<std::uint64_t, kNumQueryStatuses> status{};
-  std::uint64_t warm_started = 0;
-  std::uint64_t migrated = 0;
-  std::uint64_t resumed = 0;  // >= 1 retry seeded from a checkpoint
-
-  void add(const QueryStats& stats, const GpuRunResult& result) {
-    ++status[static_cast<std::size_t>(stats.status)];
-    if (stats.warm_started) ++warm_started;
-    if (stats.migrated) ++migrated;
-    if (result.recovery.resumed > 0) ++resumed;
-  }
-  std::uint64_t of(QueryStatus s) const {
-    return status[static_cast<std::size_t>(s)];
-  }
-};
-
-struct BatchResult {
-  std::vector<GpuRunResult> queries;  // distances in original numbering
-  std::vector<QueryStats> stats;      // parallel to `queries`
-  // Aggregates over the whole batch:
-  double makespan_ms = 0;       // device time from batch start to last finish
-  double sum_latency_ms = 0;    // what the queries would cost back-to-back
-  double queue_wait_ms = 0;     // total cap-induced waiting
-  std::uint64_t warp_instructions = 0;
-  double aggregate_mwips = 0;   // total instructions / makespan
-  gpusim::Counters counters;    // whole-batch counter deltas
-  // Fault/recovery outcome tallies (gfi; docs/fault_injection.md):
-  std::uint64_t recovered_queries = 0;  // status == kRecovered
-  std::uint64_t fallback_queries = 0;   // status == kCpuFallback
-  std::uint64_t failed_queries = 0;     // status == kFailed
-  RecoveryStats recovery;               // summed over all queries
-};
-
 class QueryBatch {
  public:
   // Copies `csr` (reordering it once when options.gpu.pro is set and the
@@ -154,17 +115,12 @@ class QueryBatch {
              QueryBatchOptions options = {});
   ~QueryBatch();
 
-  // Runs the batch. Sources are in the ORIGINAL vertex numbering; result
-  // distances are mapped back to it. Callable repeatedly — lanes, buffers
-  // and cache state persist (metrics are per-batch deltas).
-  BatchResult run(std::span<const VertexId> sources);
-
-  // --- lane-level interface (core::QueryServer builds on this) -------------
-  // One query run on one lane, with everything run() does per query —
-  // permuted-source mapping, exception isolation, status classification,
-  // EWMA update — but under the caller's scheduling decision and optional
-  // cancel token. The result's distances are in the original numbering;
-  // stats.stream is the lane's stream even for a failed query.
+  // One query run on one lane, under the caller's scheduling decision and
+  // optional cancel token: permuted-source mapping, exception isolation,
+  // status classification and the EWMA update. The source and the result's
+  // distances are in the ORIGINAL numbering; stats.stream is the lane's
+  // stream even for a failed query. Lanes, buffers and cache state persist
+  // across calls.
   struct LaneOutcome {
     GpuRunResult result;
     QueryStats stats;
@@ -222,10 +178,7 @@ class QueryBatch {
   // nonzero estimate forever (regression tests in test_query_server.cpp).
   void decay_lane_cost_estimate(int lane, double blend);
 
-  int streams() const { return static_cast<int>(lanes_.size()); }
-  const graph::Csr& engine_graph() const { return graph_.csr(); }
   gpusim::GpuSim& sim() { return *sim_; }
-  const QueryBatchOptions& options() const { return options_; }
 
   // Attaches a result cache (caller-owned, typically QueryServer's;
   // docs/serving.md "Result cache"). While attached, run_on_lane() seeds
@@ -234,7 +187,6 @@ class QueryBatch {
   // distances and failures alike — at the lane's finish time for exact-hit
   // reuse and single-flight sharing. nullptr detaches.
   void set_result_cache(ResultCache* cache) { cache_ = cache; }
-  ResultCache* result_cache() const { return cache_; }
 
  private:
   // One stream and its persistent engine (pooled buffers across queries).
@@ -253,7 +205,6 @@ class QueryBatch {
                              const CancelToken* cancel,
                              const QueryCheckpoint* resume);
 
-  QueryBatchOptions options_;
   double cost_seed_ms_ = 0;
   reorder::ProFrontEnd graph_;  // the engine-facing CSR and numbering map
   std::unique_ptr<gpusim::GpuSim> sim_;

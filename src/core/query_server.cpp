@@ -1,6 +1,7 @@
 #include "core/query_server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -17,32 +18,35 @@ namespace {
 // closed-loop re-arrivals. (recovery and retry_exhausted are event
 // counters, accumulated while the stream runs.)
 void tally_outcomes(StreamResult& result) {
-  OutcomeCounts counts;
+  std::array<std::uint64_t, kNumQueryStatuses> by_status{};
   for (std::size_t i = 0; i < result.stats.size(); ++i) {
     const StreamQueryStats& stats = result.stats[i];
-    counts.add(stats.query, result.queries[i]);
+    ++by_status[static_cast<std::size_t>(stats.query.status)];
     ClassTally& tally = result.classes[static_cast<std::size_t>(stats.cls)];
     ++tally.offered;
     if (query_completed(stats.query.status)) ++tally.completed;
     if (stats.query.status == QueryStatus::kShedded) ++tally.shed;
     if (stats.query.status == QueryStatus::kDeadlineExceeded) ++tally.missed;
     if (stats.query.status == QueryStatus::kFailed) ++tally.failed;
+    if (stats.query.warm_started) ++result.warm_started_queries;
+    if (stats.query.migrated) ++result.migrated_queries;
+    if (result.queries[i].recovery.resumed > 0) ++result.resumed_queries;
     if (stats.hedged) ++result.hedged_queries;
     if (stats.rerouted) ++result.rerouted_queries;
     if (stats.single_flight) ++result.joined_queries;
     result.overrun_kernels += stats.overrun_kernels;
     result.retried_arrivals += static_cast<std::uint64_t>(stats.arrivals - 1);
   }
-  result.ok_queries = counts.of(QueryStatus::kOk);
-  result.recovered_queries = counts.of(QueryStatus::kRecovered);
-  result.fallback_queries = counts.of(QueryStatus::kCpuFallback);
-  result.failed_queries = counts.of(QueryStatus::kFailed);
-  result.deadline_queries = counts.of(QueryStatus::kDeadlineExceeded);
-  result.shed_queries = counts.of(QueryStatus::kShedded);
-  result.cached_queries = counts.of(QueryStatus::kCacheHit);
-  result.warm_started_queries = counts.warm_started;
-  result.migrated_queries = counts.migrated;
-  result.resumed_queries = counts.resumed;
+  const auto of = [&](QueryStatus s) {
+    return by_status[static_cast<std::size_t>(s)];
+  };
+  result.ok_queries = of(QueryStatus::kOk);
+  result.recovered_queries = of(QueryStatus::kRecovered);
+  result.fallback_queries = of(QueryStatus::kCpuFallback);
+  result.failed_queries = of(QueryStatus::kFailed);
+  result.deadline_queries = of(QueryStatus::kDeadlineExceeded);
+  result.shed_queries = of(QueryStatus::kShedded);
+  result.cached_queries = of(QueryStatus::kCacheHit);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// QueryServer — the overload-safe serving layer over QueryBatch.
+// QueryServer — the overload-safe query dispatcher over QueryBatch's lanes.
 //
-// QueryBatch runs every admitted query to completion no matter how loaded
-// or degraded the device is. QueryServer wraps its lane scheduler with the
-// four mechanisms any accelerator-serving stack puts in front of bounded
-// tail latency (docs/serving.md):
+// A QueryBatch lane runs any query it is given to completion, however
+// loaded or degraded the device is. QueryServer decides which query runs on
+// which lane and when, with the four mechanisms any accelerator-serving
+// stack puts in front of bounded tail latency (docs/serving.md):
 //
 //   1. Per-query deadlines: each query carries a deadline on the simulated
 //      clock. Engines cancel cooperatively (core/cancel.hpp) at bucket /
@@ -24,7 +24,9 @@
 //      reference on a dedicated host lane (status kCpuFallback, hedged).
 //
 // There is one dispatcher, run_stream(). A batch is a schedule whose
-// arrivals are all at t=0 (batch_schedule in core/traffic.hpp).
+// arrivals are all at t=0 (batch_schedule in core/traffic.hpp); on a fresh
+// server, with no deadlines and max_pending >= its size, it takes the
+// earliest-free lane in offer order and is charged no idle gap.
 //
 // Every decision reads only simulated clocks and per-query results, and the
 // whole dispatch loop is host-serial: outcomes are bit-identical for any

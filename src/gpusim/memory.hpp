@@ -145,14 +145,13 @@ inline void sort_warp_lanes(std::uint64_t* lane_addrs, std::uint32_t lanes) {
 
 // The shared coalescing primitive of the replay pipeline (two-pass shards
 // and the fused record+replay path both charge through it): sorts the lane
-// addresses in place (skipped when the record phase already saw them
-// sorted — the common small-stride warp pattern), then a single pass
-// yields the distinct-address count (atomic-conflict serialization), the
+// addresses in place (one pass when they already ascend — the common
+// small-stride warp pattern), then a single pass yields the distinct-address count (atomic-conflict serialization), the
 // distinct-sector count (transactions) and the ascending (line,
 // sector-mask) list. `spl_shift` = log2(sectors per line). `line_out` must
 // hold 32 entries.
 inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
-                                          std::uint32_t lanes, bool presorted,
+                                          std::uint32_t lanes,
                                           std::uint32_t spl_shift,
                                           WarpLineRef* line_out) {
   constexpr std::uint32_t kSectorShift = 5;  // SectoredCache::kSectorBytes
@@ -162,7 +161,7 @@ inline CoalesceResult coalesce_warp_lanes(std::uint64_t* lane_addrs,
                    1u << (sector & ((1u << spl_shift) - 1))};
     return {1, 1, 1};
   }
-  if (!presorted) sort_warp_lanes(lane_addrs, lanes);
+  sort_warp_lanes(lane_addrs, lanes);
   CoalesceResult r;
   const std::uint32_t sector_in_line_mask = (1u << spl_shift) - 1;
   std::uint64_t prev_addr = ~0ull;

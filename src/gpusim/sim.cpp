@@ -401,12 +401,9 @@ void GpuSim::replay_shard(int sm) {
     LaunchTrace::OpCursor cursor = trace_.task_cursor(rec);
     LaunchTrace::OpView op;
     while (cursor.next(op)) {
-      // Coalesce lanes into ascending (line, sector-mask) pairs; the
-      // record-time sorted flag skips the sort for the common small-stride
-      // warp pattern.
+      // Coalesce lanes into ascending (line, sector-mask) pairs.
       const CoalesceResult co = coalesce_warp_lanes(
-          cursor.lanes_mutable(), op.lanes, op.sorted, spl_shift_,
-          lines.data());
+          cursor.lanes_mutable(), op.lanes, spl_shift_, lines.data());
       sc.memory_transactions += co.sectors;
       cycles += co.sectors;
       if (op.kind == TraceOp::kAtomic || TraceOp::kind_is_volatile(op.kind)) {
@@ -515,9 +512,8 @@ void GpuSim::fused_charge(std::uint8_t kind, std::uint32_t lanes,
   // `co.lines` entries and only those are read. Zero-filling 512 bytes per
   // memory instruction showed up in profiles.
   std::array<WarpLineRef, 32> lines;
-  const CoalesceResult co = coalesce_warp_lanes(
-      fused_lanes_.data(), lanes, /*presorted=*/false, spl_shift_,
-      lines.data());
+  const CoalesceResult co =
+      coalesce_warp_lanes(fused_lanes_.data(), lanes, spl_shift_, lines.data());
   charge_lines(kind, lanes, co, lines.data(), task);
 }
 
@@ -658,7 +654,7 @@ void GpuSim::replay_launch() {
   }
 }
 
-void GpuSim::apply_launch_fault(LaunchResult& result) {
+bool GpuSim::apply_launch_fault(LaunchResult& result) {
   const FaultConfig& cfg = fault_->config();
   std::optional<FaultClass> cls = pending_launch_fault_;
   pending_launch_fault_.reset();
@@ -678,7 +674,7 @@ void GpuSim::apply_launch_fault(LaunchResult& result) {
     // typed kTimeout instead of silently inflating the timeline.
     fired = FaultClass::kTimeout;
   } else {
-    return;
+    return true;
   }
   GpuFault fault;
   fault.cls = fired;
@@ -713,6 +709,7 @@ void GpuSim::apply_launch_fault(LaunchResult& result) {
   }
   ++counters_.faults_injected;
   fault_log_.push_back(std::move(fault));
+  return fired != FaultClass::kLaunchFailure;
 }
 
 LaunchResult GpuSim::end_launch(std::uint64_t tasks, bool host_launch) {
@@ -761,17 +758,20 @@ LaunchResult GpuSim::end_launch(std::uint64_t tasks, bool host_launch) {
       spec_.bytes_to_ms(static_cast<double>(launch_dram_bytes_));
   result.ms = std::max(compute_ms, dram_ms);
   if (host_launch) result.ms += spec_.kernel_launch_us * 1e-3;
-  if (fault_) apply_launch_fault(result);
+  const bool ran = !fault_ || apply_launch_fault(result);
   admit_kernel(launch_stream_, result.ms);
   // Aggregate-throughput floor on cross-stream overlap: the device cannot
   // retire total work faster than all SMs issuing flat out, nor move DRAM
   // traffic beyond peak bandwidth. Each launch's own ms already dominates
-  // its contribution here, so a single stream never hits the floor.
-  device_work_ms_ += std::max(
-      spec_.cycles_to_ms(result.busy_cycles /
-                         (static_cast<double>(spec_.num_sms) *
-                          spec_.warp_schedulers)),
-      dram_ms);
+  // its contribution here, so a single stream never hits the floor. A
+  // kernel that failed at launch did no device work.
+  if (ran) {
+    device_work_ms_ += std::max(
+        spec_.cycles_to_ms(result.busy_cycles /
+                           (static_cast<double>(spec_.num_sms) *
+                            spec_.warp_schedulers)),
+        dram_ms);
+  }
   return result;
 }
 

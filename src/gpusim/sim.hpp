@@ -767,8 +767,9 @@ class GpuSim {
   void flush_l2_stream();
 
   // gfi: applies the pending launch-level fault (and the cost-clock
-  // watchdog) to a finished launch. Defined in sim.cpp.
-  void apply_launch_fault(LaunchResult& result);
+  // watchdog) to a finished launch. Returns false when the kernel never
+  // ran (a launch failure). Defined in sim.cpp.
+  bool apply_launch_fault(LaunchResult& result);
 
   // --- stream timelines (Hyper-Q admission model) --------------------------
   // Each stream carries its own clock. A kernel "arrives" at its stream's

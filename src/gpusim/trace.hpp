@@ -10,9 +10,8 @@
 // the replay worker count AND of the replay mode (the simulator counts ops
 // itself; see GpuSim::launch_ops_).
 //
-// Storage is structure-of-arrays: one meta byte per op (kind + a
-// record-time "lanes already sorted" flag), one lane-count byte per op, and
-// a shared byte stream of zigzag-varint address deltas. The delta chain
+// Storage is structure-of-arrays: one kind byte per op, one lane-count
+// byte per op, and a shared byte stream of zigzag-varint address deltas. The delta chain
 // resets at every task boundary (TaskRecord::addr_begin is the task's byte
 // offset), so per-SM replay shards can decode their tasks independently and
 // in parallel. Warp access patterns are overwhelmingly small-stride
@@ -86,20 +85,20 @@ struct TaskRecord {
 class LaunchTrace {
  public:
   void clear() {
-    op_meta_.clear();
+    op_kinds_.clear();
     op_lanes_.clear();
     addr_bytes_.clear();
     prev_addr_ = 0;
   }
 
-  std::size_t num_ops() const { return op_meta_.size(); }
+  std::size_t num_ops() const { return op_kinds_.size(); }
   // Byte offset of the address stream's write head — snapshot into
   // TaskRecord::addr_begin at task start.
   std::uint64_t addr_stream_offset() const { return addr_bytes_.size(); }
 
   // Current encoded footprint of this launch's trace.
   std::uint64_t bytes_in_use() const {
-    return op_meta_.size() + op_lanes_.size() + addr_bytes_.size();
+    return op_kinds_.size() + op_lanes_.size() + addr_bytes_.size();
   }
 
   // --- record API (serial record phase only) --------------------------------
@@ -109,21 +108,15 @@ class LaunchTrace {
 
   void append_op(std::uint8_t kind, std::uint32_t lanes) {
     // Encode the staged lane addresses as zigzag-varint deltas against the
-    // running chain (previous lane of this task, across op boundaries). The
-    // sorted flag falls out of the same pass: non-decreasing within the op.
-    bool sorted = true;
-    std::uint64_t intra_prev = 0;
+    // running chain (previous lane of this task, across op boundaries).
     for (std::uint32_t l = 0; l < lanes; ++l) {
       const std::uint64_t addr = staging_[l];
-      if (l > 0 && addr < intra_prev) sorted = false;
-      intra_prev = addr;
       const auto delta =
           static_cast<std::int64_t>(addr) - static_cast<std::int64_t>(prev_addr_);
       put_varint(zigzag(delta));
       prev_addr_ = addr;
     }
-    op_meta_.push_back(static_cast<std::uint8_t>(
-        kind | (sorted ? kSortedFlag : 0)));
+    op_kinds_.push_back(kind);
     op_lanes_.push_back(static_cast<std::uint8_t>(lanes));
   }
 
@@ -136,9 +129,6 @@ class LaunchTrace {
   struct OpView {
     std::uint8_t kind = 0;
     std::uint8_t lanes = 0;
-    // Record-time hint: lane addresses are already non-decreasing, so the
-    // replay's coalescing scan may skip its sort.
-    bool sorted = false;
     // Lane addresses in original lane order, valid until the next next().
     const std::uint64_t* addrs = nullptr;
 
@@ -153,7 +143,7 @@ class LaunchTrace {
    public:
     bool next(OpView& view) {
       if (op_ == op_end_) return false;
-      const std::uint8_t meta = trace_->op_meta_[op_];
+      const std::uint8_t kind = trace_->op_kinds_[op_];
       const std::uint8_t lanes = trace_->op_lanes_[op_];
       const std::uint8_t* p = trace_->addr_bytes_.data() + byte_;
       for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -170,9 +160,8 @@ class LaunchTrace {
         buf_[l] = prev_;
       }
       byte_ = static_cast<std::uint64_t>(p - trace_->addr_bytes_.data());
-      view.kind = meta & kKindMask;
+      view.kind = kind;
       view.lanes = lanes;
-      view.sorted = (meta & kSortedFlag) != 0;
       view.addrs = buf_.data();
       ++op_;
       return true;
@@ -204,9 +193,6 @@ class LaunchTrace {
   }
 
  private:
-  static constexpr std::uint8_t kKindMask = 0x07;
-  static constexpr std::uint8_t kSortedFlag = 0x08;
-
   static std::uint64_t zigzag(std::int64_t d) {
     return (static_cast<std::uint64_t>(d) << 1) ^
            static_cast<std::uint64_t>(d >> 63);
@@ -224,7 +210,7 @@ class LaunchTrace {
   }
 
   // SoA op arrays + shared delta stream + encoder state.
-  std::vector<std::uint8_t> op_meta_;
+  std::vector<std::uint8_t> op_kinds_;
   std::vector<std::uint8_t> op_lanes_;
   std::vector<std::uint8_t> addr_bytes_;
   std::array<std::uint64_t, 32> staging_{};

@@ -96,8 +96,8 @@ std::vector<FaultScenario> fault_scenarios() {
 }
 
 // Every registered engine (core/engine.hpp) runs the sweep, at Δ = 120.
-// QueryBatch has its own result shape and is exercised by dedicated tests
-// below.
+// A served batch has its own result shape and is exercised by dedicated
+// tests below.
 core::GpuRunResult run_engine(
     const core::GpuEngineEntry& engine, const Csr& csr, VertexId source,
     const gpusim::FaultConfig& fault, const core::RetryPolicy& retry,
@@ -336,9 +336,9 @@ Csr edgeless_graph(VertexId n) {
 }
 
 // A heavy launch that fails never runs: its stream pays only the host
-// launch overhead, although the simulator's device-wide busy floor counts
-// the whole kernel. The owned simulator is reset for the retry, and
-// device_ms sums the stream's charges, not the floor.
+// launch overhead, and the simulator's device-wide busy floor counts none
+// of the kernel. The owned simulator is reset for the retry, and device_ms
+// sums the stream's charges.
 TEST(FaultInjection, OwnedBindingBillsAFailedHeavyLaunchOnTheStream) {
   const Csr csr = edgeless_graph(2048 * 32);
   core::EngineOptions options;
@@ -353,10 +353,12 @@ TEST(FaultInjection, OwnedBindingBillsAFailedHeavyLaunchOnTheStream) {
   const double launch_ms = gpusim::test_device().kernel_launch_us * 1e-3;
   const OneLaunchEngine::Clocks failed = faulted.attempt_ends()[0];
   EXPECT_DOUBLE_EQ(failed.stream_ms, launch_ms);
-  EXPECT_GT(failed.busy_floor_ms, failed.stream_ms);  // the case is live
+  EXPECT_EQ(failed.busy_floor_ms, 0.0);
 
   OneLaunchEngine clean(gpusim::test_device(), csr, core::EngineOptions{});
   const core::GpuRunResult reference = clean.run(0);
+  // The case is live: the same kernel, run, floors past its launch cost.
+  EXPECT_GT(clean.attempt_ends()[0].busy_floor_ms, launch_ms);
   EXPECT_DOUBLE_EQ(result.device_ms,
                    launch_ms + options.retry.backoff_ms + reference.device_ms);
 }
@@ -637,21 +639,22 @@ TEST(FaultInjection, HotStreamLeavesBitFlipDrawsUntouched) {
   }
 }
 
-// --- QueryBatch -------------------------------------------------------------
+// --- a served batch ---------------------------------------------------------
 
 TEST(FaultInjection, BatchRecoversPerQueryAndKeepsDistancesExact) {
   const Csr csr = chaos_graph();
   const std::vector<VertexId> sources = {0, 5, 11, 42, 113, 250};
 
-  core::QueryBatchOptions options;
-  options.streams = 3;
-  options.gpu.delta0 = 120.0;
-  options.gpu.fault = seeded_faults(19);
-  options.gpu.fault.launch_failure = 0.1;
-  options.gpu.fault.max_faults = 3;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
+  core::QueryServerOptions options;
+  options.batch.streams = 3;
+  options.batch.gpu.delta0 = 120.0;
+  options.batch.gpu.fault = seeded_faults(19);
+  options.batch.gpu.fault.launch_failure = 0.1;
+  options.batch.gpu.fault.max_faults = 3;
+  core::QueryServer server(csr, gpusim::test_device(), options);
 
-  const core::BatchResult result = batch.run(sources);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(sources));
   ASSERT_EQ(result.queries.size(), sources.size());
   EXPECT_EQ(result.failed_queries, 0u);
   for (std::size_t i = 0; i < sources.size(); ++i) {

@@ -297,19 +297,19 @@ std::vector<graph::Distance> run_engine(const FuzzCase& c, const Csr& csr,
       return std::move(result.sssp.distances);
     }
     case Engine::kBatch: {
-      core::QueryBatchOptions options;
-      options.streams = c.streams;
-      options.gpu.basyn = c.basyn;
-      options.gpu.pro = c.pro;
-      options.gpu.adwl = c.adwl;
-      options.gpu.delta0 = c.delta0;
-      options.gpu.sanitize = sanitize;
-      options.gpu.fault = fault;
-      options.gpu.retry = retry;
-      core::QueryBatch batch(csr, device, options);
+      core::QueryServerOptions options;
+      options.batch.streams = c.streams;
+      options.batch.gpu.basyn = c.basyn;
+      options.batch.gpu.pro = c.pro;
+      options.batch.gpu.adwl = c.adwl;
+      options.batch.gpu.delta0 = c.delta0;
+      options.batch.gpu.sanitize = sanitize;
+      options.batch.gpu.fault = fault;
+      options.batch.gpu.retry = retry;
+      core::QueryServer server(csr, device, options);
       const VertexId sources[1] = {c.source};
-      auto result = batch.run(sources);
-      if (const gpusim::Sanitizer* san = batch.sim().sanitizer()) {
+      auto result = server.run_stream(core::batch_schedule(sources));
+      if (const gpusim::Sanitizer* san = server.batch().sim().sanitizer()) {
         *sanitizer_report = san->report();
       }
       return std::move(result.queries[0].sssp.distances);
@@ -565,22 +565,23 @@ void run_cross_stream_case(const FuzzCase& c, const Csr& csr,
 
   const int thread_counts[2] = {1, 8};
   std::string reports[2];
-  core::BatchResult results[2];
+  core::StreamResult results[2];
   for (int t = 0; t < 2; ++t) {
-    core::QueryBatchOptions options;
-    options.streams = c.streams;
-    options.gpu.basyn = c.basyn;
-    options.gpu.pro = c.pro;
-    options.gpu.adwl = c.adwl;
-    options.gpu.delta0 = c.delta0;
-    options.gpu.sanitize = gpusim::SanitizeMode::kOn;
-    options.gpu.fault = fuzz_fault_config(c.seed);
-    options.gpu.retry = fuzz_retry_policy();
-    options.gpu.sim_threads = thread_counts[t];
-    core::QueryBatch batch(csr, gpusim::test_device(), options);
-    results[t] = batch.run(sources);
-    ASSERT_NE(batch.sim().sanitizer(), nullptr);
-    reports[t] = batch.sim().sanitizer()->report();
+    core::QueryServerOptions options;
+    options.batch.streams = c.streams;
+    options.batch.gpu.basyn = c.basyn;
+    options.batch.gpu.pro = c.pro;
+    options.batch.gpu.adwl = c.adwl;
+    options.batch.gpu.delta0 = c.delta0;
+    options.batch.gpu.sanitize = gpusim::SanitizeMode::kOn;
+    options.batch.gpu.fault = fuzz_fault_config(c.seed);
+    options.batch.gpu.retry = fuzz_retry_policy();
+    options.batch.gpu.sim_threads = thread_counts[t];
+    core::QueryServer server(csr, gpusim::test_device(), options);
+    results[t] = server.run_stream(core::batch_schedule(sources));
+    const gpusim::Sanitizer* sanitizer = server.batch().sim().sanitizer();
+    ASSERT_NE(sanitizer, nullptr);
+    reports[t] = sanitizer->report();
   }
   EXPECT_EQ(reports[0], "")
       << "cross-stream case " << case_index << ": " << c.describe();

@@ -89,9 +89,9 @@ TEST(Cache, AccessLineMatchesPerSectorAccess) {
 // coalesce_warp_lanes against a naive std::set model: distinct addresses,
 // distinct 32B sectors, and the ascending (line, sector-mask) list, for
 // 1-32 lanes over the access shapes engines issue. kAscending is scattered
-// lanes that already ascend, passed unpromised too (the sort's early out).
-// Afterwards the lanes must hold the same multiset in ascending order: the
-// two-pass replay and gsan read them after the charge.
+// lanes that already ascend (the sort's early out). Afterwards the lanes
+// must hold the same multiset in ascending order: the two-pass replay and
+// gsan read them after the charge.
 TEST(Coalesce, MatchesNaiveSetModel) {
   enum Pattern { kUnitStride, kDuplicates, kScattered, kDescending,
                  kAscending };
@@ -100,60 +100,53 @@ TEST(Coalesce, MatchesNaiveSetModel) {
     for (const Pattern pattern : {kUnitStride, kDuplicates, kScattered,
                                   kDescending, kAscending}) {
       for (std::uint32_t lanes = 1; lanes <= 32; ++lanes) {
-        for (const bool presorted : {false, true}) {
-          const std::uint64_t base = 4096 + 4 * rng.next_below(1 << 16);
-          std::array<std::uint64_t, 32> addrs{};
-          for (std::uint32_t l = 0; l < lanes; ++l) {
-            switch (pattern) {
-              case kUnitStride: addrs[l] = base + 4 * l; break;
-              case kDuplicates: addrs[l] = base + 4 * rng.next_below(3); break;
-              case kScattered:
-                addrs[l] = base + 4 * rng.next_below(1 << 20);
-                break;
-              case kDescending: addrs[l] = base + 8 * (lanes - 1 - l); break;
-              case kAscending:
-                addrs[l] = base + 4 * rng.next_below(1 << 20);
-                break;
-            }
+        const std::uint64_t base = 4096 + 4 * rng.next_below(1 << 16);
+        std::array<std::uint64_t, 32> addrs{};
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          switch (pattern) {
+            case kUnitStride: addrs[l] = base + 4 * l; break;
+            case kDuplicates: addrs[l] = base + 4 * rng.next_below(3); break;
+            case kScattered:
+            case kAscending:
+              addrs[l] = base + 4 * rng.next_below(1 << 20);
+              break;
+            case kDescending: addrs[l] = base + 8 * (lanes - 1 - l); break;
           }
-          // presorted is a promise the record phase makes; keep it.
-          if (presorted || pattern == kAscending) {
-            std::sort(addrs.begin(), addrs.begin() + lanes);
-          }
-          std::vector<std::uint64_t> sorted_lanes(addrs.begin(),
-                                                  addrs.begin() + lanes);
-          std::sort(sorted_lanes.begin(), sorted_lanes.end());
+        }
+        if (pattern == kAscending) {
+          std::sort(addrs.begin(), addrs.begin() + lanes);
+        }
+        std::vector<std::uint64_t> sorted_lanes(addrs.begin(),
+                                                addrs.begin() + lanes);
+        std::sort(sorted_lanes.begin(), sorted_lanes.end());
 
-          const std::set<std::uint64_t> distinct(addrs.begin(),
-                                                 addrs.begin() + lanes);
-          std::set<std::uint64_t> sectors;
-          for (const std::uint64_t a : distinct) sectors.insert(a >> 5);
-          std::map<std::uint64_t, std::uint32_t> line_masks;
-          for (const std::uint64_t sector : sectors) {
-            line_masks[sector >> spl_shift] |=
-                1u << (sector & ((1u << spl_shift) - 1));
-          }
+        const std::set<std::uint64_t> distinct(addrs.begin(),
+                                               addrs.begin() + lanes);
+        std::set<std::uint64_t> sectors;
+        for (const std::uint64_t a : distinct) sectors.insert(a >> 5);
+        std::map<std::uint64_t, std::uint32_t> line_masks;
+        for (const std::uint64_t sector : sectors) {
+          line_masks[sector >> spl_shift] |=
+              1u << (sector & ((1u << spl_shift) - 1));
+        }
 
-          std::array<WarpLineRef, 32> lines{};
-          const CoalesceResult co = coalesce_warp_lanes(
-              addrs.data(), lanes, presorted, spl_shift, lines.data());
-          const std::string where =
-              "pattern=" + std::to_string(pattern) +
-              " lanes=" + std::to_string(lanes) +
-              " presorted=" + std::to_string(presorted) +
-              " spl_shift=" + std::to_string(spl_shift);
-          ASSERT_TRUE(std::equal(sorted_lanes.begin(), sorted_lanes.end(),
-                                 addrs.begin()))
-              << where;
-          ASSERT_EQ(co.distinct_addrs, distinct.size()) << where;
-          ASSERT_EQ(co.sectors, sectors.size()) << where;
-          ASSERT_EQ(co.lines, line_masks.size()) << where;
-          std::uint32_t i = 0;
-          for (const auto& [line, mask] : line_masks) {
-            ASSERT_EQ(lines[i].line, line) << where << " entry=" << i;
-            ASSERT_EQ(lines[i].mask, mask) << where << " entry=" << i;
-            ++i;
-          }
+        std::array<WarpLineRef, 32> lines{};
+        const CoalesceResult co =
+            coalesce_warp_lanes(addrs.data(), lanes, spl_shift, lines.data());
+        const std::string where = "pattern=" + std::to_string(pattern) +
+                                  " lanes=" + std::to_string(lanes) +
+                                  " spl_shift=" + std::to_string(spl_shift);
+        ASSERT_TRUE(std::equal(sorted_lanes.begin(), sorted_lanes.end(),
+                               addrs.begin()))
+            << where;
+        ASSERT_EQ(co.distinct_addrs, distinct.size()) << where;
+        ASSERT_EQ(co.sectors, sectors.size()) << where;
+        ASSERT_EQ(co.lines, line_masks.size()) << where;
+        std::uint32_t i = 0;
+        for (const auto& [line, mask] : line_masks) {
+          ASSERT_EQ(lines[i].line, line) << where << " entry=" << i;
+          ASSERT_EQ(lines[i].mask, mask) << where << " entry=" << i;
+          ++i;
         }
       }
     }

@@ -1,18 +1,21 @@
-// QueryBatch and gpusim stream semantics.
+// QueryBatch lanes and gpusim stream semantics.
 //
-// The load-bearing property is at the top: a batch of K sources must be
-// BIT-IDENTICAL to K sequential single-query runs, for every sim_threads
-// and stream count — concurrent streams repartition simulated time, never
-// functional state. The gpusim-level tests below pin the stream model
-// itself: overlap shrinks elapsed time, the concurrent-kernel cap
-// serializes and records queue wait, and a single-stream user sees exactly
-// the pre-stream accounting.
+// The load-bearing property is at the top: a batch of K sources, served as
+// a t=0 schedule through QueryServer::run_stream, must be BIT-IDENTICAL to
+// K sequential single-query runs, for every sim_threads and stream count —
+// concurrent streams repartition simulated time, never functional state.
+// The gpusim-level tests below pin the stream model itself: overlap
+// shrinks elapsed time, the concurrent-kernel cap serializes and records
+// queue wait, and a single-stream user sees exactly the pre-stream
+// accounting.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/query_batch.hpp"
+#include "core/query_server.hpp"
 #include "core/rdbs.hpp"
+#include "core/traffic.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/sim.hpp"
 #include "sssp/dijkstra.hpp"
@@ -29,6 +32,15 @@ Csr batch_test_graph() {
 }
 
 std::vector<VertexId> batch_test_sources() { return {0, 17, 113, 256, 399}; }
+
+// The served batch's device time with its queries run back-to-back.
+double back_to_back_ms(const core::StreamResult& result) {
+  double sum = 0;
+  for (const core::StreamQueryStats& sq : result.stats) {
+    sum += sq.query.device_ms;
+  }
+  return sum;
+}
 
 // --- recovery accounting ----------------------------------------------------
 
@@ -94,12 +106,13 @@ TEST(QueryBatch, BatchBitIdenticalToSequentialForThreadsAndStreams) {
 
   for (const int sim_threads : {1, 8}) {
     for (const int streams : {1, 4}) {
-      core::QueryBatchOptions options;
-      options.streams = streams;
-      options.gpu = gpu;
-      options.gpu.sim_threads = sim_threads;
-      core::QueryBatch batch(csr, gpusim::test_device(), options);
-      const core::BatchResult result = batch.run(sources);
+      core::QueryServerOptions options;
+      options.batch.streams = streams;
+      options.batch.gpu = gpu;
+      options.batch.gpu.sim_threads = sim_threads;
+      core::QueryServer server(csr, gpusim::test_device(), options);
+      const core::StreamResult result =
+          server.run_stream(core::batch_schedule(sources));
       ASSERT_EQ(result.queries.size(), sources.size());
       for (std::size_t i = 0; i < sources.size(); ++i) {
         EXPECT_EQ(result.queries[i].sssp.distances, reference[i])
@@ -112,63 +125,60 @@ TEST(QueryBatch, BatchBitIdenticalToSequentialForThreadsAndStreams) {
 
 TEST(QueryBatch, RepeatedRunsOnPooledEnginesStayIdentical) {
   const Csr csr = batch_test_graph();
-  const std::vector<VertexId> sources = batch_test_sources();
-  core::QueryBatchOptions options;
-  options.streams = 2;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
+  const std::vector<core::TrafficQuery> schedule =
+      core::batch_schedule(batch_test_sources());
+  core::QueryServerOptions options;
+  options.batch.streams = 2;
+  core::QueryServer server(csr, gpusim::test_device(), options);
 
-  const core::BatchResult first = batch.run(sources);
-  const core::BatchResult second = batch.run(sources);
+  const core::StreamResult first = server.run_stream(schedule);
+  const core::StreamResult second = server.run_stream(schedule);
   ASSERT_EQ(first.queries.size(), second.queries.size());
   for (std::size_t i = 0; i < first.queries.size(); ++i) {
     EXPECT_EQ(first.queries[i].sssp.distances,
               second.queries[i].sssp.distances);
+    // Pooled buffers / warm caches may change time, never instructions.
+    EXPECT_EQ(first.queries[i].counters.warp_instructions(),
+              second.queries[i].counters.warp_instructions());
   }
-  // Pooled buffers / warm caches may change time, never instructions.
-  EXPECT_EQ(first.warp_instructions, second.warp_instructions);
 }
 
 TEST(QueryBatch, AddsEngineMatchesOracleAndOverlaps) {
   const Csr csr = batch_test_graph();
   const std::vector<VertexId> sources = batch_test_sources();
-  core::QueryBatchOptions options;
-  options.engine = core::BatchEngine::kAdds;
-  options.streams = 4;
-  options.gpu.delta0 = 150.0;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
-  const core::BatchResult result = batch.run(sources);
+  core::QueryServerOptions options;
+  options.batch.engine = core::BatchEngine::kAdds;
+  options.batch.streams = 4;
+  options.batch.gpu.delta0 = 150.0;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(sources));
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(result.queries[i].sssp.distances,
               sssp::dijkstra(csr, sources[i]).distances);
   }
-  EXPECT_LT(result.makespan_ms, result.sum_latency_ms);
+  EXPECT_LT(result.device_makespan_ms, back_to_back_ms(result));
 }
 
 TEST(QueryBatch, MetricsAreConsistent) {
   const Csr csr = batch_test_graph();
   const std::vector<VertexId> sources = batch_test_sources();
-  core::QueryBatchOptions options;
-  options.streams = 4;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
-  const core::BatchResult result = batch.run(sources);
+  core::QueryServerOptions options;
+  options.batch.streams = 4;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(sources));
 
   ASSERT_EQ(result.stats.size(), sources.size());
-  double sum_latency = 0;
-  std::uint64_t instructions = 0;
-  for (const core::QueryStats& qs : result.stats) {
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const core::QueryStats& qs = result.stats[i].query;
     EXPECT_GT(qs.device_ms, 0);
-    EXPECT_GT(qs.warp_instructions, 0u);
-    EXPECT_GT(qs.mwips, 0);
+    EXPECT_GT(result.queries[i].counters.warp_instructions(), 0u);
     EXPECT_GE(qs.queue_wait_ms, 0);
-    EXPECT_LT(qs.stream, batch.streams());
-    sum_latency += qs.device_ms;
-    instructions += qs.warp_instructions;
+    EXPECT_LT(qs.stream, server.batch().num_lanes());
   }
-  EXPECT_DOUBLE_EQ(result.sum_latency_ms, sum_latency);
-  EXPECT_EQ(result.warp_instructions, instructions);
   // Overlap can only shrink the makespan, to no less than the slowest query.
-  EXPECT_LE(result.makespan_ms, result.sum_latency_ms + 1e-9);
-  EXPECT_GT(result.aggregate_mwips, 0);
+  EXPECT_LE(result.device_makespan_ms, back_to_back_ms(result) + 1e-9);
 }
 
 // --- per-query failure isolation (gfi) --------------------------------------
@@ -177,20 +187,21 @@ TEST(QueryBatch, InvalidSourceFailsThatQueryAlone) {
   const Csr csr = batch_test_graph();
   const VertexId bad = csr.num_vertices() + 5;
   const std::vector<VertexId> sources = {0, bad, 113, 399};
-  core::QueryBatchOptions options;
-  options.streams = 2;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
-  const core::BatchResult result = batch.run(sources);
+  core::QueryServerOptions options;
+  options.batch.streams = 2;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(sources));
 
   ASSERT_EQ(result.queries.size(), sources.size());
   ASSERT_EQ(result.stats.size(), sources.size());
   EXPECT_EQ(result.failed_queries, 1u);
-  EXPECT_EQ(result.stats[1].status, core::QueryStatus::kFailed);
-  EXPECT_FALSE(result.stats[1].error.empty());
+  EXPECT_EQ(result.stats[1].query.status, core::QueryStatus::kFailed);
+  EXPECT_FALSE(result.stats[1].query.error.empty());
   EXPECT_FALSE(result.queries[1].ok);
   EXPECT_TRUE(result.queries[1].sssp.distances.empty());
   for (const std::size_t i : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
-    EXPECT_EQ(result.stats[i].status, core::QueryStatus::kOk);
+    EXPECT_EQ(result.stats[i].query.status, core::QueryStatus::kOk);
     EXPECT_EQ(result.queries[i].sssp.distances,
               sssp::dijkstra(csr, sources[i]).distances);
   }
@@ -199,19 +210,20 @@ TEST(QueryBatch, InvalidSourceFailsThatQueryAlone) {
 TEST(QueryBatch, FaultedBatchClassifiesPerQueryStatus) {
   const Csr csr = batch_test_graph();
   const std::vector<VertexId> sources = batch_test_sources();
-  core::QueryBatchOptions options;
-  options.streams = 2;
-  options.gpu.fault.enabled = true;
-  options.gpu.fault.seed = 23;
-  options.gpu.fault.launch_failure = 0.15;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
-  const core::BatchResult result = batch.run(sources);
+  core::QueryServerOptions options;
+  options.batch.streams = 2;
+  options.batch.gpu.fault.enabled = true;
+  options.batch.gpu.fault.seed = 23;
+  options.batch.gpu.fault.launch_failure = 0.15;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(sources));
 
   EXPECT_EQ(result.failed_queries, 0u);
   std::uint64_t recovered = 0, fallback = 0;
   for (std::size_t i = 0; i < sources.size(); ++i) {
     SCOPED_TRACE(i);
-    const core::QueryStatus status = result.stats[i].status;
+    const core::QueryStatus status = result.stats[i].query.status;
     recovered += status == core::QueryStatus::kRecovered;
     fallback += status == core::QueryStatus::kCpuFallback;
     EXPECT_TRUE(result.queries[i].ok);
@@ -229,18 +241,18 @@ TEST(QueryBatch, FaultedBatchClassifiesPerQueryStatus) {
 
 TEST(QueryBatch, FaultsOffBatchReportsAllOk) {
   const Csr csr = batch_test_graph();
-  const std::vector<VertexId> sources = batch_test_sources();
-  core::QueryBatchOptions options;
-  options.streams = 3;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
-  const core::BatchResult result = batch.run(sources);
+  core::QueryServerOptions options;
+  options.batch.streams = 3;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(batch_test_sources()));
   EXPECT_EQ(result.failed_queries, 0u);
   EXPECT_EQ(result.recovered_queries, 0u);
   EXPECT_EQ(result.fallback_queries, 0u);
   EXPECT_EQ(result.recovery.faults_injected, 0u);
-  for (const core::QueryStats& qs : result.stats) {
-    EXPECT_EQ(qs.status, core::QueryStatus::kOk);
-    EXPECT_TRUE(qs.error.empty());
+  for (const core::StreamQueryStats& sq : result.stats) {
+    EXPECT_EQ(sq.query.status, core::QueryStatus::kOk);
+    EXPECT_TRUE(sq.query.error.empty());
   }
 }
 
@@ -269,21 +281,23 @@ gpusim::LaunchResult tiny_kernel(gpusim::GpuSim& sim, gpusim::StreamId s) {
 // estimate toward zero and let every future query through the load shedder.
 TEST(QueryBatch, AllFailedWarmupLeavesCostEstimatesAtSeed) {
   const Csr csr = batch_test_graph();
-  core::QueryBatchOptions options;
-  options.streams = 2;
-  options.gpu.delta0 = 150.0;
-  options.gpu.fault.enabled = true;
-  options.gpu.fault.seed = 11;
-  options.gpu.fault.launch_failure = 1.0;   // every launch fails...
-  options.gpu.fault.max_faults = 100000;    // ...for the whole batch
-  options.gpu.retry.max_attempts = 1;       // no retries
-  options.gpu.retry.cpu_fallback = false;   // no rescue: kFailed everywhere
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
+  core::QueryServerOptions options;
+  options.batch.streams = 2;
+  options.batch.gpu.delta0 = 150.0;
+  options.batch.gpu.fault.enabled = true;
+  options.batch.gpu.fault.seed = 11;
+  options.batch.gpu.fault.launch_failure = 1.0;   // every launch fails...
+  options.batch.gpu.fault.max_faults = 100000;    // ...for the whole batch
+  options.batch.gpu.retry.max_attempts = 1;       // no retries
+  options.batch.gpu.retry.cpu_fallback = false;   // no rescue: kFailed
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::QueryBatch& batch = server.batch();
 
   const double seed_ms = batch.cost_seed_ms();
   ASSERT_GT(seed_ms, 0.0);
   const std::vector<VertexId> sources = batch_test_sources();
-  const core::BatchResult result = batch.run(sources);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(sources));
   ASSERT_EQ(result.failed_queries, sources.size());
 
   for (int lane = 0; lane < batch.num_lanes(); ++lane) {
@@ -294,13 +308,15 @@ TEST(QueryBatch, AllFailedWarmupLeavesCostEstimatesAtSeed) {
 // The complement: successful queries DO teach the estimator.
 TEST(QueryBatch, SuccessfulQueriesMoveCostEstimatesOffTheSeed) {
   const Csr csr = batch_test_graph();
-  core::QueryBatchOptions options;
-  options.streams = 1;
-  options.gpu.delta0 = 150.0;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
+  core::QueryServerOptions options;
+  options.batch.streams = 1;
+  options.batch.gpu.delta0 = 150.0;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::QueryBatch& batch = server.batch();
 
   const double seed_ms = batch.cost_seed_ms();
-  const core::BatchResult result = batch.run(batch_test_sources());
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(batch_test_sources()));
   ASSERT_EQ(result.failed_queries, 0u);
   EXPECT_NE(batch.lane_cost_estimate_ms(0), seed_ms);
   EXPECT_GT(batch.lane_cost_estimate_ms(0), 0.0);

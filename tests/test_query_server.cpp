@@ -162,6 +162,38 @@ TEST(QueryServer, UnboundedQueriesAllCompleteExactly) {
   EXPECT_GT(result.makespan_ms, 0.0);
 }
 
+// A batch is a t=0 schedule. On a fresh server with no deadlines, every
+// query takes the earliest-free lane in offer order and is charged no idle
+// gap: exactly a hand loop of pick_lane() + run_on_lane() on a twin lane
+// pool. BENCH_batch.json and the calibration of BENCH_server.json rest on
+// this.
+TEST(QueryServer, UnboundedT0BatchDispatchesEarliestFreeInOrder) {
+  const Csr csr = server_test_graph();
+  const std::vector<VertexId> sources = {0, 17, 113, 256, 399, 42, 7, 300};
+  for (const int streams : {1, 3}) {
+    SCOPED_TRACE(streams);
+    core::QueryServerOptions options;
+    options.batch.streams = streams;
+    options.batch.gpu.delta0 = 150.0;
+    core::QueryServer server(csr, gpusim::test_device(), options);
+    const core::StreamResult served = server.run_stream(queries_for(sources));
+    ASSERT_EQ(served.ok_queries, sources.size());
+
+    core::QueryBatch twin(csr, gpusim::test_device(), options.batch);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      SCOPED_TRACE(i);
+      const int lane = twin.pick_lane();
+      const core::QueryBatch::LaneOutcome outcome =
+          twin.run_on_lane(lane, sources[i]);
+      EXPECT_EQ(served.stats[i].query.stream, twin.lane_stream(lane));
+      EXPECT_EQ(served.stats[i].query.device_ms, outcome.stats.device_ms);
+      EXPECT_EQ(served.stats[i].finish_ms, twin.lane_clock_ms(lane));
+      EXPECT_EQ(served.queries[i].sssp.distances,
+                outcome.result.sssp.distances);
+    }
+  }
+}
+
 TEST(QueryServer, ImpossibleDeadlineIsCancelledWithPartialMetricsOnly) {
   const Csr csr = server_test_graph();
   // One query whose deadline expires during its very first kernels. With
@@ -599,7 +631,7 @@ TEST(QueryServer, HalfOpenProbeDecaysLaneEwmaExactlyOnce) {
   options.breaker.half_open_ewma_decay = 1.0;
   core::QueryServer server(csr, gpusim::test_device(), options);
   const double seed_ms = server.batch().cost_seed_ms();
-  const double alpha = options.batch.ewma_alpha;
+  const double alpha = core::kLaneCostEwmaAlpha;
 
   // Move the estimate off the seed with one clean query.
   server.run_stream(queries_for({17}));

@@ -28,7 +28,7 @@
 
 #include "core/device_graph.hpp"
 #include "core/engine.hpp"
-#include "core/query_batch.hpp"
+#include "core/query_server.hpp"
 #include "core/rdbs.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/sanitizer.hpp"
@@ -654,13 +654,15 @@ TEST(GsanCleanSweep, RdbsEngineSynchronousBaseline) {
 TEST(GsanCleanSweep, QueryBatchFourStreams) {
   const Csr csr = sweep_graph();
   const std::vector<VertexId> sources = {0, 13, 77, 150, 299};
-  core::QueryBatchOptions options;
-  options.streams = 4;
-  options.gpu.sanitize = SanitizeMode::kOn;
-  core::QueryBatch batch(csr, gpusim::test_device(), options);
-  const core::BatchResult result = batch.run(sources);
-  ASSERT_NE(batch.sim().sanitizer(), nullptr);
-  EXPECT_EQ(batch.sim().sanitizer()->report(), "");
+  core::QueryServerOptions options;
+  options.batch.streams = 4;
+  options.batch.gpu.sanitize = SanitizeMode::kOn;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result =
+      server.run_stream(core::batch_schedule(sources));
+  const gpusim::Sanitizer* sanitizer = server.batch().sim().sanitizer();
+  ASSERT_NE(sanitizer, nullptr);
+  EXPECT_EQ(sanitizer->report(), "");
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(result.queries[i].sssp.distances,
               sssp::dijkstra(csr, sources[i]).distances);
