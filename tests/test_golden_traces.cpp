@@ -30,6 +30,7 @@
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/result.hpp"
 #include "test_util.hpp"
 
 #ifndef RDBS_GOLDEN_DIR
@@ -76,6 +77,12 @@ std::string serialize_trace(const core::GpuRunResult& result) {
       << "recovery_faults_injected " << r.faults_injected << '\n'
       << "recovery_ecc_corrected " << r.ecc_corrected << '\n'
       << "recovery_device_lost " << r.device_lost << '\n';
+  // The functional work counters Fig. 9's redundancy is built from.
+  const sssp::WorkStats& w = result.sssp.work;
+  out << "work_relaxations " << w.relaxations << '\n'
+      << "work_total_updates " << w.total_updates << '\n'
+      << "work_valid_updates " << w.valid_updates << '\n'
+      << "work_iterations " << w.iterations << '\n';
   out << std::hexfloat;
   out << "device_ms " << result.device_ms << '\n'
       << "queue_wait_ms " << result.queue_wait_ms << '\n'
@@ -138,6 +145,36 @@ TEST(GoldenTraces, RdbsFullOnPowerLaw) {
   options.delta0 = 150.0;
   core::RdbsSolver solver(csr, gpusim::test_device(), options);
   check_against_golden("rdbs_powerlaw_300_s201", solver.solve(5));
+}
+
+// RDBS without PRO: BASYN+ADWL on the original layout, so every light edge
+// pays the per-edge weight test, in the parent warps' sweep and in the
+// child chunks, and phases 2&3 run fused.
+TEST(GoldenTraces, RdbsBasynAdwlWithoutProOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/210);
+  core::GpuSsspOptions options;
+  options.delta0 = 150.0;
+  options.pro = false;
+  core::RdbsSolver solver(csr, gpusim::test_device(), options);
+  const core::GpuRunResult result = solver.solve(5);
+  ASSERT_GT(result.counters.child_launches, 0u);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 5).distances);
+  check_against_golden("rdbs_nopro_powerlaw_300_s210", result);
+}
+
+// Synchronous Δ-stepping (all three optimizations off): phase1_sync's
+// per-iteration launches and separate phase-2 and phase-3 kernels.
+TEST(GoldenTraces, SyncDeltaSteppingOnPowerLaw) {
+  const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/211);
+  core::GpuSsspOptions options;
+  options.delta0 = 150.0;
+  options.basyn = false;
+  options.pro = false;
+  options.adwl = false;
+  core::RdbsSolver solver(csr, gpusim::test_device(), options);
+  const core::GpuRunResult result = solver.solve(5);
+  EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 5).distances);
+  check_against_golden("sync_delta_powerlaw_300_s211", result);
 }
 
 // Triple 2: the paper's BL baseline (synchronous push Bellman-Ford) on a
