@@ -4,6 +4,7 @@
 #include <array>
 
 #include "common/macros.hpp"
+#include "core/warp_relax.hpp"
 
 namespace rdbs::core {
 
@@ -86,65 +87,10 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
     if (near_.empty()) {
       // --- Far split: advance the threshold past the smallest far
       // distance, promote entries below it, drop stale duplicates.
-      Distance min_far = graph::kInfiniteDistance;
-      const std::uint64_t pile_base = far_.window_begin();
-      const std::vector<VertexId> far = far_.take_all();
-      sim().label_next_launch("far_split");
-      gpusim::KernelScope split(sim(), gpusim::Schedule::kStatic, true,
-                                /*warps_per_block=*/8, stream());
-      for (std::size_t base = 0; base < far.size(); base += 32) {
-        const auto cnt = static_cast<std::uint32_t>(
-            std::min<std::size_t>(32, far.size() - base));
-        const auto entries = std::span<const VertexId>(far).subspan(base, cnt);
-        auto ctx = split.make_warp();
-        std::array<std::uint64_t, 32> vidx{};
-        std::array<Distance, 32> dvals{};
-        for (std::uint32_t i = 0; i < cnt; ++i) vidx[i] = entries[i];
-        // Read the pile slots and the current distances of the entries.
-        far_.charge_read(ctx, pile_base + base, entries);
-        ctx.load(dist_, std::span<const std::uint64_t>(vidx.data(), cnt),
-                 std::span<Distance>(dvals.data(), cnt));
-        ctx.alu(2, cnt);
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-          // Entries already settled below the old threshold are stale.
-          if (dvals[i] < threshold) continue;
-          min_far = std::min(min_far, dvals[i]);
-        }
-        split.commit(ctx);
-      }
-      // Second pass with the advanced threshold does the actual promotion.
-      if (min_far == graph::kInfiniteDistance) {
-        split.finish();
+      if (!split_far_pile(sim(), stream(), dist_, near_, far_, threshold,
+                          options_.delta)) {
         break;  // only stale entries remained
       }
-      const Distance old_threshold = threshold;
-      while (threshold <= min_far) threshold += options_.delta;
-      for (std::size_t base = 0; base < far.size(); base += 32) {
-        const auto cnt = static_cast<std::uint32_t>(
-            std::min<std::size_t>(32, far.size() - base));
-        auto ctx = split.make_warp();
-        std::array<std::uint64_t, 32> vidx{};
-        std::array<Distance, 32> dvals{};
-        for (std::uint32_t i = 0; i < cnt; ++i) vidx[i] = far[base + i];
-        ctx.load(dist_, std::span<const std::uint64_t>(vidx.data(), cnt),
-                 std::span<Distance>(dvals.data(), cnt));
-        ctx.alu(2, cnt);
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-          const VertexId v = far[base + i];
-          const Distance d = dvals[i];
-          if (d == graph::kInfiniteDistance) continue;
-          if (d < old_threshold) continue;  // settled below old window: stale
-          if (d < threshold) {
-            near_.offer(v);
-          } else {
-            far_.append(v);
-          }
-        }
-        near_.charge_push(ctx);
-        far_.charge_push(ctx);
-        split.commit(ctx);
-      }
-      split.finish();
       // Round boundary (far split done): consistent upper bounds —
       // snapshot for checkpoint-resume.
       driver_.boundary(dist_);
@@ -170,72 +116,33 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
 
       std::array<Distance, 32> dist_u{};
       ctx.load(dist_, vspan, std::span<Distance>(dist_u.data(), lane_count));
-      std::array<std::uint64_t, 32> row_begin{};
-      std::array<std::uint64_t, 32> row_end{};
-      {
-        std::array<std::uint64_t, 32> idx2{};
-        for (std::uint32_t i = 0; i < lane_count; ++i) idx2[i] = lanes[i] + 1;
-        std::array<EdgeIndex, 32> tmp{};
-        ctx.load(graph().row_offsets, vspan,
-                 std::span<EdgeIndex>(tmp.data(), lane_count));
-        for (std::uint32_t i = 0; i < lane_count; ++i) row_begin[i] = tmp[i];
-        ctx.load(graph().row_offsets,
-                 std::span<const std::uint64_t>(idx2.data(), lane_count),
-                 std::span<EdgeIndex>(tmp.data(), lane_count));
-        for (std::uint32_t i = 0; i < lane_count; ++i) row_end[i] = tmp[i];
-      }
+      std::array<EdgeIndex, 32> row_begin{};
+      std::array<EdgeIndex, 32> row_end{};
+      load_row_bounds(ctx, graph(), vspan,
+                      std::span<EdgeIndex>(row_begin.data(), lane_count),
+                      std::span<EdgeIndex>(row_end.data(), lane_count));
       ctx.alu(2, lane_count);
 
       // Thread-per-vertex: the warp runs until its highest-degree lane is
       // done — ADDS's Achilles heel on hub-dominated graphs.
-      std::uint64_t max_deg = 0;
-      for (std::uint32_t i = 0; i < lane_count; ++i) {
-        max_deg = std::max(max_deg, row_end[i] - row_begin[i]);
-      }
-      for (std::uint64_t s = 0; s < max_deg; ++s) {
-        std::array<std::uint64_t, 32> eidx{};
-        std::array<std::uint32_t, 32> lane_of{};
-        std::uint32_t active = 0;
-        for (std::uint32_t i = 0; i < lane_count; ++i) {
-          if (row_begin[i] + s < row_end[i]) {
-            eidx[active] = row_begin[i] + s;
-            lane_of[active] = i;
-            ++active;
-          }
-        }
-        if (active == 0) break;
-        std::span<const std::uint64_t> espan(eidx.data(), active);
-        std::array<VertexId, 32> dsts{};
-        std::array<Weight, 32> ws{};
-        ctx.load(graph().adjacency, espan, std::span<VertexId>(dsts.data(), active));
-        ctx.load(graph().weights, espan, std::span<Weight>(ws.data(), active));
-        ctx.alu(2, active);
-        work_.relaxations += active;
-
-        std::array<std::uint64_t, 32> relax_idx{};
-        std::array<Distance, 32> relax_val{};
-        for (std::uint32_t i = 0; i < active; ++i) {
-          relax_idx[i] = dsts[i];
-          relax_val[i] = dist_u[lane_of[i]] + ws[i];
-        }
-        std::array<std::uint8_t, 32> improved{};
-        ctx.atomic_min(dist_,
-                       std::span<const std::uint64_t>(relax_idx.data(), active),
-                       std::span<const Distance>(relax_val.data(), active),
-                       std::span<std::uint8_t>(improved.data(), active));
-        for (std::uint32_t i = 0; i < active; ++i) {
-          if (!improved[i]) continue;
-          ++work_.total_updates;
-          const auto v = static_cast<VertexId>(relax_idx[i]);
-          if (relax_val[i] < threshold) {
-            near_.offer(v);
-          } else {
-            far_.append(v);
-          }
-        }
-        near_.charge_push(ctx);
-        far_.charge_push(ctx);
-      }
+      relax_lanes(
+          ctx, graph(), dist_,
+          std::span<const Distance>(dist_u.data(), lane_count),
+          std::span<const EdgeIndex>(row_begin.data(), lane_count),
+          std::span<const EdgeIndex>(row_end.data(), lane_count),
+          /*light_below=*/std::nullopt, work_, [&](const RelaxBatch& batch) {
+            for (std::uint32_t i = 0; i < batch.count; ++i) {
+              if (!batch.improved[i]) continue;
+              const auto v = static_cast<VertexId>(batch.target[i]);
+              if (batch.value[i] < threshold) {
+                near_.offer(v);
+              } else {
+                far_.append(v);
+              }
+            }
+            near_.charge_push(ctx);
+            far_.charge_push(ctx);
+          });
       kernel.commit(ctx);
       ++work_.iterations;
     }

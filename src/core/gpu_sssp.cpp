@@ -120,12 +120,33 @@ void GpuDeltaStepping::seed_queue(VertexId source, Weight hi) {
   queue_.publish();
 }
 
+std::optional<Weight> GpuDeltaStepping::light_test(Weight delta) const {
+  // Without PRO every edge pays the light/heavy branch and heavy lanes sit
+  // idle for the rest of the step (divergence); with PRO the light range is
+  // a row prefix and there is no branch.
+  if (options_.pro) return std::nullopt;
+  return delta;
+}
+
+std::uint32_t GpuDeltaStepping::offer_below(const RelaxBatch& batch, Weight hi,
+                                            BucketStats& stats) {
+  std::uint32_t enq = 0;
+  for (std::uint32_t i = 0; i < batch.count; ++i) {
+    if (!batch.improved[i]) continue;
+    ++stats.phase1_updates;
+    if (batch.value[i] < hi &&
+        queue_.offer(static_cast<VertexId>(batch.target[i]))) {
+      ++enq;
+    }
+  }
+  return enq;
+}
+
 void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
-                                   std::span<const VertexId> lanes, Weight lo,
-                                   Weight hi, Weight delta,
-                                   std::vector<ChildChunk>* children,
+                                   std::span<const VertexId> lanes, Weight hi,
+                                   Weight delta,
+                                   std::vector<EdgeChunk>* children,
                                    BucketStats& stats) {
-  (void)lo;
   const auto lane_count = static_cast<std::uint32_t>(lanes.size());
   RDBS_DCHECK(lane_count > 0 && lane_count <= 32);
 
@@ -144,22 +165,14 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
 
   std::array<Distance, 32> dist_u{};
   ctx.load(dist_, vspan, std::span<Distance>(dist_u.data(), lane_count));
-
-  std::array<std::uint64_t, 32> row_begin{};
-  std::array<std::uint64_t, 32> row_end{};
-  {
-    std::array<std::uint64_t, 32> idx2{};
-    for (std::uint32_t i = 0; i < lane_count; ++i) idx2[i] = lanes[i] + 1;
-    std::array<EdgeIndex, 32> tmp{};
-    ctx.load(graph().row_offsets, vspan, std::span<EdgeIndex>(tmp.data(), lane_count));
-    for (std::uint32_t i = 0; i < lane_count; ++i) row_begin[i] = tmp[i];
-    ctx.load(graph().row_offsets, std::span<const std::uint64_t>(idx2.data(), lane_count),
-             std::span<EdgeIndex>(tmp.data(), lane_count));
-    for (std::uint32_t i = 0; i < lane_count; ++i) row_end[i] = tmp[i];
-  }
+  std::array<EdgeIndex, 32> row_begin{};
+  std::array<EdgeIndex, 32> row_end{};
+  load_row_bounds(ctx, graph(), vspan,
+                  std::span<EdgeIndex>(row_begin.data(), lane_count),
+                  std::span<EdgeIndex>(row_end.data(), lane_count));
 
   // Light-range split per lane.
-  std::array<std::uint64_t, 32> lend{};
+  std::array<EdgeIndex, 32> lend{};
   if (options_.pro) {
     if (delta == csr_.heavy_delta()) {
       // O(1): read the precomputed heavy offset from the row list. (The
@@ -212,143 +225,51 @@ void GpuDeltaStepping::parent_warp(gpusim::WarpCtx& ctx,
   }
   ctx.alu(2, lane_count);  // bucket classification / loop setup
 
-  // ADWL: medium/large lanes spawn child chunks; small lanes run inline.
-  std::array<std::uint8_t, 32> inline_lane{};
+  // ADWL: medium/large lanes spawn child chunks and leave the inline sweep
+  // an empty range; small lanes run inline.
   for (std::uint32_t i = 0; i < lane_count; ++i) {
     const std::uint64_t light_deg = lend[i] - row_begin[i];
-    inline_lane[i] = 1;
     if (options_.adwl && children != nullptr && light_deg >= kBeta) {
-      inline_lane[i] = 0;
       if (light_deg >= kAlpha) {
         ++stats.large_workload;
       } else {
         ++stats.medium_workload;
       }
       ctx.child_launch();
-      for (EdgeIndex e = row_begin[i]; e < lend[i]; e += 32) {
-        children->push_back(
-            {lanes[i], e, std::min<EdgeIndex>(e + 32, lend[i])});
-      }
+      append_edge_chunks(lanes[i], row_begin[i], lend[i], *children);
+      lend[i] = row_begin[i];
     } else if (options_.adwl && children != nullptr) {
       ++stats.small_workload;
     }
   }
 
   // Inline (thread-per-vertex) edge loop: warp pays for its slowest lane.
-  std::uint64_t max_inline = 0;
-  for (std::uint32_t i = 0; i < lane_count; ++i) {
-    if (inline_lane[i]) {
-      max_inline = std::max<std::uint64_t>(max_inline,
-                                           lend[i] - row_begin[i]);
-    }
-  }
-  for (std::uint64_t s = 0; s < max_inline; ++s) {
-    std::array<std::uint64_t, 32> eidx{};
-    std::array<std::uint32_t, 32> lane_of{};
-    std::uint32_t active = 0;
-    for (std::uint32_t i = 0; i < lane_count; ++i) {
-      if (inline_lane[i] && row_begin[i] + s < lend[i]) {
-        eidx[active] = row_begin[i] + s;
-        lane_of[active] = i;
-        ++active;
-      }
-    }
-    if (active == 0) break;
-    std::span<const std::uint64_t> espan(eidx.data(), active);
-
-    std::array<VertexId, 32> dsts{};
-    std::array<Weight, 32> ws{};
-    ctx.load(graph().adjacency, espan, std::span<VertexId>(dsts.data(), active));
-    ctx.load(graph().weights, espan, std::span<Weight>(ws.data(), active));
-
-    // Without PRO every edge pays the light/heavy branch and heavy lanes
-    // sit idle for the rest of the step (divergence).
-    std::array<std::uint64_t, 32> relax_idx{};
-    std::array<Distance, 32> relax_val{};
-    std::array<std::uint32_t, 32> relax_lane{};
-    std::uint32_t relax_count = 0;
-    if (!options_.pro) ctx.alu(1, active);
-    for (std::uint32_t i = 0; i < active; ++i) {
-      if (!options_.pro && ws[i] >= delta) continue;  // heavy: skip here
-      relax_idx[relax_count] = dsts[i];
-      relax_val[relax_count] = dist_u[lane_of[i]] + ws[i];
-      relax_lane[relax_count] = i;
-      ++relax_count;
-    }
-    if (relax_count == 0) continue;
-    ctx.alu(2, relax_count);  // add + compare
-    work_.relaxations += relax_count;
-
-    std::array<std::uint8_t, 32> improved{};
-    ctx.atomic_min(dist_, std::span<const std::uint64_t>(relax_idx.data(), relax_count),
-                   std::span<const Distance>(relax_val.data(), relax_count),
-                   std::span<std::uint8_t>(improved.data(), relax_count));
-
-    std::uint32_t enq = 0;
-    for (std::uint32_t i = 0; i < relax_count; ++i) {
-      if (!improved[i]) continue;
-      ++work_.total_updates;
-      ++stats.phase1_updates;
-      if (relax_val[i] < hi) {
-        if (queue_.offer(static_cast<VertexId>(relax_idx[i]))) ++enq;
-      }
-    }
-    if (enq > 0) {
-      if (options_.adwl) {
-        // Workload-list classification costs a light-degree lookup.
-        ctx.alu(1, enq);
-      }
-      queue_.charge_push(ctx);
-    }
-  }
+  relax_lanes(ctx, graph(), dist_,
+              std::span<const Distance>(dist_u.data(), lane_count),
+              std::span<const EdgeIndex>(row_begin.data(), lane_count),
+              std::span<const EdgeIndex>(lend.data(), lane_count),
+              light_test(delta), work_, [&](const RelaxBatch& batch) {
+                const std::uint32_t enq = offer_below(batch, hi, stats);
+                if (enq == 0) return;
+                // Workload-list classification costs a light-degree lookup.
+                if (options_.adwl) ctx.alu(1, enq);
+                queue_.charge_push(ctx);
+              });
 }
 
-void GpuDeltaStepping::child_warp(gpusim::WarpCtx& ctx,
-                                  const ChildChunk& chunk, Weight hi,
-                                  Weight delta, BucketStats& stats) {
-  const auto count = static_cast<std::uint32_t>(chunk.edge_end -
-                                                chunk.edge_begin);
-  RDBS_DCHECK(count > 0 && count <= 32);
-  // The chunk's 32 consecutive edges load fully coalesced.
-  const Distance dist_u = ctx.load_one(dist_, chunk.vertex);
-
-  std::array<VertexId, 32> dsts;
-  std::array<Weight, 32> ws;
-  ctx.load_range(graph().adjacency, chunk.edge_begin,
-                 std::span<VertexId>(dsts.data(), count));
-  ctx.load_range(graph().weights, chunk.edge_begin,
-                 std::span<Weight>(ws.data(), count));
-  ctx.alu(2, count);
-
-  // Chunks lie entirely in the light range with PRO; otherwise each lane
-  // tests the branch and heavy lanes are predicated off.
-  std::array<std::uint64_t, 32> relax_idx{};
-  std::array<Distance, 32> relax_val{};
-  std::uint32_t relax_count = 0;
-  if (!options_.pro) ctx.alu(1, count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!options_.pro && ws[i] >= delta) continue;
-    relax_idx[relax_count] = dsts[i];
-    relax_val[relax_count] = dist_u + ws[i];
-    ++relax_count;
-  }
-  if (relax_count == 0) return;
-  work_.relaxations += relax_count;
-  std::array<std::uint8_t, 32> improved{};
-  ctx.atomic_min(dist_,
-                 std::span<const std::uint64_t>(relax_idx.data(), relax_count),
-                 std::span<const Distance>(relax_val.data(), relax_count),
-                 std::span<std::uint8_t>(improved.data(), relax_count));
-  for (std::uint32_t i = 0; i < relax_count; ++i) {
-    if (!improved[i]) continue;
-    ++work_.total_updates;
-    ++stats.phase1_updates;
-    if (relax_val[i] < hi) queue_.offer(static_cast<VertexId>(relax_idx[i]));
-  }
-  queue_.charge_push(ctx);
+void GpuDeltaStepping::child_warp(gpusim::WarpCtx& ctx, const EdgeChunk& chunk,
+                                  Weight hi, Weight delta,
+                                  BucketStats& stats) {
+  // The chunk's 32 consecutive edges load fully coalesced. Chunks lie
+  // entirely in the light range with PRO.
+  relax_chunk(ctx, graph(), dist_, chunk, light_test(delta), work_,
+              [&](const RelaxBatch& batch) {
+                offer_below(batch, hi, stats);
+                queue_.charge_push(ctx);
+              });
 }
 
-void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
+void GpuDeltaStepping::phase1_async(Weight hi, Weight delta,
                                     BucketStats& stats) {
   // One persistent kernel per bucket: manager threads feed worker warps
   // from the workload lists; updates are immediately visible and newly
@@ -357,17 +278,17 @@ void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
   gpusim::KernelScope kernel(sim(), gpusim::Schedule::kDynamic,
                              /*host_launch=*/true, /*warps_per_block=*/8,
                              stream());
-  std::vector<ChildChunk> children;
+  std::vector<EdgeChunk> children;
   std::array<VertexId, 32> lanes{};
   while (!queue_.empty()) {
     const std::uint32_t count = queue_.take_front(lanes);
     auto ctx = kernel.make_warp();
-    parent_warp(ctx, std::span<const VertexId>(lanes.data(), count), lo, hi,
+    parent_warp(ctx, std::span<const VertexId>(lanes.data(), count), hi,
                 delta, options_.adwl ? &children : nullptr, stats);
     kernel.commit(ctx);
     // Drain spawned child chunks before the next parent batch so their
     // updates propagate promptly (Hyper-Q concurrency: dynamically placed).
-    for (const ChildChunk& chunk : children) {
+    for (const EdgeChunk& chunk : children) {
       auto cctx = kernel.make_warp();
       child_warp(cctx, chunk, hi, delta, stats);
       kernel.commit(cctx);
@@ -378,7 +299,7 @@ void GpuDeltaStepping::phase1_async(Weight lo, Weight hi, Weight delta,
   kernel.finish();
 }
 
-void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
+void GpuDeltaStepping::phase1_sync(Weight hi, Weight delta,
                                    BucketStats& stats) {
   // Level-synchronous: each frontier sweep is its own kernel launch with a
   // barrier (the overhead the paper's Motivation 3 quantifies).
@@ -395,16 +316,16 @@ void GpuDeltaStepping::phase1_sync(Weight lo, Weight hi, Weight delta,
         sim(), options_.adwl ? gpusim::Schedule::kDynamic
                              : gpusim::Schedule::kStatic,
         /*host_launch=*/true, /*warps_per_block=*/8, stream());
-    std::vector<ChildChunk> children;
+    std::vector<EdgeChunk> children;
     for (std::size_t i = 0; i < frontier.size(); i += 32) {
       auto ctx = kernel.make_warp();
       parent_warp(ctx,
                   std::span<const VertexId>(frontier).subspan(
                       i, std::min<std::size_t>(32, frontier.size() - i)),
-                  lo, hi, delta, options_.adwl ? &children : nullptr, stats);
+                  hi, delta, options_.adwl ? &children : nullptr, stats);
       kernel.commit(ctx);
     }
-    for (const ChildChunk& chunk : children) {
+    for (const EdgeChunk& chunk : children) {
       auto cctx = kernel.make_warp();
       child_warp(cctx, chunk, hi, delta, stats);
       kernel.commit(cctx);
@@ -474,35 +395,25 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     ctx.load(graph().weights, espan, std::span<Weight>(ws.data(), cnt));
     if (!options_.pro) ctx.alu(1, cnt);  // heavy test branch
 
-    std::array<std::uint64_t, 32> relax_idx{};
-    std::array<Distance, 32> relax_val{};
-    std::uint32_t relax_count = 0;
+    RelaxBatch batch;
     for (std::uint32_t i = 0; i < cnt; ++i) {
       if (!options_.pro && ws[i] < delta) continue;  // light: done already
-      const VertexId u = heavy_edges[base + i].second;
-      relax_idx[relax_count] = dsts[i];
-      relax_val[relax_count] = dist_[u] + ws[i];
-      ++relax_count;
+      batch.stage(dsts[i], dist_[heavy_edges[base + i].second] + ws[i]);
     }
-    if (relax_count == 0) return;
-    ctx.alu(2, relax_count);
-    work_.relaxations += relax_count;
-    std::array<std::uint8_t, 32> improved{};
-    ctx.atomic_min(dist_,
-                   std::span<const std::uint64_t>(relax_idx.data(), relax_count),
-                   std::span<const Distance>(relax_val.data(), relax_count),
-                   std::span<std::uint8_t>(improved.data(), relax_count));
-    for (std::uint32_t i = 0; i < relax_count; ++i) {
-      if (!improved[i]) continue;
-      ++work_.total_updates;
+    if (batch.count == 0) return;
+    ctx.alu(2, batch.count);
+    atomic_relax(ctx, dist_, batch, work_, [&](const RelaxBatch& relaxed) {
       // An improvement landing in the next bucket is enqueued directly by
       // the relaxing thread (the collection strip may already have passed
       // its id).
-      if (relax_val[i] >= next_lo && relax_val[i] < next_hi) {
-        queue_.offer(static_cast<VertexId>(relax_idx[i]));
+      for (std::uint32_t i = 0; i < relaxed.count; ++i) {
+        if (relaxed.improved[i] && relaxed.value[i] >= next_lo &&
+            relaxed.value[i] < next_hi) {
+          queue_.offer(static_cast<VertexId>(relaxed.target[i]));
+        }
       }
-    }
-    queue_.charge_push(ctx);
+      queue_.charge_push(ctx);
+    });
   };
 
   // Collection body: enqueue lanes in [next_lo, next_hi), in vertex order.
@@ -616,7 +527,7 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     bs.delta = graph::kInfiniteDistance;
     bs.high = graph::kInfiniteDistance;
     bs.initial_active = queue_.size();
-    phase1_sync(0, graph::kInfiniteDistance, graph::kInfiniteDistance, bs);
+    phase1_sync(graph::kInfiniteDistance, graph::kInfiniteDistance, bs);
     result.buckets.push_back(bs);
     result.sssp.work = work_;
     return driver_.finish(std::move(result), dist_, source);
@@ -659,9 +570,9 @@ GpuRunResult GpuDeltaStepping::run_attempt(VertexId source) {
     const double ms_before_phase1 = sim().stream_elapsed_ms(stream());
     if (!queue_.empty()) {
       if (options_.basyn) {
-        phase1_async(lo, hi, delta, bs);
+        phase1_async(hi, delta, bs);
       } else {
-        phase1_sync(lo, hi, delta, bs);
+        phase1_sync(hi, delta, bs);
       }
     }
     bs.threads_used = sim().counters().active_lane_ops - threads_before;

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "core/options.hpp"
 #include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
+#include "core/warp_relax.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
 
@@ -87,31 +89,29 @@ class GpuDeltaStepping : public GpuEngine {
   AttemptDriver& driver() { return driver_; }
 
  private:
-  struct ChildChunk {
-    VertexId vertex;
-    EdgeIndex edge_begin;  // first edge of this chunk
-    EdgeIndex edge_end;    // one past last (within the light range)
-  };
-
   // One recovery attempt: the full Δ-stepping run, re-initializing all
   // mutable device state first (so a retry starts clean).
   GpuRunResult run_attempt(VertexId source);
 
   // --- kernel bodies -------------------------------------------------------
   // Phase 1, synchronous mode: one kernel per frontier iteration.
-  void phase1_sync(Weight lo, Weight hi, Weight delta, BucketStats& stats);
+  void phase1_sync(Weight hi, Weight delta, BucketStats& stats);
   // Phase 1, asynchronous mode: one persistent kernel per bucket.
-  void phase1_async(Weight lo, Weight hi, Weight delta, BucketStats& stats);
+  void phase1_async(Weight hi, Weight delta, BucketStats& stats);
 
   // Shared warp body: process up to 32 active vertices thread-per-vertex
   // (parent lanes). With ADWL, medium/large vertices spawn child chunks
   // instead of being processed inline.
   void parent_warp(gpusim::WarpCtx& ctx, std::span<const VertexId> lanes,
-                   Weight lo, Weight hi, Weight delta,
-                   std::vector<ChildChunk>* children, BucketStats& stats);
+                   Weight hi, Weight delta, std::vector<EdgeChunk>* children,
+                   BucketStats& stats);
   // Child warp: one 32-edge coalesced chunk of a medium/large vertex.
-  void child_warp(gpusim::WarpCtx& ctx, const ChildChunk& chunk, Weight hi,
+  void child_warp(gpusim::WarpCtx& ctx, const EdgeChunk& chunk, Weight hi,
                   Weight delta, BucketStats& stats);
+  // Phase 1's routing of a relax step: counts the improvements and offers
+  // those below `hi` to the queue; returns how many it queued.
+  std::uint32_t offer_below(const RelaxBatch& batch, Weight hi,
+                            BucketStats& stats);
 
   // Fused phase 2&3 scan (RDBS) or the two separate scans (BL). Relaxes the
   // heavy edges of vertices settled in [lo, hi), then collects the frontier
@@ -132,6 +132,8 @@ class GpuDeltaStepping : public GpuEngine {
   // device-side cost — offset load or incremental maintenance — is charged
   // at warp level by the callers).
   EdgeIndex light_end(VertexId v, Weight delta) const;
+  // Phase 1's per-edge light test: none with PRO, weight < delta without.
+  std::optional<Weight> light_test(Weight delta) const;
   // Host-seeds the phase-1 ring with the source plus — under a warm start —
   // every warm vertex whose seeded distance already lies inside the initial
   // window [0, hi).

@@ -5,6 +5,7 @@
 
 #include "common/macros.hpp"
 #include "core/recovery.hpp"
+#include "core/warp_relax.hpp"
 
 namespace rdbs::core::gunrock {
 
@@ -50,11 +51,7 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
 
   // Pass 1 (setup): load the frontier's row bounds and flatten its edges
   // into even 32-edge chunks (Gunrock's load-balanced advance).
-  struct Chunk {
-    VertexId vertex;
-    EdgeIndex begin, end;
-  };
-  std::vector<Chunk> chunks;
+  std::vector<EdgeChunk> chunks;
   // The enactor guarantees the input frontier is resident in frontier_in_
   // (the previous operator's compact-store, or a host upload for seeds).
   seed_frontier(frontier);
@@ -65,11 +62,9 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
         std::min<std::size_t>(32, frontier.size() - base));
     auto ctx = kernel.make_warp();
     std::array<std::uint64_t, 32> vidx{};
-    std::array<std::uint64_t, 32> vidx1{};
     std::array<std::uint64_t, 32> slot{};
     for (std::uint32_t i = 0; i < cnt; ++i) {
       vidx[i] = frontier.vertices()[base + i];
-      vidx1[i] = vidx[i] + 1;
       slot[i] = (base + i) % frontier_in_.size();
       // Double-buffer consume contract: every slot read here must have
       // been published by the previous operator's compact-store or the
@@ -81,29 +76,19 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
              std::span<VertexId>(tmp.data(), cnt));
     std::array<EdgeIndex, 32> rb{};
     std::array<EdgeIndex, 32> re{};
-    {
-      std::array<EdgeIndex, 32> t2{};
-      ctx.load(graph_.row_offsets,
-               std::span<const std::uint64_t>(vidx.data(), cnt),
-               std::span<EdgeIndex>(t2.data(), cnt));
-      for (std::uint32_t i = 0; i < cnt; ++i) rb[i] = t2[i];
-      ctx.load(graph_.row_offsets,
-               std::span<const std::uint64_t>(vidx1.data(), cnt),
-               std::span<EdgeIndex>(t2.data(), cnt));
-      for (std::uint32_t i = 0; i < cnt; ++i) re[i] = t2[i];
-    }
+    load_row_bounds(ctx, graph_,
+                    std::span<const std::uint64_t>(vidx.data(), cnt),
+                    std::span<EdgeIndex>(rb.data(), cnt),
+                    std::span<EdgeIndex>(re.data(), cnt));
     ctx.alu(4, cnt);  // prefix-sum steps of the flattening
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      const auto v = frontier.vertices()[base + i];
-      for (EdgeIndex e = rb[i]; e < re[i]; e += 32) {
-        chunks.push_back({v, e, std::min<EdgeIndex>(e + 32, re[i])});
-      }
+      append_edge_chunks(frontier.vertices()[base + i], rb[i], re[i], chunks);
     }
     kernel.commit(ctx);
   }
 
   // Pass 2 (expand): one warp per chunk; functor decides emissions.
-  for (const Chunk& chunk : chunks) {
+  for (const EdgeChunk& chunk : chunks) {
     auto ctx = kernel.make_warp();
     const auto cnt = static_cast<std::uint32_t>(chunk.end - chunk.begin);
     const Distance du = ctx.load_one(dist_, chunk.vertex);

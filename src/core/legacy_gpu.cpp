@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/macros.hpp"
+#include "core/warp_relax.hpp"
 
 namespace rdbs::core {
 
@@ -110,62 +111,24 @@ GpuRunResult HarishNarayanan::run_attempt(VertexId source) {
 
           // Row bounds + own distance for the active lanes.
           std::array<std::uint64_t, 32> vact{};
-          std::array<std::uint64_t, 32> vact1{};
           for (std::uint32_t i = 0; i < active; ++i) {
             vact[i] = begin + active_lane[i];
-            vact1[i] = vact[i] + 1;
           }
           std::span<const std::uint64_t> va(vact.data(), active);
           std::array<EdgeIndex, 32> rb{};
           std::array<EdgeIndex, 32> re{};
-          ctx.load(graph().row_offsets, va,
-                   std::span<EdgeIndex>(rb.data(), active));
-          ctx.load(graph().row_offsets,
-                   std::span<const std::uint64_t>(vact1.data(), active),
-                   std::span<EdgeIndex>(re.data(), active));
+          load_row_bounds(ctx, graph(), va,
+                          std::span<EdgeIndex>(rb.data(), active),
+                          std::span<EdgeIndex>(re.data(), active));
           std::array<Distance, 32> du{};
           ctx.load(dist_, va, std::span<Distance>(du.data(), active));
           ctx.alu(2, active);
-
-          std::uint64_t max_deg = 0;
-          for (std::uint32_t i = 0; i < active; ++i) {
-            max_deg = std::max<std::uint64_t>(max_deg, re[i] - rb[i]);
-          }
-          for (std::uint64_t s = 0; s < max_deg; ++s) {
-            std::array<std::uint64_t, 32> eidx{};
-            std::array<std::uint32_t, 32> owner{};
-            std::uint32_t cnt = 0;
-            for (std::uint32_t i = 0; i < active; ++i) {
-              if (rb[i] + s < re[i]) {
-                eidx[cnt] = rb[i] + s;
-                owner[cnt] = i;
-                ++cnt;
-              }
-            }
-            if (cnt == 0) break;
-            std::span<const std::uint64_t> es(eidx.data(), cnt);
-            std::array<VertexId, 32> dsts{};
-            std::array<Weight, 32> ws{};
-            ctx.load(graph().adjacency, es,
-                     std::span<VertexId>(dsts.data(), cnt));
-            ctx.load(graph().weights, es, std::span<Weight>(ws.data(), cnt));
-            ctx.alu(2, cnt);
-            work.relaxations += cnt;
-            std::array<std::uint64_t, 32> tgt{};
-            std::array<Distance, 32> val{};
-            for (std::uint32_t i = 0; i < cnt; ++i) {
-              tgt[i] = dsts[i];
-              val[i] = du[owner[i]] + ws[i];
-            }
-            std::array<std::uint8_t, 32> improved{};
-            ctx.atomic_min(updating_dist_,
-                           std::span<const std::uint64_t>(tgt.data(), cnt),
-                           std::span<const Distance>(val.data(), cnt),
-                           std::span<std::uint8_t>(improved.data(), cnt));
-            for (std::uint32_t i = 0; i < cnt; ++i) {
-              work.total_updates += improved[i];
-            }
-          }
+          relax_lanes(ctx, graph(), updating_dist_,
+                      std::span<const Distance>(du.data(), active),
+                      std::span<const EdgeIndex>(rb.data(), active),
+                      std::span<const EdgeIndex>(re.data(), active),
+                      /*light_below=*/std::nullopt, work,
+                      [](const RelaxBatch&) {});
         },
         /*host_launch=*/true, stream());
 
@@ -261,74 +224,23 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
   near_.publish();
   Distance threshold = options_.delta;
 
-  // Flattened (vertex, edge) workfront chunk: Workfront Sweep's
-  // edge-balanced mapping — each warp handles 32 consecutive frontier
-  // edges, never a whole vertex.
-  struct Chunk {
-    VertexId vertex;
-    EdgeIndex begin, end;
-  };
-
   while (!near_.empty() || !far_.empty()) {
     if (sim().device_lost()) break;  // attempt is void; recovery takes over
     if (near_.empty()) {
       // Far split (synchronous kernel over the pile).
-      Distance min_far = graph::kInfiniteDistance;
-      const std::uint64_t pile_base = far_.window_begin();
-      const std::vector<VertexId> far = far_.take_all();
-      sim().label_next_launch("far_split");
-      gpusim::KernelScope split(sim(), gpusim::Schedule::kStatic, true,
-                                /*warps_per_block=*/8, stream());
-      for (std::size_t base = 0; base < far.size(); base += 32) {
-        const auto cnt = static_cast<std::uint32_t>(
-            std::min<std::size_t>(32, far.size() - base));
-        const auto entries = std::span<const VertexId>(far).subspan(base, cnt);
-        auto ctx = split.make_warp();
-        std::array<std::uint64_t, 32> vidx{};
-        std::array<Distance, 32> dvals{};
-        for (std::uint32_t i = 0; i < cnt; ++i) vidx[i] = entries[i];
-        far_.charge_read(ctx, pile_base + base, entries);
-        ctx.load(dist_, std::span<const std::uint64_t>(vidx.data(), cnt),
-                 std::span<Distance>(dvals.data(), cnt));
-        ctx.alu(2, cnt);
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-          if (dvals[i] >= threshold) min_far = std::min(min_far, dvals[i]);
-        }
-        split.commit(ctx);
-      }
-      if (min_far == graph::kInfiniteDistance) {
-        split.finish();
+      if (!split_far_pile(sim(), stream(), dist_, near_, far_, threshold,
+                          options_.delta)) {
         break;
       }
-      const Distance old_threshold = threshold;
-      while (threshold <= min_far) threshold += options_.delta;
-      for (std::size_t base = 0; base < far.size(); base += 32) {
-        const auto cnt = static_cast<std::uint32_t>(
-            std::min<std::size_t>(32, far.size() - base));
-        auto ctx = split.make_warp();
-        ctx.alu(2, cnt);
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-          const VertexId v = far[base + i];
-          const Distance d = dist_[v];
-          if (d == graph::kInfiniteDistance || d < old_threshold) continue;
-          if (d < threshold) {
-            near_.offer(v);
-          } else {
-            far_.append(v);
-          }
-        }
-        near_.charge_push(ctx);
-        far_.charge_push(ctx);
-        split.commit(ctx);
-      }
-      split.finish();
       sim().host_barrier(stream());
       continue;
     }
 
-    // --- Workfront Sweep over the near frontier: flatten to edge chunks.
+    // --- Workfront Sweep over the near frontier: flatten to edge chunks
+    // (Workfront Sweep's edge-balanced mapping: each warp handles 32
+    // consecutive frontier edges, never a whole vertex).
     ++work.iterations;
-    std::vector<Chunk> chunks;
+    std::vector<EdgeChunk> chunks;
     {
       // The flattening itself is a scan+compact on device; charge one pass
       // over the frontier (queue-slot reads + row-bound loads + prefix-sum
@@ -345,26 +257,17 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
             std::span<const VertexId>(near).subspan(base, cnt);
         auto ctx = setup.make_warp();
         std::array<std::uint64_t, 32> vidx{};
-        std::array<std::uint64_t, 32> vidx1{};
-        for (std::uint32_t i = 0; i < cnt; ++i) {
-          vidx[i] = entries[i];
-          vidx1[i] = vidx[i] + 1;
-        }
+        for (std::uint32_t i = 0; i < cnt; ++i) vidx[i] = entries[i];
         near_.charge_read(ctx, near_base + base, entries);
         std::array<EdgeIndex, 32> rb{};
         std::array<EdgeIndex, 32> re{};
-        ctx.load(graph().row_offsets,
-                 std::span<const std::uint64_t>(vidx.data(), cnt),
-                 std::span<EdgeIndex>(rb.data(), cnt));
-        ctx.load(graph().row_offsets,
-                 std::span<const std::uint64_t>(vidx1.data(), cnt),
-                 std::span<EdgeIndex>(re.data(), cnt));
+        load_row_bounds(ctx, graph(),
+                        std::span<const std::uint64_t>(vidx.data(), cnt),
+                        std::span<EdgeIndex>(rb.data(), cnt),
+                        std::span<EdgeIndex>(re.data(), cnt));
         ctx.alu(4, cnt);  // prefix-sum steps of the compact
         for (std::uint32_t i = 0; i < cnt; ++i) {
-          for (EdgeIndex e = rb[i]; e < re[i]; e += 32) {
-            chunks.push_back(
-                {entries[i], e, std::min<EdgeIndex>(e + 32, re[i])});
-          }
+          append_edge_chunks(entries[i], rb[i], re[i], chunks);
         }
         setup.commit(ctx);
       }
@@ -375,40 +278,22 @@ GpuRunResult DavidsonNearFar::run_attempt(VertexId source) {
     sim().label_next_launch("workfront_sweep");
     gpusim::KernelScope sweep(sim(), gpusim::Schedule::kStatic, true,
                               /*warps_per_block=*/8, stream());
-    for (const Chunk& chunk : chunks) {
+    for (const EdgeChunk& chunk : chunks) {
       auto ctx = sweep.make_warp();
-      const auto cnt = static_cast<std::uint32_t>(chunk.end - chunk.begin);
-      const Distance du = ctx.load_one(dist_, chunk.vertex);
-      std::array<VertexId, 32> dsts;
-      std::array<Weight, 32> ws;
-      ctx.load_range(graph().adjacency, chunk.begin,
-                     std::span<VertexId>(dsts.data(), cnt));
-      ctx.load_range(graph().weights, chunk.begin,
-                     std::span<Weight>(ws.data(), cnt));
-      ctx.alu(2, cnt);
-      work.relaxations += cnt;
-      std::array<std::uint64_t, 32> tgt{};
-      std::array<Distance, 32> val{};
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        tgt[i] = dsts[i];
-        val[i] = du + ws[i];
-      }
-      std::array<std::uint8_t, 32> improved{};
-      ctx.atomic_min(dist_, std::span<const std::uint64_t>(tgt.data(), cnt),
-                     std::span<const Distance>(val.data(), cnt),
-                     std::span<std::uint8_t>(improved.data(), cnt));
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        if (!improved[i]) continue;
-        ++work.total_updates;
-        const auto v = static_cast<VertexId>(tgt[i]);
-        if (val[i] < threshold) {
-          near_.offer(v);
-        } else {
-          far_.append(v);
-        }
-      }
-      near_.charge_push(ctx);
-      far_.charge_push(ctx);
+      relax_chunk(ctx, graph(), dist_, chunk, /*light_below=*/std::nullopt,
+                  work, [&](const RelaxBatch& batch) {
+                    for (std::uint32_t i = 0; i < batch.count; ++i) {
+                      if (!batch.improved[i]) continue;
+                      const auto v = static_cast<VertexId>(batch.target[i]);
+                      if (batch.value[i] < threshold) {
+                        near_.offer(v);
+                      } else {
+                        far_.append(v);
+                      }
+                    }
+                    near_.charge_push(ctx);
+                    far_.charge_push(ctx);
+                  });
       sweep.commit(ctx);
     }
     sweep.finish();

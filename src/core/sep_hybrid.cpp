@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/macros.hpp"
+#include "core/warp_relax.hpp"
 #include "graph/stats.hpp"
 
 namespace rdbs::core {
@@ -77,67 +78,29 @@ GpuRunResult SepHybrid::run_attempt(VertexId source) {
     const auto lane_count = static_cast<std::uint32_t>(lanes.size());
     queue_.charge_pop(ctx, lanes);
     std::array<std::uint64_t, 32> vidx{};
-    std::array<std::uint64_t, 32> vidx1{};
-    for (std::uint32_t i = 0; i < lane_count; ++i) {
-      vidx[i] = lanes[i];
-      vidx1[i] = lanes[i] + 1;
-    }
+    for (std::uint32_t i = 0; i < lane_count; ++i) vidx[i] = lanes[i];
     std::span<const std::uint64_t> vs(vidx.data(), lane_count);
     std::array<Distance, 32> du{};
     ctx.load(dist_, vs, std::span<Distance>(du.data(), lane_count));
     std::array<EdgeIndex, 32> rb{};
     std::array<EdgeIndex, 32> re{};
-    {
-      std::array<EdgeIndex, 32> tmp{};
-      ctx.load(graph().row_offsets, vs,
-               std::span<EdgeIndex>(tmp.data(), lane_count));
-      for (std::uint32_t i = 0; i < lane_count; ++i) rb[i] = tmp[i];
-      ctx.load(graph().row_offsets,
-               std::span<const std::uint64_t>(vidx1.data(), lane_count),
-               std::span<EdgeIndex>(tmp.data(), lane_count));
-      for (std::uint32_t i = 0; i < lane_count; ++i) re[i] = tmp[i];
-    }
+    load_row_bounds(ctx, graph(), vs,
+                    std::span<EdgeIndex>(rb.data(), lane_count),
+                    std::span<EdgeIndex>(re.data(), lane_count));
     ctx.alu(2, lane_count);
-    std::uint64_t max_deg = 0;
-    for (std::uint32_t i = 0; i < lane_count; ++i) {
-      max_deg = std::max<std::uint64_t>(max_deg, re[i] - rb[i]);
-    }
-    for (std::uint64_t s = 0; s < max_deg; ++s) {
-      std::array<std::uint64_t, 32> eidx{};
-      std::array<std::uint32_t, 32> owner{};
-      std::uint32_t cnt = 0;
-      for (std::uint32_t i = 0; i < lane_count; ++i) {
-        if (rb[i] + s < re[i]) {
-          eidx[cnt] = rb[i] + s;
-          owner[cnt] = i;
-          ++cnt;
-        }
-      }
-      if (cnt == 0) break;
-      std::span<const std::uint64_t> es(eidx.data(), cnt);
-      std::array<VertexId, 32> dsts{};
-      std::array<Weight, 32> ws{};
-      ctx.load(graph().adjacency, es, std::span<VertexId>(dsts.data(), cnt));
-      ctx.load(graph().weights, es, std::span<Weight>(ws.data(), cnt));
-      ctx.alu(2, cnt);
-      work.relaxations += cnt;
-      std::array<std::uint64_t, 32> tgt{};
-      std::array<Distance, 32> val{};
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        tgt[i] = dsts[i];
-        val[i] = du[owner[i]] + ws[i];
-      }
-      std::array<std::uint8_t, 32> improved{};
-      ctx.atomic_min(dist_, std::span<const std::uint64_t>(tgt.data(), cnt),
-                     std::span<const Distance>(val.data(), cnt),
-                     std::span<std::uint8_t>(improved.data(), cnt));
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        if (!improved[i]) continue;
-        ++work.total_updates;
-        queue_.offer(static_cast<VertexId>(tgt[i]));
-      }
-      queue_.charge_push(ctx);
-    }
+    relax_lanes(ctx, graph(), dist_,
+                std::span<const Distance>(du.data(), lane_count),
+                std::span<const EdgeIndex>(rb.data(), lane_count),
+                std::span<const EdgeIndex>(re.data(), lane_count),
+                /*light_below=*/std::nullopt, work,
+                [&](const RelaxBatch& batch) {
+                  for (std::uint32_t i = 0; i < batch.count; ++i) {
+                    if (batch.improved[i]) {
+                      queue_.offer(static_cast<VertexId>(batch.target[i]));
+                    }
+                  }
+                  queue_.charge_push(ctx);
+                });
   };
 
   const std::uint64_t max_rounds = 8 * (std::uint64_t(n) + 16);

@@ -12,12 +12,16 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/adds.hpp"
 #include "core/delta_controller.hpp"
 #include "core/gpu_sssp.hpp"
 #include "core/rdbs.hpp"
+#include "core/warp_relax.hpp"
 #include "reorder/pro.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/validate.hpp"
@@ -96,6 +100,97 @@ TEST(StripWindow, VectorMaskMatchesScalarReference) {
   EXPECT_EQ(lanes_in_window(strip, 1.0, 2.0), 0b100110u);
   EXPECT_EQ(lanes_in_window(strip, 1.5, 1.5), 0b100000u);
   EXPECT_EQ(lanes_in_window(strip, 1.0, kInf), 0b101110u);
+}
+
+// --- shared warp relax steps ------------------------------------------------
+
+TEST(WarpRelax, EdgeChunksCoverTheRangeIn32EdgeSteps) {
+  struct Case {
+    EdgeIndex edges;
+    std::vector<std::pair<EdgeIndex, EdgeIndex>> chunks;  // offsets
+  };
+  const Case cases[] = {{0, {}},
+                        {1, {{0, 1}}},
+                        {32, {{0, 32}}},
+                        {33, {{0, 32}, {32, 33}}},
+                        {65, {{0, 32}, {32, 64}, {64, 65}}}};
+  constexpr EdgeIndex kBegin = 100;
+  for (const Case& c : cases) {
+    std::vector<EdgeChunk> out = {{9, 0, 1}};  // appends after what is there
+    append_edge_chunks(7, kBegin, kBegin + c.edges, out);
+    ASSERT_EQ(out.size(), 1 + c.chunks.size()) << "edges=" << c.edges;
+    for (std::size_t i = 0; i < c.chunks.size(); ++i) {
+      EXPECT_EQ(out[1 + i].vertex, 7u);
+      EXPECT_EQ(out[1 + i].begin, kBegin + c.chunks[i].first);
+      EXPECT_EQ(out[1 + i].end, kBegin + c.chunks[i].second);
+    }
+  }
+}
+
+// A Near/Far pair on its own simulator, under gsan, with hand-set
+// distances: the far pile is host-seeded and published as an engine's
+// pushes would leave it.
+struct NearFarFixture {
+  static constexpr VertexId kVertices = 8;
+  gpusim::GpuSim sim{gpusim::test_device()};
+  gpusim::Buffer<Distance> dist;
+  DeviceQueue near;
+  DeviceQueue far;
+
+  explicit NearFarFixture(std::vector<std::pair<VertexId, Distance>> set) {
+    sim.enable_sanitizer(gpusim::SanitizeMode::kOn);
+    dist = sim.alloc<Distance>("dist", kVertices, 4);
+    std::fill(dist.data().begin(), dist.data().end(),
+              graph::kInfiniteDistance);
+    for (const auto& [v, d] : set) dist[v] = d;
+    sim.mark_initialized(dist);
+    const auto ctrl = sim.alloc<std::uint32_t>("queue_ctrl", 3, 4);
+    sim.mark_initialized(ctrl);
+    near.bind(sim, sim.alloc<VertexId>("near", 64, 4), ctrl, 0, 1,
+              sim.alloc<std::uint8_t>("in_near", kVertices, 1));
+    far.bind(sim, sim.alloc<VertexId>("far", 64, 4), ctrl, 2,
+             DeviceQueue::kNoCell);
+    near.reset();
+    far.reset();
+  }
+  void pile(std::initializer_list<VertexId> entries) {
+    for (const VertexId v : entries) far.seed(v);
+    far.publish();
+  }
+  std::string report() const { return sim.sanitizer()->report(); }
+};
+
+TEST(WarpRelax, FarSplitPromotesRepilesAndDropsStaleEntries) {
+  // threshold 10, Δ 10: vertex 4 settled below the threshold (a stale
+  // entry, piled twice), vertex 2 is the pile minimum (piled twice), vertex
+  // 7 lies beyond the advanced threshold.
+  NearFarFixture f({{4, 5.0}, {2, 20.0}, {7, 47.0}});
+  f.pile({4, 2, 7, 4, 2});
+  Distance threshold = 10.0;
+  ASSERT_TRUE(split_far_pile(f.sim, 0, f.dist, f.near, f.far, threshold,
+                             /*delta=*/10.0));
+  // Whole Δ steps strictly past the minimum 20: 10 -> 20 -> 30.
+  EXPECT_EQ(threshold, 30.0);
+  EXPECT_EQ(std::vector<VertexId>(f.near.pending().begin(),
+                                  f.near.pending().end()),
+            std::vector<VertexId>{2});  // the offer deduplicates
+  EXPECT_EQ(std::vector<VertexId>(f.far.pending().begin(),
+                                  f.far.pending().end()),
+            std::vector<VertexId>{7});
+  EXPECT_EQ(f.sim.counters().kernel_launches, 1u);
+  EXPECT_EQ(f.report(), "");
+}
+
+TEST(WarpRelax, FarSplitOfAnAllStalePileReturnsFalse) {
+  NearFarFixture f({{4, 5.0}, {6, 9.5}});
+  f.pile({4, 6, 4});
+  Distance threshold = 10.0;
+  EXPECT_FALSE(split_far_pile(f.sim, 0, f.dist, f.near, f.far, threshold,
+                              /*delta=*/10.0));
+  EXPECT_EQ(threshold, 10.0);
+  EXPECT_TRUE(f.near.empty());
+  EXPECT_TRUE(f.far.empty());
+  EXPECT_EQ(f.report(), "");
 }
 
 // --- Δ-controller ----------------------------------------------------------
