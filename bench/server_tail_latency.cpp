@@ -28,7 +28,11 @@
 //    distances and makespans;
 //  * lane policy: at the highest offered load, deadline-aware placement
 //    (LanePolicy::kPredictedFastest) beats plain earliest-free on p99
-//    sojourn over the completed queries.
+//    sojourn over the completed queries;
+//  * result cache: cached runs are oracle-exact and bit-identical across
+//    sim_threads {1, 8}, the cache-hit p50 sojourn beats the cold p50,
+//    and with a hot set 16x the cache the exact-hit fraction beats an
+//    offline LRU of the same capacity.
 //
 // Results go to stdout and BENCH_server.json.
 #include <algorithm>
@@ -81,8 +85,8 @@ int main(int argc, char** argv) {
   const std::string json_path = args.get_string("json", "BENCH_server.json");
   const int streams = static_cast<int>(args.get_int("streams", 4));
 
-  // --cache: run ONLY the result-cache sweep (the quick form ci/run_tier1.sh
-  // uses as a bench-regression guard). The full bench runs it too, last.
+  // --cache: run ONLY the result-cache rows, a quick check of the cache
+  // alone. The full bench runs them too, first.
   const bool cache_only = args.get_bool("cache", false);
 
   const graph::Csr csr = bench::load_bench_graph(dataset, config);
@@ -212,13 +216,88 @@ int main(int argc, char** argv) {
   };
 
   // --- result-cache sweep ---------------------------------------------------
+  // Fault-free on purpose — these rows isolate what reuse buys. Both hold
+  // every completed query, cached or cold, to the Dijkstra oracle and every
+  // cached run to bit-identity across sim_threads {1, 8} (exit 1).
+  std::map<graph::VertexId, std::vector<graph::Weight>> cache_oracle;
+  const auto oracle_exact = [&](std::span<const core::TrafficQuery> schedule,
+                                const core::StreamResult& result,
+                                const char* label) {
+    bool exact = true;
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+      if (!core::query_completed(result.stats[i].query.status)) continue;
+      auto it = cache_oracle.find(schedule[i].source);
+      if (it == cache_oracle.end()) {
+        it = cache_oracle
+                 .emplace(schedule[i].source,
+                          sssp::dijkstra(csr, schedule[i].source).distances)
+                 .first;
+      }
+      if (result.queries[i].sssp.distances != it->second) {
+        std::fprintf(stderr,
+                     "VIOLATION: %s query %zu (source %u) distances "
+                     "differ from the Dijkstra reference\n",
+                     label, i, schedule[i].source);
+        exact = false;
+      }
+    }
+    return exact;
+  };
+  const auto thread_invariant = [](const core::StreamResult& narrow,
+                                   const core::StreamResult& wide,
+                                   const char* label) {
+    bool same = true;
+    for (std::size_t i = 0; i < narrow.stats.size(); ++i) {
+      if (narrow.stats[i].query.status != wide.stats[i].query.status ||
+          narrow.stats[i].dispatch_ms != wide.stats[i].dispatch_ms ||
+          narrow.stats[i].finish_ms != wide.stats[i].finish_ms ||
+          narrow.queries[i].sssp.distances !=
+              wide.queries[i].sssp.distances) {
+        std::fprintf(stderr,
+                     "VIOLATION: %s query %zu differs between sim_threads "
+                     "1 and 8\n",
+                     label, i);
+        same = false;
+      }
+    }
+    if (narrow.cached_queries != wide.cached_queries ||
+        narrow.joined_queries != wide.joined_queries ||
+        narrow.warm_started_queries != wide.warm_started_queries) {
+      std::fprintf(stderr,
+                   "VIOLATION: %s cache aggregates differ between "
+                   "sim_threads 1 and 8\n",
+                   label);
+      same = false;
+    }
+    return same;
+  };
+  // A server over `schedule` with a kCacheCapacity-entry cache (or none),
+  // four landmarks and no host hedging; `cache_stats` receives the
+  // cache's counters when given.
+  constexpr std::size_t kCacheCapacity = 64;
+  const auto serve_cached = [&](std::span<const core::TrafficQuery> schedule,
+                                int threads, bool cache_on,
+                                core::ResultCacheStats* cache_stats =
+                                    nullptr) {
+    core::QueryServerOptions sopts;
+    sopts.batch = bopts;
+    sopts.batch.gpu.sim_threads = threads;
+    sopts.max_pending = schedule.size();
+    sopts.hedge_to_cpu = false;
+    sopts.cache.enabled = cache_on;
+    sopts.cache.capacity = kCacheCapacity;
+    sopts.cache.landmarks = 4;
+    core::QueryServer server(csr, device, sopts);
+    core::StreamResult result = server.run_stream(schedule);
+    if (cache_stats != nullptr) *cache_stats = server.result_cache()->stats();
+    return result;
+  };
+
   // A Zipf-hot 600-query Poisson stream served twice on fresh servers:
   // cold (cache off) and cached (exact hits + single-flight joins +
-  // landmark warm starts; docs/serving.md "Result cache"). Fault-free on
-  // purpose — this sweep isolates what reuse buys. Gates (exit 1):
-  //  * every completed query, cached or cold, matches the Dijkstra oracle;
-  //  * the cached run is bit-identical across sim_threads {1, 8};
-  //  * cache-hit p50 sojourn < cold completed p50 sojourn (the reuse win).
+  // landmark warm starts; docs/serving.md "Result cache"). Its 64 hot
+  // sources fit the cache, so nothing is evicted. Gate (exit 1):
+  // cache-hit p50 sojourn < cold completed p50 sojourn (the reuse win).
   struct CacheSweep {
     std::size_t offered = 0, cold_done = 0;
     std::size_t hits = 0, joins = 0, warm = 0;
@@ -241,66 +320,13 @@ int main(int argc, char** argv) {
         core::generate_traffic(spec, csr.num_vertices());
     cache_sweep.offered = schedule.size();
 
-    const auto run_cached = [&](int threads, bool cache_on) {
-      core::QueryServerOptions sopts;
-      sopts.batch = bopts;
-      sopts.batch.gpu.sim_threads = threads;
-      sopts.max_pending = schedule.size();
-      sopts.hedge_to_cpu = false;
-      sopts.cache.enabled = cache_on;
-      sopts.cache.capacity = 64;
-      sopts.cache.landmarks = 4;
-      core::QueryServer server(csr, device, sopts);
-      return server.run_stream(schedule);
-    };
-    const core::StreamResult cold = run_cached(1, false);
-    const core::StreamResult cached = run_cached(1, true);
-    const core::StreamResult cached_wide = run_cached(8, true);
-
-    std::map<graph::VertexId, std::vector<graph::Weight>> cache_oracle;
-    const auto check_exact = [&](const core::StreamResult& result,
-                                 const char* label) {
-      for (std::size_t i = 0; i < schedule.size(); ++i) {
-        if (!core::query_completed(result.stats[i].query.status)) continue;
-        auto it = cache_oracle.find(schedule[i].source);
-        if (it == cache_oracle.end()) {
-          it = cache_oracle
-                   .emplace(schedule[i].source,
-                            sssp::dijkstra(csr, schedule[i].source).distances)
-                   .first;
-        }
-        if (result.queries[i].sssp.distances != it->second) {
-          std::fprintf(stderr,
-                       "VIOLATION: %s query %zu (source %u) distances "
-                       "differ from the Dijkstra reference\n",
-                       label, i, schedule[i].source);
-          cache_sweep.correct = false;
-        }
-      }
-    };
-    check_exact(cold, "cache-cold");
-    check_exact(cached, "cache-on");
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-      if (cached.stats[i].query.status != cached_wide.stats[i].query.status ||
-          cached.stats[i].dispatch_ms != cached_wide.stats[i].dispatch_ms ||
-          cached.stats[i].finish_ms != cached_wide.stats[i].finish_ms ||
-          cached.queries[i].sssp.distances !=
-              cached_wide.queries[i].sssp.distances) {
-        std::fprintf(stderr,
-                     "VIOLATION: cached streaming query %zu differs "
-                     "between sim_threads 1 and 8\n",
-                     i);
-        cache_sweep.deterministic = false;
-      }
-    }
-    if (cached.cached_queries != cached_wide.cached_queries ||
-        cached.joined_queries != cached_wide.joined_queries ||
-        cached.warm_started_queries != cached_wide.warm_started_queries) {
-      std::fprintf(stderr,
-                   "VIOLATION: cache aggregates differ between "
-                   "sim_threads 1 and 8\n");
-      cache_sweep.deterministic = false;
-    }
+    const core::StreamResult cold = serve_cached(schedule, 1, false);
+    const core::StreamResult cached = serve_cached(schedule, 1, true);
+    const core::StreamResult cached_wide = serve_cached(schedule, 8, true);
+    cache_sweep.correct = oracle_exact(schedule, cold, "cache-cold") &&
+                          oracle_exact(schedule, cached, "cache-on");
+    cache_sweep.deterministic =
+        thread_invariant(cached, cached_wide, "cached streaming");
 
     cache_sweep.hits = static_cast<std::size_t>(cached.cached_queries);
     cache_sweep.joins = static_cast<std::size_t>(cached.joined_queries);
@@ -330,9 +356,88 @@ int main(int argc, char** argv) {
                    cache_sweep.cold_p50, cold_sojourn.size());
     }
   }
+
+  // Eviction pressure: Zipf 1.1 over 1,024 hot sources, 16x the cache, so
+  // the cache must choose what to keep. The yardstick is an offline LRU of
+  // the same capacity replaying the schedule's sources in arrival order,
+  // every miss admitted at once (no solve time, hence no in-flight
+  // window). Gate (exit 1): the served exact-hit fraction beats it.
+  struct PressureRow {
+    std::size_t offered = 0, hits = 0, joins = 0, warm = 0;
+    std::uint64_t evictions = 0, rejected = 0;
+    double hit_frac = 0, lru_hit_frac = 0, ceiling = 0;
+    double sojourn_mean = 0, sojourn_p90 = 0;
+    bool correct = true;
+    bool deterministic = true;
+    bool beats_lru = false;
+  };
+  PressureRow pressure;
+  {
+    core::TrafficSpec spec;
+    spec.process = core::ArrivalProcess::kPoisson;
+    spec.seed = config.seed;
+    spec.num_queries = 1500;
+    spec.rate_qpms = 2.0 * static_cast<double>(streams) / mean_ms;
+    spec.zipf_s = 1.1;
+    spec.source_universe = 16 * kCacheCapacity;
+    spec.class_deadline_ms = {6.0 * mean_ms, 16.0 * mean_ms, 100.0 * mean_ms};
+    const std::vector<core::TrafficQuery> schedule =
+        core::generate_traffic(spec, csr.num_vertices());
+    pressure.offered = schedule.size();
+
+    core::ResultCacheStats stats;
+    const core::StreamResult cached = serve_cached(schedule, 1, true, &stats);
+    const core::StreamResult cached_wide = serve_cached(schedule, 8, true);
+    pressure.correct = oracle_exact(schedule, cached, "cache-pressure");
+    pressure.deterministic =
+        thread_invariant(cached, cached_wide, "cache-pressure");
+
+    pressure.hits = static_cast<std::size_t>(cached.cached_queries);
+    pressure.joins = static_cast<std::size_t>(cached.joined_queries);
+    pressure.warm = static_cast<std::size_t>(cached.warm_started_queries);
+    pressure.evictions = stats.evictions;
+    pressure.rejected = stats.rejected;
+    pressure.ceiling = core::source_repetition_stats(schedule).repeat_fraction;
+    const double offered_d = static_cast<double>(pressure.offered);
+    pressure.hit_frac = static_cast<double>(pressure.hits) / offered_d;
+
+    std::vector<graph::VertexId> lru;  // least recently used first
+    std::size_t lru_hits = 0;
+    for (const core::TrafficQuery& query : schedule) {
+      const auto it = std::find(lru.begin(), lru.end(), query.source);
+      if (it != lru.end()) {
+        ++lru_hits;
+        lru.erase(it);
+      } else if (lru.size() == kCacheCapacity) {
+        lru.erase(lru.begin());
+      }
+      lru.push_back(query.source);
+    }
+    pressure.lru_hit_frac = static_cast<double>(lru_hits) / offered_d;
+
+    std::vector<double> sojourn;
+    for (const core::StreamQueryStats& sq : cached.stats) {
+      if (core::query_completed(sq.query.status)) {
+        sojourn.push_back(sq.sojourn_ms);
+        pressure.sojourn_mean += sq.sojourn_ms;
+      }
+    }
+    if (!sojourn.empty()) {
+      pressure.sojourn_mean /= static_cast<double>(sojourn.size());
+    }
+    pressure.sojourn_p90 = percentile(sojourn, 0.90);
+    pressure.beats_lru = pressure.hit_frac > pressure.lru_hit_frac;
+    if (!pressure.beats_lru) {
+      std::fprintf(stderr,
+                   "VIOLATION: cache-pressure hit fraction %.4f does not "
+                   "beat the offline LRU's %.4f\n",
+                   pressure.hit_frac, pressure.lru_hit_frac);
+    }
+  }
   const bool cache_ok =
       cache_sweep.correct && cache_sweep.deterministic &&
-      cache_sweep.beats_cold;
+      cache_sweep.beats_cold && pressure.correct && pressure.deterministic &&
+      pressure.beats_lru;
   std::printf("cache sweep (Zipf s=1.3, 64 hot sources, %zu queries): "
               "%zu exact hit(s), %zu join(s), %zu warm start(s); "
               "hit p50 %.4f ms vs cold p50 %.4f ms -> %s; "
@@ -342,6 +447,20 @@ int main(int argc, char** argv) {
               cache_sweep.beats_cold ? "cache wins" : "NO WIN",
               cache_sweep.correct ? "yes" : "NO",
               cache_sweep.deterministic ? "yes" : "NO");
+  std::printf("cache pressure (Zipf s=1.1, %zu hot sources, capacity %zu, "
+              "%zu queries): hit fraction %.4f vs offline LRU %.4f -> %s "
+              "(repeat ceiling %.4f); %zu join(s), %zu warm start(s), "
+              "%llu eviction(s), %llu rejection(s); sojourn mean %.4f ms, "
+              "p90 %.4f ms; oracle-exact %s, sim_threads-deterministic %s\n",
+              16 * kCacheCapacity, kCacheCapacity, pressure.offered,
+              pressure.hit_frac, pressure.lru_hit_frac,
+              pressure.beats_lru ? "beats LRU" : "NO WIN", pressure.ceiling,
+              pressure.joins, pressure.warm,
+              static_cast<unsigned long long>(pressure.evictions),
+              static_cast<unsigned long long>(pressure.rejected),
+              pressure.sojourn_mean, pressure.sojourn_p90,
+              pressure.correct ? "yes" : "NO",
+              pressure.deterministic ? "yes" : "NO");
   const auto write_cache_json = [&](std::FILE* json) {
     std::fprintf(
         json,
@@ -349,12 +468,30 @@ int main(int argc, char** argv) {
         "\"exact_hits\": %zu, \"single_flight_joins\": %zu, "
         "\"warm_starts\": %zu, \"hit_p50_ms\": %.4f, \"cold_p50_ms\": %.4f, "
         "\"cache_hit_p50_beats_cold_p50\": %s, \"oracle_exact\": %s, "
-        "\"deterministic\": %s}",
+        "\"deterministic\": %s},\n",
         cache_sweep.offered, cache_sweep.cold_done, cache_sweep.hits,
         cache_sweep.joins, cache_sweep.warm, cache_sweep.hit_p50,
         cache_sweep.cold_p50, cache_sweep.beats_cold ? "true" : "false",
         cache_sweep.correct ? "true" : "false",
         cache_sweep.deterministic ? "true" : "false");
+    std::fprintf(
+        json,
+        "  \"cache_pressure\": {\"offered\": %zu, \"capacity\": %zu, "
+        "\"hot_sources\": %zu, \"exact_hits\": %zu, "
+        "\"single_flight_joins\": %zu, \"warm_starts\": %zu, "
+        "\"evictions\": %llu, \"rejected\": %llu, \"hit_frac\": %.4f, "
+        "\"offline_lru_hit_frac\": %.4f, \"repeat_ceiling\": %.4f, "
+        "\"sojourn_mean_ms\": %.4f, \"sojourn_p90_ms\": %.4f, "
+        "\"hit_frac_beats_offline_lru\": %s, \"oracle_exact\": %s, "
+        "\"deterministic\": %s}",
+        pressure.offered, kCacheCapacity, 16 * kCacheCapacity, pressure.hits,
+        pressure.joins, pressure.warm,
+        static_cast<unsigned long long>(pressure.evictions),
+        static_cast<unsigned long long>(pressure.rejected), pressure.hit_frac,
+        pressure.lru_hit_frac, pressure.ceiling, pressure.sojourn_mean,
+        pressure.sojourn_p90, pressure.beats_lru ? "true" : "false",
+        pressure.correct ? "true" : "false",
+        pressure.deterministic ? "true" : "false");
   };
   if (cache_only) {
     std::FILE* json = std::fopen(json_path.c_str(), "w");

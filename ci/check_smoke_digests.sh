@@ -21,7 +21,7 @@ fi
 PINNED=(
   "kron-solve 445fe1b6ff94aea5"
   "road-solve 4df6b8da28ee4163"
-  "serve-zipf d74e4833097b3373"
+  "serve-zipf 65a9c629187737f8"
   "serve-storm 4d09fd1a8eeb419a"
 )
 

@@ -90,9 +90,10 @@ trap 'rm -f "$SERVER_JSON" "$BATCH_JSON"' EXIT
 echo "=== [parallel] BENCH_server.json is current ==="
 # The full serving sweep (deadlines, fault routing, streaming, the result
 # cache, the fault storm) through every QueryBatch lane. Its exit status
-# carries all of the bench's gates, the result-cache one among them: exact
-# hits must be oracle-exact and bit-identical across sim_threads, and the
-# cache-hit p50 sojourn must beat the cold p50. Its numbers are all
+# carries all of the bench's gates, the result-cache ones among them: exact
+# hits must be oracle-exact and bit-identical across sim_threads, the
+# cache-hit p50 sojourn must beat the cold p50, and with a hot set 16x the
+# cache the hit fraction must beat an offline LRU's. Its numbers are all
 # simulated, so the committed table must regenerate byte for byte for any
 # build type, host and --sim-threads; a diff means a change moved them
 # without regenerating the file (bench/server_tail_latency writes it).

@@ -478,13 +478,15 @@ int run_tool(const CliArgs& args) {
       const core::ResultCacheStats& cs = server.result_cache()->stats();
       std::printf(
           "cache: %llu exact hit(s), %llu single-flight join(s), "
-          "%llu warm start(s); %llu publish(es), %llu eviction(s); "
-          "schedule repeats %.1f%% over %zu distinct source(s)\n",
+          "%llu warm start(s); %llu publish(es), %llu eviction(s), "
+          "%llu rejection(s); schedule repeats %.1f%% over %zu distinct "
+          "source(s)\n",
           static_cast<unsigned long long>(result.cached_queries),
           static_cast<unsigned long long>(result.joined_queries),
           static_cast<unsigned long long>(result.warm_started_queries),
           static_cast<unsigned long long>(cs.publishes),
           static_cast<unsigned long long>(cs.evictions),
+          static_cast<unsigned long long>(cs.rejected),
           100.0 * reps.repeat_fraction, reps.distinct_sources);
     }
     if (fault.enabled) {

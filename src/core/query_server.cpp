@@ -295,8 +295,8 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
   };
 
   // Result cache, streaming flavor (docs/serving.md "Result cache").
-  // Checked twice per query — at arrival (admission) and again at dispatch,
-  // because an identical source may publish while this one sits queued. The
+  // Checked at every arrival (admission) and again at dispatch, because an
+  // identical source may publish while this one sits queued. The
   // decision time `at_rel_ms` is relative to the stream start; cache
   // publish times live on the absolute device clock.
   const auto serve_from_cache_stream = [&](std::size_t index,
@@ -338,6 +338,14 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
       stats.sojourn_ms = publish_rel_ms - stats.arrival_ms;
     }
     return true;
+  };
+  // An offered arrival (schedule or closed-loop re-arrival) counts one
+  // request for the cache's admission policy; the dispatch-time re-check
+  // counts none, so a query that waits in the queue is not counted twice.
+  const auto serve_arrival_from_cache = [&](std::size_t index,
+                                            double at_rel_ms) {
+    if (cache_ != nullptr) cache_->record_request(schedule[index].source);
+    return serve_from_cache_stream(index, at_rel_ms);
   };
 
   // --- continuous dispatch -------------------------------------------------
@@ -413,7 +421,7 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
     stats.deadline_ms = std::isfinite(schedule[index].deadline_ms)
                             ? retry.arrival_ms + schedule[index].deadline_ms
                             : kInf;
-    if (serve_from_cache_stream(index, retry.arrival_ms)) return;
+    if (serve_arrival_from_cache(index, retry.arrival_ms)) return;
     if (pending.size() >= options_.max_pending) {
       shed_or_retry(index, "admission queue full", retry.arrival_ms);
       return;
@@ -454,7 +462,7 @@ StreamResult QueryServer::run_stream(std::span<const TrafficQuery> schedule) {
       }
       // Cache check precedes queue-full shedding: a cache-answerable
       // query never needs (and never takes) queue space.
-      if (serve_from_cache_stream(index, query.arrival_ms)) continue;
+      if (serve_arrival_from_cache(index, query.arrival_ms)) continue;
       if (pending.size() >= options_.max_pending) {
         shed_or_retry(index, "admission queue full", query.arrival_ms);
         continue;

@@ -1,6 +1,8 @@
 #include "core/result_cache.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <tuple>
 
 #include "common/macros.hpp"
 #include "core/query_batch.hpp"
@@ -24,6 +26,21 @@ void ResultCache::bump_epoch() {
   stats_.invalidations += entries_.size() + landmarks_.size();
   entries_.clear();
   landmarks_.clear();
+}
+
+void ResultCache::record_request(VertexId source) {
+  ++requests_[source];
+  if (++requests_since_aging_ < kAgingWindow * options_.capacity) return;
+  requests_since_aging_ = 0;
+  for (auto it = requests_.begin(); it != requests_.end();) {
+    it->second /= 2;
+    it = it->second == 0 ? requests_.erase(it) : std::next(it);
+  }
+}
+
+std::uint64_t ResultCache::request_count(VertexId source) const {
+  const auto it = requests_.find(source);
+  return it == requests_.end() ? 0 : it->second;
 }
 
 const CachedResult* ResultCache::lookup(VertexId source, double now_ms) {
@@ -78,46 +95,51 @@ void ResultCache::publish(VertexId source, QueryStatus status,
     return;
   }
 
-  Entry entry;
-  entry.result.status = status;
-  entry.result.publish_ms = publish_ms;
-  if (!failed) entry.result.distances = distances;
-  entry.last_used = ++tick_;
-  entries_.emplace(source, std::move(entry));
-  evict_if_over_capacity();
+  bool admit = true;
+  if (entries_.size() >= options_.capacity) {
+    const auto victim = eviction_victim();
+    admit = victim->second.result.status == QueryStatus::kFailed ||
+            (!failed && request_count(source) > request_count(victim->first));
+    if (admit) {
+      entries_.erase(victim);
+      ++stats_.evictions;
+    } else {
+      ++stats_.rejected;
+    }
+  }
+  if (admit) {
+    Entry entry;
+    entry.result.status = status;
+    entry.result.publish_ms = publish_ms;
+    if (!failed) entry.result.distances = distances;
+    entry.last_used = ++tick_;
+    entries_.emplace(source, std::move(entry));
+  }
 
   // The first `landmarks` distinct completed sources double as warm-start
-  // landmark vectors, pinned in their own store (deterministic choice:
-  // publish order, which is itself deterministic).
+  // landmark vectors, pinned in their own store whether or not the entry
+  // was admitted (deterministic choice: publish order, which is itself
+  // deterministic).
   if (!failed && landmarks_.size() < options_.landmarks &&
       landmarks_.find(source) == landmarks_.end()) {
     landmarks_.emplace(source, Landmark{publish_ms, distances});
   }
 }
 
-void ResultCache::evict_if_over_capacity() {
-  while (entries_.size() > options_.capacity) {
-    // Failed (transient, single-flight-only) entries go first; then plain
-    // LRU. The map order makes ties (impossible for distinct ticks, but
-    // cheap to pin down) resolve to the smallest vertex id.
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (victim == entries_.end()) {
-        victim = it;
-        continue;
-      }
-      const bool it_failed = it->second.result.status == QueryStatus::kFailed;
-      const bool victim_failed =
-          victim->second.result.status == QueryStatus::kFailed;
-      if (it_failed != victim_failed) {
-        if (it_failed) victim = it;
-        continue;
-      }
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    }
-    entries_.erase(victim);
-    ++stats_.evictions;
+std::map<VertexId, ResultCache::Entry>::iterator
+ResultCache::eviction_victim() {
+  // Failed (transient, single-flight-only) entries first, then the lowest
+  // request count, then the least recently used (ticks are distinct, so
+  // the scan order never decides).
+  const auto key = [&](const auto& it) {
+    return std::make_tuple(it->second.result.status != QueryStatus::kFailed,
+                           request_count(it->first), it->second.last_used);
+  };
+  auto victim = entries_.begin();
+  for (auto it = std::next(victim); it != entries_.end(); ++it) {
+    if (key(it) < key(victim)) victim = it;
   }
+  return victim;
 }
 
 bool ResultCache::warm_bounds(VertexId source, double now_ms,

@@ -10,6 +10,14 @@
 //      (graph epoch, source) with bounded capacity. A repeat source whose
 //      entry is already published on the serving clock is answered as
 //      QueryStatus::kCacheHit without touching a lane — zero device time.
+//      Which vectors stay is decided by request frequency, TinyLFU-style
+//      (Einziger, Friedman and Manes, ACM Trans. Storage 2017): the cache
+//      counts requests per source, halving every count once per aging
+//      window, and a full cache lets a new result in only when its
+//      source is requested more often than the entry it would displace.
+//      On a Zipf stream whose hot set outgrows the capacity this keeps
+//      the head resident where recency alone lets one-off sources churn
+//      it.
 //   2. Single-flight sharing: an entry whose publish time is still in the
 //      future is a query *in flight* on the simulated timeline. A second
 //      query for the same source attaches to it and shares its result when
@@ -67,8 +75,9 @@ struct ResultCacheStats {
   std::uint64_t lookups = 0;        // lookup() calls
   std::uint64_t hits = 0;           // published entry served
   std::uint64_t inflight_hits = 0;  // lookup_inflight() matches
-  std::uint64_t publishes = 0;      // results published into the cache
-  std::uint64_t evictions = 0;      // capacity-driven LRU removals
+  std::uint64_t publishes = 0;      // publish() calls
+  std::uint64_t evictions = 0;      // entries displaced by a new result
+  std::uint64_t rejected = 0;       // new results turned away (cache full)
   std::uint64_t invalidations = 0;  // entries dropped by bump_epoch()
   std::uint64_t warm_starts = 0;    // warm_bounds() calls that produced bounds
 };
@@ -96,11 +105,22 @@ class ResultCache {
   std::uint64_t epoch() const { return epoch_; }
   void bump_epoch();
 
+  // --- request frequency ----------------------------------------------------
+  // Counts one request for `source`. The caller counts each offered query
+  // once, however often it looks the source up (QueryServer: at every
+  // arrival, not at the dispatch-time re-check). Every kAgingWindow x
+  // capacity requests all counts are halved and zeros dropped, so a source
+  // that was hot once fades. Counts describe the traffic, not the graph:
+  // bump_epoch() keeps them.
+  void record_request(graph::VertexId source);
+  static constexpr std::size_t kAgingWindow = 10;
+
   // --- the three reuse paths ------------------------------------------------
   // Exact hit: the entry for `source` published at or before `now_ms`.
-  // Touches LRU recency. Failed entries never hit — once published they
-  // expire here (a past failure must not poison future queries). Returns
-  // nullptr on miss; the pointer is valid until the next mutating call.
+  // Marks it recently used. Failed entries never hit — once published
+  // they expire here (a past failure must not poison future queries).
+  // Returns nullptr on miss; the pointer is valid until the next mutating
+  // call.
   const CachedResult* lookup(graph::VertexId source, double now_ms);
 
   // Single-flight: the entry for `source` publishing after `now_ms` — the
@@ -112,9 +132,13 @@ class ResultCache {
   // Publishes one terminal outcome at `publish_ms`. Completed statuses
   // carry distances (original numbering); kFailed carries none. When the
   // source already has an entry the earlier publish wins among equals, and
-  // a completed result always replaces a failed one. May evict the
-  // least-recently-used completed entry (failed entries first; landmarks
-  // are pinned in their own store and never evicted).
+  // a completed result always replaces a failed one. A new source in a
+  // full cache needs a victim: failed entries first, then the lowest
+  // request count, then the least recently used. A failed victim always
+  // goes; a completed one goes only for a completed result whose source
+  // has the strictly higher count. Otherwise the new result is not
+  // stored (stats().rejected), so it cannot be joined in flight either.
+  // Landmarks are pinned in their own store and never evicted.
   void publish(graph::VertexId source, QueryStatus status,
                const std::vector<graph::Distance>& distances,
                double publish_ms);
@@ -135,29 +159,33 @@ class ResultCache {
   bool is_landmark(graph::VertexId source) const {
     return landmarks_.find(source) != landmarks_.end();
   }
+  // The aged request count of `source` (0 if never counted or aged out).
+  std::uint64_t request_count(graph::VertexId source) const;
   const ResultCacheStats& stats() const { return stats_; }
   const ResultCacheOptions& options() const { return options_; }
 
  private:
   struct Entry {
     CachedResult result;
-    std::uint64_t last_used = 0;  // LRU tick
+    std::uint64_t last_used = 0;  // recency tick, the eviction tie-break
   };
   struct Landmark {
     double publish_ms = 0;
     std::vector<graph::Distance> distances;
   };
 
-  void evict_if_over_capacity();
+  std::map<graph::VertexId, Entry>::iterator eviction_victim();
 
   ResultCacheOptions options_;
   graph::VertexId num_vertices_ = 0;
   bool symmetric_ = false;
   std::uint64_t epoch_ = 0;
   std::uint64_t tick_ = 0;
-  // Ordered by vertex id: iteration (eviction scans) is deterministic by
-  // construction, never pointer- or hash-ordered.
+  // Ordered by vertex id: iteration (eviction scans, aging) is
+  // deterministic by construction, never pointer- or hash-ordered.
   std::map<graph::VertexId, Entry> entries_;
+  std::map<graph::VertexId, std::uint64_t> requests_;  // zeros dropped
+  std::size_t requests_since_aging_ = 0;
   std::map<graph::VertexId, Landmark> landmarks_;
   ResultCacheStats stats_;
 };

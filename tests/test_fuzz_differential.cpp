@@ -613,12 +613,15 @@ void run_cross_stream_case(const FuzzCase& c, const Csr& csr,
 //     warm-start seeding must not introduce gsan races.
 // Sweep-level tally: any single case may legitimately see zero hits (a
 // wide universe draw, early deadlines), but across a whole fuzz run the
-// hot-Zipf schedules must produce cache activity, or the leg is testing
-// nothing. Checked at the end of the main TEST.
+// hot-Zipf schedules must produce cache activity, and the tiny capacities
+// must make the admission policy both displace entries and turn results
+// away, or the leg is testing nothing. Checked at the end of the main TEST.
 struct CacheLegTally {
   std::size_t exact_hits = 0;
   std::size_t joins = 0;
   std::size_t warm_starts = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t rejected = 0;
   std::size_t cases = 0;
 };
 CacheLegTally g_cache_tally;
@@ -660,8 +663,9 @@ void run_cache_case(const FuzzCase& c, const Csr& csr, int case_index) {
   options.max_pending = 4 + static_cast<int>(rng.next_below(8));
   options.shed_on_overload = rng.next_below(2) == 0;
   options.hedge_to_cpu = rng.next_below(2) == 0;
-  // Tiny capacity keeps eviction churn in play; landmarks 0..3 covers the
-  // warm-start-disabled boundary as well as multi-landmark min-combines.
+  // Tiny capacity keeps admission and eviction in play; landmarks 0..3
+  // covers the warm-start-disabled boundary as well as multi-landmark
+  // min-combines.
   core::ResultCacheOptions cache;
   cache.enabled = true;
   cache.capacity = 1 + static_cast<std::size_t>(rng.next_below(6));
@@ -682,6 +686,7 @@ void run_cache_case(const FuzzCase& c, const Csr& csr, int case_index) {
     cold = server.run_stream(schedule);
   }
   core::StreamResult cached[2];  // cache on, sim_threads {1, 8}
+  core::ResultCacheStats cache_stats[2];
   const int thread_counts[2] = {1, 8};
   for (int t = 0; t < 2; ++t) {
     core::QueryServerOptions run_options = options;
@@ -689,6 +694,7 @@ void run_cache_case(const FuzzCase& c, const Csr& csr, int case_index) {
     run_options.batch.gpu.sim_threads = thread_counts[t];
     core::QueryServer server(csr, gpusim::test_device(), run_options);
     cached[t] = server.run_stream(schedule);
+    cache_stats[t] = server.result_cache()->stats();
     if (fuzz_sanitize() == gpusim::SanitizeMode::kOn) {
       ASSERT_NE(server.batch().sim().sanitizer(), nullptr);
       EXPECT_EQ(server.batch().sim().sanitizer()->report(), "")
@@ -749,10 +755,16 @@ void run_cache_case(const FuzzCase& c, const Csr& csr, int case_index) {
       << "cache case " << case_index << ": " << c.describe();
   EXPECT_EQ(narrow.makespan_ms, wide.makespan_ms)
       << "cache case " << case_index << ": " << c.describe();
+  EXPECT_EQ(cache_stats[0].evictions, cache_stats[1].evictions)
+      << "cache case " << case_index << ": " << c.describe();
+  EXPECT_EQ(cache_stats[0].rejected, cache_stats[1].rejected)
+      << "cache case " << case_index << ": " << c.describe();
 
   g_cache_tally.exact_hits += narrow.cached_queries;
   g_cache_tally.joins += narrow.joined_queries;
   g_cache_tally.warm_starts += narrow.warm_started_queries;
+  g_cache_tally.evictions += cache_stats[0].evictions;
+  g_cache_tally.rejected += cache_stats[0].rejected;
   ++g_cache_tally.cases;
 }
 
@@ -916,6 +928,11 @@ TEST(FuzzDifferential, EveryEngineMatchesDijkstraOnRandomGraphs) {
                   g_cache_tally.warm_starts,
               0u)
         << "no cache activity across " << g_cache_tally.cases
+        << " cache-leg cases";
+    EXPECT_GT(g_cache_tally.evictions, 0u)
+        << "no evictions across " << g_cache_tally.cases << " cache-leg cases";
+    EXPECT_GT(g_cache_tally.rejected, 0u)
+        << "no rejected results across " << g_cache_tally.cases
         << " cache-leg cases";
   }
   if (fuzz_warm() && g_warm_tally.cases >= 1) {

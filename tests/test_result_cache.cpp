@@ -9,8 +9,10 @@
 // engines; (2) single-flight waiters share the producer's outcome,
 // including its failure; (3) the cache's time model (publish_ms vs the
 // decision clock) cleanly separates "published" from "in flight"; (4) an
-// epoch bump invalidates everything; (5) serving results with the cache on
-// are bit-identical across sim_threads for every stream count.
+// epoch bump invalidates every entry and landmark; (5) serving results with
+// the cache on are bit-identical across sim_threads for every stream
+// count; (6) a full cache admits and evicts by aged request count, one
+// count per offered arrival.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -109,36 +111,6 @@ TEST(ResultCache, MissThenInflightThenHitFollowsThePublishClock) {
   EXPECT_EQ(cache.stats().publishes, 1u);
 }
 
-TEST(ResultCache, CapacityEvictsTheLeastRecentlyUsedEntry) {
-  const Csr csr = test::paper_figure1_graph();
-  core::ResultCache cache(csr, small_cache(/*capacity=*/2, /*landmarks=*/0));
-  cache.publish(0, core::QueryStatus::kOk, dijkstra_distances(csr, 0), 1.0);
-  cache.publish(1, core::QueryStatus::kOk, dijkstra_distances(csr, 1), 2.0);
-  ASSERT_NE(cache.lookup(0, 5.0), nullptr);  // touch 0: now 1 is the LRU
-
-  cache.publish(2, core::QueryStatus::kOk, dijkstra_distances(csr, 2), 3.0);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.lookup(1, 5.0), nullptr);   // evicted
-  EXPECT_NE(cache.lookup(0, 5.0), nullptr);   // kept (recently used)
-  EXPECT_NE(cache.lookup(2, 5.0), nullptr);   // kept (just published)
-}
-
-TEST(ResultCache, FailedEntriesAreEvictedBeforeCompletedOnes) {
-  const Csr csr = test::paper_figure1_graph();
-  core::ResultCache cache(csr, small_cache(/*capacity=*/2, /*landmarks=*/0));
-  cache.publish(0, core::QueryStatus::kFailed, {}, 50.0);  // still in flight
-  cache.publish(1, core::QueryStatus::kOk, dijkstra_distances(csr, 1), 2.0);
-  ASSERT_EQ(cache.lookup_inflight(0, 10.0)->status,
-            core::QueryStatus::kFailed);  // touched most recently
-
-  // The failed entry goes first even though it is not the LRU.
-  cache.publish(2, core::QueryStatus::kOk, dijkstra_distances(csr, 2), 3.0);
-  EXPECT_EQ(cache.lookup_inflight(0, 10.0), nullptr);
-  EXPECT_NE(cache.lookup(1, 10.0), nullptr);
-  EXPECT_NE(cache.lookup(2, 10.0), nullptr);
-}
-
 TEST(ResultCache, PublishedFailureSharesInFlightThenExpiresAtLookup) {
   const Csr csr = test::paper_figure1_graph();
   core::ResultCache cache(csr, small_cache());
@@ -198,6 +170,155 @@ TEST(ResultCache, EpochBumpInvalidatesEntriesAndLandmarks) {
   std::vector<Distance> bounds;
   EXPECT_FALSE(cache.warm_bounds(5, 100.0, &bounds));
   EXPECT_EQ(cache.stats().invalidations, 4u);
+}
+
+// --- unit: frequency-aware admission and eviction --------------------------
+
+// Counts `times` requests for `source`, as the server does once per arrival.
+void request(core::ResultCache& cache, VertexId source, int times = 1) {
+  for (int i = 0; i < times; ++i) cache.record_request(source);
+}
+
+TEST(ResultCache, HotSourceSurvivesAOneOffScanOfColdSources) {
+  const Csr csr = test::random_powerlaw_graph(200, 1600, /*seed=*/5);
+  constexpr std::size_t kCapacity = 4;
+  core::ResultCache cache(csr, small_cache(kCapacity, /*landmarks=*/0));
+  request(cache, 0, 3);
+  cache.publish(0, core::QueryStatus::kOk, dijkstra_distances(csr, 0), 1.0);
+
+  // 2 x capacity cold sources, each asked for once: recency alone would
+  // push the hot source out; by count the scan only displaces itself.
+  for (VertexId v = 1; v <= 2 * kCapacity; ++v) {
+    request(cache, v);
+    cache.publish(v, core::QueryStatus::kOk, dijkstra_distances(csr, v),
+                  2.0 + v);
+  }
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_NE(cache.lookup(0, 100.0), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().rejected, kCapacity + 1);
+  for (VertexId v = 1; v < kCapacity; ++v) {
+    EXPECT_NE(cache.lookup(v, 100.0), nullptr) << v;  // filled free slots
+  }
+  for (VertexId v = kCapacity; v <= 2 * kCapacity; ++v) {
+    EXPECT_EQ(cache.lookup(v, 100.0), nullptr) << v;  // turned away
+  }
+}
+
+TEST(ResultCache, EqualCountsEvictTheLeastRecentlyUsedEntry) {
+  const Csr csr = test::paper_figure1_graph();
+  core::ResultCache cache(csr, small_cache(/*capacity=*/2, /*landmarks=*/0));
+  request(cache, 0);
+  request(cache, 1);
+  cache.publish(0, core::QueryStatus::kOk, dijkstra_distances(csr, 0), 1.0);
+  cache.publish(1, core::QueryStatus::kOk, dijkstra_distances(csr, 1), 2.0);
+  ASSERT_NE(cache.lookup(0, 5.0), nullptr);  // touch 0: now 1 is the LRU
+
+  request(cache, 2, 2);  // beats both count-1 entries
+  cache.publish(2, core::QueryStatus::kOk, dijkstra_distances(csr, 2), 3.0);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().rejected, 0u);
+  EXPECT_EQ(cache.lookup(1, 5.0), nullptr);   // evicted
+  EXPECT_NE(cache.lookup(0, 5.0), nullptr);   // kept (recently used)
+  EXPECT_NE(cache.lookup(2, 5.0), nullptr);   // admitted
+}
+
+TEST(ResultCache, CountsHalveAfterTheAgingWindowSoAFormerlyHotSourceGoes) {
+  const Csr csr = test::random_powerlaw_graph(200, 1600, /*seed=*/7);
+  constexpr std::size_t kCapacity = 2;
+  constexpr std::size_t kWindow = core::ResultCache::kAgingWindow * kCapacity;
+  core::ResultCache cache(csr, small_cache(kCapacity, /*landmarks=*/0));
+  request(cache, 0, 6);
+  cache.publish(0, core::QueryStatus::kOk, dijkstra_distances(csr, 0), 1.0);
+  request(cache, 1, 6);
+  cache.publish(1, core::QueryStatus::kOk, dijkstra_distances(csr, 1), 2.0);
+
+  // One-off sources fill the window up to its last request...
+  VertexId cold = 100;
+  for (std::size_t n = 12; n + 1 < kWindow; ++n) request(cache, cold++);
+  EXPECT_EQ(cache.request_count(0), 6u);
+  EXPECT_EQ(cache.request_count(100), 1u);
+  // ...which halves every count and drops the zeros.
+  request(cache, cold);
+  EXPECT_EQ(cache.request_count(0), 3u);
+  EXPECT_EQ(cache.request_count(1), 3u);
+  EXPECT_EQ(cache.request_count(100), 0u);
+
+  // Four fresh requests now beat the formerly hot source's aged three
+  // (without aging its six would win); 0 is the older of the tied pair.
+  request(cache, 2, 4);
+  cache.publish(2, core::QueryStatus::kOk, dijkstra_distances(csr, 2), 3.0);
+  EXPECT_EQ(cache.stats().rejected, 0u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.lookup(0, 10.0), nullptr);
+  EXPECT_NE(cache.lookup(1, 10.0), nullptr);
+  EXPECT_NE(cache.lookup(2, 10.0), nullptr);
+}
+
+TEST(ResultCache, AResultThatDoesNotBeatTheVictimIsNotCached) {
+  const Csr csr = test::paper_figure1_graph();
+  core::ResultCache cache(csr, small_cache(/*capacity=*/2, /*landmarks=*/0));
+  request(cache, 0, 2);
+  request(cache, 1, 2);
+  cache.publish(0, core::QueryStatus::kOk, dijkstra_distances(csr, 0), 1.0);
+  cache.publish(1, core::QueryStatus::kOk, dijkstra_distances(csr, 1), 2.0);
+
+  request(cache, 2, 2);  // ties the victim: not enough
+  cache.publish(2, core::QueryStatus::kOk, dijkstra_distances(csr, 2), 30.0);
+  EXPECT_EQ(cache.stats().rejected, 1u);
+  // Not stored at all: neither joinable in flight nor servable later.
+  EXPECT_EQ(cache.lookup_inflight(2, 10.0), nullptr);
+  EXPECT_EQ(cache.lookup(2, 40.0), nullptr);
+
+  // A failure never displaces a completed entry, whatever its count.
+  request(cache, 3, 5);
+  cache.publish(3, core::QueryStatus::kFailed, {}, 30.0);
+  EXPECT_EQ(cache.lookup_inflight(3, 10.0), nullptr);
+  EXPECT_EQ(cache.stats().rejected, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().publishes, 4u);
+  EXPECT_NE(cache.lookup(0, 40.0), nullptr);
+  EXPECT_NE(cache.lookup(1, 40.0), nullptr);
+}
+
+TEST(ResultCache, FailedEntriesAreEvictedBeforeCompletedOnes) {
+  const Csr csr = test::paper_figure1_graph();
+  core::ResultCache cache(csr, small_cache(/*capacity=*/2, /*landmarks=*/0));
+  request(cache, 0, 3);  // the failed source is the most requested
+  request(cache, 1);
+  cache.publish(0, core::QueryStatus::kFailed, {}, 50.0);  // still in flight
+  cache.publish(1, core::QueryStatus::kOk, dijkstra_distances(csr, 1), 2.0);
+  ASSERT_EQ(cache.lookup_inflight(0, 10.0)->status,
+            core::QueryStatus::kFailed);  // touched most recently
+
+  // The failed entry goes first although it has the highest count and is
+  // not the LRU, and it goes even for a source never requested.
+  cache.publish(2, core::QueryStatus::kOk, dijkstra_distances(csr, 2), 3.0);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().rejected, 0u);
+  EXPECT_EQ(cache.lookup_inflight(0, 10.0), nullptr);
+  EXPECT_NE(cache.lookup(1, 10.0), nullptr);
+  EXPECT_NE(cache.lookup(2, 10.0), nullptr);
+}
+
+TEST(ResultCache, RequestCountsSurviveAnEpochBump) {
+  const Csr csr = test::paper_figure1_graph();
+  core::ResultCache cache(csr, small_cache(/*capacity=*/1, /*landmarks=*/0));
+  request(cache, 0, 2);
+  request(cache, 1);
+  cache.publish(0, core::QueryStatus::kOk, dijkstra_distances(csr, 0), 1.0);
+  cache.bump_epoch();
+  // The graph changed, not the traffic: the entries go, the counts stay.
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.request_count(0), 2u);
+  EXPECT_EQ(cache.request_count(1), 1u);
+
+  cache.publish(1, core::QueryStatus::kOk, dijkstra_distances(csr, 1), 2.0);
+  cache.publish(0, core::QueryStatus::kOk, dijkstra_distances(csr, 0), 3.0);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.lookup(1, 5.0), nullptr);
+  EXPECT_NE(cache.lookup(0, 5.0), nullptr);
 }
 
 // --- unit: landmark warm bounds --------------------------------------------
@@ -313,6 +434,27 @@ TEST(ResultCacheServing, SingleFlightWaitersShareTheProducersResult) {
     }
   }
   EXPECT_EQ(producers, 1u);
+}
+
+// The admission policy counts offered arrivals: each schedule arrival and
+// each closed-loop re-arrival once, the dispatch-time re-check never.
+TEST(ResultCacheServing, EachArrivalIsCountedOnceAndTheDispatchRecheckNever) {
+  const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/31);
+  core::QueryServerOptions options = cached_server_options(/*streams=*/1);
+  options.max_pending = 1;  // the rest are turned away and re-arrive
+  options.closed_loop.enabled = true;
+  options.closed_loop.retry_budget = 2;
+  options.closed_loop.backoff_base_ms = 0.1;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const std::vector<VertexId> sources = {5, 9, 23, 112, 250};
+  const core::StreamResult result = server.run_stream(queries_for(sources));
+
+  ASSERT_GT(result.retried_arrivals, 0u);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(server.result_cache()->request_count(sources[i]),
+              static_cast<std::uint64_t>(result.stats[i].arrivals))
+        << "source " << sources[i];
+  }
 }
 
 TEST(ResultCacheServing, EpochBumpForcesAFreshSolve) {

@@ -203,11 +203,11 @@ TEST(StreamingSoak, TenThousandMixedClassQueriesOnMappedKn18) {
 // result-cache-enabled server under hot-Zipf traffic — 10k queries over 64
 // distinct sources, so the cache's whole surface fires at volume: exact
 // hits, single-flight joins on concurrent duplicates, landmark warm starts
-// on misses, and LRU eviction churn (capacity 16 < universe 64). Every
-// completed query — hit, join or solve — is checked against a per-source
-// memoized Dijkstra oracle, so the miss path is held to the same contract
-// as before the cache existed. The aggregate (including the cache
-// counters) is pinned in its own golden snapshot.
+// on misses, and frequency-based admission and eviction (capacity 16 <
+// universe 64). Every completed query — hit, join or solve — is checked
+// against a per-source memoized Dijkstra oracle, so the miss path is held
+// to the same contract as before the cache existed. The aggregate
+// (including the cache counters) is pinned in its own golden snapshot.
 TEST(StreamingSoak, CachedKn18SliceServesHotSourcesFromTheCache) {
   // The long-lived-server posture again: the CSR is served from an mmap'd
   // on-disk image, while the cache holds its landmark vectors on the side.
