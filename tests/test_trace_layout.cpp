@@ -1,17 +1,22 @@
 // Differential tests for the replay matrix (docs/costmodel.md, "Replay
-// pipeline"): two-pass replay of the compressed trace (per-SM L1 shards,
-// binned L2 scan) and the fused record+replay mode must be observationally
-// indistinguishable — bit-identical counters and launch times,
-// byte-identical gsan hazard reports, identical gfi fault decisions —
-// across replay worker counts. A seeded pseudo-random workload sweeps the
-// op-kind and access-pattern space so the equivalence is exercised well
-// beyond what the engine goldens cover. Both paths charge through
-// coalesce_warp_lanes and SectoredCache::access_line; test_gpusim.cpp
-// checks those against independent reference models.
+// pipeline"): a launch with gsan on also materializes the compressed trace
+// the sanitizer scans, and must otherwise be observationally
+// indistinguishable from the same launch with gsan off — bit-identical
+// counters and launch times, identical gfi fault decisions. A seeded
+// pseudo-random workload sweeps the op-kind and access-pattern space so the
+// equivalence is exercised well beyond what the engine goldens cover, and a
+// golden file pins its hazard report, fault log, counters and times.
+//
+// Regenerate the golden intentionally with:
+//   RDBS_UPDATE_GOLDEN=1 ./tests/test_trace_layout
+// and commit the updated file under tests/golden/ with an explanation.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,42 +25,12 @@
 #include "gpusim/sim.hpp"
 #include "graph/surrogates.hpp"
 
+#ifndef RDBS_GOLDEN_DIR
+#error "tests/CMakeLists.txt must define RDBS_GOLDEN_DIR"
+#endif
+
 namespace rdbs::gpusim {
 namespace {
-
-struct PipelineUnderTest {
-  const char* name;
-  ReplayMode mode;
-  int threads;
-};
-
-// The full matrix: two-pass and fused, serial and with a worker team
-// (workers are irrelevant to fused launches but must stay harmless). The
-// first row, serial two-pass, is the reference the others must match.
-const PipelineUnderTest kMatrix[] = {
-    {"compressed/two-pass/1", ReplayMode::kTwoPass, 1},
-    {"compressed/two-pass/8", ReplayMode::kTwoPass, 8},
-    {"compressed/fused/1", ReplayMode::kAuto, 1},
-    {"compressed/fused/8", ReplayMode::kAuto, 8},
-};
-
-// Restores the process-wide default replay mode and worker count on scope
-// exit, so a failing ASSERT (which returns early) cannot leak a test's
-// defaults into the tests that run after it in the same binary.
-class ScopedPipelineDefaults {
- public:
-  ScopedPipelineDefaults()
-      : mode_(GpuSim::default_replay_mode()),
-        threads_(GpuSim::default_worker_threads()) {}
-  ~ScopedPipelineDefaults() {
-    GpuSim::set_default_replay_mode(mode_);
-    GpuSim::set_default_worker_threads(threads_);
-  }
-
- private:
-  ReplayMode mode_;
-  int threads_;
-};
 
 struct Observation {
   Counters counters;
@@ -68,12 +43,11 @@ struct Observation {
 // Seeded mixed workload: strided loads, scattered loads, duplicate-heavy
 // atomics, volatile accesses and plain stores whose address ranges overlap
 // across tasks (so the sanitizer has real races to report) — across several
-// launches so cross-launch cache state is covered too.
-Observation run_workload(const PipelineUnderTest& p, bool sanitize,
-                         bool inject_faults) {
+// launches so cross-launch cache state is covered too. The scattered loads
+// and the atomics issue their lanes out of address order, so the hazard
+// report also pins that gsan sees each op's lanes in original lane order.
+Observation run_workload(bool sanitize, bool inject_faults) {
   GpuSim sim(test_device());
-  sim.set_replay_mode(p.mode);
-  sim.set_worker_threads(p.threads);
   if (sanitize) sim.enable_sanitizer(SanitizeMode::kOn);
   if (inject_faults) {
     FaultConfig fc;
@@ -87,6 +61,10 @@ Observation run_workload(const PipelineUnderTest& p, bool sanitize,
 
   auto data = sim.alloc<float>("data", 1 << 14);
   auto cells = sim.alloc<std::uint32_t>("cells", 512);
+  // Host-initialized, so the report holds races rather than one
+  // uninitialized read per element.
+  sim.mark_initialized(data);
+  sim.mark_initialized(cells);
   Observation obs;
   Xoshiro256 rng(7);
   for (int launch = 0; launch < 3; ++launch) {
@@ -156,51 +134,89 @@ void expect_equal(const Observation& actual, const Observation& reference,
                   const char* name) {
   EXPECT_TRUE(actual.counters == reference.counters) << name;
   EXPECT_EQ(actual.total_ms, reference.total_ms) << name;
-  EXPECT_EQ(actual.hazard_report, reference.hazard_report) << name;
   EXPECT_EQ(actual.faults, reference.faults) << name;
 }
 
-TEST(ReplayMatrix, CountersAndTimesMatchAcrossMatrix) {
-  const Observation reference =
-      run_workload(kMatrix[0], /*sanitize=*/false, /*inject_faults=*/false);
-  // The kAuto configurations must actually have fused (no sanitizer
-  // attached), otherwise this test is not covering the fused path.
-  for (const PipelineUnderTest& p : kMatrix) {
-    const Observation obs = run_workload(p, false, false);
-    if (p.mode == ReplayMode::kAuto) {
-      EXPECT_EQ(obs.stats.fused_launches, obs.stats.launches) << p.name;
-    } else {
-      EXPECT_EQ(obs.stats.fused_launches, 0u) << p.name;
+std::string serialize(const Observation& obs) {
+  std::ostringstream out;
+  const Counters& c = obs.counters;
+  out << "inst_executed_global_loads " << c.inst_executed_global_loads << '\n'
+      << "inst_executed_global_stores " << c.inst_executed_global_stores
+      << '\n'
+      << "inst_executed_atomics " << c.inst_executed_atomics << '\n'
+      << "l1_sector_accesses " << c.l1_sector_accesses << '\n'
+      << "l1_sector_hits " << c.l1_sector_hits << '\n'
+      << "l2_sector_accesses " << c.l2_sector_accesses << '\n'
+      << "l2_sector_hits " << c.l2_sector_hits << '\n'
+      << "alu_instructions " << c.alu_instructions << '\n'
+      << "memory_transactions " << c.memory_transactions << '\n'
+      << "dram_bytes " << c.dram_bytes << '\n'
+      << "atomic_conflicts " << c.atomic_conflicts << '\n'
+      << "kernel_launches " << c.kernel_launches << '\n'
+      << "child_launches " << c.child_launches << '\n'
+      << "active_lane_ops " << c.active_lane_ops << '\n'
+      << "issued_lane_ops " << c.issued_lane_ops << '\n'
+      << "volatile_accesses " << c.volatile_accesses << '\n'
+      << "faults_injected " << c.faults_injected << '\n'
+      << "ecc_corrected " << c.ecc_corrected << '\n'
+      << std::hexfloat << "total_ms " << obs.total_ms << '\n';
+  out << "hazard_report\n" << obs.hazard_report;
+  out << "fault_log " << obs.faults.size() << '\n';
+  for (const std::string& f : obs.faults) out << f << '\n';
+  return out.str();
+}
+
+TEST(ReplayMatrix, CountersAndTimesMatchWithAndWithoutGsan) {
+  const Observation off = run_workload(/*sanitize=*/false, false);
+  const Observation on = run_workload(/*sanitize=*/true, false);
+  // Only the gsan run stores a trace.
+  EXPECT_EQ(off.stats.fused_launches, off.stats.launches);
+  EXPECT_EQ(on.stats.fused_launches, 0u);
+  EXPECT_FALSE(on.hazard_report.empty());
+  expect_equal(on, off, "gsan on");
+}
+
+TEST(ReplayMatrix, FaultDecisionsMatchWithAndWithoutGsan) {
+  const Observation off = run_workload(false, /*inject_faults=*/true);
+  const Observation on = run_workload(true, /*inject_faults=*/true);
+  EXPECT_FALSE(off.faults.empty());
+  expect_equal(on, off, "gsan on, gfi on");
+}
+
+// The hazard report (gsan on), the fault log (gfi on), and the counters and
+// simulated time of every run of the workload, pinned byte for byte.
+TEST(ReplayMatrix, WorkloadMatchesGolden) {
+  std::ostringstream all;
+  for (const bool inject_faults : {false, true}) {
+    for (const bool sanitize : {false, true}) {
+      all << "== gsan " << (sanitize ? "on" : "off") << ", gfi "
+          << (inject_faults ? "on" : "off") << '\n'
+          << serialize(run_workload(sanitize, inject_faults));
     }
-    expect_equal(obs, reference, p.name);
   }
-}
-
-TEST(ReplayMatrix, SanitizerReportsIdenticalAcrossMatrix) {
-  // The sanitizer pins every row to two-pass (it scans the materialized
-  // trace), so this compares the decoded trace across worker counts.
-  const Observation reference =
-      run_workload(kMatrix[0], /*sanitize=*/true, /*inject_faults=*/false);
-  EXPECT_FALSE(reference.hazard_report.empty());
-  for (const PipelineUnderTest& p : kMatrix) {
-    const Observation obs = run_workload(p, true, false);
-    EXPECT_EQ(obs.stats.fused_launches, 0u) << p.name;  // sanitizer => trace
-    expect_equal(obs, reference, p.name);
+  const std::string actual = all.str();
+  const std::string path =
+      std::string(RDBS_GOLDEN_DIR) + "/replay_workload_s7.txt";
+  if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "regenerated " << path;
   }
-}
-
-TEST(ReplayMatrix, FaultDecisionsIdenticalAcrossMatrix) {
-  const Observation reference =
-      run_workload(kMatrix[0], /*sanitize=*/false, /*inject_faults=*/true);
-  EXPECT_FALSE(reference.faults.empty());
-  for (const PipelineUnderTest& p : kMatrix) {
-    const Observation obs = run_workload(p, false, true);
-    expect_equal(obs, reference, p.name);
-  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << path
+      << " — regenerate with RDBS_UPDATE_GOLDEN=1 and commit it";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str())
+      << "workload drifted from " << path
+      << " — if the change is intentional, regenerate with "
+         "RDBS_UPDATE_GOLDEN=1 and commit the diff";
 }
 
 TEST(ReplayMatrix, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
-  // The capacity claim behind the SCALE-21 row: on the engine's dominant
+  // The capacity claim behind gsan's trace: on the engine's dominant
   // access shape (warp-local small strides) the delta/varint stream plus
   // per-op meta bytes must undercut an array-of-structs trace by >= 4x.
   // That reference record is an 8-byte header (kind, lane count, address
@@ -208,8 +224,9 @@ TEST(ReplayMatrix, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
   constexpr std::uint64_t kOps = 256;
   constexpr std::uint64_t kAosBytes = kOps * (8 + 32 * 8);
   GpuSim sim(test_device());
-  sim.set_replay_mode(ReplayMode::kTwoPass);  // materialize the trace
+  sim.enable_sanitizer(SanitizeMode::kOn);  // materialize the trace
   auto data = sim.alloc<float>("data", 1 << 16);
+  sim.mark_initialized(data);
   sim.run_kernel(Schedule::kDynamic, kOps, 4,
                  [&](WarpCtx& ctx, std::uint64_t t) {
                    std::array<std::uint64_t, 32> idx;
@@ -222,46 +239,39 @@ TEST(ReplayMatrix, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
   const TraceStats& stats = sim.trace_stats();
   ASSERT_GT(stats.peak_trace_bytes, 0u);
   EXPECT_GE(kAosBytes, 4 * stats.peak_trace_bytes);
+  EXPECT_EQ(sim.sanitizer()->report(), "");
 }
 
-// Engine-level cross-check: full solves must agree across the matrix
-// (distances, counters, modeled time) — the replay mode and worker count
-// must be invisible to everything above the simulator. Every registered
-// engine runs; on the adopters of WarpCtx::load_range, fused launches
-// charge contiguous loads in closed form while two-pass launches take the
-// lane path. road-TX at this scale has 8,100 vertices, so every vertex
-// scan ends on a partial strip of 4 lanes.
-TEST(ReplayMatrix, EngineResultsMatchAcrossMatrix) {
+// Engine-level cross-check: full solves must agree with gsan on and off
+// (distances, counters, modeled time) — the trace gsan records must be
+// invisible to everything above the simulator. Every registered engine
+// runs; on the adopters of WarpCtx::load_range, launches without gsan
+// charge contiguous loads in closed form while gsan launches take the lane
+// path. road-TX at this scale has 8,100 vertices, so every vertex scan
+// ends on a partial strip of 4 lanes.
+TEST(ReplayMatrix, EngineResultsMatchWithAndWithoutGsan) {
   graph::LoadOptions load;
   load.size_scale = -1;
   load.weights = graph::WeightScheme::kUniformInt1To1000;
   load.seed = 42;
   constexpr graph::VertexId kSource = 3;
 
-  // Engines construct their GpuSim internally, so the replay mode goes
-  // through the process-wide default; the worker count goes through
-  // EngineOptions::sim_threads.
-  const ScopedPipelineDefaults restore_defaults;
   for (const char* dataset : {"k-n21-16", "road-TX"}) {
     const graph::Csr csr = graph::load_dataset_by_name(dataset, load);
     for (const core::GpuEngineEntry& engine : core::gpu_engines()) {
-      auto solve = [&](const PipelineUnderTest& p) {
-        GpuSim::set_default_replay_mode(p.mode);
+      auto solve = [&](SanitizeMode sanitize) {
         core::EngineOptions options;
-        options.sim_threads = p.threads;
+        options.sanitize = sanitize;
         return engine.make(test_device(), csr, options, /*delta=*/120.0)
             ->run(kSource);
       };
-      const core::GpuRunResult reference = solve(kMatrix[0]);
+      const core::GpuRunResult reference = solve(SanitizeMode::kOff);
       ASSERT_TRUE(reference.ok) << dataset << ' ' << engine.name;
-      for (std::size_t i = 1; i < std::size(kMatrix); ++i) {
-        const std::string where =
-            std::string(dataset) + ' ' + engine.name + ' ' + kMatrix[i].name;
-        const core::GpuRunResult result = solve(kMatrix[i]);
-        EXPECT_TRUE(result.counters == reference.counters) << where;
-        EXPECT_EQ(result.device_ms, reference.device_ms) << where;
-        ASSERT_EQ(result.sssp.distances, reference.sssp.distances) << where;
-      }
+      const std::string where = std::string(dataset) + ' ' + engine.name;
+      const core::GpuRunResult result = solve(SanitizeMode::kOn);
+      EXPECT_TRUE(result.counters == reference.counters) << where;
+      EXPECT_EQ(result.device_ms, reference.device_ms) << where;
+      ASSERT_EQ(result.sssp.distances, reference.sssp.distances) << where;
     }
   }
 }
