@@ -96,7 +96,6 @@ int main(int argc, char** argv) {
         bench::pick_sources(csr, batch_sources, config.seed);
     core::GpuSsspOptions gpu;
     gpu.delta0 = bench::empirical_delta0(csr, config.seed);
-    gpu.sim_threads = config.sim_threads;
 
     const SequentialBaseline base =
         run_sequential(csr, device, gpu, sources);

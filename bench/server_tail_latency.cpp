@@ -20,17 +20,17 @@
 //    serving contract, not luck) — hence p99 <= deadline;
 //  * correctness under degradation: every completed query's distances are
 //    bit-identical to the host Dijkstra reference, including a sweep with
-//    a manually tripped lane across sim_threads {1,8} and stream counts
-//    {2,4} (full results bit-compare across sim_threads; across stream
-//    counts the completed distances must match the oracle);
-//  * streaming determinism: every streaming row is bit-identical across
-//    sim_threads {1, 8} — statuses, dispatch/finish times, promotions,
-//    distances and makespans;
+//    a manually tripped lane, run twice at stream counts {2,4} (full
+//    results bit-compare across the two runs; across stream counts the
+//    completed distances must match the oracle);
+//  * streaming determinism: every streaming row is bit-identical when run
+//    twice — statuses, dispatch/finish times, promotions, distances and
+//    makespans;
 //  * lane policy: at the highest offered load, deadline-aware placement
 //    (LanePolicy::kPredictedFastest) beats plain earliest-free on p99
 //    sojourn over the completed queries;
-//  * result cache: cached runs are oracle-exact and bit-identical across
-//    sim_threads {1, 8}, the cache-hit p50 sojourn beats the cold p50,
+//  * result cache: cached runs are oracle-exact and bit-identical when
+//    run twice, the cache-hit p50 sojourn beats the cold p50,
 //    and with a hot set 16x the cache the exact-hit fraction beats an
 //    offline LRU of the same capacity.
 //
@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
   core::QueryBatchOptions bopts;
   bopts.streams = streams;
   bopts.gpu.delta0 = delta0;
-  bopts.gpu.sim_threads = config.sim_threads;
 
   // Calibrate the deadline off a clean single-lane run: the mean query cost
   // times a small slack. At load 1 everything fits; by load 8 a lane's
@@ -218,7 +217,7 @@ int main(int argc, char** argv) {
   // --- result-cache sweep ---------------------------------------------------
   // Fault-free on purpose — these rows isolate what reuse buys. Both hold
   // every completed query, cached or cold, to the Dijkstra oracle and every
-  // cached run to bit-identity across sim_threads {1, 8} (exit 1).
+  // cached run to bit-identity with a second run of it (exit 1).
   std::map<graph::VertexId, std::vector<graph::Weight>> cache_oracle;
   const auto oracle_exact = [&](std::span<const core::TrafficQuery> schedule,
                                 const core::StreamResult& result,
@@ -243,29 +242,28 @@ int main(int argc, char** argv) {
     }
     return exact;
   };
-  const auto thread_invariant = [](const core::StreamResult& narrow,
-                                   const core::StreamResult& wide,
+  const auto rerun_invariant = [](const core::StreamResult& first,
+                                   const core::StreamResult& rerun,
                                    const char* label) {
     bool same = true;
-    for (std::size_t i = 0; i < narrow.stats.size(); ++i) {
-      if (narrow.stats[i].query.status != wide.stats[i].query.status ||
-          narrow.stats[i].dispatch_ms != wide.stats[i].dispatch_ms ||
-          narrow.stats[i].finish_ms != wide.stats[i].finish_ms ||
-          narrow.queries[i].sssp.distances !=
-              wide.queries[i].sssp.distances) {
+    for (std::size_t i = 0; i < first.stats.size(); ++i) {
+      if (first.stats[i].query.status != rerun.stats[i].query.status ||
+          first.stats[i].dispatch_ms != rerun.stats[i].dispatch_ms ||
+          first.stats[i].finish_ms != rerun.stats[i].finish_ms ||
+          first.queries[i].sssp.distances !=
+              rerun.queries[i].sssp.distances) {
         std::fprintf(stderr,
-                     "VIOLATION: %s query %zu differs between sim_threads "
-                     "1 and 8\n",
+                     "VIOLATION: %s query %zu differs between two runs\n",
                      label, i);
         same = false;
       }
     }
-    if (narrow.cached_queries != wide.cached_queries ||
-        narrow.joined_queries != wide.joined_queries ||
-        narrow.warm_started_queries != wide.warm_started_queries) {
+    if (first.cached_queries != rerun.cached_queries ||
+        first.joined_queries != rerun.joined_queries ||
+        first.warm_started_queries != rerun.warm_started_queries) {
       std::fprintf(stderr,
-                   "VIOLATION: %s cache aggregates differ between "
-                   "sim_threads 1 and 8\n",
+                   "VIOLATION: %s cache aggregates differ between two "
+                   "runs\n",
                    label);
       same = false;
     }
@@ -276,12 +274,11 @@ int main(int argc, char** argv) {
   // cache's counters when given.
   constexpr std::size_t kCacheCapacity = 64;
   const auto serve_cached = [&](std::span<const core::TrafficQuery> schedule,
-                                int threads, bool cache_on,
+                                bool cache_on,
                                 core::ResultCacheStats* cache_stats =
                                     nullptr) {
     core::QueryServerOptions sopts;
     sopts.batch = bopts;
-    sopts.batch.gpu.sim_threads = threads;
     sopts.max_pending = schedule.size();
     sopts.hedge_to_cpu = false;
     sopts.cache.enabled = cache_on;
@@ -320,13 +317,13 @@ int main(int argc, char** argv) {
         core::generate_traffic(spec, csr.num_vertices());
     cache_sweep.offered = schedule.size();
 
-    const core::StreamResult cold = serve_cached(schedule, 1, false);
-    const core::StreamResult cached = serve_cached(schedule, 1, true);
-    const core::StreamResult cached_wide = serve_cached(schedule, 8, true);
+    const core::StreamResult cold = serve_cached(schedule, false);
+    const core::StreamResult cached = serve_cached(schedule, true);
+    const core::StreamResult cached_rerun = serve_cached(schedule, true);
     cache_sweep.correct = oracle_exact(schedule, cold, "cache-cold") &&
                           oracle_exact(schedule, cached, "cache-on");
     cache_sweep.deterministic =
-        thread_invariant(cached, cached_wide, "cached streaming");
+        rerun_invariant(cached, cached_rerun, "cached streaming");
 
     cache_sweep.hits = static_cast<std::size_t>(cached.cached_queries);
     cache_sweep.joins = static_cast<std::size_t>(cached.joined_queries);
@@ -386,11 +383,11 @@ int main(int argc, char** argv) {
     pressure.offered = schedule.size();
 
     core::ResultCacheStats stats;
-    const core::StreamResult cached = serve_cached(schedule, 1, true, &stats);
-    const core::StreamResult cached_wide = serve_cached(schedule, 8, true);
+    const core::StreamResult cached = serve_cached(schedule, true, &stats);
+    const core::StreamResult cached_rerun = serve_cached(schedule, true);
     pressure.correct = oracle_exact(schedule, cached, "cache-pressure");
     pressure.deterministic =
-        thread_invariant(cached, cached_wide, "cache-pressure");
+        rerun_invariant(cached, cached_rerun, "cache-pressure");
 
     pressure.hits = static_cast<std::size_t>(cached.cached_queries);
     pressure.joins = static_cast<std::size_t>(cached.joined_queries);
@@ -441,7 +438,7 @@ int main(int argc, char** argv) {
   std::printf("cache sweep (Zipf s=1.3, 64 hot sources, %zu queries): "
               "%zu exact hit(s), %zu join(s), %zu warm start(s); "
               "hit p50 %.4f ms vs cold p50 %.4f ms -> %s; "
-              "oracle-exact %s, sim_threads-deterministic %s\n",
+              "oracle-exact %s, rerun-deterministic %s\n",
               cache_sweep.offered, cache_sweep.hits, cache_sweep.joins,
               cache_sweep.warm, cache_sweep.hit_p50, cache_sweep.cold_p50,
               cache_sweep.beats_cold ? "cache wins" : "NO WIN",
@@ -451,7 +448,7 @@ int main(int argc, char** argv) {
               "%zu queries): hit fraction %.4f vs offline LRU %.4f -> %s "
               "(repeat ceiling %.4f); %zu join(s), %zu warm start(s), "
               "%llu eviction(s), %llu rejection(s); sojourn mean %.4f ms, "
-              "p90 %.4f ms; oracle-exact %s, sim_threads-deterministic %s\n",
+              "p90 %.4f ms; oracle-exact %s, rerun-deterministic %s\n",
               16 * kCacheCapacity, kCacheCapacity, pressure.offered,
               pressure.hit_frac, pressure.lru_hit_frac,
               pressure.beats_lru ? "beats LRU" : "NO WIN", pressure.ceiling,
@@ -564,30 +561,28 @@ int main(int argc, char** argv) {
   }
 
   // Degraded-routing determinism sweep: trip lane 0 up front, then verify
-  // full bit-identity across sim_threads and oracle-identity across stream
+  // full bit-identity across two runs and oracle-identity across stream
   // counts (lane packing legitimately shifts statuses between layouts).
   for (const int sweep_streams : {2, 4}) {
-    std::vector<core::StreamResult> per_thread;
+    std::vector<core::StreamResult> runs;
     const std::vector<core::TrafficQuery> offered = core::batch_schedule(
         first_sources(2 * sweep_streams), 10.0 * deadline_ms);
-    for (const int threads : {1, 8}) {
+    for (int run = 0; run < 2; ++run) {
       core::QueryServerOptions sopts;
       sopts.batch = bopts;
       sopts.batch.streams = sweep_streams;
-      sopts.batch.gpu.sim_threads = threads;
       sopts.breaker.cooldown_ms = deadline_ms;
       core::QueryServer server(csr, device, sopts);
       server.trip_lane(0);
-      per_thread.push_back(server.run_stream(offered));
-      check_stream(per_thread.back(), offered, "degraded");
+      runs.push_back(server.run_stream(offered));
+      check_stream(runs.back(), offered, "degraded");
     }
     for (std::size_t i = 0; i < offered.size(); ++i) {
-      if (per_thread[0].queries[i].sssp.distances !=
-              per_thread[1].queries[i].sssp.distances ||
-          per_thread[0].stats[i].query.status !=
-              per_thread[1].stats[i].query.status) {
+      if (runs[0].queries[i].sssp.distances !=
+              runs[1].queries[i].sssp.distances ||
+          runs[0].stats[i].query.status != runs[1].stats[i].query.status) {
         std::fprintf(stderr,
-                     "VIOLATION: sim_threads 1 vs 8 disagree on query %zu "
+                     "VIOLATION: two runs disagree on query %zu "
                      "(%d streams, lane 0 tripped)\n",
                      i, sweep_streams);
         distances_ok = false;
@@ -598,9 +593,8 @@ int main(int argc, char** argv) {
   // --- streaming sweep -----------------------------------------------------
   // 1000-query Poisson schedules at 1x / 2x / 4x of aggregate lane capacity
   // (streams / mean query cost), served continuously by run_stream() with
-  // per-class deadlines. Every row is produced twice, at sim_threads 1 and
-  // 8, and must bit-compare; the row reported comes from the sim_threads=1
-  // run. Deadlines are per traffic class, in units of the measured mean
+  // per-class deadlines. Every row is produced twice and must bit-compare;
+  // the row reported comes from the first run. Deadlines are per traffic class, in units of the measured mean
   // query cost, finite for all three classes so the lane policy applies to
   // the whole stream.
   gpusim::FaultConfig stream_fault = fault;
@@ -641,11 +635,10 @@ int main(int argc, char** argv) {
   }
 
   const auto run_stream_config =
-      [&](int threads, bool breakers, core::LanePolicy policy,
+      [&](bool breakers, core::LanePolicy policy,
           std::span<const core::TrafficQuery> schedule) {
         core::QueryServerOptions sopts;
         sopts.batch = bopts;
-        sopts.batch.gpu.sim_threads = threads;
         sopts.batch.gpu.fault = stream_fault;
         // A short pending queue keeps the completed sojourns service-
         // dominated: with a deep queue every tail percentile measures how
@@ -697,19 +690,19 @@ int main(int argc, char** argv) {
     for (const int load : stream_loads) {
       const std::vector<core::TrafficQuery>& schedule =
           stream_schedules[load];
-      const core::StreamResult narrow = run_stream_config(
-          1, breakers, core::LanePolicy::kPredictedFastest, schedule);
-      const core::StreamResult wide = run_stream_config(
-          8, breakers, core::LanePolicy::kPredictedFastest, schedule);
-      check_stream(narrow, schedule, "streaming");
-      if (!same_stream(narrow, wide)) {
+      const core::StreamResult first = run_stream_config(
+          breakers, core::LanePolicy::kPredictedFastest, schedule);
+      const core::StreamResult rerun = run_stream_config(
+          breakers, core::LanePolicy::kPredictedFastest, schedule);
+      check_stream(first, schedule, "streaming");
+      if (!same_stream(first, rerun)) {
         std::fprintf(stderr,
                      "VIOLATION: streaming row (breakers %s, load %dx) "
-                     "differs between sim_threads 1 and 8\n",
+                     "differs between two runs\n",
                      breakers ? "on" : "off", load);
         stream_deterministic = false;
       }
-      stream_rows.push_back(row_of(load, breakers, narrow));
+      stream_rows.push_back(row_of(load, breakers, first));
     }
   }
 
@@ -728,7 +721,7 @@ int main(int argc, char** argv) {
         make_stream_spec(stream_loads.back(), 3000), csr.num_vertices());
     for (const bool fastest : {false, true}) {
       const core::StreamResult result = run_stream_config(
-          1, false,
+          false,
           fastest ? core::LanePolicy::kPredictedFastest
                   : core::LanePolicy::kEarliestFree,
           schedule);
@@ -764,7 +757,7 @@ int main(int argc, char** argv) {
   //    moves to a surviving lane, the device is revived, and the stream
   //    keeps serving.
   // Gates (exit 1): resume goodput (deadline-met fraction) beats restart;
-  // the resume run is bit-identical across sim_threads {1, 8}; the
+  // the resume run is bit-identical when run twice; the
   // closed-loop variant keeps retry amplification within its budget.
   struct StormRow {
     std::size_t offered = 0, done = 0, shed = 0, missed = 0, failed = 0;
@@ -793,10 +786,9 @@ int main(int argc, char** argv) {
   storm_loop.seed = config.seed;
   storm_loop.backpressure_depth = 8;
   storm_loop.backpressure_penalty_ms = 0.25 * mean_ms;
-  const auto run_storm = [&](int threads, bool resume, bool closed) {
+  const auto run_storm = [&](bool resume, bool closed) {
     core::QueryServerOptions sopts;
     sopts.batch = bopts;
-    sopts.batch.gpu.sim_threads = threads;
     sopts.batch.gpu.fault = storm_fault;
     sopts.batch.gpu.retry.max_attempts = 3;
     sopts.batch.gpu.retry.cpu_fallback = false;
@@ -830,22 +822,21 @@ int main(int argc, char** argv) {
         static_cast<double>(row.done) / static_cast<double>(row.offered);
     return row;
   };
-  const core::StreamResult storm_restart = run_storm(1, false, false);
-  const core::StreamResult storm_resume = run_storm(1, true, false);
-  const core::StreamResult storm_resume_wide = run_storm(8, true, false);
-  const core::StreamResult storm_closed = run_storm(1, true, true);
+  const core::StreamResult storm_restart = run_storm(false, false);
+  const core::StreamResult storm_resume = run_storm(true, false);
+  const core::StreamResult storm_resume_rerun = run_storm(true, false);
+  const core::StreamResult storm_closed = run_storm(true, true);
   check_stream(storm_restart, storm_schedule, "storm-restart");
   check_stream(storm_resume, storm_schedule, "storm-resume");
   check_stream(storm_closed, storm_schedule, "storm-closed-loop");
-  bool storm_deterministic = same_stream(storm_resume, storm_resume_wide);
-  if (storm_resume.resumed_queries != storm_resume_wide.resumed_queries ||
-      storm_resume.migrated_queries != storm_resume_wide.migrated_queries) {
+  bool storm_deterministic = same_stream(storm_resume, storm_resume_rerun);
+  if (storm_resume.resumed_queries != storm_resume_rerun.resumed_queries ||
+      storm_resume.migrated_queries != storm_resume_rerun.migrated_queries) {
     storm_deterministic = false;
   }
   if (!storm_deterministic) {
     std::fprintf(stderr,
-                 "VIOLATION: storm resume run differs between sim_threads "
-                 "1 and 8\n");
+                 "VIOLATION: storm resume run differs between two runs\n");
   }
   const StormRow storm_a = storm_row(storm_restart);
   const StormRow storm_b = storm_row(storm_resume);
@@ -936,7 +927,7 @@ int main(int argc, char** argv) {
               "breakers observable under faults: %s\n",
               deadline_bounded ? "yes" : "NO", distances_ok ? "yes" : "NO",
               breakers_observable ? "yes" : "NO");
-  std::printf("stream rows bit-identical across sim_threads {1,8}: %s; "
+  std::printf("stream rows bit-identical across two runs: %s; "
               "predicted-fastest beats earliest-free at %dx load: %s "
               "(p99 %.3f ms vs %.3f ms)\n",
               stream_deterministic ? "yes" : "NO", stream_loads.back(),

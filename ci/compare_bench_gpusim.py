@@ -5,24 +5,28 @@ one does, and optionally splice the regeneration into it.
     ci/compare_bench_gpusim.py [--splice] COMMITTED.json REGENERATED.json
 
 Rows are matched by (device, workload). For every row of REGENERATED, the
-simulated columns (simulated_ms, warp_instructions, trace_bytes,
-bit_identical) must equal COMMITTED's; only the wall-clock columns may
-move. A row missing from either file is an error, except that
-REGENERATED may omit rows (a run without --scale21 has no capacity row).
-Exit status 0 when every column agrees, 1 otherwise.
+simulated columns (simulated_ms, warp_instructions, bit_identical) must
+equal COMMITTED's, and bit_identical must be true; only the host-time
+columns (fused_cpu_ms, gsan_cpu_ms, fused_mwips, gsan_overhead) may move,
+and every regenerated row must carry them. A row missing from either file
+is an error, except that REGENERATED may omit rows (a run without
+--scale21 has no capacity row). Exit status 0 when every column agrees, 1
+otherwise.
 
 With --splice, and only when every column agrees, COMMITTED is rewritten in
 place: REGENERATED's header (the lines before "rows"), then in COMMITTED's
 row order REGENERATED's line for each row it has and COMMITTED's line for
 each row it lacks. bench/gpusim_throughput writes one row per line and only
 the rows it ran, so a regeneration without --scale21 keeps the committed
-SCALE-21 row, and a row it did not rerun keeps its bytes.
+SCALE-21 row, and a row it did not rerun keeps its bytes. A kept row must
+already carry the host-time columns; a row written before they existed has
+to be regenerated instead.
 """
 import json
 import sys
 
-SIMULATED = ["simulated_ms", "warp_instructions", "trace_bytes",
-             "bit_identical"]
+SIMULATED = ["simulated_ms", "warp_instructions", "bit_identical"]
+HOST = ["fused_cpu_ms", "gsan_cpu_ms", "fused_mwips", "gsan_overhead"]
 
 
 def row_key(row):
@@ -51,6 +55,11 @@ def splice(committed_path, regenerated_path):
     header, new_rows, footer = split_lines(regenerated_path)
     fresh = {row_key(json.loads(line)): line for line in new_rows}
     rows = [fresh.get(row_key(json.loads(line)), line) for line in old_rows]
+    stale = [row_key(json.loads(line)) for line in rows
+             if any(c not in json.loads(line) for c in HOST)]
+    if stale:
+        sys.exit(f"cannot splice: {stale} lack the host-time columns "
+                 f"{HOST}; regenerate them")
     body = [line + "," for line in rows[:-1]] + rows[-1:]
     text = "\n".join(header + body + footer) + "\n"
     json.loads(text)  # the splice is still one JSON document
@@ -77,6 +86,11 @@ def main():
             new = row.get(column)
             if old != new:
                 problems.append(f"{key} {column}: {old} -> {new}")
+        if row.get("bit_identical") is not True:
+            problems.append(f"{key}: bit_identical is not true")
+        for column in HOST:
+            if column not in row:
+                problems.append(f"{key}: no {column} column")
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"{len(regenerated)} rows compared, {len(problems)} differences")

@@ -280,7 +280,6 @@ int run_tool(const CliArgs& args) {
         bench::pick_sources(csr, config.num_sources, config.seed);
     core::QueryBatchOptions bopts;
     bopts.streams = config.batch_streams;
-    bopts.gpu.sim_threads = config.sim_threads;
     bopts.gpu.sanitize = sanitize;
     bopts.gpu.fault = fault;
     // --checkpoint-interval=N: engines snapshot their distance vector every

@@ -16,8 +16,8 @@ namespace {
 
 // The flags HarnessConfig::from_cli reads.
 constexpr std::string_view kHarnessFlags[] = {
-    "size-scale", "sources", "seed",        "data-dir",
-    "device",     "csv",     "sim-threads", "batch-streams"};
+    "size-scale", "sources", "seed", "data-dir", "device", "csv",
+    "batch-streams"};
 
 }  // namespace
 
@@ -54,11 +54,7 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
   config.data_dir = args.get_string("data-dir", "");
   config.device = args.get_string("device", "v100");
   config.csv = args.get_bool("csv", false);
-  config.sim_threads = static_cast<int>(args.get_int("sim-threads", 0));
   config.batch_streams = static_cast<int>(args.get_int("batch-streams", 4));
-  // Engines construct their GpuSim internally; the process-wide default is
-  // how one flag reaches every solver a bench binary creates.
-  gpusim::GpuSim::set_default_worker_threads(config.sim_threads);
   return config;
 }
 

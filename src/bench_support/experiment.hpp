@@ -36,9 +36,6 @@ struct HarnessConfig {
   std::string data_dir;     // optional real-dataset directory
   std::string device = "v100";
   bool csv = false;         // also emit CSV rows
-  // gpusim replay worker threads (0 = all available). Applied process-wide
-  // by from_cli; results are bit-identical for every value.
-  int sim_threads = 0;
   // Concurrent gpusim streams for batched multi-source runs (QueryBatch);
   // 1 = sequential. Distances are identical for every value.
   int batch_streams = 4;

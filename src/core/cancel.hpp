@@ -11,8 +11,8 @@
 // launched grid cannot be revoked, only not followed by another one.
 //
 // Because the token reads the simulated stream clock, expiry is a pure
-// function of the query's own launch history: bit-identical for any
-// sim_threads and any concurrent-stream layout.
+// function of the query's own launch history: bit-identical across reruns
+// and for any concurrent-stream layout.
 #pragma once
 
 #include <limits>

@@ -34,16 +34,14 @@ struct RetryPolicy {
   bool cpu_fallback = true;
 };
 
-// The settings every GPU engine shares: how its simulator replays, what it
-// checks and how it recovers. Each engine's options struct derives from it
+// The settings every GPU engine shares: what its simulator checks and how
+// it recovers. Each engine's options struct derives from it
 // (HN07, which has no other option, takes it directly), and the engine
 // hands it to its AttemptDriver (core/recovery.hpp).
 struct EngineOptions {
-  // Host worker threads for the gpusim replay phase; 0 keeps the
-  // simulator's default (GpuSim::set_default_worker_threads). Purely a
-  // wall-clock knob: counters, ms and distances are bit-identical for
-  // every value (see docs/costmodel.md, "Parallel execution &
-  // determinism").
+  // Ignored: nothing reads it. gpusim runs every launch on the calling
+  // thread, so there is no worker count to set. Kept only because the
+  // repository benchmark (benchmark/rdbs_benchmark.cpp) still assigns it.
   int sim_threads = 0;
 
   // gsan hazard analysis over every launch (docs/sanitizer.md). Off by
@@ -61,7 +59,6 @@ struct EngineOptions {
   // owned simulator, QueryBatch for its lanes' shared one, gunrock's
   // enactor. It only ever switches things on.
   void configure(gpusim::GpuSim& sim) const {
-    if (sim_threads > 0) sim.set_worker_threads(sim_threads);
     if (sanitize != gpusim::SanitizeMode::kOff) sim.enable_sanitizer(sanitize);
     if (fault.enabled) sim.enable_fault_injection(fault);
   }

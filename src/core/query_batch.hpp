@@ -16,7 +16,7 @@
 //
 // Determinism: lane selection and engine execution are host-serial, so the
 // distances of a batch are bit-identical to the same queries run one at a
-// time on a fresh engine, for any sim_threads and any stream count —
+// time on a fresh engine, across reruns and for any stream count —
 // streams repartition simulated *time*, never functional state.
 #pragma once
 

@@ -29,8 +29,8 @@
 // earliest-free lane in offer order and is charged no idle gap.
 //
 // Every decision reads only simulated clocks and per-query results, and the
-// whole dispatch loop is host-serial: outcomes are bit-identical for any
-// sim_threads. Completed distances are bit-identical for any stream count
+// whole dispatch loop is host-serial: outcomes are bit-identical across
+// reruns. Completed distances are bit-identical for any stream count
 // too; statuses can legitimately differ across stream counts, because lane
 // clocks (and therefore deadline hits) depend on how queries pack onto
 // lanes.
@@ -227,7 +227,7 @@ class QueryServer {
   // ever reaches a lane is shed, never dispatched. The schedule need not
   // be sorted; arrivals are processed in (arrival_ms, index) order, and
   // results are index-parallel to the input. Everything is host-serial on
-  // simulated clocks: bit-identical for any sim_threads. Callable
+  // simulated clocks: bit-identical across reruns. Callable
   // repeatedly — breaker states, lane EWMAs, the result cache and device
   // cache state persist across calls.
   StreamResult run_stream(std::span<const TrafficQuery> schedule);

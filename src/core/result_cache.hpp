@@ -44,8 +44,8 @@
 // yet" on the simulated timeline is shared, not served instantly.
 //
 // Determinism: all state is keyed by vertex id in ordered maps and every
-// decision reads only simulated clocks — byte-identical behavior for any
-// sim_threads and stream count (ci/check_determinism.sh clean).
+// decision reads only simulated clocks — byte-identical behavior across
+// reruns and for any stream count (ci/check_determinism.sh clean).
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,7 @@
 // per-class deadlines (interactive > batch > best-effort). Everything here
 // is host-side arithmetic seeded from one 64-bit value: the same
 // TrafficSpec always produces a byte-identical schedule, independent of
-// sim_threads, stream counts, or anything the simulator does — the
+// stream counts or anything the simulator does — the
 // prerequisite for every scheduling experiment on top being reproducible
 // (property tests in tests/test_traffic.cpp).
 #pragma once
@@ -132,7 +132,7 @@ TrafficSpec parse_traffic_spec(const std::string& text);
 // behavior, deterministic: the backoff jitter is a pure function of
 // (seed, query index, attempt) hashed through SplitMix64 — the same
 // counter-keyed scheme gfi fault plans use — so a closed-loop stream is
-// byte-identical across sim_threads and replays.
+// byte-identical across reruns.
 struct ClosedLoopSpec {
   bool enabled = false;
   // Re-arrivals allowed per original query (0 with enabled = retries off,

@@ -12,8 +12,8 @@
 //     `mask` in ascending order through access(): the LRU victim choice
 //     depends only on the other lines' stamps (unchanged during the
 //     batch), the final stamp equals the final tick either way, and the
-//     hit mask is computed against the pre-probe sector mask. The replay
-//     coalesces warp accesses into (line, sector-mask) pairs, so this
+//     hit mask is computed against the pre-probe sector mask. The charge
+//     path coalesces warp accesses into (line, sector-mask) pairs, so this
 //     amortizes the per-set way scan over up to sectors-per-line probes.
 #pragma once
 
@@ -42,8 +42,8 @@ class SectoredCache {
   // index `line_addr` (= address / line_bytes). Returns the mask of sectors
   // that hit; misses are filled. See header comment for the equivalence to
   // per-sector access() calls. Defined inline: this is the innermost loop
-  // of both the replay and the fused record path (tens of millions of
-  // probes per engine run).
+  // of the simulator's charge path (tens of millions of probes per engine
+  // run).
   std::uint32_t access_line(std::uint64_t line_addr, std::uint32_t mask) {
     const std::size_t set = set_of_line(line_addr);
     const std::size_t base = set * static_cast<std::size_t>(ways_);
@@ -83,8 +83,7 @@ class SectoredCache {
     return address >> line_shift_;
   }
   std::size_t num_sets() const { return num_sets_; }
-  // The set a line maps to — exposed so the replay's binned L2 pass can
-  // bucket requests by set (cross-set probes are independent).
+  // The set a line maps to.
   std::size_t set_of_line(std::uint64_t line_addr) const {
     if (sets_pow2_) {
       return static_cast<std::size_t>(line_addr) & (num_sets_ - 1);
@@ -107,7 +106,7 @@ class SectoredCache {
   // set-major. Split by column so the hit-path tag scan streams through
   // contiguous tags without dragging masks and stamps into the host cache —
   // with tens of millions of probes against a megabyte-scale L2 table, the
-  // layout is worth ~20% of replay wall time. An empty way carries tag
+  // layout is worth ~20% of charge-path wall time. An empty way carries tag
   // ~0ull (no valid line index reaches it: addresses are < 2^63).
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint32_t> sector_masks_;  // which sectors are present

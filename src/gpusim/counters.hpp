@@ -69,8 +69,8 @@ struct Counters {
   // counters before a query and subtract after. All counters are monotone
   // within a simulator lifetime, so the subtraction never underflows.
   Counters operator-(const Counters& other) const;
-  // Exact (bitwise) comparison — the parallel-determinism tests assert that
-  // every counter is identical across worker-thread counts.
+  // Exact (bitwise) comparison — the determinism tests assert that every
+  // counter is identical across reruns and with gsan on or off.
   bool operator==(const Counters& other) const;
 };
 

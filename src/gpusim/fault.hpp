@@ -9,9 +9,9 @@
 //
 //     (seed, stream, per-stream launch ordinal, warp task, memory-op index)
 //
-// hashed through SplitMix64 — never wall-clock time, never the replay
-// worker count. All decisions are taken during the serial record phase, so
-// an injected fault plan is byte-identical for any `sim_threads`, and a
+// hashed through SplitMix64 — never wall-clock time. All decisions are
+// taken on the host thread as the kernel executes, so an injected fault
+// plan is byte-identical across reruns and with gsan on or off, and a
 // failing chaos run replays exactly from its seed.
 //
 // Fault semantics follow the CUDA model of *asynchronous* error reporting:

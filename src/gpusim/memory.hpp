@@ -20,7 +20,7 @@ namespace rdbs::gpusim {
 
 // One cache line touched by a warp memory instruction: line index
 // (= address / line_bytes) plus the mask of 32B sectors requested within
-// it. The replay probes these through SectoredCache::access_line, which
+// it. GpuSim probes these through SectoredCache::access_line, which
 // amortizes the set's way scan over every sector of the line.
 struct WarpLineRef {
   std::uint64_t line = 0;
@@ -143,8 +143,8 @@ inline void sort_warp_lanes(std::uint64_t* lane_addrs, std::uint32_t lanes) {
   }
 }
 
-// The shared coalescing primitive of the replay pipeline (two-pass shards
-// and the fused record+replay path both charge through it): sorts the lane
+// The coalescing primitive every warp memory instruction is charged
+// through (WarpCtx::load_range excepted): sorts the lane
 // addresses in place (one pass when they already ascend — the common
 // small-stride warp pattern), then a single pass yields the distinct-address count (atomic-conflict serialization), the
 // distinct-sector count (transactions) and the ascending (line,
@@ -299,10 +299,8 @@ class MemorySim {
   std::size_t find_region_index(std::uint64_t addr) const;
   const std::vector<Region>& regions() const { return regions_; }
 
-  // Direct handles for GpuSim's replay: each SM's L1 is private state
-  // (two-pass shards replay concurrently); the L2 is shared and must only be
-  // probed in canonical task order (the serial L2 pass, or the fused record
-  // phase).
+  // Direct handles for GpuSim's charge path: each SM's L1 is private
+  // state; the L2 is shared and is probed in canonical task order.
   SectoredCache& l1(int sm_id);
   SectoredCache& l2_cache() { return l2_; }
 

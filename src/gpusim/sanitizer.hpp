@@ -1,9 +1,9 @@
 // gsan — opt-in device-memory sanitizer & race detector for GpuSim.
 //
 // Every device access already flows through WarpCtx::load/store/atomic_min/
-// atomic_touch/volatile_* and lands in the per-launch record trace; gsan
-// exploits that single choke point to run its hazard analyses without a
-// second execution mode:
+// atomic_touch/volatile_*, which under gsan also append it to the
+// per-launch trace; gsan exploits that single choke point to run its hazard
+// analyses without a second execution mode:
 //
 //   * out-of-bounds — checked at record time against Buffer::size() (the
 //     only place the element index and buffer extent are both known; the
@@ -61,8 +61,8 @@
 // Reports are deterministic and rank-stable: hazards are deduplicated by
 // (kind, kernel label, buffer, element, stream pair) in canonical discovery
 // order — the record phase and the end-of-launch scans are serial in task
-// order — so two runs (any sim_threads count) produce byte-identical
-// reports and CI diffs are meaningful.
+// order — so two runs produce byte-identical reports and CI diffs are
+// meaningful.
 #pragma once
 
 #include <cstdint>
@@ -157,10 +157,10 @@ class Sanitizer {
   std::uint64_t checked_index(const std::string& buffer_name,
                               std::uint64_t index, std::uint64_t size,
                               std::uint32_t task);
-  // End-of-launch scan over the recorded trace (called after replay, before
-  // the trace is discarded). Serial; deterministic. Reads the trace through
-  // LaunchTrace's cursor API, which decodes lane addresses in original lane
-  // order, keeping reports byte-identical across replay worker counts.
+  // End-of-launch scan over the recorded trace (called before the trace is
+  // discarded). Serial; deterministic. Reads the trace through LaunchTrace's
+  // cursor API, which decodes lane addresses in original lane order, so
+  // reports follow first-touch order.
   void scan_launch(const LaunchTrace& trace,
                    std::span<const TaskRecord> tasks);
 

@@ -2,27 +2,6 @@
 
 #include <bit>
 
-#ifdef RDBS_PARALLEL
-#include <omp.h>
-#endif
-
-// ThreadSanitizer cannot see the synchronization inside GCC's libgomp (team
-// start and the implicit end-of-region barrier use futexes TSan does not
-// intercept), which yields false positives on every parallel region. Under
-// TSan the shard fan-out therefore runs on std::thread — create/join are
-// fully intercepted — so the sanitizer checks the real invariant (shards
-// share no mutable state) without runtime noise.
-#if defined(__SANITIZE_THREAD__)
-#define RDBS_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define RDBS_TSAN 1
-#endif
-#endif
-#if defined(RDBS_PARALLEL) && defined(RDBS_TSAN)
-#include <thread>
-#endif
-
 namespace rdbs::gpusim {
 
 namespace {
@@ -34,33 +13,17 @@ constexpr std::uint64_t kL2ReplayCycles = 2;    // L1 miss served by L2
 constexpr std::uint64_t kDramReplayCycles = 6;  // L2 miss, full DRAM trip
 
 // Scheduling weight of one warp memory instruction. The dynamic (least-
-// loaded SM) placement decision is made during the record phase, before the
-// cache replay has run, so it keys on a cache-independent load estimate:
+// loaded SM) placement decision is made when a task is placed, before its
+// cache charges are known, so it keys on a cache-independent load estimate:
 // ALU and child-launch cycles exactly, plus this flat per-memory-
 // instruction charge (a typical partially-coalesced access: a few sector
 // transactions plus some replay cycles). Placement therefore tracks task
 // *size* (edge counts, instruction counts) — the quantity the paper's load-
-// balancing experiments vary — while staying invariant under replay
-// parallelism.
+// balancing experiments vary — and not the cache state.
 constexpr std::uint64_t kMemIssueWeight = 8;
-
-int g_default_worker_threads = 0;
-ReplayMode g_default_replay_mode = ReplayMode::kAuto;
-
-// Launches below this many memory ops replay their L1 shards serially even
-// when worker threads are available: the OpenMP fork/join barrier costs more
-// than the shards themselves (the road-network workloads issue thousands of
-// tiny launches, where the barrier alone regressed parallel runs below 1x).
-constexpr std::uint32_t kParallelMinOps = 4096;
-
-// L2 streams below this size take the direct in-order pass; above it the
-// requests are counting-sorted by cache set first (better set locality, one
-// bin per set touched once). Both orders are bit-identical — see
-// flush_l2_stream.
-constexpr std::size_t kBinnedMinL2Requests = 4096;
 }  // namespace
 
-// --- WarpCtx (record phase) --------------------------------------------------
+// --- WarpCtx -----------------------------------------------------------------
 
 void WarpCtx::alu(std::uint32_t instructions, std::uint32_t active_lanes) {
   RDBS_DCHECK(active_lanes <= 32);
@@ -73,9 +36,7 @@ void WarpCtx::alu(std::uint32_t instructions, std::uint32_t active_lanes) {
   sim_.counters_.issued_lane_ops += static_cast<std::uint64_t>(instructions) * 32;
 }
 
-std::uint64_t* WarpCtx::trace_slots() {
-  return fused_ ? sim_.fused_lanes_.data() : sim_.trace_.lane_slots();
-}
+std::uint64_t* WarpCtx::lane_slots() { return sim_.lane_addrs_.data(); }
 
 void WarpCtx::count_mem(std::uint8_t kind, std::uint32_t lanes) {
   RDBS_DCHECK(active_task_valid());
@@ -96,25 +57,23 @@ void WarpCtx::count_mem(std::uint8_t kind, std::uint32_t lanes) {
   c.active_lane_ops += lanes;
   c.issued_lane_ops += 32;
   ++sim_.launch_ops_;
-  // Scheduling weight stays cache-independent in both modes (placement must
-  // not depend on how the cost side is computed).
+  // Scheduling weight stays cache-independent (see kMemIssueWeight).
   sim_.task_records_[task_].weight += kMemIssueWeight;
 }
 
 void WarpCtx::record_mem(std::uint8_t kind, std::uint32_t lanes) {
   count_mem(kind, lanes);
-  if (fused_) {
-    sim_.fused_charge(kind, lanes, task_);
-  } else {
-    sim_.trace_.append_op(kind, lanes);
-  }
+  // gsan reports depend on first-touch order, so the trace takes the lanes
+  // in their original order, before the charge sorts them in place.
+  if (sanitize_) sim_.trace_.append_op(kind, lanes, sim_.lane_addrs_.data());
+  sim_.charge_op(kind, lanes, task_);
 }
 
 void WarpCtx::record_load_range(std::uint64_t first_addr,
                                 std::uint32_t elem_bytes,
                                 std::uint32_t lanes) {
   count_mem(TraceOp::kLoad, lanes);
-  sim_.fused_charge_range(first_addr, elem_bytes, lanes, task_);
+  sim_.charge_range(first_addr, elem_bytes, lanes, task_);
 }
 
 std::uint64_t WarpCtx::checked_index_slow(const std::string& buffer_name,
@@ -140,48 +99,15 @@ void WarpCtx::child_launch() {
 // --- GpuSim ------------------------------------------------------------------
 
 GpuSim::GpuSim(DeviceSpec spec) : spec_(std::move(spec)), memory_(spec_) {
-  worker_threads_ = g_default_worker_threads;
-  replay_mode_ = g_default_replay_mode;
   spl_shift_ = memory_.spl_shift();
   const auto sms = static_cast<std::size_t>(spec_.num_sms);
   sm_load_.resize(sms);
-  sm_tasks_.resize(sms);
-  l2_requests_.resize(sms);
-  shard_counters_.resize(sms);
   sm_cycles_.resize(sms);
   sm_longest_task_.resize(sms);
 }
 
-int GpuSim::worker_threads() const {
-#ifdef RDBS_PARALLEL
-  if (worker_threads_ > 0) return worker_threads_;
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
-void GpuSim::set_default_worker_threads(int threads) {
-  g_default_worker_threads = threads;
-}
-
-int GpuSim::default_worker_threads() { return g_default_worker_threads; }
-
-void GpuSim::set_default_replay_mode(ReplayMode mode) {
-  g_default_replay_mode = mode;
-}
-
-ReplayMode GpuSim::default_replay_mode() { return g_default_replay_mode; }
-
-bool GpuSim::parallel_compiled() {
-#ifdef RDBS_PARALLEL
-  return true;
-#else
-  return false;
-#endif
-}
-
 void GpuSim::enable_sanitizer(SanitizeMode mode) {
+  RDBS_DCHECK(!launch_open_);  // a launch records its trace whole or not
   if (mode == SanitizeMode::kOff) {
     sanitizer_.reset();
     return;
@@ -284,7 +210,6 @@ void GpuSim::reset_all() {
   memory_.reset_caches();
   trace_.clear();
   task_records_.clear();
-  l2_stream_.clear();
   active_task_ = kNoTask;
   launch_ops_ = 0;
   launch_open_ = false;
@@ -297,13 +222,8 @@ void GpuSim::begin_launch(bool host_launch, StreamId stream,
   launch_stream_ = stream;
   trace_.clear();
   task_records_.clear();
-  l2_stream_.clear();
   active_task_ = kNoTask;
   launch_ops_ = 0;
-  // Fused (inline-charge) execution whenever no post-launch consumer needs
-  // a materialized trace: only the sanitizer scans it. gfi keys off op
-  // ordinals (launch_ops_), which fused launches count identically.
-  fused_launch_ = replay_mode_ == ReplayMode::kAuto && sanitizer_ == nullptr;
   dynamic_launch_ = schedule == Schedule::kDynamic;
   if (dynamic_launch_) {
     std::fill(sm_load_.begin(), sm_load_.end(), 0);
@@ -323,8 +243,7 @@ void GpuSim::begin_launch(bool host_launch, StreamId stream,
   }
   if (fault_) {
     // Per-stream launch ordinal: the counter key for every fault this
-    // launch can take. Drawn here, in the serial record phase, so the plan
-    // is independent of replay parallelism.
+    // launch can take. Drawn here, on the host thread, in launch order.
     const auto sidx = static_cast<std::size_t>(stream);
     if (stream_launch_ordinals_.size() <= sidx) {
       stream_launch_ordinals_.resize(sidx + 1, 0);
@@ -365,10 +284,9 @@ WarpCtx GpuSim::begin_task(int sm) {
   task_records_.push_back(rec);
   active_task_ = index;
   // Task boundary: reset the compressed delta chain so this task's ops
-  // decode independently of its predecessors (parallel replay shards).
-  if (!fused_launch_) trace_.begin_task();
-  return WarpCtx(*this, sm, index, sanitizer_ != nullptr, fault_ != nullptr,
-                 fused_launch_);
+  // decode from its own TaskRecord, independently of its predecessors.
+  if (sanitizer_) trace_.begin_task();
+  return WarpCtx(*this, sm, index, sanitizer_ != nullptr, fault_ != nullptr);
 }
 
 void GpuSim::commit_task(const WarpCtx& ctx) {
@@ -381,69 +299,6 @@ void GpuSim::commit_task(const WarpCtx& ctx) {
   sm_load_[sm] += rec.weight;
   load_heap_.emplace_back(sm_load_[sm], rec.sm);
   std::push_heap(load_heap_.begin(), load_heap_.end(), std::greater<>{});
-}
-
-void GpuSim::replay_shard(int sm) {
-  SectoredCache& l1 = memory_.l1(sm);
-  std::vector<std::uint64_t>& requests =
-      l2_requests_[static_cast<std::size_t>(sm)];
-  requests.clear();
-  ShardCounters sc;
-  std::array<WarpLineRef, 32> lines{};
-  const auto conflict_cycles =
-      static_cast<std::uint64_t>(spec_.atomic_conflict_cycles);
-  const std::uint32_t pack_shift = (1u << spl_shift_) + 1;
-
-  for (const std::uint32_t t : sm_tasks_[static_cast<std::size_t>(sm)]) {
-    TaskRecord& rec = task_records_[t];
-    rec.l2_begin = static_cast<std::uint32_t>(requests.size());
-    std::uint64_t cycles = 0;
-    LaunchTrace::OpCursor cursor = trace_.task_cursor(rec);
-    LaunchTrace::OpView op;
-    while (cursor.next(op)) {
-      // Coalesce lanes into ascending (line, sector-mask) pairs.
-      const CoalesceResult co = coalesce_warp_lanes(
-          cursor.lanes_mutable(), op.lanes, spl_shift_, lines.data());
-      sc.memory_transactions += co.sectors;
-      cycles += co.sectors;
-      if (op.kind == TraceOp::kAtomic || TraceOp::kind_is_volatile(op.kind)) {
-        // Atomics and volatile accesses resolve at L2: they bypass L1 but
-        // benefit from L2 residency; only L2 misses travel to DRAM.
-        // Same-address lanes serialize for atomics only: lanes minus
-        // distinct addresses collide (volatile accesses carry no RMW
-        // serialization).
-        if (op.kind == TraceOp::kAtomic) {
-          const std::uint64_t conflicts = op.lanes - co.distinct_addrs;
-          sc.atomic_conflicts += conflicts;
-          cycles += conflicts * conflict_cycles;
-        }
-        for (std::uint32_t i = 0; i < co.lines; ++i) {
-          requests.push_back((lines[i].line << pack_shift) |
-                             (static_cast<std::uint64_t>(lines[i].mask) << 1));
-        }
-      } else {
-        // Loads and stores probe this SM's L1 (one batched tag scan per
-        // line); stores write through L1 into the write-back L2, so only
-        // sectors the L1 could not serve are forwarded as L2 requests
-        // (bit 0 marks the cached path).
-        sc.l1_sector_accesses += co.sectors;
-        for (std::uint32_t i = 0; i < co.lines; ++i) {
-          const std::uint32_t hits = l1.access_line(lines[i].line,
-                                                    lines[i].mask);
-          sc.l1_sector_hits += static_cast<std::uint32_t>(std::popcount(hits));
-          const std::uint32_t missed = lines[i].mask & ~hits;
-          if (missed != 0) {
-            requests.push_back((lines[i].line << pack_shift) |
-                               (static_cast<std::uint64_t>(missed) << 1) |
-                               1ull);
-          }
-        }
-      }
-    }
-    rec.cycles += cycles;
-    rec.l2_count = static_cast<std::uint32_t>(requests.size()) - rec.l2_begin;
-  }
-  shard_counters_[static_cast<std::size_t>(sm)] = sc;
 }
 
 std::uint64_t GpuSim::charge_l2(std::uint64_t line, std::uint32_t mask,
@@ -463,64 +318,20 @@ std::uint64_t GpuSim::charge_l2(std::uint64_t line, std::uint32_t mask,
   return cycles;
 }
 
-void GpuSim::flush_l2_stream() {
-  // The stream is already in canonical task order (fused record is serial;
-  // the two-pass gather walks tasks in order). Small streams are charged
-  // directly; large ones are stable counting-sorted by L2 set first
-  // (multisplit-style radix binning): LRU decisions only ever compare lines
-  // within one set, and the stable sort preserves canonical order within
-  // each set, so hits, misses, evictions and the cross-launch cache state
-  // are bit-identical to the direct in-order pass — while each set's tag
-  // array is touched exactly once, in ascending set order.
-  const std::uint32_t pack_shift = (1u << spl_shift_) + 1;
-  const std::uint32_t sector_mask = (1u << (1u << spl_shift_)) - 1;
-  if (l2_stream_.size() < kBinnedMinL2Requests) {
-    for (const L2StreamEntry& e : l2_stream_) {
-      task_records_[e.task].cycles += charge_l2(
-          e.packed >> pack_shift,
-          static_cast<std::uint32_t>(e.packed >> 1) & sector_mask,
-          (e.packed & 1ull) != 0);
-    }
-  } else {
-    const SectoredCache& l2 = memory_.l2_cache();
-    const std::size_t sets = l2.num_sets();
-    l2_bin_starts_.assign(sets + 1, 0);
-    for (const L2StreamEntry& e : l2_stream_) {
-      ++l2_bin_starts_[l2.set_of_line(e.packed >> pack_shift) + 1];
-    }
-    for (std::size_t s = 0; s < sets; ++s) {
-      l2_bin_starts_[s + 1] += l2_bin_starts_[s];
-    }
-    l2_binned_.resize(l2_stream_.size());
-    for (const L2StreamEntry& e : l2_stream_) {
-      const std::size_t set = l2.set_of_line(e.packed >> pack_shift);
-      l2_binned_[l2_bin_starts_[set]++] = e;
-    }
-    for (const L2StreamEntry& e : l2_binned_) {
-      task_records_[e.task].cycles += charge_l2(
-          e.packed >> pack_shift,
-          static_cast<std::uint32_t>(e.packed >> 1) & sector_mask,
-          (e.packed & 1ull) != 0);
-    }
-  }
-  l2_stream_.clear();
-}
-
-void GpuSim::fused_charge(std::uint8_t kind, std::uint32_t lanes,
-                          std::uint32_t task) {
+void GpuSim::charge_op(std::uint8_t kind, std::uint32_t lanes,
+                       std::uint32_t task) {
   // Deliberately uninitialized: coalesce_warp_lanes writes the first
   // `co.lines` entries and only those are read. Zero-filling 512 bytes per
   // memory instruction showed up in profiles.
   std::array<WarpLineRef, 32> lines;
   const CoalesceResult co =
-      coalesce_warp_lanes(fused_lanes_.data(), lanes, spl_shift_, lines.data());
+      coalesce_warp_lanes(lane_addrs_.data(), lanes, spl_shift_, lines.data());
   charge_lines(kind, lanes, co, lines.data(), task);
 }
 
-void GpuSim::fused_charge_range(std::uint64_t first_addr,
-                                std::uint32_t elem_bytes, std::uint32_t lanes,
-                                std::uint32_t task) {
-  std::array<WarpLineRef, 32> lines;  // uninitialized, as in fused_charge
+void GpuSim::charge_range(std::uint64_t first_addr, std::uint32_t elem_bytes,
+                          std::uint32_t lanes, std::uint32_t task) {
+  std::array<WarpLineRef, 32> lines;  // uninitialized, as in charge_op
   const CoalesceResult co = coalesce_contiguous_lanes(
       first_addr, elem_bytes, lanes, spl_shift_, lines.data());
   charge_lines(TraceOp::kLoad, lanes, co, lines.data(), task);
@@ -533,12 +344,12 @@ void GpuSim::charge_lines(std::uint8_t kind, std::uint32_t lanes,
   Counters& c = counters_;
   c.memory_transactions += co.sectors;
   std::uint64_t cycles = co.sectors;
-  // L2 requests are charged inline: the serial record phase probes the L2
-  // in canonical task order by construction, so this is the same request
-  // stream pass 2 of a two-pass replay would issue. (A deferred variant
-  // that queued requests and settled them in one batch at end_launch
-  // measured ~30% slower end to end — the L2 tag table fits the host LLC,
-  // so batching buys no locality and the queue traffic is pure overhead.)
+  // L2 requests are charged inline: tasks run serially in canonical order,
+  // so the L2 sees one canonical-order request stream by construction. (A
+  // deferred variant that queued requests and settled them in one batch at
+  // end_launch measured ~30% slower end to end — the L2 tag table fits the
+  // host LLC, so batching buys no locality and the queue traffic is pure
+  // overhead.)
   if (kind == TraceOp::kAtomic || TraceOp::kind_is_volatile(kind)) {
     if (kind == TraceOp::kAtomic) {
       const std::uint64_t conflicts = lanes - co.distinct_addrs;
@@ -562,96 +373,6 @@ void GpuSim::charge_lines(std::uint8_t kind, std::uint32_t lanes,
     }
   }
   rec.cycles += cycles;
-}
-
-void GpuSim::replay_launch() {
-  // Bucket tasks by SM, preserving canonical task order within each shard.
-  for (const int sm : used_sms_) sm_tasks_[static_cast<std::size_t>(sm)].clear();
-  used_sms_.clear();
-  for (std::uint32_t t = 0; t < task_records_.size(); ++t) {
-    const auto sm = static_cast<std::size_t>(task_records_[t].sm);
-    if (sm_tasks_[sm].empty()) used_sms_.push_back(task_records_[t].sm);
-    sm_tasks_[sm].push_back(t);
-  }
-
-  // Pass 1 — per-SM L1 shards. Shards share no mutable state (each has its
-  // own L1, counter partials, task-cycle slots and L2 request list), so the
-  // pass parallelizes freely; any iteration order yields identical results.
-  // Launches below kParallelMinOps memory ops run serially: the fork/join
-  // barrier dominates tiny launches.
-  const auto shard_count = static_cast<std::int64_t>(used_sms_.size());
-#ifdef RDBS_PARALLEL
-  const int threads = worker_threads();
-  if (threads > 1 && shard_count > 1 && launch_ops_ >= kParallelMinOps) {
-#ifdef RDBS_TSAN
-    const int team =
-        static_cast<int>(std::min<std::int64_t>(threads, shard_count));
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(team));
-    for (int w = 0; w < team; ++w) {
-      workers.emplace_back([this, w, team, shard_count] {
-        for (std::int64_t i = w; i < shard_count; i += team) {
-          replay_shard(used_sms_[static_cast<std::size_t>(i)]);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-#else
-    // Coarsened dynamic chunks: a few batches of shards per worker rather
-    // than one scheduler round-trip per shard.
-    const int chunk = static_cast<int>(std::max<std::int64_t>(
-        1, shard_count / (static_cast<std::int64_t>(threads) * 4)));
-#pragma omp parallel for schedule(dynamic, chunk) num_threads(threads)
-    for (std::int64_t i = 0; i < shard_count; ++i) {
-      replay_shard(used_sms_[static_cast<std::size_t>(i)]);
-    }
-#endif
-  } else {
-    for (std::int64_t i = 0; i < shard_count; ++i) {
-      replay_shard(used_sms_[static_cast<std::size_t>(i)]);
-    }
-  }
-#else
-  for (std::int64_t i = 0; i < shard_count; ++i) {
-    replay_shard(used_sms_[static_cast<std::size_t>(i)]);
-  }
-#endif
-
-  // Pass 2 — the shared L2, replayed in canonical task order (the exact
-  // request stream a fused serial simulation would produce), binned by L2
-  // set when large (see flush_l2_stream).
-  std::size_t total_requests = 0;
-  for (const int sm : used_sms_) {
-    total_requests += l2_requests_[static_cast<std::size_t>(sm)].size();
-  }
-  if (total_requests != 0) {
-    // Gather the canonical-order stream tagged with its owning task, then
-    // charge it through the shared (binned) pass.
-    l2_stream_.clear();
-    l2_stream_.reserve(total_requests);
-    for (std::uint32_t t = 0;
-         t < static_cast<std::uint32_t>(task_records_.size()); ++t) {
-      const TaskRecord& rec = task_records_[t];
-      if (rec.l2_count == 0) continue;
-      const std::vector<std::uint64_t>& requests =
-          l2_requests_[static_cast<std::size_t>(rec.sm)];
-      const std::uint32_t end = rec.l2_begin + rec.l2_count;
-      for (std::uint32_t i = rec.l2_begin; i < end; ++i) {
-        l2_stream_.push_back({requests[i], t});
-      }
-    }
-    flush_l2_stream();
-  }
-
-  // Deterministic counter reduction: shard partials summed in SM order.
-  Counters& c = counters_;
-  for (const int sm : used_sms_) {
-    const ShardCounters& sc = shard_counters_[static_cast<std::size_t>(sm)];
-    c.l1_sector_accesses += sc.l1_sector_accesses;
-    c.l1_sector_hits += sc.l1_sector_hits;
-    c.memory_transactions += sc.memory_transactions;
-    c.atomic_conflicts += sc.atomic_conflicts;
-  }
 }
 
 bool GpuSim::apply_launch_fault(LaunchResult& result) {
@@ -716,17 +437,14 @@ LaunchResult GpuSim::end_launch(std::uint64_t tasks, bool host_launch) {
   RDBS_DCHECK(launch_open_);
   RDBS_DCHECK(active_task_ == kNoTask);
   RDBS_DCHECK(tasks == task_records_.size());
-  if (fused_launch_) {
-    // Every memory op already charged the caches inline; there is no trace
-    // to replay or scan.
-    ++stats_.fused_launches;
-  } else {
-    replay_launch();
-    if (sanitizer_) {
-      sanitizer_->scan_launch(trace_, task_records_);
-    }
+  // Every memory op already charged the caches as it was issued; only a
+  // gsan launch has a trace, for the sanitizer to scan.
+  if (sanitizer_) {
+    sanitizer_->scan_launch(trace_, task_records_);
     stats_.peak_trace_bytes =
         std::max(stats_.peak_trace_bytes, trace_.bytes_in_use());
+  } else {
+    ++stats_.fused_launches;
   }
   ++stats_.launches;
   launch_open_ = false;

@@ -26,26 +26,16 @@
 // (DeviceSpec::max_concurrent_kernels) with an aggregate device-throughput
 // floor; see docs/costmodel.md, "Streams & concurrent kernels".
 //
-// Execution pipeline (see docs/costmodel.md, "Parallel execution &
-// determinism"): each launch runs in two phases. The *record* phase executes
-// task bodies serially in canonical task order — all functional effects
-// (loads, stores, atomics with their `improved` flags) happen here, so
-// results are independent of how the cost side is computed. Memory
-// instructions append (op, lane addresses) to a per-launch trace instead of
-// probing the caches. The *replay* phase then charges the trace: per-SM L1
-// shards are independent and replay in parallel across host threads (OpenMP
-// when built with RDBS_PARALLEL), while the shared L2 replays serially in
-// canonical task order. Counters, per-launch ms and distances are therefore
-// bit-identical for any worker-thread count, including 1.
-//
-// When no consumer needs the materialized trace (sanitizer off — the common
-// engine path), the launch instead runs *fused*: every memory instruction
-// charges the caches inline during the serial record phase and no trace is
-// stored at all. This is bit-identical to record+replay — each SM's L1 sees
-// the same probe subsequence, the shared L2 sees the same canonical-order
-// request stream, and counters are order-independent integer sums — while
-// skipping the trace materialization and the second pass entirely. See
-// ReplayMode below; kAuto picks fused whenever it is legal.
+// Execution pipeline (see docs/costmodel.md, "Replay pipeline"): task
+// bodies run serially in canonical task order on the host thread, and all
+// functional effects (loads, stores, atomics with their `improved` flags)
+// happen there. Each warp memory instruction charges the caches inline as
+// it is issued: its SM's L1, then the shared L2, which therefore sees one
+// canonical-order request stream. Counters, per-launch ms and distances are
+// bit-identical across reruns. Under gsan a launch also appends each op to
+// a compressed trace (gpusim/trace.hpp), which the sanitizer scans when the
+// launch ends; recording it charges nothing, so results are identical with
+// gsan on or off.
 #pragma once
 
 #include <algorithm>
@@ -82,7 +72,7 @@ class KernelScope;
 // pre-existing single-query call sites use it implicitly and see exactly the
 // old single-timeline accounting. Streams partition *time accounting only* —
 // functional execution stays serial in host call order, so results remain
-// bit-identical for any sim_threads and any stream assignment.
+// bit-identical across reruns and for any stream assignment.
 using StreamId = int;
 
 // A typed region of simulated device memory. Host code initializes and
@@ -122,8 +112,9 @@ class Buffer {
 };
 
 // Execution context of one warp inside a kernel. Functional effects are
-// applied immediately (in canonical task order); the memory-cost side is
-// appended to the launch trace and charged during replay.
+// applied immediately (in canonical task order) and so is the memory-cost
+// side; under gsan each memory instruction is also appended to the launch
+// trace.
 class WarpCtx {
  public:
   int sm_id() const { return sm_id_; }
@@ -151,16 +142,16 @@ class WarpCtx {
   // One warp load of the contiguous elements [first, first + out.size()):
   // lane i reads element first + i. It charges exactly what load() charges
   // for those ascending indices. The device element must be no wider than
-  // a 32-byte sector, so the lanes touch one unbroken run of sectors and a
-  // fused launch builds the (line, sector-mask) list from the run's two
-  // ends instead of coalescing 32 lane addresses. Two-pass launches go
-  // through load() itself, so traces and gsan reports match load()'s.
+  // a 32-byte sector, so the lanes touch one unbroken run of sectors and
+  // the charge builds the (line, sector-mask) list from the run's two ends
+  // instead of coalescing 32 lane addresses. Under gsan it goes through
+  // load() itself, so traces and gsan reports match load()'s.
   template <typename T>
   void load_range(const Buffer<T>& buf, std::uint64_t first,
                   std::span<T> out) {
     const auto lanes = static_cast<std::uint32_t>(out.size());
     RDBS_DCHECK(lanes <= 32);
-    if (!fused_) {
+    if (sanitize_) {
       std::array<std::uint64_t, 32> idx;
       for (std::uint32_t i = 0; i < lanes; ++i) idx[i] = first + i;
       load(buf, std::span<const std::uint64_t>(idx.data(), lanes), out);
@@ -312,24 +303,22 @@ class WarpCtx {
   friend class KernelScope;
 
   WarpCtx(GpuSim& sim, int sm_id, std::uint32_t task_index, bool sanitize,
-          bool fault, bool fused)
+          bool fault)
       : sim_(sim),
         sm_id_(sm_id),
         task_(task_index),
         sanitize_(sanitize),
-        fault_(fault),
-        fused_(fused) {}
+        fault_(fault) {}
 
-  // Translates lane element indices to device addresses into a 32-slot
-  // staging buffer (no per-call allocation): the launch trace's, or the
-  // fused charge's. Under the sanitizer, out-of-bounds indices are reported
-  // and clamped; the sanitizer-off hot path keeps the single debug
-  // assertion.
+  // Translates lane element indices to device addresses into the
+  // simulator's 32-slot staging buffer (no per-call allocation), in lane
+  // order. Under the sanitizer, out-of-bounds indices are reported and
+  // clamped; the sanitizer-off hot path keeps the single debug assertion.
   template <typename T>
   void record_addresses(const Buffer<T>& buf,
                         std::span<const std::uint64_t> indices) {
     RDBS_DCHECK(indices.size() <= 32);
-    std::uint64_t* slots = trace_slots();
+    std::uint64_t* slots = lane_slots();
     if (sanitize_) {
       for (std::size_t i = 0; i < indices.size(); ++i) {
         slots[i] = buf.address_of(
@@ -359,12 +348,12 @@ class WarpCtx {
   template <typename T>
   void maybe_flip(const Buffer<T>& buf, std::span<T> out);
 
-  std::uint64_t* trace_slots();
+  std::uint64_t* lane_slots();
   // Counters, op ordinal and scheduling weight of one warp memory
-  // instruction — the part every recording path shares.
+  // instruction — the part both recording paths share.
   void count_mem(std::uint8_t kind, std::uint32_t lanes);
   void record_mem(std::uint8_t kind, std::uint32_t lanes);
-  // Fused-launch record of load_range: `lanes` elements of `elem_bytes`
+  // Record of load_range without gsan: `lanes` elements of `elem_bytes`
   // each, starting at device address `first_addr`.
   void record_load_range(std::uint64_t first_addr, std::uint32_t elem_bytes,
                          std::uint32_t lanes);
@@ -375,9 +364,8 @@ class WarpCtx {
   GpuSim& sim_;
   int sm_id_;
   std::uint32_t task_;
-  bool sanitize_;
-  bool fault_;  // fault injector enabled on the owning simulator
-  bool fused_;  // the open launch charges inline (no trace)
+  bool sanitize_;  // gsan on: ops are also appended to the launch trace
+  bool fault_;     // fault injector enabled on the owning simulator
 };
 
 // How blocks map to SMs.
@@ -394,21 +382,11 @@ struct LaunchResult {
   std::uint64_t tasks = 0;   // warp tasks executed
 };
 
-// How a launch's memory-cost side is computed. Both produce bit-identical
-// counters, per-launch ms and functional results; they differ only in
-// wall-clock cost and in whether a trace is materialized for post-launch
-// consumers (the sanitizer scans it after replay).
-enum class ReplayMode : std::uint8_t {
-  kAuto = 0,     // fused when legal (sanitizer off), else two-pass
-  kTwoPass = 1,  // always record a trace, then replay it
-};
-
-// Cumulative trace/replay statistics (capacity reporting for the
-// throughput bench and the SCALE-21 capacity run).
+// Cumulative trace statistics (diagnostics; never reset).
 struct TraceStats {
   std::uint64_t launches = 0;        // total launches ended
-  std::uint64_t fused_launches = 0;  // of which ran fused (no trace stored)
-  std::uint64_t peak_trace_bytes = 0;  // largest materialized trace
+  std::uint64_t fused_launches = 0;  // of which stored no trace (gsan off)
+  std::uint64_t peak_trace_bytes = 0;  // largest gsan trace
 };
 
 class GpuSim {
@@ -449,7 +427,7 @@ class GpuSim {
   void enable_fault_injection(const FaultConfig& config);
   const FaultInjector* fault_injector() const { return fault_.get(); }
   // Every event the injector placed, in canonical (record-phase) order —
-  // byte-identical across sim_threads. Engines snapshot size() before an
+  // byte-identical across reruns. Engines snapshot size() before an
   // attempt and scan the tail to classify it (core/recovery.hpp).
   const std::vector<GpuFault>& fault_log() const { return fault_log_; }
   // Latched by a kDeviceLoss fault; while set, no further faults are drawn
@@ -517,17 +495,16 @@ class GpuSim {
   }
 
   // Applies one flip decision to a just-loaded value vector. Called from
-  // WarpCtx::maybe_flip during the serial record phase; all state touched
-  // here (log, counters, budget) is host-serial, so fault plans stay
-  // deterministic for any replay worker count.
+  // WarpCtx::maybe_flip as the load executes; all state touched here (log,
+  // counters, budget) is host-serial, so fault plans are deterministic.
   template <typename T>
   void inject_load_fault(std::uint32_t task, const Buffer<T>& buf,
                          std::span<T> out) {
     if (!fault_ || out.empty() || device_lost_) return;
     if (fault_log_.size() >= fault_->config().max_faults) return;
     // The op ordinal comes from the simulator's own memory-op counter, not
-    // the trace container, so fault plans are identical across replay modes
-    // (fused launches store no trace at all).
+    // the trace container, so fault plans are identical with gsan on or off
+    // (only gsan launches store a trace).
     const std::uint64_t op_ordinal = launch_ops_ == 0 ? 0 : launch_ops_ - 1;
     const FaultInjector::FlipDecision d = fault_->load_fault(
         launch_stream_, current_stream_launch_, task, op_ordinal);
@@ -607,31 +584,6 @@ class GpuSim {
     memory_.free_region(buf.address_of(0));
   }
 
-  // --- worker-thread control ----------------------------------------------
-  // Replay-phase host threads for this simulator instance. 0 = use the
-  // process default (set_default_worker_threads, else all OpenMP threads).
-  // Results are bit-identical for every value; this is purely a wall-clock
-  // knob. Serial builds (no RDBS_PARALLEL) ignore it.
-  void set_worker_threads(int threads) { worker_threads_ = threads; }
-  int worker_threads() const;
-  // Default applied to simulators constructed afterwards (engines construct
-  // their GpuSim internally; tests and benches set this).
-  static void set_default_worker_threads(int threads);
-  static int default_worker_threads();
-  // True when the library was built with RDBS_PARALLEL (OpenMP) support.
-  static bool parallel_compiled();
-
-  // --- replay mode ----------------------------------------------------------
-  // See ReplayMode above. Purely a wall-clock/footprint knob: results are
-  // bit-identical across modes. May not change inside an open launch.
-  void set_replay_mode(ReplayMode mode) {
-    RDBS_DCHECK(!launch_open_);
-    replay_mode_ = mode;
-  }
-  ReplayMode replay_mode() const { return replay_mode_; }
-  static void set_default_replay_mode(ReplayMode mode);
-  static ReplayMode default_replay_mode();
-  // Cumulative trace/replay statistics (never reset; diagnostics only).
   const TraceStats& trace_stats() const { return stats_; }
 
   template <typename T>
@@ -717,16 +669,7 @@ class GpuSim {
   friend class KernelScope;
 
   // TraceOp / TaskRecord live in gpusim/trace.hpp (shared with the
-  // sanitizer, which scans the same per-launch trace after replay).
-
-  // L1-shard counter partials, padded to avoid false sharing between the
-  // replay workers.
-  struct alignas(64) ShardCounters {
-    std::uint64_t l1_sector_accesses = 0;
-    std::uint64_t l1_sector_hits = 0;
-    std::uint64_t memory_transactions = 0;
-    std::uint64_t atomic_conflicts = 0;
-  };
+  // sanitizer, which scans the per-launch trace when the launch ends).
 
   void begin_launch(bool host_launch, StreamId stream, Schedule schedule);
   // The least-loaded SM of a dynamic launch (static placement is
@@ -736,23 +679,17 @@ class GpuSim {
   void commit_task(const WarpCtx& ctx);
   LaunchResult end_launch(std::uint64_t tasks, bool host_launch);
 
-  // Replay phase (called from end_launch of a two-pass launch): charges the
-  // recorded trace against the memory hierarchy. Parallel over per-SM L1
-  // shards, serial over the shared L2 in canonical task order.
-  void replay_launch();
-  void replay_shard(int sm);
-  // Fused-mode charge of one warp memory instruction, applied inline during
-  // the serial record phase (bit-identical to record+replay; see the header
-  // comment). The staged lane addresses live in fused_lanes_.
-  void fused_charge(std::uint8_t kind, std::uint32_t lanes,
-                    std::uint32_t task);
+  // Charges one warp memory instruction whose lane addresses are staged in
+  // lane_addrs_. Coalescing sorts them in place, so a gsan trace append
+  // must come first.
+  void charge_op(std::uint8_t kind, std::uint32_t lanes, std::uint32_t task);
   // The same charge for a load_range: the (line, sector-mask) list comes
   // from coalesce_contiguous_lanes instead of the staged lane addresses.
-  void fused_charge_range(std::uint64_t first_addr, std::uint32_t elem_bytes,
-                          std::uint32_t lanes, std::uint32_t task);
-  // The cache side both fused charges share: transactions, atomic
-  // conflicts, then the L1 probe (loads/stores) or the direct L2 probe
-  // (atomics/volatiles) of each coalesced line.
+  void charge_range(std::uint64_t first_addr, std::uint32_t elem_bytes,
+                    std::uint32_t lanes, std::uint32_t task);
+  // The cache side both charges share: transactions, atomic conflicts, then
+  // the L1 probe (loads/stores) or the direct L2 probe (atomics/volatiles)
+  // of each coalesced line.
   void charge_lines(std::uint8_t kind, std::uint32_t lanes,
                     const CoalesceResult& co, const WarpLineRef* lines,
                     std::uint32_t task);
@@ -761,10 +698,6 @@ class GpuSim {
   // the load/store path (L2 hits cost kL2ReplayCycles; atomic/volatile hits
   // are free — they already paid their sector transactions).
   std::uint64_t charge_l2(std::uint64_t line, std::uint32_t mask, bool cached);
-  // Charges the canonical-order L2 request stream in l2_stream_ (appended
-  // by the fused record phase, or gathered from the two-pass shards),
-  // binning large streams by L2 set first. Clears the stream.
-  void flush_l2_stream();
 
   // gfi: applies the pending launch-level fault (and the cost-clock
   // watchdog) to a finished launch. Returns false when the kernel never
@@ -777,7 +710,7 @@ class GpuSim {
   // then, and if all max_concurrent_kernels slots are still held the kernel
   // starts when the earliest in-flight kernel ends (FCFS, m identical
   // slots). The gap is the stream's queue wait. All arithmetic is serial
-  // host-side doubles — deterministic for any sim_threads.
+  // host-side doubles, so it is deterministic.
   struct StreamState {
     double time_ms = 0;
     double queue_wait_ms = 0;
@@ -798,7 +731,6 @@ class GpuSim {
   std::vector<StreamState> streams_;
   std::vector<double> inflight_end_ms_;  // end times of resident kernels
   double device_work_ms_ = 0;            // aggregate-throughput floor
-  int worker_threads_ = 0;
 
   // gsan state (null when off). pending_label_ names the next launch;
   // launch_ordinal_ is a monotone id for unlabeled launches.
@@ -817,26 +749,23 @@ class GpuSim {
   std::optional<FaultClass> pending_launch_fault_;
   bool device_lost_ = false;
 
-  // --- record-phase state (one launch at a time) ---------------------------
+  // --- per-launch state (one launch at a time) ------------------------------
   static constexpr std::uint32_t kNoTask = ~0u;
-  LaunchTrace trace_;
+  LaunchTrace trace_;  // gsan launches only
   std::vector<TaskRecord> task_records_;
   std::uint32_t active_task_ = kNoTask;
   // Memory-op ordinal counter for the open launch: op_begin/op_end indices
-  // and the fault injector's op key, independent of trace storage (fused
-  // launches count ops without storing them).
+  // and the fault injector's op key, independent of trace storage (only
+  // gsan launches store their ops).
   std::uint32_t launch_ops_ = 0;
   bool launch_open_ = false;
-  bool fused_launch_ = false;  // the open launch charges inline (no trace)
   // The open launch places tasks with Schedule::kDynamic — the only
   // reader of sm_load_ and load_heap_.
   bool dynamic_launch_ = false;
   StreamId launch_stream_ = 0;
-  ReplayMode replay_mode_ = ReplayMode::kAuto;
   std::uint32_t spl_shift_ = 2;  // log2(sectors per line), from MemorySim
-  // Fused-mode staging for one warp op's lane addresses (the trace_slots
-  // target when no trace is materialized).
-  std::array<std::uint64_t, 32> fused_lanes_{};
+  // Staging for one warp op's lane addresses (WarpCtx::lane_slots).
+  std::array<std::uint64_t, 32> lane_addrs_{};
   TraceStats stats_;
 
   // Dynamic scheduling: per-SM weight plus a lazy min-heap over
@@ -844,28 +773,6 @@ class GpuSim {
   // argmin.
   std::vector<std::uint64_t> sm_load_;
   std::vector<std::pair<std::uint64_t, int>> load_heap_;
-
-  // --- replay scratch (reused across launches; no steady-state allocs) -----
-  std::vector<std::vector<std::uint32_t>> sm_tasks_;
-  std::vector<int> used_sms_;
-  // Per-SM L2 request lists, one entry per (line, sector-mask) the L1 could
-  // not serve: line index shifted past the mask, the mask of requested
-  // sectors, and bit 0 marking cached (load/store) requests — clear for
-  // atomics/volatiles, which charge no L2-hit replay cycles. Packing:
-  //   (line << (sectors_per_line + 1)) | (mask << 1) | cached
-  std::vector<std::vector<std::uint64_t>> l2_requests_;
-  std::vector<ShardCounters> shard_counters_;
-  // Binned L2 pass scratch: the canonical-order request stream tagged with
-  // its owning task, counting-sorted by L2 set (multisplit-style radix
-  // binning — stable, so per-set request order stays canonical and the
-  // LRU outcome is bit-identical to the direct in-order pass).
-  struct L2StreamEntry {
-    std::uint64_t packed = 0;
-    std::uint32_t task = 0;
-  };
-  std::vector<L2StreamEntry> l2_stream_;
-  std::vector<L2StreamEntry> l2_binned_;
-  std::vector<std::uint32_t> l2_bin_starts_;
 
   // Per-launch aggregation scratch.
   std::vector<double> sm_cycles_;
@@ -919,7 +826,7 @@ class KernelScope {
     return sim_.begin_task(sm);
   }
 
-  // Seals a completed warp's trace and feeds its weight back into the
+  // Closes a completed warp's task record and feeds its weight back into the
   // dynamic scheduler.
   void commit(const WarpCtx& ctx) { sim_.commit_task(ctx); }
 

@@ -1,28 +1,25 @@
 // Per-launch memory trace shared between the simulator core (sim.cpp
-// records and replays it) and the sanitizer (sanitizer.cpp scans it after
-// replay). One launch at a time: the trace is cleared by begin_launch and
-// consumed by end_launch. Only two-pass launches materialize it; fused
-// launches charge the caches inline and store nothing (gpusim/sim.hpp).
+// records it) and the sanitizer (sanitizer.cpp scans it when the launch
+// ends). One launch at a time: the trace is cleared by begin_launch and
+// consumed by end_launch. Only gsan launches record it; every launch
+// charges the caches inline either way (gpusim/sim.hpp).
 //
 // The ordinal of an op in this trace is also the memory-op ordinal in the
-// fault injector's counter key (gpusim/fault.hpp): it is assigned during
-// the serial record phase, so fault plans keyed on it are independent of
-// the replay worker count AND of the replay mode (the simulator counts ops
-// itself; see GpuSim::launch_ops_).
+// fault injector's counter key (gpusim/fault.hpp). The simulator counts ops
+// itself (GpuSim::launch_ops_), so fault plans are identical with gsan on
+// or off.
 //
 // Storage is structure-of-arrays: one kind byte per op, one lane-count
-// byte per op, and a shared byte stream of zigzag-varint address deltas. The delta chain
-// resets at every task boundary (TaskRecord::addr_begin is the task's byte
-// offset), so per-SM replay shards can decode their tasks independently and
-// in parallel. Warp access patterns are overwhelmingly small-stride
-// (consecutive lanes touch consecutive elements), so most deltas fit in one
-// byte: on warp-local ops the encoded trace is >= 4x smaller than an
-// array-of-structs one (per op, an 8-byte header plus one u64 per lane) —
-// the difference between a SCALE-21 (2M+ vertex) workload fitting in CI
-// memory or not.
+// byte per op, and a shared byte stream of zigzag-varint address deltas.
+// The delta chain resets at every task boundary (TaskRecord::addr_begin is
+// the task's byte offset), so each task decodes from its own record. Warp
+// access patterns are overwhelmingly small-stride (consecutive lanes touch
+// consecutive elements), so most deltas fit in one byte: on warp-local ops
+// the encoded trace is >= 4x smaller than an array-of-structs one (per op,
+// an 8-byte header plus one u64 per lane).
 //
-// Consumers (replay, gsan) decode through OpCursor. Lane addresses always
-// decode in original lane order — sanitizer reports depend on first-touch
+// gsan decodes through OpCursor. Lane addresses are recorded and decoded
+// in original lane order — sanitizer reports depend on first-touch
 // discovery order.
 #pragma once
 
@@ -32,8 +29,8 @@
 
 namespace rdbs::gpusim {
 
-// Kinds of one warp-level memory instruction, shared by the record path,
-// the replay and the sanitizer:
+// Kinds of one warp-level memory instruction, shared by the charge path
+// and the sanitizer:
 //   0  plain load        (L1-cached)
 //   1  plain store       (write-through L1)
 //   2  atomic            (L1 bypass, resolves at L2, conflict serialization)
@@ -68,17 +65,15 @@ struct TraceOp {
   }
 };
 
-// Per-task record: trace extent, placement, record-time cycles and the
-// scheduling weight, plus this task's slice of its SM's L2-request list.
-// `addr_begin` is the address stream's byte offset at op_begin.
+// Per-task record: trace extent, placement, charged cycles and the
+// scheduling weight. `addr_begin` is the address stream's byte offset at
+// op_begin.
 struct TaskRecord {
   std::uint32_t op_begin = 0;
   std::uint32_t op_end = 0;
   std::int32_t sm = 0;
   std::uint64_t weight = 0;  // cache-independent load estimate (scheduling)
-  std::uint64_t cycles = 0;  // true cycles: record-time + replay charges
-  std::uint32_t l2_begin = 0;
-  std::uint32_t l2_count = 0;
+  std::uint64_t cycles = 0;  // true cycles: ALU, child launches, memory
   std::uint64_t addr_begin = 0;
 };
 
@@ -101,16 +96,15 @@ class LaunchTrace {
     return op_kinds_.size() + op_lanes_.size() + addr_bytes_.size();
   }
 
-  // --- record API (serial record phase only) --------------------------------
-  // Staging for one warp op's lane addresses: a fixed 32-slot buffer,
-  // filled by the caller and encoded into the delta stream by append_op.
-  std::uint64_t* lane_slots() { return staging_.data(); }
-
-  void append_op(std::uint8_t kind, std::uint32_t lanes) {
-    // Encode the staged lane addresses as zigzag-varint deltas against the
-    // running chain (previous lane of this task, across op boundaries).
+  // --- record API -------------------------------------------------------------
+  // Appends one warp op whose lane addresses are `addrs[0, lanes)`, in lane
+  // order.
+  void append_op(std::uint8_t kind, std::uint32_t lanes,
+                 const std::uint64_t* addrs) {
+    // Encode the lane addresses as zigzag-varint deltas against the running
+    // chain (previous lane of this task, across op boundaries).
     for (std::uint32_t l = 0; l < lanes; ++l) {
-      const std::uint64_t addr = staging_[l];
+      const std::uint64_t addr = addrs[l];
       const auto delta =
           static_cast<std::int64_t>(addr) - static_cast<std::int64_t>(prev_addr_);
       put_varint(zigzag(delta));
@@ -122,7 +116,7 @@ class LaunchTrace {
 
   // Resets the delta chain so the next op encodes its first lane against
   // base 0 — called at every task boundary, making tasks independently
-  // decodable (parallel per-SM replay shards).
+  // decodable.
   void begin_task() { prev_addr_ = 0; }
 
   // --- decode API ------------------------------------------------------------
@@ -137,8 +131,7 @@ class LaunchTrace {
   };
 
   // Sequential decoder over one task's ops [op_begin, op_end). Decodes each
-  // op's lane addresses into an internal 32-slot buffer (mutable via
-  // lanes_mutable(), so the replay can sort in place without a copy).
+  // op's lane addresses into an internal 32-slot buffer.
   class OpCursor {
    public:
     bool next(OpView& view) {
@@ -166,10 +159,6 @@ class LaunchTrace {
       ++op_;
       return true;
     }
-
-    // The decoded lane addresses of the most recent next(), mutable so the
-    // coalescing scan can sort in place.
-    std::uint64_t* lanes_mutable() { return buf_.data(); }
 
    private:
     friend class LaunchTrace;
@@ -213,7 +202,6 @@ class LaunchTrace {
   std::vector<std::uint8_t> op_kinds_;
   std::vector<std::uint8_t> op_lanes_;
   std::vector<std::uint8_t> addr_bytes_;
-  std::array<std::uint64_t, 32> staging_{};
   std::uint64_t prev_addr_ = 0;
 };
 

@@ -4,9 +4,9 @@
 // either recovers to BIT-IDENTICAL distances vs the fault-free run (which
 // the suite anchors to Dijkstra) or returns a typed failure — never wrong
 // distances, never a crash. Fault plans are pure functions of the config
-// seed and the record-phase counters, so the injected fault log must be
-// byte-identical across sim_threads, and a failing chaos run replays
-// exactly from its seed.
+// seed and the simulator's op counters, so the injected fault log must be
+// byte-identical across reruns, and a failing chaos run replays exactly
+// from its seed.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -101,10 +101,8 @@ std::vector<FaultScenario> fault_scenarios() {
 core::GpuRunResult run_engine(
     const core::GpuEngineEntry& engine, const Csr& csr, VertexId source,
     const gpusim::FaultConfig& fault, const core::RetryPolicy& retry,
-    int sim_threads = 0,
     gpusim::SanitizeMode sanitize = gpusim::SanitizeMode::kOff) {
   core::EngineOptions options;
-  options.sim_threads = sim_threads;
   options.sanitize = sanitize;
   options.fault = fault;
   options.retry = retry;
@@ -158,7 +156,7 @@ TEST(FaultInjection, EverySweptEngineSurvivesEveryFaultClass) {
 
 // --- determinism ------------------------------------------------------------
 
-TEST(FaultInjection, FaultPlanByteIdenticalAcrossSimThreads) {
+TEST(FaultInjection, FaultPlanByteIdenticalAcrossReruns) {
   const Csr csr = chaos_graph();
   gpusim::FaultConfig cfg = seeded_faults(99);
   cfg.bit_flip_per_load = 0.02;
@@ -170,14 +168,14 @@ TEST(FaultInjection, FaultPlanByteIdenticalAcrossSimThreads) {
   retry.max_attempts = 5;
 
   for (const char* name : {"rdbs", "adds"}) {
-    const core::GpuRunResult serial = run_engine(
-        engine_named(name), csr, /*source=*/3, cfg, retry, /*sim_threads=*/1);
-    const core::GpuRunResult parallel = run_engine(
-        engine_named(name), csr, /*source=*/3, cfg, retry, /*sim_threads=*/8);
-    EXPECT_EQ(fault_plan(serial), fault_plan(parallel)) << name;
-    EXPECT_EQ(serial.sssp.distances, parallel.sssp.distances);
-    EXPECT_EQ(serial.recovery.retries, parallel.recovery.retries);
-    EXPECT_EQ(serial.recovery.cpu_fallbacks, parallel.recovery.cpu_fallbacks);
+    const core::GpuRunResult first =
+        run_engine(engine_named(name), csr, /*source=*/3, cfg, retry);
+    const core::GpuRunResult second =
+        run_engine(engine_named(name), csr, /*source=*/3, cfg, retry);
+    EXPECT_EQ(fault_plan(first), fault_plan(second)) << name;
+    EXPECT_EQ(first.sssp.distances, second.sssp.distances);
+    EXPECT_EQ(first.recovery.retries, second.recovery.retries);
+    EXPECT_EQ(first.recovery.cpu_fallbacks, second.recovery.cpu_fallbacks);
   }
 }
 
@@ -442,7 +440,7 @@ TEST_P(EngineRecoveryContract, SanitizerAndFaultsComposeClean) {
   core::RetryPolicy retry;
 
   const core::GpuRunResult result = run_engine(
-      GetParam(), csr, 0, cfg, retry, 0, gpusim::SanitizeMode::kOn);
+      GetParam(), csr, 0, cfg, retry, gpusim::SanitizeMode::kOn);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.recovery.retries, 1u);
   EXPECT_EQ(result.recovery.cpu_fallbacks, 0u);
@@ -823,8 +821,8 @@ TEST(FaultInjection, CheckpointingChargesTheClockAndKeepsDistancesExact) {
 }
 
 // The resume path must be as deterministic as everything else: same seed,
-// same resumed count, same fault plan, same distances for any sim_threads.
-TEST(FaultInjection, CheckpointResumeBitIdenticalAcrossSimThreads) {
+// same resumed count, same fault plan, same distances on every rerun.
+TEST(FaultInjection, CheckpointResumeBitIdenticalAcrossReruns) {
   const Csr csr = chaos_graph();
   gpusim::FaultConfig cfg = seeded_faults(18);
   cfg.bit_flip_per_load = 0.008;
@@ -833,10 +831,9 @@ TEST(FaultInjection, CheckpointResumeBitIdenticalAcrossSimThreads) {
   retry.max_attempts = 6;
 
   std::vector<core::GpuRunResult> results;
-  for (const int sim_threads : {1, 8}) {
+  for (int run = 0; run < 2; ++run) {
     core::GpuSsspOptions options;
     options.delta0 = 120.0;
-    options.sim_threads = sim_threads;
     options.fault = cfg;
     options.retry = retry;
     options.checkpoint_interval = 1;

@@ -88,7 +88,7 @@ bool fuzz_faults() {
 // (shed / deadline / failed) must carry no distances at all. The same knob
 // also enables the streaming-chaos leg (run_streaming_chaos_case below):
 // seed-derived traffic schedules through run_stream(), with bit-identity
-// asserted across sim_threads {1, 8}. The nightly workflow sets it together
+// asserted across two runs. The nightly workflow sets it together
 // with RDBS_FUZZ_FAULTS, turning the long fuzz into an overload-chaos sweep
 // over the whole serving stack.
 bool fuzz_overload() {
@@ -99,7 +99,7 @@ bool fuzz_overload() {
 // RDBS_FUZZ_CACHE=0 disables the result-cache leg (run_cache_case below):
 // seed-derived hot-Zipf traffic served twice, cache on and cache off, with
 // per-query distance identity against the Dijkstra oracle and cache-on
-// bit-identity across sim_threads {1, 8}. ON by default — the leg is cheap
+// bit-identity across two runs. ON by default — the leg is cheap
 // and warm-start seeding touches the engines' frontier initialization, the
 // riskiest code the cache reaches. Combined with RDBS_FUZZ_SANITIZE=1 it
 // also proves warm-start seeding introduces no gsan hazards.
@@ -433,7 +433,7 @@ void run_overload_case(const FuzzCase& c, const Csr& csr, int case_index) {
 //   * the completed/non-completed oracle split of run_overload_case, and
 //   * streaming determinism — the entire result (statuses, dispatch and
 //     finish times, promotions, distances, breaker events) must be
-//     bit-identical across sim_threads {1, 8}.
+//     bit-identical when the same configuration runs twice.
 void run_streaming_chaos_case(const FuzzCase& c, const Csr& csr,
                               int case_index) {
   Xoshiro256 rng(c.seed ^ 0x57e4a21c7a05ull);
@@ -489,24 +489,21 @@ void run_streaming_chaos_case(const FuzzCase& c, const Csr& csr,
   }
 
   core::StreamResult results[2];
-  const int thread_counts[2] = {1, 8};
-  for (int t = 0; t < 2; ++t) {
-    core::QueryServerOptions run_options = options;
-    run_options.batch.gpu.sim_threads = thread_counts[t];
-    core::QueryServer server(csr, gpusim::test_device(), run_options);
-    results[t] = server.run_stream(schedule);
+  for (core::StreamResult& result : results) {
+    core::QueryServer server(csr, gpusim::test_device(), options);
+    result = server.run_stream(schedule);
   }
-  const core::StreamResult& narrow = results[0];
-  const core::StreamResult& wide = results[1];
+  const core::StreamResult& first = results[0];
+  const core::StreamResult& second = results[1];
 
-  ASSERT_EQ(narrow.stats.size(), schedule.size());
+  ASSERT_EQ(first.stats.size(), schedule.size());
   for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const core::StreamQueryStats& sq = narrow.stats[i];
+    const core::StreamQueryStats& sq = first.stats[i];
     const bool completed = sq.query.status == core::QueryStatus::kOk ||
                            sq.query.status == core::QueryStatus::kRecovered ||
                            sq.query.status == core::QueryStatus::kCpuFallback;
     if (completed) {
-      EXPECT_EQ(narrow.queries[i].sssp.distances,
+      EXPECT_EQ(first.queries[i].sssp.distances,
                 sssp::dijkstra(csr, schedule[i].source).distances)
           << "stream case " << case_index << " query " << i << " ("
           << core::query_status_name(sq.query.status)
@@ -515,36 +512,36 @@ void run_streaming_chaos_case(const FuzzCase& c, const Csr& csr,
           << "stream case " << case_index << " query " << i
           << " completed late: " << c.describe();
     } else {
-      EXPECT_TRUE(narrow.queries[i].sssp.distances.empty())
+      EXPECT_TRUE(first.queries[i].sssp.distances.empty())
           << "stream case " << case_index << " query " << i << " ("
           << core::query_status_name(sq.query.status)
           << ") carries distances despite not completing: " << c.describe();
     }
-    // Bit-identity across sim_threads, per query.
-    EXPECT_EQ(narrow.stats[i].query.status, wide.stats[i].query.status)
+    // Bit-identity across the two runs, per query.
+    EXPECT_EQ(first.stats[i].query.status, second.stats[i].query.status)
         << "stream case " << case_index << " query " << i << ": "
         << c.describe();
-    EXPECT_EQ(narrow.stats[i].dispatch_ms, wide.stats[i].dispatch_ms)
+    EXPECT_EQ(first.stats[i].dispatch_ms, second.stats[i].dispatch_ms)
         << "stream case " << case_index << " query " << i << ": "
         << c.describe();
-    EXPECT_EQ(narrow.stats[i].finish_ms, wide.stats[i].finish_ms)
+    EXPECT_EQ(first.stats[i].finish_ms, second.stats[i].finish_ms)
         << "stream case " << case_index << " query " << i << ": "
         << c.describe();
-    EXPECT_EQ(narrow.stats[i].promotions, wide.stats[i].promotions)
+    EXPECT_EQ(first.stats[i].promotions, second.stats[i].promotions)
         << "stream case " << case_index << " query " << i << ": "
         << c.describe();
-    EXPECT_EQ(narrow.queries[i].sssp.distances,
-              wide.queries[i].sssp.distances)
+    EXPECT_EQ(first.queries[i].sssp.distances,
+              second.queries[i].sssp.distances)
         << "stream case " << case_index << " query " << i << ": "
         << c.describe();
   }
-  EXPECT_EQ(narrow.makespan_ms, wide.makespan_ms)
+  EXPECT_EQ(first.makespan_ms, second.makespan_ms)
       << "stream case " << case_index << ": " << c.describe();
-  EXPECT_EQ(narrow.shed_queries, wide.shed_queries)
+  EXPECT_EQ(first.shed_queries, second.shed_queries)
       << "stream case " << case_index << ": " << c.describe();
-  EXPECT_EQ(narrow.deadline_queries, wide.deadline_queries)
+  EXPECT_EQ(first.deadline_queries, second.deadline_queries)
       << "stream case " << case_index << ": " << c.describe();
-  EXPECT_EQ(narrow.breaker_events.size(), wide.breaker_events.size())
+  EXPECT_EQ(first.breaker_events.size(), second.breaker_events.size())
       << "stream case " << case_index << ": " << c.describe();
 }
 
@@ -553,8 +550,8 @@ void run_streaming_chaos_case(const FuzzCase& c, const Csr& csr,
 // stream count, so the lanes genuinely overlap in simulated time and the
 // vector-clock happens-before detector sees real cross-stream concurrency.
 // Two gates: the sweep must be hazard-free, and the hazard report (empty or
-// not) plus every distance vector must be byte-identical across
-// sim_threads {1, 8} — cross-stream reports are rank-stable by contract.
+// not) plus every distance vector must be byte-identical across two runs
+// — cross-stream reports are rank-stable by contract.
 void run_cross_stream_case(const FuzzCase& c, const Csr& csr,
                            int case_index) {
   Xoshiro256 rng(c.seed ^ 0xc0557a3acc0eddull);
@@ -563,7 +560,6 @@ void run_cross_stream_case(const FuzzCase& c, const Csr& csr,
     s = static_cast<VertexId>(rng.next_below(csr.num_vertices()));
   }
 
-  const int thread_counts[2] = {1, 8};
   std::string reports[2];
   core::StreamResult results[2];
   for (int t = 0; t < 2; ++t) {
@@ -576,7 +572,6 @@ void run_cross_stream_case(const FuzzCase& c, const Csr& csr,
     options.batch.gpu.sanitize = gpusim::SanitizeMode::kOn;
     options.batch.gpu.fault = fuzz_fault_config(c.seed);
     options.batch.gpu.retry = fuzz_retry_policy();
-    options.batch.gpu.sim_threads = thread_counts[t];
     core::QueryServer server(csr, gpusim::test_device(), options);
     results[t] = server.run_stream(core::batch_schedule(sources));
     const gpusim::Sanitizer* sanitizer = server.batch().sim().sanitizer();
@@ -587,7 +582,7 @@ void run_cross_stream_case(const FuzzCase& c, const Csr& csr,
       << "cross-stream case " << case_index << ": " << c.describe();
   EXPECT_EQ(reports[0], reports[1])
       << "cross-stream case " << case_index
-      << " report differs across sim_threads: " << c.describe();
+      << " report differs across runs: " << c.describe();
   ASSERT_EQ(results[0].queries.size(), sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(results[0].queries[i].sssp.distances,
@@ -601,14 +596,14 @@ void run_cross_stream_case(const FuzzCase& c, const Csr& csr,
 // the case seed derives a hot-Zipf traffic schedule — a small source
 // universe guarantees repeats, so exact hits, single-flight joins and
 // warm starts all fire — served through run_stream() three times: cache
-// off, cache on, and cache on at sim_threads 8. Contracts:
+// off, then cache on twice. Contracts:
 //   * every COMPLETED query in any run (kCacheHit included) carries
 //     distances exactly equal to Dijkstra's — cache hits, joined waiters
 //     and warm-started solves are all held to the same oracle;
 //   * queries completed in BOTH the cache-on and cache-off runs carry
 //     bit-identical distance vectors;
 //   * the entire cache-on result (statuses, times, distances, cache
-//     counters) is bit-identical across sim_threads {1, 8};
+//     counters) is bit-identical across its two runs;
 //   * under RDBS_FUZZ_SANITIZE=1 the cached run must be hazard-free —
 //     warm-start seeding must not introduce gsan races.
 // Sweep-level tally: any single case may legitimately see zero hits (a
@@ -678,91 +673,87 @@ void run_cache_case(const FuzzCase& c, const Csr& csr, int case_index) {
            s == core::QueryStatus::kCacheHit;
   };
 
-  core::StreamResult cold;  // cache off, sim_threads 1
+  core::StreamResult cold;  // cache off
   {
-    core::QueryServerOptions run_options = options;
-    run_options.batch.gpu.sim_threads = 1;
-    core::QueryServer server(csr, gpusim::test_device(), run_options);
+    core::QueryServer server(csr, gpusim::test_device(), options);
     cold = server.run_stream(schedule);
   }
-  core::StreamResult cached[2];  // cache on, sim_threads {1, 8}
+  core::StreamResult cached[2];  // cache on, run twice
   core::ResultCacheStats cache_stats[2];
-  const int thread_counts[2] = {1, 8};
   for (int t = 0; t < 2; ++t) {
     core::QueryServerOptions run_options = options;
     run_options.cache = cache;
-    run_options.batch.gpu.sim_threads = thread_counts[t];
     core::QueryServer server(csr, gpusim::test_device(), run_options);
     cached[t] = server.run_stream(schedule);
     cache_stats[t] = server.result_cache()->stats();
     if (fuzz_sanitize() == gpusim::SanitizeMode::kOn) {
       ASSERT_NE(server.batch().sim().sanitizer(), nullptr);
       EXPECT_EQ(server.batch().sim().sanitizer()->report(), "")
-          << "cache case " << case_index << " sim_threads "
-          << thread_counts[t] << ": " << c.describe();
+          << "cache case " << case_index << " run " << t << ": "
+          << c.describe();
     }
   }
-  const core::StreamResult& narrow = cached[0];
-  const core::StreamResult& wide = cached[1];
+  const core::StreamResult& first = cached[0];
+  const core::StreamResult& second = cached[1];
 
   ASSERT_EQ(cold.stats.size(), schedule.size());
-  ASSERT_EQ(narrow.stats.size(), schedule.size());
+  ASSERT_EQ(first.stats.size(), schedule.size());
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const std::vector<graph::Distance> oracle =
         sssp::dijkstra(csr, schedule[i].source).distances;
     const bool cold_done = completed(cold.stats[i].query.status);
-    const bool warm_done = completed(narrow.stats[i].query.status);
+    const bool warm_done = completed(first.stats[i].query.status);
     if (cold_done) {
       EXPECT_EQ(cold.queries[i].sssp.distances, oracle)
           << "cache case " << case_index << " query " << i
           << " (cache off): " << c.describe();
     }
     if (warm_done) {
-      EXPECT_EQ(narrow.queries[i].sssp.distances, oracle)
+      EXPECT_EQ(first.queries[i].sssp.distances, oracle)
           << "cache case " << case_index << " query " << i << " ("
-          << core::query_status_name(narrow.stats[i].query.status)
+          << core::query_status_name(first.stats[i].query.status)
           << ", cache on): " << c.describe();
     }
     if (cold_done && warm_done) {
-      EXPECT_EQ(narrow.queries[i].sssp.distances,
+      EXPECT_EQ(first.queries[i].sssp.distances,
                 cold.queries[i].sssp.distances)
           << "cache case " << case_index << " query " << i
           << " differs cache on vs off: " << c.describe();
     }
-    // Bit-identity of the cached run across sim_threads, per query.
-    EXPECT_EQ(narrow.stats[i].query.status, wide.stats[i].query.status)
+    // Bit-identity of the cached run across its two runs, per query.
+    EXPECT_EQ(first.stats[i].query.status, second.stats[i].query.status)
         << "cache case " << case_index << " query " << i << ": "
         << c.describe();
-    EXPECT_EQ(narrow.stats[i].single_flight, wide.stats[i].single_flight)
+    EXPECT_EQ(first.stats[i].single_flight, second.stats[i].single_flight)
         << "cache case " << case_index << " query " << i << ": "
         << c.describe();
-    EXPECT_EQ(narrow.stats[i].dispatch_ms, wide.stats[i].dispatch_ms)
+    EXPECT_EQ(first.stats[i].dispatch_ms, second.stats[i].dispatch_ms)
         << "cache case " << case_index << " query " << i << ": "
         << c.describe();
-    EXPECT_EQ(narrow.stats[i].finish_ms, wide.stats[i].finish_ms)
+    EXPECT_EQ(first.stats[i].finish_ms, second.stats[i].finish_ms)
         << "cache case " << case_index << " query " << i << ": "
         << c.describe();
-    EXPECT_EQ(narrow.queries[i].sssp.distances,
-              wide.queries[i].sssp.distances)
+    EXPECT_EQ(first.queries[i].sssp.distances,
+              second.queries[i].sssp.distances)
         << "cache case " << case_index << " query " << i << ": "
         << c.describe();
   }
-  EXPECT_EQ(narrow.cached_queries, wide.cached_queries)
+  EXPECT_EQ(first.cached_queries, second.cached_queries)
       << "cache case " << case_index << ": " << c.describe();
-  EXPECT_EQ(narrow.joined_queries, wide.joined_queries)
+  EXPECT_EQ(first.joined_queries, second.joined_queries)
       << "cache case " << case_index << ": " << c.describe();
-  EXPECT_EQ(narrow.warm_started_queries, wide.warm_started_queries)
+  EXPECT_EQ(first.warm_started_queries, second.warm_started_queries)
       << "cache case " << case_index << ": " << c.describe();
-  EXPECT_EQ(narrow.makespan_ms, wide.makespan_ms)
+  EXPECT_EQ(first.makespan_ms, second.makespan_ms)
       << "cache case " << case_index << ": " << c.describe();
   EXPECT_EQ(cache_stats[0].evictions, cache_stats[1].evictions)
       << "cache case " << case_index << ": " << c.describe();
   EXPECT_EQ(cache_stats[0].rejected, cache_stats[1].rejected)
       << "cache case " << case_index << ": " << c.describe();
 
-  g_cache_tally.exact_hits += narrow.cached_queries;
-  g_cache_tally.joins += narrow.joined_queries;
-  g_cache_tally.warm_starts += narrow.warm_started_queries;
+  g_cache_tally.exact_hits += first.cached_queries;
+  g_cache_tally.joins += first.joined_queries;
+  g_cache_tally.warm_starts += first.warm_started_queries;
   g_cache_tally.evictions += cache_stats[0].evictions;
   g_cache_tally.rejected += cache_stats[0].rejected;
   ++g_cache_tally.cases;

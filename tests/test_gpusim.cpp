@@ -1,8 +1,8 @@
 // Unit tests for the SIMT simulator: cache behaviour, coalescing, counter
 // accounting, divergence, scheduling and the cost model's invariants. The
-// cache and coalescing tests are the reference for the primitives the fused
-// and two-pass replay paths share (SectoredCache::access_line and
-// coalesce_warp_lanes), so a bug in one cannot hide behind the other.
+// cache and coalescing tests are the reference for the primitives every
+// charge goes through (SectoredCache::access_line and coalesce_warp_lanes),
+// checked against independent naive models.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -90,8 +90,8 @@ TEST(Cache, AccessLineMatchesPerSectorAccess) {
 // distinct 32B sectors, and the ascending (line, sector-mask) list, for
 // 1-32 lanes over the access shapes engines issue. kAscending is scattered
 // lanes that already ascend (the sort's early out). Afterwards the lanes
-// must hold the same multiset in ascending order: the two-pass replay and
-// gsan read them after the charge.
+// must hold the same multiset in ascending order (gsan's trace takes its
+// copy of the lanes before the charge sorts them).
 TEST(Coalesce, MatchesNaiveSetModel) {
   enum Pattern { kUnitStride, kDuplicates, kScattered, kDescending,
                  kAscending };

@@ -1,7 +1,7 @@
 // QueryServer — the overload-safe serving layer (docs/serving.md).
 //
 // Load-bearing properties, in order: (1) serving decisions are
-// bit-identical across sim_threads for every stream count, and completed
+// bit-identical across reruns for every stream count, and completed
 // distances always match the Dijkstra oracle regardless of lane layout or
 // degradation; (2) a completed query NEVER finishes past its deadline (the
 // engines withhold late distances); (3) admission control sheds instead of
@@ -105,7 +105,7 @@ void check_stream_invariants(const Csr& csr,
 
 // --- determinism -----------------------------------------------------------
 
-TEST(QueryServer, BitIdenticalAcrossSimThreadsForEveryStreamCount) {
+TEST(QueryServer, BitIdenticalAcrossRerunsForEveryStreamCount) {
   const Csr csr = server_test_graph();
   const std::vector<VertexId> sources = {0, 17, 113, 256, 399, 42, 7, 300};
 
@@ -117,11 +117,10 @@ TEST(QueryServer, BitIdenticalAcrossSimThreadsForEveryStreamCount) {
     queries[2].deadline_ms = 1.0;
     queries[5].deadline_ms = 0.25;
 
-    for (const int sim_threads : {1, 8}) {
+    for (int run = 0; run < 2; ++run) {
       core::QueryServerOptions options;
       options.batch.streams = streams;
       options.batch.gpu.delta0 = 150.0;
-      options.batch.gpu.sim_threads = sim_threads;
       core::QueryServer server(csr, gpusim::test_device(), options);
       results.push_back(server.run_stream(queries));
       check_stream_invariants(csr, queries, results.back());
@@ -438,7 +437,7 @@ TEST(QueryServer, AllLanesOpenWaitsOutCooldownWhenDeadlineAllows) {
 
 // --- streaming (timed arrivals) --------------------------------------------
 
-TEST(QueryServer, StreamBitIdenticalAcrossSimThreads) {
+TEST(QueryServer, StreamBitIdenticalAcrossReruns) {
   const Csr csr = server_test_graph();
 
   // Calibrate the offered load to the device: overlapping arrivals, a
@@ -466,11 +465,10 @@ TEST(QueryServer, StreamBitIdenticalAcrossSimThreads) {
 
   for (const int streams : {1, 4}) {
     std::vector<core::StreamResult> results;
-    for (const int sim_threads : {1, 8}) {
+    for (int run = 0; run < 2; ++run) {
       core::QueryServerOptions options;
       options.batch.streams = streams;
       options.batch.gpu.delta0 = 150.0;
-      options.batch.gpu.sim_threads = sim_threads;
       // Fault injection + breakers on: the chaotic paths (retries, trips,
       // half-open probes, EWMA decay) must be as deterministic as the
       // happy path.
@@ -830,8 +828,8 @@ TEST(QueryServer, MigrationWithoutCheckpointLeavesQueryFailed) {
 }
 
 // Migration decisions and the resumed distances are bit-identical across
-// sim_threads, like every other serving decision.
-TEST(QueryServer, MigrationBitIdenticalAcrossSimThreads) {
+// reruns, like every other serving decision.
+TEST(QueryServer, MigrationBitIdenticalAcrossReruns) {
   const Csr csr = server_test_graph();
   const std::vector<VertexId> sources = {0, 17, 113, 256, 399, 42};
 
@@ -842,9 +840,8 @@ TEST(QueryServer, MigrationBitIdenticalAcrossSimThreads) {
   cfg.max_faults = 1;
 
   std::vector<core::StreamResult> results;
-  for (const int sim_threads : {1, 8}) {
+  for (int run = 0; run < 2; ++run) {
     core::QueryServerOptions options = migration_options(true);
-    options.batch.gpu.sim_threads = sim_threads;
     options.batch.gpu.fault = cfg;
     core::QueryServer server(csr, gpusim::test_device(), options);
     results.push_back(
@@ -1041,8 +1038,8 @@ TEST(QueryServer, StreamCountersConserveEveryOfferedQuery) {
 }
 
 // Closed-loop scheduling (jittered backoff, backpressure deferral) is a
-// pure function of the spec: bit-identical streams for any sim_threads.
-TEST(QueryServer, StreamClosedLoopBitIdenticalAcrossSimThreads) {
+// pure function of the spec: bit-identical streams on every rerun.
+TEST(QueryServer, StreamClosedLoopBitIdenticalAcrossReruns) {
   const Csr csr = server_test_graph();
 
   std::vector<core::TrafficQuery> schedule;
@@ -1053,11 +1050,10 @@ TEST(QueryServer, StreamClosedLoopBitIdenticalAcrossSimThreads) {
   }
 
   std::vector<core::StreamResult> results;
-  for (const int sim_threads : {1, 8}) {
+  for (int run = 0; run < 2; ++run) {
     core::QueryServerOptions options;
     options.batch.streams = 2;
     options.batch.gpu.delta0 = 150.0;
-    options.batch.gpu.sim_threads = sim_threads;
     options.max_pending = 3;
     options.hedge_to_cpu = false;
     options.closed_loop.enabled = true;

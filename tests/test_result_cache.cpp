@@ -10,8 +10,7 @@
 // including its failure; (3) the cache's time model (publish_ms vs the
 // decision clock) cleanly separates "published" from "in flight"; (4) an
 // epoch bump invalidates every entry and landmark; (5) serving results with
-// the cache on are bit-identical across sim_threads for every stream
-// count; (6) a full cache admits and evicts by aged request count, one
+// the cache on are bit-identical across reruns for every stream count; (6) a full cache admits and evicts by aged request count, one
 // count per offered arrival.
 #include <gtest/gtest.h>
 
@@ -369,11 +368,9 @@ TEST(ResultCache, LandmarksOnlyContributeOncePublished) {
 
 // --- integration: QueryServer with the cache on ----------------------------
 
-core::QueryServerOptions cached_server_options(int streams = 2,
-                                               int sim_threads = 0) {
+core::QueryServerOptions cached_server_options(int streams = 2) {
   core::QueryServerOptions sopts;
   sopts.batch.streams = streams;
-  sopts.batch.gpu.sim_threads = sim_threads;
   sopts.cache.enabled = true;
   sopts.cache.capacity = 32;
   sopts.cache.landmarks = 3;
@@ -532,10 +529,10 @@ TEST(ResultCacheServing, WarmStartMatchesColdAndDijkstraOnGridGraph) {
 }
 
 // The full serving result — statuses, finish times, distances, cache
-// counters — must be bit-identical across sim_threads for every stream
-// count, cache on (streams repartition simulated time, never functional
-// state; the cache keys on vertex ids and the serving clock only).
-TEST(ResultCacheServing, BitIdenticalAcrossSimThreadsForEveryStreamCount) {
+// counters — must be bit-identical across reruns for every stream count,
+// cache on (streams repartition simulated time, never functional state;
+// the cache keys on vertex ids and the serving clock only).
+TEST(ResultCacheServing, BitIdenticalAcrossRerunsForEveryStreamCount) {
   const Csr csr = test::random_powerlaw_graph(300, 2400, /*seed=*/29);
   const std::vector<core::TrafficQuery> first =
       queries_for({5, 9, 9, 23, 112, 5, 250, 9});
@@ -544,9 +541,9 @@ TEST(ResultCacheServing, BitIdenticalAcrossSimThreadsForEveryStreamCount) {
 
   for (const int streams : {1, 4}) {
     std::vector<core::StreamResult> runs1, runs2;
-    for (const int threads : {1, 8}) {
+    for (int run = 0; run < 2; ++run) {
       core::QueryServer server(csr, gpusim::test_device(),
-                               cached_server_options(streams, threads));
+                               cached_server_options(streams));
       runs1.push_back(server.run_stream(first));
       runs2.push_back(server.run_stream(second));
     }

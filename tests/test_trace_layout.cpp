@@ -242,6 +242,53 @@ TEST(ReplayMatrix, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {
   EXPECT_EQ(sim.sanitizer()->report(), "");
 }
 
+struct PersistentObservation {
+  LaunchResult launch;
+  Counters counters;
+  std::vector<std::uint32_t> cells;
+};
+
+// A persistent kernel whose workers push new tasks mid-launch (the BASYN
+// phase-1 shape): every task atomically touches a strided cell and, while
+// the frontier lasts, appends two children.
+PersistentObservation run_persistent_workload(bool sanitize) {
+  GpuSim sim(test_device());
+  if (sanitize) sim.enable_sanitizer(SanitizeMode::kOn);
+  Buffer<std::uint32_t> cells = sim.alloc<std::uint32_t>("cells", 4096);
+  std::vector<std::uint64_t> tasks{0, 1, 2, 3};
+  KernelScope kernel(sim, Schedule::kDynamic, true, /*warps_per_block=*/1);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const std::uint64_t id = tasks[i];
+    WarpCtx ctx = kernel.make_warp();
+    ctx.alu(1 + static_cast<std::uint32_t>(id % 7));
+    std::array<std::uint64_t, 32> idx;
+    for (std::uint32_t lane = 0; lane < 32; ++lane) {
+      idx[lane] = (id * 97 + lane * (1 + id % 3)) % cells.size();
+      cells[idx[lane]] += 1;  // host-maintained side effect
+    }
+    ctx.atomic_touch(cells, std::span<const std::uint64_t>(idx));
+    if (tasks.size() < 300) {
+      ctx.child_launch();
+      tasks.push_back(id * 2 + 5);
+      tasks.push_back(id * 3 + 1);
+    }
+    kernel.commit(ctx);
+  }
+  const LaunchResult launch = kernel.finish();
+  return {launch, sim.counters(), cells.data()};
+}
+
+TEST(ReplayMatrix, PersistentGrowingTaskListMatchesWithAndWithoutGsan) {
+  const PersistentObservation off = run_persistent_workload(false);
+  EXPECT_GT(off.launch.tasks, 4u);  // the list actually grew
+  const PersistentObservation on = run_persistent_workload(true);
+  EXPECT_TRUE(on.counters == off.counters);
+  EXPECT_EQ(on.launch.ms, off.launch.ms);
+  EXPECT_EQ(on.launch.busy_cycles, off.launch.busy_cycles);
+  EXPECT_EQ(on.launch.tasks, off.launch.tasks);
+  EXPECT_EQ(on.cells, off.cells);
+}
+
 // Engine-level cross-check: full solves must agree with gsan on and off
 // (distances, counters, modeled time) — the trace gsan records must be
 // invisible to everything above the simulator. Every registered engine

@@ -3,8 +3,8 @@
 // Everything here is statistical-but-deterministic: the generator is seeded
 // arithmetic, so once a tolerance holds for a seed it holds forever. The
 // load-bearing properties: (1) schedules are byte-identical across
-// regeneration and across simulator configurations (sim_threads never
-// touches the generator); (2) the arrival processes have the advertised
+// regeneration and across simulator configurations (nothing in the
+// simulator touches the generator); (2) the arrival processes have the advertised
 // first-order shape (Poisson mean rate, bursty clumping, diurnal swing);
 // (3) sources are Zipf-skewed with rank-0 hottest; (4) class mix and
 // per-class deadlines land as specified; (5) the spec grammar round-trips
@@ -105,9 +105,8 @@ TEST(Traffic, SeedChangesTheSchedule) {
             core::generate_traffic(other, kVertices));
 }
 
-// The generator is pure host arithmetic: nothing about the simulator (in
-// particular sim_threads, which only parallelizes trace replay) can reach
-// it. The streaming layer's bit-identity across sim_threads is tested end
+// The generator is pure host arithmetic: nothing about the simulator can
+// reach it. The streaming layer's bit-identity across reruns is tested end
 // to end in test_query_server.cpp; here we pin the prerequisite — the same
 // spec yields the same bytes no matter how often or where it runs.
 TEST(Traffic, ScheduleIsIndependentOfAnySimulatorConfiguration) {
