@@ -71,7 +71,7 @@ echo "=== [default] gsan overhead guard ==="
 # bound sits well above the spread measured over repeated runs (see
 # CHANGES.md), so it trips on a trace or scan path that got slower, not on
 # host noise.
-GSAN_OVERHEAD_BOUND=@QUICK_BOUND@
+GSAN_OVERHEAD_BOUND=12
 "$BUILD_ROOT/default/bench/gpusim_throughput" --quick --reps 5 \
   --max-gsan-overhead "$GSAN_OVERHEAD_BOUND" --json /dev/null
 
