@@ -348,7 +348,13 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
   // each thread, so relaxation work is chunked EVENLY across warps rather
   // than per source vertex — without this, degree-clustered orderings pile
   // all hub heavy edges onto a few strips/SMs.
+  //
+  // Reserved at its bound (every edge) so it is never regrown: regrowing it
+  // from empty in every bucket left a freed doubling chain in the host
+  // heap, which made peak RSS depend on unrelated allocations. Only the
+  // pages the list fills are touched.
   std::vector<std::pair<EdgeIndex, VertexId>> heavy_edges;
+  heavy_edges.reserve(csr_.num_edges());
 
   // Strip body: identify lanes settled in [lo, hi), charge their row-bound
   // loads, and append their heavy ranges to the flattened list. The range
