@@ -68,9 +68,9 @@ echo "=== [default] gsan overhead guard ==="
 # The three micro workloads on V100, each run with gsan off and on: the
 # runs must simulate bit-identical results, and gsan's CPU time may not
 # exceed GSAN_OVERHEAD_BOUND times the gsan-off run's (median of 5). The
-# bound sits well above the spread measured over repeated runs (see
-# CHANGES.md), so it trips on a trace or scan path that got slower, not on
-# host noise.
+# bound sits well above the spread measured over repeated runs
+# (EXPERIMENTS.md, gpusim_throughput), so it trips on a trace or scan path
+# that got slower, not on host noise.
 GSAN_OVERHEAD_BOUND=12
 "$BUILD_ROOT/default/bench/gpusim_throughput" --quick --reps 5 \
   --max-gsan-overhead "$GSAN_OVERHEAD_BOUND" --json /dev/null

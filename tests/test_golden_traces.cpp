@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,26 +44,7 @@ using graph::VertexId;
 
 std::string serialize_trace(const core::GpuRunResult& result) {
   std::ostringstream out;
-  const gpusim::Counters& c = result.counters;
-  out << "inst_executed_global_loads " << c.inst_executed_global_loads << '\n'
-      << "inst_executed_global_stores " << c.inst_executed_global_stores
-      << '\n'
-      << "inst_executed_atomics " << c.inst_executed_atomics << '\n'
-      << "l1_sector_accesses " << c.l1_sector_accesses << '\n'
-      << "l1_sector_hits " << c.l1_sector_hits << '\n'
-      << "l2_sector_accesses " << c.l2_sector_accesses << '\n'
-      << "l2_sector_hits " << c.l2_sector_hits << '\n'
-      << "alu_instructions " << c.alu_instructions << '\n'
-      << "memory_transactions " << c.memory_transactions << '\n'
-      << "dram_bytes " << c.dram_bytes << '\n'
-      << "atomic_conflicts " << c.atomic_conflicts << '\n'
-      << "kernel_launches " << c.kernel_launches << '\n'
-      << "child_launches " << c.child_launches << '\n'
-      << "active_lane_ops " << c.active_lane_ops << '\n'
-      << "issued_lane_ops " << c.issued_lane_ops << '\n'
-      << "volatile_accesses " << c.volatile_accesses << '\n'
-      << "faults_injected " << c.faults_injected << '\n'
-      << "ecc_corrected " << c.ecc_corrected << '\n';
+  out << test::counters_text(result.counters);
   // Recovery bookkeeping and the simulated clock: the per-attempt metric
   // accounting (deltas, backoff, re-upload and checkpoint charges) must
   // not drift either.
@@ -115,26 +95,9 @@ core::RetryPolicy golden_retry() {
 
 void check_against_golden(const std::string& name,
                           const core::GpuRunResult& result) {
-  const std::string path = std::string(RDBS_GOLDEN_DIR) + "/" + name + ".txt";
-  const std::string actual = serialize_trace(result);
-
-  if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with RDBS_UPDATE_GOLDEN=1 and commit it";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "trace drifted from " << path
-      << " — if the change is intentional, regenerate with "
-         "RDBS_UPDATE_GOLDEN=1 and commit the diff";
+  test::expect_matches_golden(
+      std::string(RDBS_GOLDEN_DIR) + "/" + name + ".txt",
+      serialize_trace(result));
 }
 
 // Triple 1: the full RDBS configuration (BASYN+PRO+ADWL) on a power-law
@@ -332,25 +295,8 @@ TEST(GoldenTraces, QueryServerMixedOutcomeBatch) {
     }
   }
 
-  const std::string path =
-      std::string(RDBS_GOLDEN_DIR) + "/server_mixed_300_s204.txt";
-  const std::string actual = out.str();
-  if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream file(path, std::ios::trunc);
-    ASSERT_TRUE(file.good()) << "cannot write " << path;
-    file << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with RDBS_UPDATE_GOLDEN=1 and commit it";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "serving trace drifted from " << path
-      << " — if the change is intentional, regenerate with "
-         "RDBS_UPDATE_GOLDEN=1 and commit the diff";
+  test::expect_matches_golden(
+      std::string(RDBS_GOLDEN_DIR) + "/server_mixed_300_s204.txt", out.str());
 
   // And the anchor is correct, not just stable: completed distances are
   // oracle-exact.

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -30,6 +29,7 @@
 #include "graph/io.hpp"
 #include "graph/surrogates.hpp"
 #include "sssp/dijkstra.hpp"
+#include "test_util.hpp"
 
 #ifndef RDBS_GOLDEN_DIR
 #error "tests/CMakeLists.txt must define RDBS_GOLDEN_DIR"
@@ -178,25 +178,8 @@ TEST(StreamingSoak, TenThousandMixedClassQueriesOnMappedKn18) {
       << "makespan_ms " << result.makespan_ms << '\n'
       << "device_makespan_ms " << result.device_makespan_ms << '\n';
 
-  const std::string path =
-      std::string(RDBS_GOLDEN_DIR) + "/soak_stream_kn18_s18.txt";
-  const std::string actual = out.str();
-  if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream file(path, std::ios::trunc);
-    ASSERT_TRUE(file.good()) << "cannot write " << path;
-    file << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with RDBS_UPDATE_GOLDEN=1 and commit it";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "soak aggregate drifted from " << path
-      << " — if the change is intentional, regenerate with "
-         "RDBS_UPDATE_GOLDEN=1 and commit the diff";
+  test::expect_matches_golden(
+      std::string(RDBS_GOLDEN_DIR) + "/soak_stream_kn18_s18.txt", out.str());
 }
 
 // Cached soak (ISSUE 9 satellite): the same mmap'd k-n18 served through a
@@ -321,25 +304,8 @@ TEST(StreamingSoak, CachedKn18SliceServesHotSourcesFromTheCache) {
       << "makespan_ms " << result.makespan_ms << '\n'
       << "device_makespan_ms " << result.device_makespan_ms << '\n';
 
-  const std::string path =
-      std::string(RDBS_GOLDEN_DIR) + "/soak_cache_kn18_s9.txt";
-  const std::string actual = out.str();
-  if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream file(path, std::ios::trunc);
-    ASSERT_TRUE(file.good()) << "cannot write " << path;
-    file << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with RDBS_UPDATE_GOLDEN=1 and commit it";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "cached soak aggregate drifted from " << path
-      << " — if the change is intentional, regenerate with "
-         "RDBS_UPDATE_GOLDEN=1 and commit the diff";
+  test::expect_matches_golden(
+      std::string(RDBS_GOLDEN_DIR) + "/soak_cache_kn18_s9.txt", out.str());
 }
 
 // Sanitized soak (ISSUE 8 satellite): a shorter slice of the same k-n18

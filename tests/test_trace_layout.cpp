@@ -14,8 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +22,7 @@
 #include "core/engine.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/surrogates.hpp"
+#include "test_util.hpp"
 
 #ifndef RDBS_GOLDEN_DIR
 #error "tests/CMakeLists.txt must define RDBS_GOLDEN_DIR"
@@ -139,27 +138,8 @@ void expect_equal(const Observation& actual, const Observation& reference,
 
 std::string serialize(const Observation& obs) {
   std::ostringstream out;
-  const Counters& c = obs.counters;
-  out << "inst_executed_global_loads " << c.inst_executed_global_loads << '\n'
-      << "inst_executed_global_stores " << c.inst_executed_global_stores
-      << '\n'
-      << "inst_executed_atomics " << c.inst_executed_atomics << '\n'
-      << "l1_sector_accesses " << c.l1_sector_accesses << '\n'
-      << "l1_sector_hits " << c.l1_sector_hits << '\n'
-      << "l2_sector_accesses " << c.l2_sector_accesses << '\n'
-      << "l2_sector_hits " << c.l2_sector_hits << '\n'
-      << "alu_instructions " << c.alu_instructions << '\n'
-      << "memory_transactions " << c.memory_transactions << '\n'
-      << "dram_bytes " << c.dram_bytes << '\n'
-      << "atomic_conflicts " << c.atomic_conflicts << '\n'
-      << "kernel_launches " << c.kernel_launches << '\n'
-      << "child_launches " << c.child_launches << '\n'
-      << "active_lane_ops " << c.active_lane_ops << '\n'
-      << "issued_lane_ops " << c.issued_lane_ops << '\n'
-      << "volatile_accesses " << c.volatile_accesses << '\n'
-      << "faults_injected " << c.faults_injected << '\n'
-      << "ecc_corrected " << c.ecc_corrected << '\n'
-      << std::hexfloat << "total_ms " << obs.total_ms << '\n';
+  out << test::counters_text(obs.counters) << std::hexfloat << "total_ms "
+      << obs.total_ms << '\n';
   out << "hazard_report\n" << obs.hazard_report;
   out << "fault_log " << obs.faults.size() << '\n';
   for (const std::string& f : obs.faults) out << f << '\n';
@@ -194,25 +174,8 @@ TEST(ReplayMatrix, WorkloadMatchesGolden) {
           << serialize(run_workload(sanitize, inject_faults));
     }
   }
-  const std::string actual = all.str();
-  const std::string path =
-      std::string(RDBS_GOLDEN_DIR) + "/replay_workload_s7.txt";
-  if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with RDBS_UPDATE_GOLDEN=1 and commit it";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "workload drifted from " << path
-      << " — if the change is intentional, regenerate with "
-         "RDBS_UPDATE_GOLDEN=1 and commit the diff";
+  test::expect_matches_golden(
+      std::string(RDBS_GOLDEN_DIR) + "/replay_workload_s7.txt", all.str());
 }
 
 TEST(ReplayMatrix, CompressedTraceAtLeast4xSmallerOnWarpLocalOps) {

@@ -1,10 +1,17 @@
 // Shared helpers for the RDBS test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
 #include <ostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "gpusim/counters.hpp"
 #include "graph/builder.hpp"
 #include "graph/coo.hpp"
 #include "graph/csr.hpp"
@@ -121,6 +128,54 @@ inline Csr random_grid_graph(VertexId side, std::uint64_t seed) {
   graph::BuildOptions options;
   options.symmetrize = true;
   return graph::build_csr(edges, options);
+}
+
+// The full gpusim::Counters, one "name value" line each, for goldens.
+inline std::string counters_text(const gpusim::Counters& c) {
+  std::ostringstream out;
+  out << "inst_executed_global_loads " << c.inst_executed_global_loads << '\n'
+      << "inst_executed_global_stores " << c.inst_executed_global_stores
+      << '\n'
+      << "inst_executed_atomics " << c.inst_executed_atomics << '\n'
+      << "l1_sector_accesses " << c.l1_sector_accesses << '\n'
+      << "l1_sector_hits " << c.l1_sector_hits << '\n'
+      << "l2_sector_accesses " << c.l2_sector_accesses << '\n'
+      << "l2_sector_hits " << c.l2_sector_hits << '\n'
+      << "alu_instructions " << c.alu_instructions << '\n'
+      << "memory_transactions " << c.memory_transactions << '\n'
+      << "dram_bytes " << c.dram_bytes << '\n'
+      << "atomic_conflicts " << c.atomic_conflicts << '\n'
+      << "kernel_launches " << c.kernel_launches << '\n'
+      << "child_launches " << c.child_launches << '\n'
+      << "active_lane_ops " << c.active_lane_ops << '\n'
+      << "issued_lane_ops " << c.issued_lane_ops << '\n'
+      << "volatile_accesses " << c.volatile_accesses << '\n'
+      << "faults_injected " << c.faults_injected << '\n'
+      << "ecc_corrected " << c.ecc_corrected << '\n';
+  return out.str();
+}
+
+// Compares `actual` with the golden file at `path` byte for byte. With
+// RDBS_UPDATE_GOLDEN set it rewrites the file instead and marks the test
+// skipped; commit the regenerated file with an explanation.
+inline void expect_matches_golden(const std::string& path,
+                                  const std::string& actual) {
+  if (std::getenv("RDBS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << path
+      << " — regenerate with RDBS_UPDATE_GOLDEN=1 and commit it";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str())
+      << "output drifted from " << path
+      << " — if the change is intentional, regenerate with "
+         "RDBS_UPDATE_GOLDEN=1 and commit the diff";
 }
 
 }  // namespace rdbs::test
