@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 
 using namespace rdbs;
@@ -33,7 +32,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"Δ0 multiplier", "fixed Δ ms", "adaptive Δ ms",
                    "adaptive gain", "phase1 ms", "phase2&3 ms", "buckets"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   for (const double multiplier : {0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
     const graph::Weight delta0 = base_delta * multiplier;
@@ -71,14 +69,8 @@ int main(int argc, char** argv) {
                    format_speedup(fixed_ms / adaptive_ms),
                    format_fixed(p1, 3), format_fixed(p23, 3),
                    format_fixed(buckets, 1)});
-    gbench_rows.push_back({"delta/fixed/x" + format_fixed(multiplier, 3),
-                           fixed_ms, 0});
-    gbench_rows.push_back({"delta/adaptive/x" + format_fixed(multiplier, 3),
-                           adaptive_ms, 0});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 
 using namespace rdbs;
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
         .mean_ms;
   };
 
-  std::vector<bench::GBenchRow> gbench_rows;
   const double baseline_ms = run_with(gpusim::v100());
   std::printf("baseline V100: %.3f ms\n\n", baseline_ms);
 
@@ -85,9 +83,6 @@ int main(int argc, char** argv) {
       sweep.apply(spec, multiplier);
       const double ms = run_with(spec);
       row.push_back(format_fixed(ms / baseline_ms, 2) + "x");
-      gbench_rows.push_back({"device_sweep/" + std::string(sweep.parameter) +
-                                 "/x" + format_fixed(multiplier, 2),
-                             ms, 0});
     }
     table.add_row(std::move(row));
   }
@@ -95,7 +90,5 @@ int main(int argc, char** argv) {
               "varied at a time)\n");
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

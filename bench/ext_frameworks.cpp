@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/gunrock_like.hpp"
@@ -33,7 +32,6 @@ int main(int argc, char** argv) {
   TextTable table({"graph", "Ligra-like ms", "Gunrock-like ms", "SEP ms",
                    "RDBS ms", "Gunrock/RDBS", "SEP/RDBS",
                    "Gunrock launches", "RDBS launches"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   for (const std::string& name : bench::six_graph_suite()) {
     const graph::Csr csr = bench::load_bench_graph(name, config);
@@ -83,14 +81,8 @@ int main(int argc, char** argv) {
                    format_speedup(sep_ms / m_rdbs.mean_ms),
                    format_count(gunrock_launches),
                    format_count(m_rdbs.counters.kernel_launches)});
-    gbench_rows.push_back({"frameworks/Ligra/" + name, ligra_ms, 0});
-    gbench_rows.push_back({"frameworks/Gunrock/" + name, gunrock_ms, 0});
-    gbench_rows.push_back({"frameworks/SEP/" + name, sep_ms, 0});
-    gbench_rows.push_back({"frameworks/RDBS/" + name, m_rdbs.mean_ms, 0});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 #include "core/legacy_gpu.hpp"
 
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
   TextTable table({"graph", "HN07 ms", "Davidson14 ms", "ADDS21 ms",
                    "RDBS ms", "HN07/RDBS", "redundancy HN07",
                    "redundancy RDBS"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   for (const std::string& name : bench::six_graph_suite()) {
     const graph::Csr csr = bench::load_bench_graph(name, config);
@@ -72,14 +70,8 @@ int main(int argc, char** argv) {
                    format_speedup(m_hn.mean_ms / m_rdbs.mean_ms),
                    format_fixed(m_hn.redundancy_ratio(), 2),
                    format_fixed(m_rdbs.redundancy_ratio(), 2)});
-    gbench_rows.push_back({"lineage/HN07/" + name, m_hn.mean_ms, 0});
-    gbench_rows.push_back({"lineage/Davidson14/" + name, m_dv.mean_ms, 0});
-    gbench_rows.push_back({"lineage/ADDS21/" + name, m_adds.mean_ms, 0});
-    gbench_rows.push_back({"lineage/RDBS/" + name, m_rdbs.mean_ms, 0});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 #include "reorder/orderings.hpp"
 
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"graph", "original", "random", "bfs", "rcm-like",
                    "hub-cluster", "degree (PRO)", "best"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   for (const std::string& name : bench::six_graph_suite()) {
     const graph::Csr csr = bench::load_bench_graph(name, config);
@@ -95,16 +93,11 @@ int main(int argc, char** argv) {
         best_ms = mean_ms;
         best_label = ordering.label;
       }
-      gbench_rows.push_back({"ordering/" + std::string(ordering.label) + "/" +
-                                 name,
-                             mean_ms, 0});
     }
     row.push_back(best_label);
     table.add_row(std::move(row));
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

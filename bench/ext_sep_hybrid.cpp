@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 #include "core/sep_hybrid.hpp"
 
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"graph", "SEP ms", "RDBS ms", "RDBS speedup",
                    "SEP rounds", "async push", "sync push", "sync pull"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   for (const std::string& name : bench::six_graph_suite()) {
     const graph::Csr csr = bench::load_bench_graph(name, config);
@@ -60,12 +58,8 @@ int main(int argc, char** argv) {
                    format_speedup(sep_ms / m_rdbs.mean_ms),
                    std::to_string(rounds), std::to_string(async_push),
                    std::to_string(sync_push), std::to_string(sync_pull)});
-    gbench_rows.push_back({"sep/SEP/" + name, sep_ms, 0});
-    gbench_rows.push_back({"sep/RDBS/" + name, m_rdbs.mean_ms, 0});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 
 using namespace rdbs;
@@ -32,7 +31,6 @@ int main(int argc, char** argv) {
   TextTable table({"graph", "loads ADDS", "loads RDBS", "ratio",
                    "stores ADDS", "stores RDBS", "ratio", "atomics ADDS",
                    "atomics RDBS", "ratio", "hit% ADDS", "hit% RDBS"});
-  std::vector<bench::GBenchRow> gbench_rows;
   double load_ratio_sum = 0, store_ratio_sum = 0, atomic_cut_sum = 0,
          hit_gain_sum = 0;
 
@@ -81,10 +79,6 @@ int main(int argc, char** argv) {
                    format_fixed(atomic_ratio, 2),
                    format_percent(ca.global_hit_rate(), 1),
                    format_percent(cr.global_hit_rate(), 1)});
-    gbench_rows.push_back(
-        {"fig10/ADDS/" + name, m_adds.mean_ms, m_adds.mean_gteps});
-    gbench_rows.push_back(
-        {"fig10/RDBS/" + name, m_rdbs.mean_ms, m_rdbs.mean_gteps});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
@@ -95,7 +89,5 @@ int main(int argc, char** argv) {
               "rate %+.2f points (paper +3.59)\n",
               load_ratio_sum / n, store_ratio_sum / n,
               100.0 * atomic_cut_sum / n, 100.0 * hit_gain_sum / n);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

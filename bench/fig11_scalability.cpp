@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -37,7 +36,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"SCALE", "edgefactor", "RDBS ms", "RDBS GTEPS",
                    "ADDS ms", "speedup", "paper GTEPS", "paper speedup"});
-  std::vector<bench::GBenchRow> gbench_rows;
   std::size_t paper_row = 0;
 
   for (int scale = min_scale; scale < min_scale + num_scales; ++scale) {
@@ -72,22 +70,10 @@ int main(int argc, char** argv) {
                      format_speedup(m_adds.mean_ms / m_rdbs.mean_ms),
                      format_fixed(paper.gteps, 2),
                      format_speedup(paper.speedup_vs_adds)});
-      // Built with += : `const char* + std::string&&` trips a GCC 12
-      // -Wrestrict false positive through the inlined insert().
-      std::string tag = "s";
-      tag += std::to_string(scale);
-      tag += "_ef";
-      tag += std::to_string(edgefactor);
-      gbench_rows.push_back(
-          {"fig11/RDBS/" + tag, m_rdbs.mean_ms, m_rdbs.mean_gteps});
-      gbench_rows.push_back(
-          {"fig11/ADDS/" + tag, m_adds.mean_ms, m_adds.mean_gteps});
       ++paper_row;
     }
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

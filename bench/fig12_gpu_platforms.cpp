@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 
 using namespace rdbs;
@@ -30,7 +29,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"graph", "T4 ms", "V100 ms", "V100 speedup",
                    "paper speedup"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   // Fig. 12 orders the graphs differently from the other figures.
   const std::vector<std::string> suite{"Amazon", "road-TX", "web-GL",
@@ -49,14 +47,8 @@ int main(int argc, char** argv) {
                    format_fixed(m_v100.mean_ms, 3),
                    format_speedup(m_t4.mean_ms / m_v100.mean_ms),
                    format_speedup(paper.v100_over_t4_speedup)});
-    gbench_rows.push_back(
-        {"fig12/T4/" + suite[i], m_t4.mean_ms, m_t4.mean_gteps});
-    gbench_rows.push_back(
-        {"fig12/V100/" + suite[i], m_v100.mean_ms, m_v100.mean_gteps});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

@@ -9,9 +9,7 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
-#include "common/timer.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
@@ -49,7 +47,6 @@ int main(int argc, char** argv) {
   std::printf("ours: SCALE %d/%d (scaled down), same Δ and weights\n\n",
               scale_a, scale_b);
 
-  std::vector<bench::GBenchRow> gbench_rows;
   std::vector<std::vector<std::uint64_t>> series;
   for (const int scale : {scale_a, scale_b}) {
     const graph::Csr csr = make_graph500(scale, config.seed);
@@ -57,11 +54,8 @@ int main(int argc, char** argv) {
     sssp::DeltaSteppingOptions options;
     options.delta = delta;
     options.instrument = true;
-    Timer timer;
     const auto result = sssp::delta_stepping(csr, sources[0], options);
     series.push_back(result.trace.active_per_bucket);
-    gbench_rows.push_back({"fig2/delta_stepping/scale" + std::to_string(scale),
-                           timer.milliseconds(), 0});
     std::printf("SCALE=%d: %llu vertices, %llu directed edges, peak bucket "
                 "%zu\n",
                 scale,
@@ -81,7 +75,5 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

@@ -8,9 +8,7 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
-#include "common/timer.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
@@ -30,7 +28,6 @@ int main(int argc, char** argv) {
   std::printf("paper (SCALE 25): >20 iterations; total updates 30,741,651 = "
               "4.49x valid updates 6,843,263\n\n");
 
-  std::vector<bench::GBenchRow> gbench_rows;
   std::vector<std::vector<std::uint64_t>> iteration_series;
   for (const int scale : {scale_a, scale_b}) {
     graph::KroneckerParams params;
@@ -48,9 +45,7 @@ int main(int argc, char** argv) {
     sssp::DeltaSteppingOptions options;
     options.delta = delta;
     options.instrument = true;
-    Timer timer;
     const auto result = sssp::delta_stepping(csr, sources[0], options);
-    const double wall_ms = timer.milliseconds();
 
     const std::size_t peak = result.trace.peak_bucket();
     iteration_series.push_back(result.trace.phase1_frontiers[peak]);
@@ -62,8 +57,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(work.total_updates),
         static_cast<unsigned long long>(work.valid_updates),
         work.redundancy_ratio());
-    gbench_rows.push_back({"fig3/delta_stepping/scale" + std::to_string(scale),
-                           wall_ms, 0});
   }
 
   std::printf("\n");
@@ -81,7 +74,5 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

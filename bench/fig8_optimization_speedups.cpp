@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 
 using namespace rdbs;
@@ -48,7 +47,6 @@ int main(int argc, char** argv) {
   TextTable table({"graph", "BL ms", "B+P ms", "B+A ms", "RDBS ms",
                    "B+P speedup", "B+A speedup", "RDBS speedup",
                    "paper B+P", "paper B+A", "paper RDBS"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   for (std::size_t i = 0; i < bench::six_graph_suite().size(); ++i) {
     const std::string& name = bench::six_graph_suite()[i];
@@ -77,17 +75,8 @@ int main(int argc, char** argv) {
                    format_speedup(paper.basyn_pro),
                    format_speedup(paper.basyn_adwl),
                    format_speedup(paper.all)});
-    gbench_rows.push_back({"fig8/BL/" + name, m_bl.mean_ms, m_bl.mean_gteps});
-    gbench_rows.push_back(
-        {"fig8/BASYN+PRO/" + name, m_bp.mean_ms, m_bp.mean_gteps});
-    gbench_rows.push_back(
-        {"fig8/BASYN+ADWL/" + name, m_ba.mean_ms, m_ba.mean_gteps});
-    gbench_rows.push_back(
-        {"fig8/RDBS/" + name, m_all.mean_ms, m_all.mean_gteps});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

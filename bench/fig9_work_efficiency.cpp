@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 
 using namespace rdbs;
@@ -31,7 +30,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"graph", "RDBS ratio", "paper ratio", "ADDS updates x",
                    "paper x", "RDBS speedup", "paper speedup"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   for (std::size_t i = 0; i < bench::ten_graph_suite().size(); ++i) {
     const std::string& name = bench::ten_graph_suite()[i];
@@ -57,14 +55,8 @@ int main(int argc, char** argv) {
                                       : std::string("n/a"),
          format_speedup(m_adds.mean_ms / m_rdbs.mean_ms),
          format_speedup(paper.perf_speedup)});
-    gbench_rows.push_back(
-        {"fig9/RDBS/" + name, m_rdbs.mean_ms, m_rdbs.mean_gteps});
-    gbench_rows.push_back(
-        {"fig9/ADDS/" + name, m_adds.mean_ms, m_adds.mean_gteps});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

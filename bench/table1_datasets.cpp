@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 #include "graph/stats.hpp"
 
@@ -28,7 +27,6 @@ int main(int argc, char** argv) {
   TextTable table({"graph", "paper |V|", "paper |E|", "paper avg_deg",
                    "paper diam", "ours |V|", "ours |E|(dir)", "ours avg_deg",
                    "ours diam~", "max_deg", "top1% share"});
-  std::vector<bench::GBenchRow> gbench_rows;
   for (const auto& spec : graph::real_world_datasets()) {
     const graph::Csr csr = bench::load_bench_graph(spec.name, config);
     const graph::DegreeStats stats = graph::compute_degree_stats(csr);
@@ -46,11 +44,8 @@ int main(int argc, char** argv) {
                    std::to_string(diameter),
                    format_count(stats.max_degree),
                    format_percent(stats.top1pct_edge_share, 1)});
-    gbench_rows.push_back({"table1/load/" + spec.name, 0.001, 0});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

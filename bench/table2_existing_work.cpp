@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/gbench.hpp"
 #include "common/table.hpp"
 
 using namespace rdbs;
@@ -34,7 +33,6 @@ int main(int argc, char** argv) {
   TextTable table({"graph", "PQ-Δ* ms", "ADDS ms", "RDBS ms",
                    "vs PQ-Δ*", "vs ADDS", "paper vs PQ-Δ*",
                    "paper vs ADDS"});
-  std::vector<bench::GBenchRow> gbench_rows;
 
   for (std::size_t i = 0; i < bench::six_graph_suite().size(); ++i) {
     const std::string& name = bench::six_graph_suite()[i];
@@ -58,16 +56,8 @@ int main(int argc, char** argv) {
          format_speedup(m_adds.mean_ms / m_rdbs.mean_ms),
          format_speedup(paper.pq_ms / paper.rdbs_ms),
          format_speedup(paper.adds_ms / paper.rdbs_ms)});
-    gbench_rows.push_back(
-        {"table2/PQ-DeltaStar/" + name, m_pq.mean_ms, m_pq.mean_gteps});
-    gbench_rows.push_back(
-        {"table2/ADDS/" + name, m_adds.mean_ms, m_adds.mean_gteps});
-    gbench_rows.push_back(
-        {"table2/RDBS/" + name, m_rdbs.mean_ms, m_rdbs.mean_gteps});
   }
   std::fputs(table.render().c_str(), stdout);
   if (config.csv) std::fputs(table.render_csv().c_str(), stdout);
-
-  bench::run_gbench(args, gbench_rows);
   return 0;
 }

@@ -7,8 +7,7 @@
 # Configurations (default run):
 #   default    the default build (OpenMP CPU baselines when OpenMP is found)
 #   no-openmp  -DRDBS_ENABLE_OPENMP=OFF: no OpenMP dependency at all, so the
-#              serial paths of PQ-Delta*, rho-stepping and Ligra-like build
-#              and pass too
+#              serial paths of PQ-Delta* and Ligra-like build and pass too
 #
 # There is no ThreadSanitizer stage: gpusim starts no thread, and the only
 # threads left are the OpenMP CPU baselines'. TSan cannot see libgomp's

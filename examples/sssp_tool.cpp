@@ -217,12 +217,13 @@ int report_sanitizer(core::QueryBatch& batch) {
 
 int run_tool(const CliArgs& args) {
   bench::check_flags(
-      args, {"aging-ms", "algorithm", "assign-weights", "batch", "breaker",
-             "cache", "cache-capacity", "checkpoint-interval", "closed-loop",
-             "cpu-fallback", "dataset", "deadline-ms", "delta", "directed",
-             "format", "inject-faults", "input", "landmarks", "lane-policy",
-             "max-pending", "migrate", "profile", "retry-attempts",
-             "sanitize", "serve-stream", "source", "target"});
+      args, {"aging-ms", "algorithm", "assign-weights", "batch",
+             "batch-streams", "breaker", "cache", "cache-capacity",
+             "checkpoint-interval", "closed-loop", "cpu-fallback", "dataset",
+             "deadline-ms", "delta", "directed", "format", "inject-faults",
+             "input", "landmarks", "lane-policy", "max-pending", "migrate",
+             "profile", "retry-attempts", "sanitize", "serve-stream",
+             "source", "target"});
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const gpusim::DeviceSpec device = bench::device_by_name(config.device);
   const std::string algorithm = args.get_string("algorithm", "rdbs");
@@ -254,7 +255,10 @@ int run_tool(const CliArgs& args) {
   const bool has_target = args.has("target");
   const graph::VertexId target =
       has_target ? get_vertex(args, "target", 0, csr) : 0;
-  require(config.batch_streams >= 1, "--batch-streams must be >= 1");
+  // Concurrent gpusim streams for --batch (QueryBatch lanes); 1 =
+  // sequential. Distances are identical for every value.
+  const int batch_streams = static_cast<int>(args.get_int("batch-streams", 4));
+  require(batch_streams >= 1, "--batch-streams must be >= 1");
   // --sanitize: run every simulated engine under gsan (docs/sanitizer.md);
   // hazard reports go to stderr and the exit code becomes 3.
   const gpusim::SanitizeMode sanitize = args.get_bool("sanitize", false)
@@ -279,7 +283,7 @@ int run_tool(const CliArgs& args) {
     const std::vector<graph::VertexId> sources =
         bench::pick_sources(csr, config.num_sources, config.seed);
     core::QueryBatchOptions bopts;
-    bopts.streams = config.batch_streams;
+    bopts.streams = batch_streams;
     bopts.gpu.sanitize = sanitize;
     bopts.gpu.fault = fault;
     // --checkpoint-interval=N: engines snapshot their distance vector every

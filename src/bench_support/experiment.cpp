@@ -16,8 +16,7 @@ namespace {
 
 // The flags HarnessConfig::from_cli reads.
 constexpr std::string_view kHarnessFlags[] = {
-    "size-scale", "sources", "seed", "data-dir", "device", "csv",
-    "batch-streams"};
+    "size-scale", "sources", "seed", "data-dir", "device", "csv"};
 
 }  // namespace
 
@@ -26,10 +25,8 @@ void check_flags(const CliArgs& args,
   std::vector<std::string_view> accepted(std::begin(kHarnessFlags),
                                          std::end(kHarnessFlags));
   accepted.insert(accepted.end(), own_flags.begin(), own_flags.end());
-  const std::vector<std::string> argv = args.passthrough();  // argv[0] first
   const std::string program =
-      argv.empty() ? ""
-                   : argv.front().substr(argv.front().find_last_of('/') + 1);
+      args.program().substr(args.program().find_last_of('/') + 1);
   if (args.has("help")) {
     std::printf("usage: %s [--flag=value ...]\nflags:", program.c_str());
     for (const std::string_view flag : accepted) {
@@ -54,7 +51,6 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
   config.data_dir = args.get_string("data-dir", "");
   config.device = args.get_string("device", "v100");
   config.csv = args.get_bool("csv", false);
-  config.batch_streams = static_cast<int>(args.get_int("batch-streams", 4));
   return config;
 }
 

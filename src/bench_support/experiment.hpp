@@ -36,9 +36,6 @@ struct HarnessConfig {
   std::string data_dir;     // optional real-dataset directory
   std::string device = "v100";
   bool csv = false;         // also emit CSV rows
-  // Concurrent gpusim streams for batched multi-source runs (QueryBatch);
-  // 1 = sequential. Distances are identical for every value.
-  int batch_streams = 4;
 
   static HarnessConfig from_cli(const CliArgs& args);
 };
@@ -46,7 +43,6 @@ struct HarnessConfig {
 // The first call of every harness binary: the accepted flags are the
 // harness flags above plus `own_flags`. Given --help it prints them and
 // exits 0; given any other flag it exits 2, naming the flag on stderr.
-// google-benchmark's --benchmark_* flags pass through.
 void check_flags(const CliArgs& args,
                  std::initializer_list<std::string_view> own_flags = {});
 

@@ -20,16 +20,11 @@ bool looks_boolean(std::string_view next) {
 }  // namespace
 
 CliArgs::CliArgs(int argc, char** argv) {
-  if (argc > 0) passthrough_.emplace_back(argv[0]);
+  if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (!arg.starts_with("--")) {
       positional_.emplace_back(arg);
-      continue;
-    }
-    // google-benchmark flags start with --benchmark_; pass them through.
-    if (arg.starts_with("--benchmark_")) {
-      passthrough_.emplace_back(arg);
       continue;
     }
     std::string_view body = arg.substr(2);

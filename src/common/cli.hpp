@@ -1,8 +1,7 @@
 // Minimal command-line flag parser for the bench binaries and examples,
 // and the one `key=value,...` spec grammar their structured flags share.
 //
-// Supports --flag=value, --flag value, and bare boolean --flag forms.
-// google-benchmark's own --benchmark_* flags pass through untouched;
+// Supports --flag=value, --flag value, and bare boolean --flag forms;
 // unknown_flags() finds the flags a program does not read.
 #pragma once
 
@@ -32,21 +31,20 @@ class CliArgs {
   bool get_bool(const std::string& name, bool fallback) const;
 
   // Names of the given flags (without "--") missing from `accepted`, in
-  // name order. --benchmark_* flags are never among them.
+  // name order.
   std::vector<std::string> unknown_flags(
       std::span<const std::string_view> accepted) const;
 
   // Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // argv entries not consumed as --name[=value] flags, preserving argv[0];
-  // suitable for handing to benchmark::Initialize.
-  std::vector<std::string> passthrough() const { return passthrough_; }
+  // argv[0] as given; empty when argc is 0.
+  const std::string& program() const { return program_; }
 
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
-  std::vector<std::string> passthrough_;
+  std::string program_;
 };
 
 // --- key=value specs --------------------------------------------------------

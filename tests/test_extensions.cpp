@@ -1,5 +1,5 @@
 // Tests for the extension modules: the legacy GPU baselines (Harish-
-// Narayanan 2007, Davidson 2014), ρ-stepping and alternative orderings.
+// Narayanan 2007, Davidson 2014) and alternative orderings.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,25 +8,15 @@
 #include "core/rdbs.hpp"
 #include "reorder/orderings.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/rho_stepping.hpp"
 #include "test_util.hpp"
 
 namespace rdbs {
 namespace {
 
 using graph::Csr;
-using graph::Distance;
 using graph::VertexId;
 using test::random_grid_graph;
 using test::random_powerlaw_graph;
-
-void expect_distances_equal(const std::vector<Distance>& actual,
-                            const std::vector<Distance>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t v = 0; v < actual.size(); ++v) {
-    EXPECT_DOUBLE_EQ(actual[v], expected[v]) << "vertex " << v;
-  }
-}
 
 // --- Harish-Narayanan -------------------------------------------------------
 
@@ -66,35 +56,6 @@ TEST(DavidsonNearFar, EdgeBalancedSweepBeatsThreadPerVertexOnHubs) {
   core::DavidsonNearFar davidson(gpusim::v100(), csr, options);
   core::HarishNarayanan hn(gpusim::v100(), csr);
   EXPECT_LT(davidson.run(0).device_ms, hn.run(0).device_ms);
-}
-
-// --- ρ-stepping -------------------------------------------------------------
-
-TEST(RhoStepping, MatchesDijkstra) {
-  const Csr csr = random_powerlaw_graph(800, 6400, 101);
-  sssp::RhoSteppingOptions options;
-  options.rho = 64;
-  expect_distances_equal(sssp::rho_stepping(csr, 3, options).distances,
-                         sssp::dijkstra(csr, 3).distances);
-}
-
-TEST(RhoStepping, RhoOneApproachesDijkstraWork) {
-  // ρ = 1 is sequential Dijkstra-like: near-minimal redundant updates.
-  const Csr csr = random_powerlaw_graph(400, 3200, 103);
-  sssp::RhoSteppingOptions tight;
-  tight.rho = 1;
-  sssp::RhoSteppingOptions wide;
-  wide.rho = 100000;  // effectively Bellman-Ford rounds
-  const auto rt = sssp::rho_stepping(csr, 0, tight);
-  const auto rw = sssp::rho_stepping(csr, 0, wide);
-  expect_distances_equal(rt.distances, rw.distances);
-  EXPECT_LE(rt.work.total_updates, rw.work.total_updates);
-}
-
-TEST(RhoStepping, GridGraph) {
-  const Csr csr = random_grid_graph(16, 105);
-  expect_distances_equal(sssp::rho_stepping(csr, 0).distances,
-                         sssp::dijkstra(csr, 0).distances);
 }
 
 // --- alternative orderings --------------------------------------------------

@@ -37,9 +37,7 @@
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/ligra_like.hpp"
-#include "sssp/near_far.hpp"
 #include "sssp/pq_delta_star.hpp"
-#include "sssp/rho_stepping.hpp"
 
 namespace rdbs {
 namespace {
@@ -163,10 +161,8 @@ enum class Engine {
   kHarish,      // Harish-Narayanan 2007 legacy kernel
   kDavidson,    // Davidson near/far legacy kernel
   kCpuDelta,    // host Δ-stepping
-  kCpuNearFar,  // host near/far
   kCpuPqDelta,  // host PQ-Δ*
   kCpuBellman,  // host Bellman-Ford
-  kCpuRho,      // host ρ-stepping
   kCpuLigra,    // host Ligra-style edge_map Bellman-Ford
   kCount,
 };
@@ -181,10 +177,8 @@ const char* engine_name(Engine e) {
     case Engine::kHarish: return "hn07";
     case Engine::kDavidson: return "davidson";
     case Engine::kCpuDelta: return "cpu-delta";
-    case Engine::kCpuNearFar: return "cpu-near-far";
     case Engine::kCpuPqDelta: return "cpu-pq-delta";
     case Engine::kCpuBellman: return "cpu-bellman-ford";
-    case Engine::kCpuRho: return "cpu-rho";
     case Engine::kCpuLigra: return "cpu-ligra";
     case Engine::kCount: break;
   }
@@ -332,8 +326,6 @@ std::vector<graph::Distance> run_engine(const FuzzCase& c, const Csr& csr,
     case Engine::kCpuDelta:
       return sssp::delta_stepping_distances(csr, c.source, c.delta0)
           .distances;
-    case Engine::kCpuNearFar:
-      return sssp::near_far(csr, c.source, c.delta0).distances;
     case Engine::kCpuPqDelta: {
       sssp::PqDeltaStarOptions options;
       options.delta_star = c.delta0;
@@ -341,11 +333,6 @@ std::vector<graph::Distance> run_engine(const FuzzCase& c, const Csr& csr,
     }
     case Engine::kCpuBellman:
       return sssp::bellman_ford(csr, c.source).distances;
-    case Engine::kCpuRho: {
-      sssp::RhoSteppingOptions options;
-      options.rho = 1 + c.seed % 512;
-      return sssp::rho_stepping(csr, c.source, options).distances;
-    }
     case Engine::kCpuLigra:
       return sssp::ligra::sssp_bellman_ford(csr, c.source).sssp.distances;
     case Engine::kCount: break;

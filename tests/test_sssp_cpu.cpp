@@ -12,7 +12,6 @@
 #include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/near_far.hpp"
 #include "sssp/pq_delta_star.hpp"
 #include "sssp/validate.hpp"
 #include "test_util.hpp"
@@ -184,12 +183,6 @@ TEST(DeltaStepping, UsesHeavyOffsetsWhenPresent) {
   expect_distances_equal(with_split.sssp.distances, without.sssp.distances);
 }
 
-TEST(NearFar, MatchesDijkstra) {
-  const Csr csr = random_powerlaw_graph(512, 4096, 31);
-  expect_distances_equal(near_far(csr, 2, 100.0).distances,
-                         dijkstra(csr, 2).distances);
-}
-
 TEST(PqDeltaStar, MatchesDijkstra) {
   const Csr csr = random_powerlaw_graph(512, 4096, 37);
   PqDeltaStarOptions options;
@@ -212,7 +205,7 @@ TEST(PqDeltaStar, WindowAdaptationStaysCorrect) {
 // x sources must equal Dijkstra and pass the certificate.
 // ---------------------------------------------------------------------------
 
-enum class Algo { kBellmanFord, kDeltaStepping, kNearFar, kPqDeltaStar };
+enum class Algo { kBellmanFord, kDeltaStepping, kPqDeltaStar };
 
 struct SweepParam {
   Algo algo;
@@ -270,9 +263,6 @@ TEST_P(SsspSweep, MatchesDijkstraAndCertificate) {
     case Algo::kDeltaStepping:
       actual = delta_stepping_distances(csr, source, delta);
       break;
-    case Algo::kNearFar:
-      actual = near_far(csr, source, delta);
-      break;
     case Algo::kPqDeltaStar: {
       PqDeltaStarOptions options;
       options.delta_star = delta;
@@ -290,8 +280,8 @@ TEST_P(SsspSweep, MatchesDijkstraAndCertificate) {
 
 std::vector<SweepParam> sweep_params() {
   std::vector<SweepParam> params;
-  for (const Algo algo : {Algo::kBellmanFord, Algo::kDeltaStepping,
-                          Algo::kNearFar, Algo::kPqDeltaStar}) {
+  for (const Algo algo :
+       {Algo::kBellmanFord, Algo::kDeltaStepping, Algo::kPqDeltaStar}) {
     for (int kind = 0; kind < 4; ++kind) {
       for (const auto scheme : {graph::WeightScheme::kUniformInt1To1000,
                                 graph::WeightScheme::kUniformReal01,
@@ -333,8 +323,8 @@ TEST(DirectedGraphs, AsymmetricReachability) {
 }
 
 TEST(DirectedGraphs, AllPushAlgorithmsAgree) {
-  // A random directed graph: Bellman-Ford, Δ-stepping, Near-Far and
-  // Dijkstra must agree without symmetrization.
+  // A random directed graph: Bellman-Ford, Δ-stepping and Dijkstra must
+  // agree without symmetrization.
   graph::UniformRandomParams params;
   params.num_vertices = 300;
   params.num_edges = 2400;
@@ -345,11 +335,9 @@ TEST(DirectedGraphs, AllPushAlgorithmsAgree) {
   const auto reference = dijkstra(csr, 0);
   const auto bf = bellman_ford(csr, 0);
   const auto ds = delta_stepping_distances(csr, 0, 150.0);
-  const auto nf = near_far(csr, 0, 150.0);
   for (VertexId v = 0; v < csr.num_vertices(); ++v) {
     ASSERT_DOUBLE_EQ(bf.distances[v], reference.distances[v]);
     ASSERT_DOUBLE_EQ(ds.distances[v], reference.distances[v]);
-    ASSERT_DOUBLE_EQ(nf.distances[v], reference.distances[v]);
   }
 }
 
