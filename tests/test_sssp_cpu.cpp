@@ -12,6 +12,7 @@
 #include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/ligra_like.hpp"
 #include "sssp/pq_delta_star.hpp"
 #include "sssp/validate.hpp"
 #include "test_util.hpp"
@@ -205,7 +206,7 @@ TEST(PqDeltaStar, WindowAdaptationStaysCorrect) {
 // x sources must equal Dijkstra and pass the certificate.
 // ---------------------------------------------------------------------------
 
-enum class Algo { kBellmanFord, kDeltaStepping, kPqDeltaStar };
+enum class Algo { kBellmanFord, kDeltaStepping, kPqDeltaStar, kLigra };
 
 struct SweepParam {
   Algo algo;
@@ -269,6 +270,9 @@ TEST_P(SsspSweep, MatchesDijkstraAndCertificate) {
       actual = pq_delta_star(csr, source, options);
       break;
     }
+    case Algo::kLigra:
+      actual = ligra::sssp_bellman_ford(csr, source).sssp;
+      break;
   }
   expect_distances_equal(actual.distances, reference.distances);
   const auto verdict = validate_distances(csr, source, actual.distances);
@@ -280,8 +284,8 @@ TEST_P(SsspSweep, MatchesDijkstraAndCertificate) {
 
 std::vector<SweepParam> sweep_params() {
   std::vector<SweepParam> params;
-  for (const Algo algo :
-       {Algo::kBellmanFord, Algo::kDeltaStepping, Algo::kPqDeltaStar}) {
+  for (const Algo algo : {Algo::kBellmanFord, Algo::kDeltaStepping,
+                          Algo::kPqDeltaStar, Algo::kLigra}) {
     for (int kind = 0; kind < 4; ++kind) {
       for (const auto scheme : {graph::WeightScheme::kUniformInt1To1000,
                                 graph::WeightScheme::kUniformReal01,
