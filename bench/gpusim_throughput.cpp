@@ -4,10 +4,11 @@
 // This benchmarks the SIMULATOR (host CPU time), not the simulated GPU.
 // Every workload runs in two legs:
 //
-//   * fused — gsan off: every launch charges the caches inline and stores
-//     no trace. This is how every engine runs by default.
-//   * gsan  — gsan on: the same launches also append each memory op to the
-//     compressed trace, and the sanitizer scans it when the launch ends.
+//   * fused — gsan off: every launch charges the caches inline. This is how
+//     every engine runs by default.
+//   * gsan  — gsan on: the same launches also pass each memory op through
+//     the sanitizer's checks as it is issued, and the sanitizer runs its
+//     race passes when the launch ends.
 //
 // Each leg is timed as process CPU time, the median of --reps runs; the
 // legs alternate run by run, so host drift hits both alike. The table

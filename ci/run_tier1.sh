@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build + full ctest in two configurations, plus the bench
+# Tier-1 gate: build + full ctest in three configurations, plus the bench
 # and CLI checks below.
 #
 #   ci/run_tier1.sh [--asan] [build-root]
@@ -8,6 +8,8 @@
 #   default    the default build (OpenMP CPU baselines when OpenMP is found)
 #   no-openmp  -DRDBS_ENABLE_OPENMP=OFF: no OpenMP dependency at all, so the
 #              serial paths of PQ-Delta* and Ligra-like build and pass too
+#   no-bench   -DRDBS_ENABLE_BENCH=OFF: the tests build without the bench
+#              harness (test_bucket_queue still links rdbs_bench_support)
 #
 # There is no ThreadSanitizer stage: gpusim starts no thread, and the only
 # threads left are the OpenMP CPU baselines'. TSan cannot see libgomp's
@@ -68,7 +70,7 @@ echo "=== [default] gsan overhead guard ==="
 # runs must simulate bit-identical results, and gsan's CPU time may not
 # exceed GSAN_OVERHEAD_BOUND times the gsan-off run's (median of 5). The
 # bound sits well above the spread measured over repeated runs
-# (EXPERIMENTS.md, gpusim_throughput), so it trips on a trace or scan path
+# (EXPERIMENTS.md, gpusim_throughput), so it trips on a sanitizer check
 # that got slower, not on host noise.
 GSAN_OVERHEAD_BOUND=12
 "$BUILD_ROOT/default/bench/gpusim_throughput" --quick --reps 5 \
@@ -133,5 +135,7 @@ echo "=== [default] gsan CLI smoke ==="
   --algorithm=adds --batch-streams=4 --sources=8 --sanitize > /dev/null
 
 run_config no-openmp -DRDBS_ENABLE_OPENMP=OFF
+
+run_config no-bench -DRDBS_ENABLE_BENCH=OFF
 
 echo "tier-1: all configurations passed"

@@ -45,8 +45,8 @@ class RdbsSolver : public GpuEngine {
 
   const Csr& engine_graph() const { return graph_.csr(); }
   const GpuSsspOptions& options() const { return engine_->options(); }
-  // The simulator backing the engine — replay-mode/layout knobs and the
-  // trace/replay statistics (capacity reporting in bench/).
+  // The simulator backing the engine — its counters and launch statistics
+  // (read by the benches and the repository benchmark).
   gpusim::GpuSim& sim() { return engine_->sim(); }
   // Preprocessing (reordering) time on the host, milliseconds. The paper
   // reports SSSP kernel time only; preprocessing is a one-off per graph.

@@ -33,6 +33,32 @@ struct CoalesceResult {
   std::uint32_t lines = 0;           // entries written to line_out
 };
 
+// Kinds of one warp-level memory instruction, shared by the charge path
+// and the sanitizer:
+//   0  plain load        (L1-cached)
+//   1  plain store       (write-through L1)
+//   2  atomic            (L1 bypass, resolves at L2, conflict serialization)
+//   3  volatile load     (L1 bypass — "updates immediately visible")
+//   4  volatile store    (L1 bypass)
+//
+// Volatile accesses model the paper's `volatile` / st.cg queue traffic:
+// they skip the L1 like atomics (no stale-line reuse, every access reaches
+// the coherence point) but carry no same-address serialization cost.
+struct MemOp {
+  static constexpr std::uint8_t kLoad = 0;
+  static constexpr std::uint8_t kStore = 1;
+  static constexpr std::uint8_t kAtomic = 2;
+  static constexpr std::uint8_t kVolatileLoad = 3;
+  static constexpr std::uint8_t kVolatileStore = 4;
+
+  static constexpr bool kind_is_write(std::uint8_t k) {
+    return k == kStore || k == kAtomic || k == kVolatileStore;
+  }
+  static constexpr bool kind_is_volatile(std::uint8_t k) {
+    return k == kVolatileLoad || k == kVolatileStore;
+  }
+};
+
 namespace detail {
 
 // Batcher's odd-even merge sort, depth first: sort each half, then merge

@@ -67,6 +67,10 @@ void Sanitizer::begin_launch(std::string_view label, std::uint64_t ordinal,
   if (clock.size() <= self) clock.resize(self + 1, 0);
   ++clock[self];
   launch_vc_ = clock;
+  launch_state_.clear();
+  launch_addrs_.clear();
+  launch_regions_.clear();
+  touched_regions_.clear();
   launch_waits_.clear();
 }
 
@@ -272,9 +276,9 @@ void Sanitizer::check_no_progress() {
     const std::uint64_t end_addr =
         std::min(wait.addr + region.elem_bytes, region.end());
     if (region.host_initialized(wait.addr, end_addr)) continue;
-    // Satisfied iff some device write — this launch's (shadow bits are
-    // already set by the scan's lane loop), any earlier launch's on any
-    // stream, or a host transfer above — has touched the waited-on sector.
+    // Satisfied iff some device write — this launch's (check_op already set
+    // its shadow bits), any earlier launch's on any stream, or a host
+    // transfer above — has touched the waited-on sector.
     // Functional execution is host-serial, so every value a spin consumes
     // was produced by now; an untouched sector can never wake the waiter.
     std::vector<std::uint64_t>& bits = shadow_for(region_index);
@@ -294,100 +298,83 @@ void Sanitizer::check_no_progress() {
   launch_waits_.clear();
 }
 
-void Sanitizer::scan_launch(const LaunchTrace& trace,
-                            std::span<const TaskRecord> tasks) {
-  launch_state_.clear();
-  launch_regions_.clear();
-  touched_regions_.clear();
-  // Race-candidate addresses in canonical discovery order, so the final
-  // race pass (and therefore the report) is independent of the hash map's
-  // iteration order.
-  std::vector<std::uint64_t> touched;
+void Sanitizer::check_op(std::uint32_t task, std::uint8_t kind,
+                         std::uint32_t lanes, const std::uint64_t* addrs) {
+  const bool write = MemOp::kind_is_write(kind);
+  for (std::uint32_t l = 0; l < lanes; ++l) {
+    const std::uint64_t addr = addrs[l];
+    const std::size_t region_index = memory_->find_region_index(addr);
+    if (region_index == MemorySim::kNoRegion) continue;
+    const MemorySim::Region& region = memory_->regions()[region_index];
+    const std::uint64_t element = region.element_of(addr);
+    if (!region.live) {
+      report_hazard(HazardRecord::Kind::kUseAfterFree, region.name, element,
+                    task, HazardRecord::kNoTask);
+    }
+    const std::uint64_t end_addr =
+        std::min(addr + region.elem_bytes, region.end());
 
-  for (std::uint32_t t = 0; t < tasks.size(); ++t) {
-    LaunchTrace::OpCursor cursor = trace.task_cursor(tasks[t]);
-    LaunchTrace::OpView op;
-    while (cursor.next(op)) {
-      for (std::uint32_t l = 0; l < op.lanes; ++l) {
-        const std::uint64_t addr = op.addrs[l];
-        const std::size_t region_index = memory_->find_region_index(addr);
-        if (region_index == MemorySim::kNoRegion) continue;
-        const MemorySim::Region& region = memory_->regions()[region_index];
-        const std::uint64_t element = region.element_of(addr);
-        if (!region.live) {
-          report_hazard(HazardRecord::Kind::kUseAfterFree, region.name,
-                        element, t, HazardRecord::kNoTask);
-        }
-        const std::uint64_t end_addr =
-            std::min(addr + region.elem_bytes, region.end());
-
-        if (op.is_write()) {
-          if (region.read_only) {
-            report_hazard(HazardRecord::Kind::kReadOnlyWrite, region.name,
-                          element, t, HazardRecord::kNoTask);
-          }
-          std::vector<std::uint64_t>& bits = shadow_for(region_index);
-          for (std::uint64_t s = (addr - region.base) / kSectorBytes;
-               s <= (end_addr - 1 - region.base) / kSectorBytes; ++s) {
-            bits[static_cast<std::size_t>(s / 64)] |= 1ull << (s % 64);
-          }
-        } else if (!region.host_initialized(addr, end_addr)) {
-          std::vector<std::uint64_t>& bits = shadow_for(region_index);
-          for (std::uint64_t s = (addr - region.base) / kSectorBytes;
-               s <= (end_addr - 1 - region.base) / kSectorBytes; ++s) {
-            if (!(bits[static_cast<std::size_t>(s / 64)] &
-                  (1ull << (s % 64)))) {
-              report_hazard(HazardRecord::Kind::kUninitRead, region.name,
-                            element, t, HazardRecord::kNoTask);
-              break;
-            }
-          }
-        }
-
-        // Race bookkeeping. Atomics and volatile accesses group together:
-        // they are safe against each other, hazardous against plain stores.
-        AddressState& state = launch_state_[addr];
-        if (state.plain_store.t1 == HazardRecord::kNoTask &&
-            state.plain_load.t1 == HazardRecord::kNoTask &&
-            state.synced.t1 == HazardRecord::kNoTask) {
-          touched.push_back(addr);
-        }
-        if (op.is_plain_store()) {
-          state.plain_store.add(t);
-        } else if (op.kind == TraceOp::kLoad) {
-          state.plain_load.add(t);
-        } else {
-          state.synced.add(t);
-        }
-
-        // Cross-stream epoch bookkeeping (buffer granularity). Read-only
-        // regions cannot race (writes to them are already flagged above);
-        // freed regions are covered by the use-after-free report.
-        if (region.live && !region.read_only) {
-          RegionUse& use = launch_regions_[region_index];
-          if (!use.plain_write && !use.plain_read && !use.has_sync) {
-            touched_regions_.push_back(region_index);
-          }
-          if (op.is_plain_store()) {
-            if (!use.plain_write) {
-              use.plain_write = true;
-              use.write_elem = element;
-            }
-          } else if (op.kind == TraceOp::kLoad) {
-            if (!use.plain_read) {
-              use.plain_read = true;
-              use.read_elem = element;
-            }
-          } else if (!use.has_sync) {
-            use.has_sync = true;
-            use.sync_elem = element;
-          }
+    if (write) {
+      if (region.read_only) {
+        report_hazard(HazardRecord::Kind::kReadOnlyWrite, region.name,
+                      element, task, HazardRecord::kNoTask);
+      }
+      std::vector<std::uint64_t>& bits = shadow_for(region_index);
+      for (std::uint64_t s = (addr - region.base) / kSectorBytes;
+           s <= (end_addr - 1 - region.base) / kSectorBytes; ++s) {
+        bits[static_cast<std::size_t>(s / 64)] |= 1ull << (s % 64);
+      }
+    } else if (!region.host_initialized(addr, end_addr)) {
+      std::vector<std::uint64_t>& bits = shadow_for(region_index);
+      for (std::uint64_t s = (addr - region.base) / kSectorBytes;
+           s <= (end_addr - 1 - region.base) / kSectorBytes; ++s) {
+        if (!(bits[static_cast<std::size_t>(s / 64)] & (1ull << (s % 64)))) {
+          report_hazard(HazardRecord::Kind::kUninitRead, region.name, element,
+                        task, HazardRecord::kNoTask);
+          break;
         }
       }
     }
-  }
 
-  for (const std::uint64_t addr : touched) {
+    // Race bookkeeping. Atomics and volatile accesses group together: they
+    // are safe against each other, hazardous against plain stores.
+    const auto [state, first_touch] = launch_state_.try_emplace(addr);
+    if (first_touch) launch_addrs_.push_back(addr);
+    if (kind == MemOp::kStore) {
+      state->second.plain_store.add(task);
+    } else if (kind == MemOp::kLoad) {
+      state->second.plain_load.add(task);
+    } else {
+      state->second.synced.add(task);
+    }
+
+    // Cross-stream epoch bookkeeping (buffer granularity). Read-only regions
+    // cannot race (writes to them are already flagged above); freed regions
+    // are covered by the use-after-free report.
+    if (region.live && !region.read_only) {
+      const auto [entry, first_use] = launch_regions_.try_emplace(region_index);
+      if (first_use) touched_regions_.push_back(region_index);
+      RegionUse& use = entry->second;
+      if (kind == MemOp::kStore) {
+        if (!use.plain_write) {
+          use.plain_write = true;
+          use.write_elem = element;
+        }
+      } else if (kind == MemOp::kLoad) {
+        if (!use.plain_read) {
+          use.plain_read = true;
+          use.read_elem = element;
+        }
+      } else if (!use.has_sync) {
+        use.has_sync = true;
+        use.sync_elem = element;
+      }
+    }
+  }
+}
+
+void Sanitizer::end_launch() {
+  for (const std::uint64_t addr : launch_addrs_) {
     races_for_address(addr, launch_state_[addr]);
   }
   cross_stream_scan();

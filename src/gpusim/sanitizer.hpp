@@ -1,15 +1,16 @@
 // gsan — opt-in device-memory sanitizer & race detector for GpuSim.
 //
 // Every device access already flows through WarpCtx::load/store/atomic_min/
-// atomic_touch/volatile_*, which under gsan also append it to the
-// per-launch trace; gsan exploits that single choke point to run its hazard
+// atomic_touch/volatile_*, which under gsan also hand it to check_op as it
+// is issued; gsan exploits that single choke point to run its hazard
 // analyses without a second execution mode:
 //
-//   * out-of-bounds — checked at record time against Buffer::size() (the
-//     only place the element index and buffer extent are both known; the
-//     end-of-launch scan cannot distinguish "one past the end" from "first
-//     element of the neighboring 128-byte-aligned region"). The offending
-//     index is clamped so the functional access stays memory-safe.
+//   * out-of-bounds — checked while the lane addresses are formed, against
+//     Buffer::size() (the only place the element index and buffer extent
+//     are both known; an address alone cannot distinguish "one past the
+//     end" from "first element of the neighboring 128-byte-aligned
+//     region"). The offending index is clamped so the functional access
+//     stays memory-safe.
 //   * use-after-free — the bump allocator never reuses addresses, so any
 //     access landing in a region freed via GpuSim::free_buffer is exact.
 //   * uninitialized read — per-32-byte-sector shadow state; device stores,
@@ -51,7 +52,7 @@
 //     because the hand-off points (barrier, memcpy) order the clocks.
 //   * no-progress — gsan v2. Persistent-kernel queue protocols declare
 //     the slot a warp spins on via WarpCtx::spin_wait (a pure annotation:
-//     no trace op, no cycles). Because functional execution is host-serial,
+//     no memory op, no cycles). Because functional execution is host-serial,
 //     any value a spin ever consumes must already have been produced by
 //     the time the launch ends — so a waited-on cell that no same-launch
 //     write, no earlier launch's write and no host transfer has touched
@@ -60,20 +61,18 @@
 //
 // Reports are deterministic and rank-stable: hazards are deduplicated by
 // (kind, kernel label, buffer, element, stream pair) in canonical discovery
-// order — the record phase and the end-of-launch scans are serial in task
-// order — so two runs produce byte-identical reports and CI diffs are
-// meaningful.
+// order — warp tasks issue their ops one at a time in task order, and the
+// end-of-launch passes walk what those ops touched in first-touch order —
+// so two runs produce byte-identical reports and CI diffs are meaningful.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "gpusim/memory.hpp"
-#include "gpusim/trace.hpp"
 
 namespace rdbs::gpusim {
 
@@ -125,11 +124,12 @@ class Sanitizer {
   explicit Sanitizer(MemorySim& memory) : memory_(&memory) {}
 
   // --- hooks called by GpuSim / WarpCtx ------------------------------------
-  // Names the launch whose trace is being recorded (`label` may be empty —
-  // reports then use "kernel@<ordinal>") and advances the happens-before
-  // clocks: the launch joins the host clock into `stream`'s clock and opens
-  // a new epoch on it. The snapshot taken here is the launch's vector clock
-  // for every cross-stream check in the matching scan_launch.
+  // Names the launch about to run (`label` may be empty — reports then use
+  // "kernel@<ordinal>"), resets the per-launch state and advances the
+  // happens-before clocks: the launch joins the host clock into `stream`'s
+  // clock and opens a new epoch on it. The snapshot taken here is the
+  // launch's vector clock for every cross-stream check in the matching
+  // end_launch.
   void begin_launch(std::string_view label, std::uint64_t ordinal,
                     int stream);
   // cudaStreamSynchronize-style event: the host has observed everything on
@@ -148,8 +148,8 @@ class Sanitizer {
   // post-stall work is distinguishable from the stalled launch.
   void stream_stall(int stream);
   // WarpCtx::spin_wait annotation: `task` of the open launch spins on
-  // device address `addr` until another party writes it. Checked at the end
-  // of the launch's scan (see the no-progress bullet above).
+  // device address `addr` until another party writes it. Checked by
+  // end_launch (see the no-progress bullet above).
   void note_wait(std::uint32_t task, std::uint64_t addr);
   // Record-time bounds check: returns `index` when in bounds, otherwise
   // reports an out-of-bounds hazard and returns the nearest valid index so
@@ -157,12 +157,16 @@ class Sanitizer {
   std::uint64_t checked_index(const std::string& buffer_name,
                               std::uint64_t index, std::uint64_t size,
                               std::uint32_t task);
-  // End-of-launch scan over the recorded trace (called before the trace is
-  // discarded). Serial; deterministic. Reads the trace through LaunchTrace's
-  // cursor API, which decodes lane addresses in original lane order, so
-  // reports follow first-touch order.
-  void scan_launch(const LaunchTrace& trace,
-                   std::span<const TaskRecord> tasks);
+  // One warp memory instruction of `task` in the open launch, as it is
+  // issued: `addrs[0, lanes)` in original lane order, so reports follow
+  // first-touch order. Checks use-after-free, read-only writes and
+  // uninitialized reads per lane, marks the sectors a write covers, and
+  // notes each address and region for end_launch.
+  void check_op(std::uint32_t task, std::uint8_t kind, std::uint32_t lanes,
+                const std::uint64_t* addrs);
+  // Closes the launch: the intra-launch race pass over its addresses in
+  // first-touch order, then the cross-stream and no-progress passes.
+  void end_launch();
 
   // --- results -------------------------------------------------------------
   const std::vector<HazardRecord>& hazards() const { return hazards_; }
@@ -230,8 +234,8 @@ class Sanitizer {
   std::vector<std::uint64_t>& shadow_for(std::size_t region_index);
   void races_for_address(std::uint64_t addr, const AddressState& state);
   // Cross-stream happens-before pass over the launch's touched regions
-  // (called at the end of scan_launch, before the epochs are updated with
-  // this launch's accesses).
+  // (called by end_launch, before the epochs are updated with this launch's
+  // accesses).
   void cross_stream_scan();
   // No-progress pass over the launch's spin_wait annotations (called last:
   // the launch's own writes have already marked the sector shadow).
@@ -247,8 +251,11 @@ class Sanitizer {
   std::unordered_map<std::string, std::size_t> dedup_;
   // Device-store shadow, parallel to MemorySim::regions().
   std::vector<std::vector<std::uint64_t>> shadow_;
-  // Per-launch race bookkeeping (cleared each scan; capacity reused).
+  // Per-launch race bookkeeping (cleared by begin_launch; capacity reused),
+  // and its addresses in first-touch order, so the race pass (and therefore
+  // the report) is independent of the hash map's iteration order.
   std::unordered_map<std::uint64_t, AddressState> launch_state_;
+  std::vector<std::uint64_t> launch_addrs_;
 
   // --- gsan v2: happens-before state ---------------------------------------
   // One vector clock per stream plus the host clock. Monotone across

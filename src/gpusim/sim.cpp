@@ -27,7 +27,7 @@ constexpr std::uint64_t kMemIssueWeight = 8;
 
 void WarpCtx::alu(std::uint32_t instructions, std::uint32_t active_lanes) {
   RDBS_DCHECK(active_lanes <= 32);
-  TaskRecord& rec = sim_.task_records_[task_];
+  GpuSim::TaskRecord& rec = sim_.task_records_[task_];
   rec.cycles += instructions;
   rec.weight += instructions;
   sim_.counters_.alu_instructions += instructions;
@@ -42,14 +42,14 @@ void WarpCtx::count_mem(std::uint8_t kind, std::uint32_t lanes) {
   RDBS_DCHECK(active_task_valid());
   Counters& c = sim_.counters_;
   switch (kind) {
-    case TraceOp::kLoad: ++c.inst_executed_global_loads; break;
-    case TraceOp::kStore: ++c.inst_executed_global_stores; break;
-    case TraceOp::kAtomic: ++c.inst_executed_atomics; break;
-    case TraceOp::kVolatileLoad:
+    case MemOp::kLoad: ++c.inst_executed_global_loads; break;
+    case MemOp::kStore: ++c.inst_executed_global_stores; break;
+    case MemOp::kAtomic: ++c.inst_executed_atomics; break;
+    case MemOp::kVolatileLoad:
       ++c.inst_executed_global_loads;
       ++c.volatile_accesses;
       break;
-    default:  // TraceOp::kVolatileStore
+    default:  // MemOp::kVolatileStore
       ++c.inst_executed_global_stores;
       ++c.volatile_accesses;
       break;
@@ -63,16 +63,18 @@ void WarpCtx::count_mem(std::uint8_t kind, std::uint32_t lanes) {
 
 void WarpCtx::record_mem(std::uint8_t kind, std::uint32_t lanes) {
   count_mem(kind, lanes);
-  // gsan reports depend on first-touch order, so the trace takes the lanes
-  // in their original order, before the charge sorts them in place.
-  if (sanitize_) sim_.trace_.append_op(kind, lanes, sim_.lane_addrs_.data());
+  // gsan reports depend on first-touch order, so the sanitizer checks the
+  // lanes in their original order, before the charge sorts them in place.
+  if (sanitize_) {
+    sim_.sanitizer_->check_op(task_, kind, lanes, sim_.lane_addrs_.data());
+  }
   sim_.charge_op(kind, lanes, task_);
 }
 
 void WarpCtx::record_load_range(std::uint64_t first_addr,
                                 std::uint32_t elem_bytes,
                                 std::uint32_t lanes) {
-  count_mem(TraceOp::kLoad, lanes);
+  count_mem(MemOp::kLoad, lanes);
   sim_.charge_range(first_addr, elem_bytes, lanes, task_);
 }
 
@@ -91,7 +93,7 @@ void WarpCtx::child_launch() {
   ++sim_.launch_child_launches_;
   const auto cycles = static_cast<std::uint64_t>(
       sim_.spec_.child_launch_us * 1e3 * sim_.spec_.clock_ghz);
-  TaskRecord& rec = sim_.task_records_[task_];
+  GpuSim::TaskRecord& rec = sim_.task_records_[task_];
   rec.cycles += cycles;
   rec.weight += cycles;
 }
@@ -107,7 +109,7 @@ GpuSim::GpuSim(DeviceSpec spec) : spec_(std::move(spec)), memory_(spec_) {
 }
 
 void GpuSim::enable_sanitizer(SanitizeMode mode) {
-  RDBS_DCHECK(!launch_open_);  // a launch records its trace whole or not
+  RDBS_DCHECK(!launch_open_);  // a launch is checked whole or not at all
   if (mode == SanitizeMode::kOff) {
     sanitizer_.reset();
     return;
@@ -208,7 +210,6 @@ void GpuSim::reset_all() {
   reset_time();
   counters_ = Counters{};
   memory_.reset_caches();
-  trace_.clear();
   task_records_.clear();
   active_task_ = kNoTask;
   launch_ops_ = 0;
@@ -220,7 +221,6 @@ void GpuSim::begin_launch(bool host_launch, StreamId stream,
   RDBS_DCHECK(!launch_open_);
   launch_open_ = true;
   launch_stream_ = stream;
-  trace_.clear();
   task_records_.clear();
   active_task_ = kNoTask;
   launch_ops_ = 0;
@@ -278,21 +278,15 @@ WarpCtx GpuSim::begin_task(int sm) {
   RDBS_DCHECK(active_task_ == kNoTask);
   const auto index = static_cast<std::uint32_t>(task_records_.size());
   TaskRecord rec;
-  rec.op_begin = launch_ops_;
-  rec.addr_begin = trace_.addr_stream_offset();
   rec.sm = sm;
   task_records_.push_back(rec);
   active_task_ = index;
-  // Task boundary: reset the compressed delta chain so this task's ops
-  // decode from its own TaskRecord, independently of its predecessors.
-  if (sanitizer_) trace_.begin_task();
   return WarpCtx(*this, sm, index, sanitizer_ != nullptr, fault_ != nullptr);
 }
 
 void GpuSim::commit_task(const WarpCtx& ctx) {
   RDBS_DCHECK(active_task_ == ctx.task_);
-  TaskRecord& rec = task_records_[ctx.task_];
-  rec.op_end = launch_ops_;
+  const TaskRecord& rec = task_records_[ctx.task_];
   active_task_ = kNoTask;
   if (!dynamic_launch_) return;  // only dynamic placement reads the weights
   const auto sm = static_cast<std::size_t>(rec.sm);
@@ -334,7 +328,7 @@ void GpuSim::charge_range(std::uint64_t first_addr, std::uint32_t elem_bytes,
   std::array<WarpLineRef, 32> lines;  // uninitialized, as in charge_op
   const CoalesceResult co = coalesce_contiguous_lanes(
       first_addr, elem_bytes, lanes, spl_shift_, lines.data());
-  charge_lines(TraceOp::kLoad, lanes, co, lines.data(), task);
+  charge_lines(MemOp::kLoad, lanes, co, lines.data(), task);
 }
 
 void GpuSim::charge_lines(std::uint8_t kind, std::uint32_t lanes,
@@ -350,8 +344,8 @@ void GpuSim::charge_lines(std::uint8_t kind, std::uint32_t lanes,
   // end_launch measured ~30% slower end to end — the L2 tag table fits the
   // host LLC, so batching buys no locality and the queue traffic is pure
   // overhead.)
-  if (kind == TraceOp::kAtomic || TraceOp::kind_is_volatile(kind)) {
-    if (kind == TraceOp::kAtomic) {
+  if (kind == MemOp::kAtomic || MemOp::kind_is_volatile(kind)) {
+    if (kind == MemOp::kAtomic) {
       const std::uint64_t conflicts = lanes - co.distinct_addrs;
       c.atomic_conflicts += conflicts;
       cycles += conflicts *
@@ -437,12 +431,10 @@ LaunchResult GpuSim::end_launch(std::uint64_t tasks, bool host_launch) {
   RDBS_DCHECK(launch_open_);
   RDBS_DCHECK(active_task_ == kNoTask);
   RDBS_DCHECK(tasks == task_records_.size());
-  // Every memory op already charged the caches as it was issued; only a
-  // gsan launch has a trace, for the sanitizer to scan.
+  // Every memory op already charged the caches, and under gsan passed the
+  // sanitizer's per-op checks, as it was issued.
   if (sanitizer_) {
-    sanitizer_->scan_launch(trace_, task_records_);
-    stats_.peak_trace_bytes =
-        std::max(stats_.peak_trace_bytes, trace_.bytes_in_use());
+    sanitizer_->end_launch();
   } else {
     ++stats_.fused_launches;
   }

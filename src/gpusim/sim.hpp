@@ -32,10 +32,9 @@
 // happen there. Each warp memory instruction charges the caches inline as
 // it is issued: its SM's L1, then the shared L2, which therefore sees one
 // canonical-order request stream. Counters, per-launch ms and distances are
-// bit-identical across reruns. Under gsan a launch also appends each op to
-// a compressed trace (gpusim/trace.hpp), which the sanitizer scans when the
-// launch ends; recording it charges nothing, so results are identical with
-// gsan on or off.
+// bit-identical across reruns. Under gsan the sanitizer also checks each op
+// as it is issued and closes the launch with its race passes; checking
+// charges nothing, so results are identical with gsan on or off.
 #pragma once
 
 #include <algorithm>
@@ -58,7 +57,6 @@
 #include "gpusim/fault.hpp"
 #include "gpusim/memory.hpp"
 #include "gpusim/sanitizer.hpp"
-#include "gpusim/trace.hpp"
 
 namespace rdbs::gpusim {
 
@@ -113,8 +111,8 @@ class Buffer {
 
 // Execution context of one warp inside a kernel. Functional effects are
 // applied immediately (in canonical task order) and so is the memory-cost
-// side; under gsan each memory instruction is also appended to the launch
-// trace.
+// side; under gsan the sanitizer also checks each memory instruction as it
+// is issued.
 class WarpCtx {
  public:
   int sm_id() const { return sm_id_; }
@@ -132,7 +130,7 @@ class WarpCtx {
             std::span<T> out) {
     RDBS_DCHECK(indices.size() == out.size());
     record_addresses(buf, indices);
-    record_mem(TraceOp::kLoad, static_cast<std::uint32_t>(indices.size()));
+    record_mem(MemOp::kLoad, static_cast<std::uint32_t>(indices.size()));
     for (std::size_t i = 0; i < indices.size(); ++i) {
       out[i] = buf.data()[functional_index(buf, indices[i])];
     }
@@ -145,7 +143,7 @@ class WarpCtx {
   // a 32-byte sector, so the lanes touch one unbroken run of sectors and
   // the charge builds the (line, sector-mask) list from the run's two ends
   // instead of coalescing 32 lane addresses. Under gsan it goes through
-  // load() itself, so traces and gsan reports match load()'s.
+  // load() itself, so gsan's checks and reports match load()'s.
   template <typename T>
   void load_range(const Buffer<T>& buf, std::uint64_t first,
                   std::span<T> out) {
@@ -178,7 +176,7 @@ class WarpCtx {
              std::span<const T> values) {
     RDBS_DCHECK(indices.size() == values.size());
     record_addresses(buf, indices);
-    record_mem(TraceOp::kStore, static_cast<std::uint32_t>(indices.size()));
+    record_mem(MemOp::kStore, static_cast<std::uint32_t>(indices.size()));
     for (std::size_t i = 0; i < indices.size(); ++i) {
       buf.data()[functional_index(buf, indices[i])] = values[i];
     }
@@ -201,7 +199,7 @@ class WarpCtx {
     RDBS_DCHECK(indices.size() == values.size());
     RDBS_DCHECK(indices.size() == improved.size());
     record_addresses(buf, indices);
-    record_mem(TraceOp::kAtomic, static_cast<std::uint32_t>(indices.size()));
+    record_mem(MemOp::kAtomic, static_cast<std::uint32_t>(indices.size()));
     for (std::size_t i = 0; i < indices.size(); ++i) {
       T& cell = buf.data()[functional_index(buf, indices[i])];
       if (values[i] < cell) {
@@ -220,7 +218,7 @@ class WarpCtx {
   void atomic_touch(const Buffer<T>& buf,
                     std::span<const std::uint64_t> indices) {
     record_addresses(buf, indices);
-    record_mem(TraceOp::kAtomic, static_cast<std::uint32_t>(indices.size()));
+    record_mem(MemOp::kAtomic, static_cast<std::uint32_t>(indices.size()));
   }
 
   // --- volatile accesses ----------------------------------------------------
@@ -236,7 +234,7 @@ class WarpCtx {
                      std::span<T> out) {
     RDBS_DCHECK(indices.size() == out.size());
     record_addresses(buf, indices);
-    record_mem(TraceOp::kVolatileLoad,
+    record_mem(MemOp::kVolatileLoad,
                static_cast<std::uint32_t>(indices.size()));
     for (std::size_t i = 0; i < indices.size(); ++i) {
       out[i] = buf.data()[functional_index(buf, indices[i])];
@@ -249,7 +247,7 @@ class WarpCtx {
                       std::span<const T> values) {
     RDBS_DCHECK(indices.size() == values.size());
     record_addresses(buf, indices);
-    record_mem(TraceOp::kVolatileStore,
+    record_mem(MemOp::kVolatileStore,
                static_cast<std::uint32_t>(indices.size()));
     for (std::size_t i = 0; i < indices.size(); ++i) {
       buf.data()[functional_index(buf, indices[i])] = values[i];
@@ -263,7 +261,7 @@ class WarpCtx {
   void volatile_touch(const Buffer<T>& buf,
                       std::span<const std::uint64_t> indices, bool is_store) {
     record_addresses(buf, indices);
-    record_mem(is_store ? TraceOp::kVolatileStore : TraceOp::kVolatileLoad,
+    record_mem(is_store ? MemOp::kVolatileStore : MemOp::kVolatileLoad,
                static_cast<std::uint32_t>(indices.size()));
   }
 
@@ -288,7 +286,7 @@ class WarpCtx {
   // warp; the child's work itself is enqueued by the caller as more tasks.
   void child_launch();
 
-  // gsan annotation (no cost, no trace op, no counters): declares that this
+  // gsan annotation (no cost, no memory op, no counters): declares that this
   // warp spin-waits on buf[index] — a persistent-kernel queue protocol
   // consuming a slot another party must publish. The sanitizer flags waits
   // no host transfer and no device write (this launch's, or any earlier
@@ -364,7 +362,7 @@ class WarpCtx {
   GpuSim& sim_;
   int sm_id_;
   std::uint32_t task_;
-  bool sanitize_;  // gsan on: ops are also appended to the launch trace
+  bool sanitize_;  // gsan on: the sanitizer also checks each op
   bool fault_;     // fault injector enabled on the owning simulator
 };
 
@@ -382,11 +380,10 @@ struct LaunchResult {
   std::uint64_t tasks = 0;   // warp tasks executed
 };
 
-// Cumulative trace statistics (diagnostics; never reset).
+// Cumulative launch statistics (diagnostics; never reset).
 struct TraceStats {
   std::uint64_t launches = 0;        // total launches ended
-  std::uint64_t fused_launches = 0;  // of which stored no trace (gsan off)
-  std::uint64_t peak_trace_bytes = 0;  // largest gsan trace
+  std::uint64_t fused_launches = 0;  // of which ran without gsan
 };
 
 class GpuSim {
@@ -399,7 +396,7 @@ class GpuSim {
   MemorySim& memory() { return memory_; }
 
   // --- sanitizer (gsan) -----------------------------------------------------
-  // Opt-in hazard analysis over the launch trace; see gpusim/sanitizer.hpp
+  // Opt-in hazard analysis of every warp memory op; see gpusim/sanitizer.hpp
   // and docs/sanitizer.md. Enable before running kernels. When off (the
   // default) the only cost is one never-taken branch per warp memory
   // instruction.
@@ -413,7 +410,7 @@ class GpuSim {
   }
   // gsan hook behind WarpCtx::spin_wait: records that `task` of the open
   // launch spins on device address `addr`. Pure annotation — touches no
-  // timing, counter or trace state.
+  // timing or counter state.
   void note_spin_wait(std::uint32_t task, std::uint64_t addr) {
     if (sanitizer_) sanitizer_->note_wait(task, addr);
   }
@@ -502,9 +499,8 @@ class GpuSim {
                          std::span<T> out) {
     if (!fault_ || out.empty() || device_lost_) return;
     if (fault_log_.size() >= fault_->config().max_faults) return;
-    // The op ordinal comes from the simulator's own memory-op counter, not
-    // the trace container, so fault plans are identical with gsan on or off
-    // (only gsan launches store a trace).
+    // The op ordinal comes from the simulator's own memory-op counter, so
+    // fault plans are identical with gsan on or off.
     const std::uint64_t op_ordinal = launch_ops_ == 0 ? 0 : launch_ops_ - 1;
     const FaultInjector::FlipDecision d = fault_->load_fault(
         launch_stream_, current_stream_launch_, task, op_ordinal);
@@ -668,8 +664,13 @@ class GpuSim {
   friend class WarpCtx;
   friend class KernelScope;
 
-  // TraceOp / TaskRecord live in gpusim/trace.hpp (shared with the
-  // sanitizer, which scans the per-launch trace when the launch ends).
+  // One warp task of the open launch: placement, charged cycles and the
+  // scheduling weight.
+  struct TaskRecord {
+    int sm = 0;
+    std::uint64_t weight = 0;  // cache-independent load estimate (scheduling)
+    std::uint64_t cycles = 0;  // true cycles: ALU, child launches, memory
+  };
 
   void begin_launch(bool host_launch, StreamId stream, Schedule schedule);
   // The least-loaded SM of a dynamic launch (static placement is
@@ -680,7 +681,7 @@ class GpuSim {
   LaunchResult end_launch(std::uint64_t tasks, bool host_launch);
 
   // Charges one warp memory instruction whose lane addresses are staged in
-  // lane_addrs_. Coalescing sorts them in place, so a gsan trace append
+  // lane_addrs_. Coalescing sorts them in place, so the sanitizer's check
   // must come first.
   void charge_op(std::uint8_t kind, std::uint32_t lanes, std::uint32_t task);
   // The same charge for a load_range: the (line, sector-mask) list comes
@@ -751,12 +752,10 @@ class GpuSim {
 
   // --- per-launch state (one launch at a time) ------------------------------
   static constexpr std::uint32_t kNoTask = ~0u;
-  LaunchTrace trace_;  // gsan launches only
   std::vector<TaskRecord> task_records_;
   std::uint32_t active_task_ = kNoTask;
-  // Memory-op ordinal counter for the open launch: op_begin/op_end indices
-  // and the fault injector's op key, independent of trace storage (only
-  // gsan launches store their ops).
+  // Memory-op ordinal counter for the open launch: the fault injector's op
+  // key.
   std::uint32_t launch_ops_ = 0;
   bool launch_open_ = false;
   // The open launch places tasks with Schedule::kDynamic — the only

@@ -90,8 +90,8 @@ TEST(Cache, AccessLineMatchesPerSectorAccess) {
 // distinct 32B sectors, and the ascending (line, sector-mask) list, for
 // 1-32 lanes over the access shapes engines issue. kAscending is scattered
 // lanes that already ascend (the sort's early out). Afterwards the lanes
-// must hold the same multiset in ascending order (gsan's trace takes its
-// copy of the lanes before the charge sorts them).
+// must hold the same multiset in ascending order (gsan checks the lanes
+// before the charge sorts them).
 TEST(Coalesce, MatchesNaiveSetModel) {
   enum Pattern { kUnitStride, kDuplicates, kScattered, kDescending,
                  kAscending };

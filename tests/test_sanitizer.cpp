@@ -233,6 +233,27 @@ TEST(GsanSeededBugs, DuplicateHazardsFoldWithCounts) {
             "warp=0 x3\n");
 }
 
+// The per-op hazards of one launch are reported in record order: the
+// uninitialized load is issued before the out-of-bounds store, so its line
+// comes first.
+TEST(GsanSeededBugs, ReportsFollowRecordOrderWithinALaunch) {
+  GpuSim sim(gpusim::test_device());
+  sim.enable_sanitizer(SanitizeMode::kOn);
+  auto data = sim.alloc<std::uint32_t>("data", 8);  // never initialized
+
+  sim.label_next_launch("ordered_bugs");
+  sim.run_kernel(gpusim::Schedule::kStatic, 1, 1,
+                 [&](gpusim::WarpCtx& ctx, std::uint64_t) {
+                   (void)ctx.load_one(data, 2);
+                   ctx.store_one(data, 100, 7u);  // buffer has 8 elements
+                 });
+  EXPECT_EQ(report_of(sim),
+            "[gsan] uninit-read: kernel=ordered_bugs buffer=data elem=2 "
+            "warp=0\n"
+            "[gsan] out-of-bounds: kernel=ordered_bugs buffer=data elem=100 "
+            "warp=0\n");
+}
+
 // Identical hazardous programs produce byte-identical reports on every
 // rerun — reports are rank-stable, so CI can diff them.
 TEST(GsanSeededBugs, ReportsAreDeterministicAcrossReruns) {
