@@ -3,7 +3,7 @@
 // dedicated to optimizing the SSSP algorithm, the performance of SSSP in
 // graph processing systems is sub-optimal", quantified on one substrate.
 //
-//   Ligra-like   — edgeMap/vertexMap with direction switching (CPU, ref [31])
+//   Ligra-like   — edgeMap with direction switching (one CPU thread, ref [31])
 //   Gunrock-like — advance/filter operator pipeline (simulated GPU, ref [35])
 //   SEP-like     — sync/async x push/pull switching (simulated GPU, ref [33])
 //   RDBS         — the paper's dedicated engine (simulated GPU)

@@ -1,8 +1,8 @@
 // Table 2: running time and speedup against existing work.
 //
 // PQ-Δ* is the CPU state of the art (Dong et al., SPAA'21; here the LAB-PQ
-// model running on the host's real cores, wall-clock), ADDS the GPU state
-// of the art (Wang et al., PPoPP'21; modeled on gpusim). Shape to
+// model on one host thread, wall-clock, where the paper used 26 cores),
+// ADDS the GPU state of the art (Wang et al., PPoPP'21; modeled on gpusim). Shape to
 // reproduce: RDBS beats both everywhere except road-TX, where ADDS wins
 // slightly; the Kronecker graph is ADDS's worst case.
 #include <cstdio>

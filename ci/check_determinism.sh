@@ -26,6 +26,13 @@
 #                                     iteration order = allocation order;
 #                                     any report or trace built that way
 #                                     breaks run-to-run stability
+#   * std::thread, std::jthread, std::async, pthread_create, #pragma omp
+#                                     the program runs on one host thread:
+#                                     bit-identical reruns and gsan's
+#                                     canonical warp-task order assume it,
+#                                     and the CPU comparators' work
+#                                     counters would vary with thread
+#                                     timing
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -68,6 +75,13 @@ scan "ambient entropy (derive randomness from an explicit seed via common/rng.hp
 # unordered_set declarations.
 scan "pointer-keyed container (iteration order follows allocation; key by a stable id instead)" \
      '(std::)?(unordered_)?(map|set)\s*<[^,>]*\*\s*[,>]'
+
+# 4. Thread creation. Everything runs on one host thread, so no race
+# checker is needed and reruns repeat every count, including the CPU
+# comparators' work counters (PQ-Delta*'s differed run to run while it
+# relaxed its batches on OpenMP threads).
+scan "thread creation (the program runs on one host thread)" \
+     'std::(thread|jthread|async)\b|\bpthread_create\s*\(|#\s*pragma\s+omp\b'
 
 if [ "$fail" -ne 0 ]; then
   echo "determinism lint FAILED — see docs/sanitizer.md, 'Determinism'." >&2

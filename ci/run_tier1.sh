@@ -1,20 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build + full ctest in three configurations, plus the bench
+# Tier-1 gate: build + full ctest in two configurations, plus the bench
 # and CLI checks below.
 #
 #   ci/run_tier1.sh [--asan] [build-root]
 #
 # Configurations (default run):
-#   default    the default build (OpenMP CPU baselines when OpenMP is found)
-#   no-openmp  -DRDBS_ENABLE_OPENMP=OFF: no OpenMP dependency at all, so the
-#              serial paths of PQ-Delta* and Ligra-like build and pass too
+#   default    the default build
 #   no-bench   -DRDBS_ENABLE_BENCH=OFF: the tests build without the bench
 #              harness (test_bucket_queue still links rdbs_bench_support)
 #
-# There is no ThreadSanitizer stage: gpusim starts no thread, and the only
-# threads left are the OpenMP CPU baselines'. TSan cannot see libgomp's
-# barriers, so it reports false races there; a sound check needs an OpenMP
-# runtime built with TSan support.
+# There is no ThreadSanitizer stage: the program starts no thread
+# (ci/check_determinism.sh keeps it so).
 #
 # With --asan, runs ONLY the asan configuration: -DRDBS_ASAN=ON
 # (AddressSanitizer + UBSan, -fno-sanitize-recover=all) with the full
@@ -133,8 +129,6 @@ echo "=== [default] gsan CLI smoke ==="
   --sanitize > /dev/null
 "$BUILD_ROOT/default/examples/sssp_tool" --dataset=k-n12-8 --batch \
   --algorithm=adds --batch-streams=4 --sources=8 --sanitize > /dev/null
-
-run_config no-openmp -DRDBS_ENABLE_OPENMP=OFF
 
 run_config no-bench -DRDBS_ENABLE_BENCH=OFF
 

@@ -2,8 +2,9 @@
 //
 // Load a graph (file or generator), run any of the implemented algorithms,
 // and print distances, routes or an nvprof-style profile. Exit codes: 1 an
-// invalid served answer, 2 an unknown flag or a malformed or out-of-range
-// flag value or spec, 3 gsan hazards; --help lists the flags. Examples:
+// invalid served answer, 2 an unknown flag, a malformed or out-of-range
+// flag value or spec, an unknown dataset or device, or an input file that
+// cannot be read, 3 gsan hazards; --help lists the flags. Examples:
 //
 //   # shortest path on a DIMACS road file, with the route printed
 //   ./sssp_tool --input=ny.gr --format=dimacs --source=0 --target=1234
@@ -604,6 +605,10 @@ int main(int argc, char** argv) {
   try {
     return run_tool(CliArgs(argc, argv));
   } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sssp_tool: %s\n", e.what());
+    return 2;
+  } catch (const std::runtime_error& e) {
+    // An --input file that cannot be read.
     std::fprintf(stderr, "sssp_tool: %s\n", e.what());
     return 2;
   }

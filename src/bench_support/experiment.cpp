@@ -18,6 +18,11 @@ namespace {
 constexpr std::string_view kHarnessFlags[] = {
     "size-scale", "sources", "seed", "data-dir", "device", "csv"};
 
+// argv[0] without its directory, for messages.
+std::string program_name(const CliArgs& args) {
+  return args.program().substr(args.program().find_last_of('/') + 1);
+}
+
 }  // namespace
 
 void check_flags(const CliArgs& args,
@@ -25,8 +30,7 @@ void check_flags(const CliArgs& args,
   std::vector<std::string_view> accepted(std::begin(kHarnessFlags),
                                          std::end(kHarnessFlags));
   accepted.insert(accepted.end(), own_flags.begin(), own_flags.end());
-  const std::string program =
-      args.program().substr(args.program().find_last_of('/') + 1);
+  const std::string program = program_name(args);
   if (args.has("help")) {
     std::printf("usage: %s [--flag=value ...]\nflags:", program.c_str());
     for (const std::string_view flag : accepted) {
@@ -45,12 +49,18 @@ void check_flags(const CliArgs& args,
 
 HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
   HarnessConfig config;
-  config.size_scale = static_cast<int>(args.get_int("size-scale", 0));
-  config.num_sources = static_cast<int>(args.get_int("sources", 4));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  config.data_dir = args.get_string("data-dir", "");
-  config.device = args.get_string("device", "v100");
-  config.csv = args.get_bool("csv", false);
+  try {
+    config.size_scale = static_cast<int>(args.get_int("size-scale", 0));
+    config.num_sources = static_cast<int>(args.get_int("sources", 4));
+    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    config.data_dir = args.get_string("data-dir", "");
+    config.device = args.get_string("device", "v100");
+    config.csv = args.get_bool("csv", false);
+    (void)device_by_name(config.device);  // throws on an unknown name
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", program_name(args).c_str(), e.what());
+    std::exit(2);
+  }
   return config;
 }
 
@@ -58,7 +68,8 @@ gpusim::DeviceSpec device_by_name(const std::string& name) {
   if (name == "v100" || name == "V100") return gpusim::v100();
   if (name == "t4" || name == "T4") return gpusim::tesla_t4();
   if (name == "test") return gpusim::test_device();
-  throw std::runtime_error("unknown device: " + name);
+  throw std::runtime_error("unknown device: " + name +
+                           " (valid: v100, t4, test)");
 }
 
 Csr load_bench_graph(const std::string& name, const HarnessConfig& config) {
@@ -67,7 +78,12 @@ Csr load_bench_graph(const std::string& name, const HarnessConfig& config) {
   options.weights = graph::WeightScheme::kUniformInt1To1000;
   options.seed = config.seed;
   options.data_dir = config.data_dir;
-  return graph::load_dataset_by_name(name, options);
+  try {
+    return graph::load_dataset_by_name(name, options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
 }
 
 std::vector<VertexId> pick_sources(const Csr& csr, int count,

@@ -37,6 +37,8 @@ struct HarnessConfig {
   std::string device = "v100";
   bool csv = false;         // also emit CSV rows
 
+  // Given a malformed number or an unknown --device, prints why and exits
+  // 2, like check_flags.
   static HarnessConfig from_cli(const CliArgs& args);
 };
 
@@ -48,7 +50,9 @@ void check_flags(const CliArgs& args,
 
 gpusim::DeviceSpec device_by_name(const std::string& name);
 
-// Loads a dataset by paper name with the harness config applied.
+// Loads a dataset by paper name with the harness config applied. Given an
+// unknown name, or a file under --data-dir it cannot read, prints why and
+// exits 2.
 Csr load_bench_graph(const std::string& name, const HarnessConfig& config);
 
 // `count` pseudo-random source vertices inside the largest component.

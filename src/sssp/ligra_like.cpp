@@ -1,7 +1,6 @@
 #include "sssp/ligra_like.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "common/macros.hpp"
 
@@ -83,17 +82,6 @@ VertexSubset edge_map(const Csr& csr, const VertexSubset& frontier,
     }
   }
   return next;
-}
-
-void vertex_map(const VertexSubset& subset,
-                const std::function<void(graph::VertexId)>& f) {
-  const auto& vertices = subset.vertices();
-#ifdef RDBS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    f(vertices[i]);
-  }
 }
 
 LigraSsspResult sssp_bellman_ford(const Csr& csr, graph::VertexId source) {

@@ -1,7 +1,8 @@
 // Ligra-like shared-memory graph-traversal framework (Shun & Blelloch,
 // PPoPP'13 — paper ref [31]).
 //
-// Ligra's whole interface is two higher-order operators over a frontier:
+// Ligra's interface is two higher-order operators over a frontier, edgeMap
+// and vertexMap. The SSSP comparator needs only the first:
 //
 //   edge_map(graph, frontier, F)    — apply F.update(u, v, w) to the edges
 //                                     leaving the frontier; vertices for
@@ -13,15 +14,14 @@
 //                                     one (iterate all vertices' in-edges)
 //                                     when the frontier exceeds |E|/20 —
 //                                     Ligra's signature optimization.
-//   vertex_map(frontier, F)         — apply F to every frontier vertex.
 //
 // VertexSubset is the frontier representation, convertible between sparse
 // (index list) and dense (bitmap) forms. sssp_bellman_ford() is the
-// paper's Ligra comparator: Bellman-Ford written in the framework, with
-// OpenMP providing the shared-memory parallelism of the original.
+// paper's Ligra comparator: Bellman-Ford written in the framework. The
+// original runs each edge_map in parallel; this one runs on one host
+// thread, so its work counters are the same on every run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -74,10 +74,6 @@ inline constexpr double kDenseThresholdFraction = 1.0 / 20.0;
 // One edge_map step; stats (if given) records which mode ran.
 VertexSubset edge_map(const Csr& csr, const VertexSubset& frontier,
                       const EdgeMapFunctor& f, EdgeMapStats* stats = nullptr);
-
-// vertex_map: apply f to every member (parallel; f must be thread-safe).
-void vertex_map(const VertexSubset& subset,
-                const std::function<void(graph::VertexId)>& f);
 
 // Bellman-Ford SSSP written against the framework — the paper's Ligra
 // comparator. Returns work stats plus the sparse/dense round split.

@@ -1,39 +1,11 @@
 #include "sssp/pq_delta_star.hpp"
 
-#include <atomic>
-#include <cmath>
-#include <cstring>
+#include <algorithm>
 #include <vector>
-
-#ifdef RDBS_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 #include "common/macros.hpp"
 
 namespace rdbs::sssp {
-
-namespace {
-
-// Lock-free atomic min on a double encoded through its bit pattern.
-// Non-negative IEEE doubles order the same as their bit patterns, so a
-// compare-exchange loop on the raw bits implements atomicMin exactly.
-bool atomic_min_distance(std::atomic<std::uint64_t>& cell, Distance value) {
-  std::uint64_t desired;
-  std::memcpy(&desired, &value, sizeof desired);
-  std::uint64_t observed = cell.load(std::memory_order_relaxed);
-  for (;;) {
-    Distance current;
-    std::memcpy(&current, &observed, sizeof current);
-    if (value >= current) return false;
-    if (cell.compare_exchange_weak(observed, desired,
-                                   std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-}
-
-}  // namespace
 
 SsspResult pq_delta_star(const Csr& csr, VertexId source,
                          const PqDeltaStarOptions& options) {
@@ -41,32 +13,10 @@ SsspResult pq_delta_star(const Csr& csr, VertexId source,
   RDBS_CHECK(options.delta_star > 0);
   const VertexId n = csr.num_vertices();
 
-#ifdef RDBS_HAVE_OPENMP
-  if (options.num_threads > 0) omp_set_num_threads(options.num_threads);
-#endif
-
-  // Distances live in atomics for the parallel relaxation step.
-  std::vector<std::atomic<std::uint64_t>> dist_bits(n);
-  {
-    std::uint64_t inf_bits;
-    const Distance inf = kInfiniteDistance;
-    std::memcpy(&inf_bits, &inf, sizeof inf_bits);
-    for (auto& cell : dist_bits) {
-      cell.store(inf_bits, std::memory_order_relaxed);
-    }
-    std::uint64_t zero_bits = 0;
-    const Distance zero = 0;
-    std::memcpy(&zero_bits, &zero, sizeof zero_bits);
-    dist_bits[source].store(zero_bits, std::memory_order_relaxed);
-  }
-  auto load_dist = [&](VertexId v) {
-    const std::uint64_t bits = dist_bits[v].load(std::memory_order_relaxed);
-    Distance d;
-    std::memcpy(&d, &bits, sizeof d);
-    return d;
-  };
-
   SsspResult result;
+  result.distances.assign(n, kInfiniteDistance);
+  result.distances[source] = 0;
+  auto& dist = result.distances;
   Weight window = options.delta_star;
 
   // The lazy pool: vertices whose distance decreased since last extraction.
@@ -74,16 +24,13 @@ SsspResult pq_delta_star(const Csr& csr, VertexId source,
   std::vector<char> in_pool(n, 0);
   in_pool[source] = 1;
 
-  std::uint64_t relaxations = 0;
-  std::uint64_t updates = 0;
-
   while (!pool.empty()) {
     ++result.work.iterations;
 
     // Find the current minimum tentative distance in the pool (lazy
     // extract-min over the whole pool; LAB-PQ amortizes this scan).
     Distance min_dist = kInfiniteDistance;
-    for (const VertexId v : pool) min_dist = std::min(min_dist, load_dist(v));
+    for (const VertexId v : pool) min_dist = std::min(min_dist, dist[v]);
     const Distance threshold = min_dist + window;
 
     // Partition: the batch to relax now vs. the vertices left pooled.
@@ -91,7 +38,7 @@ SsspResult pq_delta_star(const Csr& csr, VertexId source,
     std::vector<VertexId> remaining;
     batch.reserve(pool.size());
     for (const VertexId v : pool) {
-      if (load_dist(v) <= threshold) {
+      if (dist[v] <= threshold) {
         batch.push_back(v);
       } else {
         remaining.push_back(v);
@@ -108,54 +55,28 @@ SsspResult pq_delta_star(const Csr& csr, VertexId source,
       window = std::min(window * 2.0, options.delta_star * 64);
     }
 
-    // Parallel relaxation of the batch; newly-improved vertices are
-    // collected per thread and merged into the pool afterwards.
-    std::vector<std::vector<VertexId>> discovered;
-#ifdef RDBS_HAVE_OPENMP
-    const int max_threads = omp_get_max_threads();
-#else
-    const int max_threads = 1;
-#endif
-    discovered.resize(static_cast<std::size_t>(max_threads));
-
-#ifdef RDBS_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 64) \
-    reduction(+ : relaxations, updates)
-#endif
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-#ifdef RDBS_HAVE_OPENMP
-      const int tid = omp_get_thread_num();
-#else
-      const int tid = 0;
-#endif
-      const VertexId u = batch[b];
-      const Distance du = load_dist(u);
+    // Relax the batch in order; a vertex joins the pool when it first
+    // improves.
+    for (const VertexId u : batch) {
+      const Distance du = dist[u];
       const auto neighbors = csr.neighbors(u);
       const auto weights = csr.edge_weights(u);
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
         const VertexId v = neighbors[i];
         const Distance through = du + weights[i];
-        ++relaxations;
-        if (atomic_min_distance(dist_bits[v], through)) {
-          ++updates;
-          discovered[static_cast<std::size_t>(tid)].push_back(v);
-        }
-      }
-    }
-    for (const auto& local : discovered) {
-      for (const VertexId v : local) {
-        if (!in_pool[v]) {
-          in_pool[v] = 1;
-          pool.push_back(v);
+        ++result.work.relaxations;
+        if (through < dist[v]) {
+          dist[v] = through;
+          ++result.work.total_updates;
+          if (!in_pool[v]) {
+            in_pool[v] = 1;
+            pool.push_back(v);
+          }
         }
       }
     }
   }
 
-  result.work.relaxations = relaxations;
-  result.work.total_updates = updates;
-  result.distances.resize(n);
-  for (VertexId v = 0; v < n; ++v) result.distances[v] = load_dist(v);
   finalize_valid_updates(result, source);
   return result;
 }

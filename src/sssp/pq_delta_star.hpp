@@ -2,9 +2,10 @@
 // framework (SPAA'21): a Lazy-Batched Priority Queue (LAB-PQ) feeds
 // Δ*-stepping. The queue keeps an unordered active pool; each step lazily
 // extracts the batch of vertices within Δ* of the current minimum tentative
-// distance and relaxes them in parallel (OpenMP on the host, matching the
-// paper's 26-core CPU runs). Stale pool entries are discarded on extraction
-// rather than eagerly decreased — the "lazy" in LAB-PQ.
+// distance and relaxes them. The paper ran it on 26 cores; here it runs on
+// one host thread, so its work counters are the same on every run. Stale
+// pool entries are discarded on extraction rather than eagerly decreased —
+// the "lazy" in LAB-PQ.
 #pragma once
 
 #include "sssp/result.hpp"
@@ -16,7 +17,6 @@ struct PqDeltaStarOptions {
   // (Δ*-stepping's self-tuning rule).
   Weight delta_star = 1.0;
   std::size_t target_batch = 2048;
-  int num_threads = 0;  // 0 = OpenMP default
 };
 
 SsspResult pq_delta_star(const Csr& csr, VertexId source,

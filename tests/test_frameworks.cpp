@@ -1,9 +1,8 @@
-// Tests for the related-work framework models: the Ligra-like edgeMap/
-// vertexMap framework (CPU) and the Gunrock-like advance/filter operator
+// Tests for the related-work framework models: the Ligra-like edgeMap
+// framework (CPU) and the Gunrock-like advance/filter operator
 // framework (gpusim).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "core/gunrock_like.hpp"
@@ -88,14 +87,6 @@ TEST(EdgeMap, CondGatesDestinations) {
   const auto next = sssp::ligra::edge_map(csr, frontier, f);
   EXPECT_FALSE(next.contains(2));
   EXPECT_TRUE(next.contains(1));
-}
-
-TEST(VertexMap, AppliesToEveryMember) {
-  sssp::ligra::VertexSubset subset(100, {5, 10, 15});
-  std::atomic<int> sum{0};
-  sssp::ligra::vertex_map(subset,
-                          [&](VertexId v) { sum += static_cast<int>(v); });
-  EXPECT_EQ(sum.load(), 30);
 }
 
 TEST(LigraSssp, MatchesDijkstra) {

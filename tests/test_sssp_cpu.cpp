@@ -201,6 +201,42 @@ TEST(PqDeltaStar, WindowAdaptationStaysCorrect) {
                          dijkstra(csr, 7).distances);
 }
 
+void expect_same_run(const SsspResult& a, const SsspResult& b) {
+  EXPECT_EQ(a.distances, b.distances);
+  EXPECT_EQ(a.work.iterations, b.work.iterations);
+  EXPECT_EQ(a.work.relaxations, b.work.relaxations);
+  EXPECT_EQ(a.work.total_updates, b.work.total_updates);
+  EXPECT_EQ(a.work.valid_updates, b.work.valid_updates);
+}
+
+// The CPU comparators run on one host thread, so a rerun, and a run on a
+// freshly built copy of the graph, repeat the same work exactly. PQ-Δ*'s
+// counters on this graph are pinned.
+TEST(CpuComparators, RerunsAndRebuiltGraphRepeatTheSameWork) {
+  const Csr csr = random_powerlaw_graph(4096, 65536, 43);
+  const Csr rebuilt = random_powerlaw_graph(4096, 65536, 43);
+  PqDeltaStarOptions options;
+  options.delta_star = 100.0;
+  options.target_batch = 256;
+
+  const SsspResult pq = pq_delta_star(csr, 5, options);
+  expect_same_run(pq, pq_delta_star(csr, 5, options));
+  expect_same_run(pq, pq_delta_star(rebuilt, 5, options));
+  expect_distances_equal(pq.distances, dijkstra(csr, 5).distances);
+  EXPECT_EQ(pq.work.iterations, 21u);
+  EXPECT_EQ(pq.work.relaxations, 187122u);
+  EXPECT_EQ(pq.work.total_updates, 16687u);
+
+  const ligra::LigraSsspResult lg = ligra::sssp_bellman_ford(csr, 5);
+  for (const Csr* graph : {&csr, &rebuilt}) {
+    const ligra::LigraSsspResult again = ligra::sssp_bellman_ford(*graph, 5);
+    expect_same_run(lg.sssp, again.sssp);
+    EXPECT_EQ(lg.stats.sparse_rounds, again.stats.sparse_rounds);
+    EXPECT_EQ(lg.stats.dense_rounds, again.stats.dense_rounds);
+    EXPECT_EQ(lg.stats.edges_traversed, again.stats.edges_traversed);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Property sweep: every algorithm x several graph families x weight schemes
 // x sources must equal Dijkstra and pass the certificate.
