@@ -753,15 +753,16 @@ int main(int argc, char** argv) {
   //    shared simulator and no retry can run on a dead device, so the
   //    stream's tail after the first loss is all failures — the cost of
   //    full-restart-only recovery.
-  //  * resume: checkpoint every boundary + migration. The failed query
-  //    moves to a surviving lane, the device is revived, and the stream
-  //    keeps serving.
+  //  * resume: checkpoint every second boundary + migration. The failed
+  //    query moves to a surviving lane, the device is revived, and the
+  //    stream keeps serving.
   // Gates (exit 1): resume goodput (deadline-met fraction) beats restart;
   // the resume run is bit-identical when run twice; the
   // closed-loop variant keeps retry amplification within its budget.
   struct StormRow {
     std::size_t offered = 0, done = 0, shed = 0, missed = 0, failed = 0;
     std::size_t resumed = 0, migrated = 0;
+    std::size_t landed = 0, voided = 0;  // checkpoint copies
     std::size_t retried = 0, exhausted = 0;
     double goodput = 0;  // completed (therefore deadline-met) / offered
   };
@@ -816,6 +817,10 @@ int main(int argc, char** argv) {
     row.failed = static_cast<std::size_t>(result.failed_queries);
     row.resumed = static_cast<std::size_t>(result.resumed_queries);
     row.migrated = static_cast<std::size_t>(result.migrated_queries);
+    row.landed =
+        static_cast<std::size_t>(result.recovery.checkpoints_landed);
+    row.voided =
+        static_cast<std::size_t>(result.recovery.checkpoints_voided);
     row.retried = static_cast<std::size_t>(result.retried_arrivals);
     row.exhausted = static_cast<std::size_t>(result.retry_exhausted);
     row.goodput =
@@ -935,10 +940,12 @@ int main(int argc, char** argv) {
   std::printf(
       "fault storm (loss %.0e + hot lane): restart goodput %.4f "
       "(%zu done, %zu failed) vs resume goodput %.4f (%zu done, %zu "
-      "failed, %zu resumed, %zu migrated) -> %s; deterministic %s\n",
+      "failed, %zu resumed, %zu migrated; checkpoint copies %zu landed, "
+      "%zu voided) -> %s; deterministic %s\n",
       storm_fault.device_loss, storm_a.goodput, storm_a.done, storm_a.failed,
       storm_b.goodput, storm_b.done, storm_b.failed, storm_b.resumed,
-      storm_b.migrated, storm_wins ? "resume wins" : "NO WIN",
+      storm_b.migrated, storm_b.landed, storm_b.voided,
+      storm_wins ? "resume wins" : "NO WIN",
       storm_deterministic ? "yes" : "NO");
   std::printf(
       "closed loop under the storm: goodput %.4f, %zu re-arrival(s) over "
@@ -978,11 +985,12 @@ int main(int argc, char** argv) {
         json,
         "    \"%s\": {\"offered\": %zu, \"completed\": %zu, \"shed\": %zu, "
         "\"deadline_missed\": %zu, \"failed\": %zu, \"resumed\": %zu, "
-        "\"migrated\": %zu, \"retried_arrivals\": %zu, "
+        "\"migrated\": %zu, \"checkpoints_landed\": %zu, "
+        "\"checkpoints_voided\": %zu, \"retried_arrivals\": %zu, "
         "\"retry_exhausted\": %zu, \"goodput\": %.4f}%s\n",
         key, row.offered, row.done, row.shed, row.missed, row.failed,
-        row.resumed, row.migrated, row.retried, row.exhausted, row.goodput,
-        tail);
+        row.resumed, row.migrated, row.landed, row.voided, row.retried,
+        row.exhausted, row.goodput, tail);
   };
   std::fprintf(json,
                "  \"fault_storm\": {\n    \"device_loss\": %.1e, "

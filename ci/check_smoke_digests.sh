@@ -22,7 +22,7 @@ PINNED=(
   "kron-solve 445fe1b6ff94aea5"
   "road-solve 4df6b8da28ee4163"
   "serve-zipf 65a9c629187737f8"
-  "serve-storm 4d09fd1a8eeb419a"
+  "serve-storm a17702e089992d67"
 )
 
 cd "$ROOT"

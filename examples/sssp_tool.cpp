@@ -288,9 +288,10 @@ int run_tool(const CliArgs& args) {
     bopts.gpu.sanitize = sanitize;
     bopts.gpu.fault = fault;
     // --checkpoint-interval=N: engines snapshot their distance vector every
-    // N bucket/round boundaries into a host-side checkpoint, enabling
-    // resume-from-checkpoint retries and mid-query lane migration
-    // (docs/serving.md "Checkpoint-resume & lane migration"). 0 = off.
+    // N bucket/round boundaries and copy it back to the host off the
+    // query's critical path, enabling resume-from-checkpoint retries and
+    // mid-query lane migration (docs/serving.md "Checkpoint-resume & lane
+    // migration"). 0 = off.
     bopts.gpu.checkpoint_interval =
         static_cast<int>(args.get_int("checkpoint-interval", 0));
     // --retry-attempts / --cpu-fallback tune the per-query RetryPolicy.
@@ -508,12 +509,18 @@ int run_tool(const CliArgs& args) {
           result.recovery.device_lost ? ", DEVICE LOST" : "");
     }
     if (result.resumed_queries > 0 || result.migrated_queries > 0 ||
-        sopts.closed_loop.enabled) {
+        bopts.gpu.checkpoint_interval > 0 || sopts.closed_loop.enabled) {
+      // Checkpoint copies overlap the run: "landed" ones became the
+      // checkpoint in time; "voided" ones were dropped uncommitted (still
+      // in flight when needed, or caught by a device loss).
       std::printf(
-          "resume: %llu checkpoint-resumed, %llu migrated; "
+          "resume: %llu checkpoint-resumed, %llu migrated, %llu "
+          "checkpoint(s) landed, %llu voided; "
           "closed loop: %llu retried arrival(s), %llu past budget\n",
           static_cast<unsigned long long>(result.resumed_queries),
           static_cast<unsigned long long>(result.migrated_queries),
+          static_cast<unsigned long long>(result.recovery.checkpoints_landed),
+          static_cast<unsigned long long>(result.recovery.checkpoints_voided),
           static_cast<unsigned long long>(result.retried_arrivals),
           static_cast<unsigned long long>(result.retry_exhausted));
     }

@@ -88,7 +88,9 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
       // --- Far split: advance the threshold past the smallest far
       // distance, promote entries below it, drop stale duplicates.
       if (!split_far_pile(sim(), stream(), dist_, near_, far_, threshold,
-                          options_.delta)) {
+                          options_.delta, [&](gpusim::KernelScope& split) {
+                            driver_.snapshot_into(split, dist_);
+                          })) {
         break;  // only stale entries remained
       }
       // Round boundary (far split done): consistent upper bounds —
@@ -146,6 +148,7 @@ GpuRunResult AddsLike::run_attempt(VertexId source) {
       kernel.commit(ctx);
       ++work_.iterations;
     }
+    driver_.snapshot_into(kernel, dist_);
     kernel.finish();
     // Round boundary (near pile drained): snapshot for checkpoint-resume.
     driver_.boundary(dist_);

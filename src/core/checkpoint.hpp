@@ -16,6 +16,14 @@
 // be *below* the true distance, which would break the label-correcting
 // argument, so a tainted attempt simply stops checkpointing and the last
 // good snapshot stands.
+//
+// Capture: the kernel that ends at the boundary copies the distances into
+// the engine's own `checkpoint` device buffer, which the asynchronous D2H
+// then reads while later kernels run (core/recovery.hpp). No later fault
+// can reach it: only the snapshot warps write that buffer, and none run
+// while its copy is in flight. A snapshot becomes the checkpoint once its
+// copy has landed; until then it is staged, and a retry or a migration
+// uses the checkpoint before it.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +34,7 @@
 namespace rdbs::core {
 
 // Device distances are 32-bit words in the CUDA layout the engines model;
-// checkpoint D2H / re-seed H2D transfer costs are charged at this width.
+// checkpoint D2H / re-seed H2D transfers are costed at this width.
 inline constexpr std::uint32_t kCheckpointWordBytes = 4;
 
 // One host-side snapshot of an engine's tentative distances. `bounds` is in
@@ -35,7 +43,7 @@ inline constexpr std::uint32_t kCheckpointWordBytes = 4;
 // numbering across all lanes, so no permutation round-trip is needed.
 struct QueryCheckpoint {
   std::vector<graph::Distance> bounds;  // valid upper bounds, one per vertex
-  double taken_ms = 0;        // stream clock when the snapshot D2H landed
+  double taken_ms = 0;        // stream clock at which its D2H copy lands
   std::uint64_t boundaries = 0;  // bucket/round boundaries crossed at capture
   std::uint64_t snapshots = 0;   // snapshots taken this run (this is #latest)
 

@@ -465,13 +465,18 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     }
   };
 
+  // The bucket's scan (relax_heavy) is the kernel that ends at the bucket
+  // boundary, so it carries the checkpoint snapshot when one is due.
   const bool fused = options_.adwl;  // kernel fusion rides with ADWL (§4.2)
   if (fused) {
     sim().label_next_launch("phase23_fused");
     gpusim::KernelScope kernel(sim(), gpusim::Schedule::kStatic, true,
                                /*warps_per_block=*/8, stream());
     scan_strips(kernel, relax_heavy, /*collect=*/true);
-    if (relax_heavy) process_heavy_chunks(kernel);
+    if (relax_heavy) {
+      process_heavy_chunks(kernel);
+      driver_.snapshot_into(kernel, dist_);
+    }
     kernel.finish();
   } else {
     if (relax_heavy) {
@@ -487,6 +492,7 @@ GpuDeltaStepping::ScanOutcome GpuDeltaStepping::phase23(
     gpusim::KernelScope phase3(sim(), gpusim::Schedule::kStatic, true,
                                /*warps_per_block=*/8, stream());
     scan_strips(phase3, /*settle=*/false, /*collect=*/true);
+    if (relax_heavy) driver_.snapshot_into(phase3, dist_);
     phase3.finish();
     sim().host_barrier(stream());
   }

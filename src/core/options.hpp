@@ -96,10 +96,14 @@ struct GpuSsspOptions : EngineOptions {
 
   // --- checkpoint-resume ----------------------------------------------------
   // Snapshot the tentative distance vector into a host-side QueryCheckpoint
-  // every N bucket/round boundaries (0 = off). The D2H copy is charged to
-  // the simulated clock; snapshots stop for an attempt once a poisoning
-  // fault is seen, so a corrupt bound can never leak into a resume. With a
-  // checkpoint available, retries seed from it instead of rerunning cold
+  // every N bucket/round boundaries (0 = off). The kernel ending at the
+  // boundary writes the snapshot on the device, and its D2H copy overlaps
+  // the query's next kernels instead of stopping its stream clock; the
+  // snapshot commits once the copy has landed, and a due boundary skips
+  // its snapshot while the previous copy is in flight (core/recovery.hpp).
+  // Snapshots stop for an attempt once a poisoning fault is seen, so a
+  // corrupt bound can never leak into a resume. With a committed
+  // checkpoint, retries seed from it instead of rerunning cold
   // (RecoveryStats::resumed) and the serving layer can migrate the query to
   // another lane mid-flight (core/checkpoint.hpp, docs/serving.md
   // "Checkpoint-resume & lane migration").

@@ -1,7 +1,10 @@
 #include "core/recovery.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "common/macros.hpp"
 #include "sssp/dijkstra.hpp"
@@ -63,7 +66,13 @@ GpuRunResult AttemptDriver::run(graph::VertexId source,
     throw std::out_of_range(engine_ + ": source vertex out of range");
   }
   checkpoint_.clear();
+  staged_.clear();
+  snapshots_ = 0;
+  checkpoints_landed_ = 0;
+  checkpoints_voided_ = 0;
   GpuRunResult result = recover(source, attempt);
+  result.recovery.checkpoints_landed = checkpoints_landed_;
+  result.recovery.checkpoints_voided = checkpoints_voided_;
   resume_bounds_.clear();
   return result;
 }
@@ -144,10 +153,12 @@ GpuRunResult AttemptDriver::recover(
         sim_.memory().clear_poison();
       }
       backoff *= policy_.backoff_multiplier;
-      // Checkpoint-resume: seed the next attempt from the last good
-      // snapshot instead of rerunning cold. The re-seed H2D is charged by
-      // the attempt's apply_warm_start; exactness follows from the
+      // Checkpoint-resume: seed the next attempt from the last committed
+      // snapshot instead of rerunning cold; a snapshot whose copy is still
+      // in flight after the backoff is not one. The re-seed H2D is charged
+      // by the attempt's apply_warm_start; exactness follows from the
       // label-correcting argument (core/checkpoint.hpp).
+      commit_landed();
       if (checkpoint_.valid()) {
         resume_bounds_ = checkpoint_.bounds;
         ++recovery.resumed;
@@ -156,7 +167,11 @@ GpuRunResult AttemptDriver::recover(
   }
 
   // Unrecoverable on the device: degrade to the exact host reference, or
-  // surface a typed failure — never wrong distances.
+  // surface a typed failure — never wrong distances. A migration takes the
+  // checkpoint now, so a snapshot whose copy has not landed (or that a
+  // device loss caught uncommitted) is void.
+  commit_landed();
+  void_staged();
   recovery.device_lost = recovery.device_lost || sim_.device_lost();
   GpuRunResult result;
   result.device_ms = spent_ms;
@@ -193,15 +208,24 @@ void AttemptDriver::begin_attempt(const gpusim::Buffer<graph::Distance>& dist) {
   fault_scan_begin_ = sim_.fault_log().size();
   attempt_cancelled_ = false;
   boundary_count_ = 0;
+  snapshot_written_ = false;
   // A prior poisoned attempt may have left the distance region flagged
   // (recovery's bulk clear only fires when read-only data was also hit);
   // this attempt re-initializes the buffer, so the stale mark must not
   // suppress its checkpoints.
   sim_.clear_buffer_poison(dist);
   // Owned: fresh timeline/counters/caches per attempt (the paper's
-  // single-query methodology). Borrowed: time and cache state accumulate
+  // single-query methodology); the reset empties the copy queue, so a copy
+  // still in flight never lands. Borrowed: time and cache state accumulate
   // across queries and lanes, and this attempt's metrics are deltas.
-  if (own_sim_) sim_.reset_all();
+  if (own_sim_) {
+    void_staged();
+    sim_.reset_all();
+  }
+  if (checkpoint_interval_ > 0 && snapshot_.size() == 0) {
+    snapshot_ = sim_.alloc<graph::Distance>("checkpoint", dist.size(),
+                                            kCheckpointWordBytes);
+  }
   ms_before_ = sim_.stream_elapsed_ms(stream_);
   wait_before_ = sim_.stream_queue_wait_ms(stream_);
   counters_before_ = sim_.counters();
@@ -245,20 +269,72 @@ std::uint64_t AttemptDriver::apply_warm_start(
   return seeded;
 }
 
+bool AttemptDriver::snapshot_due() const {
+  if (checkpoint_interval_ <= 0) return false;
+  if ((boundary_count_ + 1) %
+          static_cast<std::uint64_t>(checkpoint_interval_) !=
+      0) {
+    return false;
+  }
+  if (sim_.d2h_queue_free_ms(stream_) > sim_.stream_elapsed_ms(stream_)) {
+    return false;  // a copy is still reading the checkpoint buffer
+  }
+  return !poisoned();
+}
+
+void AttemptDriver::snapshot_into(gpusim::KernelScope& kernel,
+                                  const gpusim::Buffer<graph::Distance>& dist) {
+  if (!snapshot_due()) return;
+  RDBS_DCHECK(snapshot_.size() == dist.size());
+  std::array<graph::Distance, 32> values;
+  std::array<std::uint64_t, 32> index;
+  const std::uint64_t n = dist.size();
+  for (std::uint64_t begin = 0; begin < n; begin += 32) {
+    const auto lanes =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(32, n - begin));
+    gpusim::WarpCtx ctx = kernel.make_warp();
+    const std::span<graph::Distance> strip(values.data(), lanes);
+    ctx.load_range(dist, begin, strip);
+    for (std::uint32_t i = 0; i < lanes; ++i) index[i] = begin + i;
+    ctx.store(snapshot_, std::span<const std::uint64_t>(index.data(), lanes),
+              std::span<const graph::Distance>(strip));
+    kernel.commit(ctx);
+  }
+  snapshot_written_ = true;
+}
+
 void AttemptDriver::boundary(const gpusim::Buffer<graph::Distance>& dist) {
   if (checkpoint_interval_ <= 0) return;
   ++boundary_count_;
-  if (boundary_count_ % static_cast<std::uint64_t>(checkpoint_interval_) !=
-      0) {
-    return;
-  }
+  commit_landed();
+  // Not due, or a copy was in flight when the kernel began: no snapshot.
+  if (!std::exchange(snapshot_written_, false)) return;
   // A tainted attempt stops checkpointing; the last good snapshot stands.
   if (poisoned() || sim_.buffer_poisoned(dist)) return;
-  checkpoint_.bounds = dist.data();
-  sim_.memcpy_d2h(csr_.num_vertices() * kCheckpointWordBytes, stream_);
-  checkpoint_.taken_ms = sim_.stream_elapsed_ms(stream_);
-  checkpoint_.boundaries = boundary_count_;
-  ++checkpoint_.snapshots;
+  // snapshot_due() saw the queue drained, so the last copy has landed and
+  // commit_landed() has just made it the checkpoint.
+  RDBS_DCHECK(!staged_.valid());
+  staged_.bounds = snapshot_.data();
+  staged_.taken_ms = sim_.memcpy_d2h_async(
+      snapshot_.size() * kCheckpointWordBytes, stream_);
+  staged_.boundaries = boundary_count_;
+  staged_.snapshots = ++snapshots_;
+}
+
+void AttemptDriver::commit_landed() {
+  if (!staged_.valid() || sim_.device_lost() ||
+      staged_.taken_ms > sim_.stream_elapsed_ms(stream_)) {
+    return;
+  }
+  checkpoint_ = std::move(staged_);
+  staged_.clear();
+  ++checkpoints_landed_;
+}
+
+void AttemptDriver::void_staged() {
+  if (!staged_.valid()) return;
+  staged_.clear();
+  ++checkpoints_voided_;
 }
 
 GpuRunResult AttemptDriver::finish(GpuRunResult result,

@@ -12,7 +12,7 @@
 //      retry);
 //   3. poisoned -> discard the attempt, charge the exponential backoff and
 //      the re-upload of poisoned read-only buffers to the simulated clock,
-//      and rerun — from the last clean checkpoint when there is one;
+//      and rerun — from the last committed checkpoint when there is one;
 //   4. device lost or attempts exhausted -> fall back to the host Dijkstra
 //      reference (policy.cpu_fallback) or return ok == false with the
 //      typed faults. Never wrong distances, never a crash.
@@ -25,15 +25,16 @@
 // engine supplies only its kernels and loops: the fault-log watermark
 // (poisoned()), cooperative cancellation (cancelled()), warm-start and
 // one-shot resume bounds (warm_bounds(), apply_warm_start()), bucket/round
-// checkpoints (boundary()) and the per-attempt metric deltas (finish()).
-// An attempt body looks like:
+// checkpoints (snapshot_into(), boundary()) and the per-attempt metric
+// deltas (finish()). An attempt body looks like:
 //
 //   GpuRunResult Engine::run_attempt(VertexId source) {
 //     driver_.begin_attempt(dist_);
 //     ... init kernels; driver_.apply_warm_start(dist_, source); ...
 //     while (...) {
 //       if (driver_.cancelled()) break;
-//       ... one bucket/round ...
+//       ... one bucket/round; its last kernel, before finish(), calls
+//           driver_.snapshot_into(kernel, dist_) ...
 //       driver_.boundary(dist_);
 //     }
 //     GpuRunResult result;
@@ -43,6 +44,18 @@
 //   GpuRunResult Engine::run(VertexId source) {
 //     return driver_.run(source, [&] { return run_attempt(source); });
 //   }
+//
+// Checkpoints stay off the query's critical path. When a boundary is due a
+// snapshot, the engine's kernel that ends at it also runs the snapshot
+// warps, which copy the distances into the engine's `checkpoint` device
+// buffer. boundary() then stages that snapshot and issues its D2H on the
+// stream's copy queue (GpuSim::memcpy_d2h_async), which the stream clock
+// does not wait for. The staged snapshot becomes the checkpoint only once
+// its copy has landed on the stream clock at a point that needs it: a
+// later boundary, a retry after its backoff, or the end of a failed run,
+// where the serving layer takes it to migrate the query. A device loss
+// voids an uncommitted snapshot. At most one copy is in flight per lane:
+// a due boundary that finds one still in flight skips its snapshot.
 //
 // The driver also holds the engine's device (DeviceBinding): the simulator,
 // the stream the engine issues on, and the resident CSR arrays.
@@ -148,9 +161,9 @@ class AttemptDriver {
   // continues a query that checkpointed on another lane. Cleared when that
   // run returns.
   void set_resume_bounds(std::vector<graph::Distance> bounds);
-  // Moves out the last good snapshot of the most recent run() (empty when
-  // checkpointing is off or no clean boundary was reached): the serving
-  // layer's raw material for mid-query lane migration.
+  // Moves out the last committed snapshot of the most recent run() (empty
+  // when checkpointing is off or no snapshot's copy landed in time): the
+  // serving layer's raw material for mid-query lane migration.
   QueryCheckpoint take_checkpoint() { return std::move(checkpoint_); }
 
   // --- the attempt body's side ---------------------------------------------
@@ -178,10 +191,18 @@ class AttemptDriver {
   // upper bound, never trust it.
   std::uint64_t apply_warm_start(gpusim::Buffer<graph::Distance>& dist,
                                  graph::VertexId source);
+  // Called by the kernel that ends at the next boundary(), after its own
+  // warps: when that boundary is due a snapshot (snapshot_due()), appends
+  // |V|/32 snapshot warps to `kernel`, each one load_range of `dist` and
+  // one store into the engine's `checkpoint` device buffer. Otherwise adds
+  // nothing.
+  void snapshot_into(gpusim::KernelScope& kernel,
+                     const gpusim::Buffer<graph::Distance>& dist);
   // Bucket/round boundary, where `dist` is a consistent set of upper
-  // bounds: every checkpoint_interval boundaries, snapshot it (D2H charged)
-  // unless the attempt or the buffer is poisoned — a corrupt bound could
-  // lie below the true distance (core/checkpoint.hpp).
+  // bounds. Commits a staged snapshot whose copy has landed, then stages
+  // the snapshot the kernel just wrote and issues its asynchronous D2H —
+  // unless the attempt or the buffer is poisoned: a corrupt bound could lie
+  // below the true distance (core/checkpoint.hpp).
   void boundary(const gpusim::Buffer<graph::Distance>& dist);
   // Completes the attempt's result: the distances from `dist` (finalized
   // for `source`), or none and deadline_exceeded when cancelled; the
@@ -195,6 +216,16 @@ class AttemptDriver {
   // The recovery loop behind run().
   GpuRunResult recover(graph::VertexId source,
                        const std::function<GpuRunResult()>& attempt);
+  // Whether the next boundary() is due a snapshot: checkpointing is on,
+  // it is the checkpoint_interval-th boundary, the attempt is clean so far,
+  // and the stream's D2H queue has drained (its last copy reads the
+  // `checkpoint` buffer a new snapshot would overwrite).
+  bool snapshot_due() const;
+  // Makes the staged snapshot the checkpoint if its copy has landed on the
+  // stream clock and the device is not lost.
+  void commit_landed();
+  // Drops the staged snapshot, if any, uncommitted.
+  void void_staged();
 
   std::string engine_;
   // The owned simulator and CSR arrays; null when borrowed.
@@ -211,12 +242,21 @@ class AttemptDriver {
   const CancelToken* cancel_ = nullptr;
   const std::vector<graph::Distance>* warm_start_ = nullptr;
   std::vector<graph::Distance> resume_bounds_;
-  QueryCheckpoint checkpoint_;
+  QueryCheckpoint checkpoint_;  // committed: its copy has landed
+  QueryCheckpoint staged_;      // taken_ms = when its copy lands
+  std::uint64_t snapshots_ = 0;  // staged this run
+  std::uint64_t checkpoints_landed_ = 0;
+  std::uint64_t checkpoints_voided_ = 0;
+  // The snapshot warps' target, allocated by the first begin_attempt():
+  // after every buffer the engine allocates up front, so checkpointing
+  // leaves the engine's device layout as it was.
+  gpusim::Buffer<graph::Distance> snapshot_;
 
   // Per-attempt state.
   std::size_t fault_scan_begin_ = 0;
   bool attempt_cancelled_ = false;
   std::uint64_t boundary_count_ = 0;
+  bool snapshot_written_ = false;  // by the kernel ending at this boundary
   double ms_before_ = 0;
   double wait_before_ = 0;
   gpusim::Counters counters_before_;

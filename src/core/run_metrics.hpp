@@ -14,8 +14,9 @@
 namespace rdbs::core {
 
 // Fault-recovery bookkeeping for one run (all zero when fault injection is
-// off): what was injected, how the engine recovered, and whether the
-// distances ultimately came from the GPU path or the CPU fallback.
+// off, except the checkpoint counts): what was injected, how the engine
+// recovered, and whether the distances ultimately came from the GPU path
+// or the CPU fallback.
 struct RecoveryStats {
   std::uint64_t faults_injected = 0;  // events observed across all attempts
   std::uint64_t ecc_corrected = 0;    // benign subset (no retry needed)
@@ -25,6 +26,13 @@ struct RecoveryStats {
   std::uint64_t attempts = 0;         // device attempts actually run
   double backoff_ms = 0;              // simulated backoff charged (retries)
   bool device_lost = false;           // device was lost during the run
+  // Checkpoint snapshots whose asynchronous D2H had landed when a boundary,
+  // a retry or a failed run needed them, and so became the checkpoint
+  // (core/recovery.hpp), and those dropped uncommitted: their copy was
+  // still in flight then, or a device loss caught them. A copy still in
+  // flight when the run succeeds is in neither count.
+  std::uint64_t checkpoints_landed = 0;
+  std::uint64_t checkpoints_voided = 0;
 
   // Accumulates another run's bookkeeping (counts and backoff add,
   // device_lost ORs): how per-query stats roll up into batch and serving
@@ -38,6 +46,8 @@ struct RecoveryStats {
     attempts += other.attempts;
     backoff_ms += other.backoff_ms;
     device_lost = device_lost || other.device_lost;
+    checkpoints_landed += other.checkpoints_landed;
+    checkpoints_voided += other.checkpoints_voided;
     return *this;
   }
 };

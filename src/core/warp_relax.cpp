@@ -28,7 +28,8 @@ void load_row_bounds(gpusim::WarpCtx& ctx, const DeviceCsrBuffers& graph,
 
 bool split_far_pile(gpusim::GpuSim& sim, gpusim::StreamId stream,
                     gpusim::Buffer<Distance>& dist, DeviceQueue& near,
-                    DeviceQueue& far, Distance& threshold, Weight delta) {
+                    DeviceQueue& far, Distance& threshold, Weight delta,
+                    const std::function<void(gpusim::KernelScope&)>& tail) {
   const std::uint64_t pile_base = far.window_begin();
   const std::vector<VertexId> pile = far.take_all();
   sim.label_next_launch("far_split");
@@ -82,6 +83,7 @@ bool split_far_pile(gpusim::GpuSim& sim, gpusim::StreamId stream,
     far.charge_push(ctx);
     split.commit(ctx);
   }
+  if (tail) tail(split);
   split.finish();
   return true;
 }

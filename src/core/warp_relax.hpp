@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -180,10 +181,13 @@ void relax_chunk(gpusim::WarpCtx& ctx, const DeviceCsrBuffers& graph,
 // and the call returns false, threshold unchanged. Otherwise threshold
 // advances in whole `delta` steps past that minimum, and pass 2 gathers
 // the distances again (alu(2)), offers entries below the new threshold to
-// `near`, appends the rest back onto `far`, and charges both pushes.
-bool split_far_pile(gpusim::GpuSim& sim, gpusim::StreamId stream,
-                    gpusim::Buffer<graph::Distance>& dist, DeviceQueue& near,
-                    DeviceQueue& far, graph::Distance& threshold,
-                    graph::Weight delta);
+// `near`, appends the rest back onto `far`, and charges both pushes. Then
+// `tail`, if set, may append warps to the launch before it ends (ADDS's
+// checkpoint snapshot, AttemptDriver::snapshot_into).
+bool split_far_pile(
+    gpusim::GpuSim& sim, gpusim::StreamId stream,
+    gpusim::Buffer<graph::Distance>& dist, DeviceQueue& near,
+    DeviceQueue& far, graph::Distance& threshold, graph::Weight delta,
+    const std::function<void(gpusim::KernelScope&)>& tail = {});
 
 }  // namespace rdbs::core

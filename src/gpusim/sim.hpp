@@ -627,16 +627,32 @@ class GpuSim {
     return kSetupUs * 1e-3 + static_cast<double>(bytes) /
                                  (kPcieBandwidthGbps * 1e6);
   }
-  // Charges a transfer onto the simulated timeline of one stream. A
-  // (synchronous) memcpy orders the host and the stream both ways, so the
-  // sanitizer joins their happens-before clocks.
+  // Charges a host-to-device transfer onto the simulated timeline of one
+  // stream. A (synchronous) memcpy orders the host and the stream both
+  // ways, so the sanitizer joins their happens-before clocks.
   void memcpy_h2d(std::uint64_t bytes, StreamId stream = 0) {
     if (sanitizer_) sanitizer_->host_transfer(stream);
     stream_state(stream).time_ms += memcpy_ms(bytes);
   }
-  void memcpy_d2h(std::uint64_t bytes, StreamId stream = 0) {
-    if (sanitizer_) sanitizer_->host_transfer(stream);
-    stream_state(stream).time_ms += memcpy_ms(bytes);
+  // Device-to-host transfer on the stream's copy queue (cudaMemcpyAsync on
+  // a copy engine). Each stream has one D2H queue; queues of different
+  // streams do not contend, just as memcpy_h2d charges per stream. The
+  // copy starts once the stream's work issued so far and the queue's
+  // previous copy are both done, lands memcpy_ms(bytes) later, and the
+  // landing time is returned. The stream clock does not move: later work
+  // on the stream overlaps the copy. Issuing it synchronizes nothing, so
+  // the sanitizer orders nothing by it.
+  double memcpy_d2h_async(std::uint64_t bytes, StreamId stream = 0) {
+    StreamState& state = stream_state(stream);
+    state.d2h_free_ms =
+        std::max(state.time_ms, state.d2h_free_ms) + memcpy_ms(bytes);
+    return state.d2h_free_ms;
+  }
+  // When `stream`'s D2H queue drains: the landing time of its last copy
+  // (0 when it has none since reset_time()).
+  double d2h_queue_free_ms(StreamId stream) const {
+    const StreamState* state = stream_state_if(stream);
+    return state ? state->d2h_free_ms : 0.0;
   }
 
   // --- simulated time -------------------------------------------------------
@@ -657,6 +673,9 @@ class GpuSim {
   double device_busy_floor_ms() const { return device_work_ms_; }
   int num_streams() const { return static_cast<int>(streams_.size()); }
 
+  // reset_time() drops every stream (clock, deadline, D2H queue) and the
+  // device-wide kernel slots and busy floor; reset_all() also clears the
+  // counters and caches.
   void reset_time();
   void reset_all();
 
@@ -720,6 +739,8 @@ class GpuSim {
     // the count of kernels that completed past it; see set_stream_deadline.
     double deadline_ms = -1.0;
     std::uint64_t overrun_kernels = 0;
+    // Landing time of the last copy on the stream's D2H queue.
+    double d2h_free_ms = 0;
   };
   StreamState& stream_state(StreamId stream);
   const StreamState* stream_state_if(StreamId stream) const;

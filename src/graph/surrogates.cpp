@@ -1,9 +1,11 @@
 #include "graph/surrogates.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/log.hpp"
 #include "common/macros.hpp"
@@ -130,6 +132,15 @@ std::optional<Csr> try_load_real(const DatasetSpec& spec,
   return std::nullopt;
 }
 
+// A whole unsigned decimal token ("16"; not "", "16x", "+16" or "abc").
+std::optional<std::uint32_t> parse_decimal(std::string_view token) {
+  std::uint32_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 const std::vector<DatasetSpec>& real_world_datasets() {
@@ -141,24 +152,28 @@ std::optional<DatasetSpec> find_dataset(const std::string& name) {
   for (const auto& spec : real_world_datasets()) {
     if (spec.name == name || spec.full_name == name) return spec;
   }
-  // Kronecker names: k-n<scale>-<edgefactor>, e.g. "k-n21-16".
-  if (name.rfind("k-n", 0) == 0) {
-    const auto dash = name.find('-', 3);
-    if (dash != std::string::npos) {
-      DatasetSpec spec;
-      spec.name = name;
-      spec.full_name = "Graph500 Kronecker";
-      spec.family = Family::kKronecker;
-      const int scale = std::stoi(name.substr(3, dash - 3));
-      const int edgefactor = std::stoi(name.substr(dash + 1));
-      spec.paper_vertices = std::uint64_t(1) << scale;
-      spec.paper_edges = spec.paper_vertices *
-                         static_cast<std::uint64_t>(edgefactor);
-      spec.paper_avg_degree = edgefactor;
-      return spec;
-    }
+  // Kronecker names: k-n<scale>-<edgefactor>, e.g. "k-n21-16". Both fields
+  // are whole decimal tokens, the scale 1-31 and the edgefactor at least 1;
+  // any other name is not a dataset.
+  if (name.rfind("k-n", 0) != 0) return std::nullopt;
+  const std::string_view fields = std::string_view(name).substr(3);
+  const auto dash = fields.find('-');
+  if (dash == std::string_view::npos) return std::nullopt;
+  const std::optional<std::uint32_t> scale =
+      parse_decimal(fields.substr(0, dash));
+  const std::optional<std::uint32_t> edgefactor =
+      parse_decimal(fields.substr(dash + 1));
+  if (!scale || *scale < 1 || *scale > 31 || !edgefactor || *edgefactor < 1) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  DatasetSpec spec;
+  spec.name = name;
+  spec.full_name = "Graph500 Kronecker";
+  spec.family = Family::kKronecker;
+  spec.paper_vertices = std::uint64_t(1) << *scale;
+  spec.paper_edges = spec.paper_vertices * *edgefactor;
+  spec.paper_avg_degree = *edgefactor;
+  return spec;
 }
 
 Csr load_dataset(const DatasetSpec& spec, const LoadOptions& options) {

@@ -39,7 +39,9 @@ const std::vector<DatasetSpec>& real_world_datasets();
 
 // Looks up a spec by short name ("road-TX") or Kronecker name ("k-n21-16",
 // parsed as SCALE=21 edgefactor=16 and scaled down by the same factor the
-// real-world surrogates use).
+// real-world surrogates use). A Kronecker name's fields must be whole
+// decimal tokens, with a SCALE of 1-31 and an edgefactor of at least 1 that
+// fits 32 bits; any other name is unknown (nullopt).
 std::optional<DatasetSpec> find_dataset(const std::string& name);
 
 struct LoadOptions {

@@ -9,6 +9,7 @@
 // from its seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -801,8 +802,10 @@ TEST(FaultInjection, CheckpointResumedRetriesRecoverExactDistances) {
   EXPECT_GT(resumed_total, 0u);
 }
 
-// Checkpointing costs simulated D2H time but never changes the answer.
-TEST(FaultInjection, CheckpointingChargesTheClockAndKeepsDistancesExact) {
+// Checkpoint copies stay off the stream clock and never change the answer.
+// The snapshot warps may add a little device time; a copy charged to the
+// clock would add at least one memcpy_ms of the distance vector.
+TEST(FaultInjection, CheckpointCopiesStayOffTheClockAndKeepDistancesExact) {
   const Csr csr = chaos_graph();
   core::GpuSsspOptions base;
   base.delta0 = 120.0;
@@ -816,8 +819,195 @@ TEST(FaultInjection, CheckpointingChargesTheClockAndKeepsDistancesExact) {
   const core::GpuRunResult with = snap.solve(7);
 
   EXPECT_EQ(with.sssp.distances, without.sssp.distances);
-  EXPECT_GT(with.device_ms, without.device_ms);
+  const gpusim::GpuSim sim(gpusim::test_device());
+  const double one_copy_ms =
+      sim.memcpy_ms(csr.num_vertices() * core::kCheckpointWordBytes);
+  EXPECT_LT(with.device_ms - without.device_ms, one_copy_ms);
+  EXPECT_GT(with.recovery.checkpoints_landed, 0u);  // the case is live
   EXPECT_EQ(with.recovery.resumed, 0u);  // no faults -> nothing to resume
+}
+
+// --- the commit rule of asynchronous checkpoint copies ----------------------
+// (core/recovery.hpp): a staged snapshot becomes the checkpoint only once
+// its D2H copy has landed on the stream clock where it is needed.
+
+// An engine on the driver whose rounds are scripted, two launches each
+// like an RDBS bucket. The work launch's first warp spends round_cycles[r]
+// ALU cycles, and its warps store r + 1 into every distance, so a snapshot
+// records the round it was taken at. The boundary launch runs only the
+// snapshot warps when one is due (every boundary is), and ends at the
+// boundary. Around the work launch of round fault_round of the first
+// attempt, `fault` replaces the quiet injector; a poisoned attempt stops
+// before its next boundary launch.
+class ScriptedRoundsEngine {
+ public:
+  ScriptedRoundsEngine(const Csr& csr, const core::EngineOptions& options)
+      : driver_("scripted", gpusim::test_device(), csr, options,
+                /*checkpoint_interval=*/1),
+        dist_(driver_.sim().alloc<Distance>("dist", csr.num_vertices(), 4)),
+        quiet_(options.fault) {}
+
+  std::vector<std::uint32_t> round_cycles;
+  std::size_t fault_round = ~std::size_t{0};
+  gpusim::FaultConfig fault;
+
+  core::GpuRunResult run(VertexId source) {
+    return driver_.run(source, [&] { return attempt(source); });
+  }
+  core::AttemptDriver& driver() { return driver_; }
+  // The bounds each attempt was seeded from (empty: it ran cold).
+  const std::vector<std::vector<Distance>>& seeds() const { return seeds_; }
+
+ private:
+  core::GpuRunResult attempt(VertexId source) {
+    gpusim::GpuSim& sim = driver_.sim();
+    driver_.begin_attempt(dist_);
+    const std::vector<Distance>* warm = driver_.warm_bounds();
+    seeds_.push_back(warm != nullptr ? *warm : std::vector<Distance>{});
+    const bool first = seeds_.size() == 1;
+    const std::uint64_t n = dist_.size();
+    for (std::size_t r = 0; r < round_cycles.size(); ++r) {
+      const bool faulted = first && r == fault_round;
+      if (faulted) sim.enable_fault_injection(fault);
+      gpusim::KernelScope work(sim, gpusim::Schedule::kStatic, true, 1,
+                               driver_.stream());
+      for (std::uint64_t begin = 0; begin < n; begin += 32) {
+        const auto lanes =
+            static_cast<std::uint32_t>(std::min<std::uint64_t>(32, n - begin));
+        gpusim::WarpCtx ctx = work.make_warp();
+        if (begin == 0) ctx.alu(round_cycles[r]);
+        std::array<std::uint64_t, 32> index{};
+        std::array<Distance, 32> value{};
+        for (std::uint32_t i = 0; i < lanes; ++i) {
+          index[i] = begin + i;
+          value[i] = static_cast<Distance>(r + 1);
+        }
+        ctx.store(dist_, std::span<const std::uint64_t>(index.data(), lanes),
+                  std::span<const Distance>(value.data(), lanes));
+        work.commit(ctx);
+      }
+      work.finish();
+      if (faulted) sim.enable_fault_injection(quiet_);
+      if (driver_.poisoned()) break;
+      gpusim::KernelScope ending(sim, gpusim::Schedule::kStatic, true, 1,
+                                 driver_.stream());
+      driver_.snapshot_into(ending, dist_);
+      ending.finish();
+      driver_.boundary(dist_);
+    }
+    return driver_.finish(core::GpuRunResult{}, dist_, source);
+  }
+
+  core::AttemptDriver driver_;
+  gpusim::Buffer<Distance> dist_;
+  gpusim::FaultConfig quiet_;
+  std::vector<std::vector<Distance>> seeds_;
+};
+
+// 3,200 distances: one copy takes memcpy_ms(12,800 B), about 11.1 us. A
+// work launch takes about 35 us (30,000 cycles at 1 GHz plus the 5 us
+// launch) or 5 us (no cycles; a failed launch also costs only the 5 us),
+// and a boundary launch about 5 us.
+constexpr VertexId kScriptedVertices = 3200;
+constexpr std::uint32_t kLongRound = 30000;
+
+core::EngineOptions scripted_options(double backoff_ms) {
+  core::EngineOptions options;
+  options.fault = seeded_faults(71);
+  options.fault.max_faults = 1000;
+  options.retry.max_attempts = 2;
+  options.retry.backoff_ms = backoff_ms;
+  options.retry.cpu_fallback = false;
+  return options;
+}
+
+// A due boundary that finds the last copy still in flight skips its
+// snapshot: the copy staged at boundary 1 is still in flight when the
+// short round's boundary launch begins, so boundary 2 takes no snapshot,
+// and boundary 3 commits the boundary-1 snapshot, not a boundary-2 one.
+TEST(CheckpointCommit, ABoundaryWithACopyInFlightSkipsItsSnapshot) {
+  const Csr csr = edgeless_graph(kScriptedVertices);
+  ScriptedRoundsEngine engine(csr, scripted_options(0.05));
+  engine.round_cycles = {kLongRound, 0, kLongRound};
+  const core::GpuRunResult result = engine.run(0);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.recovery.checkpoints_landed, 1u);
+  EXPECT_EQ(result.recovery.checkpoints_voided, 0u);
+  const core::QueryCheckpoint checkpoint = engine.driver().take_checkpoint();
+  EXPECT_EQ(checkpoint.boundaries, 1u);
+  EXPECT_EQ(checkpoint.snapshots, 1u);
+  EXPECT_EQ(checkpoint.bounds, std::vector<Distance>(kScriptedVertices, 1.0));
+}
+
+// A launch failure 5 us after the boundary-2 snapshot's copy was issued.
+// (Each snapshot's copy lands during the next round's long work launch.)
+// With no backoff the retry comes before that copy lands, so it resumes
+// from the boundary-1 snapshot, and the reset of the owned simulator for
+// the retry voids the one in flight. With a 50 us backoff the copy has
+// landed by the retry, which resumes from it.
+TEST(CheckpointCommit, ASnapshotInFlightIsNeverTheResumePoint) {
+  const Csr csr = edgeless_graph(kScriptedVertices);
+  for (const double backoff_ms : {0.0, 0.05}) {
+    ScriptedRoundsEngine engine(csr, scripted_options(backoff_ms));
+    engine.round_cycles = {kLongRound, kLongRound, 0, kLongRound};
+    engine.fault_round = 2;
+    engine.fault = seeded_faults(72);
+    engine.fault.launch_failure = 1.0;
+    engine.fault.max_faults = 1000;
+    const core::GpuRunResult result = engine.run(0);
+    ASSERT_TRUE(result.ok) << backoff_ms;
+    ASSERT_EQ(result.recovery.retries, 1u) << backoff_ms;
+    EXPECT_EQ(result.recovery.resumed, 1u) << backoff_ms;
+    ASSERT_EQ(engine.seeds().size(), 2u) << backoff_ms;
+    const bool landed = backoff_ms > 0;
+    // Round r stores r + 1: the resume point is round 0's snapshot when the
+    // round-1 copy is still in flight, round 1's once it has landed.
+    EXPECT_EQ(engine.seeds()[1],
+              std::vector<Distance>(kScriptedVertices, landed ? 2.0 : 1.0))
+        << backoff_ms;
+    EXPECT_EQ(result.recovery.checkpoints_voided, landed ? 0u : 1u)
+        << backoff_ms;
+  }
+}
+
+// The first snapshot's copy is still in flight when the launch failure's
+// retry comes: there is no checkpoint yet, so the retry runs cold.
+TEST(CheckpointCommit, ARetryBeforeTheFirstCopyLandsRunsCold) {
+  const Csr csr = edgeless_graph(kScriptedVertices);
+  ScriptedRoundsEngine engine(csr, scripted_options(0.0));
+  engine.round_cycles = {kLongRound, 0, kLongRound};
+  engine.fault_round = 1;
+  engine.fault = seeded_faults(74);
+  engine.fault.launch_failure = 1.0;
+  engine.fault.max_faults = 1000;
+  const core::GpuRunResult result = engine.run(0);
+  ASSERT_TRUE(result.ok);
+  ASSERT_EQ(result.recovery.retries, 1u);
+  EXPECT_EQ(result.recovery.resumed, 0u);
+  ASSERT_EQ(engine.seeds().size(), 2u);
+  EXPECT_TRUE(engine.seeds()[1].empty());
+  EXPECT_EQ(result.recovery.checkpoints_voided, 1u);
+}
+
+// A device loss while the boundary-2 snapshot's copy is in flight voids it:
+// the failed run leaves the boundary-1 snapshot as the checkpoint a
+// migration would take.
+TEST(CheckpointCommit, ADeviceLossDuringTheCopyVoidsIt) {
+  const Csr csr = edgeless_graph(kScriptedVertices);
+  ScriptedRoundsEngine engine(csr, scripted_options(0.05));
+  engine.round_cycles = {kLongRound, kLongRound, 0, kLongRound};
+  engine.fault_round = 2;
+  engine.fault = seeded_faults(73);
+  engine.fault.device_loss = 1.0;
+  engine.fault.max_faults = 1000;
+  const core::GpuRunResult result = engine.run(0);
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.recovery.device_lost);
+  EXPECT_EQ(result.recovery.checkpoints_landed, 1u);
+  EXPECT_EQ(result.recovery.checkpoints_voided, 1u);
+  const core::QueryCheckpoint checkpoint = engine.driver().take_checkpoint();
+  EXPECT_EQ(checkpoint.boundaries, 1u);
+  EXPECT_EQ(checkpoint.bounds, std::vector<Distance>(kScriptedVertices, 1.0));
 }
 
 // The resume path must be as deterministic as everything else: same seed,

@@ -71,7 +71,8 @@ gpusim::SanitizeMode fuzz_sanitize() {
 // launch failures, timeouts, stalls and the occasional device loss. The
 // oracle requirement is UNCHANGED — recovery must land on distances exactly
 // equal to Dijkstra — so this mode fuzzes the retry/fallback machinery with
-// the same reproduce-from-seed property as the base fuzzer.
+// the same reproduce-from-seed property as the base fuzzer. It also turns
+// on the checkpoint leg (run_checkpoint_case below).
 bool fuzz_faults() {
   const char* env = std::getenv("RDBS_FUZZ_FAULTS");
   return env != nullptr && *env != '\0' && *env != '0';
@@ -837,6 +838,62 @@ void run_warm_case(const FuzzCase& c, const Csr& csr,
   ++g_warm_tally.cases;
 }
 
+// Checkpoint leg of an RDBS or ADDS fuzz case (on with RDBS_FUZZ_FAULTS):
+// the same engine and fault plan, snapshotting every 1 + seed % 3
+// boundaries, so retries resume from committed checkpoints whose copies
+// overlapped the run. The distances must equal Dijkstra's. Sweep-level
+// tally guards against a plan that never resumes (which would retest the
+// cold retry path).
+struct CheckpointLegTally {
+  std::uint64_t resumed = 0;
+  std::size_t cases = 0;
+};
+CheckpointLegTally g_checkpoint_tally;
+
+void run_checkpoint_case(const FuzzCase& c, const Csr& csr,
+                         const std::vector<graph::Distance>& expected,
+                         int case_index) {
+  const gpusim::DeviceSpec device = gpusim::test_device();
+  const int interval = 1 + static_cast<int>(c.seed % 3);
+  core::GpuRunResult result;
+  if (c.engine == Engine::kRdbs) {
+    core::GpuSsspOptions options;
+    options.basyn = c.basyn;
+    options.pro = c.pro;
+    options.adwl = c.adwl;
+    options.delta0 = c.delta0;
+    options.sanitize = fuzz_sanitize();
+    options.fault = fuzz_fault_config(c.seed);
+    options.retry = fuzz_retry_policy();
+    options.checkpoint_interval = interval;
+    core::RdbsSolver solver(csr, device, options);
+    result = solver.solve(c.source);
+  } else {
+    ASSERT_EQ(c.engine, Engine::kAdds)
+        << "checkpoint case " << case_index << ": engine does not checkpoint";
+    core::AddsOptions options;
+    options.delta = c.delta0;
+    options.sanitize = fuzz_sanitize();
+    options.fault = fuzz_fault_config(c.seed);
+    options.retry = fuzz_retry_policy();
+    options.checkpoint_interval = interval;
+    core::AddsLike adds(device, csr, options);
+    result = adds.run(c.source);
+  }
+  ASSERT_TRUE(result.sanitizer_report.empty())
+      << "checkpoint case " << case_index << ": " << c.describe() << "\n"
+      << result.sanitizer_report;
+  ASSERT_EQ(result.sssp.distances.size(), expected.size())
+      << "checkpoint case " << case_index << ": " << c.describe();
+  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
+    ASSERT_EQ(result.sssp.distances[v], expected[v])
+        << "checkpoint case " << case_index << " vertex " << v
+        << " (interval " << interval << "): " << c.describe();
+  }
+  g_checkpoint_tally.resumed += result.recovery.resumed;
+  ++g_checkpoint_tally.cases;
+}
+
 TEST(FuzzDifferential, EveryEngineMatchesDijkstraOnRandomGraphs) {
   const std::uint64_t master = 42;
   const int iters = fuzz_iterations();
@@ -897,6 +954,10 @@ TEST(FuzzDifferential, EveryEngineMatchesDijkstraOnRandomGraphs) {
         fuzz_warm()) {
       run_warm_case(c, csr, expected, i);
     }
+    if ((c.engine == Engine::kRdbs || c.engine == Engine::kAdds) &&
+        fuzz_faults()) {
+      run_checkpoint_case(c, csr, expected, i);
+    }
   }
   if (fuzz_cache() && g_cache_tally.cases >= 3) {
     // The hot-Zipf schedules must have produced real cache traffic
@@ -919,6 +980,15 @@ TEST(FuzzDifferential, EveryEngineMatchesDijkstraOnRandomGraphs) {
     EXPECT_GT(g_warm_tally.finite_bounds, 0u)
         << "no finite warm bounds across " << g_warm_tally.cases
         << " warm-leg cases";
+  }
+  if (fuzz_faults() && g_checkpoint_tally.cases >= 1) {
+    RecordProperty("checkpoint_leg_cases",
+                   static_cast<int>(g_checkpoint_tally.cases));
+    RecordProperty("checkpoint_leg_resumed",
+                   static_cast<int>(g_checkpoint_tally.resumed));
+    EXPECT_GT(g_checkpoint_tally.resumed, 0u)
+        << "no retry resumed from a checkpoint across "
+        << g_checkpoint_tally.cases << " checkpoint-leg cases";
   }
 }
 

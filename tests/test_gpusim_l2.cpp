@@ -150,8 +150,63 @@ TEST(Transfers, MemcpyCostsScaleWithBytes) {
   EXPECT_GT(small, 0.0);         // even tiny copies pay the setup latency
   const double before = sim.elapsed_ms();
   sim.memcpy_h2d(1 << 20);
-  sim.memcpy_d2h(1 << 20);
+  sim.memcpy_h2d(1 << 20);
   EXPECT_NEAR(sim.elapsed_ms() - before, 2 * sim.memcpy_ms(1 << 20), 1e-12);
+  // A D2H pays the same cost, on the copy queue instead of the clock.
+  const double issued = sim.elapsed_ms();
+  EXPECT_NEAR(sim.memcpy_d2h_async(1 << 20) - issued, sim.memcpy_ms(1 << 20),
+              1e-12);
+}
+
+// Runs one small kernel on `stream`, so its clock is past zero.
+void run_one_kernel(gpusim::GpuSim& sim, gpusim::StreamId stream) {
+  sim.run_kernel(gpusim::Schedule::kStatic, 4, 1,
+                 [](gpusim::WarpCtx& ctx, std::uint64_t) { ctx.alu(50); },
+                 /*host_launch=*/true, stream);
+}
+
+TEST(Transfers, AsyncD2hLandsOneCopyLaterAndLeavesTheStreamClock) {
+  gpusim::GpuSim sim(gpusim::test_device());
+  run_one_kernel(sim, 0);
+  const double issued = sim.stream_elapsed_ms(0);
+  ASSERT_GT(issued, 0.0);
+  const double landed = sim.memcpy_d2h_async(8192, 0);
+  EXPECT_DOUBLE_EQ(landed, issued + sim.memcpy_ms(8192));
+  EXPECT_DOUBLE_EQ(sim.stream_elapsed_ms(0), issued);
+  EXPECT_DOUBLE_EQ(sim.d2h_queue_free_ms(0), landed);
+  // The next kernel on the stream overlaps the copy instead of waiting.
+  run_one_kernel(sim, 0);
+  EXPECT_DOUBLE_EQ(sim.stream_elapsed_ms(0), 2 * issued);
+  EXPECT_DOUBLE_EQ(sim.d2h_queue_free_ms(0), landed);
+}
+
+TEST(Transfers, CopiesOnOneStreamLandOneCopyApart) {
+  gpusim::GpuSim sim(gpusim::test_device());
+  run_one_kernel(sim, 0);
+  const double first = sim.memcpy_d2h_async(8192, 0);
+  const double second = sim.memcpy_d2h_async(8192, 0);
+  EXPECT_DOUBLE_EQ(second - first, sim.memcpy_ms(8192));
+}
+
+TEST(Transfers, CopyQueuesOfTwoStreamsDoNotContend) {
+  gpusim::GpuSim sim(gpusim::test_device());
+  run_one_kernel(sim, 0);
+  run_one_kernel(sim, 1);
+  const double lane0 = sim.memcpy_d2h_async(8192, 0);
+  const double lane1 = sim.memcpy_d2h_async(8192, 1);
+  EXPECT_DOUBLE_EQ(lane0, sim.stream_elapsed_ms(0) + sim.memcpy_ms(8192));
+  EXPECT_DOUBLE_EQ(lane1, sim.stream_elapsed_ms(1) + sim.memcpy_ms(8192));
+}
+
+TEST(Transfers, ResetTimeEmptiesTheCopyQueues) {
+  gpusim::GpuSim sim(gpusim::test_device());
+  run_one_kernel(sim, 0);
+  sim.memcpy_d2h_async(8192, 0);
+  sim.memcpy_d2h_async(8192, 2);
+  sim.reset_time();
+  EXPECT_EQ(sim.d2h_queue_free_ms(0), 0.0);
+  EXPECT_EQ(sim.d2h_queue_free_ms(2), 0.0);
+  EXPECT_DOUBLE_EQ(sim.memcpy_d2h_async(8192, 0), sim.memcpy_ms(8192));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -403,6 +404,36 @@ TEST(Surrogates, KroneckerNameParsing) {
   ASSERT_TRUE(spec.has_value());
   EXPECT_EQ(spec->paper_vertices, 1ull << 21);
   EXPECT_EQ(spec->paper_avg_degree, 16.0);
+}
+
+// The benchmark's two Kronecker graphs resolve to the specs they always
+// had: every field, so their surrogates (and fingerprints) cannot move.
+TEST(Surrogates, BenchmarkKroneckerSpecsAreUnchanged) {
+  for (const int scale : {21, 16}) {
+    const std::string name = "k-n" + std::to_string(scale) + "-16";
+    const auto spec = find_dataset(name);
+    ASSERT_TRUE(spec.has_value()) << name;
+    EXPECT_EQ(spec->name, name);
+    EXPECT_EQ(spec->full_name, "Graph500 Kronecker");
+    EXPECT_EQ(spec->family, DatasetSpec::Family::kKronecker);
+    EXPECT_EQ(spec->paper_vertices, 1ull << scale);
+    EXPECT_EQ(spec->paper_edges, (1ull << scale) * 16);
+    EXPECT_EQ(spec->paper_avg_degree, 16.0);
+    EXPECT_EQ(spec->paper_diameter, 0u);
+  }
+}
+
+// A Kronecker name whose fields are not whole decimal tokens, or whose
+// scale or edgefactor is out of range, is an unknown dataset.
+TEST(Surrogates, MalformedKroneckerNamesAreUnknown) {
+  for (const char* name :
+       {"k-n12-8x", "k-n70-8", "k-n12-0", "k-nabc-1", "k-n0-8", "k-n32-8",
+        "k-n-8", "k-n12-", "k-n12", "k-n+12-8", "k-n12-8-2", "k-n 12-8",
+        "k-n12-99999999999"}) {
+    EXPECT_FALSE(find_dataset(name).has_value()) << name;
+  }
+  EXPECT_TRUE(find_dataset("k-n1-1").has_value());
+  EXPECT_TRUE(find_dataset("k-n31-1").has_value());
 }
 
 TEST(Surrogates, LoadedGraphsMatchFamilyProperties) {

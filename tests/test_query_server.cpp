@@ -804,6 +804,33 @@ TEST(QueryServer, MigrationResumesLostQueryOnSurvivingLane) {
   EXPECT_TRUE(saw_migrated);
 }
 
+// The device is lost while the failing query's latest snapshot is still
+// being copied back: that snapshot is void, and the query migrates from
+// the snapshot before it, to oracle-exact distances.
+TEST(QueryServer, DeviceLossDuringACheckpointCopyMigratesFromTheEarlierOne) {
+  const Csr csr = server_test_graph();
+  const std::vector<VertexId> sources = {0, 17, 113, 256, 399, 42};
+
+  gpusim::FaultConfig cfg;
+  cfg.enabled = true;
+  cfg.seed = 4;
+  cfg.device_loss = 0.004;
+  cfg.max_faults = 1;
+
+  core::QueryServerOptions options = migration_options(true);
+  options.batch.gpu.fault = cfg;
+  core::QueryServer server(csr, gpusim::test_device(), options);
+  const core::StreamResult result = server.run_stream(queries_for(sources));
+
+  EXPECT_TRUE(result.recovery.device_lost);
+  EXPECT_EQ(result.recovery.checkpoints_voided, 1u);
+  EXPECT_GT(result.recovery.checkpoints_landed, 0u);
+  EXPECT_EQ(result.migrated_queries, 1u);
+  EXPECT_EQ(result.failed_queries, 0u);
+  EXPECT_EQ(result.ok_queries, sources.size());
+  check_stream_invariants(csr, queries_for(sources), result);
+}
+
 // Migration only helps when a checkpoint exists: with checkpointing off the
 // same storm fails the query even with migration enabled.
 TEST(QueryServer, MigrationWithoutCheckpointLeavesQueryFailed) {

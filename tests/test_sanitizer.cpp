@@ -386,15 +386,40 @@ TEST(GsanCrossStream, SynchronousMemcpyOrdersTheStreams) {
                    ctx.store_one(data, 5, 1u);
                  },
                  /*host_launch=*/true, /*stream=*/0);
-  // A synchronous D2H readback orders host after stream 0's writes; the
+  // A synchronous H2D upload orders the host after stream 0's writes; the
   // stream-1 writer launched after it is therefore ordered too.
-  sim.memcpy_d2h(data.size() * sizeof(std::uint32_t), /*stream=*/0);
+  sim.memcpy_h2d(data.size() * sizeof(std::uint32_t), /*stream=*/0);
   sim.run_kernel(gpusim::Schedule::kStatic, 1, 1,
                  [&](gpusim::WarpCtx& ctx, std::uint64_t) {
                    ctx.store_one(data, 5, 2u);
                  },
                  /*host_launch=*/true, /*stream=*/1);
   EXPECT_EQ(report_of(sim), "");
+}
+
+TEST(GsanCrossStream, AsyncCopyOrdersNothing) {
+  GpuSim sim(gpusim::test_device());
+  sim.enable_sanitizer(SanitizeMode::kOn);
+  auto data = sim.alloc<std::uint32_t>("data", 8);
+  sim.mark_initialized(data);
+
+  sim.run_kernel(gpusim::Schedule::kStatic, 1, 1,
+                 [&](gpusim::WarpCtx& ctx, std::uint64_t) {
+                   ctx.store_one(data, 5, 1u);
+                 },
+                 /*host_launch=*/true, /*stream=*/0);
+  // The host issues the D2H and goes on without waiting for it, so the
+  // stream-1 writer is still concurrent with stream 0's store.
+  sim.memcpy_d2h_async(data.size() * sizeof(std::uint32_t), /*stream=*/0);
+  sim.label_next_launch("writer_b");
+  sim.run_kernel(gpusim::Schedule::kStatic, 1, 1,
+                 [&](gpusim::WarpCtx& ctx, std::uint64_t) {
+                   ctx.store_one(data, 5, 2u);
+                 },
+                 /*host_launch=*/true, /*stream=*/1);
+  EXPECT_EQ(report_of(sim),
+            "[gsan] cross-stream-race: kernel=writer_b buffer=data elem=5 "
+            "stream=0/1\n");
 }
 
 TEST(GsanCrossStream, AtomicsAndVolatilesPairSafelyAcrossStreams) {
@@ -684,6 +709,34 @@ TEST(GsanCleanSweep, QueryBatchFourStreams) {
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(result.queries[i].sssp.distances,
               sssp::dijkstra(csr, sources[i]).distances);
+  }
+}
+
+// Checkpoint snapshots under gsan: both checkpointing engines, four lanes
+// on one simulator, a snapshot due at every boundary. The snapshot warps
+// and the asynchronous copies must raise no hazard, and the snapshots
+// must really be taken.
+TEST(GsanCleanSweep, CheckpointingQueryBatchRdbsAndAdds) {
+  const Csr csr = sweep_graph();
+  const std::vector<VertexId> sources = {0, 13, 77, 150, 299, 5, 211};
+  for (const core::BatchEngine engine :
+       {core::BatchEngine::kRdbs, core::BatchEngine::kAdds}) {
+    core::QueryServerOptions options;
+    options.batch.streams = 4;
+    options.batch.engine = engine;
+    options.batch.gpu.checkpoint_interval = 1;
+    options.batch.gpu.sanitize = SanitizeMode::kOn;
+    core::QueryServer server(csr, gpusim::test_device(), options);
+    const core::StreamResult result =
+        server.run_stream(core::batch_schedule(sources));
+    const gpusim::Sanitizer* sanitizer = server.batch().sim().sanitizer();
+    ASSERT_NE(sanitizer, nullptr);
+    EXPECT_EQ(sanitizer->report(), "");
+    EXPECT_GT(result.recovery.checkpoints_landed, 0u);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(result.queries[i].sssp.distances,
+                sssp::dijkstra(csr, sources[i]).distances);
+    }
   }
 }
 
