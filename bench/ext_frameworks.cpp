@@ -51,10 +51,11 @@ int main(int argc, char** argv) {
     double gunrock_ms = 0;
     std::uint64_t gunrock_launches = 0;
     {
-      core::gunrock::GunrockSsspOptions options;
+      core::GunrockSsspOptions options;
       options.delta = delta0;
+      core::GunrockLike gunrock(device, csr, options);
       for (const auto s : sources) {
-        const auto result = core::gunrock::sssp(device, csr, s, options);
+        const auto result = gunrock.run(s);
         gunrock_ms += result.device_ms;
         gunrock_launches += result.counters.kernel_launches;
       }

@@ -6,9 +6,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace rdbs {
 
@@ -23,32 +20,10 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   double milliseconds() const { return seconds() * 1e3; }
-  double microseconds() const { return seconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Accumulates repeated measurements of one quantity and reports summary
-// statistics; used by the bench harness for "64 sources x 10 runs" loops.
-class Accumulator {
- public:
-  void add(double value);
-
-  std::size_t count() const { return values_.size(); }
-  double sum() const;
-  double mean() const;
-  double min() const;
-  double max() const;
-  double stddev() const;
-  // p in [0,100]; linear interpolation between order statistics.
-  double percentile(double p) const;
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = false;
-  void ensure_sorted() const;
 };
 
 }  // namespace rdbs

@@ -13,16 +13,11 @@ using graph::EdgeIndex;
 using graph::VertexId;
 using graph::Weight;
 
-namespace {
-constexpr std::uint32_t kDeviceWord = 4;
-}
-
 AddsLike::AddsLike(DeviceBinding device, const graph::Csr& csr,
                    AddsOptions options)
     : csr_(csr),
       options_(options),
-      driver_("AddsLike", std::move(device), csr_, options_,
-              options_.checkpoint_interval) {
+      driver_("AddsLike", std::move(device), csr_, options_) {
   RDBS_CHECK(options_.delta > 0);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();

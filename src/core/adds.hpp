@@ -25,9 +25,6 @@ namespace rdbs::core {
 
 struct AddsOptions : EngineOptions {
   graph::Weight delta = 100.0;  // Near/Far threshold increment
-  // Checkpoint-resume: snapshot the tentative distances every N near/far
-  // round boundaries (0 = off); see GpuSsspOptions::checkpoint_interval.
-  int checkpoint_interval = 0;
 };
 
 class AddsLike : public GpuEngine {

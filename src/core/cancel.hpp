@@ -15,8 +15,6 @@
 // and for any concurrent-stream layout.
 #pragma once
 
-#include <limits>
-
 #include "gpusim/sim.hpp"
 
 namespace rdbs::core {
@@ -38,15 +36,6 @@ class CancelToken {
   bool expired() const {
     return sim_ != nullptr && deadline_ms_ >= 0 &&
            sim_->stream_elapsed_ms(stream_) >= deadline_ms_;
-  }
-
-  double deadline_ms() const { return deadline_ms_; }
-  // Simulated ms left before expiry (negative once over; +inf when unbound).
-  double remaining_ms() const {
-    if (sim_ == nullptr || deadline_ms_ < 0) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return deadline_ms_ - sim_->stream_elapsed_ms(stream_);
   }
 
  private:

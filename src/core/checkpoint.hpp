@@ -33,10 +33,6 @@
 
 namespace rdbs::core {
 
-// Device distances are 32-bit words in the CUDA layout the engines model;
-// checkpoint D2H / re-seed H2D transfers are costed at this width.
-inline constexpr std::uint32_t kCheckpointWordBytes = 4;
-
 // One host-side snapshot of an engine's tentative distances. `bounds` is in
 // the ENGINE's vertex numbering (PRO-reordered when the lane reorders) —
 // resume and migration stay inside one QueryBatch, which shares that

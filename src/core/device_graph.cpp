@@ -5,10 +5,6 @@
 
 namespace rdbs::core {
 
-namespace {
-constexpr std::uint32_t kDeviceWord = 4;
-}
-
 DeviceCsrBuffers DeviceCsrBuffers::upload(gpusim::GpuSim& sim,
                                           const graph::Csr& csr) {
   const graph::VertexId n = csr.num_vertices();

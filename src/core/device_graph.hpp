@@ -21,6 +21,11 @@
 
 namespace rdbs::core {
 
+// Bytes of one device word. The engines model the 32-bit CUDA layout: row
+// offsets, vertex ids, weights, distances and queue cursors are allocated,
+// and distance transfers costed, at this width.
+inline constexpr std::uint32_t kDeviceWord = 4;
+
 struct DeviceCsrBuffers {
   gpusim::Buffer<graph::EdgeIndex> row_offsets;
   gpusim::Buffer<graph::VertexId> adjacency;
@@ -48,8 +53,11 @@ void seed_source(gpusim::GpuSim& sim, gpusim::StreamId stream,
 // host-side; each charge_* call issues one warp's share of the protocol.
 //
 // The engine allocates the buffers (names, sizes and allocation order fix
-// the simulated address layout) and hands them to bind(). Only gunrock's
-// double-buffered frontier keeps its own code.
+// the simulated address layout) and hands them to bind(). Gunrock's
+// double-buffered frontier (core/gunrock_like.hpp) is not one of these
+// queues: its operators compact-store with plain stores between
+// bulk-synchronous launches, and nothing pushes into a persistent kernel's
+// ring with st.cg.
 class DeviceQueue {
  public:
   static constexpr std::uint64_t kNoCell = ~std::uint64_t{0};  // no pops

@@ -21,24 +21,6 @@ Options derive(const EngineOptions& shared) {
   return options;
 }
 
-// Gunrock's SSSP app runs on a fresh enactor per query, so no L2 state and
-// no clock carry from one query into the next.
-class GunrockEngine final : public GpuEngine {
- public:
-  GunrockEngine(gpusim::DeviceSpec device, const Csr& csr,
-                gunrock::GunrockSsspOptions options)
-      : device_(std::move(device)), csr_(csr), options_(std::move(options)) {}
-
-  GpuRunResult run(graph::VertexId source) override {
-    return gunrock::sssp(device_, csr_, source, options_);
-  }
-
- private:
-  gpusim::DeviceSpec device_;
-  const Csr& csr_;
-  gunrock::GunrockSsspOptions options_;
-};
-
 const GpuEngineEntry kEngines[] = {
     {"rdbs",
      [](gpusim::DeviceSpec device, const Csr& csr, const EngineOptions& shared,
@@ -66,9 +48,9 @@ const GpuEngineEntry kEngines[] = {
     {"gunrock",
      [](gpusim::DeviceSpec device, const Csr& csr, const EngineOptions& shared,
         Weight delta) -> std::unique_ptr<GpuEngine> {
-       auto options = derive<gunrock::GunrockSsspOptions>(shared);
+       auto options = derive<GunrockSsspOptions>(shared);
        options.delta = delta;
-       return std::make_unique<GunrockEngine>(std::move(device), csr, options);
+       return std::make_unique<GunrockLike>(std::move(device), csr, options);
      }},
     {"sep",
      [](gpusim::DeviceSpec device, const Csr& csr, const EngineOptions& shared,

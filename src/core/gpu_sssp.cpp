@@ -15,10 +15,6 @@ namespace rdbs::core {
 
 namespace {
 
-// Device element sizes mirror the CUDA layout the paper describes: 32-bit
-// row offsets / vertex ids / weights / distances.
-constexpr std::uint32_t kDeviceWord = 4;
-
 // ADWL classification thresholds (paper: α = block = 256, β = warp = 32):
 // a vertex with at least kBeta light edges is medium, with at least kAlpha
 // large.
@@ -67,8 +63,7 @@ GpuDeltaStepping::GpuDeltaStepping(DeviceBinding device, const Csr& csr,
                                    GpuSsspOptions options)
     : csr_(csr),
       options_(options),
-      driver_("GpuDeltaStepping", std::move(device), csr_, options_,
-              options_.checkpoint_interval) {
+      driver_("GpuDeltaStepping", std::move(device), csr_, options_) {
   const VertexId n = csr_.num_vertices();
   if (options_.pro) {
     RDBS_CHECK_MSG(csr_.weights_sorted_per_vertex(),

@@ -4,59 +4,66 @@
 #include <array>
 
 #include "common/macros.hpp"
-#include "core/recovery.hpp"
 #include "core/warp_relax.hpp"
 
-namespace rdbs::core::gunrock {
+namespace rdbs::core {
+
+using graph::Distance;
+using graph::EdgeIndex;
+using graph::VertexId;
+using graph::Weight;
 
 namespace {
-constexpr std::uint32_t kDeviceWord = 4;
 // Output-cursor cell of the frontier control buffer.
 constexpr std::uint64_t kOutCursorCell[1] = {0};
 }
 
-Enactor::Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
-                 const EngineOptions& options)
-    : sim_(std::move(device)), csr_(csr) {
-  options.configure(sim_);
+GunrockLike::GunrockLike(DeviceBinding device, const graph::Csr& csr,
+                         GunrockSsspOptions options)
+    : csr_(csr),
+      options_(options),
+      driver_("GunrockLike", std::move(device), csr_, options_) {
+  RDBS_CHECK(options_.delta > 0);
   const VertexId n = csr_.num_vertices();
   const EdgeIndex m = csr_.num_edges();
-  graph_ = DeviceCsrBuffers::upload(sim_, csr_);
-  dist_ = sim_.alloc<Distance>("dist", n, kDeviceWord);
-  frontier_in_ = sim_.alloc<VertexId>("frontier_in",
-                                      std::max<EdgeIndex>(m + 64, 64),
-                                      kDeviceWord);
-  frontier_out_ = sim_.alloc<VertexId>("frontier_out",
-                                       std::max<EdgeIndex>(m + 64, 64),
-                                       kDeviceWord);
-  frontier_ctrl_ = sim_.alloc<std::uint32_t>("frontier_ctrl", 1, kDeviceWord);
-  sim_.mark_initialized(frontier_ctrl_);
+  dist_ = sim().alloc<Distance>("dist", n, kDeviceWord);
+  frontier_[0] = sim().alloc<VertexId>(
+      "frontier_in", std::max<EdgeIndex>(m + 64, 64), kDeviceWord);
+  frontier_[1] = sim().alloc<VertexId>(
+      "frontier_out", std::max<EdgeIndex>(m + 64, 64), kDeviceWord);
+  frontier_ctrl_ = sim().alloc<std::uint32_t>("frontier_ctrl", 1, kDeviceWord);
+  sim().mark_initialized(frontier_ctrl_);
   // The dedup bitmap is cudaMemset at allocation time.
-  visited_ = sim_.alloc<std::uint8_t>("visited", n, 1);
-  sim_.mark_initialized(visited_);
+  visited_ = sim().alloc<std::uint8_t>("visited", n, 1);
+  sim().mark_initialized(visited_);
 }
 
-void Enactor::seed_frontier(const Frontier& frontier) {
+GpuRunResult GunrockLike::run(VertexId source) {
+  return driver_.run(source, [&] { return run_attempt(source); });
+}
+
+void GunrockLike::seed_frontier(const Frontier& frontier) {
+  gpusim::Buffer<VertexId>& in = frontier_[in_];
   for (std::size_t i = 0; i < frontier.size(); ++i) {
-    frontier_in_[i % frontier_in_.size()] = frontier.vertices()[i];
+    in[i % in.size()] = frontier[i];
   }
-  sim_.mark_initialized(frontier_in_, 0,
-                        std::min<std::uint64_t>(frontier.size(),
-                                                frontier_in_.size()));
+  sim().mark_initialized(
+      in, 0, std::min<std::uint64_t>(frontier.size(), in.size()));
 }
 
-Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
+GunrockLike::Frontier GunrockLike::advance(const Frontier& frontier,
+                                           sssp::WorkStats& work) {
+  const gpusim::Buffer<VertexId>& in = frontier_[in_];
+  gpusim::Buffer<VertexId>& out_buf = frontier_[in_ ^ 1];
   Frontier out;
-  if (frontier.empty()) return out;
 
   // Pass 1 (setup): load the frontier's row bounds and flatten its edges
   // into even 32-edge chunks (Gunrock's load-balanced advance).
   std::vector<EdgeChunk> chunks;
-  // The enactor guarantees the input frontier is resident in frontier_in_
-  // (the previous operator's compact-store, or a host upload for seeds).
   seed_frontier(frontier);
-  sim_.label_next_launch("advance");
-  gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
+  sim().label_next_launch("advance");
+  gpusim::KernelScope kernel(sim(), gpusim::Schedule::kStatic, true,
+                             /*warps_per_block=*/8, stream());
   for (std::size_t base = 0; base < frontier.size(); base += 32) {
     const auto cnt = static_cast<std::uint32_t>(
         std::min<std::size_t>(32, frontier.size() - base));
@@ -64,55 +71,58 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
     std::array<std::uint64_t, 32> vidx{};
     std::array<std::uint64_t, 32> slot{};
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      vidx[i] = frontier.vertices()[base + i];
-      slot[i] = (base + i) % frontier_in_.size();
+      vidx[i] = frontier[base + i];
+      slot[i] = (base + i) % in.size();
       // Double-buffer consume contract: every slot read here must have
       // been published by the previous operator's compact-store or the
       // host seed (gsan no-progress).
-      ctx.spin_wait(frontier_in_, slot[i]);
+      ctx.spin_wait(in, slot[i]);
     }
     std::array<VertexId, 32> tmp{};
-    ctx.load(frontier_in_, std::span<const std::uint64_t>(slot.data(), cnt),
+    ctx.load(in, std::span<const std::uint64_t>(slot.data(), cnt),
              std::span<VertexId>(tmp.data(), cnt));
     std::array<EdgeIndex, 32> rb{};
     std::array<EdgeIndex, 32> re{};
-    load_row_bounds(ctx, graph_,
+    load_row_bounds(ctx, graph(),
                     std::span<const std::uint64_t>(vidx.data(), cnt),
                     std::span<EdgeIndex>(rb.data(), cnt),
                     std::span<EdgeIndex>(re.data(), cnt));
     ctx.alu(4, cnt);  // prefix-sum steps of the flattening
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      append_edge_chunks(frontier.vertices()[base + i], rb[i], re[i], chunks);
+      append_edge_chunks(frontier[base + i], rb[i], re[i], chunks);
     }
     kernel.commit(ctx);
   }
 
-  // Pass 2 (expand): one warp per chunk; functor decides emissions.
+  // Pass 2 (expand): one warp per chunk relaxes its edges.
   for (const EdgeChunk& chunk : chunks) {
     auto ctx = kernel.make_warp();
     const auto cnt = static_cast<std::uint32_t>(chunk.end - chunk.begin);
-    const Distance du = ctx.load_one(dist_, chunk.vertex);
-    (void)du;
+    // The source distance; the relax below reads its host mirror.
+    (void)ctx.load_one(dist_, chunk.vertex);
     std::array<VertexId, 32> dsts;
     std::array<Weight, 32> ws;
-    ctx.load_range(graph_.adjacency, chunk.begin,
+    ctx.load_range(graph().adjacency, chunk.begin,
                    std::span<VertexId>(dsts.data(), cnt));
-    ctx.load_range(graph_.weights, chunk.begin,
+    ctx.load_range(graph().weights, chunk.begin,
                    std::span<Weight>(ws.data(), cnt));
     ctx.alu(2, cnt);
 
-    // The functor's writes (e.g. atomicMin on dist) are charged as one
-    // warp atomic over the emitting lanes.
+    // The atomicMin on dist is charged as one warp atomic over the lanes
+    // that improve.
     std::array<std::uint64_t, 32> emit_idx{};
     std::array<VertexId, 32> vals{};
     std::uint32_t emitted = 0;
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      if (f(chunk.vertex, dsts[i], ws[i])) {
-        emit_idx[emitted] = dsts[i];
-        vals[emitted] = dsts[i];
-        ++emitted;
-        out.vertices_.push_back(dsts[i]);
-      }
+      ++work.relaxations;
+      const Distance through = dist_[chunk.vertex] + ws[i];
+      if (!(through < dist_[dsts[i]])) continue;
+      dist_[dsts[i]] = through;
+      ++work.total_updates;
+      emit_idx[emitted] = dsts[i];
+      vals[emitted] = dsts[i];
+      ++emitted;
+      out.push_back(dsts[i]);
     }
     if (emitted > 0) {
       ctx.atomic_touch(dist_,
@@ -124,32 +134,33 @@ Frontier Enactor::advance(const Frontier& frontier, const AdvanceFunctor& f) {
                        std::span<const std::uint64_t>(kOutCursorCell, 1));
       std::array<std::uint64_t, 32> slots{};
       for (std::uint32_t i = 0; i < emitted; ++i) {
-        slots[i] = (out.vertices_.size() - emitted + i) %
-                   frontier_out_.size();
+        slots[i] = (out.size() - emitted + i) % out_buf.size();
       }
-      ctx.store(frontier_out_,
-                std::span<const std::uint64_t>(slots.data(), emitted),
+      ctx.store(out_buf, std::span<const std::uint64_t>(slots.data(), emitted),
                 std::span<const VertexId>(vals.data(), emitted));
     }
     kernel.commit(ctx);
   }
   kernel.finish();
-  sim_.host_barrier();
-  // Ping-pong: the advance output is the next operator's input.
-  std::swap(frontier_in_, frontier_out_);
+  sim().host_barrier(stream());
+  in_ ^= 1;  // ping-pong: the output is the next operator's input
   return out;
 }
 
-Frontier Enactor::filter(const Frontier& frontier,
-                         const FilterPredicate& pred) {
+GunrockLike::Frontier GunrockLike::filter(const Frontier& frontier,
+                                          Distance lo, Distance hi,
+                                          Frontier* far) {
   Frontier out;
   if (frontier.empty()) return out;
-  // One compaction kernel: load candidates, test the predicate, dedup via
-  // the visited bitmap (marked with atomicOr — plain byte stores from
-  // concurrent warps holding the same vertex would race), compact-store.
+  const gpusim::Buffer<VertexId>& in = frontier_[in_];
+  gpusim::Buffer<VertexId>& out_buf = frontier_[in_ ^ 1];
+  // One compaction kernel: load candidates, dedup via the visited bitmap
+  // (marked with atomicOr — plain byte stores from concurrent warps holding
+  // the same vertex would race), test the window, compact-store.
   seed_frontier(frontier);
-  sim_.label_next_launch("filter");
-  gpusim::KernelScope kernel(sim_, gpusim::Schedule::kStatic, true);
+  sim().label_next_launch("filter");
+  gpusim::KernelScope kernel(sim(), gpusim::Schedule::kStatic, true,
+                             /*warps_per_block=*/8, stream());
   std::vector<char> seen_this_filter(csr_.num_vertices(), 0);
   for (std::size_t base = 0; base < frontier.size(); base += 32) {
     const auto cnt = static_cast<std::uint32_t>(
@@ -158,13 +169,13 @@ Frontier Enactor::filter(const Frontier& frontier,
     std::array<std::uint64_t, 32> vidx{};
     std::array<std::uint64_t, 32> slot{};
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      vidx[i] = frontier.vertices()[base + i];
-      slot[i] = (base + i) % frontier_in_.size();
-      ctx.spin_wait(frontier_in_, slot[i]);  // double-buffer consume
+      vidx[i] = frontier[base + i];
+      slot[i] = (base + i) % in.size();
+      ctx.spin_wait(in, slot[i]);  // double-buffer consume
     }
     std::span<const std::uint64_t> vs(vidx.data(), cnt);
     std::array<VertexId, 32> tmp{};
-    ctx.load(frontier_in_, std::span<const std::uint64_t>(slot.data(), cnt),
+    ctx.load(in, std::span<const std::uint64_t>(slot.data(), cnt),
              std::span<VertexId>(tmp.data(), cnt));
     std::array<std::uint8_t, 32> flags{};
     ctx.load(visited_, vs, std::span<std::uint8_t>(flags.data(), cnt));
@@ -173,14 +184,17 @@ Frontier Enactor::filter(const Frontier& frontier,
     std::array<std::uint64_t, 32> keep_idx{};
     std::array<VertexId, 32> keep_ids{};
     for (std::uint32_t i = 0; i < cnt; ++i) {
-      const auto v = frontier.vertices()[base + i];
+      const VertexId v = frontier[base + i];
       if (seen_this_filter[v]) continue;  // bitmap dedup
       seen_this_filter[v] = 1;
-      if (!pred(v)) continue;
+      if (!(dist_[v] >= lo && dist_[v] < hi)) {
+        if (far != nullptr) far->push_back(v);
+        continue;
+      }
       keep_idx[kept] = v;
       keep_ids[kept] = v;
       ++kept;
-      out.vertices_.push_back(v);
+      out.push_back(v);
       visited_[v] = 1;  // host mirror of the atomicOr below
     }
     if (kept > 0) {
@@ -191,99 +205,66 @@ Frontier Enactor::filter(const Frontier& frontier,
                        std::span<const std::uint64_t>(kOutCursorCell, 1));
       std::array<std::uint64_t, 32> oslots{};
       for (std::uint32_t i = 0; i < kept; ++i) {
-        oslots[i] = (out.vertices_.size() - kept + i) % frontier_out_.size();
+        oslots[i] = (out.size() - kept + i) % out_buf.size();
       }
-      ctx.store(frontier_out_,
-                std::span<const std::uint64_t>(oslots.data(), kept),
+      ctx.store(out_buf, std::span<const std::uint64_t>(oslots.data(), kept),
                 std::span<const VertexId>(keep_ids.data(), kept));
     }
     kernel.commit(ctx);
   }
   kernel.finish();
-  sim_.host_barrier();
-  std::swap(frontier_in_, frontier_out_);
+  sim().host_barrier(stream());
+  in_ ^= 1;
   // The visited bitmap is per-filter scratch in this model: clear the
   // functional flags (cost folded into the stores above).
-  for (const VertexId v : out.vertices_) visited_[v] = 0;
+  for (const VertexId v : out) visited_[v] = 0;
   return out;
 }
 
-GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
-                  VertexId source, const GunrockSsspOptions& options) {
-  Enactor enactor(std::move(device), csr, options);
-  // The driver borrows the enactor's simulator, which is fresh per query
-  // but carries its clock and caches across attempts: metrics are
-  // per-attempt deltas.
-  AttemptDriver driver("gunrock::sssp",
-                       {enactor.sim(), /*stream=*/0, enactor.graph()}, csr,
-                       options);
-  auto& dist = enactor.dist();
-  auto attempt = [&]() -> GpuRunResult {
-  driver.begin_attempt(dist);
+GpuRunResult GunrockLike::run_attempt(VertexId source) {
+  driver_.begin_attempt(dist_);
+  in_ = 0;
   sssp::WorkStats work;
 
-  init_distances(enactor.sim(), /*stream=*/0, dist);
-  dist[source] = 0;
-  enactor.sim().mark_initialized(dist, source, 1);
+  init_distances(sim(), stream(), dist_);
+  dist_[source] = 0;
+  sim().mark_initialized(dist_, source, 1);
 
-  // Two-level priority split: the "near" pile is advanced immediately,
+  // Two-level priority split: the "near" frontier is advanced at once,
   // "far" emissions are re-split when near drains (Gunrock's sssp).
-  const bool split = options.delta > 0;
-  Distance threshold = split ? options.delta : graph::kInfiniteDistance;
-  std::vector<VertexId> far;
-
-  Frontier frontier(std::vector<VertexId>{source});
+  Distance threshold = options_.delta;
+  Frontier far;
+  Frontier frontier{source};
   while (!frontier.empty() || !far.empty()) {
-    if (enactor.sim().device_lost()) break;  // attempt is void; recovery runs
+    if (sim().device_lost()) break;  // attempt is void; recovery runs
     if (frontier.empty()) {
       // Re-split far: advance the threshold and filter the pile.
       Distance min_far = graph::kInfiniteDistance;
       for (const VertexId v : far) {
-        if (dist[v] >= threshold) min_far = std::min(min_far, dist[v]);
+        if (dist_[v] >= threshold) min_far = std::min(min_far, dist_[v]);
       }
       if (min_far == graph::kInfiniteDistance) break;
       const Distance old_threshold = threshold;
-      while (threshold <= min_far) threshold += options.delta;
-      Frontier pile{std::move(far)};
+      while (threshold <= min_far) threshold += options_.delta;
+      const Frontier pile = std::move(far);
       far.clear();
-      frontier = enactor.filter(pile, [&](VertexId v) {
-        return dist[v] >= old_threshold && dist[v] < threshold;
-      });
+      frontier = filter(pile, old_threshold, threshold, nullptr);
       // Entries beyond the new threshold stay in far.
-      for (const VertexId v : pile.vertices()) {
-        if (dist[v] >= threshold) far.push_back(v);
+      for (const VertexId v : pile) {
+        if (dist_[v] >= threshold) far.push_back(v);
       }
       continue;
     }
 
     ++work.iterations;
-    // advance(relax): atomicMin semantics through the functor.
-    Frontier expanded = enactor.advance(
-        frontier, [&](VertexId u, VertexId v, Weight w) {
-          ++work.relaxations;
-          const Distance through = dist[u] + w;
-          if (through < dist[v]) {
-            dist[v] = through;
-            ++work.total_updates;
-            return true;
-          }
-          return false;
-        });
-    // filter(dedup + near test); far emissions are piled.
-    frontier = enactor.filter(expanded, [&](VertexId v) {
-      if (!split) return true;
-      if (dist[v] < threshold) return true;
-      far.push_back(v);
-      return false;
-    });
+    // advance(relax), then filter(dedup + near test); far emissions pile.
+    const Frontier expanded = advance(frontier, work);
+    frontier = filter(expanded, -graph::kInfiniteDistance, threshold, &far);
   }
 
   GpuRunResult result;
   result.sssp.work = work;
-  return driver.finish(std::move(result), dist, source);
-  };
-
-  return driver.run(source, attempt);
+  return driver_.finish(std::move(result), dist_, source);
 }
 
-}  // namespace rdbs::core::gunrock
+}  // namespace rdbs::core

@@ -1,124 +1,85 @@
-// Gunrock-like data-centric operator framework (Wang et al., ToPC 2017 —
-// paper ref [35]) on the gpusim substrate.
+// Gunrock-like SSSP (Wang et al., ToPC 2017 — paper ref [35]) on the
+// gpusim substrate.
 //
 // Gunrock expresses graph algorithms as a pipeline of bulk operators over
-// a frontier of vertices:
+// a frontier of vertices. Its sssp app runs two per iteration:
 //
-//   advance — expand the frontier's out-edges through a per-edge functor
-//             (load-balanced across warps: edges are flattened into even
-//             chunks, Gunrock's per-load-balancing strategy);
-//   filter  — compact a frontier through a per-vertex predicate (dedup +
-//             validity), producing the next iteration's frontier.
+//   advance — expand the frontier's out-edges and relax them (load-balanced
+//             across warps: edges are flattened into even 32-edge chunks,
+//             Gunrock's per-load-balancing strategy);
+//   filter  — compact the advance output, dropping duplicates (Gunrock's
+//             bitmap-based dedup) and the vertices beyond the near/far
+//             threshold, into the next iteration's frontier.
 //
-// The operators charge realistic costs (frontier loads, functor ALU,
-// atomic scatters, compaction scans) through a shared GpuSim. SSSP is then
-// written exactly as Gunrock's sssp app: advance(relax) -> filter(dedup)
-// per iteration, with a two-level (near/far) priority split — the paper's
-// "priority queue" optimization — and per-iteration kernel launches
-// (Gunrock is bulk-synchronous, the "slow convergence" the paper calls
-// out).
+// The split into a "near" frontier and a "far" pile, re-split when near
+// drains, is Gunrock's two-level priority queue — the paper's "priority
+// queue" optimization. Each operator is one kernel launch: Gunrock is
+// bulk-synchronous, the "slow convergence" the paper calls out.
 #pragma once
 
-#include <functional>
+#include <array>
 #include <vector>
 
 #include "core/device_graph.hpp"
+#include "core/engine.hpp"
 #include "core/options.hpp"
+#include "core/recovery.hpp"
 #include "core/run_metrics.hpp"
 #include "gpusim/sim.hpp"
 #include "graph/csr.hpp"
 
-namespace rdbs::core::gunrock {
+namespace rdbs::core {
 
-using graph::Distance;
-using graph::EdgeIndex;
-using graph::VertexId;
-using graph::Weight;
+struct GunrockSsspOptions : EngineOptions {
+  graph::Weight delta = 100.0;  // near/far threshold increment (> 0)
+};
 
-// Per-edge functor for advance: return true to emit the destination into
-// the advance output frontier.
-using AdvanceFunctor =
-    std::function<bool(VertexId src, VertexId dst, Weight w)>;
-// Per-vertex predicate for filter.
-using FilterPredicate = std::function<bool(VertexId)>;
-
-// The operator context: owns the simulator and the device-resident graph.
-class Frontier;
-
-class Enactor {
+class GunrockLike : public GpuEngine {
  public:
-  // `options` configures the simulator (replay threads, gsan, gfi); its
-  // retry policy is the app's business.
-  Enactor(gpusim::DeviceSpec device, const graph::Csr& csr,
-          const EngineOptions& options = {});
+  // `csr` must outlive the engine; kernels go to `device`
+  // (core/recovery.hpp).
+  GunrockLike(DeviceBinding device, const graph::Csr& csr,
+              GunrockSsspOptions options);
 
-  // advance: expand `frontier` through `f`; the emitted destinations
-  // (with duplicates) form the result.
-  Frontier advance(const Frontier& frontier, const AdvanceFunctor& f);
-  // filter: keep vertices passing `pred`, dropping duplicates (Gunrock's
-  // bitmap-based dedup), in one compaction kernel.
-  Frontier filter(const Frontier& frontier, const FilterPredicate& pred);
+  // Runs SSSP from `source` (under options.retry when fault injection is
+  // on). Throws std::out_of_range for an invalid source.
+  GpuRunResult run(graph::VertexId source) override;
 
-  gpusim::GpuSim& sim() { return sim_; }
-  const graph::Csr& csr() const { return csr_; }
-  // The resident CSR arrays.
-  const DeviceCsrBuffers& graph() const { return graph_; }
-
-  // Device-resident distance array for apps that need one (SSSP).
-  gpusim::Buffer<Distance>& dist() { return dist_; }
+  gpusim::GpuSim& sim() { return driver_.sim(); }
 
  private:
-  friend class Frontier;
+  using Frontier = std::vector<graph::VertexId>;
 
-  // Make `frontier` resident in frontier_in_ (slots [0, size)): the host
-  // mirror of the previous operator's compact-store, or an H2D upload for
-  // host-constructed frontiers (the source seed, far-pile re-splits).
+  GpuRunResult run_attempt(graph::VertexId source);
+  // The advance kernel: relaxes the out-edges of `frontier` and returns the
+  // destinations it improved, duplicates included.
+  Frontier advance(const Frontier& frontier, sssp::WorkStats& work);
+  // The filter kernel: keeps each vertex of `frontier` once if
+  // lo <= dist < hi. A vertex it drops, duplicates aside, goes to `far`
+  // when that is given.
+  Frontier filter(const Frontier& frontier, graph::Distance lo,
+                  graph::Distance hi, Frontier* far);
+  // Makes `frontier` resident in the input buffer: the host mirror of the
+  // previous operator's compact-store, or the upload of a host-built
+  // frontier (the source seed, a far re-split).
   void seed_frontier(const Frontier& frontier);
+  // The bound stream and resident CSR arrays.
+  gpusim::StreamId stream() const { return driver_.stream(); }
+  const DeviceCsrBuffers& graph() const { return driver_.graph(); }
 
-  gpusim::GpuSim sim_;
   const graph::Csr& csr_;
+  GunrockSsspOptions options_;
+  AttemptDriver driver_;
 
-  DeviceCsrBuffers graph_;
-  gpusim::Buffer<Distance> dist_;
-  // Double-buffered frontier queues (Gunrock's ping-pong): each operator
-  // reads frontier_in_ and compact-stores its output into frontier_out_,
-  // then the buffers swap. Reading and writing the same array inside one
-  // bulk launch would be a data race.
-  gpusim::Buffer<VertexId> frontier_in_;
-  gpusim::Buffer<VertexId> frontier_out_;
+  gpusim::Buffer<graph::Distance> dist_;
+  // Double-buffered frontier (Gunrock's ping-pong): each operator reads
+  // frontier_[in_] and compact-stores its output into the other buffer,
+  // then the two swap. Reading and writing one array inside a bulk launch
+  // would be a data race. Every attempt starts reading frontier_in.
+  std::array<gpusim::Buffer<graph::VertexId>, 2> frontier_;
+  int in_ = 0;
   gpusim::Buffer<std::uint32_t> frontier_ctrl_;  // [0]=output cursor
   gpusim::Buffer<std::uint8_t> visited_;
 };
 
-// A frontier is a list of vertex ids (duplicates allowed until filter).
-class Frontier {
- public:
-  Frontier() = default;
-  explicit Frontier(std::vector<VertexId> vertices)
-      : vertices_(std::move(vertices)) {}
-
-  const std::vector<VertexId>& vertices() const { return vertices_; }
-  std::size_t size() const { return vertices_.size(); }
-  bool empty() const { return vertices_.empty(); }
-
- private:
-  friend class Enactor;
-  std::vector<VertexId> vertices_;
-};
-
-// --- the SSSP app -----------------------------------------------------------
-
-struct GunrockSsspOptions : EngineOptions {
-  // Near/far priority split (Gunrock's sssp uses a two-level priority
-  // queue); 0 disables the split (plain Bellman-Ford iterations).
-  Weight delta = 100.0;
-};
-
-// Runs Gunrock's sssp app on a fresh enactor. With options.fault enabled
-// the run executes under options.retry (poisoned attempts discarded and
-// rerun; typed faults and recovery counters in the result). Throws
-// std::out_of_range for an invalid source.
-GpuRunResult sssp(gpusim::DeviceSpec device, const graph::Csr& csr,
-                  VertexId source, const GunrockSsspOptions& options = {});
-
-}  // namespace rdbs::core::gunrock
+}  // namespace rdbs::core

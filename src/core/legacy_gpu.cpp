@@ -14,10 +14,6 @@ using graph::EdgeIndex;
 using graph::VertexId;
 using graph::Weight;
 
-namespace {
-constexpr std::uint32_t kDeviceWord = 4;
-}
-
 // ---------------------------------------------------------------------------
 // Harish & Narayanan (2007)
 // ---------------------------------------------------------------------------

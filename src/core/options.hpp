@@ -54,10 +54,26 @@ struct EngineOptions {
   gpusim::FaultConfig fault;
   RetryPolicy retry;
 
+  // Checkpoint-resume: snapshot the tentative distance vector into a
+  // host-side QueryCheckpoint every N bucket/round boundaries (0 = off).
+  // Only the engines whose kernels call AttemptDriver::snapshot_into() and
+  // boundary() use it (rdbs, adds); the others ignore it. The kernel ending
+  // at the boundary writes the snapshot on the device, and its D2H copy
+  // overlaps the query's next kernels instead of stopping its stream clock;
+  // the snapshot commits once the copy has landed, and a due boundary skips
+  // its snapshot while the previous copy is in flight (core/recovery.hpp).
+  // Snapshots stop for an attempt once a poisoning fault is seen, so a
+  // corrupt bound can never leak into a resume. With a committed
+  // checkpoint, retries seed from it instead of rerunning cold
+  // (RecoveryStats::resumed) and the serving layer can migrate the query to
+  // another lane mid-flight (core/checkpoint.hpp, docs/serving.md
+  // "Checkpoint-resume & lane migration").
+  int checkpoint_interval = 0;
+
   // Applies the settings to a simulator before its first launch. Only the
   // simulator's owner calls it: the AttemptDriver of an engine with an
-  // owned simulator, QueryBatch for its lanes' shared one, gunrock's
-  // enactor. It only ever switches things on.
+  // owned simulator, and QueryBatch for its lanes' shared one. It only
+  // ever switches things on.
   void configure(gpusim::GpuSim& sim) const {
     if (sanitize != gpusim::SanitizeMode::kOff) sim.enable_sanitizer(sanitize);
     if (fault.enabled) sim.enable_fault_injection(fault);
@@ -93,21 +109,6 @@ struct GpuSsspOptions : EngineOptions {
 
   // --- Δ-stepping parameters ----------------------------------------------
   graph::Weight delta0 = 100.0;  // initial bucket width Δ0 (=Δ1)
-
-  // --- checkpoint-resume ----------------------------------------------------
-  // Snapshot the tentative distance vector into a host-side QueryCheckpoint
-  // every N bucket/round boundaries (0 = off). The kernel ending at the
-  // boundary writes the snapshot on the device, and its D2H copy overlaps
-  // the query's next kernels instead of stopping its stream clock; the
-  // snapshot commits once the copy has landed, and a due boundary skips
-  // its snapshot while the previous copy is in flight (core/recovery.hpp).
-  // Snapshots stop for an attempt once a poisoning fault is seen, so a
-  // corrupt bound can never leak into a resume. With a committed
-  // checkpoint, retries seed from it instead of rerunning cold
-  // (RecoveryStats::resumed) and the serving layer can migrate the query to
-  // another lane mid-flight (core/checkpoint.hpp, docs/serving.md
-  // "Checkpoint-resume & lane migration").
-  int checkpoint_interval = 0;
 };
 
 }  // namespace rdbs::core

@@ -64,7 +64,6 @@ QueryBatch::QueryBatch(const graph::Csr& csr, gpusim::DeviceSpec device,
       AddsOptions adds;
       static_cast<EngineOptions&>(adds) = options.gpu;
       adds.delta = options.gpu.delta0;
-      adds.checkpoint_interval = options.gpu.checkpoint_interval;
       auto engine = std::make_unique<AddsLike>(binding, engine_csr, adds);
       lane.driver = &engine->driver();
       lane.engine = std::move(engine);
@@ -176,7 +175,7 @@ QueryBatch::LaneOutcome QueryBatch::run_lane_query(
     // charged by the engine's warm-start application.
     sim_->charge_host_ms(
         sim_->memcpy_ms(static_cast<std::uint64_t>(resume->bounds.size()) *
-                        kCheckpointWordBytes),
+                        kDeviceWord),
         lane.stream);
     lane.driver->set_resume_bounds(resume->bounds);
     out.stats.migrated = true;

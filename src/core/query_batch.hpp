@@ -45,8 +45,8 @@ struct QueryBatchOptions {
   int streams = 4;  // concurrent query lanes (>= 1)
   BatchEngine engine = BatchEngine::kRdbs;
   // Lane engine configuration. Its EngineOptions block configures the
-  // shared simulator; ADDS lanes take delta0, checkpoint_interval and the
-  // block, and ignore the RDBS switches.
+  // shared simulator; ADDS lanes take delta0 and the block (with its
+  // checkpoint_interval), and ignore the RDBS switches.
   GpuSsspOptions gpu;
 };
 

@@ -40,8 +40,7 @@ AttemptFaults scan_attempt_faults(const gpusim::GpuSim& sim,
 
 AttemptDriver::AttemptDriver(std::string engine, DeviceBinding device,
                              const graph::Csr& csr,
-                             const EngineOptions& options,
-                             int checkpoint_interval)
+                             const EngineOptions& options)
     : engine_(std::move(engine)),
       own_sim_(device.device_ ? std::make_unique<gpusim::GpuSim>(
                                     std::move(*device.device_))
@@ -51,7 +50,7 @@ AttemptDriver::AttemptDriver(std::string engine, DeviceBinding device,
       graph_(device.graph_),
       csr_(csr),
       policy_(options.retry),
-      checkpoint_interval_(checkpoint_interval) {
+      checkpoint_interval_(options.checkpoint_interval) {
   if (own_sim_) {
     options.configure(sim_);
     own_graph_ = std::make_unique<DeviceCsrBuffers>(
@@ -79,16 +78,6 @@ GpuRunResult AttemptDriver::run(graph::VertexId source,
 
 GpuRunResult AttemptDriver::recover(
     graph::VertexId source, const std::function<GpuRunResult()>& attempt) {
-  if (!sim_.fault_injector() && !sim_.device_lost()) {
-    // Fault injection off: single attempt, no scan, no extra bookkeeping.
-    // The attempt itself honors the cancel token, so a deadline can still
-    // expire here — that is the only way this path returns ok == false.
-    GpuRunResult result = attempt();
-    result.ok = !result.deadline_exceeded;
-    result.recovery.attempts = 1;
-    return result;
-  }
-
   RecoveryStats recovery;
   std::vector<gpusim::GpuFault> faults;
   // Attempt metrics accumulate here: an owned simulator is reset per
@@ -224,7 +213,7 @@ void AttemptDriver::begin_attempt(const gpusim::Buffer<graph::Distance>& dist) {
   }
   if (checkpoint_interval_ > 0 && snapshot_.size() == 0) {
     snapshot_ = sim_.alloc<graph::Distance>("checkpoint", dist.size(),
-                                            kCheckpointWordBytes);
+                                            kDeviceWord);
   }
   ms_before_ = sim_.stream_elapsed_ms(stream_);
   wait_before_ = sim_.stream_queue_wait_ms(stream_);
@@ -265,7 +254,7 @@ std::uint64_t AttemptDriver::apply_warm_start(
     dist[v] = bounds[v];
     ++seeded;
   }
-  if (seeded > 0) sim_.memcpy_h2d(seeded * kCheckpointWordBytes, stream_);
+  if (seeded > 0) sim_.memcpy_h2d(seeded * kDeviceWord, stream_);
   return seeded;
 }
 
@@ -316,7 +305,7 @@ void AttemptDriver::boundary(const gpusim::Buffer<graph::Distance>& dist) {
   RDBS_DCHECK(!staged_.valid());
   staged_.bounds = snapshot_.data();
   staged_.taken_ms = sim_.memcpy_d2h_async(
-      snapshot_.size() * kCheckpointWordBytes, stream_);
+      snapshot_.size() * kDeviceWord, stream_);
   staged_.boundaries = boundary_count_;
   staged_.snapshots = ++snapshots_;
 }

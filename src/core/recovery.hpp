@@ -84,9 +84,9 @@ namespace rdbs::core {
 //     and resets the simulator at every attempt: each query is timed on a
 //     cold device (the paper's single-query methodology).
 //   * borrowed — one stream of a simulator someone else owns, plus the CSR
-//     arrays that owner made resident (QueryBatch lanes, gunrock's
-//     enactor). The driver never configures, uploads or resets it: clocks,
-//     counters and caches carry across queries and lanes.
+//     arrays that owner made resident (QueryBatch lanes). The driver never
+//     configures, uploads or resets it: clocks, counters and caches carry
+//     across queries and lanes.
 // Either way the driver measures device_ms and queue_wait_ms on its own
 // stream. A DeviceSpec converts implicitly, so Engine(device, csr, options)
 // builds an engine with an owned simulator.
@@ -112,11 +112,10 @@ class AttemptDriver {
   // Binds the engine to `device`; an owned simulator is built, configured
   // from `options` and given `csr` here. `csr` must outlive the driver.
   // `engine` names the engine in the out-of-range error. `options.retry` is
-  // the recovery policy. `checkpoint_interval` > 0 snapshots the distances
-  // every that many boundary() calls (GpuSsspOptions::checkpoint_interval).
+  // the recovery policy. `options.checkpoint_interval` > 0 snapshots the
+  // distances every that many boundary() calls.
   AttemptDriver(std::string engine, DeviceBinding device,
-                const graph::Csr& csr, const EngineOptions& options,
-                int checkpoint_interval = 0);
+                const graph::Csr& csr, const EngineOptions& options);
   // One driver per engine, holding its device: neither copied nor moved.
   AttemptDriver(const AttemptDriver&) = delete;
   AttemptDriver& operator=(const AttemptDriver&) = delete;

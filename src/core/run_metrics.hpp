@@ -115,8 +115,4 @@ struct GpuRunResult {
   }
 };
 
-// CSV export of the per-bucket trace (one row per bucket): the raw material
-// for Figs. 2/3-style plots over any run.
-std::string bucket_trace_csv(const GpuRunResult& result);
-
 }  // namespace rdbs::core

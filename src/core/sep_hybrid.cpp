@@ -15,10 +15,6 @@ using graph::EdgeIndex;
 using graph::VertexId;
 using graph::Weight;
 
-namespace {
-constexpr std::uint32_t kDeviceWord = 4;
-}
-
 SepHybrid::SepHybrid(DeviceBinding device, const graph::Csr& csr,
                      SepHybridOptions options)
     : csr_(csr),

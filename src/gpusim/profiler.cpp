@@ -54,21 +54,4 @@ std::string profiler_report(const Counters& c, const DeviceSpec& spec) {
   return out.str();
 }
 
-std::string profiler_csv_header() {
-  return "label,loads,stores,atomics,l1_hit_rate,l2_hit_rate,transactions,"
-         "dram_bytes,atomic_conflicts,lane_efficiency,kernel_launches,"
-         "child_launches\n";
-}
-
-std::string profiler_csv_row(const std::string& label, const Counters& c) {
-  std::ostringstream out;
-  out << label << ',' << c.inst_executed_global_loads << ','
-      << c.inst_executed_global_stores << ',' << c.inst_executed_atomics
-      << ',' << c.global_hit_rate() << ',' << c.l2_hit_rate() << ','
-      << c.memory_transactions << ',' << c.dram_bytes << ','
-      << c.atomic_conflicts << ',' << c.lane_efficiency() << ','
-      << c.kernel_launches << ',' << c.child_launches << '\n';
-  return out.str();
-}
-
 }  // namespace rdbs::gpusim

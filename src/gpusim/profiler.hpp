@@ -14,9 +14,4 @@ namespace rdbs::gpusim {
 std::string profiler_report(const Counters& counters,
                             const DeviceSpec& spec);
 
-// Single CSV row (+ header helper) for machine consumption.
-std::string profiler_csv_header();
-std::string profiler_csv_row(const std::string& label,
-                             const Counters& counters);
-
 }  // namespace rdbs::gpusim

@@ -266,13 +266,6 @@ class WarpCtx {
   }
 
   template <typename T>
-  void volatile_touch_one(const Buffer<T>& buf, std::uint64_t index,
-                          bool is_store) {
-    const std::uint64_t idx[1] = {index};
-    volatile_touch(buf, idx, is_store);
-  }
-
-  template <typename T>
   bool atomic_min_one(Buffer<T>& buf, std::uint64_t index, T value) {
     const std::uint64_t idx[1] = {index};
     const T val[1] = {value};
@@ -473,16 +466,6 @@ class GpuSim {
   void clear_stream_deadline(StreamId stream) {
     stream_state(stream).deadline_ms = -1.0;
   }
-  double stream_deadline_ms(StreamId stream) const {
-    const StreamState* state = stream_state_if(stream);
-    return state ? state->deadline_ms : -1.0;
-  }
-  // True once the stream's clock has reached its deadline.
-  bool stream_deadline_exceeded(StreamId stream) const {
-    const StreamState* state = stream_state_if(stream);
-    return state && state->deadline_ms >= 0 &&
-           state->time_ms >= state->deadline_ms;
-  }
   // Kernels on `stream` that COMPLETED after its deadline had passed — the
   // device time a cooperatively cancelled query still charged between its
   // cancellation points (0 when no deadline was ever set).
@@ -671,7 +654,6 @@ class GpuSim {
   std::uint64_t stream_kernels(StreamId stream) const;
   // Aggregate-throughput lower bound on elapsed_ms (diagnostic).
   double device_busy_floor_ms() const { return device_work_ms_; }
-  int num_streams() const { return static_cast<int>(streams_.size()); }
 
   // reset_time() drops every stream (clock, deadline, D2H queue) and the
   // device-wide kernel slots and busy floor; reset_all() also clears the

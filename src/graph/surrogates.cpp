@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "common/log.hpp"
 #include "common/macros.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -121,7 +120,6 @@ std::optional<Csr> try_load_real(const DatasetSpec& spec,
   for (const auto& stem : {spec.name, spec.full_name}) {
     const fs::path txt = fs::path(options.data_dir) / (stem + ".txt");
     if (fs::exists(txt)) {
-      RDBS_LOG_INFO("loading real dataset %s", txt.string().c_str());
       EdgeList edges = read_edge_list(txt.string());
       assign_weights(edges, options.weights, options.seed);
       BuildOptions build;

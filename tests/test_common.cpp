@@ -90,31 +90,6 @@ TEST(Rng, Mix64IsDeterministicAndSpreads) {
   EXPECT_GT(__builtin_popcountll(d), 16);
 }
 
-TEST(Accumulator, BasicStatistics) {
-  Accumulator acc;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) acc.add(v);
-  EXPECT_EQ(acc.count(), 4u);
-  EXPECT_DOUBLE_EQ(acc.sum(), 10.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 4.0);
-  EXPECT_NEAR(acc.stddev(), std::sqrt(1.25), 1e-12);
-}
-
-TEST(Accumulator, Percentiles) {
-  Accumulator acc;
-  for (int i = 1; i <= 100; ++i) acc.add(i);
-  EXPECT_DOUBLE_EQ(acc.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(acc.percentile(100), 100.0);
-  EXPECT_NEAR(acc.percentile(50), 50.5, 1e-9);
-}
-
-TEST(Accumulator, SingleValuePercentile) {
-  Accumulator acc;
-  acc.add(7.0);
-  EXPECT_DOUBLE_EQ(acc.percentile(37), 7.0);
-}
-
 TEST(Table, RenderAlignsColumns) {
   TextTable table({"name", "value"});
   table.add_row({"a", "1"});

@@ -821,7 +821,7 @@ TEST(FaultInjection, CheckpointCopiesStayOffTheClockAndKeepDistancesExact) {
   EXPECT_EQ(with.sssp.distances, without.sssp.distances);
   const gpusim::GpuSim sim(gpusim::test_device());
   const double one_copy_ms =
-      sim.memcpy_ms(csr.num_vertices() * core::kCheckpointWordBytes);
+      sim.memcpy_ms(csr.num_vertices() * core::kDeviceWord);
   EXPECT_LT(with.device_ms - without.device_ms, one_copy_ms);
   EXPECT_GT(with.recovery.checkpoints_landed, 0u);  // the case is live
   EXPECT_EQ(with.recovery.resumed, 0u);  // no faults -> nothing to resume
@@ -842,8 +842,7 @@ TEST(FaultInjection, CheckpointCopiesStayOffTheClockAndKeepDistancesExact) {
 class ScriptedRoundsEngine {
  public:
   ScriptedRoundsEngine(const Csr& csr, const core::EngineOptions& options)
-      : driver_("scripted", gpusim::test_device(), csr, options,
-                /*checkpoint_interval=*/1),
+      : driver_("scripted", gpusim::test_device(), csr, options),
         dist_(driver_.sim().alloc<Distance>("dist", csr.num_vertices(), 4)),
         quiet_(options.fault) {}
 
@@ -918,6 +917,7 @@ core::EngineOptions scripted_options(double backoff_ms) {
   options.retry.max_attempts = 2;
   options.retry.backoff_ms = backoff_ms;
   options.retry.cpu_fallback = false;
+  options.checkpoint_interval = 1;
   return options;
 }
 

@@ -1,6 +1,5 @@
 // Tests for the related-work framework models: the Ligra-like edgeMap
-// framework (CPU) and the Gunrock-like advance/filter operator
-// framework (gpusim).
+// framework (CPU) and the Gunrock-like advance/filter SSSP (gpusim).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -124,56 +123,12 @@ TEST(LigraSssp, GridMatchesDijkstraAndStartsSparse) {
 
 // --- Gunrock-like ---------------------------------------------------------------
 
-TEST(GunrockOperators, AdvanceEmitsThroughFunctor) {
-  const Csr csr = paper_figure1_graph();
-  core::gunrock::Enactor enactor(gpusim::test_device(), csr);
-  core::gunrock::Frontier frontier(std::vector<VertexId>{0});
-  const auto out = enactor.advance(
-      frontier, [](VertexId, VertexId dst, graph::Weight) {
-        return dst != 3;  // emit all neighbors but 3
-      });
-  std::set<VertexId> emitted(out.vertices().begin(), out.vertices().end());
-  EXPECT_EQ(emitted, (std::set<VertexId>{1, 2}));
-}
-
-TEST(GunrockOperators, FilterDedupsAndTests) {
-  const Csr csr = paper_figure1_graph();
-  core::gunrock::Enactor enactor(gpusim::test_device(), csr);
-  core::gunrock::Frontier noisy(std::vector<VertexId>{4, 4, 5, 6, 5, 4});
-  const auto out =
-      enactor.filter(noisy, [](VertexId v) { return v != 6; });
-  std::set<VertexId> kept(out.vertices().begin(), out.vertices().end());
-  EXPECT_EQ(kept, (std::set<VertexId>{4, 5}));
-  EXPECT_EQ(out.size(), 2u);  // duplicates removed
-}
-
-TEST(GunrockOperators, OperatorsChargeKernels) {
-  const Csr csr = paper_figure1_graph();
-  core::gunrock::Enactor enactor(gpusim::test_device(), csr);
-  core::gunrock::Frontier frontier(std::vector<VertexId>{0});
-  enactor.advance(frontier,
-                  [](VertexId, VertexId, graph::Weight) { return true; });
-  EXPECT_GE(enactor.sim().counters().kernel_launches, 1u);
-  EXPECT_GT(enactor.sim().elapsed_ms(), 0.0);
-}
-
-TEST(GunrockSssp, WorksWithoutPrioritySplit) {
-  const Csr csr = random_powerlaw_graph(300, 2400, 173);
-  core::gunrock::GunrockSsspOptions options;
-  options.delta = 0;  // plain BF iterations
-  const auto result =
-      core::gunrock::sssp(gpusim::test_device(), csr, 0, options);
-  const auto reference = sssp::dijkstra(csr, 0);
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    ASSERT_DOUBLE_EQ(result.sssp.distances[v], reference.distances[v]);
-  }
-}
-
 TEST(GunrockSssp, BulkSynchronousLaunchesPerIteration) {
   // Gunrock's bulk-synchronous pipeline: at least two kernels (advance +
   // filter) per iteration — visibly more launches than iterations.
   const Csr csr = random_powerlaw_graph(500, 4000, 177);
-  const auto result = core::gunrock::sssp(gpusim::test_device(), csr, 0);
+  core::GunrockLike engine(gpusim::test_device(), csr, {});
+  const auto result = engine.run(0);
   EXPECT_GE(result.counters.kernel_launches,
             2 * result.sssp.work.iterations);
 }

@@ -209,13 +209,13 @@ TEST(GoldenTraces, SepHybridRecoversOnGrid) {
 
 TEST(GoldenTraces, GunrockRecoversOnPowerLaw) {
   const Csr csr = test::random_powerlaw_graph(200, 1600, /*seed=*/208);
-  core::gunrock::GunrockSsspOptions options;
+  core::GunrockSsspOptions options;
   options.delta = 120.0;
   options.sanitize = gpusim::SanitizeMode::kOn;
   options.fault = retry_forcing_faults(208);
   options.retry = golden_retry();
-  const core::GpuRunResult result =
-      core::gunrock::sssp(gpusim::test_device(), csr, 3, options);
+  core::GunrockLike engine(gpusim::test_device(), csr, options);
+  const core::GpuRunResult result = engine.run(3);
   ASSERT_GE(result.recovery.retries, 1u);
   EXPECT_EQ(result.sssp.distances, sssp::dijkstra(csr, 3).distances);
   check_against_golden("gunrock_powerlaw_200_s208", result);

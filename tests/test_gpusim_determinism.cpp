@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "core/adds.hpp"
 #include "core/engine.hpp"
@@ -75,6 +76,31 @@ void check_adds_reruns(const Workload& w) {
                                             core::AddsOptions{});
   });
 }
+
+// Every registered engine (core/engine.hpp) on both workloads. An engine
+// that keeps state across queries (a swapped frontier buffer, a stale
+// cursor) fails the "same engine" rerun.
+class RerunDeterminism
+    : public ::testing::TestWithParam<
+          std::tuple<core::GpuEngineEntry, std::string>> {};
+
+TEST_P(RerunDeterminism, BitIdenticalAcrossReruns) {
+  const auto& [entry, workload] = GetParam();
+  const Workload w = workload == "kron" ? kron() : road();
+  check_reruns(w, [&] {
+    return entry.make(test_device(), w.csr, core::EngineOptions{},
+                      /*delta=*/120.0);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, RerunDeterminism,
+    ::testing::Combine(::testing::ValuesIn(core::gpu_engines()),
+                       ::testing::Values("kron", "road")),
+    [](const auto& test_case) {
+      return std::string(std::get<0>(test_case.param).name) + "_" +
+             std::get<1>(test_case.param);
+    });
 
 TEST(GpusimDeterminism, RdbsBitIdenticalAcrossRerunsKron) {
   check_rdbs_reruns(kron());

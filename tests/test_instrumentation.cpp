@@ -1,8 +1,6 @@
-// Tests for the instrumentation layer: profiler report, bucket-trace CSV,
-// and the per-phase time breakdown.
+// Tests for the instrumentation layer: profiler report and the per-phase
+// time breakdown.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/rdbs.hpp"
 #include "gpusim/profiler.hpp"
@@ -30,38 +28,6 @@ TEST(Profiler, ReportContainsPaperMetricNames) {
   EXPECT_NE(report.find("global_hit_rate"), std::string::npos);
   EXPECT_NE(report.find("l2_hit_rate"), std::string::npos);
   EXPECT_NE(report.find("testdev"), std::string::npos);
-}
-
-TEST(Profiler, CsvRowMatchesHeaderFieldCount) {
-  gpusim::Counters counters;
-  counters.inst_executed_global_loads = 5;
-  const std::string header = gpusim::profiler_csv_header();
-  const std::string data = gpusim::profiler_csv_row("x", counters);
-  const auto count_commas = [](const std::string& s) {
-    return std::count(s.begin(), s.end(), ',');
-  };
-  EXPECT_EQ(count_commas(header), count_commas(data));
-  EXPECT_EQ(data.rfind("x,", 0), 0u);
-}
-
-TEST(BucketTrace, CsvHasOneRowPerBucket) {
-  const auto csr = random_powerlaw_graph(400, 3200, 131);
-  core::RdbsSolver solver(csr, gpusim::test_device());
-  const core::GpuRunResult result = solver.solve(0);
-  const std::string csv = core::bucket_trace_csv(result);
-  std::istringstream lines(csv);
-  std::string line;
-  std::size_t rows = 0;
-  bool first = true;
-  while (std::getline(lines, line)) {
-    if (first) {
-      EXPECT_NE(line.find("phase1_ms"), std::string::npos);
-      first = false;
-    } else {
-      ++rows;
-    }
-  }
-  EXPECT_EQ(rows, result.buckets.size());
 }
 
 TEST(PhaseBreakdown, SumsCloseToDeviceTime) {

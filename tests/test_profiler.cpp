@@ -1,9 +1,7 @@
 // Unit tests for the nvprof-style profiler report (gpusim/profiler.hpp).
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/rdbs.hpp"
 #include "gpusim/device.hpp"
@@ -13,14 +11,6 @@
 
 namespace rdbs {
 namespace {
-
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> fields;
-  std::stringstream ss(line);
-  std::string field;
-  while (std::getline(ss, field, ',')) fields.push_back(field);
-  return fields;
-}
 
 gpusim::Counters sample_counters() {
   const graph::Csr csr = test::random_powerlaw_graph(200, 1500, 41);
@@ -50,41 +40,11 @@ TEST(Profiler, ReportOfZeroCountersIsAllZeroRows) {
   EXPECT_NE(report.find("kernel_launches"), std::string::npos);
 }
 
-TEST(Profiler, CsvHeaderAndRowAgreeOnColumnCount) {
-  const std::string header = gpusim::profiler_csv_header();
-  const std::string row = gpusim::profiler_csv_row("rdbs", sample_counters());
-  ASSERT_FALSE(header.empty());
-  ASSERT_FALSE(row.empty());
-  EXPECT_EQ(header.back(), '\n');
-  EXPECT_EQ(row.back(), '\n');
-  const auto header_fields = split_csv(header.substr(0, header.size() - 1));
-  const auto row_fields = split_csv(row.substr(0, row.size() - 1));
-  EXPECT_EQ(header_fields.size(), 12u);
-  EXPECT_EQ(row_fields.size(), header_fields.size());
-  EXPECT_EQ(header_fields.front(), "label");
-  EXPECT_EQ(row_fields.front(), "rdbs");
-}
-
-TEST(Profiler, CsvRowRoundTripsTheRawCounters) {
-  const gpusim::Counters c = sample_counters();
-  const std::string row = gpusim::profiler_csv_row("x", c);
-  const auto fields = split_csv(row.substr(0, row.size() - 1));
-  ASSERT_EQ(fields.size(), 12u);
-  EXPECT_EQ(std::stoull(fields[1]), c.inst_executed_global_loads);
-  EXPECT_EQ(std::stoull(fields[2]), c.inst_executed_global_stores);
-  EXPECT_EQ(std::stoull(fields[3]), c.inst_executed_atomics);
-  EXPECT_EQ(std::stoull(fields[6]), c.memory_transactions);
-  EXPECT_EQ(std::stoull(fields[7]), c.dram_bytes);
-  EXPECT_EQ(std::stoull(fields[10]), c.kernel_launches);
-  EXPECT_EQ(std::stoull(fields[11]), c.child_launches);
-}
-
 TEST(Profiler, ReportIsDeterministicForIdenticalRuns) {
   const gpusim::Counters a = sample_counters();
   const gpusim::Counters b = sample_counters();
   EXPECT_EQ(gpusim::profiler_report(a, gpusim::test_device()),
             gpusim::profiler_report(b, gpusim::test_device()));
-  EXPECT_EQ(gpusim::profiler_csv_row("r", a), gpusim::profiler_csv_row("r", b));
 }
 
 }  // namespace
